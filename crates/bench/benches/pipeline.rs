@@ -4,6 +4,7 @@
 
 use blockconc::pipeline::{
     BlockPacker, BlockTemplate, ConcurrencyAwarePacker, FeeGreedyPacker, IncrementalTdg, Mempool,
+    TrackedPool,
 };
 use blockconc::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -30,18 +31,17 @@ fn mempool_ingest(c: &mut Criterion) {
         let batch = arrivals(count);
         group.bench_with_input(BenchmarkId::from_parameter(count), &batch, |b, batch| {
             b.iter(|| {
-                let mut pool = Mempool::new(100_000);
-                let mut tdg = IncrementalTdg::new();
+                let mut pool = TrackedPool::new(100_000, false);
                 for arrival in batch {
-                    pool.insert(
-                        arrival.tx.clone(),
+                    pool.offer(
+                        &arrival.tx,
                         arrival.fee_per_gas,
                         arrival.arrival_secs,
                         0,
+                        None,
                     );
-                    tdg.insert(&arrival.tx);
                 }
-                std::hint::black_box((pool.len(), tdg.tx_count()))
+                std::hint::black_box((pool.pool().len(), pool.tdg().tx_count()))
             })
         });
     }

@@ -36,7 +36,7 @@
 use blockconc::account::{AccountBlock, Receipt};
 use blockconc::pipeline::{
     block_group_sizes, block_group_sizes_weak, BlockRecord, BlockTemplate, ConcurrencyAwarePacker,
-    FeeGreedyPacker,
+    FeeGreedyPacker, TrackedPool,
 };
 use blockconc::prelude::*;
 use blockconc::telemetry::Clock;
@@ -819,9 +819,8 @@ struct SweepPoint {
 /// Builds a standing pool of `n` transactions — mostly independent payments with
 /// a slice of deposits into 8 hot addresses, distinct fees for realistic fee
 /// ordering — together with its incrementally maintained TDG.
-fn standing_pool(n: usize) -> (Mempool, IncrementalTdg) {
-    let mut pool = Mempool::new(n + 1);
-    let mut tdg = IncrementalTdg::new();
+fn standing_pool(n: usize) -> TrackedPool {
+    let mut pool = TrackedPool::new(n + 1, false);
     for i in 0..n {
         let sender = Address::from_low(1_000_000 + i as u64);
         let receiver = if i % 7 == 0 {
@@ -830,15 +829,14 @@ fn standing_pool(n: usize) -> (Mempool, IncrementalTdg) {
             Address::from_low(5_000_000 + i as u64)
         };
         let tx = AccountTransaction::transfer(sender, receiver, Amount::from_sats(1), 0);
-        let outcome = pool.insert(tx.clone(), 10 + (i % 1_000) as u64, i as f64, 0);
+        let effects = pool.offer(&tx, 10 + (i % 1_000) as u64, i as f64, 0, None);
         assert_eq!(
-            outcome,
+            effects.outcome,
             blockconc::pipeline::AdmitOutcome::Admitted,
             "sweep pool build must admit"
         );
-        tdg.insert(&tx);
     }
-    (pool, tdg)
+    pool
 }
 
 fn sweep_template(height: u64) -> BlockTemplate {
@@ -854,31 +852,30 @@ fn sweep_template(height: u64) -> BlockTemplate {
 /// both strategies and reports the per-block pack-phase cost of each.
 fn sweep_point(pool_txs: usize, blocks: usize) -> SweepPoint {
     eprintln!("[fig_pipeline] pool sweep @ {pool_txs} pooled txs...");
-    let (pool0, tdg0) = standing_pool(pool_txs);
+    let pool0 = standing_pool(pool_txs);
 
-    // Maintained path: exactly what `PipelineDriver` does per block — pack from
+    // Maintained path: exactly what `NodePipeline` does per block — pack from
     // the maintained index, settle the block as incremental edits.
-    let (mut pool, mut tdg) = (pool0.clone(), tdg0.clone());
+    let mut pool = pool0.clone();
     let mut packer = ConcurrencyAwarePacker::new(THREADS[THREADS.len() - 1]);
     let state = WorldState::new();
-    let units_before = tdg.op_units();
+    let units_before = pool.tdg().op_units();
     let mut considered = 0u64;
     let clock = WallClock::new();
     let started = clock.now_nanos();
     for height in 1..=blocks as u64 {
-        let packed = packer.pack(&pool, &mut tdg, &state, &sweep_template(height));
+        let (view, tdg) = pool.packing_view();
+        let packed = packer.pack(view, tdg, &state, &sweep_template(height));
         considered += packed.considered;
-        let removed = pool.remove_packed_returning(packed.block.transactions());
-        tdg.remove_batch(removed.iter().map(|p| &p.tx));
+        pool.settle_packed(packed.block.transactions());
     }
     let maintained_nanos = clock.now_nanos().saturating_sub(started) as f64 / blocks as f64;
-    let tdg_units = (tdg.op_units() - units_before) as f64 / blocks as f64;
+    let tdg_units = (pool.tdg().op_units() - units_before) as f64 / blocks as f64;
     let considered_per_block = considered as f64 / blocks as f64;
 
     // Rebuild baseline: the pre-refactor hot path — a full TDG rebuild plus an
     // O(pool) ready-chain materialization before every pack.
-    drop(tdg0);
-    let mut pool = pool0;
+    let mut pool = pool0.pool().clone();
     let mut packer = ConcurrencyAwarePacker::new(THREADS[THREADS.len() - 1]);
     let started = clock.now_nanos();
     for height in 1..=blocks as u64 {

@@ -1,26 +1,29 @@
-//! The cluster driver: arrival stream → cluster router → N node-shard pipelines
-//! → per-shard micro-blocks → merged final block, with the cross-shard credit
+//! The cluster driver: arrival stream → cluster router → N node pipelines →
+//! per-shard micro-blocks → merged final block, with the cross-shard credit
 //! protocol and DS-epoch committee rotation.
 
-use crate::node::{ShardNode, ShardRound};
 use crate::router::{ClusterRouter, MemberMove};
 use crate::{ClusterBlockRecord, ClusterConfig, ClusterRunReport, CrossShardReceipt};
 use blockconc_account::{account_to_stored, WorldState};
-use blockconc_chainsim::{ArrivalStream, TxArrival};
+use blockconc_chainsim::ArrivalStream;
 use blockconc_execution::ExecutionEngine;
 use blockconc_pipeline::{
-    effective_receiver, receipts_digest, AdmitOutcome, BlockRecord, BlockTemplate, MempoolStats,
+    begin_block_span, effective_receiver, emit_ingest, mount_state, AdmitOutcome, ArrivalWindow,
+    BlockRecord, ConcurrencyAwarePacker, MempoolStats, NodePipeline, NodeRound,
 };
 use blockconc_sharding::{DsEpoch, FinalBlock, MicroBlock, NodeId, ShardId};
 use blockconc_store::StoredAccount;
-use blockconc_telemetry::{Count, Dist, SpanId, Stage};
+use blockconc_telemetry::{Count, Dist, Stage, TelemetryRegistry};
 use blockconc_types::{Address, Amount, BlockHeight, Hash, Result};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
+
+/// One shard's full node: exactly what `PipelineDriver` steps.
+type ShardNode<E> = NodePipeline<ConcurrencyAwarePacker, E>;
 
 /// Executes member-move orders physically: account records hand over between
-/// shard partitions, pooled chains (and their TDG edges) between shard pools.
+/// shard partitions, pooled chains (with their graph edges) between shard pools.
 /// Returns the move's cost in one-touch work units.
-fn apply_moves<E>(
+fn apply_moves<E: ExecutionEngine>(
     nodes: &mut [ShardNode<E>],
     moves: &[MemberMove],
     moved_accounts: &mut u64,
@@ -38,11 +41,7 @@ fn apply_moves<E>(
         if !chain.is_empty() {
             *moved_chains += 1;
             units += chain.len() as u64;
-            for pooled in &chain {
-                nodes[mv.from].tdg.remove(&pooled.tx);
-            }
             for pooled in chain {
-                nodes[mv.to].tdg.insert(&pooled.tx);
                 nodes[mv.to].pool.restore(pooled);
             }
         }
@@ -50,36 +49,65 @@ fn apply_moves<E>(
     units
 }
 
+/// Credits every due receipt on its owner shard; returns how many were applied
+/// and the sum of their latencies in blocks.
+fn apply_receipts<E: ExecutionEngine>(
+    nodes: &mut [ShardNode<E>],
+    router: &ClusterRouter,
+    due: Vec<CrossShardReceipt>,
+    height: u64,
+    receipts_in: &mut [u64],
+    telemetry: &TelemetryRegistry,
+) -> (u64, u64) {
+    let (mut applied, mut latency) = (0u64, 0u64);
+    for receipt in due {
+        let dest = router
+            .owner_of(receipt.to)
+            .expect("cross-shard receipts only target claimed accounts");
+        nodes[dest]
+            .state
+            .credit(receipt.to, Amount::from_sats(receipt.value_sats));
+        receipts_in[dest] += 1;
+        applied += 1;
+        latency += height - receipt.emit_height;
+        telemetry.dist(Dist::ReceiptLatencyBlocks, height - receipt.emit_height);
+    }
+    telemetry.count(Count::CrossShardReceipts, applied);
+    (applied, latency)
+}
+
 /// Drives a cluster of node shards over one arrival stream — the cross-node
 /// counterpart of `blockconc_pipeline::PipelineDriver` and
 /// `blockconc_shardpool::ShardedPipelineDriver`.
 ///
-/// Per height (final-block round) the driver:
+/// Every shard is a [`NodePipeline`] — own mempool and dependency graph, own
+/// packer, own engine, own partitioned state backend — stepped exactly as
+/// `PipelineDriver` steps its one (see *The block step* in the pipeline crate's
+/// README). Around that step, per height, the driver does what only a cluster
+/// needs:
 ///
-/// 1. opens every shard's block and, at DS-epoch boundaries, rotates the
-///    committee ([`DsEpoch`]) and re-homes live components under the new epoch's
-///    canonical placement (accounts and pooled chains move whole);
-/// 2. applies the previous round's in-flight [`CrossShardReceipt`] credits on
+/// 1. at DS-epoch boundaries it rotates the committee ([`DsEpoch`]) and re-homes
+///    live components under the new epoch's canonical placement (accounts and
+///    pooled chains move whole);
+/// 2. it applies the previous round's in-flight [`CrossShardReceipt`] credits on
 ///    their owner shards;
-/// 3. routes the due arrivals through the cluster router — whole dependency
-///    components to home shards, sender chains never splitting — funding
-///    first-seen senders on their home shard exactly like the single pipeline;
-/// 4. packs and executes every shard's micro-block **in parallel** (each shard
-///    is a full node: own mempool, own incremental TDG, own packer, own engine,
-///    own partitioned state backend);
-/// 5. settles serially: packed transactions leave pools and graphs, failed
-///    senders resync, and every successful credit to a foreign-owned account is
-///    reversed locally ([`WorldState::withdraw_phantom`]) and shipped as a
-///    receipt — the Zilliqa-style debit/credit protocol;
-/// 6. commits every shard's write-set delta to its own backend and merges the
-///    micro-blocks into a [`FinalBlock`], recording per-phase model units.
+/// 3. it routes the due arrivals through the cluster router — whole dependency
+///    components to home shards, sender chains never splitting — before each
+///    node admits its own;
+/// 4. it produces every shard's micro-block **in parallel**;
+/// 5. between each node's settle and commit it reverses every successful credit
+///    to a foreign-owned account ([`WorldState::withdraw_phantom`]) and ships it
+///    as a receipt — the Zilliqa-style debit/credit protocol;
+/// 6. it merges the micro-blocks into a [`FinalBlock`], recording per-phase
+///    model units.
 ///
 /// After the last round, in-flight receipts settle in one extra commit, so the
 /// reported shard roots describe a fully settled cluster.
 ///
-/// With **one shard** every cluster-only step is a no-op and the driver performs
-/// exactly `PipelineDriver`'s sequence — the equivalence property tests assert
-/// the runs are bit-identical (normalized records, receipts digests, roots).
+/// With **one shard** every cluster-only step is a no-op, so the run *is*
+/// `PipelineDriver`'s by construction — the equivalence property tests assert
+/// it bit for bit (normalized records, receipts digests, roots) for every
+/// engine, delta-commuting ones included.
 ///
 /// # Examples
 ///
@@ -102,7 +130,6 @@ pub struct ClusterDriver<E> {
     config: ClusterConfig,
     engines: Vec<E>,
     serial_order: Option<Vec<usize>>,
-    beneficiary: Address,
 }
 
 impl<E: ExecutionEngine + Send> ClusterDriver<E> {
@@ -123,10 +150,6 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             config,
             engines,
             serial_order: None,
-            // The same beneficiary the single pipeline stamps into templates (a
-            // header field only — fees are abstract bids, never credited — so
-            // sharing it across shards writes nothing anywhere).
-            beneficiary: Address::from_low(999_999_998),
         }
     }
 
@@ -163,15 +186,11 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
     ///
     /// Propagates engine-level execution failures and state-backend I/O errors;
     /// per-transaction failures are recorded in the micro-block records instead.
-    pub fn run(mut self, mut stream: ArrivalStream) -> Result<ClusterRunReport> {
+    pub fn run(self, stream: ArrivalStream) -> Result<ClusterRunReport> {
         let shards = self.config.shards();
         let pipeline = self.config.pipeline.clone();
         let telemetry = pipeline.telemetry.clone();
         let mut router = ClusterRouter::new(shards);
-        // Per-node backend watermarks so flush/compaction counters accrue as
-        // per-block deltas (mirrors the single-pipeline driver).
-        let mut flushes_seen = vec![0u64; shards];
-        let mut compactions_seen = vec![0u64; shards];
 
         // DS epoch 0: PoW-assign the node population to committees.
         let population: Vec<NodeId> = (0..self.config.sharding.num_nodes)
@@ -200,33 +219,22 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             let home = router.claim_base(*address, account.is_contract());
             partitions[home].push((*address, account_to_stored(account)));
         }
-        let engines = std::mem::take(&mut self.engines);
         let mut nodes: Vec<ShardNode<E>> = Vec::with_capacity(shards);
-        for (index, engine) in engines.into_iter().enumerate() {
+        for (index, engine) in self.engines.into_iter().enumerate() {
             let mut partition = std::mem::take(&mut partitions[index]);
             partition.sort_by_key(|(address, _)| *address);
             let mut state = WorldState::new();
             for (address, stored) in &partition {
                 state.install_account(*address, stored);
             }
-            let backend_config = pipeline.state_backend.partition(index);
-            let backend = backend_config.build()?;
-            state.attach_backend(backend, backend_config.working_set_cap())?;
-            nodes.push(ShardNode::new(
-                ShardId::new(index as u32),
-                engine,
-                state,
-                &pipeline,
-            ));
+            let state = mount_state(state, &pipeline.state_backend.partition(index))?;
+            let packer = ConcurrencyAwarePacker::new(pipeline.threads);
+            nodes.push(NodePipeline::new(packer, engine, state, &pipeline));
         }
 
-        let mut funded: HashSet<Address> = HashSet::new();
-        let mut lookahead: Option<TxArrival> = None;
+        let mut window = ArrivalWindow::new(stream, &pipeline);
         let mut pending: Vec<CrossShardReceipt> = Vec::new();
         let mut records: Vec<ClusterBlockRecord> = Vec::with_capacity(pipeline.max_blocks);
-        let mut total_failed = 0usize;
-        let mut cross_txs_total = 0u64;
-        let mut hops_total = 0u64;
         let mut applied_total = 0u64;
         let mut latency_total = 0u64;
         let mut moved_accounts = 0u64;
@@ -234,18 +242,16 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
         let mut last_height = 0u64;
 
         for height in 1..=pipeline.max_blocks as u64 {
-            let deadline = height as f64 * pipeline.block_interval_secs;
             for node in &mut nodes {
-                node.state.begin_block(height)?;
-                node.ingested = 0;
-                node.receipts_in = 0;
+                node.begin_block(height)?;
             }
+            // Receipt-carried credits each shard applies this height.
+            let mut receipts_in = vec![0u64; shards];
             last_height = height;
             let mut rehome_units = 0u64;
             let mut rehome_wall = 0u64;
             let moved_accounts_before = moved_accounts;
-            let block_span = telemetry.begin_span("block", SpanId::ROOT);
-            telemetry.span_attr(block_span, "height", height);
+            let block_span = begin_block_span(&telemetry, height);
 
             // DS-epoch rotation: reshuffle the committee, re-home live
             // components under the new epoch's canonical placement.
@@ -278,37 +284,23 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
 
             // Apply the previous round's in-flight credits on their owner shards
             // (inside the open block, so they join that shard's write-set delta).
-            let due: Vec<CrossShardReceipt> = std::mem::take(&mut pending);
-            let mut applied_this = 0u64;
-            let mut latency_this = 0u64;
-            for receipt in due {
-                let dest = router
-                    .owner_of(receipt.to)
-                    .expect("cross-shard receipts only target claimed accounts");
-                nodes[dest]
-                    .state
-                    .credit(receipt.to, Amount::from_sats(receipt.value_sats));
-                nodes[dest].receipts_in += 1;
-                applied_this += 1;
-                latency_this += height - receipt.emit_height;
-                telemetry.dist(Dist::ReceiptLatencyBlocks, height - receipt.emit_height);
-            }
             // Totals accrue at application time: the exhaustion break below
             // commits these credits without pushing a block record, and they
             // must still be accounted for.
+            let (applied_this, latency_this) = apply_receipts(
+                &mut nodes,
+                &router,
+                std::mem::take(&mut pending),
+                height,
+                &mut receipts_in,
+                &telemetry,
+            );
             applied_total += applied_this;
             latency_total += latency_this;
-            telemetry.count(Count::CrossShardReceipts, applied_this);
 
-            // Route and admit every arrival due before this round's deadline,
-            // mirroring the single pipeline's ingest exactly (lazy funding, the
-            // same admission → O(1) TDG edit mapping).
+            // Route every due arrival to its home node, which admits it.
             let ingest_started = telemetry.now_nanos();
-            while let Some(arrival) = lookahead.take().or_else(|| stream.next()) {
-                if arrival.arrival_secs > deadline {
-                    lookahead = Some(arrival);
-                    break;
-                }
+            while let Some(arrival) = window.next_due(height) {
                 // Routing is monotone, like the shardpool router: an edge once
                 // seen is never forgotten, even if admission then rejects the
                 // transaction — forgetting it could let two conflicting
@@ -324,66 +316,43 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                     &mut moved_chains,
                 );
                 let sender = arrival.tx.sender();
-                if funded.insert(sender) {
-                    nodes[decision.shard].state.credit(
-                        sender,
-                        Amount::from_coins(ArrivalStream::SENDER_FUNDING_COINS),
-                    );
-                }
                 let node = &mut nodes[decision.shard];
-                node.ingested += 1;
-                let account_nonce = node.state.nonce(sender);
-                let effects = node.pool.offer(
-                    arrival.tx.clone(),
-                    arrival.fee_per_gas,
-                    arrival.arrival_secs,
-                    account_nonce,
-                    None,
-                );
+                window.fund_on_first_sight(sender, &mut node.state);
+                let effects = node.admit(&arrival);
                 match effects.outcome {
                     AdmitOutcome::Admitted => {
-                        node.tdg.insert(&arrival.tx);
                         router.note_admitted(sender);
                         if let Some(evicted) = &effects.evicted {
-                            node.tdg.remove(&evicted.tx);
                             router.note_removed(evicted.tx.sender(), 1);
                         }
                     }
-                    AdmitOutcome::Replaced => {
-                        let replaced = effects.replaced.as_ref().expect("replacement payload");
-                        node.tdg.remove(&replaced.tx);
-                        node.tdg.insert(&arrival.tx);
-                    }
-                    _ => {}
+                    AdmitOutcome::Replaced => {}
+                    _ => continue,
                 }
-                if matches!(
-                    effects.outcome,
-                    AdmitOutcome::Admitted | AdmitOutcome::Replaced
-                ) && arrival.tx.is_contract_creation()
-                {
+                if arrival.tx.is_contract_creation() {
                     router.register_contract(effective_receiver(&arrival.tx));
                 }
             }
             let ingest_wall = telemetry.now_nanos().saturating_sub(ingest_started);
             let ingest_units = nodes
                 .iter()
-                .map(|node| node.ingested as u64 + node.receipts_in)
+                .zip(&receipts_in)
+                .map(|(node, credits)| node.ingested() as u64 + credits)
                 .max()
                 .unwrap_or(0);
-            telemetry.stage(Stage::Ingest, ingest_wall, ingest_units);
-            telemetry.record_span(
-                "ingest",
+            for node in &nodes {
+                node.emit_admissions();
+            }
+            emit_ingest(
+                &telemetry,
                 block_span,
                 ingest_started,
-                ingest_started + ingest_wall,
+                ingest_wall,
                 ingest_units,
                 &[],
             );
 
-            if nodes.iter().all(|node| node.pool.is_empty())
-                && lookahead.is_none()
-                && stream.remaining() == 0
-            {
+            if nodes.iter().all(|node| node.pool.pool().is_empty()) && window.is_exhausted() {
                 // Flush funding (and any just-applied credits) before stopping.
                 for node in &mut nodes {
                     node.state.commit_block()?;
@@ -395,15 +364,10 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             // Parallel micro-block production: every shard packs and executes on
             // its own state. The serial-order hook exists so the equivalence
             // tests can prove any interleaving yields the identical run.
-            let template = BlockTemplate {
-                height,
-                timestamp: 1_600_000_000 + deadline as u64,
-                beneficiary: self.beneficiary,
-                gas_limit: pipeline.block_gas_limit,
-            };
-            let rounds: Vec<ShardRound> = match &self.serial_order {
+            let template = window.template(height);
+            let rounds: Vec<NodeRound> = match &self.serial_order {
                 Some(order) => {
-                    let mut slots: Vec<Option<ShardRound>> = (0..shards).map(|_| None).collect();
+                    let mut slots: Vec<Option<NodeRound>> = (0..shards).map(|_| None).collect();
                     for &index in order {
                         slots[index] = Some(nodes[index].produce(&template)?);
                     }
@@ -414,7 +378,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 }
                 None => {
                     let template = &template;
-                    let results: Vec<Result<ShardRound>> = std::thread::scope(|scope| {
+                    let results: Vec<Result<NodeRound>> = std::thread::scope(|scope| {
                         let handles: Vec<_> = nodes
                             .iter_mut()
                             .map(|node| scope.spawn(move || node.produce(template)))
@@ -428,59 +392,47 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 }
             };
 
-            // Serial settle, shard by shard in index order: pools and graphs
-            // shed the packed transactions, failed senders resync, and foreign
-            // credits convert into receipts (the debit half of the protocol).
+            // Serial tail, shard by shard in index order: each node settles its
+            // pool, foreign credits convert into receipts (the debit half of the
+            // protocol), and the node commits.
             let settle_started = telemetry.now_nanos();
             let mut cross_txs_this = 0u64;
             let mut hops_this = 0u64;
-            let mut height_failed = 0usize;
-            let mut micro_records: Vec<BlockRecord> = Vec::with_capacity(shards);
-            let mut microblocks: Vec<MicroBlock> = Vec::with_capacity(shards);
-            let mut max_pack_wall = 0u64;
-            let mut max_execute_wall = 0u64;
-            let mut store_wall_total = 0u64;
-            let mut store_units_total = 0u64;
+            let mut micro: Vec<BlockRecord> = Vec::with_capacity(shards);
             let mut bytes_total = 0u64;
-            let mut conflicts_total = 0u64;
-            let mut tdg_units_total = 0u64;
+            let mut microblocks: Vec<MicroBlock> = Vec::with_capacity(shards);
             for (index, round) in rounds.into_iter().enumerate() {
                 let node = &mut nodes[index];
-                let removed = node
-                    .pool
-                    .remove_packed_returning(round.packed.block.transactions());
-                node.tdg.remove_batch(removed.iter().map(|p| &p.tx));
-                for pooled in &removed {
-                    router.note_removed(pooled.tx.sender(), 1);
+                for departed in node.settle(&round) {
+                    router.note_removed(departed.tx.sender(), 1);
                 }
 
                 for (tx, receipt) in round.executed.iter() {
                     if !receipt.succeeded() {
-                        let dropped = node
-                            .pool
-                            .resync_sender_removed(tx.sender(), node.state.nonce(tx.sender()));
-                        node.tdg.remove_batch(dropped.iter().map(|p| &p.tx));
-                        router.note_removed(tx.sender(), dropped.len());
                         continue;
                     }
+                    let mut ship = |to: Address, value: Amount| -> Result<()> {
+                        node.state.withdraw_phantom(to, value)?;
+                        pending.push(CrossShardReceipt {
+                            to,
+                            value_sats: value.sats(),
+                            source_shard: index as u32,
+                            emit_height: height,
+                        });
+                        hops_this += 1;
+                        Ok(())
+                    };
                     // Top-level cross-shard settlement: the executed transfer
                     // credited a locally materialized phantom of a foreign-owned
                     // account; reverse it and ship the credit.
                     let receiver = effective_receiver(tx);
-                    if !tx.is_contract_creation() {
-                        if let Some(owner) = router.owner_of(receiver) {
-                            if owner != index {
-                                node.state.withdraw_phantom(receiver, tx.value())?;
-                                pending.push(CrossShardReceipt {
-                                    to: receiver,
-                                    value_sats: tx.value().sats(),
-                                    source_shard: index as u32,
-                                    emit_height: height,
-                                });
-                                cross_txs_this += 1;
-                                hops_this += 1;
-                            }
-                        }
+                    if !tx.is_contract_creation()
+                        && router
+                            .owner_of(receiver)
+                            .is_some_and(|owner| owner != index)
+                    {
+                        ship(receiver, tx.value())?;
+                        cross_txs_this += 1;
                     }
                     // Internal transactions (contract payouts) can also pay
                     // foreign-owned accounts — each such credit is a hop of its
@@ -490,109 +442,43 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                         let to = internal.to();
                         match router.owner_of(to) {
                             None => router.claim_created(to, index),
-                            Some(owner) if owner != index => {
-                                node.state.withdraw_phantom(to, internal.value())?;
-                                pending.push(CrossShardReceipt {
-                                    to,
-                                    value_sats: internal.value().sats(),
-                                    source_shard: index as u32,
-                                    emit_height: height,
-                                });
-                                hops_this += 1;
-                            }
+                            Some(owner) if owner != index => ship(to, internal.value())?,
                             _ => {}
                         }
                     }
                 }
 
-                let store_started = telemetry.now_nanos();
-                let commit = node.state.commit_block()?;
-                let store_wall = telemetry.now_nanos().saturating_sub(store_started);
-
-                let failed = round
-                    .executed
-                    .receipts()
-                    .iter()
-                    .filter(|r| !r.succeeded())
-                    .count();
-                height_failed += failed;
-                let tdg_units = node.tdg_units_delta();
-
-                max_pack_wall = max_pack_wall.max(round.pack_wall_nanos);
-                max_execute_wall = max_execute_wall.max(round.execute_wall_nanos);
-                store_wall_total += store_wall;
-                store_units_total += commit.store_units;
+                let (record, commit) = node.commit(&round, None)?;
                 bytes_total += commit.bytes;
-                conflicts_total += round.exec_report.conflicted_transactions as u64;
-                tdg_units_total += tdg_units;
-                telemetry.dist(Dist::TdgBlockUnits, tdg_units);
-                telemetry.dist(Dist::CommitBytes, commit.bytes);
                 telemetry.record_span(
                     "shard",
                     block_span,
                     round.started_nanos,
                     round.started_nanos + round.pack_wall_nanos + round.execute_wall_nanos,
-                    round.packed.considered + round.exec_report.parallel_units,
-                    &[
-                        ("shard", index as u64),
-                        ("txs", round.packed.block.transaction_count() as u64),
-                    ],
+                    record.pack_considered + record.measured_parallel_units,
+                    &[("shard", index as u64), ("txs", record.tx_count as u64)],
                 );
-                if telemetry.is_enabled() {
-                    if let Some(stats) = node.state.backend_stats() {
-                        telemetry.count(
-                            Count::JournalFlushes,
-                            stats.group_flushes.saturating_sub(flushes_seen[index]),
-                        );
-                        telemetry.count(
-                            Count::StoreCompactions,
-                            stats
-                                .snapshots_written
-                                .saturating_sub(compactions_seen[index]),
-                        );
-                        flushes_seen[index] = stats.group_flushes;
-                        compactions_seen[index] = stats.snapshots_written;
-                    }
-                }
-
-                micro_records.push(BlockRecord {
-                    height,
-                    ingested: node.ingested,
-                    tx_count: round.packed.block.transaction_count(),
-                    deferred_by_cap: round.packed.deferred_by_cap,
-                    aged_included: round.packed.aged_included,
-                    failed_receipts: failed,
-                    estimated_gas: round.packed.estimated_gas.value(),
-                    gas_used: round.executed.gas_used().value(),
-                    total_fee_per_gas: round.packed.total_fee_per_gas,
-                    predicted_makespan: round.packed.predicted_makespan(pipeline.threads),
-                    predicted_speedup: round.packed.predicted_speedup(pipeline.threads),
-                    measured_parallel_units: round.exec_report.parallel_units,
-                    measured_speedup: round.exec_report.unit_speedup(),
-                    conflict_rate: round.exec_report.conflict_rate(),
-                    group_conflict_rate: round.exec_report.group_conflict_rate(),
-                    mempool_len_after: node.pool.len(),
-                    tdg_units,
-                    pack_considered: round.packed.considered,
-                    pack_wall_nanos: round.pack_wall_nanos,
-                    execute_wall_nanos: round.execute_wall_nanos,
-                    receipts_digest: receipts_digest(round.executed.receipts()),
-                    store_units: commit.store_units,
-                    store_wall_nanos: store_wall,
-                });
+                micro.push(record);
                 microblocks.push(MicroBlock::new(
-                    node.id,
+                    ShardId::new(index as u32),
                     BlockHeight::new(height),
                     round.packed.block.transactions().to_vec(),
                 ));
             }
 
+            // One stage sample per height: shards pack and execute side by
+            // side, so those take the slowest shard; the serial commits add up.
+            let slowest = |f: fn(&BlockRecord) -> u64| micro.iter().map(f).max().unwrap_or(0);
+            let total = |f: fn(&BlockRecord) -> u64| micro.iter().map(f).sum::<u64>();
+            let pack_units = slowest(|r| r.pack_considered);
+            let execute_units = slowest(|r| r.measured_parallel_units);
+            let store_units = total(|r| r.store_units);
             telemetry.record_span(
                 "settle",
                 block_span,
                 settle_started,
                 telemetry.now_nanos(),
-                store_units_total,
+                store_units,
                 &[("bytes", bytes_total)],
             );
 
@@ -601,30 +487,17 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             let final_block = FinalBlock::merge(BlockHeight::new(height), microblocks);
             let merge_wall = telemetry.now_nanos().saturating_sub(merge_started);
             let tx_count = final_block.transaction_count();
-            total_failed += height_failed;
-            cross_txs_total += cross_txs_this;
-            hops_total += hops_this;
             blocks_in_epoch += 1;
 
-            let pack_units = micro_records
-                .iter()
-                .map(|r| r.pack_considered)
-                .max()
-                .unwrap_or(0);
-            let execute_units = micro_records
-                .iter()
-                .map(|r| r.measured_parallel_units)
-                .max()
-                .unwrap_or(0);
             let merge_units = shards as u64;
             // The critical path takes the slowest *single shard's* whole round
             // (phases of one shard do not overlap), not the max of each phase.
-            let critical_units = nodes
+            let critical_units = micro
                 .iter()
-                .zip(&micro_records)
-                .map(|(node, record)| {
-                    node.ingested as u64
-                        + node.receipts_in
+                .zip(&receipts_in)
+                .map(|(record, credits)| {
+                    record.ingested as u64
+                        + credits
                         + record.pack_considered
                         + record.measured_parallel_units
                 })
@@ -633,14 +506,15 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 + merge_units
                 + rehome_units;
 
-            telemetry.stage(Stage::Pack, max_pack_wall, pack_units);
-            telemetry.stage(Stage::Execute, max_execute_wall, execute_units);
-            telemetry.stage(Stage::Store, store_wall_total, store_units_total);
+            telemetry.stage(Stage::Pack, slowest(|r| r.pack_wall_nanos), pack_units);
+            telemetry.stage(
+                Stage::Execute,
+                slowest(|r| r.execute_wall_nanos),
+                execute_units,
+            );
+            telemetry.stage(Stage::Store, total(|r| r.store_wall_nanos), store_units);
             telemetry.stage(Stage::Merge, merge_wall, merge_units);
             telemetry.stage(Stage::Rehome, rehome_wall, rehome_units);
-            telemetry.count(Count::EngineConflicts, conflicts_total);
-            telemetry.count(Count::TdgOps, tdg_units_total);
-            telemetry.count(Count::JournalBytes, bytes_total);
             telemetry.count(
                 Count::RehomedAccounts,
                 moved_accounts - moved_accounts_before,
@@ -658,7 +532,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
 
             records.push(ClusterBlockRecord {
                 height,
-                micro: micro_records,
+                micro,
                 tx_count,
                 cross_shard_txs: cross_txs_this,
                 cross_shard_hops: hops_this,
@@ -690,19 +564,16 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             for &shard in &involved {
                 nodes[shard].state.begin_block(settle_height)?;
             }
-            telemetry.count(Count::CrossShardReceipts, due.len() as u64);
-            for receipt in due {
-                let dest = router.owner_of(receipt.to).expect("owner checked above");
-                nodes[dest]
-                    .state
-                    .credit(receipt.to, Amount::from_sats(receipt.value_sats));
-                applied_total += 1;
-                latency_total += settle_height - receipt.emit_height;
-                telemetry.dist(
-                    Dist::ReceiptLatencyBlocks,
-                    settle_height - receipt.emit_height,
-                );
-            }
+            let (applied, latency) = apply_receipts(
+                &mut nodes,
+                &router,
+                due,
+                settle_height,
+                &mut vec![0; shards],
+                &telemetry,
+            );
+            applied_total += applied;
+            latency_total += latency;
             for &shard in &involved {
                 nodes[shard].state.commit_block()?;
             }
@@ -716,19 +587,22 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
         let cluster_root = Hash::of_bytes(&root_bytes);
         let mut mempool_stats = MempoolStats::default();
         for node in &nodes {
-            mempool_stats.merge(&node.pool.stats());
+            mempool_stats.merge(&node.pool.pool().stats());
         }
-        let total_txs = records.iter().map(|r| r.tx_count).sum();
 
         Ok(ClusterRunReport {
             shards,
             threads: pipeline.threads,
             engine: engine_name,
+            total_txs: records.iter().map(|r| r.tx_count).sum(),
+            total_failed: records
+                .iter()
+                .flat_map(|r| &r.micro)
+                .map(|micro| micro.failed_receipts)
+                .sum(),
+            cross_shard_txs: records.iter().map(|r| r.cross_shard_txs).sum(),
+            cross_shard_hops: records.iter().map(|r| r.cross_shard_hops).sum(),
             blocks: records,
-            total_txs,
-            total_failed,
-            cross_shard_txs: cross_txs_total,
-            cross_shard_hops: hops_total,
             receipts_applied: applied_total,
             receipt_latency_blocks: latency_total,
             rehomed_components: router.rehomed_components,
@@ -736,7 +610,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             moved_chains,
             rotations,
             ds_epoch: epoch.number(),
-            per_shard_leftover: nodes.iter().map(|node| node.pool.len()).collect(),
+            per_shard_leftover: nodes.iter().map(|node| node.pool.pool().len()).collect(),
             total_supply_sats: nodes
                 .iter()
                 .map(|node| node.state.total_supply().sats())
@@ -754,7 +628,8 @@ mod tests {
     use super::*;
     use blockconc_chainsim::AccountWorkloadParams;
     use blockconc_execution::{ScheduledEngine, SequentialEngine};
-    use blockconc_pipeline::{ConcurrencyAwarePacker, PipelineConfig, PipelineDriver};
+    use blockconc_pipeline::{BlockRecord, PipelineConfig, PipelineDriver};
+    use blockconc_telemetry::TelemetryRegistry;
 
     fn heavy_stream(seed: u64) -> ArrivalStream {
         ArrivalStream::new(AccountWorkloadParams::cross_shard_heavy(), 8.0, 400, seed)
@@ -839,6 +714,78 @@ mod tests {
         }
         assert_eq!(cluster.shard_roots[0], single.final_state_root);
         assert_eq!(cluster.mempool_stats, single.mempool_stats);
+    }
+
+    #[test]
+    fn one_shard_cluster_and_pipeline_report_equal_counters() {
+        // One emission family serves both drivers, so on the same stream every
+        // counter both report must agree — on a mock clock, so nothing about
+        // the comparison depends on the host. A single-worker delta engine on a
+        // fee-escalating hot-spot stream through a small pool makes the
+        // admission, engine and delta counters all non-zero and deterministic
+        // (blocks hold half of what arrives, so entries wait, re-bid and evict).
+        use blockconc_chainsim::{FeeEscalationSpec, HotspotSpec};
+        use blockconc_execution::OptimisticEngine;
+        use blockconc_telemetry::MockClock;
+        let params = AccountWorkloadParams {
+            txs_per_block: 60.0,
+            user_population: 3_000,
+            fresh_receiver_share: 0.5,
+            zipf_exponent: 0.5,
+            hotspots: vec![HotspotSpec::exchange(0.45), HotspotSpec::contract(0.2, 2)],
+            contract_create_share: 0.01,
+        };
+        let stream = || {
+            ArrivalStream::new(params.clone(), 6.0, 700, 12)
+                .with_fee_escalation(FeeEscalationSpec::standard(14.0))
+        };
+        let traced = || {
+            let mut config = config(1, 8);
+            config.pipeline.mempool_capacity = 150;
+            config.pipeline.block_gas_limit = blockconc_types::Gas::new(21_000 * 40);
+            config.pipeline.telemetry = TelemetryRegistry::enabled_with(MockClock::shared(10), 64);
+            config
+        };
+        let engine = || OptimisticEngine::new(1).with_delta_cells();
+        let single =
+            PipelineDriver::new(ConcurrencyAwarePacker::new(2), engine(), traced().pipeline)
+                .run(stream())
+                .unwrap()
+                .telemetry
+                .expect("registry enabled");
+        let cluster = ClusterDriver::new(vec![engine()], traced())
+            .run(stream())
+            .unwrap()
+            .telemetry
+            .expect("registry enabled");
+
+        for name in [
+            "mempool_admitted",
+            "mempool_replaced",
+            "mempool_evicted",
+            "mempool_rejected",
+            "tdg_ops",
+            "engine_validations",
+            "delta_merges",
+        ] {
+            assert!(single.counter(name) > 0, "{name} must be exercised");
+        }
+        for counter in &single.counters {
+            assert_eq!(
+                cluster.counter(&counter.name),
+                counter.value,
+                "{} diverged",
+                counter.name
+            );
+        }
+        for counter in &cluster.counters {
+            assert_eq!(
+                single.counter(&counter.name),
+                counter.value,
+                "{} is cluster-only at one shard",
+                counter.name
+            );
+        }
     }
 
     #[test]

@@ -59,7 +59,6 @@
 
 mod config;
 mod driver;
-mod node;
 mod protocol;
 mod report;
 mod router;

@@ -1,12 +1,14 @@
 //! The end-to-end pipeline driver: arrival stream → mempool → packer → engine.
 
-use crate::{BlockPacker, BlockRecord, IncrementalTdg, Mempool, PipelineRunReport};
-use blockconc_chainsim::{ArrivalStream, TxArrival};
+use crate::{
+    begin_block_span, emit_ingest, mount_state, ArrivalWindow, BlockPacker, NodePipeline,
+    PipelineRunReport,
+};
+use blockconc_chainsim::ArrivalStream;
 use blockconc_execution::ExecutionEngine;
 use blockconc_store::StateBackendConfig;
-use blockconc_telemetry::{Count, Dist, SpanId, Stage, TelemetryRegistry};
-use blockconc_types::{Address, Amount, Gas, Result};
-use std::collections::HashSet;
+use blockconc_telemetry::TelemetryRegistry;
+use blockconc_types::{Gas, Result};
 
 /// Configuration of a pipeline run.
 #[derive(Debug, Clone)]
@@ -85,7 +87,6 @@ pub struct PipelineDriver<P, E> {
     config: PipelineConfig,
     packer: P,
     engine: E,
-    beneficiary: Address,
 }
 
 impl<P: BlockPacker, E: ExecutionEngine> PipelineDriver<P, E> {
@@ -95,7 +96,6 @@ impl<P: BlockPacker, E: ExecutionEngine> PipelineDriver<P, E> {
             config,
             packer,
             engine,
-            beneficiary: Address::from_low(999_999_998),
         }
     }
 
@@ -105,274 +105,62 @@ impl<P: BlockPacker, E: ExecutionEngine> PipelineDriver<P, E> {
     }
 
     /// Runs the pipeline over `stream` until `max_blocks` blocks have been produced
-    /// or the stream and the mempool are both exhausted.
+    /// or the stream and the mempool are both exhausted: one [`NodePipeline`]
+    /// stepped under an [`ArrivalWindow`].
     ///
     /// # Errors
     ///
     /// Propagates engine-level execution failures (worker panics); per-transaction
     /// failures are recorded in the block records instead.
-    pub fn run(mut self, mut stream: ArrivalStream) -> Result<PipelineRunReport> {
-        let mut state = stream.base_state().clone();
-        // Mount the configured backend: the base state becomes the genesis commit
-        // (height 0) and every produced block commits its write-set delta.
-        let backend = self.config.state_backend.build()?;
-        state.attach_backend(backend, self.config.state_backend.working_set_cap())?;
-        let mut funded: HashSet<Address> = HashSet::new();
-        let mut pool = Mempool::new(self.config.mempool_capacity);
-        // A delta-commuting engine never conflicts on pure-credit receivers, so
-        // the maintained graph models those edges as weak — hot deposit sinks
-        // stop fusing the pool into one giant component, and the packer's
-        // component cap sees the same parallelism the engine will find.
-        let mut tdg = if self.engine.commutes_deltas() {
-            IncrementalTdg::new().with_weak_edges()
-        } else {
-            IncrementalTdg::new()
-        };
-        let mut lookahead: Option<TxArrival> = None;
-        let mut blocks: Vec<BlockRecord> = Vec::with_capacity(self.config.max_blocks);
-        let mut total_failed = 0usize;
-        let mut tdg_units_seen = 0u64;
-        let mut flushes_seen = 0u64;
-        let mut compactions_seen = 0u64;
-        let telemetry = self.config.telemetry.clone();
-        self.packer.configure(&self.config);
+    pub fn run(self, stream: ArrivalStream) -> Result<PipelineRunReport> {
+        let config = self.config;
+        let telemetry = config.telemetry.clone();
+        let (packer_name, engine_name) = (self.packer.name(), self.engine.name());
+        let state = mount_state(stream.base_state().clone(), &config.state_backend)?;
+        let mut node = NodePipeline::new(self.packer, self.engine, state, &config);
+        let mut window = ArrivalWindow::new(stream, &config);
+        let mut blocks = Vec::with_capacity(config.max_blocks);
 
-        for height in 1..=self.config.max_blocks as u64 {
-            let deadline = height as f64 * self.config.block_interval_secs;
-            let mut ingested = 0usize;
-            // Per-block admission tallies, folded into the telemetry counters
-            // once per block so the hot ingest loop stays counter-free.
-            let (mut admitted, mut replaced, mut evicted, mut rejected) = (0u64, 0u64, 0u64, 0u64);
-            let block_span = telemetry.begin_span("block", SpanId::ROOT);
-            telemetry.span_attr(block_span, "height", height);
-            // Open the block's write-set scope: ingest-time sender funding and the
-            // block's execution effects commit together.
-            state.begin_block(height)?;
+        for height in 1..=config.max_blocks as u64 {
+            let block_span = begin_block_span(&telemetry, height);
+            node.begin_block(height)?;
 
-            // Ingest every arrival due before this block's deadline. Every
-            // admission outcome maps to an O(1) incremental TDG edit — the graph
-            // is never rebuilt from a pool scan.
             let ingest_started = telemetry.now_nanos();
-            while let Some(arrival) = lookahead.take().or_else(|| stream.next()) {
-                if arrival.arrival_secs > deadline {
-                    lookahead = Some(arrival);
-                    break;
-                }
-                // Mirror the generator's lazy funding so the transaction is executable.
-                if funded.insert(arrival.tx.sender()) {
-                    state.credit(
-                        arrival.tx.sender(),
-                        Amount::from_coins(ArrivalStream::SENDER_FUNDING_COINS),
-                    );
-                }
-                ingested += 1;
-                let effects = pool.offer(
-                    arrival.tx.clone(),
-                    arrival.fee_per_gas,
-                    arrival.arrival_secs,
-                    state.nonce(arrival.tx.sender()),
-                    None,
-                );
-                match effects.outcome {
-                    crate::AdmitOutcome::Admitted => {
-                        admitted += 1;
-                        tdg.insert(&arrival.tx);
-                        // A capacity admission evicted the cheapest tail: drop its
-                        // edge too. When the superseded edge is still covered by
-                        // another pooled transaction this is the zero-degree fast
-                        // path — a pure refcount decrement.
-                        if let Some(evicted_entry) = &effects.evicted {
-                            evicted += 1;
-                            tdg.remove(&evicted_entry.tx);
-                        }
-                    }
-                    // A replacement may change the receiver: swap the superseded
-                    // edge for the new one, incrementally.
-                    crate::AdmitOutcome::Replaced => {
-                        replaced += 1;
-                        let superseded = effects.replaced.as_ref().expect("replacement payload");
-                        tdg.remove(&superseded.tx);
-                        tdg.insert(&arrival.tx);
-                    }
-                    _ => rejected += 1,
-                }
+            while let Some(arrival) = window.next_due(height) {
+                window.fund_on_first_sight(arrival.tx.sender(), &mut node.state);
+                node.admit(&arrival);
             }
             let ingest_wall = telemetry.now_nanos().saturating_sub(ingest_started);
-            telemetry.count(Count::MempoolAdmitted, admitted);
-            telemetry.count(Count::MempoolReplaced, replaced);
-            telemetry.count(Count::MempoolEvicted, evicted);
-            telemetry.count(Count::MempoolRejected, rejected);
-            telemetry.stage(Stage::Ingest, ingest_wall, ingested as u64);
-            telemetry.record_span(
-                "ingest",
+            node.emit_admissions();
+            emit_ingest(
+                &telemetry,
                 block_span,
                 ingest_started,
-                ingest_started + ingest_wall,
-                ingested as u64,
+                ingest_wall,
+                node.ingested() as u64,
                 &[],
             );
 
-            if pool.is_empty() && lookahead.is_none() && stream.remaining() == 0 {
+            if node.pool.pool().is_empty() && window.is_exhausted() {
                 // Flush any funding credited during the final (blockless) ingest.
-                state.commit_block()?;
+                node.state.commit_block()?;
                 telemetry.end_span(block_span, 0);
                 break;
             }
 
-            let template = crate::BlockTemplate {
-                height,
-                timestamp: 1_600_000_000 + deadline as u64,
-                beneficiary: self.beneficiary,
-                gas_limit: self.config.block_gas_limit,
-            };
-            let pack_started = telemetry.now_nanos();
-            let packed = self.packer.pack(&pool, &mut tdg, &state, &template);
-            let pack_wall = telemetry.now_nanos().saturating_sub(pack_started);
-            let predicted_makespan = packed.predicted_makespan(self.config.threads);
-            let predicted_speedup = packed.predicted_speedup(self.config.threads);
-
-            let execute_started = telemetry.now_nanos();
-            let (executed, exec_report) = self.engine.execute(&mut state, &packed.block)?;
-            let execute_wall = telemetry.now_nanos().saturating_sub(execute_started);
-
-            // Settle the pool incrementally: the packed transactions leave both
-            // the pool and the graph as O(Δ) edits (deletion-capable union–find),
-            // never through a pool-wide rebuild.
-            let removed = pool.remove_packed_returning(packed.block.transactions());
-            tdg.remove_batch(removed.iter().map(|p| &p.tx));
-            // A validation failure leaves the sender's account nonce behind the packed
-            // nonce, stranding its later pooled entries behind a gap no arrival will
-            // fill — sweep them out before they pin capacity.
-            for (tx, receipt) in executed.iter() {
-                if !receipt.succeeded() {
-                    let dropped = pool.resync_sender_removed(tx.sender(), state.nonce(tx.sender()));
-                    tdg.remove_batch(dropped.iter().map(|p| &p.tx));
-                }
-            }
-
-            // Commit the block's write-set delta to the state backend (journaled
-            // and made durable by the disk backend).
-            let store_started = telemetry.now_nanos();
-            let commit = state.commit_block()?;
-            let store_wall = telemetry.now_nanos().saturating_sub(store_started);
-
-            let failed = executed
-                .receipts()
-                .iter()
-                .filter(|r| !r.succeeded())
-                .count();
-            total_failed += failed;
-            let tdg_units = tdg.op_units() - tdg_units_seen;
-            tdg_units_seen = tdg.op_units();
-            let tx_count = packed.block.transaction_count();
-
-            telemetry.stage(Stage::Pack, pack_wall, packed.considered);
-            telemetry.record_span(
-                "pack",
-                block_span,
-                pack_started,
-                pack_started + pack_wall,
-                packed.considered,
-                &[("txs", tx_count as u64)],
-            );
-            telemetry.stage(Stage::Execute, execute_wall, exec_report.parallel_units);
-            telemetry.record_span(
-                "execute",
-                block_span,
-                execute_started,
-                execute_started + execute_wall,
-                exec_report.parallel_units,
-                &[
-                    ("conflicts", exec_report.conflicted_transactions as u64),
-                    ("aborts", exec_report.aborts),
-                    ("re_executions", exec_report.re_executions),
-                ],
-            );
-            telemetry.stage(Stage::Store, store_wall, commit.store_units);
-            telemetry.record_span(
-                "store",
-                block_span,
-                store_started,
-                store_started + store_wall,
-                commit.store_units,
-                &[("bytes", commit.bytes)],
-            );
-            telemetry.count(
-                Count::EngineConflicts,
-                exec_report.conflicted_transactions as u64,
-            );
-            telemetry.count(Count::EngineValidations, exec_report.validations);
-            telemetry.count(Count::EngineAborts, exec_report.aborts);
-            telemetry.count(Count::EngineReExecutions, exec_report.re_executions);
-            telemetry.count(Count::DeltaMerges, exec_report.delta_merges);
-            telemetry.count(Count::DeltaDowngrades, exec_report.delta_downgrades);
-            telemetry.count(Count::TdgOps, tdg_units);
-            telemetry.dist(Dist::TdgBlockUnits, tdg_units);
-            telemetry.dist(Dist::BlockTxs, tx_count as u64);
-            telemetry.count(Count::JournalBytes, commit.bytes);
-            telemetry.dist(Dist::CommitBytes, commit.bytes);
-            if telemetry.is_enabled() {
-                // Flush/compaction counts live in the backend's cumulative stats;
-                // diff them per block only when someone is listening.
-                if let Some(stats) = state.backend_stats() {
-                    telemetry.count(
-                        Count::JournalFlushes,
-                        stats.group_flushes.saturating_sub(flushes_seen),
-                    );
-                    telemetry.count(
-                        Count::StoreCompactions,
-                        stats.snapshots_written.saturating_sub(compactions_seen),
-                    );
-                    flushes_seen = stats.group_flushes;
-                    compactions_seen = stats.snapshots_written;
-                }
-            }
-            telemetry.end_span(
-                block_span,
-                exec_report.parallel_units + commit.store_units + tdg_units,
-            );
-
-            blocks.push(BlockRecord {
-                height,
-                ingested,
-                tx_count,
-                deferred_by_cap: packed.deferred_by_cap,
-                aged_included: packed.aged_included,
-                failed_receipts: failed,
-                estimated_gas: packed.estimated_gas.value(),
-                gas_used: executed.gas_used().value(),
-                total_fee_per_gas: packed.total_fee_per_gas,
-                predicted_makespan,
-                predicted_speedup,
-                measured_parallel_units: exec_report.parallel_units,
-                measured_speedup: exec_report.unit_speedup(),
-                conflict_rate: exec_report.conflict_rate(),
-                group_conflict_rate: exec_report.group_conflict_rate(),
-                mempool_len_after: pool.len(),
-                tdg_units,
-                pack_considered: packed.considered,
-                pack_wall_nanos: pack_wall,
-                execute_wall_nanos: execute_wall,
-                receipts_digest: crate::receipts_digest(executed.receipts()),
-                store_units: commit.store_units,
-                store_wall_nanos: store_wall,
-            });
+            let round = node.produce(&window.template(height))?;
+            blocks.push(node.settle_and_commit(&round, block_span)?);
         }
 
-        let total_txs = blocks.iter().map(|b| b.tx_count).sum();
-        Ok(PipelineRunReport {
-            packer: self.packer.name().to_string(),
-            engine: self.engine.name().to_string(),
-            threads: self.config.threads,
+        Ok(PipelineRunReport::from_blocks(
+            packer_name,
+            engine_name,
+            &config,
             blocks,
-            total_txs,
-            total_failed,
-            leftover_mempool: pool.len(),
-            mempool_stats: pool.stats(),
-            final_state_root: state.state_root().to_hex(),
-            store: state.backend_stats().unwrap_or_default(),
-            telemetry: telemetry.snapshot(),
-        })
+            node.pool.pool().len(),
+            node.pool.pool().stats(),
+            &node.state,
+        ))
     }
 }
 

@@ -32,10 +32,16 @@
 //!   predicted LPT makespan (computed with `blockconc_model::lpt_makespan`) near the
 //!   balanced optimum. Capped transactions are deferred to later blocks, never
 //!   dropped.
-//! * [`PipelineDriver`] — wires a `blockconc-chainsim` [`ArrivalStream`] through the
-//!   mempool and a packer into any `blockconc-execution` [`ExecutionEngine`],
-//!   producing blocks on a fixed interval and reporting predicted vs. measured
-//!   speed-up, throughput and mempool occupancy per block ([`PipelineRunReport`]).
+//! * [`TrackedPool`] and [`NodePipeline`] — the block step every driver layout
+//!   runs (this crate's, `blockconc-shardpool`'s, `blockconc-cluster`'s): a pool
+//!   whose mutators keep its graph current themselves, and the node — pool, packer,
+//!   engine, world state — that admits, produces, settles and commits a block. See
+//!   the README's *The block step*.
+//! * [`PipelineDriver`] — one [`NodePipeline`] under an [`ArrivalWindow`]: wires a
+//!   `blockconc-chainsim` [`ArrivalStream`] through the mempool and a packer into
+//!   any `blockconc-execution` [`ExecutionEngine`], producing blocks on a fixed
+//!   interval and reporting predicted vs. measured speed-up, throughput and mempool
+//!   occupancy per block ([`PipelineRunReport`]).
 //!
 //! Both packers emit blocks that execute to the identical `WorldState` and receipts
 //! on every engine (the serializability property the workspace's engines already
@@ -92,6 +98,8 @@ mod itdg;
 mod packer;
 mod pool;
 mod report;
+mod step;
+mod tracked;
 
 // Re-exported so driver configuration reads naturally without a direct
 // `blockconc-store` dependency.
@@ -110,3 +118,8 @@ pub use pool::{
     ReadyHeadKey,
 };
 pub use report::{receipts_digest, BlockRecord, PipelineRunReport};
+pub use step::{
+    begin_block_span, emit_admissions, emit_ingest, mount_state, ArrivalWindow, BlockTail,
+    NodePipeline, NodeRound,
+};
+pub use tracked::TrackedPool;

@@ -1,7 +1,7 @@
 //! Per-block and per-run pipeline reports.
 
-use crate::MempoolStats;
-use blockconc_account::Receipt;
+use crate::{MempoolStats, PipelineConfig};
+use blockconc_account::{Receipt, WorldState};
 use blockconc_store::StoreStats;
 use blockconc_types::Hash;
 use serde::{Deserialize, Serialize};
@@ -139,6 +139,33 @@ pub struct PipelineRunReport {
 }
 
 impl PipelineRunReport {
+    /// Assembles a run's report from its block records and what the run left
+    /// behind: the pool's leftover and counters, the final state and the
+    /// configured registry's snapshot.
+    pub fn from_blocks(
+        packer: &str,
+        engine: &str,
+        config: &PipelineConfig,
+        blocks: Vec<BlockRecord>,
+        leftover_mempool: usize,
+        mempool_stats: MempoolStats,
+        state: &WorldState,
+    ) -> Self {
+        PipelineRunReport {
+            packer: packer.to_string(),
+            engine: engine.to_string(),
+            threads: config.threads,
+            total_txs: blocks.iter().map(|b| b.tx_count).sum(),
+            total_failed: blocks.iter().map(|b| b.failed_receipts).sum(),
+            blocks,
+            leftover_mempool,
+            mempool_stats,
+            final_state_root: state.state_root().to_hex(),
+            store: state.backend_stats().unwrap_or_default(),
+            telemetry: config.telemetry.snapshot(),
+        }
+    }
+
     /// Mean measured abstract speed-up, weighted by block size: total sequential time
     /// units over total parallel time units across all non-empty blocks.
     pub fn mean_measured_speedup(&self) -> f64 {

@@ -6,9 +6,9 @@
 //! identical aggregate counts, in between).
 
 use blockconc_account::AccountTransaction;
-use blockconc_chainsim::{AccountWorkloadParams, ArrivalStream, HotspotSpec};
-use blockconc_pipeline::{effective_receiver, IncrementalTdg};
-use blockconc_types::DeterministicRng;
+use blockconc_chainsim::{AccountWorkloadParams, ArrivalStream, FeeEscalationSpec, HotspotSpec};
+use blockconc_pipeline::{effective_receiver, AdmitOutcome, IncrementalTdg, TrackedPool};
+use blockconc_types::{Address, DeterministicRng};
 use std::collections::HashMap;
 
 fn workload(seed: u64) -> ArrivalStream {
@@ -49,6 +49,34 @@ fn partition(tdg: &mut IncrementalTdg, txs: &[AccountTransaction]) -> Vec<Vec<u6
         .collect();
     result.sort();
     result
+}
+
+/// Exact after compaction: a maintained graph over `live` describes the same
+/// partition, counts and addresses as a from-scratch rebuild.
+fn assert_compacted_matches_rebuild(
+    streaming: &IncrementalTdg,
+    live: &[AccountTransaction],
+    context: &str,
+) {
+    let mut rebuilt = IncrementalTdg::rebuild_from(live.iter());
+    let mut compacted = streaming.clone();
+    compacted.compact();
+    assert_eq!(compacted.tx_count(), live.len(), "{context}");
+    assert_eq!(
+        compacted.address_count(),
+        rebuilt.address_count(),
+        "{context}"
+    );
+    let mut compacted_sizes = compacted.component_tx_counts();
+    let mut rebuilt_sizes = rebuilt.component_tx_counts();
+    compacted_sizes.sort_unstable();
+    rebuilt_sizes.sort_unstable();
+    assert_eq!(compacted_sizes, rebuilt_sizes, "{context}");
+    assert_eq!(
+        partition(&mut compacted, live),
+        partition(&mut rebuilt, live),
+        "{context}: compacted partition diverged"
+    );
 }
 
 #[test]
@@ -188,20 +216,99 @@ fn streaming_deletion_agrees_with_rebuild_after_every_batch() {
                 }
             }
 
-            // Exact after compaction: same partition, same counts, same addresses.
-            let mut compacted = streaming.clone();
-            compacted.compact();
-            assert_eq!(compacted.address_count(), rebuilt.address_count());
-            let mut compacted_sizes = compacted.component_tx_counts();
-            let mut rebuilt_sizes = rebuilt.component_tx_counts();
-            compacted_sizes.sort_unstable();
-            rebuilt_sizes.sort_unstable();
-            assert_eq!(compacted_sizes, rebuilt_sizes, "seed {seed}");
-            assert_eq!(
-                partition(&mut compacted, &live),
-                partition(&mut rebuilt, &live),
-                "seed {seed}: compacted partition diverged after removals"
-            );
+            assert_compacted_matches_rebuild(&streaming, &live, &format!("seed {seed}"));
         }
+    }
+}
+
+/// The same property with [`TrackedPool`] doing the graph edits: whatever a
+/// random interleaving of its mutators does to the pool — offers that admit,
+/// replace, evict at capacity or are rejected, sender chains handed between two
+/// pools, settled blocks, resync sweeps after a failed transaction — the tracked
+/// graph covers exactly the resident transactions.
+#[test]
+fn tracked_pool_graph_agrees_with_rebuild_after_every_batch() {
+    for seed in 0..3u64 {
+        let mut rng = DeterministicRng::seed(seed ^ 0xfeed);
+        // Small pools, so the capacity rule fires.
+        let mut pools = [TrackedPool::new(48, false), TrackedPool::new(48, false)];
+        let mut home: HashMap<Address, usize> = HashMap::new();
+        let mut account_nonce: HashMap<Address, u64> = HashMap::new();
+        let mut seen = [0u64; 4]; // admitted, replaced, evicted, rejected
+
+        let mut stream = workload(seed).with_fee_escalation(FeeEscalationSpec::standard(14.0));
+        loop {
+            let batch: Vec<_> = (&mut stream).take(rng.range(1, 40) as usize).collect();
+            if batch.is_empty() {
+                break;
+            }
+            for arrival in &batch {
+                let sender = arrival.tx.sender();
+                let index = *home.entry(sender).or_insert((rng.next_u64() % 2) as usize);
+                let effects = pools[index].offer(
+                    &arrival.tx,
+                    arrival.fee_per_gas,
+                    arrival.arrival_secs,
+                    account_nonce.get(&sender).copied().unwrap_or(0),
+                    None,
+                );
+                match effects.outcome {
+                    AdmitOutcome::Admitted => seen[0] += 1,
+                    AdmitOutcome::Replaced => seen[1] += 1,
+                    _ => seen[3] += 1,
+                }
+                seen[2] += effects.evicted.is_some() as u64;
+            }
+
+            // A "packed block": a few chain heads leave each pool; now and then
+            // one "fails validation" — its account nonce stays put and the
+            // sender's stranded tail is swept.
+            for pool in &mut pools {
+                let heads: Vec<AccountTransaction> = pool
+                    .pool()
+                    .ready_heads()
+                    .iter()
+                    .rev()
+                    .take(rng.range(0, 10) as usize)
+                    .map(|&(_, _, sender)| pool.pool().head_of(sender).expect("head").tx.clone())
+                    .collect();
+                assert_eq!(pool.settle_packed(&heads).len(), heads.len());
+                for tx in &heads {
+                    if rng.range(0, 5) == 0 {
+                        let nonce = account_nonce.get(&tx.sender()).copied().unwrap_or(0);
+                        pool.resync_sender(tx.sender(), nonce);
+                    } else {
+                        account_nonce.insert(tx.sender(), tx.nonce() + 1);
+                    }
+                }
+            }
+
+            // "Migrations": whole chains change pools.
+            for _ in 0..rng.range(0, 4) {
+                let from = (rng.next_u64() % 2) as usize;
+                let Some(sender) = pools[from].pool().iter().next().map(|p| p.tx.sender()) else {
+                    continue;
+                };
+                for pooled in pools[from].take_sender(sender) {
+                    pools[1 - from].restore(pooled);
+                }
+                home.insert(sender, 1 - from);
+            }
+
+            for (index, pool) in pools.iter().enumerate() {
+                let live: Vec<AccountTransaction> =
+                    pool.pool().iter().map(|p| p.tx.clone()).collect();
+                assert_eq!(pool.tdg().tx_count(), pool.pool().len());
+                assert_compacted_matches_rebuild(
+                    pool.tdg(),
+                    &live,
+                    &format!("seed {seed} pool {index}"),
+                );
+            }
+        }
+        assert!(
+            seen.iter().all(|&count| count > 0),
+            "seed {seed}: every admission path must fire: {seen:?}"
+        );
     }
 }

@@ -4,31 +4,28 @@
 use crate::{
     BlockPhaseRecord, IngestItem, IngestRouter, ShardedMempool, ShardedPacker, ShardedRunReport,
 };
-use blockconc_chainsim::{ArrivalStream, TxArrival};
+use blockconc_chainsim::ArrivalStream;
 use blockconc_execution::ExecutionEngine;
-use blockconc_pipeline::{BlockRecord, BlockTemplate, PipelineConfig, PipelineRunReport};
-use blockconc_telemetry::{Count, Dist, SpanId, Stage};
-use blockconc_types::{Address, Amount, Result};
-use std::collections::HashSet;
+use blockconc_pipeline::{
+    begin_block_span, emit_admissions, emit_ingest, mount_state, ArrivalWindow, BlockTail,
+    NodeRound, PipelineConfig, PipelineRunReport,
+};
+use blockconc_telemetry::Dist;
+use blockconc_types::Result;
 
 /// Drives the sharded mempool and per-shard packers over an arrival stream — the
 /// sharded counterpart of `blockconc_pipeline::PipelineDriver`, selected by the
 /// [`PipelineConfig::shards`] / [`PipelineConfig::producer_threads`] switch (both
 /// `1` reproduces the single-pool pipeline's behaviour on the sharded machinery).
 ///
-/// Per block interval the driver:
-///
-/// 1. collects the arrivals due before the block deadline, funds first-seen senders
-///    exactly like the workload generator, and stamps each arrival with its stream
-///    position (the deterministic admission sequence);
-/// 2. feeds the batch through the [`IngestRouter`] — `producer_threads` scoped
-///    producers routing into bounded per-shard admission queues, one admitting
-///    consumer per shard;
-/// 3. packs a block with the [`ShardedPacker`] (parallel per-shard sub-blocks, one
-///    makespan-aware merge);
-/// 4. executes on the configured engine, removes packed transactions, resyncs
-///    senders whose transactions failed validation, and periodically
-///    [rebalances](ShardedMempool::rebalance) components across shards.
+/// It runs the pipeline crate's block step (see *The block step* in its README)
+/// with two phases swapped for sharded ones: admission goes through the
+/// [`IngestRouter`] — the window's due arrivals, stamped with their stream position
+/// (the deterministic admission sequence), routed by `producer_threads` scoped
+/// producers into bounded per-shard queues with one admitting consumer per shard
+/// — and packing through the [`ShardedPacker`] (parallel per-shard sub-blocks, one
+/// makespan-aware merge). After settling it periodically
+/// [rebalances](ShardedMempool::rebalance) components across shards.
 ///
 /// The report carries both the familiar per-block pipeline records and per-phase
 /// abstract work units (see [`ShardedRunReport`]), so benchmarks can compare the
@@ -69,7 +66,6 @@ pub struct ShardedPipelineDriver<E> {
     packer: ShardedPacker,
     ingest: IngestRouter,
     rebalance_every: usize,
-    beneficiary: Address,
 }
 
 impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
@@ -96,28 +92,13 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
             engine,
             config,
             rebalance_every: Self::DEFAULT_REBALANCE_EVERY,
-            beneficiary: Address::from_low(999_999_998),
         }
-    }
-
-    /// Overrides the per-shard admission queue depth (builder-style).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.ingest = IngestRouter::new(self.config.producer_threads, depth)
-            .with_clock(self.config.telemetry.clock().clone());
-        self
     }
 
     /// Overrides the rebalance cadence in blocks; 0 disables rebalancing
     /// (builder-style).
     pub fn with_rebalance_every(mut self, blocks: usize) -> Self {
         self.rebalance_every = blocks;
-        self
-    }
-
-    /// Overrides the merge cap slack (builder-style); see
-    /// [`ShardedPacker::with_merge_slack`].
-    pub fn with_merge_slack(mut self, slack: f64) -> Self {
-        self.packer = self.packer.with_merge_slack(slack);
         self
     }
 
@@ -133,46 +114,27 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
     ///
     /// Propagates engine-level execution failures (worker panics); per-transaction
     /// failures are recorded in the block records instead.
-    pub fn run(mut self, mut stream: ArrivalStream) -> Result<ShardedRunReport> {
-        let mut state = stream.base_state().clone();
-        // Mount the configured backend: genesis commits at height 0 and every
-        // produced block commits its write-set delta (journaled on disk when
-        // `PipelineConfig::state_backend` selects the disk store).
-        let backend = self.config.state_backend.build()?;
-        state.attach_backend(backend, self.config.state_backend.working_set_cap())?;
-        let mut funded: HashSet<Address> = HashSet::new();
-        let pool = ShardedMempool::new(self.config.shards, self.config.mempool_capacity);
-        let mut lookahead: Option<TxArrival> = None;
-        let mut blocks: Vec<BlockRecord> = Vec::with_capacity(self.config.max_blocks);
-        let mut phases: Vec<BlockPhaseRecord> = Vec::with_capacity(self.config.max_blocks);
-        let mut total_failed = 0usize;
+    pub fn run(mut self, stream: ArrivalStream) -> Result<ShardedRunReport> {
+        let config = &self.config;
+        let telemetry = config.telemetry.clone();
+        let mut state = mount_state(stream.base_state().clone(), &config.state_backend)?;
+        let pool = ShardedMempool::new(config.shards, config.mempool_capacity);
+        let mut window = ArrivalWindow::new(stream, config);
+        let mut tail = BlockTail::new(config);
+        let mut blocks = Vec::with_capacity(config.max_blocks);
+        let mut phases: Vec<BlockPhaseRecord> = Vec::with_capacity(config.max_blocks);
         let mut stamp = 0u64;
-        let mut tdg_units_seen = 0u64;
-        let mut flushes_seen = 0u64;
-        let mut compactions_seen = 0u64;
-        let telemetry = self.config.telemetry.clone();
+        let mut stats_seen = pool.stats();
 
-        for height in 1..=self.config.max_blocks as u64 {
-            let deadline = height as f64 * self.config.block_interval_secs;
-            let block_span = telemetry.begin_span("block", SpanId::ROOT);
-            telemetry.span_attr(block_span, "height", height);
+        for height in 1..=config.max_blocks as u64 {
+            let block_span = begin_block_span(&telemetry, height);
             state.begin_block(height)?;
 
-            // Phase 1: collect the due arrivals, mirroring the generator's lazy
-            // funding and snapshotting each sender's account nonce (state does not
-            // change during ingest).
+            // Collect the due arrivals, snapshotting each sender's account nonce
+            // (state does not change during ingest).
             let mut batch: Vec<IngestItem> = Vec::new();
-            while let Some(arrival) = lookahead.take().or_else(|| stream.next()) {
-                if arrival.arrival_secs > deadline {
-                    lookahead = Some(arrival);
-                    break;
-                }
-                if funded.insert(arrival.tx.sender()) {
-                    state.credit(
-                        arrival.tx.sender(),
-                        Amount::from_coins(ArrivalStream::SENDER_FUNDING_COINS),
-                    );
-                }
+            while let Some(arrival) = window.next_due(height) {
+                window.fund_on_first_sight(arrival.tx.sender(), &mut state);
                 batch.push(IngestItem {
                     account_nonce: state.nonce(arrival.tx.sender()),
                     fee_per_gas: arrival.fee_per_gas,
@@ -184,61 +146,47 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
             }
             let ingested = batch.len();
 
-            // Phase 2: concurrent admission through the ingest router.
+            // Concurrent admission through the ingest router.
             let ingest_started = telemetry.now_nanos();
             let ingest_report = self.ingest.ingest(&pool, batch);
-            let outcomes = &ingest_report.outcomes;
-            telemetry.count(Count::MempoolAdmitted, outcomes.admitted);
-            telemetry.count(Count::MempoolReplaced, outcomes.replaced);
-            telemetry.count(
-                Count::MempoolRejected,
-                outcomes.rejected_underpriced + outcomes.rejected_full + outcomes.rejected_nonce,
-            );
+            // Only ingest moves the admission counters, so one reading per
+            // block is both this window's end and the next one's start.
+            let stats = pool.stats();
+            emit_admissions(&telemetry, &stats_seen, &stats);
+            stats_seen = stats;
             telemetry.dist(
                 Dist::IngestQueueDepth,
                 ingest_report.max_consumer_items as u64,
             );
-            telemetry.stage(
-                Stage::Ingest,
-                ingest_report.wall_nanos,
-                ingest_report.parallel_units(),
-            );
-            telemetry.record_span(
-                "ingest",
+            emit_ingest(
+                &telemetry,
                 block_span,
                 ingest_started,
-                ingest_started + ingest_report.wall_nanos,
+                ingest_report.wall_nanos,
                 ingest_report.parallel_units(),
                 &[("items", ingest_report.items as u64)],
             );
 
-            if pool.is_empty() && lookahead.is_none() && stream.remaining() == 0 {
+            if pool.is_empty() && window.is_exhausted() {
                 // Flush any funding credited during the final (blockless) ingest.
                 state.commit_block()?;
                 telemetry.end_span(block_span, 0);
                 break;
             }
 
-            // Phase 3: parallel pack + merge.
-            let template = BlockTemplate {
-                height,
-                timestamp: 1_600_000_000 + deadline as u64,
-                beneficiary: self.beneficiary,
-                gas_limit: self.config.block_gas_limit,
-            };
-            let pack_started = telemetry.now_nanos();
-            let (packed, pack_report) = self.packer.pack(&pool, &state, &template);
-            let pack_wall = telemetry.now_nanos().saturating_sub(pack_started);
-            let predicted_makespan = packed.predicted_makespan(self.config.threads);
-            let predicted_speedup = packed.predicted_speedup(self.config.threads);
+            // Parallel pack + merge, then execute.
+            let template = window.template(height);
+            let mut pack_units = 0;
+            let packer = &mut self.packer;
+            let round = NodeRound::produce(&telemetry, &mut self.engine, &mut state, |state| {
+                let (packed, pack_report) = packer.pack(&pool, state, &template);
+                pack_units = pack_report.parallel_units;
+                packed
+            })?;
 
-            // Phase 4: execute, settle the pool, rebalance on cadence.
-            let execute_started = telemetry.now_nanos();
-            let (executed, exec_report) = self.engine.execute(&mut state, &packed.block)?;
-            let execute_wall = telemetry.now_nanos().saturating_sub(execute_started);
-
-            pool.remove_packed(packed.block.transactions());
-            for (tx, receipt) in executed.iter() {
+            // Settle the pool, rebalance on cadence.
+            pool.remove_packed(round.packed.block.transactions());
+            for (tx, receipt) in round.executed.iter() {
                 if !receipt.succeeded() {
                     pool.resync_sender(tx.sender(), state.nonce(tx.sender()));
                 }
@@ -247,131 +195,37 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
                 pool.rebalance();
             }
 
-            let store_started = telemetry.now_nanos();
-            let commit = state.commit_block()?;
-            let store_wall = telemetry.now_nanos().saturating_sub(store_started);
-
-            let failed = executed
-                .receipts()
-                .iter()
-                .filter(|r| !r.succeeded())
-                .count();
-            total_failed += failed;
-            let tdg_units = pool.tdg_op_units() - tdg_units_seen;
-            tdg_units_seen += tdg_units;
-            let tx_count = packed.block.transaction_count();
-
-            telemetry.stage(Stage::Pack, pack_wall, packed.considered);
-            telemetry.record_span(
-                "pack",
-                block_span,
-                pack_started,
-                pack_started + pack_wall,
-                packed.considered,
-                &[("txs", tx_count as u64)],
-            );
-            telemetry.stage(Stage::Execute, execute_wall, exec_report.parallel_units);
-            telemetry.record_span(
-                "execute",
-                block_span,
-                execute_started,
-                execute_started + execute_wall,
-                exec_report.parallel_units,
-                &[("conflicts", exec_report.conflicted_transactions as u64)],
-            );
-            telemetry.stage(Stage::Store, store_wall, commit.store_units);
-            telemetry.record_span(
-                "store",
-                block_span,
-                store_started,
-                store_started + store_wall,
-                commit.store_units,
-                &[("bytes", commit.bytes)],
-            );
-            telemetry.count(
-                Count::EngineConflicts,
-                exec_report.conflicted_transactions as u64,
-            );
-            telemetry.count(Count::DeltaMerges, exec_report.delta_merges);
-            telemetry.count(Count::DeltaDowngrades, exec_report.delta_downgrades);
-            telemetry.count(Count::TdgOps, tdg_units);
-            telemetry.dist(Dist::TdgBlockUnits, tdg_units);
-            telemetry.dist(Dist::BlockTxs, tx_count as u64);
-            telemetry.count(Count::JournalBytes, commit.bytes);
-            telemetry.dist(Dist::CommitBytes, commit.bytes);
-            if telemetry.is_enabled() {
-                // Flush/compaction counts live in the backend's cumulative stats;
-                // diff them per block only when someone is listening.
-                if let Some(stats) = state.backend_stats() {
-                    telemetry.count(
-                        Count::JournalFlushes,
-                        stats.group_flushes.saturating_sub(flushes_seen),
-                    );
-                    telemetry.count(
-                        Count::StoreCompactions,
-                        stats.snapshots_written.saturating_sub(compactions_seen),
-                    );
-                    flushes_seen = stats.group_flushes;
-                    compactions_seen = stats.snapshots_written;
-                }
-            }
-            telemetry.end_span(
-                block_span,
-                exec_report.parallel_units + commit.store_units + tdg_units,
-            );
-
-            blocks.push(BlockRecord {
-                height,
+            let (record, _) = tail.commit(
+                &mut state,
+                &round,
                 ingested,
-                tx_count,
-                deferred_by_cap: packed.deferred_by_cap,
-                aged_included: packed.aged_included,
-                failed_receipts: failed,
-                estimated_gas: packed.estimated_gas.value(),
-                gas_used: executed.gas_used().value(),
-                total_fee_per_gas: packed.total_fee_per_gas,
-                predicted_makespan,
-                predicted_speedup,
-                measured_parallel_units: exec_report.parallel_units,
-                measured_speedup: exec_report.unit_speedup(),
-                conflict_rate: exec_report.conflict_rate(),
-                group_conflict_rate: exec_report.group_conflict_rate(),
-                mempool_len_after: pool.len(),
-                tdg_units,
-                pack_considered: packed.considered,
-                pack_wall_nanos: pack_wall,
-                execute_wall_nanos: execute_wall,
-                receipts_digest: blockconc_pipeline::receipts_digest(executed.receipts()),
-                store_units: commit.store_units,
-                store_wall_nanos: store_wall,
-            });
+                pool.len(),
+                pool.tdg_op_units(),
+                Some(block_span),
+            )?;
             phases.push(BlockPhaseRecord {
                 height,
                 ingest_units: ingest_report.parallel_units(),
-                pack_units: pack_report.parallel_units,
-                execute_units: exec_report.parallel_units,
+                pack_units,
+                execute_units: record.measured_parallel_units,
                 ingest_wall_nanos: ingest_report.wall_nanos,
                 shard_lens: pool.shard_lens(),
             });
+            blocks.push(record);
         }
 
-        let total_txs = blocks.iter().map(|b| b.tx_count).sum();
         Ok(ShardedRunReport {
-            run: PipelineRunReport {
-                packer: self.packer.name().to_string(),
-                engine: self.engine.name().to_string(),
-                threads: self.config.threads,
+            run: PipelineRunReport::from_blocks(
+                self.packer.name(),
+                self.engine.name(),
+                config,
                 blocks,
-                total_txs,
-                total_failed,
-                leftover_mempool: pool.len(),
-                mempool_stats: pool.stats(),
-                final_state_root: state.state_root().to_hex(),
-                store: state.backend_stats().unwrap_or_default(),
-                telemetry: telemetry.snapshot(),
-            },
-            shards: self.config.shards,
-            producers: self.config.producer_threads,
+                pool.len(),
+                pool.stats(),
+                &state,
+            ),
+            shards: config.shards,
+            producers: config.producer_threads,
             phases,
             migrated_chains: pool.migrated_chains(),
             rebalances: pool.rebalances(),

@@ -11,7 +11,7 @@
 
 use crate::ShardedMempool;
 use blockconc_account::AccountTransaction;
-use blockconc_pipeline::{effective_receiver, AdmitOutcome};
+use blockconc_pipeline::effective_receiver;
 use blockconc_telemetry::{SharedClock, WallClock};
 use blockconc_types::Address;
 use serde::{Deserialize, Serialize};
@@ -37,48 +37,12 @@ pub struct IngestItem {
     pub stamp: u64,
 }
 
-/// Per-outcome admission tallies of one ingest batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IngestOutcomes {
-    /// New admissions.
-    pub admitted: u64,
-    /// Same-slot replacements.
-    pub replaced: u64,
-    /// Rejections under the replacement fee-bump rule.
-    pub rejected_underpriced: u64,
-    /// Rejections because the pool was full (and the offer did not outbid a tail).
-    pub rejected_full: u64,
-    /// Stale- or gap-nonce rejections.
-    pub rejected_nonce: u64,
-}
-
-impl IngestOutcomes {
-    fn record(&mut self, outcome: AdmitOutcome) {
-        match outcome {
-            AdmitOutcome::Admitted => self.admitted += 1,
-            AdmitOutcome::Replaced => self.replaced += 1,
-            AdmitOutcome::RejectedUnderpriced => self.rejected_underpriced += 1,
-            AdmitOutcome::RejectedFull => self.rejected_full += 1,
-            AdmitOutcome::RejectedStale | AdmitOutcome::RejectedGap => self.rejected_nonce += 1,
-        }
-    }
-
-    fn merge(&mut self, other: &IngestOutcomes) {
-        self.admitted += other.admitted;
-        self.replaced += other.replaced;
-        self.rejected_underpriced += other.rejected_underpriced;
-        self.rejected_full += other.rejected_full;
-        self.rejected_nonce += other.rejected_nonce;
-    }
-}
-
 /// What one ingest batch did and cost.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IngestReport {
-    /// Arrivals offered.
+    /// Arrivals offered. What admission made of them is in the pool's own
+    /// counters ([`ShardedMempool::stats`]).
     pub items: usize,
-    /// Admission tallies.
-    pub outcomes: IngestOutcomes,
     /// Largest per-producer batch (the producer-side critical path, in
     /// one-admission work units).
     pub max_producer_items: usize,
@@ -164,25 +128,24 @@ impl IngestRouter {
             receivers.push(rx);
         }
 
-        let (outcomes, max_consumer_items) = std::thread::scope(|scope| {
+        let max_consumer_items = std::thread::scope(|scope| {
             // One consumer per shard drains its bounded queue into the pool.
             let consumers: Vec<_> = receivers
                 .into_iter()
                 .map(|receiver| {
                     scope.spawn(move || {
-                        let mut outcomes = IngestOutcomes::default();
                         let mut processed = 0usize;
                         while let Ok(item) = receiver.recv() {
-                            outcomes.record(pool.insert(
+                            pool.insert(
                                 item.tx,
                                 item.fee_per_gas,
                                 item.arrival_secs,
                                 item.account_nonce,
                                 Some(item.stamp),
-                            ));
+                            );
                             processed += 1;
                         }
-                        (outcomes, processed)
+                        processed
                     })
                 })
                 .collect();
@@ -214,20 +177,15 @@ impl IngestRouter {
                 handle.join().expect("producer thread panicked");
             }
 
-            let mut outcomes = IngestOutcomes::default();
-            let mut max_consumer_items = 0usize;
-            for consumer in consumers {
-                let (shard_outcomes, processed) =
-                    consumer.join().expect("consumer thread panicked");
-                outcomes.merge(&shard_outcomes);
-                max_consumer_items = max_consumer_items.max(processed);
-            }
-            (outcomes, max_consumer_items)
+            consumers
+                .into_iter()
+                .map(|consumer| consumer.join().expect("consumer thread panicked"))
+                .max()
+                .unwrap_or(0)
         });
 
         IngestReport {
             items: total,
-            outcomes,
             max_producer_items,
             max_consumer_items,
             wall_nanos: self.clock.now_nanos().saturating_sub(started),
@@ -278,7 +236,7 @@ mod tests {
         }
         let report = router.ingest(&pool, items);
         assert_eq!(report.items, 200);
-        assert_eq!(report.outcomes.admitted, 200);
+        assert_eq!(pool.stats().admitted, 200);
         assert_eq!(pool.len(), 200);
         assert!(report.max_producer_items >= 200usize.div_ceil(3));
         assert!(report.parallel_units() >= report.max_consumer_items as u64);
@@ -303,12 +261,10 @@ mod tests {
         let items: Vec<IngestItem> = (0..300u64)
             .map(|i| item(1 + i % 50, 900, i / 50, 10, i))
             .collect();
-        let report = router.ingest(&pool, items);
-        assert_eq!(
-            report.outcomes.admitted + report.outcomes.rejected_nonce,
-            300
-        );
-        assert_eq!(pool.len() as u64, report.outcomes.admitted);
+        router.ingest(&pool, items);
+        let stats = pool.stats();
+        assert_eq!(stats.admitted + stats.rejected_nonce, 300);
+        assert_eq!(pool.len() as u64, stats.admitted);
     }
 
     #[test]

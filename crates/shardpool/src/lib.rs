@@ -74,7 +74,7 @@ mod report;
 mod router;
 
 pub use driver::ShardedPipelineDriver;
-pub use ingest::{IngestItem, IngestOutcomes, IngestReport, IngestRouter};
+pub use ingest::{IngestItem, IngestReport, IngestRouter};
 pub use packer::{ShardPackReport, ShardedPacker};
 pub use pool::ShardedMempool;
 pub use report::{baseline_pipeline_units, BlockPhaseRecord, ShardedRunReport};

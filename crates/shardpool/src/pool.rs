@@ -3,7 +3,7 @@
 use crate::router::{Migration, Router};
 use blockconc_account::AccountTransaction;
 use blockconc_pipeline::{
-    effective_receiver, AdmitOutcome, IncrementalTdg, Mempool, MempoolStats, PooledTx,
+    effective_receiver, AdmitOutcome, IncrementalTdg, Mempool, MempoolStats, PooledTx, TrackedPool,
 };
 use blockconc_types::Address;
 use std::collections::HashMap;
@@ -11,17 +11,11 @@ use std::sync::{Mutex, MutexGuard};
 
 const POISON: &str = "shard lock poisoned";
 
-/// One shard: a single-threaded [`Mempool`] plus its incremental dependency graph.
-/// Every operation that adds or removes pooled transactions — admissions,
-/// replacements, evictions, packed removals, migrations, rebalances — applies the
-/// matching O(1) edit to the deletion-capable graph in the same critical section,
-/// so the graph is *always* current: no dirty flag, no lazy O(shard) rebuild
-/// blocking producers behind the shard lock.
-#[derive(Debug)]
-pub(crate) struct Shard {
-    pub pool: Mempool,
-    pub tdg: IncrementalTdg,
-}
+/// One shard: a single-threaded [`Mempool`] plus its incremental dependency
+/// graph, kept current by [`TrackedPool`] on every admission, replacement,
+/// eviction, packed removal, migration and rebalance — inside the shard's critical
+/// section, so no lazy O(shard) rebuild ever blocks producers behind the lock.
+type Shard = TrackedPool;
 
 /// Stat corrections the sharded pool applies on top of the per-shard counters, so
 /// [`ShardedMempool::stats`] reports exactly what a single pool would have reported
@@ -100,10 +94,9 @@ impl ShardedMempool {
         assert!(capacity > 0, "mempool capacity must be positive");
         // Per-shard pools get headroom above the global capacity so their local
         // eviction rule can never fire; the global rule below is the only one.
-        let shard = || Shard {
-            pool: Mempool::new(capacity * 2 + 1),
-            tdg: IncrementalTdg::new(),
-        };
+        // The shard graphs stay strong whatever the engine: the router fuses
+        // components by the same edges, so weakening them is a routing change.
+        let shard = || Shard::new(capacity * 2 + 1, false);
         ShardedMempool {
             shards: (0..shards).map(|_| Mutex::new(shard())).collect(),
             router: Mutex::new(Router::new(shards)),
@@ -152,7 +145,7 @@ impl ShardedMempool {
     pub fn stats(&self) -> MempoolStats {
         let mut stats = MempoolStats::default();
         for shard in &self.shards {
-            stats.merge(&shard.lock().expect(POISON).pool.stats());
+            stats.merge(&shard.lock().expect(POISON).pool().stats());
         }
         let corrections = self.corrections.lock().expect(POISON);
         stats.evicted += corrections.evicted;
@@ -200,33 +193,12 @@ impl ShardedMempool {
                 decision.shard
             };
 
-            // Phase 2: offer to the target shard (shard lock only). Admission
-            // effects are mirrored into the shard graph as O(1) edits inside the
-            // same critical section, so the graph never lags the pool.
-            let outcome = {
-                let mut shard = self.shards[target].lock().expect(POISON);
-                let effects =
-                    shard
-                        .pool
-                        .offer(tx.clone(), fee_per_gas, arrival_secs, account_nonce, stamp);
-                match effects.outcome {
-                    AdmitOutcome::Admitted => {
-                        shard.tdg.insert(&tx);
-                        // Local eviction cannot fire (per-shard pools have
-                        // headroom), but mirror it defensively all the same.
-                        if let Some(evicted) = &effects.evicted {
-                            shard.tdg.remove(&evicted.tx);
-                        }
-                    }
-                    AdmitOutcome::Replaced => {
-                        let replaced = effects.replaced.as_ref().expect("replacement payload");
-                        shard.tdg.remove(&replaced.tx);
-                        shard.tdg.insert(&tx);
-                    }
-                    _ => {}
-                }
-                effects.outcome
-            };
+            // Phase 2: offer to the target shard (shard lock only).
+            let outcome = self.shards[target]
+                .lock()
+                .expect(POISON)
+                .offer(&tx, fee_per_gas, arrival_secs, account_nonce, stamp)
+                .outcome;
 
             // Phase 3: settle under the router lock — re-assert the edge, account
             // the admission, repair routing races, enforce the global capacity.
@@ -292,27 +264,18 @@ impl ShardedMempool {
     }
 
     /// Physically moves every pooled transaction of `sender` from one shard to
-    /// another, preserving admission metadata. Both shard graphs are edited
-    /// incrementally — O(chain), never an O(shard) rebuild.
+    /// another, preserving admission metadata — O(chain) in both shards.
     fn move_sender(&self, sender: Address, from: usize, to: usize) {
         if from == to {
             return;
         }
-        let moved = {
-            let mut shard = self.shards[from].lock().expect(POISON);
-            let moved = shard.pool.take_sender(sender);
-            for pooled in &moved {
-                shard.tdg.remove(&pooled.tx);
-            }
-            moved
-        };
+        let moved = self.shards[from].lock().expect(POISON).take_sender(sender);
         if moved.is_empty() {
             return;
         }
         let mut shard = self.shards[to].lock().expect(POISON);
         for pooled in moved {
-            shard.tdg.insert(&pooled.tx);
-            shard.pool.restore(pooled);
+            shard.restore(pooled);
         }
     }
 
@@ -329,40 +292,31 @@ impl ShardedMempool {
         home: usize,
         outcome: AdmitOutcome,
     ) -> AdmitOutcome {
-        let strays = {
-            let mut shard = self.shards[stray_shard].lock().expect(POISON);
-            let strays = shard.pool.take_sender(sender);
-            for stray in &strays {
-                shard.tdg.remove(&stray.tx);
-            }
-            strays
-        };
+        let strays = self.shards[stray_shard]
+            .lock()
+            .expect(POISON)
+            .take_sender(sender);
         let mut outcome = outcome;
         let mut shard = self.shards[home].lock().expect(POISON);
         for stray in strays {
             let nonce = stray.tx.nonce();
-            if shard.pool.get(sender, nonce).is_some() {
+            if shard.pool().get(sender, nonce).is_some() {
                 // Occupied slot: judge the stray as the replacement it really is.
-                let effects = shard.pool.offer(
-                    stray.tx.clone(),
-                    stray.fee_per_gas,
-                    stray.arrival_secs,
-                    nonce,
-                    Some(stray.seq),
-                );
-                if effects.outcome == AdmitOutcome::Replaced {
-                    let replaced = effects.replaced.as_ref().expect("replacement payload");
-                    shard.tdg.remove(&replaced.tx);
-                    shard.tdg.insert(&stray.tx);
-                }
+                outcome = shard
+                    .offer(
+                        &stray.tx,
+                        stray.fee_per_gas,
+                        stray.arrival_secs,
+                        nonce,
+                        Some(stray.seq),
+                    )
+                    .outcome;
                 // The stray's provisional admission is reversed either way: it
                 // became a replacement or was dropped as underpriced.
                 router.note_removed(sender, 1);
                 self.corrections.lock().expect(POISON).admit_reversals += 1;
-                outcome = effects.outcome;
             } else {
-                shard.tdg.insert(&stray.tx);
-                shard.pool.restore(stray);
+                shard.restore(stray);
             }
         }
         outcome
@@ -393,9 +347,9 @@ impl ShardedMempool {
         // held, so only this loop's own reversal can change it below.
         let mut newcomer_present = guards
             .iter()
-            .any(|guard| guard.pool.get(newcomer, newcomer_nonce).is_some());
+            .any(|guard| guard.pool().get(newcomer, newcomer_nonce).is_some());
         loop {
-            let total: usize = guards.iter().map(|guard| guard.pool.len()).sum();
+            let total: usize = guards.iter().map(|guard| guard.pool().len()).sum();
             if total <= self.capacity {
                 break;
             }
@@ -404,12 +358,11 @@ impl ShardedMempool {
                 .iter()
                 .enumerate()
                 .filter_map(|(index, guard)| {
-                    guard
-                        .pool
-                        .cheapest_tail_excluding(exclude)
-                        .map(|(sender, nonce, fee, seq)| {
+                    guard.pool().cheapest_tail_excluding(exclude).map(
+                        |(sender, nonce, fee, seq)| {
                             (fee, std::cmp::Reverse(seq), index, sender, nonce)
-                        })
+                        },
+                    )
                 })
                 .min();
             let evictable = victim.is_some_and(|(fee, _, _, sender, _)| {
@@ -425,24 +378,21 @@ impl ShardedMempool {
                 // over capacity instead — the pending settle re-runs enforcement.
                 let pooled: usize = guards
                     .iter()
-                    .map(|guard| guard.pool.sender_tx_count(victim_sender))
+                    .map(|guard| guard.pool().sender_tx_count(victim_sender))
                     .sum();
                 if pooled != router.pin_live(victim_sender) {
                     break;
                 }
-                let victim = guards[shard_index]
-                    .pool
+                guards[shard_index]
                     .remove(victim_sender, victim_nonce)
                     .expect("cheapest tail is pooled");
-                guards[shard_index].tdg.remove(&victim.tx);
                 router.note_removed(victim_sender, 1);
                 self.corrections.lock().expect(POISON).evicted += 1;
             } else if newcomer_present {
                 // The newcomer does not outbid any other sender's tail: reverse its
                 // optimistic admission.
                 for guard in guards.iter_mut() {
-                    if let Some(reversed) = guard.pool.remove(newcomer, newcomer_nonce) {
-                        guard.tdg.remove(&reversed.tx);
+                    if guard.remove(newcomer, newcomer_nonce).is_some() {
                         break;
                     }
                 }
@@ -471,10 +421,11 @@ impl ShardedMempool {
             let Some(shard_index) = router.pin_shard(sender) else {
                 continue;
             };
-            let mut shard = self.shards[shard_index].lock().expect(POISON);
-            if let Some(removed) = shard.pool.remove_packed_one(tx) {
-                shard.tdg.remove(&removed.tx);
-                drop(shard);
+            let settled = self.shards[shard_index]
+                .lock()
+                .expect(POISON)
+                .settle_one(tx);
+            if settled.is_some() {
                 router.note_removed(sender, 1);
             }
         }
@@ -487,14 +438,13 @@ impl ShardedMempool {
         let Some(shard_index) = router.pin_shard(sender) else {
             return 0;
         };
-        let mut shard = self.shards[shard_index].lock().expect(POISON);
-        let dropped = shard.pool.resync_sender_removed(sender, account_nonce);
-        for entry in &dropped {
-            shard.tdg.remove(&entry.tx);
-        }
-        drop(shard);
-        router.note_removed(sender, dropped.len());
-        dropped.len()
+        let dropped = self.shards[shard_index]
+            .lock()
+            .expect(POISON)
+            .resync_sender(sender, account_nonce)
+            .len();
+        router.note_removed(sender, dropped);
+        dropped
     }
 
     /// Runs `f` with exclusive access to one shard's pool and its (always current)
@@ -511,7 +461,7 @@ impl ShardedMempool {
         f: impl FnOnce(&Mempool, &mut IncrementalTdg) -> R,
     ) -> R {
         let mut shard = self.shards[index].lock().expect(POISON);
-        let Shard { pool, tdg, .. } = &mut *shard;
+        let (pool, tdg) = shard.packing_view();
         f(pool, tdg)
     }
 
@@ -520,7 +470,7 @@ impl ShardedMempool {
     pub fn tdg_op_units(&self) -> u64 {
         self.shards
             .iter()
-            .map(|shard| shard.lock().expect(POISON).tdg.op_units())
+            .map(|shard| shard.lock().expect(POISON).tdg().op_units())
             .sum()
     }
 
@@ -534,7 +484,7 @@ impl ShardedMempool {
                 shard
                     .lock()
                     .expect(POISON)
-                    .pool
+                    .pool()
                     .iter()
                     .cloned()
                     .collect::<Vec<_>>()
@@ -563,7 +513,7 @@ impl ShardedMempool {
             .iter()
             .flat_map(|guard| {
                 guard
-                    .pool
+                    .pool()
                     .iter()
                     .map(|p| (p.tx.sender(), effective_receiver(&p.tx)))
                     .collect::<Vec<_>>()
@@ -571,11 +521,9 @@ impl ShardedMempool {
             .collect();
         let migrations = router.rebalance(&residents);
         for migration in &migrations {
-            let chain = guards[migration.from].pool.take_sender(migration.sender);
+            let chain = guards[migration.from].take_sender(migration.sender);
             for pooled in chain {
-                guards[migration.from].tdg.remove(&pooled.tx);
-                guards[migration.to].tdg.insert(&pooled.tx);
-                guards[migration.to].pool.restore(pooled);
+                guards[migration.to].restore(pooled);
             }
             router.apply_migration(migration.sender, migration.to);
         }
@@ -594,7 +542,7 @@ impl ShardedMempool {
         let mut owner: HashMap<Address, usize> = HashMap::new();
         for (index, shard) in self.shards.iter().enumerate() {
             let shard = shard.lock().expect(POISON);
-            for pooled in shard.pool.iter() {
+            for pooled in shard.pool().iter() {
                 for address in [pooled.tx.sender(), effective_receiver(&pooled.tx)] {
                     if let Some(&other) = owner.get(&address) {
                         assert_eq!(

@@ -6,8 +6,10 @@
 //!    same arrival stream produces the same normalized block records (packed
 //!    transactions, gas, speed-ups, receipts digests), the same mempool
 //!    statistics and the same final state root, on both state backends and on
-//!    sequential and parallel engines. Every cluster-only mechanism (routing,
-//!    receipts, rotation, settlement) must be a perfect no-op at one shard.
+//!    sequential, scheduled and optimistic engines — the delta-commuting one
+//!    included, whose nodes must pack under the same weak-edge graph. Every
+//!    cluster-only mechanism (routing, receipts, rotation, settlement) must be
+//!    a perfect no-op at one shard.
 //! 2. For a **fixed routing** (same stream, same configuration), the N-shard
 //!    final state is **interleaving-independent**: whether shard micro-blocks
 //!    are produced in parallel or serially in any permutation, every shard root
@@ -39,6 +41,55 @@ fn stream(seed: u64) -> ArrivalStream {
     ArrivalStream::new(AccountWorkloadParams::cross_shard_heavy(), 8.0, 400, seed)
 }
 
+/// A deposit-and-contract hot-spot stream on which the component cap defers
+/// under strong and weak edges alike — the regime where a node packing under
+/// the wrong graph produces different blocks.
+fn hotspot_stream(seed: u64) -> ArrivalStream {
+    let params = AccountWorkloadParams {
+        txs_per_block: 60.0,
+        user_population: 3_000,
+        fresh_receiver_share: 0.5,
+        zipf_exponent: 0.5,
+        hotspots: vec![HotspotSpec::exchange(0.45), HotspotSpec::contract(0.25, 2)],
+        contract_create_share: 0.0,
+    };
+    ArrivalStream::new(params, 4.0, 700, seed)
+}
+
+/// The same stream through `PipelineDriver` and a 1-shard `ClusterDriver`.
+fn single_and_cluster<E: ExecutionEngine + Send>(
+    engine: impl Fn() -> E,
+    stream: impl Fn() -> ArrivalStream,
+    pipeline_config: PipelineConfig,
+    config: ClusterConfig,
+) -> (PipelineRunReport, ClusterRunReport) {
+    let single = PipelineDriver::new(ConcurrencyAwarePacker::new(4), engine(), pipeline_config)
+        .run(stream())
+        .expect("pipeline run");
+    let cluster = ClusterDriver::new(vec![engine()], config)
+        .run(stream())
+        .expect("cluster run");
+    (single, cluster)
+}
+
+/// [`BlockRecord::normalized`] minus what a Block-STM engine measures about its
+/// own run: abort-driven execution counts depend on how its worker threads
+/// interleave, so they are diagnostics, not invariants. Everything the pool,
+/// the graph and the packer decided stays.
+fn normalized_for(record: &BlockRecord, optimistic: bool) -> BlockRecord {
+    let record = record.normalized();
+    if !optimistic {
+        return record;
+    }
+    BlockRecord {
+        measured_parallel_units: 0,
+        measured_speedup: 0.0,
+        conflict_rate: 0.0,
+        group_conflict_rate: 0.0,
+        ..record
+    }
+}
+
 fn cluster_config(shards: u32, backend: StateBackendConfig) -> ClusterConfig {
     let mut config = ClusterConfig::new(shards);
     config.pipeline = PipelineConfig {
@@ -62,80 +113,78 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     // Property 1: the 1-shard cluster degenerates to the single pipeline, bit
-    // for bit, on either backend and either engine family.
+    // for bit, on either backend and every engine family.
     #[test]
     fn one_shard_cluster_is_bit_identical_to_the_pipeline(
         seed in 1u64..500,
-        engine_sel in 0u8..2,
         backend_sel in 0u8..2,
     ) {
-        let parallel_engine = engine_sel == 1;
-        let (pipeline_backend, cluster_backend, dirs) = if backend_sel == 1 {
-            let pipeline_dir = store_dir("pipe");
-            let cluster_dir = store_dir("cluster");
-            (
-                StateBackendConfig::Disk(DiskConfig::new(&pipeline_dir)),
-                StateBackendConfig::Disk(DiskConfig::new(&cluster_dir)),
-                vec![pipeline_dir, cluster_dir],
-            )
-        } else {
-            (StateBackendConfig::InMemory, StateBackendConfig::InMemory, vec![])
-        };
+        for engine_sel in 0u8..4 {
+            let (pipeline_backend, cluster_backend, dirs) = if backend_sel == 1 {
+                let pipeline_dir = store_dir("pipe");
+                let cluster_dir = store_dir("cluster");
+                (
+                    StateBackendConfig::Disk(DiskConfig::new(&pipeline_dir)),
+                    StateBackendConfig::Disk(DiskConfig::new(&cluster_dir)),
+                    vec![pipeline_dir, cluster_dir],
+                )
+            } else {
+                (StateBackendConfig::InMemory, StateBackendConfig::InMemory, vec![])
+            };
 
-        let config = cluster_config(1, cluster_backend);
-        let pipeline_config = PipelineConfig {
-            state_backend: pipeline_backend,
-            ..config.pipeline.clone()
-        };
-        let (single, cluster) = if parallel_engine {
-            let single = PipelineDriver::new(
-                ConcurrencyAwarePacker::new(4),
-                ScheduledEngine::new(4),
-                pipeline_config,
-            )
-            .run(stream(seed))
-            .expect("pipeline run");
-            let cluster = ClusterDriver::new(vec![ScheduledEngine::new(4)], config)
-                .run(stream(seed))
-                .expect("cluster run");
-            (single, cluster)
-        } else {
-            let single = PipelineDriver::new(
-                ConcurrencyAwarePacker::new(4),
-                SequentialEngine::new(),
-                pipeline_config,
-            )
-            .run(stream(seed))
-            .expect("pipeline run");
-            let cluster = ClusterDriver::new(vec![SequentialEngine::new()], config)
-                .run(stream(seed))
-                .expect("cluster run");
-            (single, cluster)
-        };
+            let config = cluster_config(1, cluster_backend);
+            let pipeline_config = PipelineConfig {
+                state_backend: pipeline_backend,
+                ..config.pipeline.clone()
+            };
+            // The optimistic rows run the hot-spot stream: the cap must defer
+            // for the strong-vs-weak graph choice to show in the blocks.
+            let optimistic = engine_sel >= 2;
+            let (cross, hot) = (|| stream(seed), || hotspot_stream(seed));
+            let (single, cluster) = match engine_sel {
+                0 => single_and_cluster(SequentialEngine::new, cross, pipeline_config, config),
+                1 => single_and_cluster(|| ScheduledEngine::new(4), cross, pipeline_config, config),
+                2 => single_and_cluster(|| OptimisticEngine::new(2), hot, pipeline_config, config),
+                _ => single_and_cluster(
+                    || OptimisticEngine::new(2).with_delta_cells(),
+                    hot,
+                    pipeline_config,
+                    config,
+                ),
+            };
 
-        prop_assert_eq!(cluster.total_failed + single.total_failed, 0);
-        prop_assert_eq!(cluster.total_txs, single.total_txs);
-        prop_assert_eq!(cluster.cross_shard_txs, 0);
-        prop_assert_eq!(cluster.receipts_applied, 0);
-        prop_assert_eq!(cluster.blocks.len(), single.blocks.len());
-        for (cluster_block, single_block) in cluster.blocks.iter().zip(&single.blocks) {
-            prop_assert_eq!(
-                cluster_block.micro[0].normalized(),
-                single_block.normalized(),
-                "height {} diverged",
-                single_block.height
-            );
-            prop_assert!(
-                !cluster_block.micro[0].receipts_digest.is_empty()
-                    || cluster_block.micro[0].tx_count == 0,
-                "records must carry receipts digests"
-            );
-        }
-        prop_assert_eq!(&cluster.mempool_stats, &single.mempool_stats);
-        prop_assert_eq!(cluster.leftover_mempool(), single.leftover_mempool);
-        prop_assert_eq!(&cluster.shard_roots[0], &single.final_state_root);
-        for dir in dirs {
-            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert_eq!(cluster.total_failed + single.total_failed, 0);
+            prop_assert_eq!(cluster.total_txs, single.total_txs);
+            prop_assert_eq!(cluster.cross_shard_txs, 0);
+            prop_assert_eq!(cluster.receipts_applied, 0);
+            prop_assert_eq!(cluster.blocks.len(), single.blocks.len());
+            for (cluster_block, single_block) in cluster.blocks.iter().zip(&single.blocks) {
+                prop_assert_eq!(
+                    normalized_for(&cluster_block.micro[0], optimistic),
+                    normalized_for(single_block, optimistic),
+                    "engine {} height {} diverged",
+                    &single.engine,
+                    single_block.height
+                );
+                prop_assert!(
+                    !cluster_block.micro[0].receipts_digest.is_empty()
+                        || cluster_block.micro[0].tx_count == 0,
+                    "records must carry receipts digests"
+                );
+            }
+            if optimistic {
+                prop_assert!(
+                    single.blocks.iter().map(|b| b.deferred_by_cap).sum::<u64>() > 0,
+                    "engine {}: the hot-spot stream must exercise the component cap",
+                    &single.engine
+                );
+            }
+            prop_assert_eq!(&cluster.mempool_stats, &single.mempool_stats);
+            prop_assert_eq!(cluster.leftover_mempool(), single.leftover_mempool);
+            prop_assert_eq!(&cluster.shard_roots[0], &single.final_state_root);
+            for dir in dirs {
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 
