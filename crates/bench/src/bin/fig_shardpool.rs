@@ -1,9 +1,10 @@
 //! The shardpool experiment: how much of the admission → pack critical path does
 //! the component-sharded mempool recover, and how does it scale with shards and
-//! producer threads?
+//! producer bins — in the model? (Ingest admits in order on one thread; what
+//! the layout costs by the clock is `benchmark/`'s `shardpool_hot`.)
 //!
 //! Streams one backlogged hot-spot workload through the sharded pipeline for a
-//! grid of shard × producer-thread layouts plus the single-pool
+//! grid of shard × producer-bin layouts plus the single-pool
 //! `ConcurrencyAwarePacker` baseline, prints the comparison, and records the grid
 //! in `BENCH_shardpool.json` at the repository root.
 //!

@@ -35,8 +35,9 @@ pub struct PipelineConfig {
     /// sharding — `blockconc-shardpool`'s `ShardedPipelineDriver` — and ignored by
     /// [`PipelineDriver`], which always runs one pool.
     pub shards: usize,
-    /// Concurrent producer threads feeding the sharded pool's ingest router (`1` =
-    /// serial ingest). Ignored by [`PipelineDriver`], like
+    /// Producer bins the sharded pool's ingest report models a batch split across
+    /// (`1` = the serial model; admission itself always runs in order on one
+    /// thread). Ignored by [`PipelineDriver`], like
     /// [`shards`](PipelineConfig::shards).
     pub producer_threads: usize,
     /// Which state backend the driver mounts under its `WorldState`: the in-memory

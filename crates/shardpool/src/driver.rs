@@ -1,5 +1,5 @@
-//! The sharded pipeline driver: arrival stream → ingest router → sharded pool →
-//! parallel packers → merge → engine.
+//! The sharded pipeline driver: arrival stream → in-order batch ingest → sharded
+//! pool → parallel packers → merge → engine.
 
 use crate::{
     BlockPhaseRecord, IngestItem, IngestRouter, ShardedMempool, ShardedPacker, ShardedRunReport,
@@ -21,16 +21,18 @@ use blockconc_types::Result;
 /// It runs the pipeline crate's block step (see *The block step* in its README)
 /// with two phases swapped for sharded ones: admission goes through the
 /// [`IngestRouter`] — the window's due arrivals, stamped with their stream position
-/// (the deterministic admission sequence), routed by `producer_threads` scoped
-/// producers into bounded per-shard queues with one admitting consumer per shard
-/// — and packing through the [`ShardedPacker`] (parallel per-shard sub-blocks, one
-/// makespan-aware merge). After settling it periodically
-/// [rebalances](ShardedMempool::rebalance) components across shards.
+/// (the deterministic admission sequence), admitted in that order on this thread
+/// under one hold of the pool's router lock — and packing through the
+/// [`ShardedPacker`] (parallel per-shard sub-blocks, one makespan-aware merge).
+/// After settling it periodically [rebalances](ShardedMempool::rebalance)
+/// components across shards. Nothing in a run depends on thread timing except
+/// an optimistic engine's abort counts.
 ///
 /// The report carries both the familiar per-block pipeline records and per-phase
-/// abstract work units (see [`ShardedRunReport`]), so benchmarks can compare the
-/// sharded pipeline's critical path against the single pool's serial one
-/// independently of this machine's core count.
+/// **modelled** work units (see [`ShardedRunReport`]): what the sharded layout's
+/// critical path would be with a thread per producer bin and per shard, for
+/// comparison against the single pool's serial one independently of this
+/// machine's core count. `producer_threads` sizes that model only.
 ///
 /// # Examples
 ///
@@ -69,7 +71,9 @@ pub struct ShardedPipelineDriver<E> {
 }
 
 impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
-    /// Default bound of each per-shard admission queue.
+    /// Vestigial: ingest has no queues any more. Kept, like
+    /// [`IngestRouter::new`]'s second argument, until the benchmark that names it
+    /// is updated.
     pub const DEFAULT_QUEUE_DEPTH: usize = 1_024;
     /// Default rebalance cadence in blocks (0 disables rebalancing).
     pub const DEFAULT_REBALANCE_EVERY: usize = 4;
@@ -146,7 +150,7 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
             }
             let ingested = batch.len();
 
-            // Concurrent admission through the ingest router.
+            // In-order batch admission.
             let ingest_started = telemetry.now_nanos();
             let ingest_report = self.ingest.ingest(&pool, batch);
             // Only ingest moves the admission counters, so one reading per
@@ -154,6 +158,8 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
             let stats = pool.stats();
             emit_admissions(&telemetry, &stats_seen, &stats);
             stats_seen = stats;
+            // With no queue to measure, the distribution records the largest
+            // per-shard share of the batch.
             telemetry.dist(
                 Dist::IngestQueueDepth,
                 ingest_report.max_consumer_items as u64,
@@ -345,10 +351,22 @@ mod tests {
         let b = ShardedPipelineDriver::new(SequentialEngine::new(), config(4, 4))
             .run(stream(4))
             .unwrap();
-        assert_eq!(a.run.total_txs, b.run.total_txs);
-        let sizes_a: Vec<usize> = a.run.blocks.iter().map(|r| r.tx_count).collect();
-        let sizes_b: Vec<usize> = b.run.blocks.iter().map(|r| r.tx_count).collect();
-        assert_eq!(sizes_a, sizes_b);
+        // In-order ingest leaves no thread timing in the run: everything but the
+        // wall-clock fields repeats, block for block.
+        let records = |report: &ShardedRunReport| -> Vec<_> {
+            report.run.blocks.iter().map(|r| r.normalized()).collect()
+        };
+        assert_eq!(records(&a), records(&b));
+        assert_eq!(a.run.mempool_stats, b.run.mempool_stats);
+        assert_eq!(a.migrated_chains, b.migrated_chains);
+        assert!(a.migrated_chains > 0, "the run must exercise migration");
+        let structure = |report: &ShardedRunReport| -> Vec<_> {
+            let phases = report.phases.iter();
+            phases
+                .map(|p| (p.ingest_units, p.pack_units, p.shard_lens.clone()))
+                .collect()
+        };
+        assert_eq!(structure(&a), structure(&b));
     }
 
     #[test]

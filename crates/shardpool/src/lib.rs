@@ -13,10 +13,12 @@
 //!   replacement rule, and a *global* cheapest-tail eviction — are identical to the
 //!   single `Mempool`; the equivalence property tests hold the two bit-compatible.
 //!   When an arriving edge fuses components on different shards, the losing chains
-//!   migrate, preserving the invariant that different shards never conflict.
-//! * [`IngestRouter`] — the multi-producer front: `producers` scoped threads route
-//!   arrivals into bounded per-shard admission queues, one consumer per shard
-//!   admits them, with physical back-pressure and per-sender ordering end to end.
+//!   migrate, preserving the invariant that different shards never conflict; an
+//!   admission costs what it moves, never a scan of the component it lands in.
+//! * [`IngestRouter`] — in-order batch admission: a block's arrivals go through
+//!   the pool's one admission step in stream order, on the caller's thread, under
+//!   a single hold of the router lock. Its report *models* the producer × shard
+//!   split the layout allows; nothing about a batch depends on thread timing.
 //! * [`ShardedPacker`] — one `ConcurrencyAwarePacker` per shard builds
 //!   non-conflicting sub-blocks in parallel (components are shard-disjoint, so no
 //!   cross-checking); a **predicted-makespan-aware merge** then re-caps the
@@ -28,9 +30,11 @@
 //!   [`PipelineConfig::shards`](blockconc_pipeline::PipelineConfig) /
 //!   `producer_threads` switch (1/1 reproduces the single-pool pipeline exactly).
 //!
-//! Reports account each phase's critical path in hardware-independent work units
-//! (the execution engines' `parallel_units` convention), so the `fig_shardpool`
-//! benchmark can show ingest+pack scaling with producers and shards on any host.
+//! Reports account each phase's *modelled* critical path in hardware-independent
+//! work units (the execution engines' `parallel_units` convention), which is what
+//! the `fig_shardpool` benchmark's producer and shard scaling curves are made of;
+//! what the layout costs by the clock is the `shardpool_hot` workload of
+//! `benchmark/`.
 //!
 //! # Examples
 //!
@@ -56,8 +60,8 @@
 //!     .run(ArrivalStream::new(params, 3.0, 150, 7))
 //!     .unwrap();
 //! assert_eq!(report.run.total_failed, 0);
-//! // The sharded layout shortens the ingest+pack critical path below the serial
-//! // cost of the same work.
+//! // The sharded layout's modelled ingest critical path is below the serial cost
+//! // of the same work.
 //! let serial: u64 = report.run.blocks.iter().map(|b| b.ingested as u64).sum();
 //! let parallel: u64 = report.phases.iter().map(|p| p.ingest_units).sum();
 //! assert!(parallel <= serial);

@@ -21,7 +21,7 @@ struct MergeTx {
 }
 
 /// What one shard contributed before merging.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SubBlock {
     txs: Vec<MergeTx>,
     deferred_by_cap: u64,
@@ -73,9 +73,10 @@ pub struct ShardPackReport {
 ///    too strict: a shard pairing one giant component with a few singletons caps
 ///    the giant near 1 even when the global distribution awards it dozens of
 ///    slots.)
-/// 3. **Parallel sub-packing + fee merge** — each shard packs with the fixed
-///    global cap through [`pack_capped`] (the aging rule applies via this
-///    packer's pool-wide counter map), and the sub-blocks are k-way merged by
+/// 3. **Parallel sub-packing + fee merge** — each non-empty shard packs with the
+///    fixed global cap through [`pack_capped`] (the aging rule applies via this
+///    packer's pool-wide counter map; the first such shard packs on the calling
+///    thread, the others on scoped threads), and the sub-blocks are k-way merged by
 ///    `(fee, stamp)` under the real block gas limit, deferring a gas-skipped
 ///    sender's remaining chain exactly like the single packing loop. With one
 ///    shard this pipeline reduces to the single-pool packer bit for bit.
@@ -196,59 +197,56 @@ impl ShardedPacker {
         );
 
         // Step 3a: parallel sub-packing with the fixed global cap. The aged set is
-        // computed once from the shared (pool-wide) aging map.
+        // computed once from the shared (pool-wide) aging map. Empty shards
+        // contribute nothing and start no thread; the first busy shard packs on
+        // this thread, so a pool sitting on one shard packs inline.
         let aged = aged_senders(&self.deferrals, self.max_deferral);
-        let aged = &aged;
-        let sub_blocks: Vec<SubBlock> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|index| {
-                    scope.spawn(move || {
-                        pool.with_shard(index, |shard_pool, shard_tdg| {
-                            if shard_pool.is_empty() {
-                                return SubBlock {
-                                    txs: Vec::new(),
-                                    deferred_by_cap: 0,
-                                    aged_included: 0,
-                                    considered: 0,
-                                    deferrals: CapDeferrals::default(),
-                                };
-                            }
-                            let (packed, deferrals) =
-                                pack_capped(shard_pool, shard_tdg, state, template, cap, aged);
-                            // Recover each included transaction's fee metadata from
-                            // the pool (the packed block keeps only totals) — a
-                            // per-entry lookup, not a full pool scan.
-                            let txs = packed
-                                .block
-                                .transactions()
-                                .iter()
-                                .map(|tx| {
-                                    let pooled = shard_pool
-                                        .get(tx.sender(), tx.nonce())
-                                        .expect("packed transaction is pooled");
-                                    MergeTx {
-                                        tx: tx.clone(),
-                                        fee_per_gas: pooled.fee_per_gas,
-                                        seq: pooled.seq,
-                                    }
-                                })
-                                .collect();
-                            SubBlock {
-                                txs,
-                                deferred_by_cap: packed.deferred_by_cap,
-                                aged_included: packed.aged_included,
-                                considered: packed.considered,
-                                deferrals,
-                            }
-                        })
+        let sub_pack = |index: usize| {
+            pool.with_shard(index, |shard_pool, shard_tdg| {
+                let (packed, deferrals) =
+                    pack_capped(shard_pool, shard_tdg, state, template, cap, &aged);
+                // Recover each included transaction's fee metadata from the pool
+                // (the packed block keeps only totals) — a per-entry lookup, not
+                // a full pool scan.
+                let txs = packed
+                    .block
+                    .transactions()
+                    .iter()
+                    .map(|tx| {
+                        let pooled = shard_pool
+                            .get(tx.sender(), tx.nonce())
+                            .expect("packed transaction is pooled");
+                        MergeTx {
+                            tx: tx.clone(),
+                            fee_per_gas: pooled.fee_per_gas,
+                            seq: pooled.seq,
+                        }
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("shard packer panicked"))
-                .collect()
-        });
+                    .collect();
+                SubBlock {
+                    txs,
+                    deferred_by_cap: packed.deferred_by_cap,
+                    aged_included: packed.aged_included,
+                    considered: packed.considered,
+                    deferrals,
+                }
+            })
+        };
+        let busy: Vec<usize> = (0..shards).filter(|&index| scans[index].2 > 0).collect();
+        let mut sub_blocks: Vec<SubBlock> = (0..shards).map(|_| SubBlock::default()).collect();
+        if let Some((&first, rest)) = busy.split_first() {
+            std::thread::scope(|scope| {
+                let sub_pack = &sub_pack;
+                let handles: Vec<_> = rest
+                    .iter()
+                    .map(|&index| (index, scope.spawn(move || sub_pack(index))))
+                    .collect();
+                sub_blocks[first] = sub_pack(first);
+                for (index, handle) in handles {
+                    sub_blocks[index] = handle.join().expect("shard packer panicked");
+                }
+            });
+        }
 
         // Advance the shared aging state through the same helper the single-pool
         // packer uses. Senders are shard-disjoint, so the per-shard outcome sets

@@ -1,13 +1,14 @@
 //! The concurrent, TDG-component-sharded mempool.
 
 use crate::router::{Migration, Router};
+use crate::IngestItem;
 use blockconc_account::AccountTransaction;
 use blockconc_pipeline::{
     effective_receiver, AdmitOutcome, IncrementalTdg, Mempool, MempoolStats, PooledTx, TrackedPool,
 };
 use blockconc_types::Address;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 const POISON: &str = "shard lock poisoned";
 
@@ -19,14 +20,13 @@ type Shard = TrackedPool;
 
 /// Stat corrections the sharded pool applies on top of the per-shard counters, so
 /// [`ShardedMempool::stats`] reports exactly what a single pool would have reported
-/// for the same offers (admissions that the global capacity rule later reversed,
-/// global evictions the shards could not count, racing rejections that were retried).
+/// for the same offers (admissions that the global capacity rule then reversed,
+/// global evictions the shards could not count).
 #[derive(Debug, Default)]
 struct Corrections {
     evicted: u64,
     rejected_full: u64,
     admit_reversals: u64,
-    nonce_reversals: u64,
 }
 
 /// A transaction pool partitioned across N shards by TDG component.
@@ -50,11 +50,13 @@ struct Corrections {
 /// # Locking
 ///
 /// One mutex per shard plus one router mutex, with a strict acquisition order:
-/// *router before shards, shards in index order*. The insert fast path touches the
-/// router twice (route, settle) and one shard in between, never holding both; the
-/// slow paths (migration, global eviction, rebalancing) hold the router while
-/// visiting shards. Threads holding a shard lock never wait on the router, so the
-/// ordering is cycle-free.
+/// *router before shards, shards in index order*. Every mutation — an admission
+/// (route, migrate, offer, account, enforce capacity: one step), a whole ingest
+/// batch of them, a block's removals, a rebalance — runs under **one hold of the
+/// router lock**, so routing and pool contents can never be observed out of step
+/// and callers on different threads serialize there. Shard locks are what the
+/// per-shard packers (readers) contend on. Threads holding a shard lock never
+/// wait on the router, so the ordering is cycle-free.
 ///
 /// # Examples
 ///
@@ -151,21 +153,12 @@ impl ShardedMempool {
         stats.evicted += corrections.evicted;
         stats.rejected_full += corrections.rejected_full;
         stats.admitted -= corrections.admit_reversals;
-        stats.rejected_nonce -= corrections.nonce_reversals;
         stats
     }
 
-    /// A cheap shard guess for queue assignment (the router's hint path); the
-    /// authoritative routing happens inside [`ShardedMempool::insert`].
-    pub(crate) fn route_hint(&self, sender: Address, receiver: Address) -> usize {
-        self.router
-            .lock()
-            .expect(POISON)
-            .route_hint(sender, receiver)
-    }
-
     /// Offers a transaction to the pool under the same admission rules as
-    /// [`Mempool::insert`], concurrently callable from any number of threads.
+    /// [`Mempool::insert`]. Callable from any number of threads; admissions
+    /// serialize on the router lock.
     ///
     /// `stamp` is the deterministic admission sequence number (typically the
     /// transaction's position in the arrival stream); passing `None` falls back to a
@@ -179,234 +172,142 @@ impl ShardedMempool {
         account_nonce: u64,
         stamp: Option<u64>,
     ) -> AdmitOutcome {
-        let sender = tx.sender();
-        let receiver = effective_receiver(&tx);
-
-        // The retry loop only spins when a concurrent migration moved the sender's
-        // chain between routing and insertion — bounded, vanishingly rare traffic.
-        for _attempt in 0..8 {
-            // Phase 1: route under the router lock; execute any fusing migrations.
-            let target = {
-                let mut router = self.router.lock().expect(POISON);
-                let decision = router.route(sender, receiver);
-                self.execute_migrations(&mut router, &decision.migrations);
-                decision.shard
-            };
-
-            // Phase 2: offer to the target shard (shard lock only).
-            let outcome = self.shards[target]
-                .lock()
-                .expect(POISON)
-                .offer(&tx, fee_per_gas, arrival_secs, account_nonce, stamp)
-                .outcome;
-
-            // Phase 3: settle under the router lock — re-assert the edge, account
-            // the admission, repair routing races, enforce the global capacity.
-            let mut router = self.router.lock().expect(POISON);
-            match outcome {
-                AdmitOutcome::Admitted | AdmitOutcome::Replaced => {
-                    // Re-route on the *current* router state: a concurrent
-                    // rebalance may have replaced the union–find since phase 1,
-                    // discarding the pre-insert union — an edge the pool now
-                    // physically contains must never be missing from the router,
-                    // or two conflicting transactions could drift onto different
-                    // shards. Re-routing is idempotent when nothing changed.
-                    let decision = router.route(sender, receiver);
-                    self.execute_migrations(&mut router, &decision.migrations);
-                    if outcome == AdmitOutcome::Replaced {
-                        // Membership is unchanged; any needed move was covered by
-                        // the migrations above (chains move whole).
-                        return outcome;
-                    }
-                    let settled = router.note_admitted(sender, decision.shard);
-                    let mut outcome = outcome;
-                    if settled != target {
-                        // A migration moved the chain mid-insert; reunite our stray
-                        // entry with it.
-                        outcome = self.reunite(&mut router, sender, target, settled, outcome);
-                    }
-                    // The component itself may have been reassigned under us.
-                    let desired = router.component_shard(sender).unwrap_or(settled);
-                    if outcome == AdmitOutcome::Admitted && desired != settled {
-                        self.move_sender(sender, settled, desired);
-                        router.apply_migration(sender, desired);
-                    }
-                    if outcome == AdmitOutcome::Admitted && router.total_live() > self.capacity {
-                        outcome =
-                            self.enforce_capacity(&mut router, sender, tx.nonce(), fee_per_gas);
-                    }
-                    return outcome;
-                }
-                AdmitOutcome::RejectedGap | AdmitOutcome::RejectedStale => {
-                    // If the chain migrated away between phases the rejection was
-                    // computed against the wrong (empty) queue: undo and retry.
-                    if router.pin_shard(sender).is_some_and(|pin| pin != target) {
-                        self.corrections.lock().expect(POISON).nonce_reversals += 1;
-                        continue;
-                    }
-                    return outcome;
-                }
-                _ => return outcome,
-            }
-        }
-        // Unreachable in practice; treat persistent routing churn as a full pool.
-        self.corrections.lock().expect(POISON).rejected_full += 1;
-        AdmitOutcome::RejectedFull
-    }
-
-    /// Executes migration orders (caller holds the router lock; shard locks are
-    /// taken one at a time, which respects the router-before-shards order).
-    fn execute_migrations(&self, router: &mut Router, migrations: &[Migration]) {
-        for migration in migrations {
-            self.move_sender(migration.sender, migration.from, migration.to);
-            router.apply_migration(migration.sender, migration.to);
-        }
-    }
-
-    /// Physically moves every pooled transaction of `sender` from one shard to
-    /// another, preserving admission metadata — O(chain) in both shards.
-    fn move_sender(&self, sender: Address, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        let moved = self.shards[from].lock().expect(POISON).take_sender(sender);
-        if moved.is_empty() {
-            return;
-        }
-        let mut shard = self.shards[to].lock().expect(POISON);
-        for pooled in moved {
-            shard.restore(pooled);
-        }
-    }
-
-    /// Repairs the rare race where the sender's chain migrated away while we were
-    /// inserting: our freshly admitted entry sits on the old shard while the chain
-    /// lives on `home`. Entries whose slot is already occupied at home (a
-    /// replacement that was judged against an empty raced queue) are re-offered
-    /// through the real admission rules instead of restored.
-    fn reunite(
-        &self,
-        router: &mut Router,
-        sender: Address,
-        stray_shard: usize,
-        home: usize,
-        outcome: AdmitOutcome,
-    ) -> AdmitOutcome {
-        let strays = self.shards[stray_shard]
-            .lock()
-            .expect(POISON)
-            .take_sender(sender);
-        let mut outcome = outcome;
-        let mut shard = self.shards[home].lock().expect(POISON);
-        for stray in strays {
-            let nonce = stray.tx.nonce();
-            if shard.pool().get(sender, nonce).is_some() {
-                // Occupied slot: judge the stray as the replacement it really is.
-                outcome = shard
-                    .offer(
-                        &stray.tx,
-                        stray.fee_per_gas,
-                        stray.arrival_secs,
-                        nonce,
-                        Some(stray.seq),
-                    )
-                    .outcome;
-                // The stray's provisional admission is reversed either way: it
-                // became a replacement or was dropped as underpriced.
-                router.note_removed(sender, 1);
-                self.corrections.lock().expect(POISON).admit_reversals += 1;
-            } else {
-                shard.restore(stray);
-            }
-        }
+        let mut router = self.router.lock().expect(POISON);
+        let (_, outcome) = self.admit(
+            &mut router,
+            &tx,
+            fee_per_gas,
+            arrival_secs,
+            account_nonce,
+            stamp,
+        );
         outcome
     }
 
-    /// Evicts globally cheapest chain tails until the pool fits its capacity
-    /// (caller holds the router lock), applying the single pool's rule *as of
-    /// before the newcomer's optimistic admission*: the newcomer stays only if it
-    /// strictly outbids the cheapest pre-insert tail of another sender — otherwise
-    /// its admission is reversed into a `RejectedFull`. In particular, a newcomer
-    /// whose own previous chain tail is the global cheapest is rejected (evicting
-    /// it would gap the newcomer's own chain), exactly like `Mempool::insert`.
+    /// Admits a batch in the order given under one hold of the router lock;
+    /// returns how many items were offered to each shard.
+    pub(crate) fn insert_batch(&self, items: Vec<IngestItem>) -> Vec<usize> {
+        let mut router = self.router.lock().expect(POISON);
+        let mut offered = vec![0; self.shards.len()];
+        for item in items {
+            let (shard, _) = self.admit(
+                &mut router,
+                &item.tx,
+                item.fee_per_gas,
+                item.arrival_secs,
+                item.account_nonce,
+                Some(item.stamp),
+            );
+            offered[shard] += 1;
+        }
+        offered
+    }
+
+    /// The admission step (caller holds the router lock): route the edge and move
+    /// the chains that re-homes, offer to the component's shard, account the
+    /// admission, restore the global capacity. Returns the shard offered to.
+    fn admit(
+        &self,
+        router: &mut Router,
+        tx: &AccountTransaction,
+        fee_per_gas: u64,
+        arrival_secs: f64,
+        account_nonce: u64,
+        stamp: Option<u64>,
+    ) -> (usize, AdmitOutcome) {
+        let sender = tx.sender();
+        let decision = router.route(sender, effective_receiver(tx));
+        self.execute_migrations(&decision.migrations);
+        let shard = decision.shard;
+        let mut outcome = self.shards[shard]
+            .lock()
+            .expect(POISON)
+            .offer(tx, fee_per_gas, arrival_secs, account_nonce, stamp)
+            .outcome;
+        // A replacement leaves the chain's membership as it was; a rejection
+        // leaves only the routed edge behind, which is sound (fusing is
+        // conservative) and what the next rebalance forgets.
+        if outcome == AdmitOutcome::Admitted {
+            router.note_admitted(sender, shard);
+            if router.total_live() > self.capacity {
+                outcome = self.enforce_capacity(router, shard, sender, tx.nonce(), fee_per_gas);
+            }
+        }
+        (shard, outcome)
+    }
+
+    /// Physically moves every pooled transaction of each ordered sender to its new
+    /// shard, preserving admission metadata — O(chain) in both shards. The router
+    /// has already moved the pins; the caller holds its lock.
+    fn execute_migrations(&self, migrations: &[Migration]) {
+        for migration in migrations {
+            let chain = self.shards[migration.from]
+                .lock()
+                .expect(POISON)
+                .take_sender(migration.sender);
+            let mut shard = self.shards[migration.to].lock().expect(POISON);
+            for pooled in chain {
+                shard.restore(pooled);
+            }
+        }
+    }
+
+    /// Restores the global capacity after the newcomer's admission to `shard`
+    /// took the pool one over it (caller holds the router lock, so shard contents
+    /// hold still while the shard locks are taken one at a time). Applies the
+    /// single pool's rule *as of before that admission*: the newcomer stays only
+    /// if it strictly outbids the cheapest pre-insert tail of another sender,
+    /// which is then evicted — otherwise its admission is reversed into a
+    /// `RejectedFull`. In particular, a newcomer whose own previous chain tail is
+    /// the global cheapest is rejected (evicting it would gap the newcomer's own
+    /// chain), exactly like `Mempool::insert`.
     fn enforce_capacity(
         &self,
         router: &mut Router,
+        shard: usize,
         newcomer: Address,
         newcomer_nonce: u64,
         newcomer_fee: u64,
     ) -> AdmitOutcome {
-        let mut guards: Vec<MutexGuard<'_, Shard>> = self
+        let victim = self
             .shards
             .iter()
-            .map(|shard| shard.lock().expect(POISON))
-            .collect();
-        let mut outcome = AdmitOutcome::Admitted;
-        // Whether the newcomer's entry is still pooled (a concurrent insert's
-        // capacity pass may have evicted it before this one ran). All locks are
-        // held, so only this loop's own reversal can change it below.
-        let mut newcomer_present = guards
-            .iter()
-            .any(|guard| guard.pool().get(newcomer, newcomer_nonce).is_some());
-        loop {
-            let total: usize = guards.iter().map(|guard| guard.pool().len()).sum();
-            if total <= self.capacity {
-                break;
-            }
-            let exclude = newcomer_present.then_some((newcomer, newcomer_nonce));
-            let victim = guards
-                .iter()
-                .enumerate()
-                .filter_map(|(index, guard)| {
-                    guard.pool().cheapest_tail_excluding(exclude).map(
-                        |(sender, nonce, fee, seq)| {
-                            (fee, std::cmp::Reverse(seq), index, sender, nonce)
-                        },
-                    )
-                })
-                .min();
-            let evictable = victim.is_some_and(|(fee, _, _, sender, _)| {
-                !newcomer_present || (fee < newcomer_fee && sender != newcomer)
-            });
-            if evictable {
-                let (_, _, shard_index, victim_sender, victim_nonce) =
-                    victim.expect("checked above");
-                // Never evict an entry whose insert has not settled yet (its
-                // pooled count is ahead of the router's accounting): the settle
-                // phase would then credit a transaction that no longer exists and
-                // the live counters would drift forever. Leave the pool briefly
-                // over capacity instead — the pending settle re-runs enforcement.
-                let pooled: usize = guards
-                    .iter()
-                    .map(|guard| guard.pool().sender_tx_count(victim_sender))
-                    .sum();
-                if pooled != router.pin_live(victim_sender) {
-                    break;
-                }
-                guards[shard_index]
-                    .remove(victim_sender, victim_nonce)
+            .enumerate()
+            .filter_map(|(index, shard)| {
+                shard
+                    .lock()
+                    .expect(POISON)
+                    .pool()
+                    .cheapest_tail_excluding(Some((newcomer, newcomer_nonce)))
+                    .map(|(sender, nonce, fee, seq)| {
+                        (fee, std::cmp::Reverse(seq), index, sender, nonce)
+                    })
+            })
+            .min();
+        let mut corrections = self.corrections.lock().expect(POISON);
+        match victim {
+            Some((fee, _, index, sender, nonce)) if fee < newcomer_fee && sender != newcomer => {
+                self.shards[index]
+                    .lock()
+                    .expect(POISON)
+                    .remove(sender, nonce)
                     .expect("cheapest tail is pooled");
-                router.note_removed(victim_sender, 1);
-                self.corrections.lock().expect(POISON).evicted += 1;
-            } else if newcomer_present {
-                // The newcomer does not outbid any other sender's tail: reverse its
-                // optimistic admission.
-                for guard in guards.iter_mut() {
-                    if guard.remove(newcomer, newcomer_nonce).is_some() {
-                        break;
-                    }
-                }
+                router.note_removed(sender, 1);
+                corrections.evicted += 1;
+                AdmitOutcome::Admitted
+            }
+            _ => {
+                self.shards[shard]
+                    .lock()
+                    .expect(POISON)
+                    .remove(newcomer, newcomer_nonce)
+                    .expect("the newcomer was just admitted here");
                 router.note_removed(newcomer, 1);
-                let mut corrections = self.corrections.lock().expect(POISON);
                 corrections.admit_reversals += 1;
                 corrections.rejected_full += 1;
-                outcome = AdmitOutcome::RejectedFull;
-                newcomer_present = false;
-            } else {
-                break;
+                AdmitOutcome::RejectedFull
             }
         }
-        outcome
     }
 
     /// Removes every transaction of a packed block from the pool (routing each
@@ -496,37 +397,19 @@ impl ShardedMempool {
 
     /// Rebuilds routing from the surviving pool contents and re-spreads components
     /// across shards (see the `router` module docs); returns the number of chains
-    /// migrated. Best called between blocks; it holds the router *and every shard
-    /// lock* for its whole duration, so the snapshot it rebuilds from is exactly
-    /// the pool's content and no insert can slip an edge past the rebuild. (An
-    /// insert whose settle phase runs after the rebalance re-asserts its edge on
-    /// the fresh state — see the settle phase of [`ShardedMempool::insert`] — so
-    /// even in-flight traffic converges.)
+    /// migrated. Best called between blocks; it holds the router lock for its
+    /// whole duration, so the snapshot it rebuilds from is exactly the pool's
+    /// content and no admission can slip an edge past the rebuild.
     pub fn rebalance(&self) -> usize {
         let mut router = self.router.lock().expect(POISON);
-        let mut guards: Vec<MutexGuard<'_, Shard>> = self
-            .shards
-            .iter()
-            .map(|shard| shard.lock().expect(POISON))
-            .collect();
-        let residents: Vec<(Address, Address)> = guards
-            .iter()
-            .flat_map(|guard| {
-                guard
-                    .pool()
-                    .iter()
-                    .map(|p| (p.tx.sender(), effective_receiver(&p.tx)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let migrations = router.rebalance(&residents);
-        for migration in &migrations {
-            let chain = guards[migration.from].take_sender(migration.sender);
-            for pooled in chain {
-                guards[migration.to].restore(pooled);
-            }
-            router.apply_migration(migration.sender, migration.to);
+        let mut residents: Vec<(Address, Address)> = Vec::with_capacity(router.total_live());
+        for shard in &self.shards {
+            let shard = shard.lock().expect(POISON);
+            let pooled = shard.pool().iter();
+            residents.extend(pooled.map(|p| (p.tx.sender(), effective_receiver(&p.tx))));
         }
+        let migrations = router.rebalance(&residents);
+        self.execute_migrations(&migrations);
         migrations.len()
     }
 
@@ -754,5 +637,44 @@ mod tests {
             .collect();
         assert_eq!(sharded_keys, single_keys);
         assert_eq!(sharded.stats(), single.stats());
+    }
+
+    #[test]
+    fn admission_into_a_large_component_examines_only_what_it_moves() {
+        // 2 000 senders deposit to one receiver; a sender below the component's
+        // anchor then joins and re-homes it (every chain moves, once); 2 000 more
+        // offers land in it (half extending chains, half new senders). Planning
+        // may read a sender only to move it, so the count is bounded by the
+        // chains migrated plus a constant per offer — a whole-component scan per
+        // offer would examine ~6 000 000.
+        use blockconc_sharding::canonical_shard;
+        let members = (1_000..3_000u64).chain([900_000]);
+        let anchor = members.map(Address::from_low).min().unwrap();
+        let low = (10_000..100_000u64)
+            .find(|&low| {
+                let low = Address::from_low(low);
+                low < anchor && canonical_shard(low, 4) != canonical_shard(anchor, 4)
+            })
+            .expect("some smaller address hashes elsewhere");
+        let pool = ShardedMempool::new(4, 100_000);
+        let offers = (0..2_000u64)
+            .map(|i| transfer(1_000 + i, 900_000, 0))
+            .chain([transfer(low, 900_000, 0)])
+            .chain((0..1_000u64).map(|i| transfer(1_000 + i, 900_000, 1)))
+            .chain((0..1_000u64).map(|i| transfer(5_000 + i, 900_000, 0)));
+        for (stamp, tx) in offers.enumerate() {
+            let outcome = pool.insert(tx, 10, 0.0, 0, Some(stamp as u64));
+            assert_eq!(outcome, AdmitOutcome::Admitted);
+        }
+        assert_eq!(pool.shard_lens().iter().filter(|&&l| l > 0).count(), 1);
+        pool.assert_shard_disjointness();
+        let router = pool.router.lock().unwrap();
+        assert!(router.migrated_chains >= 2_000, "the re-homing must happen");
+        assert!(
+            router.senders_examined <= 4_001 + router.migrated_chains,
+            "examined {} senders for 4 001 offers and {} migrated chains",
+            router.senders_examined,
+            router.migrated_chains
+        );
     }
 }

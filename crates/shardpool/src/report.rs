@@ -3,15 +3,17 @@
 use blockconc_pipeline::PipelineRunReport;
 use serde::{Deserialize, Serialize};
 
-/// Per-block phase accounting of the sharded pipeline, in abstract work units (the
-/// same hardware-independent convention as the execution engines'
-/// `parallel_units`): one unit ≈ one per-transaction touch of the respective phase.
+/// Per-block phase accounting of the sharded pipeline, in **modelled** work units
+/// (the same hardware-independent convention as the execution engines'
+/// `parallel_units`): one unit ≈ one per-transaction touch of the respective phase,
+/// on the critical path the layout would have with a thread per parallel part.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlockPhaseRecord {
     /// Block height.
     pub height: u64,
-    /// Ingest critical path: the slower of the largest producer batch and the
-    /// largest per-shard admission batch (producers and admitters pipeline).
+    /// Modelled ingest critical path: the larger of the largest producer bin and
+    /// the largest per-shard share of the batch (admission itself runs in order on
+    /// one thread; see [`IngestReport`](crate::IngestReport)).
     pub ingest_units: u64,
     /// Pack critical path: the largest single-shard scan plus the serial merge.
     pub pack_units: u64,
@@ -32,7 +34,7 @@ pub struct ShardedRunReport {
     pub run: PipelineRunReport,
     /// Number of mempool shards.
     pub shards: usize,
-    /// Producer threads feeding the ingest router.
+    /// Producer bins the ingest model splits a batch across.
     pub producers: usize,
     /// Per-block phase records, in height order.
     pub phases: Vec<BlockPhaseRecord>,

@@ -13,20 +13,32 @@
 //! A component's home shard is `hash(anchor)`, where the *anchor* is the smallest
 //! address the component has ever contained. The minimum is order-independent, so
 //! the placement reached after ingesting any set of transactions is a pure function
-//! of that set — **not** of how concurrent producer threads interleaved. (A
+//! of that set — **not** of how concurrent callers interleaved. (A
 //! load-aware rule like "least loaded shard wins" reads racy counters and makes
 //! block composition nondeterministic; canonical placement keeps every downstream
 //! artifact reproducible.) An anchor can only decrease, and the minimum of a
 //! random-ish address sequence changes O(log n) times, so anchor-driven component
 //! migrations stay rare.
 //!
-//! When an arriving transaction's edge fuses two components, the router emits
-//! [`Migration`] orders moving every pinned sender that is off the fused
-//! component's canonical shard, restoring the invariant *all live transactions of
-//! one component reside on one shard*. [`Router::rebalance`] periodically rebuilds
-//! the union–find from the surviving pool contents — un-fusing components whose
-//! only bridges have since been packed, which the monotone online structure cannot
-//! do — and re-derives canonical placement for the survivors.
+//! # The placement invariant, and why planning costs what it moves
+//!
+//! Between calls, **every pinned sender's pin is its component's canonical
+//! shard**. [`Router::route`] and [`Router::rebalance`] keep it themselves: each
+//! records the pin moves it orders before it returns (the pool then moves the
+//! chains, under the same lock hold), and [`Router::note_admitted`] pins to the
+//! shard `route` just decided. So when an arriving edge fuses two components, the
+//! side that keeps its anchor is already where the fused component lives; only the
+//! other side can hold chains that must move, and only if its canonical shard
+//! differs from the fused target — in which case all of them move. `route` reads
+//! that one sender set and nothing else: an offer into a component of any size
+//! whose placement does not change examines no sender at all. (Scanning the fused
+//! component on every offer, as this module once did, made admission quadratic per
+//! block exactly when one hot spot owns most of the pool.)
+//!
+//! [`Router::rebalance`] periodically rebuilds the union–find from the surviving
+//! pool contents — un-fusing components whose only bridges have since been packed,
+//! which the monotone online structure cannot do — and re-derives canonical
+//! placement for the survivors.
 
 use blockconc_graph::UnionFind;
 use blockconc_sharding::canonical_shard;
@@ -45,7 +57,8 @@ pub(crate) struct Migration {
 #[derive(Debug)]
 pub(crate) struct RouteDecision {
     pub shard: usize,
-    /// Chain moves required to keep the fused component on one shard.
+    /// Chain moves that keep the fused component on one shard, in sender order.
+    /// The pins have already moved; the caller owes the physical moves.
     pub migrations: Vec<Migration>,
 }
 
@@ -53,6 +66,17 @@ pub(crate) struct RouteDecision {
 struct Pin {
     shard: usize,
     live: usize,
+}
+
+impl Pin {
+    /// Moves the pin (and its live count) to shard `to`; returns the order for
+    /// `sender`'s chain to follow.
+    fn move_to(&mut self, to: usize, sender: Address, shard_live: &mut [usize]) -> Migration {
+        let from = std::mem::replace(&mut self.shard, to);
+        shard_live[from] -= self.live;
+        shard_live[to] += self.live;
+        Migration { sender, from, to }
+    }
 }
 
 /// The canonical shard of a component anchored at `anchor` — the workspace-wide
@@ -82,6 +106,10 @@ pub(crate) struct Router {
     shard_live: Vec<usize>,
     pub migrated_chains: u64,
     pub rebalances: u64,
+    /// Senders [`Router::route`] has read while planning migrations — the
+    /// admission path's only super-constant term, counted so a test can bound it
+    /// without a clock.
+    pub senders_examined: u64,
 }
 
 impl Router {
@@ -98,6 +126,7 @@ impl Router {
             shard_live: vec![0; shards],
             migrated_chains: 0,
             rebalances: 0,
+            senders_examined: 0,
         }
     }
 
@@ -125,14 +154,8 @@ impl Router {
         self.pin.get(&sender).map(|pin| pin.shard)
     }
 
-    /// The number of live transactions accounted to `sender` (0 when unpinned).
-    /// The pool's capacity enforcement compares this against the sender's actual
-    /// pooled entries to detect inserts whose settle phase has not run yet.
-    pub fn pin_live(&self, sender: Address) -> usize {
-        self.pin.get(&sender).map_or(0, |pin| pin.live)
-    }
-
     /// The canonical shard of `address`'s component, if the address has been seen.
+    #[cfg(test)]
     pub fn component_shard(&mut self, address: Address) -> Option<usize> {
         let node = *self.node_of.get(&address)?;
         let root = self.uf.find(node);
@@ -140,69 +163,61 @@ impl Router {
         Some(stable_shard(anchor, self.shards))
     }
 
-    /// A read-mostly shard prediction for queue assignment (no union recorded):
-    /// computes the same canonical target [`Router::route`] would pick right now.
-    pub fn route_hint(&mut self, sender: Address, receiver: Address) -> usize {
-        let anchor_a = match self.node_of.get(&sender) {
-            Some(&node) => {
-                let root = self.uf.find(node);
-                self.anchor(root)
-            }
-            None => sender,
-        };
-        let anchor_b = match self.node_of.get(&receiver) {
-            Some(&node) => {
-                let root = self.uf.find(node);
-                self.anchor(root)
-            }
-            None => receiver,
-        };
-        stable_shard(anchor_a.min(anchor_b), self.shards)
-    }
-
     /// Routes one offered transaction edge: interns both endpoints, unions them,
-    /// and places the (possibly fused) component at its canonical shard. If the
-    /// union fused two components on different shards — or lowered the anchor — the
-    /// decision carries the migrations that re-unite the component there.
+    /// and places the (possibly fused) component at its canonical shard. If that
+    /// re-homes one side of the union, the decision carries the side's chains as
+    /// migrations and their pins have already moved (see the module docs).
     pub fn route(&mut self, sender: Address, receiver: Address) -> RouteDecision {
         let sender_node = self.node(sender);
         let receiver_node = self.node(receiver);
         let sender_root = self.uf.find(sender_node);
         let receiver_root = self.uf.find(receiver_node);
-        let anchor = self.anchor(sender_root).min(self.anchor(receiver_root));
-
-        let (survivor, absorbed) = self.uf.merge_roots(sender_node, receiver_node);
-        if let Some(absorbed) = absorbed {
-            // Fold the absorbed component's per-root state into the survivor.
-            if let Some(absorbed_senders) = self.senders_of_root.remove(&absorbed) {
-                self.senders_of_root
-                    .entry(survivor)
-                    .or_default()
-                    .extend(absorbed_senders);
-            }
-            self.anchor_of_root.remove(&absorbed);
-        }
-        self.anchor_of_root.insert(survivor, anchor);
+        let sender_anchor = self.anchor(sender_root);
+        let receiver_anchor = self.anchor(receiver_root);
+        let anchor = sender_anchor.min(receiver_anchor);
         let target = stable_shard(anchor, self.shards);
+        if sender_root == receiver_root {
+            return RouteDecision {
+                shard: target,
+                migrations: Vec::new(),
+            };
+        }
 
-        // Any pinned sender of the component off its canonical shard moves.
-        let migrations: Vec<Migration> = self
-            .senders_of_root
-            .get(&survivor)
-            .map(|senders| {
-                senders
-                    .iter()
-                    .filter_map(|&member| {
-                        let pin = self.pin.get(&member)?;
-                        (pin.shard != target).then_some(Migration {
-                            sender: member,
-                            from: pin.shard,
-                            to: target,
-                        })
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        // The side that keeps its anchor is on `target` already; the other side
+        // moves whole if its home differs. One side, one ordered set: the plan
+        // comes out in sender order, as a scan of the fused component would give.
+        let (outbid_root, outbid_anchor) = if sender_anchor > receiver_anchor {
+            (sender_root, sender_anchor)
+        } else {
+            (receiver_root, receiver_anchor)
+        };
+        let mut migrations = Vec::new();
+        if stable_shard(outbid_anchor, self.shards) != target {
+            for &member in self.senders_of_root.get(&outbid_root).into_iter().flatten() {
+                self.senders_examined += 1;
+                let pin = self
+                    .pin
+                    .get_mut(&member)
+                    .expect("listed senders are pinned");
+                debug_assert_ne!(pin.shard, target, "placement invariant");
+                migrations.push(pin.move_to(target, member, &mut self.shard_live));
+            }
+            self.migrated_chains += migrations.len() as u64;
+        }
+
+        // Fold the absorbed component's per-root state into the survivor, the
+        // smaller sender set into the larger.
+        let (survivor, absorbed) = self.uf.merge_roots(sender_root, receiver_root);
+        let absorbed = absorbed.expect("distinct roots merge");
+        self.anchor_of_root.remove(&absorbed);
+        self.anchor_of_root.insert(survivor, anchor);
+        if let Some(mut folded) = self.senders_of_root.remove(&absorbed) {
+            let kept = self.senders_of_root.entry(survivor).or_default();
+            if kept.len() < folded.len() {
+                std::mem::swap(kept, &mut folded);
+            }
+            kept.extend(folded);
+        }
 
         RouteDecision {
             shard: target,
@@ -210,33 +225,20 @@ impl Router {
         }
     }
 
-    /// Records that every live transaction of `sender` moved to shard `to` (called
-    /// by the pool as it executes a migration).
-    pub fn apply_migration(&mut self, sender: Address, to: usize) {
-        if let Some(pin) = self.pin.get_mut(&sender) {
-            self.shard_live[pin.shard] -= pin.live;
-            self.shard_live[to] += pin.live;
-            pin.shard = to;
-        }
-        self.migrated_chains += 1;
-    }
-
-    /// Records one admitted transaction of `sender`. If the sender is already
-    /// pinned, the pin's shard wins (a migration may have moved the chain after the
-    /// caller picked `shard_hint`); otherwise the sender is pinned to `shard_hint`.
-    /// Returns the shard the admission was accounted to.
-    pub fn note_admitted(&mut self, sender: Address, shard_hint: usize) -> usize {
-        let node = self.node(sender);
-        let root = self.uf.find(node);
-        self.senders_of_root.entry(root).or_default().insert(sender);
-        let pin = self.pin.entry(sender).or_insert(Pin {
-            shard: shard_hint,
-            live: 0,
-        });
+    /// Records one transaction of `sender` admitted to `shard` — the shard the
+    /// [`Router::route`] call for that offer decided, which is where an already
+    /// pinned sender's chain sits.
+    pub fn note_admitted(&mut self, sender: Address, shard: usize) {
+        let pin = self.pin.entry(sender).or_insert(Pin { shard, live: 0 });
+        debug_assert_eq!(pin.shard, shard, "placement invariant");
         pin.live += 1;
-        let shard = pin.shard;
+        let (shard, first) = (pin.shard, pin.live == 1);
         self.shard_live[shard] += 1;
-        shard
+        if first {
+            let node = self.node(sender);
+            let root = self.uf.find(node);
+            self.senders_of_root.entry(root).or_default().insert(sender);
+        }
     }
 
     /// Records `count` removed transactions of `sender` (packed, evicted, resynced
@@ -279,7 +281,8 @@ impl Router {
     }
 
     /// Rebuilds the routing state from the surviving pool contents, returning the
-    /// migrations that realize the survivors' canonical placement.
+    /// migrations that realize the survivors' canonical placement (pins already
+    /// moved, like [`Router::route`]'s).
     ///
     /// `residents` is one `(sender, effective_receiver)` edge per pooled
     /// transaction. The rebuild un-fuses components that only shared packed (now
@@ -324,26 +327,22 @@ impl Router {
             senders_of_root.entry(root).or_default().insert(sender);
         }
 
-        // Plan migrations for every sender pinned off its component's canonical
-        // shard.
+        // Re-pin every sender pinned off its component's canonical shard.
         let mut migrations = Vec::new();
         for (root, senders) in &senders_of_root {
             let target = stable_shard(anchor_of_root[root], self.shards);
             for &sender in senders {
-                if let Some(pin) = self.pin.get(&sender) {
+                if let Some(pin) = self.pin.get_mut(&sender) {
                     if pin.shard != target {
-                        migrations.push(Migration {
-                            sender,
-                            from: pin.shard,
-                            to: target,
-                        });
+                        migrations.push(pin.move_to(target, sender, &mut self.shard_live));
                     }
                 }
             }
         }
         migrations.sort_by_key(|m| (m.from, m.to, m.sender));
+        self.migrated_chains += migrations.len() as u64;
 
-        // Install the rebuilt state (pins move as migrations execute).
+        // Install the rebuilt state.
         self.uf = uf;
         self.node_of = node_of;
         self.address_of = address_of;
@@ -418,9 +417,13 @@ mod tests {
         // A bridge fuses them; everything must colocate at the canonical shard.
         let bridge = router.route(addr(901), addr(902));
         let target = bridge.shard;
+        assert_eq!(
+            bridge.migrations.len(),
+            1,
+            "exactly one chain is off-target"
+        );
         for migration in &bridge.migrations {
             assert_eq!(migration.to, target);
-            router.apply_migration(migration.sender, migration.to);
         }
         assert_eq!(router.component_shard(addr(9)), Some(target));
         assert_eq!(router.component_shard(addr(21)), Some(target));
@@ -439,10 +442,7 @@ mod tests {
         // Bridge them (sender 2 gets the bridge transaction).
         let bridge = router.route(addr(2), addr(901));
         router.note_admitted(addr(2), bridge.shard);
-        let fuse = router.route(addr(2), addr(902));
-        for migration in &fuse.migrations {
-            router.apply_migration(migration.sender, migration.to);
-        }
+        router.route(addr(2), addr(902));
         assert_eq!(
             router.component_shard(addr(901)),
             router.component_shard(addr(902))
@@ -457,15 +457,114 @@ mod tests {
         );
         // ...but a rebalance over the survivors restores independent placement.
         let residents = [(addr(9), addr(901)), (addr(21), addr(902))];
-        let migrations = router.rebalance(&residents);
-        for migration in &migrations {
-            router.apply_migration(migration.sender, migration.to);
-        }
+        router.rebalance(&residents);
         assert_eq!(router.component_shard(addr(9)), Some(a.shard));
         assert_eq!(router.component_shard(addr(21)), Some(b.shard));
         assert_eq!(router.pin_shard(addr(9)), Some(a.shard));
         assert_eq!(router.pin_shard(addr(21)), Some(b.shard));
         assert_eq!(router.rebalances, 1);
         assert_eq!(router.total_live(), 2);
+    }
+
+    /// What a scan of the whole fused component would order for this edge: every
+    /// pinned sender of either side that is off the fused target, in sender order.
+    /// Read-only, so it can run right before the `route` call it checks.
+    fn full_scan_plan(router: &mut Router, sender: Address, receiver: Address) -> Vec<Migration> {
+        let mut side = |address: Address| match router.node_of.get(&address).copied() {
+            Some(node) => {
+                let root = router.uf.find(node);
+                (Some(root), router.anchor(root))
+            }
+            None => (None, address),
+        };
+        let (sender_root, sender_anchor) = side(sender);
+        let (receiver_root, receiver_anchor) = side(receiver);
+        let target = stable_shard(sender_anchor.min(receiver_anchor), router.shards);
+        let members: BTreeSet<Address> = [sender_root, receiver_root]
+            .into_iter()
+            .flatten()
+            .filter_map(|root| router.senders_of_root.get(&root))
+            .flatten()
+            .copied()
+            .collect();
+        members
+            .into_iter()
+            .filter_map(|member| {
+                let pin = router.pin.get(&member)?;
+                (pin.shard != target).then_some(Migration {
+                    sender: member,
+                    from: pin.shard,
+                    to: target,
+                })
+            })
+            .collect()
+    }
+
+    /// Every pinned sender sits on its component's canonical shard, and the
+    /// per-shard live counts are the pins' sums.
+    fn assert_placement_invariant(router: &mut Router, step: &str) {
+        let pins: Vec<(Address, Pin)> = router.pin.iter().map(|(&s, &pin)| (s, pin)).collect();
+        let mut live = vec![0; router.shards];
+        for (sender, pin) in pins {
+            assert_eq!(
+                Some(pin.shard),
+                router.component_shard(sender),
+                "{step}: sender {sender} is pinned off its component's shard"
+            );
+            live[pin.shard] += pin.live;
+        }
+        assert_eq!(router.shard_live(), live, "{step}: live counts drifted");
+    }
+
+    #[test]
+    fn side_local_plans_equal_full_scans_and_keep_every_pin_canonical() {
+        for seed in 0..48u64 {
+            // xorshift64*: a seeded op stream with no dependency to vendor.
+            let mut word = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |bound: u64| {
+                word ^= word >> 12;
+                word ^= word << 25;
+                word ^= word >> 27;
+                (word.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % bound
+            };
+            let mut router = Router::new(1 + (seed % 5) as usize);
+            let mut residents: Vec<(Address, Address)> = Vec::new();
+            for op in 0..400 {
+                let step = format!("seed {seed} op {op}");
+                match next(20) {
+                    0..=12 => {
+                        // An offer: mostly into a few shared receivers, sometimes
+                        // sender to sender (bridges), sometimes not admitted.
+                        let sender = addr(1 + next(24));
+                        let receiver = if next(4) == 0 {
+                            addr(1 + next(24))
+                        } else {
+                            addr(100 + next(10))
+                        };
+                        let expected = full_scan_plan(&mut router, sender, receiver);
+                        let decision = router.route(sender, receiver);
+                        assert_eq!(decision.migrations, expected, "{step}");
+                        if next(5) > 0 {
+                            router.note_admitted(sender, decision.shard);
+                            residents.push((sender, receiver));
+                        }
+                    }
+                    13..=17 if !residents.is_empty() => {
+                        let index = next(residents.len() as u64) as usize;
+                        let (sender, _) = residents.swap_remove(index);
+                        router.note_removed(sender, 1);
+                    }
+                    _ => {
+                        router.rebalance(&residents);
+                    }
+                }
+                assert_placement_invariant(&mut router, &step);
+                assert_eq!(router.total_live(), residents.len(), "{step}");
+            }
+            assert!(
+                router.migrated_chains > 0 || router.shards == 1,
+                "seed {seed}"
+            );
+        }
     }
 }

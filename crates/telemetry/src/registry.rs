@@ -111,7 +111,8 @@ named_enum! {
 named_enum! {
     /// Value distributions that are not per-stage timings.
     Dist {
-        /// Ingest queue depth observed per batch (items routed).
+        /// Largest per-shard share of an ingest batch (items offered to one shard;
+        /// the name dates from per-shard admission queues).
         IngestQueueDepth => "ingest_queue_depth",
         /// TDG maintenance units per block.
         TdgBlockUnits => "tdg_block_units",

@@ -1,7 +1,7 @@
 //! Sharded-mempool pipeline demo: the same hot-spot workload driven through the
-//! single-pool pipeline and through the component-sharded pool with concurrent
-//! producers and parallel per-shard packers, comparing the critical path of the
-//! admission → pack → execute loop.
+//! single-pool pipeline and through the component-sharded pool with parallel
+//! per-shard packers, comparing the modelled critical path of the admission →
+//! pack → execute loop (ingest admits in order; its producer split is a model).
 //!
 //! Run with `cargo run --release --example shardpool_demo`.
 
@@ -50,7 +50,7 @@ fn main() {
     .expect("single-pool run");
     let single_units = baseline_pipeline_units(&single);
 
-    // Sharded: 8 component shards, 8 producer threads.
+    // Sharded: 8 component shards, 8 modelled producer bins.
     let sharded_config = PipelineConfig {
         shards: 8,
         producer_threads: 8,

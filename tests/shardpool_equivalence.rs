@@ -5,10 +5,10 @@
 //! 1. For any shard count, offering the same transactions in the same order must
 //!    produce exactly the single [`Mempool`]'s outcomes — admissions, replacements,
 //!    rejections and (globally coordinated) evictions.
-//! 2. For any producer interleaving (the ingest router's concurrent scheduling is
-//!    real threading, so every run samples a different interleaving), the admitted
-//!    transaction set must match the single pool fed sequentially, as long as
-//!    per-sender order is preserved — which the router guarantees.
+//! 2. Batch ingest through the router must admit exactly what the single pool
+//!    admits fed sequentially; and for any interleaving of threads calling
+//!    `insert` directly, the admitted set must match too, as long as each sender's
+//!    offers stay in order.
 //! 3. Blocks merged from parallel per-shard sub-blocks must satisfy the same
 //!    invariants as single-packer blocks: per-sender nonce order, the gas budget,
 //!    and identical execution on the sequential, speculative and scheduled engines.
@@ -172,6 +172,63 @@ fn assert_shard_tdgs_match_rebuild(pool: &ShardedMempool) {
     }
 }
 
+/// `ShardedMempool::insert` is `&self`: threads offering disjoint sender sets, each
+/// sender's offers in order, must reach the pool the single [`Mempool`] reaches
+/// sequentially — whatever order the router lock serves them in. Capacity is ample,
+/// so no outcome depends on that order; a barrier makes the threads contend.
+#[test]
+fn concurrent_inserts_on_disjoint_senders_match_the_single_pool() {
+    const THREADS: u64 = 4;
+    // Every kind of offer, over shared receivers so components fuse and chains
+    // migrate while other threads admit into them.
+    let spec: PoolSpec = (0..600u64)
+        .map(|i| {
+            (
+                i % 24,
+                (i * 7 + i / 24) % 8,
+                10 + (i * 13) % 500,
+                ((i + i / 24) % 4) as u8,
+            )
+        })
+        .collect();
+    let offers = offers_from_spec(&spec);
+    let stamped: Vec<(u64, &(AccountTransaction, u64))> = (0..).zip(&offers).collect();
+
+    let mut single = Mempool::new(10_000);
+    for &(stamp, (tx, fee)) in &stamped {
+        single.insert_stamped(tx.clone(), *fee, stamp as f64, 0, Some(stamp));
+    }
+
+    let sharded = ShardedMempool::new(3, 10_000);
+    let barrier = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (sharded, barrier, stamped) = (&sharded, &barrier, &stamped);
+            scope.spawn(move || {
+                barrier.wait();
+                for &(stamp, (tx, fee)) in stamped {
+                    if tx.sender().low_u64() % THREADS == thread {
+                        sharded.insert(tx.clone(), *fee, stamp as f64, 0, Some(stamp));
+                    }
+                }
+            });
+        }
+    });
+
+    assert_eq!(
+        resident_keys_single(&single),
+        resident_keys_sharded(&sharded)
+    );
+    assert_eq!(single.stats(), sharded.stats());
+    assert!(single.stats().replaced > 0 && single.stats().rejected_nonce == 0);
+    assert!(
+        sharded.migrated_chains() > 0,
+        "the offers must fuse components"
+    );
+    sharded.assert_shard_disjointness();
+    assert_shard_tdgs_match_rebuild(&sharded);
+}
+
 /// Every address a spec's execution can touch.
 fn touched_addresses(spec: &PoolSpec) -> Vec<Address> {
     let mut addresses = vec![
@@ -217,9 +274,8 @@ proptest! {
         assert_shard_tdgs_match_rebuild(&sharded);
     }
 
-    // Property 2: concurrent multi-producer ingestion admits exactly the set the
-    // single pool admits sequentially (per-sender order is preserved by the
-    // router; capacity is ample, so admission is interleaving-independent).
+    // Property 2: batch ingestion admits exactly the set the single pool admits
+    // sequentially, for any modelled producer count.
     #[test]
     fn concurrent_ingest_is_equivalent_to_sequential_admission(
         spec in proptest::collection::vec((0u64..14, 0u64..8, 1u64..1_000, 0u8..4), 1..80),

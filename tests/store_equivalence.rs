@@ -69,28 +69,19 @@ fn disk_backend(dir: &Path, working_set_cap: usize, snapshot_every: u64) -> Stat
     })
 }
 
-/// The oracle: everything except storage cost must be bit-identical.
-///
-/// `exact_tdg` is false for the sharded pipeline: its ingest router admits through
-/// real producer threads, so the *internal* TDG maintenance work (`tdg_units`) is
-/// interleaving-dependent between any two runs — memory or disk — while every
-/// admission outcome stays identical. The single-pool pipeline is fully serial, so
-/// there the unit counters must match exactly too.
-fn assert_equivalent(memory: &PipelineRunReport, disk: &PipelineRunReport, exact_tdg: bool) {
+/// The oracle: everything except storage cost must be bit-identical — the unit
+/// counters too, for the sharded pipeline as for the single pool (its ingest
+/// admits in order, so no thread timing reaches `tdg_units`).
+fn assert_equivalent(memory: &PipelineRunReport, disk: &PipelineRunReport) {
     assert_eq!(memory.total_txs, disk.total_txs, "packed totals diverged");
     assert_eq!(memory.total_failed, disk.total_failed);
     assert_eq!(memory.leftover_mempool, disk.leftover_mempool);
     assert_eq!(memory.mempool_stats, disk.mempool_stats);
     assert_eq!(memory.blocks.len(), disk.blocks.len());
     for (mem_block, disk_block) in memory.blocks.iter().zip(&disk.blocks) {
-        let mut mem_norm = mem_block.normalized();
-        let mut disk_norm = disk_block.normalized();
-        if !exact_tdg {
-            mem_norm.tdg_units = 0;
-            disk_norm.tdg_units = 0;
-        }
         assert_eq!(
-            mem_norm, disk_norm,
+            mem_block.normalized(),
+            disk_block.normalized(),
             "block {} diverged between backends",
             mem_block.height
         );
@@ -173,7 +164,7 @@ proptest! {
         }
         .expect("disk run");
 
-        assert_equivalent(&memory, &disk, true);
+        assert_equivalent(&memory, &disk);
         prop_assert!(disk.store.bytes_written > 0, "disk run must journal bytes");
         prop_assert!(disk.store.committed_blocks >= memory.blocks.len() as u64);
         assert_recovers_to(&dir, &disk.final_state_root);
@@ -205,7 +196,7 @@ proptest! {
         .run(stream(seed))
         .expect("disk run");
 
-        assert_equivalent(&memory.run, &disk.run, false);
+        assert_equivalent(&memory.run, &disk.run);
         assert_recovers_to(&dir, &disk.run.final_state_root);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -234,7 +225,7 @@ proptest! {
         )
         .run(escalating(seed))
         .expect("disk run");
-        assert_equivalent(&memory, &disk, true);
+        assert_equivalent(&memory, &disk);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
