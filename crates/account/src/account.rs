@@ -93,6 +93,12 @@ impl Account {
         self.code_json = cell;
     }
 
+    /// Removes the contract code.
+    pub(crate) fn clear_code(&mut self) {
+        self.code = None;
+        self.code_json = OnceLock::new();
+    }
+
     /// The canonical JSON of the deployed code, if any — serialized once on first
     /// access and cached (clones of this account share the cache via `Arc` only
     /// after cloning a filled cell; an unfilled clone fills its own).

@@ -59,5 +59,8 @@ pub use block::{AccountBlock, BlockBuilder, ExecutedBlock};
 pub use blockconc_store::{StateKey, StateValue};
 pub use executor::{BlockExecutor, TxContext};
 pub use receipt::{InternalTransaction, Receipt};
-pub use state::{account_to_stored, stored_to_account, AccessSet, Journal, WorldState};
+pub use state::{
+    account_to_stored, decode_contract, stored_to_account, AccessSet, CellBackend, Journal,
+    WorldState,
+};
 pub use transaction::{AccountTransaction, TxPayload};

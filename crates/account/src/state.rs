@@ -3,14 +3,14 @@
 use crate::vm::Contract;
 use crate::Account;
 use blockconc_store::{
-    diff_account_fragments, BlockDelta, CommitStats, DeltaRecord, SharedBackend, StateFragment,
-    StateKey, StoreStats, StoredAccount,
+    BlockDelta, CommitStats, DeltaRecord, FragmentValue, SharedBackend, StateBackend,
+    StateFragment, StateKey, StateValue, StoreStats, StoredAccount,
 };
 use blockconc_types::{Address, Amount, Error, Hash, Result};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex};
 
 /// The read, write and delta sets collected while executing one transaction.
 ///
@@ -206,11 +206,16 @@ pub fn account_to_stored(account: &Account) -> StoredAccount {
     }
 }
 
-/// Decodes a persisted contract-code blob. Undecodable code means the store and
-/// this build disagree about the contract format (or the blob was corrupted past
-/// the frame CRC) — executing the account as if it had no code would silently
-/// diverge from the committed history, so fail loudly instead.
-fn decode_contract(code: &str) -> Arc<Contract> {
+/// Decodes a persisted contract-code blob (a [`StoredAccount::code_json`] or a
+/// [`FragmentValue::Code`]).
+///
+/// # Panics
+///
+/// Undecodable code means the store and this build disagree about the contract
+/// format (or the blob was corrupted past the frame CRC) — executing the account
+/// as if it had no code would silently diverge from the committed history, so
+/// fail loudly instead.
+pub fn decode_contract(code: &str) -> Arc<Contract> {
     Arc::new(
         serde_json::from_str::<Contract>(code)
             .expect("persisted contract code must deserialize (format skew or corruption)"),
@@ -233,6 +238,15 @@ pub fn stored_to_account(stored: &StoredAccount) -> Account {
         account.set_code_with_json(decode_contract(code), Arc::from(code.as_str()));
     }
     account
+}
+
+/// A [`StateBackend`] that serves a *scratch* [`WorldState`] one cell at a time
+/// ([`WorldState::scratch_over`]): balance/nonce pairs and slots through
+/// [`StateBackend::get`], and deployed code through this trait — `blockconc_store`
+/// cannot name [`Contract`], and a digest is not something the interpreter can run.
+pub trait CellBackend: StateBackend {
+    /// The contract deployed at `address` as this backend sees it, if any.
+    fn contract(&mut self, address: Address) -> Option<Arc<Contract>>;
 }
 
 /// The global state of an account-based blockchain.
@@ -281,8 +295,14 @@ pub struct WorldState {
     /// A blind slot delta must not coexist with an absolute write to the same
     /// slot inside one write-set harvest (the engine would emit two cell
     /// writes for one part), so `SAdd` on a stored slot falls back to the
-    /// classic read-modify-write.
-    stored_slots: HashSet<(Address, u64)>,
+    /// classic read-modify-write. On a scratch state these are also exactly
+    /// the slots a sparse resident account holds authoritatively (ordered, so
+    /// the harvest walks one account's slots ascending).
+    stored_slots: BTreeSet<(Address, u64)>,
+    /// The mounted backend again, typed, when this is a scratch state
+    /// ([`WorldState::scratch_over`]). Its presence is what makes first writes
+    /// materialize *sparse* accounts.
+    cells: Option<Arc<Mutex<dyn CellBackend>>>,
 }
 
 /// The unmaterialized commutative contributions to one account: a balance
@@ -326,6 +346,15 @@ fn fold_deltas_into(stored: &mut StoredAccount, deltas: &AccountDeltas) {
             }
             Err(pos) => stored.storage.insert(pos, (slot, add)),
         }
+    }
+}
+
+/// A backend's answer to a storage key as a slot value (absent reads zero).
+fn slot_value(answer: Option<StateValue>) -> u64 {
+    match answer {
+        Some(StateValue::Slot(value)) => value,
+        None => 0,
+        Some(other) => unreachable!("backend answered a storage key with {other:?}"),
     }
 }
 
@@ -386,6 +415,34 @@ impl WorldState {
         Ok(())
     }
 
+    /// A scratch state over `cells`: an empty working set whose reads resolve one
+    /// cell at a time through the backend and whose first write to an account
+    /// materializes it *sparse* — balance and nonce, code only if this state
+    /// deploys it, and only the slots it stores — so a call into a contract
+    /// costs the keys it touches, not the slots the contract holds. Nothing is
+    /// committed through it: the owner harvests
+    /// [`take_write_fragments`](WorldState::take_write_fragments) /
+    /// [`take_delta_ops`](WorldState::take_delta_ops) and
+    /// [`reset_working_set`](WorldState::reset_working_set)s. Whole-account
+    /// operations (`export_account`, `commit_block`, …) have no meaning on sparse
+    /// accounts and are debug-asserted against.
+    pub fn scratch_over<B: CellBackend + 'static>(cells: Arc<Mutex<B>>) -> Self {
+        WorldState {
+            backend: Some(Arc::clone(&cells) as SharedBackend),
+            cells: Some(cells),
+            ..WorldState::default()
+        }
+    }
+
+    /// Whole-account operations on a scratch state would read or publish sparse
+    /// accounts as if they were complete: stop at the call site, by name.
+    fn assert_whole_accounts(&self, operation: &str) {
+        debug_assert!(
+            self.cells.is_none(),
+            "WorldState::{operation} on a scratch state: its accounts are sparse"
+        );
+    }
+
     /// The mounted backend handle, if any.
     pub fn backend(&self) -> Option<&SharedBackend> {
         self.backend.as_ref()
@@ -432,6 +489,7 @@ impl WorldState {
     /// Returns an error if no block is open (with a backend mounted), or if the
     /// backend commit fails.
     pub fn commit_block(&mut self) -> Result<CommitStats> {
+        self.assert_whole_accounts("commit_block");
         self.flush_pending_deltas();
         let Some(backend) = self.backend.clone() else {
             self.open_height = None;
@@ -530,6 +588,76 @@ impl WorldState {
         self.backend_stored(address)
     }
 
+    /// The committed value of one key visible to a read that misses the resident
+    /// map — the per-key face of [`fallback_stored`](WorldState::fallback_stored),
+    /// same dirty-deletion rule. What it costs is the backend's business: the
+    /// key alone on the memory backend and under a scratch state, the account
+    /// record on disk.
+    fn fallback_value(&self, key: &StateKey) -> Option<StateValue> {
+        if self.dirty.contains(&key.address()) {
+            return None;
+        }
+        self.backend_value(key)
+    }
+
+    /// [`fallback_value`](WorldState::fallback_value) without the dirty rule: the
+    /// backend's own answer. A sparse resident account's unstored slots and the
+    /// harvest's served pre-values read through here.
+    fn backend_value(&self, key: &StateKey) -> Option<StateValue> {
+        self.backend
+            .as_ref()?
+            .lock()
+            .expect("backend lock")
+            .get(key)
+    }
+
+    fn fallback_meta(&self, address: Address) -> Option<(Amount, u64)> {
+        match self.fallback_value(&StateKey::Balance(address))? {
+            StateValue::AccountMeta {
+                balance_sats,
+                nonce,
+            } => Some((Amount::from_sats(balance_sats), nonce)),
+            other => unreachable!("backend answered a balance key with {other:?}"),
+        }
+    }
+
+    fn backend_slot(&self, address: Address, key: u64) -> u64 {
+        slot_value(self.backend_value(&StateKey::Storage(address, key)))
+    }
+
+    /// The committed account behind a resident miss, materialized whole (`None`
+    /// when deleted in the open block or unknown to the backend) — one
+    /// whole-account backend read. Readers that serve many keys of a
+    /// non-resident account (the optimistic engine's view of its base state)
+    /// call this once and keep the result.
+    pub fn load_account(&self, address: Address) -> Option<Account> {
+        self.fallback_stored(address)
+            .map(|stored| stored_to_account(&stored))
+    }
+
+    /// The resident-miss half of every first write: brings the committed account
+    /// into the working set if there is one. A scratch state loads it sparse —
+    /// balance and nonce only; slots and code stay behind the backend until
+    /// this state writes them.
+    fn load(&mut self, address: Address) -> bool {
+        let account = if self.cells.is_some() {
+            self.fallback_meta(address).map(|(balance, nonce)| {
+                let mut account = Account::with_balance(balance);
+                account.set_nonce(nonce);
+                account
+            })
+        } else {
+            self.load_account(address)
+        };
+        match account {
+            Some(account) => {
+                self.accounts.insert(address, account);
+                true
+            }
+            None => false,
+        }
+    }
+
     fn mark_dirty(&mut self, address: Address) {
         if self.backend.is_some() {
             self.dirty.insert(address);
@@ -538,6 +666,7 @@ impl WorldState {
 
     /// Number of accounts that exist (have been touched at least once).
     pub fn account_count(&self) -> usize {
+        self.assert_whole_accounts("account_count");
         let Some(backend) = &self.backend else {
             return self.accounts.len();
         };
@@ -577,7 +706,7 @@ impl WorldState {
     pub fn contains(&self, address: Address) -> bool {
         self.accounts.contains_key(&address)
             || self.pending.get(&address).is_some_and(|d| !d.is_noop())
-            || self.fallback_stored(address).is_some()
+            || self.fallback_value(&StateKey::Balance(address)).is_some()
     }
 
     /// The balance of `address` (zero if the account does not exist). Pending
@@ -587,9 +716,8 @@ impl WorldState {
         let base = if let Some(account) = self.accounts.get(&address) {
             account.balance()
         } else {
-            self.fallback_stored(address)
-                .map(|stored| Amount::from_sats(stored.balance_sats))
-                .unwrap_or(Amount::ZERO)
+            self.fallback_meta(address)
+                .map_or(Amount::ZERO, |(balance, _)| balance)
         };
         match self.pending.get(&address) {
             Some(deltas) if deltas.balance != 0 => Amount::from_sats(
@@ -606,15 +734,26 @@ impl WorldState {
         if let Some(account) = self.accounts.get(&address) {
             return account.nonce();
         }
-        self.fallback_stored(address)
-            .map(|stored| stored.nonce)
-            .unwrap_or(0)
+        self.fallback_meta(address).map_or(0, |(_, nonce)| nonce)
     }
 
     /// The contract deployed at `address`, if any.
     pub fn contract(&self, address: Address) -> Option<Arc<Contract>> {
-        if let Some(account) = self.accounts.get(&address) {
-            return account.code().cloned();
+        let resident = self.accounts.get(&address);
+        if let Some(code) = resident.and_then(Account::code) {
+            return Some(Arc::clone(code));
+        }
+        if let Some(cells) = &self.cells {
+            // Scratch state: a resident account is sparse (it carries code only
+            // if this state deployed it), so resident or not the backend
+            // answers — unless the account was deleted in this working set.
+            if resident.is_none() && self.dirty.contains(&address) {
+                return None;
+            }
+            return cells.lock().expect("backend lock").contract(address);
+        }
+        if resident.is_some() {
+            return None;
         }
         let stored = self.fallback_stored(address)?;
         stored.code_json.as_deref().map(decode_contract)
@@ -624,11 +763,14 @@ impl WorldState {
     /// addends are folded in virtually.
     pub fn storage(&self, address: Address, key: u64) -> u64 {
         let base = if let Some(account) = self.accounts.get(&address) {
-            account.storage_get(key)
+            if self.cells.is_none() || self.stored_slots.contains(&(address, key)) {
+                account.storage_get(key)
+            } else {
+                // A sparse account holds only the slots this state stored.
+                self.backend_slot(address, key)
+            }
         } else {
-            self.fallback_stored(address)
-                .map(|stored| stored.storage_get(key))
-                .unwrap_or(0)
+            slot_value(self.fallback_value(&StateKey::Storage(address, key)))
         };
         match self.pending.get(&address).and_then(|d| d.slots.get(&key)) {
             Some(add) => base.wrapping_add(*add),
@@ -638,18 +780,11 @@ impl WorldState {
 
     fn entry(&mut self, address: Address, journal: Option<&mut Journal>) -> &mut Account {
         if self.backend.is_some() {
-            if !self.accounts.contains_key(&address) {
-                match self.fallback_stored(address) {
-                    Some(stored) => {
-                        self.accounts.insert(address, stored_to_account(&stored));
-                    }
-                    None => {
-                        if let Some(j) = journal {
-                            j.ops.push(UndoOp::Created(address));
-                        }
-                        self.accounts.insert(address, Account::new());
-                    }
+            if !self.accounts.contains_key(&address) && !self.load(address) {
+                if let Some(j) = journal {
+                    j.ops.push(UndoOp::Created(address));
                 }
+                self.accounts.insert(address, Account::new());
             }
             self.dirty.insert(address);
             return self.accounts.get_mut(&address).expect("just materialized");
@@ -796,9 +931,7 @@ impl WorldState {
         self.fold_pending_balance(address, journal.as_deref_mut());
         // Materialize a committed-but-evicted account before debiting it.
         if self.backend.is_some() && !self.accounts.contains_key(&address) {
-            if let Some(stored) = self.fallback_stored(address) {
-                self.accounts.insert(address, stored_to_account(&stored));
-            }
+            self.load(address);
         }
         let acct = self
             .accounts
@@ -850,8 +983,18 @@ impl WorldState {
                 }
             }
         }
-        self.stored_slots.insert((address, key));
+        // A sparse account learns a slot's served value on its first store, so
+        // the journalled `old` and every later read of the slot are the
+        // account's own.
+        let served = if self.stored_slots.insert((address, key)) && self.cells.is_some() {
+            self.backend_slot(address, key)
+        } else {
+            0
+        };
         let acct = self.entry(address, journal.as_deref_mut());
+        if served != 0 {
+            acct.storage_set(key, served);
+        }
         let old = acct.storage_set(key, value);
         if let Some(j) = journal {
             j.ops.push(UndoOp::Storage(address, key, old));
@@ -973,6 +1116,7 @@ impl WorldState {
     /// round-tripping it through a backend commit (which would build the same
     /// records, clone them, and take a backend lock — per transaction).
     pub fn take_write_set(&mut self, out: &mut Vec<DeltaRecord>) {
+        self.assert_whole_accounts("take_write_set");
         self.flush_pending_deltas();
         out.clear();
         out.extend(self.dirty.iter().map(|address| DeltaRecord {
@@ -1046,24 +1190,28 @@ impl WorldState {
         }
     }
 
-    /// The per-[`StateKey`] counterpart of
-    /// [`take_write_set`](WorldState::take_write_set): diffs every dirty
-    /// account's resident value against the value the backend *served* and
-    /// collects only the keys that actually changed into `fragments`
-    /// (address-major, canonical part order). `touched` receives every dirty
-    /// address, changed or not — the optimistic engine needs the full set to
-    /// reproduce the sequential write set at commit, since an untouched-value
-    /// record still appears in a block delta.
+    /// The per-[`StateKey`] write set of a scratch state
+    /// ([`scratch_over`](WorldState::scratch_over)): compares every key this
+    /// working set *touched* — each dirty account's balance/nonce pair, the slots
+    /// it stored, the code it deployed — with the value the backend served for
+    /// it, and collects the keys that actually changed into `fragments`
+    /// (address-major, canonical part order). Cost is the touched keys; the
+    /// slots the account holds besides are never visited.
+    /// `blockconc_store::diff_account_fragments` over the full accounts is the
+    /// oracle this is tested against. `touched` receives every dirty address,
+    /// changed or not — the optimistic engine needs the full set to reproduce
+    /// the sequential write set at commit, since an untouched-value record
+    /// still appears in a block delta.
     ///
-    /// The pre-image is read through `backend_stored`, not the dirty-aware
-    /// `fallback_stored`: for a scratch state mounted over a versioned view the
+    /// The pre-values are re-read from the backend, not the dirty-aware
+    /// fallback: for a scratch state mounted over a versioned view the
     /// backend's answer *is* the pre-state this execution observed, which is
     /// what makes an unchanged key diff to no fragment even when the served
     /// value was itself speculative.
     ///
-    /// Like `take_write_set`, this clears the dirty set and closes any open
-    /// block scope without notifying the backend. Pending blind deltas are
-    /// *not* folded here — the optimistic engine harvests them separately via
+    /// Clears the dirty set and closes any open block scope without notifying
+    /// the backend. Pending blind deltas are *not* folded here — the optimistic
+    /// engine harvests them separately via
     /// [`take_delta_ops`](WorldState::take_delta_ops).
     pub fn take_write_fragments(
         &mut self,
@@ -1072,14 +1220,126 @@ impl WorldState {
     ) {
         fragments.clear();
         touched.clear();
-        for address in &self.dirty {
-            touched.push(*address);
-            let pre = self.backend_stored(*address);
-            let post = self.accounts.get(address).map(account_to_stored);
-            diff_account_fragments(*address, pre.as_ref(), post.as_ref(), fragments);
+        let cells = self
+            .cells
+            .as_ref()
+            .expect("take_write_fragments harvests a scratch state");
+        let mut cells = cells.lock().expect("backend lock");
+        for &address in &self.dirty {
+            touched.push(address);
+            let Some(post) = self.accounts.get(&address) else {
+                // Created and rolled back: nothing was served for it, nothing
+                // remains of it. (A *committed* account cannot vanish from a
+                // scratch working set — execution has no operation for that.)
+                debug_assert!(cells.get(&StateKey::Balance(address)).is_none());
+                continue;
+            };
+            let meta = StateValue::AccountMeta {
+                balance_sats: post.balance().sats(),
+                nonce: post.nonce(),
+            };
+            if cells.get(&StateKey::Balance(address)) != Some(meta) {
+                fragments.push(StateFragment {
+                    key: StateKey::Balance(address),
+                    value: Some(FragmentValue::Meta {
+                        balance_sats: post.balance().sats(),
+                        nonce: post.nonce(),
+                    }),
+                });
+            }
+            for &(_, slot) in self
+                .stored_slots
+                .range((address, u64::MIN)..=(address, u64::MAX))
+            {
+                let key = StateKey::Storage(address, slot);
+                let value = post.storage_get(slot);
+                if slot_value(cells.get(&key)) != value {
+                    fragments.push(StateFragment {
+                        key,
+                        value: (value != 0).then_some(FragmentValue::Slot(value)),
+                    });
+                }
+            }
+            if let Some(code) = post.code() {
+                if cells.contract(address).as_ref() != Some(code) {
+                    fragments.push(StateFragment {
+                        key: StateKey::Code(address),
+                        value: post.code_json().map(|c| FragmentValue::Code(c.to_string())),
+                    });
+                }
+            }
         }
+        drop(cells);
         self.dirty.clear();
         self.open_height = None;
+    }
+
+    /// Sets one committed cell on the resident account in place — the in-place
+    /// counterpart of `blockconc_store::apply_fragment`, with the same rules: a
+    /// balance/nonce fragment creates the account if need be, its deletion
+    /// removes the account, and slot or code fragments of an account that does
+    /// not exist are ignored. The address joins the open block's write set
+    /// either way.
+    pub fn set_cell(&mut self, key: &StateKey, value: Option<&FragmentValue>) {
+        let address = key.address();
+        match (key, value) {
+            (StateKey::Balance(_), None) => self.remove_account(address),
+            (
+                StateKey::Balance(_),
+                Some(FragmentValue::Meta {
+                    balance_sats,
+                    nonce,
+                }),
+            ) => {
+                let account = self.entry(address, None);
+                account.set_balance(Amount::from_sats(*balance_sats));
+                account.set_nonce(*nonce);
+            }
+            (StateKey::Storage(_, slot), None) => {
+                if let Some(account) = self.touched(address) {
+                    account.storage_set(*slot, 0);
+                }
+            }
+            (StateKey::Storage(_, slot), Some(FragmentValue::Slot(new))) => {
+                if let Some(account) = self.touched(address) {
+                    account.storage_set(*slot, *new);
+                }
+            }
+            (StateKey::Code(_), None) => {
+                if let Some(account) = self.touched(address) {
+                    account.clear_code();
+                }
+            }
+            (StateKey::Code(_), Some(FragmentValue::Code(code))) => {
+                if let Some(account) = self.touched(address) {
+                    account.set_code_with_json(decode_contract(code), Arc::from(code.as_str()));
+                }
+            }
+            (key, fragment) => {
+                debug_assert!(
+                    false,
+                    "fragment value {fragment:?} does not fit key {key:?}"
+                );
+            }
+        }
+    }
+
+    /// [`touch`](WorldState::touch)es `address` and hands out the resident
+    /// account, if it exists.
+    fn touched(&mut self, address: Address) -> Option<&mut Account> {
+        self.touch(address);
+        self.accounts.get_mut(&address)
+    }
+
+    /// Joins `address` to the open block's write set without changing its value
+    /// (materializing the committed account first, so the mark does not read as
+    /// a deletion): what sequential execution leaves behind for an account it
+    /// wrote back unchanged.
+    pub fn touch(&mut self, address: Address) {
+        if self.backend.is_some() && !self.accounts.contains_key(&address) {
+            self.load(address);
+        }
+        self.mark_dirty(address);
     }
 
     /// The complete persisted view of one account (resident value if cached,
@@ -1089,6 +1349,7 @@ impl WorldState {
     /// ([`WorldState::remove_account`]) and installing it on the destination
     /// ([`WorldState::install_account`]).
     pub fn export_account(&self, address: Address) -> Option<StoredAccount> {
+        self.assert_whole_accounts("export_account");
         let mut stored = if let Some(account) = self.accounts.get(&address) {
             Some(account_to_stored(account))
         } else {
@@ -1138,6 +1399,7 @@ impl WorldState {
     /// Returns the usual debit errors if the account does not hold `value` (which
     /// would indicate the caller mis-tracked the phantom credit).
     pub fn withdraw_phantom(&mut self, address: Address, value: Amount) -> Result<()> {
+        self.assert_whole_accounts("withdraw_phantom");
         self.debit(address, value)?;
         let untouched = self.accounts.get(&address).is_some_and(|account| {
             account.balance() == Amount::ZERO
@@ -1236,7 +1498,7 @@ impl WorldState {
 mod tests {
     use super::*;
     use crate::vm::OpCode;
-    use blockconc_store::{shared, MemoryBackend};
+    use blockconc_store::{apply_fragment, diff_account_fragments, shared, MemoryBackend};
 
     #[test]
     fn credit_creates_accounts_and_debit_requires_existence() {
@@ -1763,6 +2025,285 @@ mod tests {
         classic.commit_block().unwrap();
         delta.commit_block().unwrap();
         assert_eq!(delta.state_root(), classic.state_root());
+    }
+
+    /// A committed account map that serves cells: the scratch-state test double
+    /// (the production implementor is the optimistic engine's versioned view).
+    #[derive(Debug, Default)]
+    struct MapCells {
+        accounts: BTreeMap<Address, StoredAccount>,
+        whole_reads: usize,
+    }
+
+    impl StateBackend for MapCells {
+        fn name(&self) -> &'static str {
+            "map-cells"
+        }
+        fn get_account(&mut self, address: Address) -> Option<StoredAccount> {
+            self.whole_reads += 1;
+            self.accounts.get(&address).cloned()
+        }
+        fn get(&mut self, key: &StateKey) -> Option<StateValue> {
+            Some(self.accounts.get(&key.address())?.value_of(key))
+        }
+        fn begin_block(&mut self, _height: u64) -> Result<()> {
+            Ok(())
+        }
+        fn commit_block(&mut self, _delta: &BlockDelta) -> Result<CommitStats> {
+            Ok(CommitStats::default())
+        }
+        fn rollback_block(&mut self) -> Result<()> {
+            Ok(())
+        }
+        fn committed_block(&self) -> Option<u64> {
+            Some(0)
+        }
+        fn open_height(&self) -> Option<u64> {
+            None
+        }
+        fn account_count(&self) -> usize {
+            self.accounts.len()
+        }
+        fn for_each_account(&mut self, f: &mut dyn FnMut(Address, StoredAccount)) {
+            for (address, account) in &self.accounts {
+                f(*address, account.clone());
+            }
+        }
+        fn stats(&self) -> StoreStats {
+            StoreStats::default()
+        }
+    }
+
+    impl CellBackend for MapCells {
+        fn contract(&mut self, address: Address) -> Option<Arc<Contract>> {
+            let code = self.accounts.get(&address)?.code_json.as_deref()?;
+            Some(decode_contract(code))
+        }
+    }
+
+    /// SplitMix64 step for the generated-mutation tests.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Six committed accounts: plain ones, one with slots, one contract with slots.
+    fn committed_universe() -> BTreeMap<Address, StoredAccount> {
+        let mut world = WorldState::new();
+        for i in 1..=6u64 {
+            world.credit(Address::from_low(i), Amount::from_sats(1_000 * i));
+        }
+        for slot in 0..40u64 {
+            world.storage_set(Address::from_low(5), slot, 100 + slot, None);
+            world.storage_set(Address::from_low(6), slot * 3, 7 + slot, None);
+        }
+        world.deploy_contract(Address::from_low(6), Arc::new(Contract::counter()));
+        world
+            .iter()
+            .map(|(address, account)| (*address, account_to_stored(account)))
+            .collect()
+    }
+
+    /// One generated mutation, applied identically to any state.
+    fn mutate(state: &mut WorldState, rng: &mut u64, journal: &mut Journal) {
+        // Addresses 1..=6 are committed, 7..=8 never existed.
+        let address = Address::from_low(1 + mix(rng) % 8);
+        let slot = match mix(rng) % 3 {
+            0 => mix(rng) % 40, // a committed slot of accounts 5 / 6
+            1 => 3 * (mix(rng) % 40),
+            _ => 500 + mix(rng) % 4, // never committed
+        };
+        match mix(rng) % 9 {
+            0 => state.credit_journalled(address, Amount::from_sats(mix(rng) % 50), Some(journal)),
+            1 => {
+                let _ = state.debit_journalled(
+                    address,
+                    Amount::from_sats(mix(rng) % 1_500),
+                    Some(journal),
+                );
+            }
+            2 => state.bump_nonce(address, Some(journal)),
+            // Stores: fresh values, zero (deletion), and the value already there.
+            3 => state.storage_set(address, slot, 1 + mix(rng) % 9, Some(journal)),
+            4 => state.storage_set(address, slot, 0, Some(journal)),
+            5 => {
+                let same = state.storage(address, slot);
+                state.storage_set(address, slot, same, Some(journal));
+            }
+            6 => state.deploy_contract(
+                address,
+                Arc::new(if mix(rng) % 2 == 0 {
+                    Contract::counter() // identical to account 6's code
+                } else {
+                    Contract::fee_sink()
+                }),
+            ),
+            // Roll back everything journalled so far (creations included).
+            7 => state.revert_to(journal, 0),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn sparse_write_fragments_equal_the_full_account_diff_on_generated_mutations() {
+        let committed = committed_universe();
+        for seed in 0..200u64 {
+            let cells = Arc::new(Mutex::new(MapCells {
+                accounts: committed.clone(),
+                whole_reads: 0,
+            }));
+            let mut scratch = WorldState::scratch_over(Arc::clone(&cells));
+            // The oracle side: the same committed accounts under a full state
+            // (cold working set, whole-account loads).
+            let mut full = WorldState::new();
+            full.attach_backend(
+                shared(MapCells {
+                    accounts: committed.clone(),
+                    whole_reads: 0,
+                }),
+                None,
+            )
+            .unwrap();
+
+            let (mut rng_a, mut rng_b) = (seed, seed);
+            let (mut journal_a, mut journal_b) = (Journal::new(), Journal::new());
+            for _ in 0..(1 + seed % 12) {
+                mutate(&mut scratch, &mut rng_a, &mut journal_a);
+                mutate(&mut full, &mut rng_b, &mut journal_b);
+                // Every observer agrees on the way, sparse or not.
+                for i in 1..=8u64 {
+                    let address = Address::from_low(i);
+                    assert_eq!(
+                        scratch.balance(address),
+                        full.balance(address),
+                        "seed {seed}"
+                    );
+                    assert_eq!(scratch.nonce(address), full.nonce(address), "seed {seed}");
+                    assert_eq!(
+                        scratch.contains(address),
+                        full.contains(address),
+                        "seed {seed}"
+                    );
+                    assert_eq!(
+                        scratch.contract(address),
+                        full.contract(address),
+                        "seed {seed}"
+                    );
+                    for slot in [0, 3, 39, 117, 500, 503] {
+                        assert_eq!(
+                            scratch.storage(address, slot),
+                            full.storage(address, slot),
+                            "seed {seed}: slot {slot} of {address}"
+                        );
+                    }
+                }
+            }
+
+            let mut expected = Vec::new();
+            let mut dirty = Vec::new();
+            full.clone().take_write_set(&mut dirty);
+            for record in &dirty {
+                diff_account_fragments(
+                    record.address,
+                    committed.get(&record.address),
+                    record.account.as_ref(),
+                    &mut expected,
+                );
+            }
+            let (mut fragments, mut touched) = (Vec::new(), Vec::new());
+            scratch.take_write_fragments(&mut fragments, &mut touched);
+            assert_eq!(fragments, expected, "seed {seed}");
+            assert_eq!(
+                touched,
+                dirty.iter().map(|r| r.address).collect::<Vec<_>>(),
+                "seed {seed}"
+            );
+            // Sparse means sparse: no resident account outgrew what was stored,
+            // and nothing was ever read whole.
+            assert!(scratch
+                .iter()
+                .all(|(_, account)| account.storage_len() <= 12));
+            assert_eq!(cells.lock().unwrap().whole_reads, 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn in_place_cell_commit_equals_sequential_replay() {
+        let committed = committed_universe();
+        let backed = |cap| {
+            let mut state = WorldState::new();
+            for (address, stored) in &committed {
+                state.install_account(*address, stored);
+            }
+            state
+                .attach_backend(shared(MemoryBackend::new()), cap)
+                .unwrap();
+            state.begin_block(1).unwrap();
+            state
+        };
+        for seed in 0..100u64 {
+            // Cap 1 evicts every plain account: cells land on non-resident ones too.
+            let cap = (seed % 2 == 0).then_some(1);
+            let mut sequential = backed(cap);
+            let mut rng = seed;
+            let mut journal = Journal::new();
+            for _ in 0..(1 + seed % 16) {
+                mutate(&mut sequential, &mut rng, &mut journal);
+            }
+            let mut write_set = Vec::new();
+            sequential.clone().take_write_set(&mut write_set);
+
+            // The same transition as final cells: each journalled account's diff
+            // against committed state, set in place; unchanged ones only touched.
+            let mut in_place = backed(cap);
+            for record in &write_set {
+                let mut fragments = Vec::new();
+                diff_account_fragments(
+                    record.address,
+                    committed.get(&record.address),
+                    record.account.as_ref(),
+                    &mut fragments,
+                );
+                // `set_cell` is `apply_fragment` in place.
+                let mut replayed = committed.get(&record.address).cloned();
+                for fragment in &fragments {
+                    apply_fragment(&mut replayed, &fragment.key, fragment.value.as_ref());
+                    in_place.set_cell(&fragment.key, fragment.value.as_ref());
+                }
+                assert_eq!(replayed, record.account, "seed {seed}");
+                in_place.touch(record.address);
+            }
+            assert_eq!(
+                in_place.state_root(),
+                sequential.state_root(),
+                "seed {seed}"
+            );
+            let mut journalled = Vec::new();
+            in_place.clone().take_write_set(&mut journalled);
+            assert_eq!(journalled, write_set, "seed {seed}: journalled records");
+            sequential.commit_block().unwrap();
+            in_place.commit_block().unwrap();
+            assert_eq!(
+                in_place.state_root(),
+                sequential.state_root(),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "WorldState::export_account on a scratch state")]
+    fn whole_account_calls_on_a_scratch_state_fail_at_the_call_site() {
+        let cells = Arc::new(Mutex::new(MapCells {
+            accounts: committed_universe(),
+            whole_reads: 0,
+        }));
+        let scratch = WorldState::scratch_over(cells);
+        let _ = scratch.export_account(Address::from_low(5));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | [`model`] | the analytical speed-up model (Equations 1 and 2) |
 //! | [`sharding`] | Zilliqa-style network-sharding vocabulary and canonical placement |
 //! | [`chainsim`] | calibrated workload/history simulators for the seven chains |
-//! | [`execution`] | sequential, speculative and TDG-scheduled execution engines |
+//! | [`execution`] | sequential, speculative, TDG-scheduled and optimistic (Block-STM-style MVCC, per-key cells for conflicts and data, optional commutative delta cells) execution engines |
 //! | [`pipeline`] | concurrency-aware mempool and block-building pipeline |
 //! | [`shardpool`] | concurrent TDG-component-sharded mempool with parallel per-shard packers |
 //! | [`cluster`] | cross-node sharded mempool fabric: per-shard pipelines over partitioned state with a cross-shard credit protocol |

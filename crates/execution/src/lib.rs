@@ -21,12 +21,13 @@
 //!   persistent worker pool, read sets are validated lazily against the highest
 //!   finished versions, invalidated transactions re-execute (bounded), and the block
 //!   commits by installing the buffered write sets directly — nothing is re-executed
-//!   to commit, which is what makes it the wall-clock winner. Conflicts are tracked
-//!   per [`StateKey`](blockconc_store::StateKey) cell (balance/nonce, each storage
-//!   slot and the code versioned independently), so transactions writing different
-//!   slots of one shared contract never conflict;
-//!   [`OptimisticEngine::with_account_granularity`] keeps whole-account tracking as
-//!   a measurable baseline.
+//!   to commit. Conflicts are tracked *and data is moved* per
+//!   [`StateKey`](blockconc_store::StateKey) cell (balance/nonce, each storage
+//!   slot and the code versioned independently): transactions writing different
+//!   slots of one shared contract never conflict, and each pays for the cells it
+//!   touches, not for the slots the contract holds.
+//!   [`OptimisticEngine::with_delta_cells`] additionally lets pure credits and
+//!   `SAdd` increments to one cell commute.
 //!
 //! Every engine returns both the canonical [`ExecutedBlock`](blockconc_account::ExecutedBlock)
 //! (the committed state transition is always identical to sequential execution — this

@@ -10,26 +10,25 @@
 //! A cell is one [`CellKey`]: an address plus the [`CellPart`] of the account it
 //! covers — the balance/nonce pair, one storage slot, or the deployed code, each
 //! versioned independently so transactions touching disjoint parts of one
-//! account never conflict. The pre-refactor whole-account granularity survives
-//! as [`CellPart::Whole`], which the engine's account-granular compatibility
-//! mode routes every read and write through.
+//! account never conflict. The cell is also the unit of *data movement*: a read
+//! resolves one cell ([`MvMemory::read_cell`]), a write installs one, and the
+//! commit drains one final value per cell ([`MvMemory::into_final_cells`]) —
+//! nothing in here assembles, clones or diffs an account.
 
-use blockconc_store::{apply_fragment, FragmentValue, StateKey, StoredAccount};
+use blockconc_store::{FragmentValue, StateKey};
 use blockconc_types::Address;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
-/// Number of independently locked shards of the version map. Writes of concurrent
-/// transactions mostly touch disjoint accounts, so striping the map keeps lock
-/// contention off the execution hot path. Shards are keyed by *address* (not by
-/// cell), keeping every cell of one account under a single lock — one account
-/// read resolves all of its parts without re-locking per part.
+/// Number of independently locked shards of the version map, striped by cell:
+/// concurrent transactions mostly touch disjoint cells — disjoint accounts, or
+/// disjoint slots of one hot contract — so the stripes keep lock contention off
+/// the execution hot path either way.
 const SHARDS: usize = 64;
 
 /// The part of an account one versioned cell covers. Orders canonically within
-/// an address: meta, then slots ascending, then code (mirroring the fragment
-/// order `diff_account_fragments` emits), with the whole-account compatibility
-/// cell last.
+/// an address: meta, then slots ascending, then code (the fragment order
+/// `WorldState::take_write_fragments` emits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum CellPart {
     /// The balance/nonce pair (one conflict unit, like [`StateKey::Balance`]).
@@ -38,22 +37,6 @@ pub(crate) enum CellPart {
     Slot(u64),
     /// The deployed contract code.
     Code,
-    /// The whole account — the account-granular compatibility mode's only part.
-    Whole,
-}
-
-impl CellPart {
-    /// The [`StateKey`] this part corresponds to at `address`. [`CellPart::Whole`]
-    /// has no key-level equivalent — it exists only in the account-granular mode,
-    /// which never materializes fragments.
-    fn state_key(self, address: Address) -> StateKey {
-        match self {
-            CellPart::Meta => StateKey::Balance(address),
-            CellPart::Slot(slot) => StateKey::Storage(address, slot),
-            CellPart::Code => StateKey::Code(address),
-            CellPart::Whole => unreachable!("whole-account cells carry no state key"),
-        }
-    }
 }
 
 /// A fully qualified versioned cell: one part of one account.
@@ -63,6 +46,17 @@ pub(crate) struct CellKey {
     pub(crate) address: Address,
     /// The part of the account.
     pub(crate) part: CellPart,
+}
+
+impl CellKey {
+    /// The [`StateKey`] this cell is tracked under.
+    pub(crate) fn state_key(self) -> StateKey {
+        match self.part {
+            CellPart::Meta => StateKey::Balance(self.address),
+            CellPart::Slot(slot) => StateKey::Storage(self.address, slot),
+            CellPart::Code => StateKey::Code(self.address),
+        }
+    }
 }
 
 /// Maps a tracked [`StateKey`] to its versioned cell.
@@ -89,15 +83,13 @@ pub(crate) enum CellValue {
     /// A per-part fragment; `None` deletes the part (a meta deletion kills the
     /// account).
     Fragment(Option<FragmentValue>),
-    /// A whole-account value; `None` deletes the account.
-    Whole(Option<StoredAccount>),
     /// A commutative contribution to the part: a balance credit (checked) or a
-    /// slot addend (wrapping). Unlike the absolute variants, delta entries of
-    /// several transactions *stack* — a reader folds every delta above the
-    /// winning absolute write, so concurrent contributors never invalidate
-    /// each other. A zero delta is the blind touch marker of a fully reverted
-    /// contribution: it creates the account (like the classic path's dirty
-    /// mark) without changing any value.
+    /// slot addend (wrapping). Unlike a fragment, delta entries of several
+    /// transactions *stack* — a reader folds every delta above the winning
+    /// fragment, so concurrent contributors never invalidate each other. A
+    /// zero delta is the blind touch marker of a fully reverted contribution:
+    /// it creates the account (like the classic path's dirty mark) without
+    /// changing any value.
     Delta(u64),
 }
 
@@ -110,87 +102,13 @@ pub(crate) struct CellWrite {
     pub(crate) value: CellValue,
 }
 
-/// Overlays one cell's value onto an assembled account. Fragment cells replay
-/// through [`apply_fragment`]; a whole-account cell replaces the value outright.
-pub(crate) fn apply_cell(
-    address: Address,
-    value: &mut Option<StoredAccount>,
-    part: CellPart,
-    cell: &CellValue,
-) {
-    match (part, cell) {
-        (CellPart::Whole, CellValue::Whole(account)) => *value = account.clone(),
-        (CellPart::Whole, CellValue::Fragment(_)) => {
-            debug_assert!(false, "fragment value under a whole-account cell");
-        }
-        (part, CellValue::Fragment(fragment)) => {
-            apply_fragment(value, &part.state_key(address), fragment.as_ref());
-        }
-        (_, CellValue::Whole(_)) => {
-            debug_assert!(false, "whole-account value under a fragment cell");
-        }
-        (part, CellValue::Delta(amount)) => apply_delta(value, part, *amount),
-    }
-}
-
-/// Folds one commutative contribution over an assembled account value, with
-/// exactly the arithmetic the sequential flush uses: balance adds are checked
-/// (mirroring `Account::credit`'s overflow panic), slot adds wrap and a slot
-/// reaching zero is removed. A missing account is created empty first — the
-/// blind-credit account-creation side effect.
-pub(crate) fn apply_delta(value: &mut Option<StoredAccount>, part: CellPart, amount: u64) {
-    let account = value.get_or_insert_with(|| StoredAccount {
-        balance_sats: 0,
-        nonce: 0,
-        storage: Vec::new(),
-        code_json: None,
-    });
+/// Folds one commutative contribution over a cell's scalar with exactly the
+/// arithmetic the sequential flush uses: balance adds are checked (mirroring
+/// `Account::credit`'s overflow panic), slot adds wrap.
+pub(crate) fn fold_delta(part: CellPart, value: u64, amount: u64) -> u64 {
     match part {
-        CellPart::Meta => {
-            account.balance_sats = account
-                .balance_sats
-                .checked_add(amount)
-                .expect("amount overflow");
-        }
-        CellPart::Slot(slot) => match account.storage.binary_search_by_key(&slot, |(k, _)| *k) {
-            Ok(pos) => {
-                let next = account.storage[pos].1.wrapping_add(amount);
-                if next == 0 {
-                    account.storage.remove(pos);
-                } else {
-                    account.storage[pos].1 = next;
-                }
-            }
-            Err(pos) => {
-                if amount != 0 {
-                    account.storage.insert(pos, (slot, amount));
-                }
-            }
-        },
-        CellPart::Code | CellPart::Whole => {
-            debug_assert!(false, "delta value under a non-commutative cell part");
-        }
-    }
-}
-
-/// Owning variant of [`apply_cell`] for the commit path: consumes the cell, so
-/// whole-account values move into place instead of being cloned.
-pub(crate) fn overlay_cell(
-    address: Address,
-    value: &mut Option<StoredAccount>,
-    part: CellPart,
-    cell: CellValue,
-) {
-    match cell {
-        CellValue::Whole(account) => {
-            debug_assert!(part == CellPart::Whole, "whole value under a fragment cell");
-            *value = account;
-        }
-        CellValue::Fragment(fragment) => {
-            debug_assert!(part != CellPart::Whole, "fragment value under a whole cell");
-            apply_fragment(value, &part.state_key(address), fragment.as_ref());
-        }
-        CellValue::Delta(amount) => apply_delta(value, part, amount),
+        CellPart::Meta => value.checked_add(amount).expect("amount overflow"),
+        _ => value.wrapping_add(amount),
     }
 }
 
@@ -212,48 +130,29 @@ pub(crate) enum ReadOrigin {
     Delta(usize, u32),
 }
 
-/// Result of resolving one cell read for transaction `tx_index` (validation
-/// path: origin only, no value).
-#[derive(Debug)]
-pub(crate) enum ReadResult {
-    /// No buffered write below the reader: fall through to the base state.
-    Base,
-    /// The highest buffered write below the reader.
-    Version {
-        /// Writer transaction index.
-        txn: usize,
-        /// Writer incarnation.
-        incarnation: u32,
-        /// Whether the entry is an `ESTIMATE` (the writer aborted and has not
-        /// re-executed yet): the reader should suspend on `txn`.
-        estimate: bool,
-    },
+/// One buffered entry as a read resolved it: who wrote it, and whether it is an
+/// `ESTIMATE` (the writer aborted and has not re-executed yet — the reader
+/// should suspend on `txn`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    /// Writer transaction index.
+    pub(crate) txn: usize,
+    /// Writer incarnation.
+    pub(crate) incarnation: u32,
+    /// Whether the entry is an `ESTIMATE`.
+    pub(crate) estimate: bool,
 }
 
-/// One resolved cell of an account read: for one part, the winning absolute
-/// write below the reader (if any) plus every delta contribution stacked above
-/// it, values included. At least one of the two is non-empty.
+/// One cell resolved for a reader: the highest fragment below it (`None` means
+/// the write level falls through to the base state) and every delta
+/// contribution stacked on *that cell* above the fragment, in ascending
+/// transaction order.
 #[derive(Debug)]
 pub(crate) struct CellRead {
-    /// The resolved part.
-    pub(crate) part: CellPart,
-    /// The winning absolute write below the reader, as
-    /// `(txn, incarnation, estimate, value)`; `None` means the part's
-    /// write-level resolution falls through to the base state.
-    pub(crate) write: Option<(usize, u32, bool, CellValue)>,
-    /// Delta contributions between the winning write and the reader, in
-    /// ascending transaction order: `(txn, incarnation, estimate, amount)`.
-    pub(crate) deltas: Vec<(usize, u32, bool, u64)>,
-}
-
-/// Result of resolving one cell for validation: the write-level origin plus
-/// the exact delta contributor list above it (ascending transaction order).
-#[derive(Debug)]
-pub(crate) struct KeyRead {
-    /// The write-level resolution (delta entries are transparent to it).
-    pub(crate) write: ReadResult,
-    /// Delta contributors above the winning write, `(txn, incarnation, estimate)`.
-    pub(crate) deltas: Vec<(usize, u32, bool)>,
+    /// The winning fragment below the reader.
+    pub(crate) write: Option<(Stamp, Option<FragmentValue>)>,
+    /// Delta contributions between the winning fragment and the reader.
+    pub(crate) deltas: Vec<(Stamp, u64)>,
 }
 
 #[derive(Debug)]
@@ -263,13 +162,13 @@ struct VersionEntry {
     value: CellValue,
 }
 
-/// Per-account versioned cells: `part → (tx_index → versioned write)`.
-type AccountCells = BTreeMap<CellPart, BTreeMap<usize, VersionEntry>>;
+/// One cell's buffered writes by transaction index.
+type Versions = BTreeMap<usize, VersionEntry>;
 
-/// The sharded multi-version map: `address → part → (tx_index → versioned write)`.
+/// The sharded multi-version map: `cell → (tx_index → versioned write)`.
 #[derive(Debug)]
 pub(crate) struct MvMemory {
-    shards: Vec<Mutex<HashMap<Address, AccountCells>>>,
+    shards: Vec<Mutex<HashMap<CellKey, Versions>>>,
 }
 
 impl MvMemory {
@@ -279,102 +178,53 @@ impl MvMemory {
         }
     }
 
-    fn shard(&self, address: Address) -> &Mutex<HashMap<Address, AccountCells>> {
-        // Fibonacci hash of the low word spreads both sequential test addresses and
-        // hash-derived workload addresses across the stripes.
-        let mix = (address.low_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+    fn shard(&self, key: CellKey) -> &Mutex<HashMap<CellKey, Versions>> {
+        // Fibonacci hash of the address' low word (spreads both sequential test
+        // addresses and hash-derived workload addresses), offset by the slot so
+        // one contract's cells do not pile onto a single stripe.
+        let slot = match key.part {
+            CellPart::Slot(slot) => slot,
+            CellPart::Meta | CellPart::Code => 0,
+        };
+        let word = key.address.low_u64() ^ slot.rotate_left(32);
+        let mix = (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
         &self.shards[mix % SHARDS]
     }
 
-    /// Resolves every cell of `address` for a read by transaction `tx_index` under
-    /// one shard lock: for each part with buffered entries below the reader, the
-    /// winning absolute write and the delta contributions stacked above it are
-    /// appended to `out` in part order.
-    pub(crate) fn read_account(&self, address: Address, tx_index: usize, out: &mut Vec<CellRead>) {
-        let shard = self.shard(address).lock().expect("mvcc shard lock");
-        let Some(parts) = shard.get(&address) else {
-            return;
+    /// Resolves one cell for transaction `reader` — the one walk every read
+    /// takes, execution and validation alike: newest-first over the entries of
+    /// `key` strictly below `reader`, collecting delta entries until the first
+    /// fragment. The delta-transparency rule lives here and nowhere else —
+    /// deltas stack on top of a fragment instead of replacing it, and deltas
+    /// *below* the winning fragment are superseded (that fragment's value was
+    /// computed from a pre-state that had already folded them). An `ESTIMATE`
+    /// surfaces through its [`Stamp`]; an execution suspends on the lowest such
+    /// writer.
+    pub(crate) fn read_cell(&self, key: CellKey, reader: usize) -> CellRead {
+        let mut read = CellRead {
+            write: None,
+            deltas: Vec::new(),
         };
-        for (&part, versions) in parts {
-            let mut write = None;
-            let mut deltas = Vec::new();
-            for (&txn, entry) in versions.range(..tx_index).rev() {
-                match &entry.value {
-                    CellValue::Delta(amount) => {
-                        deltas.push((txn, entry.incarnation, entry.estimate, *amount));
-                    }
-                    value => {
-                        write = Some((txn, entry.incarnation, entry.estimate, value.clone()));
-                        break;
-                    }
-                }
-            }
-            if write.is_some() || !deltas.is_empty() {
-                deltas.reverse();
-                out.push(CellRead {
-                    part,
-                    write,
-                    deltas,
-                });
-            }
-        }
-    }
-
-    /// Resolves the write-level read of one cell by transaction `tx_index`: the
-    /// buffered *absolute* write with the highest transaction index strictly
-    /// below the reader, if any. Delta entries are transparent — they stack on
-    /// top of a write instead of replacing it (see [`MvMemory::read_key`]).
-    /// The execution path reads through [`MvMemory::read_account`] /
-    /// [`MvMemory::read_key`]; this narrower probe backs the unit and property
-    /// tests.
-    #[cfg(test)]
-    pub(crate) fn read(&self, key: CellKey, tx_index: usize) -> ReadResult {
-        let shard = self.shard(key.address).lock().expect("mvcc shard lock");
-        let Some(versions) = shard
-            .get(&key.address)
-            .and_then(|parts| parts.get(&key.part))
-        else {
-            return ReadResult::Base;
+        let shard = self.shard(key).lock().expect("mvcc shard lock");
+        let Some(versions) = shard.get(&key) else {
+            return read;
         };
-        for (&txn, entry) in versions.range(..tx_index).rev() {
-            if !matches!(entry.value, CellValue::Delta(_)) {
-                return ReadResult::Version {
-                    txn,
-                    incarnation: entry.incarnation,
-                    estimate: entry.estimate,
-                };
-            }
-        }
-        ReadResult::Base
-    }
-
-    /// Resolves one cell for transaction `tx_index` with the full delta
-    /// structure: the write-level origin plus the exact contributor list above
-    /// it. This is what validation compares a recorded read group against.
-    pub(crate) fn read_key(&self, key: CellKey, tx_index: usize) -> KeyRead {
-        let shard = self.shard(key.address).lock().expect("mvcc shard lock");
-        let mut write = ReadResult::Base;
-        let mut deltas = Vec::new();
-        if let Some(versions) = shard
-            .get(&key.address)
-            .and_then(|parts| parts.get(&key.part))
-        {
-            for (&txn, entry) in versions.range(..tx_index).rev() {
-                match entry.value {
-                    CellValue::Delta(_) => deltas.push((txn, entry.incarnation, entry.estimate)),
-                    _ => {
-                        write = ReadResult::Version {
-                            txn,
-                            incarnation: entry.incarnation,
-                            estimate: entry.estimate,
-                        };
-                        break;
-                    }
+        for (&txn, entry) in versions.range(..reader).rev() {
+            let stamp = Stamp {
+                txn,
+                incarnation: entry.incarnation,
+                estimate: entry.estimate,
+            };
+            match &entry.value {
+                CellValue::Delta(amount) => read.deltas.push((stamp, *amount)),
+                CellValue::Fragment(fragment) => {
+                    read.write = Some((stamp, fragment.clone()));
+                    break;
                 }
             }
         }
-        deltas.reverse();
-        KeyRead { write, deltas }
+        read.deltas.reverse();
+        read
     }
 
     /// Installs the write set of `(tx_index, incarnation)` and removes entries left
@@ -384,9 +234,8 @@ impl MvMemory {
     /// transactions).
     ///
     /// Both `writes` and `previous` must be sorted by cell key (the canonical
-    /// order both `take_write_fragments` and the dirty-set walk produce); the
-    /// stale sweep is then a single two-pointer merge instead of the quadratic
-    /// contains-scan per cell.
+    /// order `take_write_fragments` produces); the stale sweep is then a single
+    /// two-pointer merge instead of the quadratic contains-scan per cell.
     pub(crate) fn apply(
         &self,
         tx_index: usize,
@@ -420,23 +269,15 @@ impl MvMemory {
             } else {
                 wrote_new_path = true;
             }
-            let mut shard = self
-                .shard(write.key.address)
-                .lock()
-                .expect("mvcc shard lock");
-            shard
-                .entry(write.key.address)
-                .or_default()
-                .entry(write.key.part)
-                .or_default()
-                .insert(
-                    tx_index,
-                    VersionEntry {
-                        incarnation,
-                        estimate: false,
-                        value: write.value,
-                    },
-                );
+            let mut shard = self.shard(write.key).lock().expect("mvcc shard lock");
+            shard.entry(write.key).or_default().insert(
+                tx_index,
+                VersionEntry {
+                    incarnation,
+                    estimate: false,
+                    value: write.value,
+                },
+            );
         }
         for &key in stale {
             self.remove_version(key, tx_index);
@@ -445,11 +286,8 @@ impl MvMemory {
     }
 
     fn remove_version(&self, key: CellKey, tx_index: usize) {
-        let mut shard = self.shard(key.address).lock().expect("mvcc shard lock");
-        if let Some(versions) = shard
-            .get_mut(&key.address)
-            .and_then(|parts| parts.get_mut(&key.part))
-        {
+        let mut shard = self.shard(key).lock().expect("mvcc shard lock");
+        if let Some(versions) = shard.get_mut(&key) {
             versions.remove(&tx_index);
         }
     }
@@ -459,10 +297,9 @@ impl MvMemory {
     /// known to be stale.
     pub(crate) fn convert_writes_to_estimates(&self, tx_index: usize, writes: &[CellKey]) {
         for &key in writes {
-            let mut shard = self.shard(key.address).lock().expect("mvcc shard lock");
+            let mut shard = self.shard(key).lock().expect("mvcc shard lock");
             if let Some(entry) = shard
-                .get_mut(&key.address)
-                .and_then(|parts| parts.get_mut(&key.part))
+                .get_mut(&key)
                 .and_then(|versions| versions.get_mut(&tx_index))
             {
                 entry.estimate = true;
@@ -504,17 +341,12 @@ impl MvMemory {
             }
             i = j;
 
-            let actual = self.read_key(key, tx_index);
+            let actual = self.read_cell(key, tx_index);
             let write_ok = match (actual.write, write_origin) {
-                (ReadResult::Base, Some(ReadOrigin::Base) | None) => true,
-                (
-                    ReadResult::Version {
-                        txn,
-                        incarnation,
-                        estimate,
-                    },
-                    Some(ReadOrigin::Version(read_txn, read_incarnation)),
-                ) => !estimate && txn == read_txn && incarnation == read_incarnation,
+                (None, Some(ReadOrigin::Base) | None) => true,
+                (Some((stamp, _)), Some(ReadOrigin::Version(txn, incarnation))) => {
+                    !stamp.estimate && stamp.txn == txn && stamp.incarnation == incarnation
+                }
                 _ => false,
             };
             if !write_ok {
@@ -522,8 +354,8 @@ impl MvMemory {
             }
             if actual.deltas.len() != delta_origins.len()
                 || actual.deltas.iter().zip(&delta_origins).any(
-                    |(&(txn, incarnation, estimate), &(read_txn, read_incarnation))| {
-                        estimate || txn != read_txn || incarnation != read_incarnation
+                    |(&(stamp, _), &(txn, incarnation))| {
+                        stamp.estimate || stamp.txn != txn || stamp.incarnation != incarnation
                     },
                 )
             {
@@ -533,106 +365,85 @@ impl MvMemory {
         true
     }
 
-    /// The final value of every written cell: the absolute write of the highest
-    /// transaction index plus the folded sum of every delta contribution above
-    /// it (deltas *below* an absolute write are excluded — that write's value
-    /// was computed from a pre-state that already folded them). Called once
-    /// after the whole block has executed and validated; the map is consumed,
-    /// so values *move* out instead of being cloned under shard locks, and the
-    /// result's deterministic `BTreeMap` order is what the engine's commit
-    /// walks.
     /// Counts the committed commutative contributions: `CellValue::Delta`
     /// entries live in the version map once every transaction has validated.
     /// Each one is a same-cell collision that never ordered against its
-    /// neighbours (contributions folded under a later absolute write count
-    /// too — they committed through the writer's served pre-state).
+    /// neighbours (contributions folded under a later fragment count too —
+    /// they committed through the writer's served pre-state).
     pub(crate) fn delta_entries(&self) -> u64 {
         let mut merges = 0u64;
         for shard in &self.shards {
             let shard = shard.lock().expect("mvcc shard lock");
-            for parts in shard.values() {
-                for versions in parts.values() {
-                    merges += versions
-                        .values()
-                        .filter(|entry| matches!(entry.value, CellValue::Delta(_)))
-                        .count() as u64;
-                }
+            for versions in shard.values() {
+                merges += versions
+                    .values()
+                    .filter(|entry| matches!(entry.value, CellValue::Delta(_)))
+                    .count() as u64;
             }
         }
         merges
     }
 
-    pub(crate) fn into_final_cells(self) -> BTreeMap<Address, BTreeMap<CellPart, FinalCell>> {
-        let mut out: BTreeMap<Address, BTreeMap<CellPart, FinalCell>> = BTreeMap::new();
+    /// The final value of every written cell, as one flat list sorted by cell
+    /// key: the fragment of the highest transaction index plus the folded sum
+    /// of every delta contribution above it (deltas *below* a fragment are
+    /// excluded — see [`read_cell`](MvMemory::read_cell)). Called once after the
+    /// whole block has executed and validated; the map is consumed, so values
+    /// *move* out instead of being cloned under shard locks, and the sorted
+    /// order is what the engine's in-place commit walks.
+    pub(crate) fn into_final_cells(self) -> Vec<(CellKey, FinalCell)> {
+        let mut out = Vec::new();
         for shard in self.shards {
-            let shard = shard.into_inner().expect("mvcc shard lock");
-            for (address, parts) in shard {
-                let cells = out.entry(address).or_default();
-                for (part, versions) in parts {
-                    let mut write = None;
-                    let mut delta: Option<u64> = None;
-                    for (_, entry) in versions.into_iter().rev() {
-                        match entry.value {
-                            CellValue::Delta(amount) => {
-                                let sum = delta.get_or_insert(0);
-                                *sum = match part {
-                                    // The same fold arithmetic the observers
-                                    // and the sequential flush use.
-                                    CellPart::Meta => {
-                                        sum.checked_add(amount).expect("amount overflow")
-                                    }
-                                    _ => sum.wrapping_add(amount),
-                                };
-                            }
-                            value => {
-                                write = Some(value);
-                                break;
-                            }
+            for (key, versions) in shard.into_inner().expect("mvcc shard lock") {
+                let mut cell = FinalCell {
+                    write: None,
+                    delta: None,
+                };
+                for (_, entry) in versions.into_iter().rev() {
+                    match entry.value {
+                        CellValue::Delta(amount) => {
+                            cell.delta =
+                                Some(fold_delta(key.part, cell.delta.unwrap_or(0), amount));
+                        }
+                        CellValue::Fragment(fragment) => {
+                            cell.write = Some(fragment);
+                            break;
                         }
                     }
-                    if write.is_some() || delta.is_some() {
-                        cells.insert(part, FinalCell { write, delta });
-                    }
                 }
-                if cells.is_empty() {
-                    out.remove(&address);
+                if cell.write.is_some() || cell.delta.is_some() {
+                    out.push((key, cell));
                 }
             }
         }
+        out.sort_unstable_by_key(|&(key, _)| key);
         out
     }
 }
 
-/// The committed outcome of one cell: an optional absolute write plus an
-/// optional folded delta sum on top of it. Commit applies the write first,
-/// then the delta — the two-step that makes delete-then-recredit sequences
-/// come out right. `delta` is `Some(0)` (not `None`) when delta entries
-/// existed but folded to nothing: the zero still creates the touched account,
-/// mirroring the classic path's dirty mark.
+/// The committed outcome of one cell: an optional fragment plus an optional
+/// folded delta sum on top of it. Commit applies the fragment first, then the
+/// delta — the two-step that makes delete-then-recredit sequences come out
+/// right. `delta` is `Some(0)` (not `None`) when delta entries existed but
+/// folded to nothing: the zero still creates the touched account, mirroring
+/// the classic path's dirty mark.
 #[derive(Debug, PartialEq)]
 pub(crate) struct FinalCell {
-    /// The absolute write of the highest transaction, if any.
-    pub(crate) write: Option<CellValue>,
-    /// The folded delta contributions above that write, if any existed.
+    /// The fragment of the highest transaction, if any (`Some(None)` deletes
+    /// the part).
+    pub(crate) write: Option<Option<FragmentValue>>,
+    /// The folded delta contributions above that fragment, if any existed.
     pub(crate) delta: Option<u64>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blockconc_store::{apply_fragment, StoredAccount};
     use proptest::prelude::*;
 
     fn addr(n: u64) -> Address {
         Address::from_low(n)
-    }
-
-    fn stored(balance: u64) -> StoredAccount {
-        StoredAccount {
-            balance_sats: balance,
-            nonce: 0,
-            storage: Vec::new(),
-            code_json: None,
-        }
     }
 
     fn meta_key(n: u64) -> CellKey {
@@ -673,11 +484,17 @@ mod tests {
         }
     }
 
+    /// The write-level resolution of `key` for `reader` (deltas are transparent).
+    fn resolved(mv: &MvMemory, key: CellKey, reader: usize) -> Option<Stamp> {
+        mv.read_cell(key, reader).write.map(|(stamp, _)| stamp)
+    }
+
     fn resolved_txn(mv: &MvMemory, key: CellKey, reader: usize) -> Option<usize> {
-        match mv.read(key, reader) {
-            ReadResult::Base => None,
-            ReadResult::Version { txn, .. } => Some(txn),
-        }
+        resolved(mv, key, reader).map(|stamp| stamp.txn)
+    }
+
+    fn final_cell(finals: &[(CellKey, FinalCell)], key: CellKey) -> Option<&FinalCell> {
+        finals.iter().find(|(k, _)| *k == key).map(|(_, cell)| cell)
     }
 
     #[test]
@@ -686,10 +503,97 @@ mod tests {
         mv.apply(2, 0, &mut vec![meta_write(1, 20)], &[]);
         mv.apply(5, 0, &mut vec![meta_write(1, 50)], &[]);
 
-        assert!(matches!(mv.read(meta_key(1), 2), ReadResult::Base));
+        assert_eq!(resolved_txn(&mv, meta_key(1), 2), None);
         assert_eq!(resolved_txn(&mv, meta_key(1), 4), Some(2));
         assert_eq!(resolved_txn(&mv, meta_key(1), 9), Some(5));
-        assert!(matches!(mv.read(meta_key(2), 9), ReadResult::Base));
+        assert_eq!(resolved_txn(&mv, meta_key(2), 9), None);
+    }
+
+    #[test]
+    fn read_cell_returns_the_highest_version_below_the_reader_with_its_value() {
+        let mv = MvMemory::new();
+        mv.apply(2, 0, &mut vec![slot_write(1, 7, 20)], &[]);
+        mv.apply(5, 1, &mut vec![slot_write(1, 7, 50)], &[]);
+
+        // The reader's own index is not below it; neither is anything above.
+        let below_all = mv.read_cell(slot_key(1, 7), 2);
+        assert!(below_all.write.is_none() && below_all.deltas.is_empty());
+        let (stamp, value) = mv.read_cell(slot_key(1, 7), 5).write.expect("tx 2 wins");
+        assert_eq!(
+            (stamp.txn, stamp.incarnation, stamp.estimate),
+            (2, 0, false)
+        );
+        assert_eq!(value, Some(FragmentValue::Slot(20)));
+        let (stamp, value) = mv.read_cell(slot_key(1, 7), 9).write.expect("tx 5 wins");
+        assert_eq!((stamp.txn, stamp.incarnation), (5, 1));
+        assert_eq!(value, Some(FragmentValue::Slot(50)));
+        // One cell is one question: the neighbouring slot and the meta are base.
+        assert!(mv.read_cell(slot_key(1, 8), 9).write.is_none());
+        assert!(mv.read_cell(meta_key(1), 9).write.is_none());
+    }
+
+    #[test]
+    fn read_cell_stacks_deltas_over_the_winning_write_only() {
+        let mv = MvMemory::new();
+        mv.apply(1, 0, &mut vec![delta_write(3, 0, 4)], &[]);
+        mv.apply(2, 0, &mut vec![slot_write(3, 0, 100)], &[]);
+        mv.apply(3, 0, &mut vec![delta_write(3, 0, 5)], &[]);
+        mv.apply(6, 0, &mut vec![delta_write(3, 0, 7)], &[]);
+        mv.apply(6, 0, &mut vec![delta_write(3, 1, 9)], &[]); // another cell
+
+        let read = mv.read_cell(slot_key(3, 0), 9);
+        assert_eq!(read.write.as_ref().map(|(s, _)| s.txn), Some(2));
+        // Ascending, values included; tx 1's delta sits under the fragment and
+        // is superseded by it.
+        assert_eq!(
+            read.deltas
+                .iter()
+                .map(|(s, a)| (s.txn, *a))
+                .collect::<Vec<_>>(),
+            vec![(3, 5), (6, 7)]
+        );
+        // A reader between the contributors folds only what is below it.
+        let read = mv.read_cell(slot_key(3, 0), 6);
+        assert_eq!(
+            read.deltas.iter().map(|(s, _)| s.txn).collect::<Vec<_>>(),
+            vec![3]
+        );
+        // Below the fragment the early delta stacks on base.
+        let read = mv.read_cell(slot_key(3, 0), 2);
+        assert!(read.write.is_none());
+        assert_eq!(
+            read.deltas
+                .iter()
+                .map(|(s, a)| (s.txn, *a))
+                .collect::<Vec<_>>(),
+            vec![(1, 4)]
+        );
+    }
+
+    #[test]
+    fn read_cell_surfaces_every_estimate_so_the_reader_can_pick_the_lowest() {
+        let mv = MvMemory::new();
+        mv.apply(2, 0, &mut vec![slot_write(4, 0, 10)], &[]);
+        mv.apply(3, 0, &mut vec![delta_write(4, 0, 1)], &[]);
+        mv.apply(5, 0, &mut vec![delta_write(4, 0, 1)], &[]);
+        mv.convert_writes_to_estimates(5, &[slot_key(4, 0)]);
+        mv.convert_writes_to_estimates(2, &[slot_key(4, 0)]);
+
+        let read = mv.read_cell(slot_key(4, 0), 9);
+        let blockers: Vec<usize> = read
+            .write
+            .iter()
+            .map(|(stamp, _)| *stamp)
+            .chain(read.deltas.iter().map(|(stamp, _)| *stamp))
+            .filter(|stamp| stamp.estimate)
+            .map(|stamp| stamp.txn)
+            .collect();
+        assert_eq!(blockers, vec![2, 5]);
+        assert_eq!(
+            blockers.iter().min(),
+            Some(&2),
+            "suspend on the earliest writer"
+        );
     }
 
     #[test]
@@ -702,19 +606,8 @@ mod tests {
         // a conflict edge for it.
         assert_eq!(resolved_txn(&mv, slot_key(9, 3), 5), Some(1));
         assert_eq!(resolved_txn(&mv, slot_key(9, 7), 5), Some(2));
-        assert!(matches!(mv.read(meta_key(9), 5), ReadResult::Base));
+        assert_eq!(resolved_txn(&mv, meta_key(9), 5), None);
         assert!(mv.validate_reads(5, &[(slot_key(9, 3), ReadOrigin::Version(1, 0))]));
-
-        // But an account-level read surfaces both cells.
-        let mut cells = Vec::new();
-        mv.read_account(addr(9), 5, &mut cells);
-        assert_eq!(
-            cells
-                .iter()
-                .map(|c| (c.part, c.write.as_ref().map(|w| w.0)))
-                .collect::<Vec<_>>(),
-            vec![(CellPart::Slot(3), Some(1)), (CellPart::Slot(7), Some(2))]
-        );
     }
 
     #[test]
@@ -726,46 +619,31 @@ mod tests {
 
         // Write-level reads see through the deltas to the absolute write.
         assert_eq!(resolved_txn(&mv, slot_key(3, 0), 9), Some(1));
-        let key_read = mv.read_key(slot_key(3, 0), 9);
-        assert!(matches!(key_read.write, ReadResult::Version { txn: 1, .. }));
+        let key_read = mv.read_cell(slot_key(3, 0), 9);
+        assert_eq!(key_read.write.map(|(stamp, _)| stamp.txn), Some(1));
         assert_eq!(
-            key_read.deltas.iter().map(|d| d.0).collect::<Vec<_>>(),
+            key_read.deltas.iter().map(|d| d.0.txn).collect::<Vec<_>>(),
             vec![2, 4]
         );
         // A reader between the contributors folds only what is below it.
-        let below = mv.read_key(slot_key(3, 0), 4);
+        let below = mv.read_cell(slot_key(3, 0), 4);
         assert_eq!(
-            below.deltas.iter().map(|d| d.0).collect::<Vec<_>>(),
+            below.deltas.iter().map(|d| d.0.txn).collect::<Vec<_>>(),
             vec![2]
         );
 
-        // The account-level read carries the same structure, values included.
-        let mut cells = Vec::new();
-        mv.read_account(addr(3), 9, &mut cells);
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].part, CellPart::Slot(0));
-        assert_eq!(cells[0].write.as_ref().map(|w| w.0), Some(1));
-        assert_eq!(
-            cells[0]
-                .deltas
-                .iter()
-                .map(|d| (d.0, d.3))
-                .collect::<Vec<_>>(),
-            vec![(2, 5), (4, 7)]
-        );
-
-        // Commit folds write-then-delta: 100 + 5 + 7. (A slot fragment on a
-        // dead account is ignored, so fold over an existing empty account.)
+        // Commit folds write-then-delta: 100 + 5 + 7.
         let finals = mv.into_final_cells();
-        let cell = &finals[&addr(3)][&CellPart::Slot(0)];
-        assert_eq!(cell.delta, Some(12));
-        let mut value = None;
-        apply_delta(&mut value, CellPart::Meta, 0);
-        if let Some(write) = &cell.write {
-            apply_cell(addr(3), &mut value, CellPart::Slot(0), write);
-        }
-        apply_delta(&mut value, CellPart::Slot(0), cell.delta.unwrap());
-        assert_eq!(value.unwrap().storage, vec![(0, 112)]);
+        assert_eq!(
+            finals,
+            vec![(
+                slot_key(3, 0),
+                FinalCell {
+                    write: Some(Some(FragmentValue::Slot(100))),
+                    delta: Some(12),
+                }
+            )]
+        );
     }
 
     #[test]
@@ -775,16 +653,13 @@ mod tests {
         mv.apply(2, 0, &mut vec![slot_write(3, 0, 50)], &[]);
         // The absolute write at txn 2 was computed from a pre-state that folded
         // txn 1's contribution: neither readers nor the commit re-apply it.
-        let key_read = mv.read_key(slot_key(3, 0), 9);
-        assert!(matches!(key_read.write, ReadResult::Version { txn: 2, .. }));
+        let key_read = mv.read_cell(slot_key(3, 0), 9);
+        assert_eq!(key_read.write.map(|(stamp, _)| stamp.txn), Some(2));
         assert!(key_read.deltas.is_empty());
         let finals = mv.into_final_cells();
-        let cell = &finals[&addr(3)][&CellPart::Slot(0)];
+        let cell = final_cell(&finals, slot_key(3, 0)).expect("written cell");
         assert_eq!(cell.delta, None);
-        assert_eq!(
-            cell.write,
-            Some(CellValue::Fragment(Some(FragmentValue::Slot(50))))
-        );
+        assert_eq!(cell.write, Some(Some(FragmentValue::Slot(50))));
     }
 
     #[test]
@@ -837,11 +712,11 @@ mod tests {
         assert!(!mv.apply(3, 1, &mut vec![meta_write(1, 11)], &[meta_key(1)]));
         // Moves to a different cell: new path, and the stale entry disappears.
         assert!(mv.apply(3, 2, &mut vec![meta_write(2, 12)], &[meta_key(1)]));
-        assert!(matches!(mv.read(meta_key(1), 9), ReadResult::Base));
-        match mv.read(meta_key(2), 9) {
-            ReadResult::Version { incarnation, .. } => assert_eq!(incarnation, 2),
-            other => panic!("expected version, got {other:?}"),
-        }
+        assert_eq!(resolved(&mv, meta_key(1), 9), None);
+        assert_eq!(
+            resolved(&mv, meta_key(2), 9).map(|s| s.incarnation),
+            Some(2)
+        );
         // A new slot of an already-written account is a new path too.
         assert!(mv.apply(
             3,
@@ -859,10 +734,10 @@ mod tests {
         assert!(mv.validate_reads(4, &reads));
 
         mv.convert_writes_to_estimates(1, &[meta_key(7)]);
-        match mv.read(meta_key(7), 4) {
-            ReadResult::Version { estimate, .. } => assert!(estimate),
-            other => panic!("expected version, got {other:?}"),
-        }
+        assert_eq!(
+            resolved(&mv, meta_key(7), 4).map(|s| s.estimate),
+            Some(true)
+        );
         assert!(!mv.validate_reads(4, &reads));
 
         // Re-execution at the next incarnation clears the estimate but the version
@@ -904,60 +779,26 @@ mod tests {
             }],
             &[],
         );
-        let finals = mv.into_final_cells();
-        assert_eq!(finals.len(), 2);
-        assert_eq!(
-            finals[&addr(1)][&CellPart::Meta],
-            FinalCell {
-                write: Some(CellValue::Fragment(Some(FragmentValue::Meta {
-                    balance_sats: 40,
-                    nonce: 0
-                }))),
-                delta: None,
-            }
-        );
-        assert_eq!(
-            finals[&addr(1)][&CellPart::Slot(6)],
-            FinalCell {
-                write: Some(CellValue::Fragment(Some(FragmentValue::Slot(66)))),
-                delta: None,
-            }
-        );
-        assert_eq!(
-            finals[&addr(2)][&CellPart::Meta],
-            FinalCell {
-                write: Some(CellValue::Fragment(None)),
-                delta: None,
-            },
-            "deletion survives as a None fragment"
-        );
-    }
-
-    #[test]
-    fn whole_account_cells_support_the_compatibility_mode() {
-        let mv = MvMemory::new();
-        let key = CellKey {
-            address: addr(5),
-            part: CellPart::Whole,
+        // One flat list, sorted by cell: meta before slots within an address.
+        let write = |fragment| FinalCell {
+            write: Some(fragment),
+            delta: None,
         };
-        mv.apply(
-            2,
-            0,
-            &mut vec![CellWrite {
-                key,
-                value: CellValue::Whole(Some(stored(500))),
-            }],
-            &[],
+        assert_eq!(
+            mv.into_final_cells(),
+            vec![
+                (
+                    meta_key(1),
+                    write(Some(FragmentValue::Meta {
+                        balance_sats: 40,
+                        nonce: 0
+                    }))
+                ),
+                (slot_key(1, 6), write(Some(FragmentValue::Slot(66)))),
+                // Deletion survives as a `None` fragment.
+                (meta_key(2), write(None)),
+            ]
         );
-        assert_eq!(resolved_txn(&mv, key, 4), Some(2));
-        let mut value = None;
-        apply_cell(
-            addr(5),
-            &mut value,
-            CellPart::Whole,
-            &CellValue::Whole(Some(stored(500))),
-        );
-        assert_eq!(value, Some(stored(500)));
     }
 
     // ---- property oracles -------------------------------------------------
@@ -1042,6 +883,10 @@ mod tests {
         }
     }
 
+    fn stamp_of(mv: &MvMemory, key: CellKey, reader: usize) -> Option<(usize, u32, bool)> {
+        resolved(mv, key, reader).map(|s| (s.txn, s.incarnation, s.estimate))
+    }
+
     fn oracle_value(key: CellKey, value: u8) -> CellValue {
         if value == 0 {
             return CellValue::Fragment(None);
@@ -1058,7 +903,6 @@ mod tests {
             },
             CellPart::Slot(_) => FragmentValue::Slot(u64::from(value)),
             CellPart::Code => FragmentValue::Code(format!("code-{value}")),
-            CellPart::Whole => unreachable!("oracle keys are fragment cells"),
         }))
     }
 
@@ -1108,13 +952,7 @@ mod tests {
                     // Read: resolve one cell for this reader in both stores.
                     _ => {
                         let key = oracle_key(key_roll);
-                        let resolved = match mv.read(key, txn) {
-                            ReadResult::Base => None,
-                            ReadResult::Version { txn, incarnation, estimate } => {
-                                Some((txn, incarnation, estimate))
-                            }
-                        };
-                        prop_assert_eq!(resolved, model.resolve(key, txn), "read of {:?} by {}", key, txn);
+                        prop_assert_eq!(stamp_of(&mv, key, txn), model.resolve(key, txn), "read of {:?} by {}", key, txn);
                     }
                 }
             }
@@ -1124,15 +962,14 @@ mod tests {
             for key_roll in 0..6u8 {
                 let key = oracle_key(key_roll);
                 for reader in 0..11usize {
-                    let resolved = match mv.read(key, reader) {
-                        ReadResult::Base => None,
-                        ReadResult::Version { txn, incarnation, estimate } => {
-                            Some((txn, incarnation, estimate))
-                        }
-                    };
-                    prop_assert_eq!(resolved, model.resolve(key, reader));
+                    prop_assert_eq!(stamp_of(&mv, key, reader), model.resolve(key, reader));
+                    let cell = mv.read_cell(key, reader);
                     prop_assert_eq!(
-                        mv.read_key(key, reader).deltas,
+                        cell.write.map(|(s, _)| (s.txn, s.incarnation, s.estimate)),
+                        model.resolve(key, reader)
+                    );
+                    prop_assert_eq!(
+                        cell.deltas.iter().map(|(s, _)| (s.txn, s.incarnation, s.estimate)).collect::<Vec<_>>(),
                         model.resolve_deltas(key, reader),
                         "delta contributors of {:?} for {}",
                         key,
@@ -1164,9 +1001,8 @@ mod tests {
             let finals = mv.into_final_cells();
             for key_roll in 0..6u8 {
                 let key = oracle_key(key_roll);
-                let drained = finals.get(&key.address).and_then(|parts| parts.get(&key.part));
                 prop_assert_eq!(
-                    drained.is_some(),
+                    final_cell(&finals, key).is_some(),
                     model.any_entry(key),
                     "final cell presence for {:?}",
                     key
@@ -1175,9 +1011,10 @@ mod tests {
         }
 
         // Refinement: committing a block of per-transaction mutations through
-        // key-granular fragment cells must reassemble to exactly the accounts
-        // the whole-account (account-granular) cells produce — key granularity
-        // changes the conflict structure, never the committed values.
+        // key-granular fragment cells must reassemble to exactly the mutations'
+        // direct post-state, and every transaction on the way must be *served*
+        // — cell by cell — exactly its predecessor's post-state. Key
+        // granularity changes the conflict structure, never the values.
         #[test]
         fn key_granularity_refines_account_granularity(
             base_balance in 1u64..1_000,
@@ -1185,7 +1022,12 @@ mod tests {
             mutations in proptest::collection::vec((0u8..2, 0u8..5, 0u64..5, 0u64..4), 1..12),
         ) {
             let address = addr(42);
-            let mut base = stored(base_balance);
+            let mut base = StoredAccount {
+                balance_sats: base_balance,
+                nonce: 0,
+                storage: Vec::new(),
+                code_json: None,
+            };
             for (slot, value) in base_slots {
                 if base.storage.binary_search_by_key(&slot, |(k, _)| *k).is_err() {
                     let pos = base.storage.partition_point(|(k, _)| *k < slot);
@@ -1193,39 +1035,43 @@ mod tests {
                 }
             }
             let base = Some(base);
+            let empty = || StoredAccount {
+                balance_sats: 0,
+                nonce: 0,
+                storage: Vec::new(),
+                code_json: None,
+            };
+            // Every cell the mutations can touch, in canonical order.
+            let universe: Vec<CellKey> = std::iter::once(CellKey { address, part: CellPart::Meta })
+                .chain((0..5).map(|slot| slot_key(42, slot)))
+                .collect();
 
-            let key_mv = MvMemory::new();
-            let account_mv = MvMemory::new();
-            let whole_key = CellKey { address, part: CellPart::Whole };
-
+            let mv = MvMemory::new();
+            let mut current = base.clone();
             for (t, (kind, balance_roll, slot, slot_value)) in mutations.into_iter().enumerate() {
-                // The transaction's served pre-state: base overlaid with every
-                // winning key-granular cell below it.
+                // The transaction's served pre-state: base overlaid, cell by
+                // cell, with the winning fragment below it.
                 let mut pre = base.clone();
-                let mut cells = Vec::new();
-                key_mv.read_account(address, t, &mut cells);
-                for cell in &cells {
-                    if let Some((_, _, _, value)) = &cell.write {
-                        apply_cell(address, &mut pre, cell.part, value);
-                    }
-                    for &(_, _, _, amount) in &cell.deltas {
-                        apply_delta(&mut pre, cell.part, amount);
+                for &key in &universe {
+                    if let Some((_, fragment)) = mv.read_cell(key, t).write {
+                        apply_fragment(&mut pre, &key.state_key(), fragment.as_ref());
                     }
                 }
+                prop_assert_eq!(&pre, &current, "tx {} is served its predecessor's post-state", t);
 
                 let post = match kind {
                     // Delete the account.
                     0 if balance_roll == 0 => None,
                     // Mutate meta.
                     0 => {
-                        let mut next = pre.clone().unwrap_or_else(|| stored(0));
+                        let mut next = pre.clone().unwrap_or_else(empty);
                         next.balance_sats = next.balance_sats.wrapping_add(u64::from(balance_roll));
                         next.nonce += 1;
                         Some(next)
                     }
                     // Mutate one slot (0 clears it).
                     _ => {
-                        let mut next = pre.clone().unwrap_or_else(|| stored(0));
+                        let mut next = pre.clone().unwrap_or_else(empty);
                         match next.storage.binary_search_by_key(&slot, |(k, _)| *k) {
                             Ok(pos) => {
                                 if slot_value == 0 {
@@ -1250,28 +1096,19 @@ mod tests {
                     .into_iter()
                     .map(|f| CellWrite { key: cell_key_of(f.key), value: CellValue::Fragment(f.value) })
                     .collect();
-                key_mv.apply(t, 0, &mut writes, &[]);
-
-                let mut whole = vec![CellWrite { key: whole_key, value: CellValue::Whole(post) }];
-                account_mv.apply(t, 0, &mut whole, &[]);
+                mv.apply(t, 0, &mut writes, &[]);
+                current = post;
             }
 
-            // Reassemble the committed account both ways.
-            let fold = |mv: MvMemory| {
-                let mut committed = base.clone();
-                if let Some(parts) = mv.into_final_cells().get(&address) {
-                    for (part, cell) in parts {
-                        if let Some(write) = &cell.write {
-                            apply_cell(address, &mut committed, *part, write);
-                        }
-                        if let Some(delta) = cell.delta {
-                            apply_delta(&mut committed, *part, delta);
-                        }
-                    }
+            // The drained final cells, folded over base, are the last post-state.
+            let mut committed = base.clone();
+            for (key, cell) in mv.into_final_cells() {
+                prop_assert_eq!(cell.delta, None);
+                if let Some(fragment) = cell.write {
+                    apply_fragment(&mut committed, &key.state_key(), fragment.as_ref());
                 }
-                committed
-            };
-            prop_assert_eq!(fold(key_mv), fold(account_mv));
+            }
+            prop_assert_eq!(committed, current);
         }
     }
 }

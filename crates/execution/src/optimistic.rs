@@ -9,28 +9,33 @@
 //! suspension for known-stale reads, and a collaborative scheduler driving both
 //! task kinds from two atomic counters.
 //!
-//! Conflicts are tracked per [`StateKey`](blockconc_store::StateKey)-granular
-//! *cell* (balance/nonce pair,
+//! Conflicts are tracked — and data is moved — per
+//! [`StateKey`](blockconc_store::StateKey)-granular *cell* (balance/nonce pair,
 //! individual storage slot, deployed code — see [`crate::mvcc`]): a transaction
-//! only aborts when a cell it actually consumed changes under it, so
-//! transactions touching disjoint slots of one shared contract run
-//! conflict-free. The pre-refactor whole-account tracking survives behind
-//! [`OptimisticEngine::with_account_granularity`] as a measurable baseline.
+//! only aborts when a cell it actually consumed changes under it, and it only
+//! pays for the cells it touches. Calls into one shared contract run side by
+//! side at a per-call cost that does not depend on how many slots the contract
+//! holds: reads resolve one cell ([`MvView`]), the scratch state materializes
+//! sparse accounts and harvests only touched keys, and the commit sets each
+//! final cell on the resident account in place.
 
 use crate::mvcc::{
-    apply_cell, apply_delta, cell_key_of, overlay_cell, CellKey, CellPart, CellRead, CellValue,
-    CellWrite, MvMemory, ReadOrigin,
+    cell_key_of, fold_delta, CellKey, CellPart, CellValue, CellWrite, MvMemory, ReadOrigin, Stamp,
 };
 use crate::thread_pool::{Job, WorkerPool};
 use crate::{ExecutionEngine, ExecutionReport};
+use blockconc_account::vm::Contract;
 use blockconc_account::{
-    AccessSet, AccountBlock, BlockExecutor, ExecutedBlock, Receipt, WorldState,
+    decode_contract, AccessSet, Account, AccountBlock, BlockExecutor, CellBackend, ExecutedBlock,
+    Receipt, WorldState,
 };
 use blockconc_store::{
-    BlockDelta, CommitStats, SharedBackend, StateBackend, StoreStats, StoredAccount,
+    BlockDelta, CommitStats, FragmentValue, StateBackend, StateKey, StateValue, StoreStats,
+    StoredAccount,
 };
 use blockconc_telemetry::{SharedClock, WallClock};
-use blockconc_types::{Address, Gas, Result};
+use blockconc_types::{Address, Amount, Gas, Result};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -46,128 +51,206 @@ const MAX_INCARNATIONS: u32 = 32;
 // The per-transaction versioned view.
 // ---------------------------------------------------------------------------
 
-/// Conflict-tracking granularity of the multi-version machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Granularity {
-    /// Per-[`StateKey`](blockconc_store::StateKey) cells — the default. Write
-    /// sets decompose into fragments diffed against the served pre-state, and
-    /// validation covers exactly the cells the transaction consumed.
-    Key,
-    /// Whole-account cells — the pre-refactor baseline, kept as a measurable
-    /// comparison mode (`with_account_granularity`).
-    Account,
-    /// Per-key cells plus commutative delta accumulation: pure credits and
-    /// `SAdd` increments land as unordered [`CellValue::Delta`] contributions
-    /// that never conflict with each other. A transaction that *observes* a
-    /// delta-accumulated cell upgrades to an ordered dependency on the exact
-    /// contributor set (`with_delta_cells`).
-    Delta,
+/// What one cell holds, as served to an execution.
+#[derive(Debug, Clone)]
+enum Served {
+    /// Balance and nonce; `None` when the account does not exist.
+    Meta(Option<(u64, u64)>),
+    /// One storage slot (zero when absent).
+    Slot(u64),
+    /// The deployed code, if any.
+    Code(Option<Arc<Contract>>),
 }
 
-/// One account as served to a transaction: the assembled value plus the cell
-/// origins the assembly resolved (a part absent from `origins` came from base).
+impl Served {
+    /// What a buffered fragment of `part` holds (`None`: the part was deleted).
+    fn from_fragment(part: CellPart, fragment: Option<FragmentValue>) -> Self {
+        match (part, fragment) {
+            (CellPart::Meta, None) => Served::Meta(None),
+            (
+                CellPart::Meta,
+                Some(FragmentValue::Meta {
+                    balance_sats,
+                    nonce,
+                }),
+            ) => Served::Meta(Some((balance_sats, nonce))),
+            (CellPart::Slot(_), None) => Served::Slot(0),
+            (CellPart::Slot(_), Some(FragmentValue::Slot(value))) => Served::Slot(value),
+            (CellPart::Code, None) => Served::Code(None),
+            (CellPart::Code, Some(FragmentValue::Code(code))) => {
+                Served::Code(Some(decode_contract(&code)))
+            }
+            (part, fragment) => unreachable!("fragment {fragment:?} buffered under {part:?}"),
+        }
+    }
+
+    /// What `part` of a base account holds (`None`: no such account).
+    fn from_base(part: CellPart, account: Option<&Account>) -> Self {
+        match part {
+            CellPart::Meta => Served::Meta(account.map(|a| (a.balance().sats(), a.nonce()))),
+            CellPart::Slot(slot) => Served::Slot(account.map_or(0, |a| a.storage_get(slot))),
+            CellPart::Code => Served::Code(account.and_then(|a| a.code().cloned())),
+        }
+    }
+
+    /// Folds one commutative contribution on top. A missing account is created
+    /// empty first — the blind-credit account-creation side effect.
+    fn plus(self, part: CellPart, amount: u64) -> Self {
+        match self {
+            Served::Meta(meta) => {
+                let (balance, nonce) = meta.unwrap_or((0, 0));
+                Served::Meta(Some((fold_delta(part, balance, amount), nonce)))
+            }
+            Served::Slot(value) => Served::Slot(fold_delta(part, value, amount)),
+            Served::Code(_) => unreachable!("delta buffered under a code cell"),
+        }
+    }
+}
+
+/// One served cell: its value and where every part of it came from.
 #[derive(Debug)]
-struct CachedAccount {
-    value: Option<StoredAccount>,
-    origins: Vec<(CellPart, ReadOrigin, bool)>,
+struct ServedCell {
+    value: Served,
+    /// The fragment the write level resolved to; `None` is the base state. A
+    /// delta-only cell still resolves its write level from base — that `Base`
+    /// origin is what invalidates a reader when a fragment appears later.
+    write: Option<Stamp>,
+    /// The folded delta contributors, ascending.
+    deltas: Vec<Stamp>,
 }
 
-/// A [`StateBackend`] that resolves reads through the multi-version map (falling
-/// through to the immutable pre-block state) and captures the transaction's
-/// write-set delta at `commit_block`.
+/// A [`CellBackend`] that resolves each cell through the multi-version map,
+/// falling through to the immutable pre-block state.
 ///
-/// Each optimistic execution mounts a fresh `MvView` under a scratch
-/// [`WorldState`], so the unmodified sequential executor runs on top of it: every
-/// account read misses the empty working set and lands here. The view assembles
-/// the account from the base value plus every winning versioned cell below the
-/// reader, remembering each cell's origin; after the execution,
-/// [`consumed_reads`](MvView::consumed_reads) projects those origins onto the
-/// keys the transaction actually consumed — that projection is the validation
-/// read set, and it is what makes a slot-7 write invisible to a slot-3 reader.
+/// Each worker mounts one `MvView` under a scratch
+/// [`WorldState`](WorldState::scratch_over), so the unmodified sequential
+/// executor runs on top of it: every read misses the (sparse) working set and
+/// lands here as a single-cell question. The view answers with the highest
+/// fragment below the reader plus the deltas stacked on it
+/// ([`MvMemory::read_cell`]) or, failing that, the base state's own value, and
+/// keeps value and origins per cell for the rest of the execution — one stable
+/// snapshot per cell, and [`consumed_reads`](MvView::consumed_reads) is a
+/// lookup. That projection of the origins onto the keys the transaction
+/// actually consumed is the validation read set; a slot-7 write is invisible
+/// to a slot-3 reader because nothing ever asked about slot 7.
 #[derive(Debug)]
 struct MvView {
     mv: Arc<MvMemory>,
     base: Arc<WorldState>,
     tx_index: usize,
-    granularity: Granularity,
-    /// First-read values + cell origins, so one execution observes a stable
-    /// snapshot per address.
-    cache: HashMap<Address, CachedAccount>,
-    /// Scratch buffer for [`MvMemory::read_account`] resolutions.
-    cell_buf: Vec<CellRead>,
+    /// The cells served to the current execution.
+    served: HashMap<CellKey, ServedCell>,
+    /// Base accounts that are not resident in `base`, loaded whole on first
+    /// touch and kept for the block: a cold account costs one backend read per
+    /// worker per *block*, however many transactions or keys ask for it.
+    cold: HashMap<Address, Option<Account>>,
 }
 
 impl MvView {
-    fn new(
-        mv: Arc<MvMemory>,
-        base: Arc<WorldState>,
-        tx_index: usize,
-        granularity: Granularity,
-    ) -> Self {
+    fn new(mv: Arc<MvMemory>, base: Arc<WorldState>, tx_index: usize) -> Self {
         MvView {
             mv,
             base,
             tx_index,
-            granularity,
-            cache: HashMap::new(),
-            cell_buf: Vec::new(),
+            served: HashMap::new(),
+            cold: HashMap::new(),
         }
     }
 
     /// Re-arms the view for another transaction, keeping the allocated capacity
-    /// of the cache — the view is reused by its worker for every execution
+    /// of the cell cache — the view is reused by its worker for every execution
     /// instead of being rebuilt per transaction.
     fn reset(&mut self, tx_index: usize) {
         self.tx_index = tx_index;
-        self.cache.clear();
+        self.served.clear();
+    }
+
+    /// Serves one cell: from this execution's cache, else resolved through the
+    /// version map over the base state.
+    fn cell(&mut self, key: CellKey) -> &ServedCell {
+        match self.served.entry(key) {
+            Entry::Occupied(cell) => cell.into_mut(),
+            Entry::Vacant(slot) => {
+                let read = self.mv.read_cell(key, self.tx_index);
+                let (value, write) = match read.write {
+                    Some((stamp, fragment)) => {
+                        (Served::from_fragment(key.part, fragment), Some(stamp))
+                    }
+                    None => {
+                        let account = match self.base.account(key.address) {
+                            Some(resident) => Some(resident),
+                            None => self
+                                .cold
+                                .entry(key.address)
+                                .or_insert_with(|| self.base.load_account(key.address))
+                                .as_ref(),
+                        };
+                        (Served::from_base(key.part, account), None)
+                    }
+                };
+                slot.insert(ServedCell {
+                    value: read
+                        .deltas
+                        .iter()
+                        .fold(value, |value, &(_, amount)| value.plus(key.part, amount)),
+                    write,
+                    deltas: read.deltas.iter().map(|&(stamp, _)| stamp).collect(),
+                })
+            }
+        }
+    }
+
+    fn meta(&mut self, address: Address) -> Option<(u64, u64)> {
+        let key = CellKey {
+            address,
+            part: CellPart::Meta,
+        };
+        match self.cell(key).value {
+            Served::Meta(meta) => meta,
+            _ => unreachable!("meta cell served a non-meta value"),
+        }
     }
 
     /// Appends the consumed reads of one cell to `out` and folds its blocking
-    /// estimate writers (if any) into `blocked`. A part with no recorded origin
-    /// resolved from base — the base cannot change during the block, so `Base`
-    /// is its validation origin. A delta-accumulated part contributes one
-    /// write-level origin plus one `Delta` origin per contributor: observing the
-    /// folded value makes the reader ordered after every contributor.
+    /// estimate writers (if any) into `blocked`. A delta-accumulated cell
+    /// contributes one write-level origin plus one `Delta` origin per
+    /// contributor: observing the folded value makes the reader ordered after
+    /// every contributor.
     fn push_consumed(
         &self,
         key: CellKey,
         out: &mut Vec<(CellKey, ReadOrigin)>,
         blocked: &mut Option<usize>,
     ) {
-        let Some(cached) = self.cache.get(&key.address) else {
-            // An account the view never served: the access set records some
-            // keys ahead of the state operation (a transfer records the
-            // receiver before the debit), so a reverted path can leave a
-            // recorded key whose account was never observed. The execution is
-            // independent of the cell, and `Base` is a sound origin: if a
-            // lower transaction turns out to have written it, validation
-            // aborts conservatively and re-execution converges.
+        let Some(cell) = self.served.get(&key) else {
+            // A cell the view never served: the access set records some keys
+            // ahead of the state operation (a transfer records the receiver
+            // before the debit), so a reverted path can leave a recorded key
+            // whose cell was never observed. The execution is independent of
+            // it, and `Base` is a sound origin: if a lower transaction turns
+            // out to have written it, validation aborts conservatively and
+            // re-execution converges.
             out.push((key, ReadOrigin::Base));
             return;
         };
-        let mut found = false;
-        for &(part, cell_origin, cell_estimate) in &cached.origins {
-            if part != key.part {
-                continue;
+        out.push((
+            key,
+            cell.write.map_or(ReadOrigin::Base, |stamp| {
+                ReadOrigin::Version(stamp.txn, stamp.incarnation)
+            }),
+        ));
+        out.extend(
+            cell.deltas
+                .iter()
+                .map(|stamp| (key, ReadOrigin::Delta(stamp.txn, stamp.incarnation))),
+        );
+        // The *lowest-indexed* estimate writer: suspending on the earliest
+        // blocker resumes as soon as any stale input can change, instead of
+        // waiting out a higher-indexed writer first.
+        for stamp in cell.write.iter().chain(&cell.deltas) {
+            if stamp.estimate {
+                *blocked = Some(blocked.map_or(stamp.txn, |b| b.min(stamp.txn)));
             }
-            found = true;
-            out.push((key, cell_origin));
-            if cell_estimate {
-                let txn = match cell_origin {
-                    // The *lowest-indexed* estimate writer: suspending on the
-                    // earliest blocker resumes as soon as any stale input can
-                    // change, instead of waiting out a higher-indexed writer
-                    // first.
-                    ReadOrigin::Version(txn, _) | ReadOrigin::Delta(txn, _) => Some(txn),
-                    ReadOrigin::Base => None,
-                };
-                if let Some(txn) = txn {
-                    *blocked = Some(blocked.map_or(txn, |b| b.min(txn)));
-                }
-            }
-        }
-        if !found {
-            out.push((key, ReadOrigin::Base));
         }
     }
 
@@ -175,13 +258,14 @@ impl MvView {
     /// deduplicated) and returns the lowest-indexed transaction whose `ESTIMATE`
     /// the execution consumed, if any — the dependency to suspend on.
     ///
-    /// Key granularity consumes the tracked [`AccessSet`] (reads *and* writes —
-    /// a written key's fragment-or-not decision depends on its served pre-value,
+    /// The consumed keys are the tracked [`AccessSet`] (reads *and* writes — a
+    /// written key's fragment-or-not decision depends on its served pre-value,
     /// so writes validate like reads) plus the sender's meta, which every
     /// execution reads for the nonce check before any tracking starts. When the
     /// execution failed (`access` is `None`), everything it observed was decided
-    /// by the sender's meta alone. Account granularity consumes every account
-    /// the view served, as one whole-account cell each.
+    /// by the sender's meta alone. A pure delta contribution
+    /// (`access.deltas()`) observes nothing, so it records no read origin at
+    /// all — that omission is exactly what lets contributors commute.
     fn consumed_reads(
         &self,
         access: Option<&AccessSet>,
@@ -190,40 +274,14 @@ impl MvView {
     ) -> Option<usize> {
         out.clear();
         let mut blocked = None;
-        match self.granularity {
-            // Delta granularity consumes the same keys as key granularity: a
-            // pure delta contribution (`access.deltas()`) observes nothing, so
-            // it records no read origin at all — that omission is exactly what
-            // lets contributors commute.
-            Granularity::Key | Granularity::Delta => {
-                self.push_consumed(
-                    CellKey {
-                        address: sender,
-                        part: CellPart::Meta,
-                    },
-                    out,
-                    &mut blocked,
-                );
-                if let Some(access) = access {
-                    for &key in access.reads() {
-                        self.push_consumed(cell_key_of(key), out, &mut blocked);
-                    }
-                    for &key in access.writes() {
-                        self.push_consumed(cell_key_of(key), out, &mut blocked);
-                    }
-                }
-            }
-            Granularity::Account => {
-                for address in self.cache.keys() {
-                    self.push_consumed(
-                        CellKey {
-                            address: *address,
-                            part: CellPart::Whole,
-                        },
-                        out,
-                        &mut blocked,
-                    );
-                }
+        let sender_meta = CellKey {
+            address: sender,
+            part: CellPart::Meta,
+        };
+        self.push_consumed(sender_meta, out, &mut blocked);
+        if let Some(access) = access {
+            for &key in access.reads().iter().chain(access.writes()) {
+                self.push_consumed(cell_key_of(key), out, &mut blocked);
             }
         }
         out.sort_unstable();
@@ -232,48 +290,59 @@ impl MvView {
     }
 }
 
+impl CellBackend for MvView {
+    fn contract(&mut self, address: Address) -> Option<Arc<Contract>> {
+        let key = CellKey {
+            address,
+            part: CellPart::Code,
+        };
+        match &self.cell(key).value {
+            Served::Code(code) => code.clone(),
+            _ => unreachable!("code cell served a non-code value"),
+        }
+    }
+}
+
 impl StateBackend for MvView {
     fn name(&self) -> &'static str {
         "mv-view"
     }
 
+    /// The view serves cells; nothing in it can assemble an account. A scratch
+    /// `WorldState` never asks (its whole-account operations are asserted
+    /// against at their own call sites), so reaching this is a bug in the caller.
     fn get_account(&mut self, address: Address) -> Option<StoredAccount> {
-        if let Some(cached) = self.cache.get(&address) {
-            return cached.value.clone();
-        }
-        self.cell_buf.clear();
-        self.mv
-            .read_account(address, self.tx_index, &mut self.cell_buf);
-        let mut value = self.base.export_account(address);
-        let mut origins = Vec::with_capacity(self.cell_buf.len());
-        for cell in self.cell_buf.drain(..) {
-            match &cell.write {
-                Some((txn, incarnation, estimate, write)) => {
-                    apply_cell(address, &mut value, cell.part, write);
-                    origins.push((
-                        cell.part,
-                        ReadOrigin::Version(*txn, *incarnation),
-                        *estimate,
-                    ));
+        unreachable!("whole-account read of {address} through a cell-granular mv-view")
+    }
+
+    fn contains_account(&mut self, address: Address) -> bool {
+        self.meta(address).is_some()
+    }
+
+    /// One cell. A slot (or the code) of an account that does not exist reads as
+    /// zero (no code) rather than `None`: existence is the meta cell's question,
+    /// and asking it here would make every slot reader depend on the
+    /// contract's balance.
+    fn get(&mut self, key: &StateKey) -> Option<StateValue> {
+        match self.cell(cell_key_of(*key)).value.clone() {
+            Served::Meta(meta) => meta.map(|(balance_sats, nonce)| StateValue::AccountMeta {
+                balance_sats,
+                nonce,
+            }),
+            Served::Slot(value) => Some(StateValue::Slot(value)),
+            // Off the execution path (the scratch state runs code, it does not
+            // compare digests): pay for the canonical JSON here, not per call.
+            Served::Code(code) => Some(
+                StoredAccount {
+                    balance_sats: 0,
+                    nonce: 0,
+                    storage: Vec::new(),
+                    code_json: code
+                        .and_then(|c| Account::contract(c).code_json().map(str::to_string)),
                 }
-                // A delta-only part still resolves its write level from base;
-                // the explicit `Base` origin is what invalidates a reader when
-                // an absolute write to the part appears later.
-                None => origins.push((cell.part, ReadOrigin::Base, false)),
-            }
-            for &(txn, incarnation, estimate, amount) in &cell.deltas {
-                apply_delta(&mut value, cell.part, amount);
-                origins.push((cell.part, ReadOrigin::Delta(txn, incarnation), estimate));
-            }
+                .value_of(key),
+            ),
         }
-        self.cache.insert(
-            address,
-            CachedAccount {
-                value: value.clone(),
-                origins,
-            },
-        );
-        value
     }
 
     fn begin_block(&mut self, _height: u64) -> Result<()> {
@@ -281,8 +350,8 @@ impl StateBackend for MvView {
     }
 
     /// Never reached: the engine harvests write sets straight out of the scratch
-    /// working set with [`WorldState::take_write_set`] instead of paying for a
-    /// journalled commit per transaction.
+    /// working set with [`WorldState::take_write_fragments`] instead of paying
+    /// for a journalled commit per transaction.
     fn commit_block(&mut self, _delta: &BlockDelta) -> Result<CommitStats> {
         Ok(CommitStats::default())
     }
@@ -291,10 +360,8 @@ impl StateBackend for MvView {
         Ok(())
     }
 
-    /// Pretends height 0 is committed so `WorldState::attach_backend` takes its
-    /// recovered-store path (no genesis commit of the empty scratch working set).
     fn committed_block(&self) -> Option<u64> {
-        Some(0)
+        None
     }
 
     fn open_height(&self) -> Option<u64> {
@@ -625,7 +692,9 @@ struct RunCtx {
     base: Arc<WorldState>,
     block: AccountBlock,
     scheduler: Scheduler,
-    granularity: Granularity,
+    /// Whether pure credits and `SAdd` increments land as commutative
+    /// [`CellValue::Delta`] contributions (`with_delta_cells`).
+    delta_cells: bool,
     /// Latest receipt per transaction (set at every finished execution).
     outcomes: Vec<Mutex<Option<Receipt>>>,
     /// Latest validation read set per transaction.
@@ -663,8 +732,6 @@ struct WorkerScratch {
     writes: Vec<CellWrite>,
     /// Reusable fragment buffer for `WorldState::take_write_fragments`.
     fragments: Vec<blockconc_store::StateFragment>,
-    /// Reusable record buffer for `WorldState::take_write_set` (account mode).
-    records: Vec<blockconc_store::DeltaRecord>,
     /// Reusable delta-op buffer for `WorldState::take_delta_ops` (delta mode).
     delta_ops: Vec<(blockconc_store::StateKey, u64)>,
     /// Reusable written-cell-keys buffer, swapped into `last_writes[t]`.
@@ -683,27 +750,22 @@ impl WorkerScratch {
             Arc::clone(&ctx.mv),
             Arc::clone(&ctx.base),
             0,
-            ctx.granularity,
         )));
-        let mut state = WorldState::new();
-        state
-            .attach_backend(Arc::clone(&view) as SharedBackend, None)
-            .expect("mv-view attach is infallible");
-        // Delta granularity flips the executor into delta-emitting mode: pure
-        // credits and `SAdd` increments accumulate as pending deltas instead of
+        // Delta cells flip the executor into delta-emitting mode: pure credits
+        // and `SAdd` increments accumulate as pending deltas instead of
         // materializing the target account, and land in the version map as
         // commutative `CellValue::Delta` contributions.
-        let executor = match ctx.granularity {
-            Granularity::Delta => BlockExecutor::with_delta_accesses(),
-            _ => BlockExecutor::new(),
+        let executor = if ctx.delta_cells {
+            BlockExecutor::with_delta_accesses()
+        } else {
+            BlockExecutor::new()
         };
         WorkerScratch {
+            state: WorldState::scratch_over(Arc::clone(&view)),
             view,
-            state,
             executor,
             writes: Vec::new(),
             fragments: Vec::new(),
-            records: Vec::new(),
             delta_ops: Vec::new(),
             keys: Vec::new(),
             addrs: Vec::new(),
@@ -738,57 +800,35 @@ impl RunCtx {
                 Ok(ctx) => (ctx.receipt, Some(ctx.access)),
                 Err(err) => (Receipt::failure(tx.id(), Gas::ZERO, err.to_string()), None),
             };
-            // Harvest the write set as sorted cell writes: key-granular fragments
-            // (unchanged keys vanish here) or whole-account records.
+            // Harvest the write set as sorted cell writes: one fragment per
+            // touched key whose value changed (unchanged keys vanish here).
             ws.writes.clear();
-            match self.granularity {
-                Granularity::Key => {
-                    ws.state
-                        .take_write_fragments(&mut ws.fragments, &mut ws.addrs);
-                    ws.writes.extend(ws.fragments.drain(..).map(|f| CellWrite {
-                        key: cell_key_of(f.key),
-                        value: CellValue::Fragment(f.value),
-                    }));
-                }
-                Granularity::Delta => {
-                    ws.state
-                        .take_write_fragments(&mut ws.fragments, &mut ws.addrs);
-                    ws.writes.extend(ws.fragments.drain(..).map(|f| CellWrite {
-                        key: cell_key_of(f.key),
-                        value: CellValue::Fragment(f.value),
-                    }));
-                    ws.state.take_delta_ops(&mut ws.delta_ops);
-                    for (key, amount) in ws.delta_ops.drain(..) {
-                        let key = cell_key_of(key);
-                        // The address is touched even when the contribution
-                        // reverted to nothing — sequential execution journals
-                        // the account either way, and the commit reproduces
-                        // that. A zero addend installs no cell: readers must
-                        // not observe (and depend on) a no-op.
-                        ws.addrs.push(key.address);
-                        if amount != 0 {
-                            ws.writes.push(CellWrite {
-                                key,
-                                value: CellValue::Delta(amount),
-                            });
-                        }
+            ws.state
+                .take_write_fragments(&mut ws.fragments, &mut ws.addrs);
+            ws.writes.extend(ws.fragments.drain(..).map(|f| CellWrite {
+                key: cell_key_of(f.key),
+                value: CellValue::Fragment(f.value),
+            }));
+            if self.delta_cells {
+                ws.state.take_delta_ops(&mut ws.delta_ops);
+                for (key, amount) in ws.delta_ops.drain(..) {
+                    let key = cell_key_of(key);
+                    // The address is touched even when the contribution
+                    // reverted to nothing — sequential execution journals
+                    // the account either way, and the commit reproduces
+                    // that. A zero addend installs no cell: readers must
+                    // not observe (and depend on) a no-op.
+                    ws.addrs.push(key.address);
+                    if amount != 0 {
+                        ws.writes.push(CellWrite {
+                            key,
+                            value: CellValue::Delta(amount),
+                        });
                     }
-                    // Fragments and delta contributions interleave: restore the
-                    // sorted-by-key order `MvMemory::apply` expects.
-                    ws.writes.sort_unstable_by_key(|w| w.key);
                 }
-                Granularity::Account => {
-                    ws.state.take_write_set(&mut ws.records);
-                    ws.addrs.clear();
-                    ws.addrs.extend(ws.records.iter().map(|r| r.address));
-                    ws.writes.extend(ws.records.drain(..).map(|r| CellWrite {
-                        key: CellKey {
-                            address: r.address,
-                            part: CellPart::Whole,
-                        },
-                        value: CellValue::Whole(r.account),
-                    }));
-                }
+                // Fragments and delta contributions interleave: restore the
+                // sorted-by-key order `MvMemory::apply` expects.
+                ws.writes.sort_unstable_by_key(|w| w.key);
             }
             let blocked_on = ws.view.lock().expect("mv-view lock").consumed_reads(
                 access.as_ref(),
@@ -922,16 +962,13 @@ pub struct OptimisticEngine {
     executor: BlockExecutor,
     clock: SharedClock,
     abort_injection: Option<AbortInjection>,
-    granularity: Granularity,
+    delta_cells: bool,
 }
 
 impl OptimisticEngine {
     /// Creates an engine whose persistent pool holds `threads` workers.
-    ///
-    /// Conflicts are tracked per [`StateKey`](blockconc_store::StateKey) (the
-    /// default since the granularity split); use
-    /// [`with_account_granularity`](Self::with_account_granularity) for the
-    /// whole-account baseline.
+    /// Conflicts are tracked, and data moved, per
+    /// [`StateKey`](blockconc_store::StateKey).
     ///
     /// # Panics
     ///
@@ -943,28 +980,19 @@ impl OptimisticEngine {
             executor: BlockExecutor::new(),
             clock: WallClock::shared(),
             abort_injection: None,
-            granularity: Granularity::Key,
+            delta_cells: false,
         }
     }
 
-    /// Switches conflict tracking back to whole-account granularity
-    /// (builder-style). Transactions touching *different* parts of one account
-    /// then conflict — the baseline the key-granular benchmarks compare
-    /// against. Reported as engine `"optimistic-account"`.
-    pub fn with_account_granularity(mut self) -> Self {
-        self.granularity = Granularity::Account;
-        self
-    }
-
-    /// Switches conflict tracking to delta-cell granularity (builder-style):
-    /// per-key cells plus commutative accumulation for pure credits and `SAdd`
+    /// Adds commutative delta cells (builder-style): per-key cells plus
+    /// commutative accumulation for pure credits and `SAdd`
     /// increments. Contributions to one hot cell commute — no aborts, no
     /// ordering — and fold over the base value at read and commit time; a
     /// transaction that *reads* the accumulated cell becomes ordered after the
     /// exact contributor set it observed. Reported as engine
     /// `"optimistic-delta"`.
     pub fn with_delta_cells(mut self) -> Self {
-        self.granularity = Granularity::Delta;
+        self.delta_cells = true;
         self
     }
 
@@ -1025,15 +1053,15 @@ impl OptimisticEngine {
 
 impl ExecutionEngine for OptimisticEngine {
     fn name(&self) -> &'static str {
-        match self.granularity {
-            Granularity::Key => "optimistic",
-            Granularity::Account => "optimistic-account",
-            Granularity::Delta => "optimistic-delta",
+        if self.delta_cells {
+            "optimistic-delta"
+        } else {
+            "optimistic"
         }
     }
 
     fn commutes_deltas(&self) -> bool {
-        matches!(self.granularity, Granularity::Delta)
+        self.delta_cells
     }
 
     fn execute(
@@ -1059,7 +1087,7 @@ impl ExecutionEngine for OptimisticEngine {
             base: Arc::clone(&base),
             block: block.clone(),
             scheduler: Scheduler::new(x),
-            granularity: self.granularity,
+            delta_cells: self.delta_cells,
             outcomes: (0..x).map(|_| Mutex::new(None)).collect(),
             read_sets: (0..x).map(|_| Mutex::new(Vec::new())).collect(),
             last_writes: (0..x).map(|_| Mutex::new(Vec::new())).collect(),
@@ -1134,14 +1162,6 @@ impl ExecutionEngine for OptimisticEngine {
             return Ok((executed, report));
         }
 
-        // Commit: reassemble whole accounts from the final per-cell versions over
-        // the base state and install them directly — the step the two-phase
-        // engines punt on. The address set is the union of final-cell addresses
-        // and every transaction's dirty list: an account whose fragments all
-        // diffed away (value written back unchanged) produced no cells, yet
-        // sequential execution journals it — `touched` puts it back so
-        // `install_account`/`remove_account` mark exactly the addresses a
-        // pipeline-level `commit_block` would journal sequentially.
         let mv = match Arc::try_unwrap(mv) {
             Ok(mv) => mv,
             Err(_) => unreachable!("workers exited"),
@@ -1162,25 +1182,33 @@ impl ExecutionEngine for OptimisticEngine {
                     .count() as u64
             })
             .sum();
-        let mut final_cells = mv.into_final_cells();
-        for slot in touched {
-            for address in slot.into_inner().expect("touched lock") {
-                final_cells.entry(address).or_default();
+        // Commit: set each final cell — fragment first, folded delta on top —
+        // on the resident account in place; nothing is re-executed and no
+        // account is exported, reassembled or re-installed, so the step costs
+        // the cells the block wrote. The cells arrive sorted, meta before slots
+        // before code, so an account a fragment creates exists by the time its
+        // slots land.
+        for (key, cell) in mv.into_final_cells() {
+            if let Some(fragment) = cell.write {
+                owned.set_cell(&key.state_key(), fragment.as_ref());
+            }
+            match (key.part, cell.delta) {
+                (_, None) => {}
+                (CellPart::Meta, Some(sum)) => owned.credit(key.address, Amount::from_sats(sum)),
+                (CellPart::Slot(slot), Some(sum)) => {
+                    let value = owned.storage(key.address, slot).wrapping_add(sum);
+                    owned.storage_set(key.address, slot, value, None);
+                }
+                (CellPart::Code, Some(_)) => unreachable!("delta buffered under a code cell"),
             }
         }
-        for (address, parts) in final_cells {
-            let mut value = owned.export_account(address);
-            for (part, cell) in parts {
-                if let Some(write) = cell.write {
-                    overlay_cell(address, &mut value, part, write);
-                }
-                if let Some(delta) = cell.delta {
-                    apply_delta(&mut value, part, delta);
-                }
-            }
-            match value {
-                Some(stored) => owned.install_account(address, &stored),
-                None => owned.remove_account(address),
+        // An account whose fragments all diffed away (value written back
+        // unchanged) produced no cell, yet sequential execution journals it:
+        // the dirty lists put it back, so the state marks exactly the addresses
+        // a pipeline-level `commit_block` would journal sequentially.
+        for slot in touched {
+            for address in slot.into_inner().expect("touched lock") {
+                owned.touch(address);
             }
         }
         let wall = Duration::from_nanos(self.clock.now_nanos().saturating_sub(start));
@@ -1454,10 +1482,10 @@ mod tests {
         let sender = Address::from_low(1);
         let mut base = WorldState::new();
         base.credit(sender, Amount::from_coins(1));
-        let mut view = MvView::new(Arc::clone(&mv), Arc::new(base), 8, Granularity::Key);
-        view.get_account(sender);
-        view.get_account(early);
-        view.get_account(late);
+        let mut view = MvView::new(Arc::clone(&mv), Arc::new(base), 8);
+        assert!(view.contains_account(sender));
+        assert_eq!(view.meta(early), Some((1, 0)));
+        assert_eq!(view.meta(late), Some((1, 0)));
 
         let mut access = AccessSet::default();
         access.record_read(StateKey::Balance(early));
@@ -1513,22 +1541,36 @@ mod tests {
         assert_eq!(report.sequential_fallbacks, 0);
     }
 
+    /// Every call of the plain counter loads the slot its predecessor stored: the
+    /// reads must be served the lower *version* (value and origin), or validation
+    /// can never settle and the block limps home through the sequential fallback
+    /// — right answer, no engine.
     #[test]
-    fn account_granularity_baseline_matches_sequential_on_disjoint_slots() {
-        let (state, block) = shared_counter_block(24);
-        let mut seq_state = state.clone();
-        let (seq_block, _) = SequentialEngine::new()
-            .execute(&mut seq_state, &block)
-            .unwrap();
-        let mut opt_state = state;
-        let mut engine = OptimisticEngine::new(4).with_account_granularity();
-        assert_eq!(engine.name(), "optimistic-account");
-        // Whole-account cells serialize the shared contract (every call is a
-        // write-after-read on one account), but the committed transition must
-        // still be bit-identical.
-        let (opt_block, _) = engine.execute(&mut opt_state, &block).unwrap();
-        assert_eq!(seq_block.receipts(), opt_block.receipts());
-        assert_eq!(seq_state.state_root(), opt_state.state_root());
+    fn reads_of_lower_versions_settle_without_the_sequential_fallback() {
+        use blockconc_account::vm::Contract;
+
+        let counter = Address::from_low(55_555);
+        let mut state = funded(100..108);
+        state.deploy_contract(counter, Arc::new(Contract::counter()));
+        let txs = (0..8u64).map(|i| {
+            AccountTransaction::contract_call(
+                Address::from_low(100 + i),
+                counter,
+                Amount::ZERO,
+                Vec::new(),
+                0,
+            )
+        });
+        let block = BlockBuilder::new(1, 0, Address::from_low(1))
+            .transactions(txs)
+            .build();
+        for mut engine in [
+            OptimisticEngine::new(4),
+            OptimisticEngine::new(4).with_delta_cells(),
+        ] {
+            let report = assert_engine_matches_sequential(&block, &state, &mut engine);
+            assert_eq!(report.sequential_fallbacks, 0);
+        }
     }
 
     /// Runs `block` under `engine` and asserts receipts + state root match the

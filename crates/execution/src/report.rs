@@ -11,7 +11,8 @@ use std::time::Duration;
 /// the modelled `R`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionReport {
-    /// Engine name ("sequential", "speculative", "scheduled").
+    /// Engine name ("sequential", "speculative", "scheduled", "optimistic",
+    /// "optimistic-delta").
     pub engine: String,
     /// Worker threads used (1 for the sequential engine).
     pub threads: usize,
@@ -29,10 +30,9 @@ pub struct ExecutionReport {
     /// Read-set validations performed (optimistic engine; 0 for the others).
     pub validations: u64,
     /// Validation failures that aborted an incarnation (optimistic engine).
-    /// Conflicts are counted at the engine's tracking granularity: per
-    /// `StateKey` cell by default, per whole account under
-    /// `with_account_granularity` — the same block can report near-zero aborts
-    /// at key granularity and near-total conflict at account granularity.
+    /// Conflicts are counted per `StateKey` cell: calls into one contract that
+    /// touch disjoint slots report none. The count depends on how the workers
+    /// interleaved — a diagnostic, not an invariant of the block.
     pub aborts: u64,
     /// Transaction executions beyond the first per transaction (optimistic engine).
     pub re_executions: u64,

@@ -7,13 +7,28 @@
 //!
 //! Workloads are generated over a small sender pool so blocks routinely contain
 //! hot-account conflicts, same-sender nonce chains, bad-nonce failures and
-//! unfunded transfers, all in one block. A shared per-caller-counter contract is
-//! pre-deployed, and a slice of the generated transactions call it — covering
-//! storage-slot fragments, the code-cell read and value transfers into a shared
-//! account. Every property rolls the engine's conflict granularity, so both the
-//! key-granular default and the whole-account baseline face the same blocks.
+//! unfunded transfers, all in one block. Three contracts are pre-deployed and a
+//! good third of the generated transactions is contract traffic, so the per-cell
+//! data path — single-cell reads through the version map, sparse scratch
+//! accounts, touched-key write sets, in-place cell commit — faces every shape
+//! it has a branch for:
+//!
+//! * a shared per-caller counter (disjoint slots, value into a shared balance);
+//! * a token ledger: transfers whose recipient-slot read resolves to a *lower
+//!   transaction's version* as often as to base;
+//! * a ~1 000-slot "lab" contract whose operations store zero onto live slots
+//!   (slot deletion), load absent slots into the receipt's log, `SAdd` into a
+//!   sink slot that later transactions load, overwrite slots, and write then
+//!   revert with value attached;
+//! * contract creation followed by calls of the new contract inside the block
+//!   (the code cell served from a lower version).
+//!
+//! The disk runs re-open the store and mount it under a cold working set, so the
+//! base state the versioned view falls through to is *not resident*. Every
+//! property rolls the engine's granularity, key cells with and without delta
+//! cells.
 
-use blockconc_account::vm::Contract;
+use blockconc_account::vm::{Contract, OpCode};
 use blockconc_account::{AccountBlock, AccountTransaction, BlockBuilder, Receipt, WorldState};
 use blockconc_execution::{AbortInjection, ExecutionEngine, OptimisticEngine, SequentialEngine};
 use blockconc_store::{
@@ -36,16 +51,98 @@ const SENDERS: u64 = 6;
 /// cell when value is attached — mixed key-granular conflict structure.
 const CONTRACT: u64 = 777;
 
-/// The receiver roll that turns a plan into a call of the shared contract.
-const CALL_MARKER: u64 = SENDERS + 3;
+/// A token ledger keyed by address low bits; every sender starts with a balance.
+const TOKEN: u64 = 778;
 
-/// One raw generated transfer: `(sender, receiver, sats, nonce_roll)` — a
+/// The lab contract (see [`lab_contract`]), holding [`LAB_SLOTS`] live slots.
+const LAB: u64 = 779;
+const LAB_SLOTS: u64 = 1_000;
+
+/// Receiver rolls from here up turn a plan into contract traffic.
+const CALL_MARKER: u64 = SENDERS + 3;
+const TOKEN_MARKER: u64 = SENDERS + 4;
+const LAB_MARKER: u64 = SENDERS + 5;
+const CREATE_MARKER: u64 = SENDERS + 6;
+const CALL_CREATED_MARKER: u64 = SENDERS + 7;
+const RECEIVER_ROLLS: u64 = SENDERS + 8;
+
+/// One raw generated transaction: `(sender, receiver, sats, nonce_roll)` — a
 /// `nonce_roll` below 8 follows the sender's planned chain, otherwise the nonce
-/// deliberately misses it.
+/// deliberately misses it. `sats` doubles as the source of a contract call's
+/// arguments.
 type RawPlan = (u64, u64, u64, u64);
 
 fn plan_strategy() -> impl Strategy<Value = RawPlan> {
-    (0..SENDERS, 0..SENDERS + 4, 1u64..400_000, 0u64..10)
+    (0..SENDERS, 0..RECEIVER_ROLLS, 1u64..400_000, 0u64..10)
+}
+
+/// A contract dispatching on argument 0, slot in argument 1, operand in
+/// argument 2:
+///
+/// * `0` — store zero onto the slot (deletes it if it is live);
+/// * `1` — load the slot and log it (an absent slot logs 0: the base miss
+///   reaches the receipt);
+/// * `2` — `SAdd` the operand into the slot (a commutative sink under delta
+///   cells, a read-modify-write otherwise);
+/// * `3` — store the operand, then revert (with the call's value attached, the
+///   value transfer rolls back too);
+/// * anything else — store the operand.
+fn lab_contract() -> Contract {
+    let dispatch = |op: u64, target: usize| {
+        [
+            OpCode::Arg(0),
+            OpCode::Push(op),
+            OpCode::Sub,
+            OpCode::JumpIfZero(target),
+        ]
+    };
+    let mut code = Vec::new();
+    code.extend(dispatch(0, 16)); // 0..4
+    code.extend(dispatch(1, 20)); // 4..8
+    code.extend(dispatch(2, 25)); // 8..12
+    code.extend([
+        // 12: store the operand; op 3 reverts afterwards.
+        OpCode::Arg(2),
+        OpCode::Arg(1),
+        OpCode::SStore,
+        OpCode::Jump(29),
+        // 16: store zero.
+        OpCode::Push(0),
+        OpCode::Arg(1),
+        OpCode::SStore,
+        OpCode::Stop,
+        // 20: load and log.
+        OpCode::Arg(1),
+        OpCode::SLoad,
+        OpCode::Log,
+        OpCode::Pop,
+        OpCode::Stop,
+        // 25: accumulate.
+        OpCode::Arg(2),
+        OpCode::Arg(1),
+        OpCode::SAdd,
+        OpCode::Stop,
+        // 29: revert iff op == 3.
+        OpCode::Arg(0),
+        OpCode::Push(3),
+        OpCode::Sub,
+        OpCode::JumpIfZero(34),
+        OpCode::Stop,
+        // 34
+        OpCode::Revert,
+    ]);
+    Contract::new(code)
+}
+
+/// The slot a lab call addresses: a handful of hot live slots (so calls collide
+/// and read each other's versions), a spread of cold live ones, and slots the
+/// contract never held.
+fn lab_slot(roll: u64) -> u64 {
+    match roll % 4 {
+        0 | 1 => roll / 4 % 3,
+        2 => roll / 4 % LAB_SLOTS,
+        _ => 5_000 + roll / 4 % 3,
+    }
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -65,6 +162,9 @@ fn disk_dir() -> PathBuf {
 /// reproduce bit-for-bit.
 fn build_block(plans: &[RawPlan]) -> AccountBlock {
     let mut next_nonce = [0u64; SENDERS as usize];
+    // Where the latest planned creation deploys (if its nonce holds up).
+    let mut created = Address::from_low(999);
+    let created_code = Arc::new(Contract::counter());
     let txs = plans.iter().map(|&(sender, receiver, sats, nonce_roll)| {
         let nonce = if nonce_roll < 8 {
             let n = next_nonce[sender as usize];
@@ -73,21 +173,36 @@ fn build_block(plans: &[RawPlan]) -> AccountBlock {
         } else {
             next_nonce[sender as usize] + 7
         };
-        if receiver == CALL_MARKER {
-            AccountTransaction::contract_call(
-                Address::from_low(100 + sender),
-                Address::from_low(CONTRACT),
-                Amount::from_sats(sats),
-                Vec::new(),
-                nonce,
-            )
-        } else {
-            AccountTransaction::transfer(
-                Address::from_low(100 + sender),
+        let from = Address::from_low(100 + sender);
+        let call = |contract: Address, value: u64, args: Vec<u64>| {
+            AccountTransaction::contract_call(from, contract, Amount::from_sats(value), args, nonce)
+        };
+        match receiver {
+            CALL_MARKER => call(Address::from_low(CONTRACT), sats, Vec::new()),
+            // Move up to the whole opening balance (a sender slot reaching zero
+            // is deleted) to another sender's slot.
+            TOKEN_MARKER => call(
+                Address::from_low(TOKEN),
+                0,
+                vec![100 + sats % SENDERS, sats / SENDERS % 4 * 250],
+            ),
+            // Value rides along on a third of the lab calls.
+            LAB_MARKER => call(
+                Address::from_low(LAB),
+                if sats % 3 == 0 { sats % 1_000 } else { 0 },
+                vec![sats % 5, lab_slot(sats / 5), 1 + sats % 7],
+            ),
+            CREATE_MARKER => {
+                created = created_code.deployment_address(from, nonce);
+                AccountTransaction::contract_create(from, Arc::clone(&created_code), nonce)
+            }
+            CALL_CREATED_MARKER => call(created, sats % 100, Vec::new()),
+            _ => AccountTransaction::transfer(
+                from,
                 Address::from_low(100 + receiver),
                 Amount::from_sats(sats),
                 nonce,
-            )
+            ),
         }
     });
     BlockBuilder::new(1, 0, Address::from_low(1))
@@ -106,14 +221,8 @@ struct Transition {
     committed: BTreeMap<Address, StoredAccount>,
 }
 
-/// Funds the senders, mounts `backend`, executes `block` with `engine` and
-/// commits — returning everything an observer could compare.
-fn run_engine(
-    engine: &mut dyn ExecutionEngine,
-    backend: SharedBackend,
-    funding: &[u64],
-    block: &AccountBlock,
-) -> Transition {
+/// The funded, contract-bearing pre-state every run starts from.
+fn genesis(funding: &[u64]) -> WorldState {
     let mut state = WorldState::new();
     for (i, sats) in funding.iter().enumerate() {
         state.credit(Address::from_low(100 + i as u64), Amount::from_sats(*sats));
@@ -122,9 +231,52 @@ fn run_engine(
         Address::from_low(CONTRACT),
         Arc::new(Contract::per_caller_counter()),
     );
+    let token = Address::from_low(TOKEN);
+    state.deploy_contract(token, Arc::new(Contract::token()));
+    for sender in 0..SENDERS {
+        state.storage_set(token, 100 + sender, 750, None);
+    }
+    let lab = Address::from_low(LAB);
+    state.deploy_contract(lab, Arc::new(lab_contract()));
+    for slot in 0..LAB_SLOTS {
+        state.storage_set(lab, slot, 1 + slot, None);
+    }
     state
-        .attach_backend(SharedBackend::clone(&backend), None)
-        .expect("attach backend");
+}
+
+/// Mounts the pre-state on a backend — memory (`None`: the working set stays
+/// resident) or a disk store at the given directory, which is committed,
+/// closed, re-opened and mounted under a *cold* working set — then executes
+/// `block` with `engine` and commits, returning everything an observer could
+/// compare.
+fn run_engine(
+    engine: &mut dyn ExecutionEngine,
+    disk: Option<&PathBuf>,
+    funding: &[u64],
+    block: &AccountBlock,
+) -> Transition {
+    let mut state = genesis(funding);
+    let backend: SharedBackend = match disk {
+        None => {
+            let backend = shared(MemoryBackend::new());
+            state
+                .attach_backend(SharedBackend::clone(&backend), None)
+                .expect("attach backend");
+            backend
+        }
+        Some(dir) => {
+            let open = || shared(DiskBackend::open(&DiskConfig::new(dir)).expect("open"));
+            state.attach_backend(open(), None).expect("genesis commit");
+            drop(state);
+            let backend = open();
+            state = WorldState::new();
+            state
+                .attach_backend(SharedBackend::clone(&backend), None)
+                .expect("attach reopened store");
+            assert_eq!(state.resident_accounts(), 0, "cold working set");
+            backend
+        }
+    };
     state.begin_block(1).expect("begin block");
     let (executed, _) = engine.execute(&mut state, block).expect("engine run");
 
@@ -158,26 +310,19 @@ fn assert_equivalent(
     let block = build_block(plans);
     let (seq, opt) = if on_disk {
         let (seq_dir, opt_dir) = (disk_dir(), disk_dir());
-        let seq_backend = shared(DiskBackend::open(&DiskConfig::new(&seq_dir)).expect("open"));
-        let opt_backend = shared(DiskBackend::open(&DiskConfig::new(&opt_dir)).expect("open"));
-        let seq = run_engine(&mut SequentialEngine::new(), seq_backend, funding, &block);
-        let opt = run_engine(&mut optimistic, opt_backend, funding, &block);
+        let seq = run_engine(
+            &mut SequentialEngine::new(),
+            Some(&seq_dir),
+            funding,
+            &block,
+        );
+        let opt = run_engine(&mut optimistic, Some(&opt_dir), funding, &block);
         let _ = std::fs::remove_dir_all(&seq_dir);
         let _ = std::fs::remove_dir_all(&opt_dir);
         (seq, opt)
     } else {
-        let seq = run_engine(
-            &mut SequentialEngine::new(),
-            shared(MemoryBackend::new()),
-            funding,
-            &block,
-        );
-        let opt = run_engine(
-            &mut optimistic,
-            shared(MemoryBackend::new()),
-            funding,
-            &block,
-        );
+        let seq = run_engine(&mut SequentialEngine::new(), None, funding, &block);
+        let opt = run_engine(&mut optimistic, None, funding, &block);
         (seq, opt)
     };
     prop_assert_eq!(
@@ -198,14 +343,12 @@ fn assert_equivalent(
     );
 }
 
-/// An engine with the rolled conflict granularity: roll 0 keeps the
-/// key-granular default, roll 1 takes the whole-account baseline, roll 2 the
-/// commutative delta-cell mode.
+/// An engine with the rolled granularity: roll 0 keeps the key-granular
+/// default, roll 1 adds commutative delta cells.
 fn engine_with(threads: usize, granularity_roll: u64) -> OptimisticEngine {
     let engine = OptimisticEngine::new(threads);
-    match granularity_roll % 3 {
-        1 => engine.with_account_granularity(),
-        2 => engine.with_delta_cells(),
+    match granularity_roll % 2 {
+        1 => engine.with_delta_cells(),
         _ => engine,
     }
 }
@@ -219,19 +362,20 @@ proptest! {
         funding in any_vec(0u64..2_000_000, 6usize),
         plans in any_vec(plan_strategy(), 1..28),
         threads in 1usize..5,
-        granularity in 0u64..3,
+        granularity in 0u64..2,
     ) {
         assert_equivalent(&funding, &plans, engine_with(threads, granularity), false);
     }
 
     // Disk backend: the pre-state round-trips through the journal (genesis commit,
-    // cold working set) and the block's write set is journalled on commit.
+    // close, re-open, cold working set — the engine's base is not resident) and
+    // the block's write set is journalled on commit.
     #[test]
     fn optimistic_matches_sequential_on_disk(
         funding in any_vec(0u64..2_000_000, 6usize),
         plans in any_vec(plan_strategy(), 1..16),
         threads in 1usize..5,
-        granularity in 0u64..3,
+        granularity in 0u64..2,
     ) {
         assert_equivalent(&funding, &plans, engine_with(threads, granularity), true);
     }
@@ -247,7 +391,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         percent in 20u64..95,
         disk_roll in 0u64..2,
-        granularity in 0u64..3,
+        granularity in 0u64..2,
     ) {
         let engine = engine_with(threads, granularity).with_forced_aborts(AbortInjection {
             seed,
@@ -255,6 +399,49 @@ proptest! {
         });
         assert_equivalent(&funding, &plans, engine, disk_roll == 1);
     }
+}
+
+/// The generated shapes are only as good as the lab contract's dispatch: pin
+/// each operation's effect, sequentially, so a mis-aimed jump cannot quietly
+/// turn the contract traffic into no-ops.
+#[test]
+fn lab_contract_operations_do_what_the_shapes_need() {
+    let mut state = genesis(&[1_000_000; SENDERS as usize]);
+    let lab = Address::from_low(LAB);
+    let mut engine = SequentialEngine::new();
+    let mut run = |state: &mut WorldState, nonce: u64, value: u64, args: Vec<u64>| {
+        let block = BlockBuilder::new(1, 0, Address::from_low(1))
+            .transaction(AccountTransaction::contract_call(
+                Address::from_low(100),
+                lab,
+                Amount::from_sats(value),
+                args,
+                nonce,
+            ))
+            .build();
+        let (executed, _) = engine.execute(state, &block).expect("engine run");
+        executed.receipts()[0].clone()
+    };
+    assert_eq!(state.storage(lab, 2), 3);
+    // 0: a live slot is deleted.
+    assert!(run(&mut state, 0, 0, vec![0, 2, 9]).succeeded());
+    assert_eq!(state.storage(lab, 2), 0);
+    // 1: an absent slot's zero, then a live slot's value, reach the log.
+    assert_eq!(run(&mut state, 1, 0, vec![1, 5_001, 9]).logs(), &[0]);
+    assert_eq!(run(&mut state, 2, 0, vec![1, 7, 9]).logs(), &[8]);
+    // 2: the sink accumulates.
+    assert!(run(&mut state, 3, 0, vec![2, 5_000, 4]).succeeded());
+    assert!(run(&mut state, 4, 0, vec![2, 5_000, 6]).succeeded());
+    assert_eq!(state.storage(lab, 5_000), 10);
+    // 3: the store and the attached value both roll back.
+    let balance = state.balance(lab);
+    assert!(!run(&mut state, 5, 500, vec![3, 1, 99]).succeeded());
+    assert_eq!(state.storage(lab, 1), 2);
+    assert_eq!(state.balance(lab), balance);
+    // 4: a plain overwrite, value attached.
+    assert!(run(&mut state, 6, 500, vec![4, 1, 99]).succeeded());
+    assert_eq!(state.storage(lab, 1), 99);
+    assert_eq!(state.balance(lab), balance + Amount::from_sats(500));
 }
 
 /// SplitMix64 step for the stress sweep below.
@@ -267,7 +454,8 @@ fn mix(state: &mut u64) -> u64 {
 }
 
 /// The CI abort-stress entry point: a deterministic sweep of forced-abort
-/// interleavings over both granularities. The base seed comes from the
+/// interleavings over both granularities (key cells, with and without delta
+/// cells). The base seed comes from the
 /// `BLOCKCONC_STRESS_SEED` environment variable (default 0), so a CI loop
 /// re-running this test under different values covers a fresh slice of the
 /// interleaving space on every iteration while staying reproducible.
@@ -287,7 +475,7 @@ fn forced_abort_stress_sweep() {
             .map(|_| {
                 (
                     mix(&mut rng) % SENDERS,
-                    mix(&mut rng) % (SENDERS + 4),
+                    mix(&mut rng) % RECEIVER_ROLLS,
                     1 + mix(&mut rng) % 400_000,
                     mix(&mut rng) % 10,
                 )
@@ -299,7 +487,7 @@ fn forced_abort_stress_sweep() {
             percent: 65,
         };
         let on_disk = i % 6 == 0;
-        for granularity in 0..3u64 {
+        for granularity in 0..2u64 {
             let engine = engine_with(threads, granularity).with_forced_aborts(injection);
             assert_equivalent(&funding, &plans, engine, on_disk);
         }

@@ -47,6 +47,19 @@ impl StoredAccount {
         }
     }
 
+    /// This account's value under `key` (which must address this account): what
+    /// [`StateBackend::get`] answers once the account is in hand.
+    pub fn value_of(&self, key: &StateKey) -> StateValue {
+        match key {
+            StateKey::Balance(_) => StateValue::AccountMeta {
+                balance_sats: self.balance_sats,
+                nonce: self.nonce,
+            },
+            StateKey::Storage(_, slot) => StateValue::Slot(self.storage_get(*slot)),
+            StateKey::Code(_) => StateValue::CodeDigest(self.code_digest()),
+        }
+    }
+
     /// Identity digest of the deployed code (FNV-1a over the canonical JSON),
     /// `0` when the account has no code. Backing value of
     /// [`StateValue::CodeDigest`](crate::StateValue::CodeDigest).
@@ -167,17 +180,13 @@ pub trait StateBackend: Send + std::fmt::Debug {
         self.get_account(address).is_some()
     }
 
-    /// Reads one [`StateKey`]'s committed value.
+    /// Reads one [`StateKey`]'s committed value (`None` when the account does not
+    /// exist). The default loads the whole account and picks the key out of it —
+    /// right for a store whose unit of I/O is the account record; a backend that
+    /// can answer one key without assembling the account overrides it, and
+    /// `WorldState` takes this call on every resident miss of a value accessor.
     fn get(&mut self, key: &StateKey) -> Option<StateValue> {
-        let account = self.get_account(key.address())?;
-        Some(match key {
-            StateKey::Balance(_) => StateValue::AccountMeta {
-                balance_sats: account.balance_sats,
-                nonce: account.nonce,
-            },
-            StateKey::Storage(_, slot) => StateValue::Slot(account.storage_get(*slot)),
-            StateKey::Code(_) => StateValue::CodeDigest(account.code_digest()),
-        })
+        Some(self.get_account(key.address())?.value_of(key))
     }
 
     /// Opens block `height` (must be greater than the committed height).

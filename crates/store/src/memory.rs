@@ -1,7 +1,10 @@
 //! The in-memory map backend: the pre-trait `WorldState` map refactored behind
 //! [`StateBackend`].
 
-use crate::{store_units, BlockDelta, CommitStats, StateBackend, StoreStats, StoredAccount};
+use crate::{
+    store_units, BlockDelta, CommitStats, StateBackend, StateKey, StateValue, StoreStats,
+    StoredAccount,
+};
 use blockconc_types::{Address, Error, Result};
 use std::collections::BTreeMap;
 
@@ -73,6 +76,13 @@ impl StateBackend for MemoryBackend {
 
     fn contains_account(&mut self, address: Address) -> bool {
         self.accounts.contains_key(&address)
+    }
+
+    /// One key out of the map, without cloning the account around it.
+    fn get(&mut self, key: &StateKey) -> Option<StateValue> {
+        let value = self.accounts.get(&key.address())?.value_of(key);
+        self.stats.backend_reads += 1;
+        Some(value)
     }
 
     fn begin_block(&mut self, height: u64) -> Result<()> {
@@ -204,6 +214,77 @@ mod tests {
         assert_eq!(backend.account_count(), 1);
         assert_eq!(backend.committed_height(), 2);
         assert_eq!(backend.stats().committed_blocks, 2);
+    }
+
+    #[test]
+    fn per_key_get_equals_the_trait_default() {
+        /// Forwards `get_account` only, so `get` is the trait's default.
+        #[derive(Debug)]
+        struct ViaAccount(MemoryBackend);
+        impl StateBackend for ViaAccount {
+            fn name(&self) -> &'static str {
+                "via-account"
+            }
+            fn get_account(&mut self, address: Address) -> Option<StoredAccount> {
+                self.0.get_account(address)
+            }
+            fn begin_block(&mut self, height: u64) -> Result<()> {
+                self.0.begin_block(height)
+            }
+            fn commit_block(&mut self, delta: &BlockDelta) -> Result<CommitStats> {
+                self.0.commit_block(delta)
+            }
+            fn rollback_block(&mut self) -> Result<()> {
+                self.0.rollback_block()
+            }
+            fn committed_block(&self) -> Option<u64> {
+                self.0.committed_block()
+            }
+            fn open_height(&self) -> Option<u64> {
+                self.0.open_height()
+            }
+            fn account_count(&self) -> usize {
+                self.0.account_count()
+            }
+            fn for_each_account(&mut self, f: &mut dyn FnMut(Address, StoredAccount)) {
+                self.0.for_each_account(f)
+            }
+            fn stats(&self) -> StoreStats {
+                self.0.stats()
+            }
+        }
+
+        let contract = DeltaRecord {
+            address: Address::from_low(2),
+            account: Some(StoredAccount {
+                balance_sats: 7,
+                nonce: 3,
+                storage: vec![(1, 10), (9, 90)],
+                code_json: Some("[\"Stop\"]".to_string()),
+            }),
+        };
+        let delta = BlockDelta {
+            height: 1,
+            records: vec![upsert(1, 10), contract],
+        };
+        let mut direct = MemoryBackend::new();
+        direct.commit_block(&delta).unwrap();
+        let mut default = ViaAccount(MemoryBackend::new());
+        default.commit_block(&delta).unwrap();
+        for low in 1..=3u64 {
+            let address = Address::from_low(low);
+            for key in [
+                StateKey::Balance(address),
+                StateKey::Storage(address, 1),
+                StateKey::Storage(address, 5),
+                StateKey::Code(address),
+            ] {
+                assert_eq!(direct.get(&key), default.get(&key), "{key:?}");
+            }
+        }
+        // Both count one backend read per key served, none for a missing account.
+        assert_eq!(direct.stats().backend_reads, 8);
+        assert_eq!(default.stats().backend_reads, 8);
     }
 
     #[test]
