@@ -2,15 +2,13 @@
 //! benchmarks.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper on the
-//! simulated dataset (see `DESIGN.md` for the experiment index); the helpers here keep
-//! the dataset configuration and output conventions consistent across them.
+//! simulated dataset; the helpers here keep the dataset configuration and output
+//! conventions consistent across them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use blockconc::prelude::*;
-use blockconc::telemetry::CounterSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Number of time buckets used by the figure binaries (the paper uses 20–200; 20 keeps
 /// regeneration runs under a minute while preserving the longitudinal shape).
@@ -40,178 +38,6 @@ pub fn history_for(chain: ChainId) -> ChainHistory {
 pub fn print_panel(title: &str, series: &[Series]) {
     println!("{}", report::series_table(title, series));
     println!("CSV:\n{}", export::to_csv(series));
-}
-
-/// Provenance section of a `BENCH_*.json` artifact: everything `obs
-/// bench-diff` needs to decide whether two artifacts measure the same
-/// experiment. Artifacts whose metas differ in any field are incommensurable
-/// and the diff refuses to compare them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchMeta {
-    /// Benchmark name (`"pipeline"`, `"shardpool"`, `"store"`, `"cluster"`).
-    pub bench: String,
-    /// `"full"` or `"smoke"` — the two scales sweep different grids.
-    pub mode: String,
-    /// Clock behind the wall measurements (always `"wall"` for the bins;
-    /// mock-clock artifacts would be comparable only to each other).
-    pub clock: String,
-    /// Dataset seed.
-    pub seed: u64,
-    /// Engine worker threads per node.
-    pub threads: usize,
-    /// Execution engines exercised, in sweep order.
-    pub engines: Vec<String>,
-    /// The configuration grid, knob name → rendered sweep values.
-    pub grid: Vec<(String, String)>,
-}
-
-impl BenchMeta {
-    /// Provenance for one bench run.
-    pub fn new(bench: &str, smoke: bool, seed: u64, threads: usize, engines: &[&str]) -> Self {
-        BenchMeta {
-            bench: bench.to_string(),
-            mode: if smoke { "smoke" } else { "full" }.to_string(),
-            clock: "wall".to_string(),
-            seed,
-            threads,
-            engines: engines.iter().map(|e| e.to_string()).collect(),
-            grid: Vec::new(),
-        }
-    }
-
-    /// Adds one grid knob (rendered with `Debug`, e.g. `[1, 2, 4, 8]`).
-    pub fn knob(mut self, name: &str, values: impl std::fmt::Debug) -> Self {
-        self.grid.push((name.to_string(), format!("{values:?}")));
-        self
-    }
-}
-
-/// Where a bench artifact lands: full runs write `BENCH_<bench>.json` at the
-/// repository root (committed), smoke runs write the same shape to
-/// `target/bench-smoke/` (ephemeral, consumed by the CI `bench-diff` step).
-pub fn artifact_path(bench: &str, smoke: bool) -> std::path::PathBuf {
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    if smoke {
-        root.join("target/bench-smoke")
-            .join(format!("BENCH_{bench}.json"))
-    } else {
-        root.join(format!("BENCH_{bench}.json"))
-    }
-}
-
-/// Serializes and writes a bench artifact to [`artifact_path`], creating the
-/// smoke directory if needed. Returns the path written.
-pub fn write_artifact<T: Serialize>(bench: &str, smoke: bool, artifact: &T) -> std::path::PathBuf {
-    let path = artifact_path(bench, smoke);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).expect("create artifact directory");
-    }
-    let json = serde_json::to_string_pretty(artifact).expect("serialize artifact");
-    std::fs::write(&path, json).unwrap_or_else(|err| panic!("write {}: {err}", path.display()));
-    println!("wrote {}", path.display());
-    path
-}
-
-/// Per-stage latency/work quantiles extracted from a [`TelemetrySnapshot`] — the
-/// compact per-stage row the `fig_*` artifacts persist alongside the headline
-/// numbers (wall nanoseconds and abstract model units, p50/p99).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StageQuantiles {
-    /// Stage name (`"ingest"`, `"pack"`, `"execute"`, `"store"`, ...).
-    pub stage: String,
-    /// Observations (one per block, per driver that recorded the stage).
-    pub samples: u64,
-    /// Median wall nanoseconds per observation.
-    pub wall_p50_nanos: u64,
-    /// 99th-percentile wall nanoseconds per observation.
-    pub wall_p99_nanos: u64,
-    /// Total wall nanoseconds across the run.
-    pub wall_total_nanos: u64,
-    /// Median abstract model units per observation.
-    pub units_p50: u64,
-    /// 99th-percentile abstract model units per observation.
-    pub units_p99: u64,
-    /// Total model units across the run.
-    pub units_total: u64,
-}
-
-/// The `telemetry` section of a `BENCH_*.json` artifact: per-stage quantiles
-/// plus the run's counters, labelled with the grid cell that produced it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TelemetrySection {
-    /// Which run this summarizes (e.g. `"concurrency-aware/scheduled/8"`).
-    pub label: String,
-    /// Per-stage wall/unit quantiles, in stage-name order.
-    pub stages: Vec<StageQuantiles>,
-    /// The run's monotonic counters (admissions, journal bytes, receipts, ...).
-    pub counters: Vec<CounterSnapshot>,
-    /// Spans captured by the flight recorder.
-    pub spans_recorded: u64,
-    /// Block span trees sealed by the flight recorder.
-    pub blocks_sealed: u64,
-    /// Sealed trees the flight-recorder ring evicted (history lost to
-    /// exports; non-zero means the ring was too small for the run).
-    pub trees_dropped: u64,
-}
-
-impl TelemetrySection {
-    /// Summarizes one run's snapshot under `label`.
-    pub fn from_snapshot(label: impl Into<String>, snapshot: &TelemetrySnapshot) -> Self {
-        TelemetrySection {
-            label: label.into(),
-            stages: snapshot
-                .stages
-                .iter()
-                .map(|stage| StageQuantiles {
-                    stage: stage.stage.clone(),
-                    samples: stage.wall_nanos.count,
-                    wall_p50_nanos: stage.wall_nanos.p50(),
-                    wall_p99_nanos: stage.wall_nanos.p99(),
-                    wall_total_nanos: stage.wall_nanos.sum,
-                    units_p50: stage.units.p50(),
-                    units_p99: stage.units.p99(),
-                    units_total: stage.units.sum,
-                })
-                .collect(),
-            counters: snapshot.counters.clone(),
-            spans_recorded: snapshot.spans_recorded,
-            blocks_sealed: snapshot.blocks_sealed,
-            trees_dropped: snapshot.trees_dropped,
-        }
-    }
-}
-
-/// Prints one telemetry section as an aligned per-stage table (and a one-line
-/// counter digest), the way the `fig_*` binaries surface it on stdout.
-pub fn print_telemetry(section: &TelemetrySection) {
-    println!("\ntelemetry [{}]:", section.label);
-    println!(
-        "{:<9} {:>8} {:>13} {:>13} {:>10} {:>10}",
-        "stage", "samples", "wall p50/ns", "wall p99/ns", "units p50", "units p99"
-    );
-    for stage in &section.stages {
-        println!(
-            "{:<9} {:>8} {:>13} {:>13} {:>10} {:>10}",
-            stage.stage,
-            stage.samples,
-            stage.wall_p50_nanos,
-            stage.wall_p99_nanos,
-            stage.units_p50,
-            stage.units_p99,
-        );
-    }
-    let counters: Vec<String> = section
-        .counters
-        .iter()
-        .map(|c| format!("{}={}", c.name, c.value))
-        .collect();
-    println!(
-        "counters: {} (spans {}, blocks sealed {}, trees dropped {})",
-        counters.join(" "),
-        section.spans_recorded,
-        section.blocks_sealed,
-        section.trees_dropped
-    );
 }
 
 /// Convenience: the standard longitudinal series of one metric for one chain, labelled

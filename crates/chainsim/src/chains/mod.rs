@@ -3,7 +3,7 @@
 //! Each sub-module encodes the longitudinal calibration anchors for one chain —
 //! transactions per block, hot-spot shares, intra-block spend behaviour — chosen so
 //! that the generated histories reproduce the qualitative shapes of the paper's
-//! Figures 4–9 (see `DESIGN.md` and `EXPERIMENTS.md` for the target bands).
+//! Figures 4–9 (`tests/end_to_end_pipeline.rs` holds the target bands).
 
 pub mod bitcoin;
 pub mod bitcoin_cash;

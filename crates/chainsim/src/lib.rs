@@ -10,7 +10,7 @@
 //! transaction counts, hot-spot traffic shares (exchanges, mining pools, popular
 //! contracts), intra-block spend-chain behaviour and gas profiles are tuned so that
 //! the *dependency structure* of the generated blocks matches the magnitudes the paper
-//! reports (see `DESIGN.md` for the calibration targets). The downstream analysis —
+//! reports (`tests/end_to_end_pipeline.rs` holds the target bands). The downstream analysis —
 //! TDG construction, conflict metrics, bucketed weighted averages, speed-up models —
 //! is exactly the computation the paper performs, run on these blocks.
 //!

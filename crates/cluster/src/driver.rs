@@ -626,7 +626,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockconc_chainsim::AccountWorkloadParams;
+    use blockconc_chainsim::{AccountWorkloadParams, HotspotSpec};
     use blockconc_execution::{ScheduledEngine, SequentialEngine};
     use blockconc_pipeline::{BlockRecord, PipelineConfig, PipelineDriver};
     use blockconc_telemetry::TelemetryRegistry;
@@ -670,6 +670,58 @@ mod tests {
         assert_eq!(
             stats.admitted - stats.evicted - stats.dropped_unpackable,
             stats.packed + report.leftover_mempool() as u64
+        );
+    }
+
+    /// One cell of the protocol-health grid: a backlogged stream (9 000 arrivals
+    /// at 42/s, 14 blocks, one committee rotation mid-run) whose `heaviness`
+    /// interpolates from fresh-receiver-dominated traffic (0) to four popular
+    /// exchange wallets taking every third transaction (1). No receipt may fail,
+    /// every shipped credit must be applied, none faster than the one-block
+    /// protocol latency. Returns the measured cross-shard fraction.
+    fn healthy_cross_shard_fraction(shards: u32, heaviness: f64) -> f64 {
+        let exchanges = 0.05 + 0.31 * heaviness;
+        let params = AccountWorkloadParams {
+            fresh_receiver_share: 0.85 - 0.70 * heaviness,
+            hotspots: [0.34, 0.28, 0.22, 0.16]
+                .map(|part| HotspotSpec::exchange(exchanges * part))
+                .to_vec(),
+            contract_create_share: 0.0,
+            ..AccountWorkloadParams::cross_shard_light()
+        };
+        let mut config = config(shards, 14);
+        config.pipeline.threads = 8;
+        config.pipeline.max_deferral_blocks = 2;
+        config.sharding.tx_blocks_per_ds_epoch = 7;
+        let report = ClusterDriver::new(engines(shards as usize), config)
+            .run(ArrivalStream::new(params, 42.0, 9_000, 2020))
+            .unwrap();
+        let cell = format!("{shards} shards @ heaviness {heaviness}");
+        assert_eq!(report.total_failed, 0, "{cell}");
+        assert_eq!(report.receipts_applied, report.cross_shard_hops, "{cell}");
+        assert!(
+            report.cross_shard_hops == 0 || report.mean_receipt_latency() >= 1.0,
+            "{cell}: {} blocks mean latency",
+            report.mean_receipt_latency()
+        );
+        report.cross_shard_fraction()
+    }
+
+    #[test]
+    fn protocol_stays_healthy_across_shard_counts() {
+        for shards in [1, 2, 4] {
+            healthy_cross_shard_fraction(shards, 0.0);
+        }
+        let widest = healthy_cross_shard_fraction(8, 0.0);
+        assert!(widest < 0.15, "the light profile crossed shards {widest}");
+    }
+
+    #[test]
+    fn protocol_stays_healthy_as_cross_shard_pressure_grows() {
+        let fractions = [0.0, 0.25, 0.5, 0.75, 1.0].map(|h| healthy_cross_shard_fraction(8, h));
+        assert!(
+            fractions[4] > fractions[0] + 0.05,
+            "the heaviness knob must move the measured fraction: {fractions:?}"
         );
     }
 
@@ -724,7 +776,7 @@ mod tests {
         // fee-escalating hot-spot stream through a small pool makes the
         // admission, engine and delta counters all non-zero and deterministic
         // (blocks hold half of what arrives, so entries wait, re-bid and evict).
-        use blockconc_chainsim::{FeeEscalationSpec, HotspotSpec};
+        use blockconc_chainsim::FeeEscalationSpec;
         use blockconc_execution::OptimisticEngine;
         use blockconc_telemetry::MockClock;
         let params = AccountWorkloadParams {

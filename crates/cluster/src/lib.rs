@@ -25,9 +25,9 @@
 //!   their new-epoch canonical homes;
 //! * a **final-block merge** folding the per-shard micro-blocks into a
 //!   [`FinalBlock`](blockconc_sharding::FinalBlock), with per-phase model-unit
-//!   accounting ([`ClusterBlockRecord`]) comparable to
-//!   `PipelineRunReport` — `fig_cluster` compares cluster throughput against
-//!   the single-node pipeline in the same units.
+//!   accounting ([`ClusterBlockRecord`]) in the convention of
+//!   `PipelineRunReport`'s block records (what the layout costs by the clock
+//!   is the `cluster_xshard` workload of `benchmark/`).
 //!
 //! A 1-shard cluster degenerates to exactly the single `PipelineDriver` run,
 //! bit for bit (normalized records, receipts digests, state roots) — pinned by

@@ -101,18 +101,6 @@ impl ClusterRunReport {
         self.blocks.iter().map(|b| b.critical_units).sum()
     }
 
-    /// End-to-end throughput in transactions per abstract work unit — the
-    /// quantity `fig_cluster` compares against the single-node pipeline's
-    /// `baseline_pipeline_units` denominator.
-    pub fn unit_throughput(&self) -> f64 {
-        let units = self.total_units();
-        if units == 0 {
-            0.0
-        } else {
-            self.total_txs as f64 / units as f64
-        }
-    }
-
     /// Share of executed transactions whose credit crossed shards.
     pub fn cross_shard_fraction(&self) -> f64 {
         if self.total_txs == 0 {
@@ -192,7 +180,6 @@ mod tests {
     fn unit_accounting_takes_the_max_shard_path() {
         let r = report(vec![record(1, &[(10, 5, 8), (4, 6, 2)])]);
         assert_eq!(r.total_units(), 10 + 6 + 8 + 2);
-        assert!((r.unit_throughput() - 10.0 / 26.0).abs() < 1e-12);
         assert!((r.cross_shard_fraction() - 0.1).abs() < 1e-12);
         assert!((r.mean_receipt_latency() - 1.0).abs() < 1e-12);
         assert_eq!(r.leftover_mempool(), 3);
@@ -210,7 +197,6 @@ mod tests {
     fn empty_run_reports_zeroes() {
         let r = report(vec![]);
         assert_eq!(r.total_units(), 0);
-        assert_eq!(r.unit_throughput(), 0.0);
         assert_eq!(r.cross_shard_fraction(), 0.0);
         assert_eq!(r.mean_receipt_latency(), 0.0);
     }

@@ -27,9 +27,16 @@
 //! base state the versioned view falls through to is *not resident*. Every
 //! property rolls the engine's granularity, key cells with and without delta
 //! cells.
+//!
+//! Beside the generated blocks, two fixed-seed workload profiles of
+//! `blockconc-chainsim` run through the same comparison at 8 workers: the
+//! shared-contract / disjoint-slots profile, which per-key tracking must also
+//! run (nearly) abort-free, and the commutative-hotspot profile at five hot
+//! shares.
 
 use blockconc_account::vm::{Contract, OpCode};
 use blockconc_account::{AccountBlock, AccountTransaction, BlockBuilder, Receipt, WorldState};
+use blockconc_chainsim::{AccountWorkloadGen, AccountWorkloadParams};
 use blockconc_execution::{AbortInjection, ExecutionEngine, OptimisticEngine, SequentialEngine};
 use blockconc_store::{
     shared, DeltaRecord, DiskBackend, DiskConfig, MemoryBackend, SharedBackend, StoredAccount,
@@ -442,6 +449,72 @@ fn lab_contract_operations_do_what_the_shapes_need() {
     assert!(run(&mut state, 6, 500, vec![4, 1, 99]).succeeded());
     assert_eq!(state.storage(lab, 1), 99);
     assert_eq!(state.balance(lab), balance + Amount::from_sats(500));
+}
+
+/// Generates `blocks` blocks of `txs` transactions from a workload profile (seed
+/// 2020), executes them in sequence on `SequentialEngine` and on both optimistic
+/// modes at 8 workers, and requires identical receipts and final roots. Returns
+/// the larger of the two modes' abort counts.
+fn profile_matches_sequential(params: AccountWorkloadParams, blocks: u64, txs: usize) -> u64 {
+    let mut generator = AccountWorkloadGen::new(params, 2020);
+    let built: Vec<AccountBlock> = (1..=blocks)
+        .map(|height| {
+            BlockBuilder::new(height, 0, Address::from_low(999_999_999))
+                .transactions(generator.generate_transactions(txs))
+                .build()
+        })
+        .collect();
+    // Generation funds each sender on first sight and executes nothing.
+    let pre_state = generator.state().clone();
+    let run = |engine: &mut dyn ExecutionEngine| -> (Vec<Receipt>, Hash, u64) {
+        let mut state = pre_state.clone();
+        let (mut receipts, mut aborts) = (Vec::new(), 0);
+        for block in &built {
+            let (executed, report) = engine.execute(&mut state, block).expect("engine run");
+            receipts.extend_from_slice(executed.receipts());
+            aborts += report.aborts;
+        }
+        (receipts, state.state_root(), aborts)
+    };
+    let (receipts, root, _) = run(&mut SequentialEngine::new());
+    assert!(receipts.iter().all(Receipt::succeeded), "funded and valid");
+    let mut worst = 0;
+    for mut engine in [
+        OptimisticEngine::new(8),
+        OptimisticEngine::new(8).with_delta_cells(),
+    ] {
+        let (engine_receipts, engine_root, aborts) = run(&mut engine);
+        assert_eq!(receipts, engine_receipts, "{} receipts", engine.name());
+        assert_eq!(root, engine_root, "{} state root", engine.name());
+        worst = aborts.max(worst);
+    }
+    worst
+}
+
+/// One shared contract, a slot per caller: per-key tracking dissolves the
+/// account-level conflicts by construction, so beyond the equivalence only stray
+/// same-sender collisions may abort.
+#[test]
+fn disjoint_slots_profile_matches_sequential_nearly_abort_free() {
+    let params = AccountWorkloadParams::shared_contract_disjoint_slots();
+    let aborts = profile_matches_sequential(params, 8, 200);
+    assert!(
+        aborts <= 8 * 200 / 20,
+        "{aborts} aborts over 1600 disjoint-slot calls"
+    );
+}
+
+/// Deposits into one exchange and increments of one fee-sink slot, from none of
+/// the traffic to 80% of it.
+#[test]
+fn commutative_hotspot_profiles_match_sequential_at_every_hot_share() {
+    for hot_share in [0.0, 0.2, 0.4, 0.6, 0.8] {
+        profile_matches_sequential(
+            AccountWorkloadParams::commutative_hotspot(hot_share),
+            6,
+            200,
+        );
+    }
 }
 
 /// SplitMix64 step for the stress sweep below.

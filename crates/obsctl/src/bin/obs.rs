@@ -3,26 +3,23 @@
 //! ```text
 //! obs trace <flight.jsonl> [-o out.trace.json] [--check]
 //! obs critpath <flight.jsonl> [--check]
-//! obs contention [--blocks N] [--txs-per-block T] [--seed S] [--zipf Z]
-//!                [--top K] [--artifact BENCH.json]
-//! obs bench-diff <old.json> <new.json> [--threshold PCT] [--check] [--self-test]
+//! obs contention [--blocks N] [--txs-per-block T] [--seed S] [--zipf Z] [--top K]
 //! ```
 //!
-//! Inputs are flight-recorder JSONL exports (`TelemetryRegistry::flight_jsonl`,
-//! or the `--trace-out` flag of `fig_cluster`) and `BENCH_*.json` artifacts.
-//! `--check` modes exit non-zero on violation, which is how CI consumes them.
+//! Inputs are flight-recorder JSONL exports (`TelemetryRegistry::flight_jsonl`;
+//! `examples/telemetry_demo` writes one and prints its path). `--check` modes
+//! exit non-zero on violation; `tests/trace_checks.rs` makes the same library
+//! calls on a 4-shard cluster run in `cargo test`.
 
 use blockconc_chainsim::{AccountWorkloadParams, ArrivalStream, HotspotSpec};
 use blockconc_obsctl::contention::AccessClass;
-use blockconc_obsctl::{contention, critpath, diff, trace, trees_from_jsonl};
-use serde::Value;
+use blockconc_obsctl::{contention, critpath, trace, trees_from_jsonl};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
   obs trace <flight.jsonl> [-o out.trace.json] [--check]
   obs critpath <flight.jsonl> [--check]
-  obs contention [--blocks N] [--txs-per-block T] [--seed S] [--zipf Z] [--top K] [--artifact BENCH.json]
-  obs bench-diff <old.json> <new.json> [--threshold PCT] [--check] [--self-test]";
+  obs contention [--blocks N] [--txs-per-block T] [--seed S] [--zipf Z] [--top K]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,7 +27,6 @@ fn main() -> ExitCode {
         Some("trace") => cmd_trace(&args[1..]),
         Some("critpath") => cmd_critpath(&args[1..]),
         Some("contention") => cmd_contention(&args[1..]),
-        Some("bench-diff") => cmd_bench_diff(&args[1..]),
         Some("--help") | Some("-h") | None => {
             println!("{USAGE}");
             Ok(())
@@ -153,7 +149,6 @@ fn cmd_contention(args: &[String]) -> Result<(), String> {
         &take_option(&mut args, "--top")?.unwrap_or_else(|| "10".into()),
         "--top",
     )?;
-    let artifact = take_option(&mut args, "--artifact")?;
     if !args.is_empty() {
         return Err(format!("unexpected arguments {args:?}\n{USAGE}"));
     }
@@ -191,101 +186,5 @@ fn cmd_contention(args: &[String]) -> Result<(), String> {
         .collect();
     let profile = contention::profile_blocks_classed(&block_list, top);
     print!("{}", profile.render());
-
-    if let Some(path) = artifact {
-        let value: Value = serde_json::from_str(&read_file(&path)?)
-            .map_err(|err| format!("cannot parse {path}: {err}"))?;
-        match find_counters(&value) {
-            Some(counters) => {
-                println!("\nconflict attribution [{path}]:");
-                for name in contention::CONFLICT_COUNTERS {
-                    if let Some(count) = counter_value(counters, name) {
-                        println!("  {name:<24} {count}");
-                    }
-                }
-            }
-            None => println!("\n{path}: no telemetry counters section found"),
-        }
-    }
-    Ok(())
-}
-
-/// First `counters` array anywhere in an artifact (the telemetry section).
-fn find_counters(value: &Value) -> Option<&Value> {
-    match value {
-        Value::Map(entries) => {
-            if let Some(counters @ Value::Seq(_)) = value.get("counters") {
-                return Some(counters);
-            }
-            entries.iter().find_map(|(_, child)| find_counters(child))
-        }
-        Value::Seq(items) => items.iter().find_map(find_counters),
-        _ => None,
-    }
-}
-
-fn counter_value(counters: &Value, name: &str) -> Option<u64> {
-    let Value::Seq(items) = counters else {
-        return None;
-    };
-    items
-        .iter()
-        .find_map(|item| match (item.get("name"), item.get("value")) {
-            (Some(Value::Str(n)), Some(Value::UInt(v))) if n == name => Some(*v),
-            (Some(Value::Str(n)), Some(Value::Int(v))) if n == name && *v >= 0 => Some(*v as u64),
-            _ => None,
-        })
-}
-
-fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let check = take_flag(&mut args, "--check");
-    let self_test = take_flag(&mut args, "--self-test");
-    let threshold: f64 = parse(
-        &take_option(&mut args, "--threshold")?.unwrap_or_else(|| "5".into()),
-        "--threshold",
-    )?;
-    let [old_path, new_path] = args.as_slice() else {
-        return Err(format!("bench-diff takes two artifact files\n{USAGE}"));
-    };
-    let config = diff::DiffConfig {
-        rel_threshold: threshold / 100.0,
-        ..diff::DiffConfig::default()
-    };
-    let old: Value = serde_json::from_str(&read_file(old_path)?)
-        .map_err(|err| format!("cannot parse {old_path}: {err}"))?;
-    let new: Value = serde_json::from_str(&read_file(new_path)?)
-        .map_err(|err| format!("cannot parse {new_path}: {err}"))?;
-
-    let report = diff::diff_artifacts(&old, &new, config)?;
-    println!("comparing {old_path} -> {new_path}");
-    print!("{}", report.render());
-
-    if self_test {
-        // The watch must actually watch: a 10% synthetic regression in a copy
-        // of the old artifact has to trip the same comparison.
-        let (injected, perturbed) = diff::inject_regression(&old, 0.10);
-        let trial = diff::diff_artifacts(&old, &injected, config)?;
-        if trial.regressions().is_empty() {
-            return Err(format!(
-                "self-test FAILED: injected 10% regression across {perturbed} cells went unflagged"
-            ));
-        }
-        println!(
-            "self-test OK: injected 10% regression flagged ({} of {} perturbed cells)",
-            trial.regressions().len(),
-            perturbed
-        );
-    }
-    if check && !report.passes() {
-        return Err(format!(
-            "bench-diff check FAILED: {} regressions, {} structural changes",
-            report.regressions().len(),
-            report.structural.len()
-        ));
-    }
-    if check {
-        println!("bench-diff check OK");
-    }
     Ok(())
 }

@@ -15,17 +15,15 @@
 //! - [`contention`] profiles workload contention: top-K hot accounts,
 //!   dependency-component size CDFs over time, and per-engine conflict
 //!   attribution from the existing telemetry counters.
-//! - [`diff`] compares two `BENCH_*.json` artifacts cell by cell with
-//!   noise-aware thresholds, refusing incommensurable artifacts via their
-//!   provenance `meta` sections — the regression watch behind
-//!   `obs bench-diff --check`.
 //!
-//! The `obs` binary (`src/bin/obs.rs`) exposes all four over flight-recorder
-//! JSONL exports and bench artifacts. See `README.md` for a guided tour.
+//! The `obs` binary (`src/bin/obs.rs`) exposes the first two over
+//! flight-recorder JSONL exports and the third over a synthetic arrival stream.
+//! See `README.md` for a guided tour. (Watching for wall-clock regressions is
+//! `benchmark/`'s job: `BENCHMARK.json` declares `better` and `bound` per
+//! metric.)
 
 pub mod contention;
 pub mod critpath;
-pub mod diff;
 pub mod trace;
 
 use blockconc_telemetry::{SpanRecord, SpanTree};

@@ -1142,4 +1142,26 @@ mod tests {
         promoted.sort_unstable();
         assert_eq!(promoted, vec![3]);
     }
+
+    #[test]
+    fn weak_largest_group_never_exceeds_strong_on_the_commutative_hotspot_sweep() {
+        // Exchange deposits plus fee-sink increments at 0% to 80% of the traffic
+        // (6 blocks x 200 transactions per point): dropping the pure-credit
+        // edges may only split groups.
+        use blockconc_chainsim::{AccountWorkloadGen, AccountWorkloadParams};
+        let largest = |sizes: Vec<u64>| sizes.into_iter().max().unwrap_or(0);
+        for hot_share in [0.0, 0.2, 0.4, 0.6, 0.8] {
+            let params = AccountWorkloadParams::commutative_hotspot(hot_share);
+            let mut generator = AccountWorkloadGen::new(params, 2020);
+            for _ in 0..6 {
+                let txs = generator.generate_transactions(200);
+                let strong = largest(block_group_sizes(&txs));
+                let weak = largest(block_group_sizes_weak(&txs));
+                assert!(
+                    weak <= strong,
+                    "hot share {hot_share}: weak {weak} > strong {strong}"
+                );
+            }
+        }
+    }
 }

@@ -334,13 +334,66 @@ mod tests {
             .run(stream(3))
             .unwrap();
         assert_eq!(wide.run.total_failed + narrow.run.total_failed, 0);
+        // Stage by stage: an ingest unit and a pack unit are not the same cost.
+        let stages = |report: &ShardedRunReport| -> (u64, u64) {
+            let phases = &report.phases;
+            (
+                phases.iter().map(|p| p.ingest_units).sum(),
+                phases.iter().map(|p| p.pack_units).sum(),
+            )
+        };
+        let (wide_stages, narrow_stages) = (stages(&wide), stages(&narrow));
         assert!(
-            wide.ingest_pack_units() < narrow.ingest_pack_units(),
-            "wide {} vs narrow {}",
-            wide.ingest_pack_units(),
-            narrow.ingest_pack_units()
+            wide_stages.0 < narrow_stages.0 && wide_stages.1 < narrow_stages.1,
+            "(ingest, pack) units: wide {wide_stages:?} vs narrow {narrow_stages:?}"
         );
         assert!(wide.migrated_chains > 0 || wide.rebalances > 0);
+    }
+
+    #[test]
+    fn modelled_ingest_path_halves_with_eight_producer_bins() {
+        // A modelled quantity of one stage: admission runs in order on one
+        // thread, and `ingest_units` is the critical path it would have with a
+        // thread per producer bin and per shard. Seven simultaneous moderate hot
+        // spots under an arrival rate above block capacity keep a backlog
+        // standing that eight shards can spread.
+        let params = AccountWorkloadParams {
+            txs_per_block: 200.0,
+            user_population: 30_000,
+            fresh_receiver_share: 0.7,
+            zipf_exponent: 0.15,
+            hotspots: vec![
+                HotspotSpec::exchange(0.05),
+                HotspotSpec::exchange(0.04),
+                HotspotSpec::exchange(0.03),
+                HotspotSpec::contract(0.04, 3),
+                HotspotSpec::contract(0.04, 2),
+                HotspotSpec::contract(0.03, 2),
+                HotspotSpec::exchange(0.03),
+            ],
+            contract_create_share: 0.01,
+        };
+        let ingest_units = |producers: usize| -> u64 {
+            let config = PipelineConfig {
+                threads: 8,
+                max_blocks: 14,
+                shards: 8,
+                producer_threads: producers,
+                max_deferral_blocks: 2,
+                ..PipelineConfig::default()
+            };
+            let report = ShardedPipelineDriver::new(SequentialEngine::new(), config)
+                .with_rebalance_every(1)
+                .run(ArrivalStream::new(params.clone(), 42.0, 9_000, 2020))
+                .unwrap();
+            assert_eq!(report.run.total_failed, 0);
+            report.phases.iter().map(|p| p.ingest_units).sum()
+        };
+        let (serial, split) = (ingest_units(1), ingest_units(8));
+        assert!(
+            split * 2 <= serial,
+            "8 producer bins must at least halve the modelled ingest path ({serial} -> {split})"
+        );
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //!   `producer_threads` switch (1/1 reproduces the single-pool pipeline exactly).
 //!
 //! Reports account each phase's *modelled* critical path in hardware-independent
-//! work units (the execution engines' `parallel_units` convention), which is what
-//! the `fig_shardpool` benchmark's producer and shard scaling curves are made of;
-//! what the layout costs by the clock is the `shardpool_hot` workload of
-//! `benchmark/`.
+//! work units (the execution engines' `parallel_units` convention), read stage by
+//! stage and never summed (a unit is worth a different time in each); what the
+//! layout costs by the clock is the `shardpool_hot` workload of `benchmark/`.
 //!
 //! # Examples
 //!
@@ -81,4 +80,4 @@ pub use driver::ShardedPipelineDriver;
 pub use ingest::{IngestItem, IngestReport, IngestRouter};
 pub use packer::{ShardPackReport, ShardedPacker};
 pub use pool::ShardedMempool;
-pub use report::{baseline_pipeline_units, BlockPhaseRecord, ShardedRunReport};
+pub use report::{BlockPhaseRecord, ShardedRunReport};

@@ -573,6 +573,49 @@ mod tests {
         );
     }
 
+    /// Packs and settles four blocks out of a standing 8-shard pool of `n`
+    /// transfers — one in seven a deposit into one of 8 hot addresses, fees
+    /// cycling over 1 000 levels — returning each block's
+    /// `(tdg_op_units delta, considered)`.
+    fn standing_pool_costs(n: u64) -> Vec<(u64, u64)> {
+        let pool = ShardedMempool::new(8, n as usize + 1);
+        for i in 0..n {
+            let receiver = if i % 7 == 0 {
+                500 + i % 8
+            } else {
+                5_000_000 + i
+            };
+            let tx = transfer(1_000_000 + i, receiver, 0);
+            pool.insert(tx, 10 + i % 1_000, i as f64, 0, Some(i));
+        }
+        assert_eq!(pool.len() as u64, n, "every standing transfer is admitted");
+        let mut packer = ShardedPacker::new(8, 8);
+        let state = WorldState::new();
+        (1..=4)
+            .map(|_| {
+                let before = pool.tdg_op_units();
+                let (packed, _) = packer.pack(&pool, &state, &template(Gas::new(12_000_000)));
+                pool.remove_packed(packed.block.transactions());
+                (pool.tdg_op_units() - before, packed.considered)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn per_block_pack_and_settle_cost_is_delta_bound_not_pool_bound() {
+        // Per block, a standing pool ten times the size costs the shard graphs
+        // and the packer the same: op counts, so the floor does not read the host.
+        let small = standing_pool_costs(10_000);
+        let large = standing_pool_costs(100_000);
+        for (small, large) in small.iter().zip(&large) {
+            assert!(
+                large.0 * 100 <= small.0 * 105 && large.1 * 100 <= small.1 * 105,
+                "(tdg op units, considered) per block: {large:?} out of 100k pooled vs \
+                 {small:?} out of 10k"
+            );
+        }
+    }
+
     #[test]
     fn empty_pool_packs_an_empty_block() {
         let pool = ShardedMempool::new(3, 10);

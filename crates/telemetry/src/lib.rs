@@ -15,8 +15,7 @@
 //!    code touches. Disabled (the default) it costs a single branch per call;
 //!    enabled it feeds the histograms, counters ([`Count`]), distributions
 //!    ([`Dist`]), per-stage timings ([`Stage`]) and the flight recorder, and
-//!    summarizes into a [`TelemetrySnapshot`] for run reports and
-//!    `BENCH_*.json`.
+//!    summarizes into a [`TelemetrySnapshot`] for run reports.
 //!
 //! The unit/wall duality mirrors the workspace's cost model: model units are
 //! the deterministic "how much work" axis (1 unit ≈ one transaction

@@ -1,8 +1,9 @@
 //! The [`TelemetryRegistry`]: the one handle instrumented code touches.
 //!
 //! A registry is either **disabled** (the default — every record call is a
-//! single branch on a `None`, measured at <2% overhead on the `fig_pipeline`
-//! smoke run by the bench guard) or **enabled**, in which case it owns the
+//! single branch on a `None`; what an enabled one costs by the clock is
+//! `driver.trace_overhead_share` of `BENCHMARK.json`) or **enabled**, in which
+//! case it owns the
 //! stage histograms, counters, distributions and the flight recorder. It is
 //! `Clone` (cheap: an `Arc` + an `Option<Arc>`) so configs can carry it by
 //! value into every layer.

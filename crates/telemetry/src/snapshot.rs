@@ -1,7 +1,7 @@
 //! Serializable end-of-run telemetry summaries.
 //!
 //! A [`TelemetrySnapshot`] is what a driver folds into its run report and what
-//! the bench bins embed into `BENCH_*.json`. Snapshots from different shards
+//! `benchmark/` reads its per-stage wall sums from. Snapshots from different shards
 //! or nodes [`merge`](TelemetrySnapshot::merge) associatively and
 //! commutatively: counters add, histograms add bucket-wise, and entries are
 //! keyed by name so disjoint snapshots union cleanly.

@@ -1,14 +1,14 @@
 //! Cross-node cluster demo: the same arrival stream driven through the
-//! single-node pipeline and through an 8-node-shard cluster, comparing the
-//! end-to-end critical path and showing the cross-shard credit protocol at work
-//! on a deposit-heavy workload.
+//! single-node pipeline and through an 8-node-shard cluster, printing each
+//! stage's modelled units and showing the cross-shard credit protocol at work
+//! on a deposit-heavy workload. What the cluster costs by the clock is the
+//! `cluster_xshard` workload of `benchmark/`.
 //!
 //! Run with `cargo run --release --example cluster_demo`.
 
 use blockconc::cluster::{ClusterConfig, ClusterDriver};
 use blockconc::pipeline::ConcurrencyAwarePacker;
 use blockconc::prelude::*;
-use blockconc::shardpool::baseline_pipeline_units;
 
 const THREADS: usize = 4;
 const SHARDS: u32 = 8;
@@ -29,6 +29,11 @@ fn pipeline_config(max_blocks: usize) -> PipelineConfig {
     }
 }
 
+/// One stage's modelled units summed over a run's per-block records.
+fn total<T>(records: &[T], units: impl Fn(&T) -> u64) -> u64 {
+    records.iter().map(units).sum()
+}
+
 fn run_cluster(params: AccountWorkloadParams, label: &str) {
     let mut config = ClusterConfig::new(SHARDS);
     config.pipeline = pipeline_config(12);
@@ -39,15 +44,20 @@ fn run_cluster(params: AccountWorkloadParams, label: &str) {
         .expect("cluster run");
     assert_eq!(report.total_failed, 0);
     println!(
-        "{label}: {} txs over {} blocks on {} shards — {:.4} tx/unit, \
-         cross-shard {:.1}% ({} hops, mean latency {:.1} blocks), \
-         {} components re-homed / {} accounts handed over, {} rotations",
+        "{label}: {} txs over {} blocks on {} shards — modelled units: ingest {}, \
+         pack {}, execute {}, critical path {}; cross-shard {:.1}% ({} hops, {} receipts \
+         applied, mean latency {:.1} blocks), {} components re-homed / {} accounts \
+         handed over, {} rotations",
         report.total_txs,
         report.blocks.len(),
         report.shards,
-        report.unit_throughput(),
+        total(&report.blocks, |b| b.ingest_units),
+        total(&report.blocks, |b| b.pack_units),
+        total(&report.blocks, |b| b.execute_units),
+        report.total_units(),
         report.cross_shard_fraction() * 100.0,
         report.cross_shard_hops,
+        report.receipts_applied,
         report.mean_receipt_latency(),
         report.rehomed_components,
         report.moved_accounts,
@@ -65,12 +75,13 @@ fn main() {
     .run(stream(AccountWorkloadParams::cross_shard_light()))
     .expect("single-node run");
     assert_eq!(single.total_failed, 0);
-    let baseline_units = baseline_pipeline_units(&single);
     println!(
-        "single node: {} txs over {} blocks — {:.4} tx/unit",
+        "single node: {} txs over {} blocks — modelled units: ingest {}, pack {}, execute {}",
         single.total_txs,
         single.blocks.len(),
-        single.total_txs as f64 / baseline_units.max(1) as f64,
+        total(&single.blocks, |b| b.ingested as u64),
+        total(&single.blocks, |b| b.pack_considered),
+        total(&single.blocks, |b| b.measured_parallel_units),
     );
 
     run_cluster(

@@ -19,7 +19,7 @@
 
 use blockconc::pipeline::{ConcurrencyAwarePacker, DiskConfig, StateBackendConfig};
 use blockconc::prelude::*;
-use blockconc::store::DiskBackend;
+use blockconc::store::{DiskBackend, StateBackend};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,9 +96,12 @@ fn assert_equivalent(memory: &PipelineRunReport, disk: &PipelineRunReport) {
     );
 }
 
-/// Reopening the store must recover exactly the state the run committed.
-fn assert_recovers_to(dir: &Path, expected_root: &str) {
+/// Reopening the store must recover exactly the state the run committed. Returns
+/// how many journaled blocks the reopen replayed and how many distinct accounts
+/// the store holds.
+fn assert_recovers_to(dir: &Path, expected_root: &str) -> (u64, usize) {
     let backend = DiskBackend::open(&DiskConfig::new(dir)).expect("reopen store");
+    let recovery = (backend.stats().replayed_blocks, backend.account_count());
     let mut recovered = WorldState::new();
     recovered
         .attach_backend(blockconc::store::shared(backend), None)
@@ -108,6 +111,57 @@ fn assert_recovers_to(dir: &Path, expected_root: &str) {
         expected_root,
         "recovery did not land on the run's final state"
     );
+    recovery
+}
+
+/// A history long enough to outgrow the resident set by an order of magnitude:
+/// 48 blocks over a working-set cap of 256 accounts, compacting every 16 blocks.
+/// The disk run computes what the memory run computes, touches at least ten times
+/// the accounts it may keep resident, and reopens by replaying no more than one
+/// snapshot interval.
+#[test]
+fn long_history_outgrows_the_working_set_and_recovers_within_a_snapshot_interval() {
+    let params = AccountWorkloadParams {
+        txs_per_block: 200.0,
+        user_population: 8_000,
+        fresh_receiver_share: 0.6,
+        zipf_exponent: 0.4,
+        hotspots: vec![
+            HotspotSpec::exchange(0.30),
+            HotspotSpec::contract(0.10, 3),
+            HotspotSpec::pool(0.03),
+        ],
+        contract_create_share: 0.01,
+    };
+    let (working_set_cap, snapshot_every) = (256, 16);
+    let run = |backend: StateBackendConfig| {
+        let config = PipelineConfig {
+            max_blocks: 48,
+            ..config(backend, 1, 1)
+        };
+        PipelineDriver::new(
+            ConcurrencyAwarePacker::new(4),
+            SequentialEngine::new(),
+            config,
+        )
+        .run(ArrivalStream::new(params.clone(), 4.0, 48 * 60 + 200, 2020))
+        .expect("pipeline run")
+    };
+    let memory = run(StateBackendConfig::InMemory);
+    let dir = store_dir("long");
+    let disk = run(disk_backend(&dir, working_set_cap, snapshot_every));
+    assert_equivalent(&memory, &disk);
+    assert_eq!(memory.total_failed, 0);
+    let (replayed_blocks, accounts) = assert_recovers_to(&dir, &disk.final_state_root);
+    assert!(
+        replayed_blocks <= snapshot_every,
+        "reopen replayed {replayed_blocks} blocks at a snapshot cadence of {snapshot_every}"
+    );
+    assert!(
+        accounts >= 10 * working_set_cap,
+        "{accounts} distinct accounts over a {working_set_cap}-account resident cap"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -167,7 +221,13 @@ proptest! {
         assert_equivalent(&memory, &disk);
         prop_assert!(disk.store.bytes_written > 0, "disk run must journal bytes");
         prop_assert!(disk.store.committed_blocks >= memory.blocks.len() as u64);
-        assert_recovers_to(&dir, &disk.final_state_root);
+        let (replayed_blocks, _) = assert_recovers_to(&dir, &disk.final_state_root);
+        prop_assert!(
+            snapshot_every == 0 || replayed_blocks <= snapshot_every,
+            "reopen replayed {} blocks at a snapshot cadence of {}",
+            replayed_blocks,
+            snapshot_every
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
