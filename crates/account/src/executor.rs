@@ -37,14 +37,6 @@ impl BlockExecutor {
         BlockExecutor::default()
     }
 
-    /// Creates an executor that uses the given interpreter (custom gas schedule).
-    pub fn with_interpreter(interpreter: Interpreter) -> Self {
-        BlockExecutor {
-            interpreter,
-            delta_accesses: false,
-        }
-    }
-
     /// Creates an executor that records commutative credits and `SAdd`
     /// increments as *delta* accesses instead of ordered read/write pairs.
     ///

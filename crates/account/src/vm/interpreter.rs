@@ -75,14 +75,6 @@ impl Interpreter {
         Interpreter::default()
     }
 
-    /// Creates an interpreter with a custom gas schedule.
-    pub fn with_schedule(schedule: GasSchedule) -> Self {
-        Interpreter {
-            schedule,
-            delta_accesses: false,
-        }
-    }
-
     /// Enables commutative delta accounting: pure credits and `SAdd`
     /// accumulations targeting non-resident accounts are accumulated blind in
     /// the state's pending-delta map and recorded as delta accesses. Gas,

@@ -33,7 +33,7 @@
 //! is restored before the next offer.
 
 use blockconc_account::AccountTransaction;
-use blockconc_graph::UnionFind;
+use blockconc_graph::{ComponentIndex, ComponentPayload};
 use blockconc_pipeline::effective_receiver;
 use blockconc_sharding::canonical_shard_epoch;
 use blockconc_types::Address;
@@ -60,6 +60,38 @@ pub(crate) struct RouteDecision {
     pub moves: Vec<MemberMove>,
 }
 
+/// What the router keeps per component.
+#[derive(Debug)]
+struct Component {
+    /// Smallest address the component has ever contained.
+    anchor: Address,
+    /// Every address of the component, in the order member moves are emitted.
+    members: BTreeSet<Address>,
+    /// The authoritative home (assigned at claim/fusion/rehome time; the salt
+    /// only matters when a home is *computed*, so rotations never retroactively
+    /// invalidate existing placements). `None` until the first claim.
+    home: Option<usize>,
+}
+
+impl ComponentPayload<Address> for Component {
+    fn singleton(address: Address) -> Self {
+        Component {
+            anchor: address,
+            members: BTreeSet::from([address]),
+            home: None,
+        }
+    }
+
+    /// The lower anchor wins and the members merge; the survivor's home stands
+    /// until [`ClusterRouter::route`] re-derives it for the fused component.
+    fn absorb(&mut self, absorbed: Self) -> usize {
+        self.anchor = self.anchor.min(absorbed.anchor);
+        let folded = absorbed.members.len();
+        self.members.extend(absorbed.members);
+        folded
+    }
+}
+
 /// Component-to-node routing state. Single-threaded by design: the driver *is*
 /// the network fabric, and routing is the serial coordination path the unit
 /// accounting charges separately.
@@ -69,15 +101,7 @@ pub(crate) struct ClusterRouter {
     /// DS-epoch salt for the canonical placement (0 = the un-salted epoch-0 rule
     /// shared with the thread-sharded pool).
     salt: u64,
-    uf: UnionFind,
-    node_of: HashMap<Address, usize>,
-    address_of: Vec<Address>,
-    anchor_of_root: HashMap<usize, Address>,
-    members_of_root: HashMap<usize, BTreeSet<Address>>,
-    /// The authoritative home of each component (assigned at claim/fusion/rehome
-    /// time; the salt only matters when a home is *computed*, so rotations never
-    /// retroactively invalidate existing placements).
-    home_of_root: HashMap<usize, usize>,
+    components: ComponentIndex<Address, Component>,
     /// The shard partition holding each claimed address's account. Always equal
     /// to its component's home.
     owner: HashMap<Address, usize>,
@@ -95,36 +119,12 @@ impl ClusterRouter {
         ClusterRouter {
             shards,
             salt: 0,
-            uf: UnionFind::new(0),
-            node_of: HashMap::new(),
-            address_of: Vec::new(),
-            anchor_of_root: HashMap::new(),
-            members_of_root: HashMap::new(),
-            home_of_root: HashMap::new(),
+            components: ComponentIndex::new(),
             owner: HashMap::new(),
             live: HashMap::new(),
             contracts: HashSet::new(),
             rehomed_components: 0,
         }
-    }
-
-    fn node(&mut self, address: Address) -> usize {
-        match self.node_of.get(&address) {
-            Some(&index) => index,
-            None => {
-                let index = self.uf.grow();
-                self.node_of.insert(address, index);
-                self.address_of.push(address);
-                index
-            }
-        }
-    }
-
-    fn anchor(&self, root: usize) -> Address {
-        self.anchor_of_root
-            .get(&root)
-            .copied()
-            .unwrap_or(self.address_of[root])
     }
 
     /// The shard partition currently owning `address`'s account, if claimed.
@@ -153,13 +153,7 @@ impl ClusterRouter {
     }
 
     fn claim_singleton(&mut self, address: Address, home: usize) {
-        let node = self.node(address);
-        let root = self.uf.find(node);
-        self.members_of_root
-            .entry(root)
-            .or_default()
-            .insert(address);
-        self.home_of_root.entry(root).or_insert(home);
+        self.components.intern(address).home.get_or_insert(home);
         self.owner.entry(address).or_insert(home);
     }
 
@@ -200,7 +194,7 @@ impl ClusterRouter {
         } else {
             !receiver_claimed
                 || self.contracts.contains(&receiver)
-                || self.same_component(sender, receiver)
+                || self.components.same_component(&sender, &receiver)
         };
 
         if !fusing {
@@ -222,37 +216,15 @@ impl ClusterRouter {
             };
         }
 
-        // Fusing edge: union the endpoints and re-home the fused component at its
-        // canonical shard (the anchor minimum is order-independent, so concurrent
-        // histories converge on one placement).
-        let sender_node = self.node(sender);
-        let receiver_node = self.node(receiver);
-        let sender_root = self.uf.find(sender_node);
-        let receiver_root = self.uf.find(receiver_node);
-        let anchor = self.anchor(sender_root).min(self.anchor(receiver_root));
-        let sender_home = self.home_of_root.get(&sender_root).copied();
-        let receiver_home = self.home_of_root.get(&receiver_root).copied();
-
-        let (survivor, absorbed) = self.uf.merge_roots(sender_node, receiver_node);
-        if let Some(absorbed) = absorbed {
-            if let Some(absorbed_members) = self.members_of_root.remove(&absorbed) {
-                self.members_of_root
-                    .entry(survivor)
-                    .or_default()
-                    .extend(absorbed_members);
-            }
-            self.anchor_of_root.remove(&absorbed);
-            self.home_of_root.remove(&absorbed);
-        }
-        self.anchor_of_root.insert(survivor, anchor);
-        let members = self.members_of_root.entry(survivor).or_default();
-        members.insert(sender);
-        members.insert(receiver);
-
-        // Canonical placement: the fused component homes at the canonical shard
-        // of its (possibly lowered) anchor, whatever its parts did before.
-        let target = canonical_shard_epoch(anchor, self.salt, self.shards);
-        self.home_of_root.insert(survivor, target);
+        // Fusing edge: union the endpoints and re-home the fused component at
+        // the canonical shard of its (possibly lowered) anchor, whatever its
+        // parts did before (the anchor minimum is order-independent, so
+        // concurrent histories converge on one placement).
+        let sender_home = self.components.intern(sender).home;
+        let receiver_home = self.components.intern(receiver).home;
+        let (component, _) = self.components.union(sender, receiver);
+        let target = canonical_shard_epoch(component.anchor, self.salt, self.shards);
+        component.home = Some(target);
 
         // Every claimed member's owner equals its component's home (the handoff
         // invariant), so members can only be off `target` when one of the two
@@ -264,21 +236,7 @@ impl ClusterRouter {
         let may_move = sender_home.is_some_and(|home| home != target)
             || receiver_home.is_some_and(|home| home != target);
         if may_move {
-            let members = self.members_of_root.get(&survivor).expect("just inserted");
-            for &member in members {
-                if let Some(&from) = self.owner.get(&member) {
-                    if from != target {
-                        moves.push(MemberMove {
-                            address: member,
-                            from,
-                            to: target,
-                        });
-                    }
-                }
-            }
-            for mv in &moves {
-                self.owner.insert(mv.address, mv.to);
-            }
+            moves = rehome(&component.members, target, &mut self.owner);
             self.rehomed_components += 1;
         }
         // Only the edge's own endpoints can be newly unclaimed.
@@ -289,13 +247,6 @@ impl ClusterRouter {
             shard: target,
             moves,
         }
-    }
-
-    fn same_component(&mut self, a: Address, b: Address) -> bool {
-        let (Some(&na), Some(&nb)) = (self.node_of.get(&a), self.node_of.get(&b)) else {
-            return false;
-        };
-        self.uf.find(na) == self.uf.find(nb)
     }
 
     /// Registers a freshly deployed contract address (called by the driver when a
@@ -311,41 +262,51 @@ impl ClusterRouter {
     /// Returns the moves, deterministically ordered.
     pub fn rotate(&mut self, salt: u64) -> Vec<MemberMove> {
         self.salt = salt;
-        // Deterministic component order: by anchor address.
-        let mut live_roots: BTreeSet<(Address, usize)> = BTreeSet::new();
+        // Deterministic component order: by anchor address (an anchor is a
+        // member of its component, so it also names the component).
+        let mut live_anchors: BTreeSet<Address> = BTreeSet::new();
         for sender in self.live.keys() {
-            let node = self.node_of[sender];
-            let root = self.uf.find(node);
-            live_roots.insert((self.anchor(root), root));
+            let component = self.components.get_mut(sender);
+            live_anchors.insert(component.expect("pooled senders are routed").anchor);
         }
         let mut moves = Vec::new();
-        for (anchor, root) in live_roots {
+        for anchor in live_anchors {
             let target = canonical_shard_epoch(anchor, salt, self.shards);
-            let home = self.home_of_root.get(&root).copied().unwrap_or(target);
-            if home == target {
+            let component = self
+                .components
+                .get_mut(&anchor)
+                .expect("anchors are members");
+            if component.home.unwrap_or(target) == target {
                 continue;
             }
-            self.home_of_root.insert(root, target);
+            component.home = Some(target);
             self.rehomed_components += 1;
-            if let Some(members) = self.members_of_root.get(&root) {
-                for &member in members {
-                    if let Some(&from) = self.owner.get(&member) {
-                        if from != target {
-                            moves.push(MemberMove {
-                                address: member,
-                                from,
-                                to: target,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        for mv in &moves {
-            self.owner.insert(mv.address, mv.to);
+            moves.extend(rehome(&component.members, target, &mut self.owner));
         }
         moves
     }
+}
+
+/// Orders every claimed member that is not on `target` to move there, and records
+/// the new owners.
+fn rehome(
+    members: &BTreeSet<Address>,
+    target: usize,
+    owner: &mut HashMap<Address, usize>,
+) -> Vec<MemberMove> {
+    let mut moves = Vec::new();
+    for &address in members {
+        if let Some(from) = owner.get_mut(&address) {
+            if *from != target {
+                moves.push(MemberMove {
+                    address,
+                    from: std::mem::replace(from, target),
+                    to: target,
+                });
+            }
+        }
+    }
+    moves
 }
 
 #[cfg(test)]

@@ -83,4 +83,4 @@ pub use report::ExecutionReport;
 pub use scheduled::ScheduledEngine;
 pub use sequential::SequentialEngine;
 pub use speculative::SpeculativeEngine;
-pub use thread_pool::{parallel_map, Job, WorkerPool};
+pub use thread_pool::{Job, WorkerPool};

@@ -1,7 +1,71 @@
 //! Optimistic-concurrency conflict detection over recorded access sets.
 
-use blockconc_account::AccessSet;
+use crate::thread_pool::{Job, WorkerPool};
+use blockconc_account::{AccessSet, AccountBlock, BlockExecutor, StateKey, WorldState};
+use blockconc_types::Result;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+/// The discovery pass of the speculative and the scheduled engine: executes every
+/// transaction of `block` against the pre-block state `base`, spread over `pool`
+/// in one chunk per worker, and returns each transaction's access set in block
+/// order. Each worker clones the pre-block state once and rolls every execution
+/// back, so all transactions observe the same starting state.
+pub(crate) fn discover_access_sets(
+    pool: &WorkerPool,
+    threads: usize,
+    base: &Arc<WorldState>,
+    block: &Arc<AccountBlock>,
+) -> Result<Vec<AccessSet>> {
+    let tx_count = block.transaction_count();
+    if tx_count == 0 {
+        return Ok(Vec::new());
+    }
+    let chunk_size = tx_count.div_ceil(threads);
+    let chunk_count = tx_count.div_ceil(chunk_size);
+    let slots: Arc<Mutex<Vec<Vec<AccessSet>>>> =
+        Arc::new(Mutex::new((0..chunk_count).map(|_| Vec::new()).collect()));
+    let tasks: Vec<Job> = (0..chunk_count)
+        .map(|chunk_index| {
+            let base = Arc::clone(base);
+            let block = Arc::clone(block);
+            let slots = Arc::clone(&slots);
+            Box::new(move || {
+                let start = chunk_index * chunk_size;
+                let end = (start + chunk_size).min(block.transaction_count());
+                let mut local = WorldState::clone(&base);
+                let mut executor = BlockExecutor::new();
+                let sets: Vec<AccessSet> = block.transactions()[start..end]
+                    .iter()
+                    .map(|tx| match executor.execute_transaction(&mut local, tx) {
+                        Ok(ctx) => {
+                            local.revert(ctx.journal);
+                            ctx.access
+                        }
+                        Err(_) => {
+                            // A transaction that fails speculation (e.g. a nonce that
+                            // only becomes valid after an earlier same-sender
+                            // transaction) must be treated as conflicted, so give it
+                            // the sender/receiver balance keys its execution would
+                            // have touched.
+                            let mut access = AccessSet::new();
+                            access.record_write(StateKey::Balance(tx.sender()));
+                            access.record_write(StateKey::Balance(tx.receiver()));
+                            access
+                        }
+                    })
+                    .collect();
+                slots.lock().expect("discovery slot lock")[chunk_index] = sets;
+            }) as Job
+        })
+        .collect();
+    pool.run_tasks(tasks)?;
+    let slots = Arc::try_unwrap(slots)
+        .expect("pool drained all jobs")
+        .into_inner()
+        .expect("discovery slot lock");
+    Ok(slots.into_iter().flatten().collect())
+}
 
 /// The pairwise conflict structure of one block's transactions, derived from their
 /// read/write sets (storage-layer conflicts, the definition used by Saraph & Herlihy

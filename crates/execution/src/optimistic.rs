@@ -1046,7 +1046,6 @@ impl OptimisticEngine {
             delta_merges,
             delta_downgrades,
             wall_time: wall,
-            sequential_wall_time: Duration::ZERO,
         }
     }
 }

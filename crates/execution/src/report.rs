@@ -52,10 +52,6 @@ pub struct ExecutionReport {
     /// Wall-clock time of the parallelizable portion as actually measured.
     #[serde(skip)]
     pub wall_time: Duration,
-    /// Wall-clock time a sequential execution of the same block took (for reference;
-    /// filled by callers that measure both).
-    #[serde(skip)]
-    pub sequential_wall_time: Duration,
 }
 
 impl ExecutionReport {
@@ -66,18 +62,6 @@ impl ExecutionReport {
             0.0
         } else {
             self.sequential_units as f64 / self.parallel_units as f64
-        }
-    }
-
-    /// The measured wall-clock speed-up relative to the recorded sequential wall time
-    /// (0 when either measurement is missing).
-    pub fn wall_speedup(&self) -> f64 {
-        let par = self.wall_time.as_secs_f64();
-        let seq = self.sequential_wall_time.as_secs_f64();
-        if par == 0.0 || seq == 0.0 {
-            0.0
-        } else {
-            seq / par
         }
     }
 
@@ -120,7 +104,6 @@ mod tests {
             delta_merges: 0,
             delta_downgrades: 0,
             wall_time: Duration::from_millis(10),
-            sequential_wall_time: Duration::from_millis(30),
         }
     }
 
@@ -128,7 +111,6 @@ mod tests {
     fn speedups_and_rates() {
         let r = report();
         assert!((r.unit_speedup() - 100.0 / 66.0).abs() < 1e-12);
-        assert!((r.wall_speedup() - 3.0).abs() < 1e-9);
         assert!((r.conflict_rate() - 0.4).abs() < 1e-12);
         assert!((r.group_conflict_rate() - 0.2).abs() < 1e-12);
     }
@@ -138,12 +120,9 @@ mod tests {
         let r = ExecutionReport {
             parallel_units: 0,
             tx_count: 0,
-            wall_time: Duration::ZERO,
-            sequential_wall_time: Duration::ZERO,
             ..report()
         };
         assert_eq!(r.unit_speedup(), 0.0);
-        assert_eq!(r.wall_speedup(), 0.0);
         assert_eq!(r.conflict_rate(), 0.0);
         assert_eq!(r.group_conflict_rate(), 0.0);
     }

@@ -1,15 +1,14 @@
 //! The TDG-scheduled group-concurrency engine (Equation 2).
 
+use crate::occ::discover_access_sets;
 use crate::thread_pool::{Job, WorkerPool};
 use crate::{detect_conflicts, ExecutionEngine, ExecutionReport};
-use blockconc_account::{
-    AccessSet, AccountBlock, BlockExecutor, ExecutedBlock, Receipt, WorldState,
-};
+use blockconc_account::{AccountBlock, BlockExecutor, ExecutedBlock, Receipt, WorldState};
 use blockconc_graph::UnionFind;
 use blockconc_model::lpt_makespan;
 use blockconc_telemetry::{SharedClock, WallClock};
 use blockconc_types::{Gas, Result};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The group-concurrency engine modelled by the paper's Equation (2):
@@ -77,60 +76,7 @@ impl ScheduledEngine {
         block: &Arc<AccountBlock>,
     ) -> Result<Vec<Vec<usize>>> {
         let tx_count = block.transaction_count();
-        if tx_count == 0 {
-            return Ok(Vec::new());
-        }
-        let chunk_size = tx_count.div_ceil(self.threads);
-        let chunk_count = tx_count.div_ceil(chunk_size);
-        let slots: Arc<Mutex<Vec<Vec<AccessSet>>>> =
-            Arc::new(Mutex::new((0..chunk_count).map(|_| Vec::new()).collect()));
-        let tasks: Vec<Job> = (0..chunk_count)
-            .map(|chunk_index| {
-                let base = Arc::clone(base);
-                let block = Arc::clone(block);
-                let slots = Arc::clone(&slots);
-                Box::new(move || {
-                    let start = chunk_index * chunk_size;
-                    let end = (start + chunk_size).min(block.transaction_count());
-                    let mut local = WorldState::clone(&base);
-                    let mut executor = BlockExecutor::new();
-                    let sets: Vec<AccessSet> = block.transactions()[start..end]
-                        .iter()
-                        .map(|tx| match executor.execute_transaction(&mut local, tx) {
-                            Ok(ctx) => {
-                                local.revert(ctx.journal);
-                                ctx.access
-                            }
-                            Err(_) => {
-                                // A transaction that fails speculation (e.g. a nonce that
-                                // only becomes valid after an earlier same-sender
-                                // transaction) must be treated as conflicted, so give it
-                                // the sender/receiver balance keys its execution would
-                                // have touched.
-                                let mut access = AccessSet::new();
-                                access.record_write(blockconc_account::StateKey::Balance(
-                                    tx.sender(),
-                                ));
-                                access.record_write(blockconc_account::StateKey::Balance(
-                                    tx.receiver(),
-                                ));
-                                access
-                            }
-                        })
-                        .collect();
-                    slots.lock().expect("discovery slot lock")[chunk_index] = sets;
-                }) as Job
-            })
-            .collect();
-        self.pool.run_tasks(tasks)?;
-        let access_sets: Vec<AccessSet> = Arc::try_unwrap(slots)
-            .expect("pool drained all jobs")
-            .into_inner()
-            .expect("discovery slot lock")
-            .into_iter()
-            .flatten()
-            .collect();
-
+        let access_sets = discover_access_sets(&self.pool, self.threads, base, block)?;
         let conflicts = detect_conflicts(&access_sets);
         let mut uf = UnionFind::new(tx_count);
         for &(a, b) in conflicts.edges() {
@@ -256,7 +202,6 @@ impl ExecutionEngine for ScheduledEngine {
             delta_merges: 0,
             delta_downgrades: 0,
             wall_time: Duration::from_nanos(parallel_wall),
-            sequential_wall_time: Duration::ZERO,
         };
         Ok((executed, report))
     }

@@ -72,7 +72,6 @@ impl ExecutionEngine for SequentialEngine {
             delta_merges: 0,
             delta_downgrades: 0,
             wall_time: elapsed,
-            sequential_wall_time: elapsed,
         };
         Ok((executed, report))
     }
@@ -122,6 +121,5 @@ mod tests {
         let mut engine = SequentialEngine::new().with_clock(MockClock::shared(7));
         let (_, report) = engine.execute(&mut state, &block).unwrap();
         assert_eq!(report.wall_time, Duration::from_nanos(7));
-        assert_eq!(report.sequential_wall_time, Duration::from_nanos(7));
     }
 }

@@ -1,13 +1,12 @@
 //! The two-phase speculative engine (single-transaction concurrency, Equation 1).
 
-use crate::thread_pool::{Job, WorkerPool};
+use crate::occ::discover_access_sets;
+use crate::thread_pool::WorkerPool;
 use crate::{detect_conflicts, ExecutionEngine, ExecutionReport};
-use blockconc_account::{
-    AccessSet, AccountBlock, BlockExecutor, ExecutedBlock, Receipt, StateKey, WorldState,
-};
+use blockconc_account::{AccountBlock, BlockExecutor, ExecutedBlock, Receipt, WorldState};
 use blockconc_telemetry::{SharedClock, WallClock};
 use blockconc_types::{Gas, Result};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The speculative two-phase engine modelled by the paper's Equation (1):
@@ -65,67 +64,6 @@ impl SpeculativeEngine {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Runs the speculative phase: executes every transaction against the pre-block
-    /// state in parallel on the persistent pool, returning each transaction's
-    /// access set.
-    fn speculative_phase(
-        &self,
-        base: &Arc<WorldState>,
-        block: &Arc<AccountBlock>,
-    ) -> Result<Vec<AccessSet>> {
-        let tx_count = block.transaction_count();
-        if tx_count == 0 {
-            return Ok(Vec::new());
-        }
-        // Partition transactions into one chunk per worker; each worker clones the
-        // pre-block state once and rolls every speculative execution back so all
-        // transactions observe the same starting state.
-        let chunk_size = tx_count.div_ceil(self.threads);
-        let chunk_count = tx_count.div_ceil(chunk_size);
-        let slots: Arc<Mutex<Vec<Vec<AccessSet>>>> =
-            Arc::new(Mutex::new((0..chunk_count).map(|_| Vec::new()).collect()));
-        let tasks: Vec<Job> = (0..chunk_count)
-            .map(|chunk_index| {
-                let base = Arc::clone(base);
-                let block = Arc::clone(block);
-                let slots = Arc::clone(&slots);
-                Box::new(move || {
-                    let start = chunk_index * chunk_size;
-                    let end = (start + chunk_size).min(block.transaction_count());
-                    let mut local = WorldState::clone(&base);
-                    let mut executor = BlockExecutor::new();
-                    let sets: Vec<AccessSet> = block.transactions()[start..end]
-                        .iter()
-                        .map(|tx| match executor.execute_transaction(&mut local, tx) {
-                            Ok(ctx) => {
-                                local.revert(ctx.journal);
-                                ctx.access
-                            }
-                            Err(_) => {
-                                // A transaction that fails speculation (e.g. a nonce that
-                                // only becomes valid after an earlier same-sender
-                                // transaction) must be treated as conflicted, so give it
-                                // the sender/receiver balance keys its execution would
-                                // have touched.
-                                let mut access = AccessSet::new();
-                                access.record_write(StateKey::Balance(tx.sender()));
-                                access.record_write(StateKey::Balance(tx.receiver()));
-                                access
-                            }
-                        })
-                        .collect();
-                    slots.lock().expect("speculative slot lock")[chunk_index] = sets;
-                }) as Job
-            })
-            .collect();
-        self.pool.run_tasks(tasks)?;
-        let slots = Arc::try_unwrap(slots)
-            .expect("pool drained all jobs")
-            .into_inner()
-            .expect("speculative slot lock");
-        Ok(slots.into_iter().flatten().collect())
-    }
 }
 
 impl ExecutionEngine for SpeculativeEngine {
@@ -145,7 +83,7 @@ impl ExecutionEngine for SpeculativeEngine {
         // `run_tasks` has drained the batch).
         let base = Arc::new(std::mem::take(state));
         let shared_block = Arc::new(block.clone());
-        let phase_outcome = self.speculative_phase(&base, &shared_block);
+        let phase_outcome = discover_access_sets(&self.pool, self.threads, &base, &shared_block);
         drop(shared_block);
         *state = Arc::try_unwrap(base).unwrap_or_else(|arc| WorldState::clone(&arc));
         let access_sets = phase_outcome?;
@@ -203,7 +141,6 @@ impl ExecutionEngine for SpeculativeEngine {
             delta_merges: 0,
             delta_downgrades: 0,
             wall_time: Duration::from_nanos(phase1 + phase2),
-            sequential_wall_time: Duration::ZERO,
         };
         Ok((executed, report))
     }

@@ -1,9 +1,7 @@
-//! Worker-thread primitives: a minimal scoped fork-join helper and a persistent
-//! worker pool.
+//! The persistent worker pool every parallel engine runs on.
 //!
-//! [`parallel_map`] spawns scoped threads per call — fine for one-off fan-outs, but
-//! every engine invocation paid the thread-startup cost, which polluted per-block
-//! wall measurements. [`WorkerPool`] keeps the workers alive across blocks: jobs are
+//! Spawning threads per block would put thread start-up into every per-block wall
+//! measurement. [`WorkerPool`] keeps the workers alive across blocks: jobs are
 //! `'static` closures pushed over a channel, and [`WorkerPool::run_tasks`] blocks
 //! until the submitted batch drains.
 
@@ -13,72 +11,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-
-/// Applies `f` to every item of `items`, splitting the work across `threads` scoped
-/// worker threads, and returns the results in input order.
-///
-/// This is the one-shot fork-join primitive: a deterministic map over an indexed work
-/// list. Results are collected per worker and stitched back together by index, so no
-/// locking is involved beyond the join. Engines that execute every block should
-/// prefer a long-lived [`WorkerPool`] so thread startup stays out of the measured
-/// wall time.
-///
-/// # Examples
-///
-/// ```
-/// use blockconc_execution::parallel_map;
-///
-/// let squares = parallel_map(&[1u64, 2, 3, 4, 5], 3, |_, &x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or a worker thread panics.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.min(items.len());
-    if threads == 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-
-    let chunk_size = items.len().div_ceil(threads);
-    let mut chunk_results: Vec<Vec<R>> = thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for (chunk_index, chunk) in items.chunks(chunk_size).enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(offset, item)| f(chunk_index * chunk_size + offset, item))
-                    .collect::<Vec<R>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in chunk_results.iter_mut() {
-        out.append(chunk);
-    }
-    out
-}
 
 /// A unit of work submitted to a [`WorkerPool`].
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -258,40 +190,6 @@ fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<u64> = (0..101).collect();
-        let doubled = parallel_map(&items, 7, |_, &x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn index_argument_matches_position() {
-        let items = vec!["a"; 50];
-        let indices = parallel_map(&items, 4, |i, _| i);
-        assert_eq!(indices, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_and_empty_input() {
-        assert_eq!(parallel_map(&[1, 2, 3], 1, |_, &x| x + 1), vec![2, 3, 4]);
-        assert_eq!(
-            parallel_map::<u32, u32, _>(&[], 4, |_, &x| x),
-            Vec::<u32>::new()
-        );
-    }
-
-    #[test]
-    fn more_threads_than_items_is_fine() {
-        assert_eq!(parallel_map(&[5], 16, |_, &x| x), vec![5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count")]
-    fn zero_threads_panics() {
-        let _ = parallel_map(&[1], 0, |_, &x| x);
-    }
 
     #[test]
     fn pool_runs_every_task_and_is_reusable() {

@@ -18,6 +18,13 @@
 //! * the **group conflict rate** — size of the largest connected component (in
 //!   transactions) / total transactions.
 //!
+//! Streaming consumers (the mempool's incremental TDG, the thread- and node-level
+//! routers, the packers' block-local grouping) track components of a changing
+//! transaction set rather than of one block. They all sit on [`ComponentIndex`]:
+//! key interning, the [`UnionFind`], one payload per component, the fold on union,
+//! whole-component release and the re-keying after a generation compaction live
+//! there and nowhere else.
+//!
 //! # Examples
 //!
 //! ```
@@ -50,6 +57,7 @@
 
 mod builder_account;
 mod builder_utxo;
+mod component_index;
 mod components;
 mod dot;
 mod metrics;
@@ -61,6 +69,7 @@ pub use builder_account::{
     build_account_tdg, effective_receiver, receiver_edge_is_weak, AccountTdgAnalysis,
 };
 pub use builder_utxo::{build_utxo_tdg, UtxoTdgAnalysis};
+pub use component_index::{ComponentIndex, ComponentPayload};
 pub use components::{connected_components, largest_component_size};
 pub use dot::tdg_to_dot;
 pub use metrics::BlockMetrics;

@@ -9,16 +9,20 @@
 ///
 /// # Deletion
 ///
-/// A classic union–find cannot delete, which forces streaming users (the mempool's
-/// incremental TDG) to rebuild from scratch whenever elements leave. This structure
-/// instead supports **tombstone removal** with **generation compaction**:
-/// [`UnionFind::remove`] marks an element dead in O(α) — it leaves its set's *live*
-/// accounting immediately while its slot lingers as a tombstone — and once tombstones
-/// outnumber live elements a caller runs [`UnionFind::compact`], which rebuilds the
-/// dense arrays over the survivors (preserving the partition) and returns an
-/// old-index → new-index remap. Amortized against the removals that created the
-/// garbage, every operation stays effectively constant time, and memory stays
-/// proportional to the live set.
+/// A classic union–find cannot delete, which would force streaming users to rebuild
+/// from scratch whenever elements leave. This structure instead supports **tombstone
+/// removal** with **generation compaction**: [`UnionFind::remove`] marks an element
+/// dead in O(α) — it leaves its set's *live* accounting immediately while its slot
+/// lingers as a tombstone — and once tombstones outnumber live elements a caller runs
+/// [`UnionFind::compact`], which rebuilds the dense arrays over the survivors
+/// (preserving the partition) and returns an old-index → new-index remap. Amortized
+/// against the removals that created the garbage, every operation stays effectively
+/// constant time, and memory stays proportional to the live set.
+///
+/// Streaming users over *keys* (addresses) with state per set do not drive these
+/// primitives themselves: [`ComponentIndex`](crate::ComponentIndex) owns the
+/// interner, this structure, the per-set payloads and the re-keying a compaction
+/// forces. Direct use is for dense indices known up front (a block's transactions).
 ///
 /// Live per-set accounting is tracked alongside the structural one:
 /// [`live_len`](UnionFind::live_len), [`live_component_count`](UnionFind::live_component_count)
@@ -57,9 +61,6 @@ pub struct UnionFind {
     live_elements: usize,
     /// Sets holding at least one live element.
     live_components: usize,
-    /// Bumped by every [`UnionFind::compact`]; lets callers that cache indices
-    /// detect that their cache is stale.
-    generation: u64,
 }
 
 impl UnionFind {
@@ -73,7 +74,6 @@ impl UnionFind {
             live_size: vec![1; n],
             live_elements: n,
             live_components: n,
-            generation: 0,
         }
     }
 
@@ -82,11 +82,8 @@ impl UnionFind {
         self.parent.len()
     }
 
-    /// Appends one new element as a singleton set, returning its index.
-    ///
-    /// This is the streaming growth primitive used by the incremental TDG of
-    /// `blockconc-pipeline`: nodes can be added as transactions arrive, without
-    /// rebuilding the structure per block.
+    /// Appends one new element as a singleton set, returning its index — the
+    /// streaming growth primitive: elements can be added as they arrive.
     pub fn grow(&mut self) -> usize {
         let index = self.parent.len();
         self.parent.push(index);
@@ -97,14 +94,6 @@ impl UnionFind {
         self.live_elements += 1;
         self.live_components += 1;
         index
-    }
-
-    /// Grows the structure with singleton sets until it tracks at least `n` elements
-    /// (no-op if it already does).
-    pub fn grow_to(&mut self, n: usize) {
-        while self.len() < n {
-            self.grow();
-        }
     }
 
     /// Returns `true` if the structure tracks no elements.
@@ -160,19 +149,11 @@ impl UnionFind {
     }
 
     /// Merges the sets containing `a` and `b` and reports how the roots changed:
-    /// returns `(surviving_root, absorbed_root)`, where `absorbed_root` is `None` if
-    /// `a` and `b` were already in the same set.
-    ///
-    /// This is the sharding hook: a component-sharded structure (like the sharded
-    /// mempool's router) keys per-component state — shard assignment, member lists,
-    /// live counts — by union–find root, and needs to know exactly which root
-    /// disappeared in a merge so it can fold that state into the survivor (and
-    /// migrate entries when the two components lived on different shards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` is out of range.
-    pub fn merge_roots(&mut self, a: usize, b: usize) -> (usize, Option<usize>) {
+    /// `(surviving_root, absorbed)`, where `absorbed` is the root that stopped
+    /// being one together with the number of elements its set carried — `None`
+    /// if `a` and `b` were already in the same set. What
+    /// [`ComponentIndex`](crate::ComponentIndex) folds per-set payloads by.
+    pub(crate) fn merge_roots(&mut self, a: usize, b: usize) -> (usize, Option<(usize, usize)>) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
@@ -181,7 +162,9 @@ impl UnionFind {
         self.union(ra, rb);
         let survivor = self.find(ra);
         let absorbed = if survivor == ra { rb } else { ra };
-        (survivor, Some(absorbed))
+        // `union` adds an absorbed root's size to the survivor's and leaves the
+        // absorbed entry itself as it was.
+        (survivor, Some((absorbed, self.size[absorbed])))
     }
 
     /// Returns `true` if `a` and `b` are in the same set.
@@ -235,11 +218,6 @@ impl UnionFind {
         }
     }
 
-    /// Returns `true` if `x` was removed and not yet compacted away.
-    pub fn is_removed(&self, x: usize) -> bool {
-        self.removed[x]
-    }
-
     /// Number of live (non-removed) elements.
     pub fn live_len(&self) -> usize {
         self.live_elements
@@ -259,24 +237,6 @@ impl UnionFind {
     pub fn live_component_size(&mut self, x: usize) -> usize {
         let root = self.find(x);
         self.live_size[root]
-    }
-
-    /// Live sizes of all sets with at least one live element (order unspecified).
-    pub fn live_component_sizes(&mut self) -> Vec<usize> {
-        let n = self.len();
-        let mut sizes = Vec::new();
-        for i in 0..n {
-            if self.find(i) == i && self.live_size[i] > 0 {
-                sizes.push(self.live_size[i]);
-            }
-        }
-        sizes
-    }
-
-    /// Compaction generation: bumped by every [`UnionFind::compact`], so callers
-    /// caching element indices can detect staleness.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Generation compaction: drops every tombstoned slot, renumbering the live
@@ -328,7 +288,6 @@ impl UnionFind {
         self.components = components;
         self.live_components = components;
         self.live_elements = next;
-        self.generation += 1;
         remap
     }
 }
@@ -376,7 +335,7 @@ mod tests {
         // Size-weighted union: the two-element set absorbs the singleton.
         let (survivor, absorbed) = uf.merge_roots(0, 4);
         assert_eq!(survivor, big);
-        assert_eq!(absorbed, Some(small));
+        assert_eq!(absorbed, Some((small, 1)));
         assert_eq!(uf.component_size(4), 3);
         // Merging already-joined elements reports no absorbed root.
         let (survivor, absorbed) = uf.merge_roots(1, 4);
@@ -399,16 +358,6 @@ mod tests {
         assert!(!uf.connected(0, 2));
         assert!(uf.union(1, 2));
         assert_eq!(uf.component_size(2), 3);
-    }
-
-    #[test]
-    fn grow_to_is_idempotent() {
-        let mut uf = UnionFind::new(0);
-        uf.grow_to(4);
-        assert_eq!(uf.len(), 4);
-        assert_eq!(uf.component_count(), 4);
-        uf.grow_to(2);
-        assert_eq!(uf.len(), 4);
     }
 
     #[test]
@@ -454,7 +403,6 @@ mod tests {
         uf.remove(1);
         // Structural connectivity of the survivors is untouched.
         assert!(uf.connected(0, 2));
-        assert!(uf.is_removed(1));
         assert_eq!(uf.live_len(), 4);
         assert_eq!(uf.tombstone_count(), 1);
         assert_eq!(uf.live_component_size(0), 2);
@@ -464,9 +412,8 @@ mod tests {
         uf.remove(2);
         assert_eq!(uf.live_component_count(), 2);
         assert_eq!(uf.live_component_size(0), 0);
-        let mut sizes = uf.live_component_sizes();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 1]);
+        assert_eq!(uf.live_component_size(3), 1);
+        assert_eq!(uf.live_component_size(4), 1);
     }
 
     #[test]
@@ -500,9 +447,7 @@ mod tests {
         uf.union(3, 4);
         uf.remove(1);
         uf.remove(5);
-        let generation = uf.generation();
         let remap = uf.compact();
-        assert_eq!(uf.generation(), generation + 1);
         assert_eq!(uf.len(), 4);
         assert_eq!(uf.live_len(), 4);
         assert_eq!(uf.tombstone_count(), 0);

@@ -1,7 +1,7 @@
 //! The incremental transaction dependency graph maintained over the mempool.
 
 use blockconc_account::AccountTransaction;
-use blockconc_graph::UnionFind;
+use blockconc_graph::{ComponentIndex, ComponentPayload};
 use blockconc_types::Address;
 use std::collections::{HashMap, HashSet};
 
@@ -24,22 +24,50 @@ fn edge_key(tx: &AccountTransaction) -> EdgeKey {
     (a.min(b), a.max(b))
 }
 
+/// What the graph keeps per component of the address partition.
+#[derive(Debug, Clone, Default)]
+struct Component {
+    /// Live transactions counted in the component.
+    txs: usize,
+    /// Distinct edges recorded in the component. May contain stale entries for
+    /// edges whose reference count has dropped to zero; `dead` counts them and
+    /// component-local compaction prunes them.
+    edges: Vec<EdgeKey>,
+    /// Stale entries in `edges`.
+    dead: usize,
+}
+
+impl ComponentPayload<Address> for Component {
+    fn singleton(_address: Address) -> Self {
+        Component::default()
+    }
+
+    fn absorb(&mut self, mut absorbed: Self) -> usize {
+        self.txs += absorbed.txs;
+        self.dead += absorbed.dead;
+        let folded = absorbed.edges.len();
+        self.edges.append(&mut absorbed.edges);
+        folded
+    }
+}
+
 /// An address-level dependency graph maintained *online* as transactions arrive
 /// **and leave**.
 ///
 /// The block-at-a-time analyzer of `blockconc-graph` rebuilds its TDG per block; a
 /// mempool ingesting a stream cannot afford that, so this structure tracks connected
-/// components incrementally on top of [`UnionFind::grow`]: inserting a transaction
-/// interns its two endpoint addresses (growing the union–find as needed), unions
-/// them, and maintains a per-component *transaction* count alongside the structure's
-/// address-level sets. Insertion is amortized near-constant time.
+/// components incrementally on a [`ComponentIndex`] keyed by address, with one
+/// `Component` record (transaction count, recorded edges, dead-edge count) per
+/// component: inserting a transaction unions its two endpoint addresses — the index
+/// interns them and folds the absorbed component's record into the survivor — and
+/// counts the transaction there. Insertion is amortized near-constant time.
 ///
 /// # Deletion
 ///
 /// A union–find cannot split components, so earlier revisions rebuilt the whole
 /// graph whenever transactions left the pool — an O(pool) scan per block that
 /// dominated the pack phase at production pool sizes. [`IncrementalTdg::remove`]
-/// (and [`remove_batch`](IncrementalTdg::remove_batch)) now makes departures
+/// (and [`remove_batch`](IncrementalTdg::remove_batch)) makes departures
 /// incremental:
 ///
 /// * every distinct dependency edge carries a **reference count** of the live
@@ -50,12 +78,12 @@ fn edge_key(tx: &AccountTransaction) -> EdgeKey {
 /// * an edge whose last transaction leaves becomes a **tombstone**: the component's
 ///   live counts drop immediately, but its membership stays (conservatively)
 ///   merged until the component's garbage passes a constant fraction of its live
-///   edges, at which point a **component-local compaction** rebuilds just that
-///   component from its surviving edges (amortized O(1) per removal);
-/// * a component whose last transaction leaves is **freed exactly** — its
-///   addresses are removed from the union–find ([`UnionFind::remove`]) at once,
-///   and a generation compaction ([`UnionFind::compact`]) reclaims tombstoned
-///   slots whenever they outnumber the live ones.
+///   edges, at which point a **component-local compaction** releases just that
+///   component and re-inserts its surviving edges (amortized O(1) per removal);
+/// * a component whose last transaction leaves is **freed exactly** — the index
+///   releases its record and addresses at once
+///   ([`ComponentIndex::release`]), and reclaims released slots whenever they
+///   outnumber the live ones ([`ComponentIndex::compact_if_sparse`]).
 ///
 /// Between compactions the partition is *conservative*: it may keep two address
 /// groups merged whose only bridges have left the pool, but it never separates
@@ -103,26 +131,15 @@ fn edge_key(tx: &AccountTransaction) -> EdgeKey {
 /// assert_eq!(tdg.largest_component_tx_count(), 2);
 /// assert_eq!(tdg.component_of(Address::from_low(1)), tdg.component_of(Address::from_low(2)));
 ///
-/// // Departures are incremental now: packing {3, 300} frees it exactly.
+/// // Departures are incremental: packing {3, 300} frees it exactly.
 /// tdg.remove(&pay(3, 300, 0));
 /// assert_eq!(tdg.tx_count(), 2);
 /// assert_eq!(tdg.component_of(Address::from_low(3)), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IncrementalTdg {
-    uf: UnionFind,
-    node_of: HashMap<Address, usize>,
-    /// Live transactions per component, keyed by the component's union–find root.
-    tx_counts: HashMap<usize, usize>,
-    /// Live member addresses per component root (folded small-into-large on
-    /// union, so total fold work is O(n log n)).
-    members: HashMap<usize, Vec<Address>>,
-    /// Distinct edges recorded per component root. May contain stale entries for
-    /// edges whose reference count has dropped to zero; `dead_edges` counts them
-    /// and component-local compaction prunes them.
-    edges: HashMap<usize, Vec<EdgeKey>>,
-    /// Stale entries in `edges`, per component root.
-    dead_edges: HashMap<usize, usize>,
+    /// The address partition and its per-component records.
+    index: ComponentIndex<Address, Component>,
     /// Live transactions per distinct dependency edge.
     edge_refs: HashMap<EdgeKey, usize>,
     /// Whether pure-credit receivers insert as weak (non-fusing) edges.
@@ -143,31 +160,10 @@ pub struct IncrementalTdg {
     compactions: u64,
 }
 
-impl Default for IncrementalTdg {
-    fn default() -> Self {
-        IncrementalTdg::new()
-    }
-}
-
 impl IncrementalTdg {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        IncrementalTdg {
-            uf: UnionFind::new(0),
-            node_of: HashMap::new(),
-            tx_counts: HashMap::new(),
-            members: HashMap::new(),
-            edges: HashMap::new(),
-            dead_edges: HashMap::new(),
-            edge_refs: HashMap::new(),
-            weak_edges: false,
-            weak_refs: HashMap::new(),
-            weak_anchors: HashMap::new(),
-            strong_touches: HashMap::new(),
-            txs: 0,
-            ops: 0,
-            compactions: 0,
-        }
+        IncrementalTdg::default()
     }
 
     /// Enables weak (commutative) edges for pure-credit receivers
@@ -200,19 +196,6 @@ impl IncrementalTdg {
         tdg
     }
 
-    /// Interns an address, growing the union–find if it is new.
-    fn node(&mut self, address: Address) -> usize {
-        match self.node_of.get(&address) {
-            Some(&index) => index,
-            None => {
-                let index = self.uf.grow();
-                self.node_of.insert(address, index);
-                self.members.insert(index, vec![address]);
-                index
-            }
-        }
-    }
-
     /// Streams one transaction into the graph.
     pub fn insert(&mut self, tx: &AccountTransaction) {
         if self.weak_edges {
@@ -231,67 +214,30 @@ impl IncrementalTdg {
             *self.strong_touches.entry(key.0).or_insert(0) += 1;
             *self.strong_touches.entry(key.1).or_insert(0) += 1;
         }
-        let root = self.union_endpoints(key);
-        *self.tx_counts.entry(root).or_insert(0) += 1;
+        let (component, folded) = self.index.union(key.0, key.1);
+        component.txs += 1;
         match self.edge_refs.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut entry) => {
                 *entry.get_mut() += 1;
             }
             std::collections::hash_map::Entry::Vacant(entry) => {
                 entry.insert(1);
-                self.edges.entry(root).or_default().push(key);
+                component.edges.push(key);
             }
         }
         self.txs += 1;
-        self.ops += 1;
+        self.ops += 1 + folded as u64;
     }
 
     /// Inserts a weak (commutative) transaction: counted in the sender's
     /// component, receiver neither interned nor unioned — a pure credit orders
     /// nothing, so the edge fuses nothing.
     fn insert_weak(&mut self, sender: Address, receiver: Address) {
-        let node = self.node(sender);
-        let root = self.uf.find(node);
-        *self.tx_counts.entry(root).or_insert(0) += 1;
+        self.index.intern(sender).txs += 1;
         *self.weak_refs.entry((sender, receiver)).or_insert(0) += 1;
         *self.weak_anchors.entry(sender).or_insert(0) += 1;
         self.txs += 1;
         self.ops += 1;
-    }
-
-    /// Interns and unions the endpoints of `key`, folding per-root state across
-    /// any component merge; returns the surviving root.
-    fn union_endpoints(&mut self, key: EdgeKey) -> usize {
-        let a = self.node(key.0);
-        let b = self.node(key.1);
-        let (survivor, absorbed) = self.uf.merge_roots(a, b);
-        if let Some(absorbed) = absorbed {
-            self.fold_root(survivor, absorbed);
-        }
-        survivor
-    }
-
-    /// Folds the per-root state of `absorbed` into `survivor` after a union. The
-    /// union–find merges by size, so the absorbed side is never the larger one and
-    /// the total fold work stays O(n log n).
-    fn fold_root(&mut self, survivor: usize, absorbed: usize) {
-        if let Some(count) = self.tx_counts.remove(&absorbed) {
-            *self.tx_counts.entry(survivor).or_insert(0) += count;
-        }
-        if let Some(mut folded) = self.members.remove(&absorbed) {
-            self.ops += folded.len() as u64;
-            self.members
-                .entry(survivor)
-                .or_default()
-                .append(&mut folded);
-        }
-        if let Some(mut folded) = self.edges.remove(&absorbed) {
-            self.ops += folded.len() as u64;
-            self.edges.entry(survivor).or_default().append(&mut folded);
-        }
-        if let Some(dead) = self.dead_edges.remove(&absorbed) {
-            *self.dead_edges.entry(survivor).or_insert(0) += dead;
-        }
     }
 
     /// Removes one transaction previously [`insert`](IncrementalTdg::insert)ed.
@@ -319,31 +265,18 @@ impl IncrementalTdg {
                 return;
             }
             for endpoint in [key.0, key.1] {
-                let touches = self
-                    .strong_touches
-                    .get_mut(&endpoint)
-                    .expect("strong edge endpoints carry touch counts");
-                *touches -= 1;
-                if *touches == 0 {
-                    self.strong_touches.remove(&endpoint);
-                }
+                release_ref(&mut self.strong_touches, endpoint, "strong edge endpoint");
             }
         }
         let refs = self
             .edge_refs
             .get_mut(&key)
             .unwrap_or_else(|| panic!("removing transaction absent from the TDG: {key:?}"));
-        let node = *self
-            .node_of
-            .get(&key.0)
+        let component = self
+            .index
+            .get_mut(&key.0)
             .expect("edge endpoint is interned while its edge is live");
-        let root = self.uf.find(node);
-        let count = self
-            .tx_counts
-            .get_mut(&root)
-            .expect("live component has a transaction count");
-        *count -= 1;
-        let emptied = *count == 0;
+        component.txs -= 1;
         self.txs -= 1;
         self.ops += 1;
         if *refs > 1 {
@@ -353,19 +286,17 @@ impl IncrementalTdg {
             return;
         }
         self.edge_refs.remove(&key);
-        if emptied {
-            self.free_component(root);
+        if component.txs == 0 {
+            self.free_component(key.0);
             return;
         }
-        let dead = self.dead_edges.entry(root).or_insert(0);
-        *dead += 1;
+        component.dead += 1;
         // A dead self-loop cannot split anything, but it still ages the component
         // toward compaction — otherwise self-loop churn inside a live component
         // would accumulate stale list entries without bound.
-        let total = self.edges.get(&root).map_or(0, |list| list.len());
-        let live = total - *dead;
-        if *dead * 4 >= live.max(1) {
-            self.compact_component(root);
+        let live = component.edges.len() - component.dead;
+        if component.dead * 4 >= live.max(1) {
+            self.compact_component(key.0);
         }
     }
 
@@ -373,37 +304,18 @@ impl IncrementalTdg {
     /// anchor, and decrements the sender's component count — no edges, no
     /// tombstones, no compaction pressure.
     fn remove_weak(&mut self, directed: (Address, Address)) {
-        let refs = self
-            .weak_refs
-            .get_mut(&directed)
-            .expect("checked by the caller");
-        *refs -= 1;
-        if *refs == 0 {
-            self.weak_refs.remove(&directed);
-        }
-        let anchors = self
-            .weak_anchors
+        release_ref(&mut self.weak_refs, directed, "weak pair");
+        release_ref(&mut self.weak_anchors, directed.0, "weak sender anchor");
+        let component = self
+            .index
             .get_mut(&directed.0)
-            .expect("weak transactions anchor at their sender");
-        *anchors -= 1;
-        if *anchors == 0 {
-            self.weak_anchors.remove(&directed.0);
-        }
-        let node = *self
-            .node_of
-            .get(&directed.0)
             .expect("weak sender is interned while its anchor is live");
-        let root = self.uf.find(node);
-        let count = self
-            .tx_counts
-            .get_mut(&root)
-            .expect("live component has a transaction count");
-        *count -= 1;
-        let emptied = *count == 0;
+        component.txs -= 1;
+        let emptied = component.txs == 0;
         self.txs -= 1;
         self.ops += 1;
         if emptied {
-            self.free_component(root);
+            self.free_component(directed.0);
         }
     }
 
@@ -414,42 +326,31 @@ impl IncrementalTdg {
         }
     }
 
+    /// Releases `member`'s component; returns its record and addresses, with the
+    /// O(addresses + edges) work charged.
+    fn release_component(&mut self, member: Address) -> (Component, Vec<Address>) {
+        let (component, addresses) = self
+            .index
+            .release(&member)
+            .expect("a component is released through one of its addresses");
+        self.ops += (addresses.len() + component.edges.len()) as u64;
+        (component, addresses)
+    }
+
     /// Releases a component whose last live transaction left: exact, O(members).
-    fn free_component(&mut self, root: usize) {
-        self.tx_counts.remove(&root);
-        self.dead_edges.remove(&root);
-        let members = self.members.remove(&root).unwrap_or_default();
-        let edges = self.edges.remove(&root).unwrap_or_default();
-        self.ops += (members.len() + edges.len()) as u64;
-        for address in members {
-            let node = self
-                .node_of
-                .remove(&address)
-                .expect("component member is interned");
-            self.uf.remove(node);
-        }
-        self.maybe_compact_uf();
+    fn free_component(&mut self, member: Address) {
+        self.release_component(member);
+        self.ops += self.index.compact_if_sparse() as u64;
     }
 
     /// Component-local (epoch) compaction: rebuilds one component from its live
     /// edges, un-merging whatever its dead edges were bridging. Cost is
     /// O(members + edges) of that component only, amortized against the removals
     /// that tombstoned a constant fraction of its edges.
-    fn compact_component(&mut self, root: usize) {
-        let members = self.members.remove(&root).unwrap_or_default();
-        let edge_list = self.edges.remove(&root).unwrap_or_default();
-        self.dead_edges.remove(&root);
-        self.tx_counts.remove(&root);
-        self.ops += (members.len() + edge_list.len()) as u64;
-        for address in &members {
-            let node = self
-                .node_of
-                .remove(address)
-                .expect("component member is interned");
-            self.uf.remove(node);
-        }
+    fn compact_component(&mut self, member: Address) {
+        let (component, addresses) = self.release_component(member);
         let mut seen: HashSet<EdgeKey> = HashSet::new();
-        for key in edge_list {
+        for key in component.edges {
             if !seen.insert(key) {
                 continue;
             }
@@ -458,56 +359,22 @@ impl IncrementalTdg {
             };
             // Relink: the edge keeps its reference count, it only re-joins the
             // rebuilt (possibly split) component structure.
-            let root = self.union_endpoints(key);
-            *self.tx_counts.entry(root).or_insert(0) += refs;
-            self.edges.entry(root).or_default().push(key);
+            let (relinked, folded) = self.index.union(key.0, key.1);
+            relinked.txs += refs;
+            relinked.edges.push(key);
+            self.ops += folded as u64;
         }
         // Re-anchor weak transactions: they induce no edges, so the relink
         // above dropped their counts — and possibly the interning of a sender
         // whose every strong edge died.
-        for address in &members {
-            if let Some(&weak) = self.weak_anchors.get(address) {
-                let node = self.node(*address);
-                let root = self.uf.find(node);
-                *self.tx_counts.entry(root).or_insert(0) += weak;
+        for address in addresses {
+            if let Some(&weak) = self.weak_anchors.get(&address) {
+                self.index.intern(address).txs += weak;
                 self.ops += 1;
             }
         }
         self.compactions += 1;
-        self.maybe_compact_uf();
-    }
-
-    /// Generation compaction of the underlying union–find: once tombstoned slots
-    /// outnumber live ones, rebuild the dense arrays and re-key every cached node
-    /// index and root-keyed map.
-    fn maybe_compact_uf(&mut self) {
-        if self.uf.tombstone_count() <= self.uf.live_len().max(64) {
-            return;
-        }
-        let remap = self.uf.compact();
-        self.ops += remap.len() as u64;
-        for node in self.node_of.values_mut() {
-            *node = remap[*node].expect("interned nodes are live");
-        }
-        // Every live component has at least one member; re-derive its new root
-        // from any of them and re-key all root-keyed state consistently.
-        let old_members = std::mem::take(&mut self.members);
-        let mut old_edges = std::mem::take(&mut self.edges);
-        let mut old_dead = std::mem::take(&mut self.dead_edges);
-        let mut old_counts = std::mem::take(&mut self.tx_counts);
-        for (old_root, member_list) in old_members {
-            let new_root = self.uf.find(self.node_of[&member_list[0]]);
-            if let Some(count) = old_counts.remove(&old_root) {
-                self.tx_counts.insert(new_root, count);
-            }
-            if let Some(edges) = old_edges.remove(&old_root) {
-                self.edges.insert(new_root, edges);
-            }
-            if let Some(dead) = old_dead.remove(&old_root) {
-                self.dead_edges.insert(new_root, dead);
-            }
-            self.members.insert(new_root, member_list);
-        }
+        self.ops += self.index.compact_if_sparse() as u64;
     }
 
     /// Forces full tightness: compacts every component carrying dead edges, so the
@@ -515,17 +382,17 @@ impl IncrementalTdg {
     /// this — it exists for cross-checks and for consumers that want an exact
     /// component distribution at a chosen instant.
     pub fn compact(&mut self) {
-        // Compacting one component may renumber roots (via the union–find's
-        // generation compaction), so re-scan for a dirty root after every pass
-        // instead of snapshotting the list up front.
-        while let Some(root) = self
-            .dead_edges
-            .iter()
-            .find(|&(_, &dead)| dead > 0)
-            .map(|(&root, _)| root)
-        {
-            self.compact_component(root);
+        // Compacting one component re-keys others, so look for the next dirty
+        // one after every pass instead of snapshotting the list up front.
+        while let Some(member) = self.dirty_component() {
+            self.compact_component(member);
         }
+    }
+
+    /// An address of some component carrying dead edges.
+    fn dirty_component(&self) -> Option<Address> {
+        let mut components = self.index.components();
+        components.find_map(|(member, c)| (c.dead > 0).then_some(member))
     }
 
     /// Number of live transactions in the graph.
@@ -537,7 +404,7 @@ impl IncrementalTdg {
     /// compactions: an address whose every edge died stays interned until its
     /// component compacts or empties.
     pub fn address_count(&self) -> usize {
-        self.node_of.len()
+        self.index.key_count()
     }
 
     /// Number of distinct live dependency edges.
@@ -547,7 +414,7 @@ impl IncrementalTdg {
 
     /// Tombstoned (dead but not yet compacted) edge entries across all components.
     pub fn dead_edge_count(&self) -> usize {
-        self.dead_edges.values().sum()
+        self.index.components().map(|(_, c)| c.dead).sum()
     }
 
     /// Cumulative maintenance work units: one per insert/remove plus one per
@@ -563,62 +430,53 @@ impl IncrementalTdg {
         self.compactions
     }
 
-    /// The component id (union–find root) of an address, if it has been seen.
-    /// Ids are stable between mutations but not across them (compaction renumbers).
+    /// The component id of an address, if it has been seen. Ids are stable
+    /// between mutations but not across them (compaction renumbers).
     pub fn component_of(&mut self, address: Address) -> Option<usize> {
-        let index = *self.node_of.get(&address)?;
-        Some(self.uf.find(index))
+        self.index.component_id(&address)
     }
 
     /// Number of transactions in the component containing `address` (0 if unseen).
     pub fn component_tx_count(&mut self, address: Address) -> usize {
-        match self.component_of(address) {
-            Some(root) => self.tx_counts.get(&root).copied().unwrap_or(0),
-            None => 0,
-        }
+        self.index.get_mut(&address).map_or(0, |c| c.txs)
     }
 
     /// Transaction counts of all components holding at least one transaction
     /// (unspecified order).
     pub fn component_tx_counts(&self) -> Vec<usize> {
-        self.tx_counts
-            .values()
-            .copied()
-            .filter(|&c| c > 0)
-            .collect()
+        self.index.components().map(|(_, c)| c.txs).collect()
     }
 
     /// The largest per-component transaction count (0 when empty).
     pub fn largest_component_tx_count(&self) -> usize {
-        self.tx_counts.values().copied().max().unwrap_or(0)
+        let counts = self.index.components().map(|(_, c)| c.txs);
+        counts.max().unwrap_or(0)
+    }
+}
+
+/// Drops one reference from a reference-counted map, removing the entry with
+/// its last reference.
+fn release_ref<T: std::hash::Hash + Eq>(refs: &mut HashMap<T, usize>, key: T, what: &str) {
+    let count = refs
+        .get_mut(&key)
+        .unwrap_or_else(|| panic!("{what} carries a live reference count"));
+    *count -= 1;
+    if *count == 0 {
+        refs.remove(&key);
     }
 }
 
 /// Dependency-component transaction counts of one packed block, computed with a
-/// throwaway block-local union–find over exactly the included transactions —
+/// throwaway block-local [`ComponentIndex`] over exactly the included transactions —
 /// O(block), independent of any pool-level graph. This is what the packers use to
 /// predict a block's group structure (the pool-level [`IncrementalTdg`] covers the
 /// whole pool and, between compactions, may be coarser than the block's own graph).
 pub fn block_group_sizes<'a>(txs: impl IntoIterator<Item = &'a AccountTransaction>) -> Vec<u64> {
-    let mut uf = UnionFind::new(0);
-    let mut node_of: HashMap<Address, usize> = HashMap::new();
-    let mut counts: HashMap<usize, u64> = HashMap::new();
+    let mut groups: ComponentIndex<Address, u64> = ComponentIndex::new();
     for tx in txs {
-        let mut node = |address: Address, uf: &mut UnionFind| match node_of.get(&address) {
-            Some(&index) => index,
-            None => {
-                let index = uf.grow();
-                node_of.insert(address, index);
-                index
-            }
-        };
-        let a = node(tx.sender(), &mut uf);
-        let b = node(effective_receiver(tx), &mut uf);
-        let (survivor, absorbed) = uf.merge_roots(a, b);
-        let folded = absorbed.and_then(|r| counts.remove(&r)).unwrap_or(0);
-        *counts.entry(survivor).or_insert(0) += folded + 1;
+        *groups.union(tx.sender(), effective_receiver(tx)).0 += 1;
     }
-    counts.into_values().collect()
+    groups.components().map(|(_, &count)| count).collect()
 }
 
 /// Weak-aware variant of [`block_group_sizes`]: a pure-credit receiver
@@ -641,33 +499,19 @@ pub fn block_group_sizes_weak<'a>(
             strong_touched.insert(effective_receiver(tx));
         }
     }
-    let mut uf = UnionFind::new(0);
-    let mut node_of: HashMap<Address, usize> = HashMap::new();
-    let mut counts: HashMap<usize, u64> = HashMap::new();
+    let mut groups: ComponentIndex<Address, u64> = ComponentIndex::new();
     for tx in txs {
-        let mut node = |address: Address, uf: &mut UnionFind| match node_of.get(&address) {
-            Some(&index) => index,
-            None => {
-                let index = uf.grow();
-                node_of.insert(address, index);
-                index
-            }
-        };
         let sender = tx.sender();
         let receiver = effective_receiver(tx);
-        if sender != receiver && receiver_edge_is_weak(tx) && !strong_touched.contains(&receiver) {
-            let a = node(sender, &mut uf);
-            let root = uf.find(a);
-            *counts.entry(root).or_insert(0) += 1;
-            continue;
-        }
-        let a = node(sender, &mut uf);
-        let b = node(receiver, &mut uf);
-        let (survivor, absorbed) = uf.merge_roots(a, b);
-        let folded = absorbed.and_then(|r| counts.remove(&r)).unwrap_or(0);
-        *counts.entry(survivor).or_insert(0) += folded + 1;
+        let weak =
+            sender != receiver && receiver_edge_is_weak(tx) && !strong_touched.contains(&receiver);
+        *if weak {
+            groups.intern(sender)
+        } else {
+            groups.union(sender, receiver).0
+        } += 1;
     }
-    counts.into_values().collect()
+    groups.components().map(|(_, &count)| count).collect()
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@
 //!   aggregate are updated in O(log pool) on every insert/remove/replace/
 //!   nonce-advance and consumed by reference — the packers never rescan the pool.
 //! * [`IncrementalTdg`] — the address-level dependency graph maintained *online* as
-//!   transactions arrive **and leave**, built on the deletion-capable union–find of
-//!   `blockconc-graph` ([`UnionFind::grow`], [`UnionFind::remove`], generation
-//!   [`UnionFind::compact`]) with per-component transaction counts. Insertions are
-//!   amortized near-constant time; removals (packed blocks, evictions,
+//!   transactions arrive **and leave**, built on `blockconc-graph`'s
+//!   [`ComponentIndex`] (address interning, union-with-fold, whole-component
+//!   release and generation compaction in one place) with one record per
+//!   component. Insertions are amortized near-constant time; removals (packed blocks, evictions,
 //!   replacements) are amortized O(1) via edge reference counts, exact component
 //!   release, and component-local epoch compaction — no call site rebuilds the
 //!   graph on the hot path, so every per-block cost is O(Δ), not O(pool).
@@ -48,9 +48,7 @@
 //! guarantee), because packing only ever reorders *independent* transactions and
 //! preserves each sender's nonce order — enforced by the packer property tests.
 //!
-//! [`UnionFind::grow`]: blockconc_graph::UnionFind::grow
-//! [`UnionFind::remove`]: blockconc_graph::UnionFind::remove
-//! [`UnionFind::compact`]: blockconc_graph::UnionFind::compact
+//! [`ComponentIndex`]: blockconc_graph::ComponentIndex
 //! [`ArrivalStream`]: blockconc_chainsim::ArrivalStream
 //! [`ExecutionEngine`]: blockconc_execution::ExecutionEngine
 //!
@@ -110,8 +108,8 @@ pub use itdg::{
     IncrementalTdg,
 };
 pub use packer::{
-    advance_deferral_counters, aged_senders, choose_component_cap, pack_capped, slacked_cap,
-    BlockPacker, BlockTemplate, CapDeferrals, ConcurrencyAwarePacker, FeeGreedyPacker, PackedBlock,
+    advance_deferral_counters, aged_senders, choose_component_cap, pack_capped, BlockPacker,
+    BlockTemplate, CapDeferrals, ConcurrencyAwarePacker, FeeGreedyPacker, PackedBlock,
 };
 pub use pool::{
     gas_estimate, AdmitEffects, AdmitOutcome, Mempool, MempoolStats, PooledTx, ReadyChain,

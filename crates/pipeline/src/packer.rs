@@ -288,9 +288,8 @@ impl BlockPacker for FeeGreedyPacker {
 /// about `max(m, ⌈B(m)/threads⌉)` time units, and the packer picks the `m`
 /// maximizing the implied speed-up `B(m) / makespan` (largest block on ties). The
 /// chosen cap is then widened to the implied makespan — components may fill up to the
-/// critical path "for free" — and scaled by the optional `slack ≥ 1` factor, which
-/// trades residual skew for block fullness. Transactions of a capped component stay
-/// in the pool for later blocks — deferred, never dropped.
+/// critical path "for free". Transactions of a capped component stay in the pool for
+/// later blocks — deferred, never dropped.
 ///
 /// Unbounded deferral would let a giant component starve under sustained hot-spot
 /// overload (its serial work exceeds `threads × block capacity`, so the cap search
@@ -302,7 +301,6 @@ impl BlockPacker for FeeGreedyPacker {
 #[derive(Debug)]
 pub struct ConcurrencyAwarePacker {
     threads: usize,
-    slack: f64,
     max_deferral: usize,
     /// `true` once [`with_max_deferral`](ConcurrencyAwarePacker::with_max_deferral)
     /// was called explicitly — [`BlockPacker::configure`] must not clobber an
@@ -378,22 +376,10 @@ impl ConcurrencyAwarePacker {
         assert!(threads > 0, "thread count must be positive");
         ConcurrencyAwarePacker {
             threads,
-            slack: 1.0,
             max_deferral: 0,
             max_deferral_overridden: false,
             deferrals: HashMap::new(),
         }
-    }
-
-    /// Overrides the per-component slack factor (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slack < 1`.
-    pub fn with_slack(mut self, slack: f64) -> Self {
-        assert!(slack >= 1.0, "slack must be at least 1");
-        self.slack = slack;
-        self
     }
 
     /// Bounds deferral (builder-style): a sender whose chain was deferred by the
@@ -417,13 +403,9 @@ impl ConcurrencyAwarePacker {
     }
 
     /// Chooses the per-component transaction cap for the given ready component sizes
-    /// and block capacity (see [`choose_component_cap`] for the model; this method
-    /// additionally applies the packer's slack factor).
+    /// and block capacity (see [`choose_component_cap`] for the model).
     pub fn choose_cap(&self, component_sizes: &[usize], capacity: usize) -> usize {
-        slacked_cap(
-            choose_component_cap(component_sizes, capacity, self.threads),
-            self.slack,
-        )
+        choose_component_cap(component_sizes, capacity, self.threads)
     }
 }
 
@@ -490,11 +472,6 @@ pub fn advance_deferral_counters(deferrals: &mut HashMap<Address, u64>, outcome:
     for &sender in &outcome.starved_senders {
         *deferrals.entry(sender).or_insert(0) += 1;
     }
-}
-
-/// Applies a slack factor (≥ 1) to a component cap, keeping it positive.
-pub fn slacked_cap(cap: usize, slack: f64) -> usize {
-    ((cap as f64 * slack) as usize).max(1)
 }
 
 /// Sender-level outcome of one [`pack_capped`] call, for callers that maintain the

@@ -12,6 +12,10 @@ use blockconc_types::{Address, DeterministicRng};
 use std::collections::HashMap;
 
 fn workload(seed: u64) -> ArrivalStream {
+    workload_of(seed, 400)
+}
+
+fn workload_of(seed: u64, total_txs: usize) -> ArrivalStream {
     let params = AccountWorkloadParams {
         txs_per_block: 50.0,
         user_population: 500, // small population => frequent component merges
@@ -24,7 +28,7 @@ fn workload(seed: u64) -> ArrivalStream {
         ],
         contract_create_share: 0.02,
     };
-    ArrivalStream::new(params, 10.0, 400, seed)
+    ArrivalStream::new(params, 10.0, total_txs, seed)
 }
 
 /// Canonical partition fingerprint: sorted list of sorted address groups, restricted
@@ -309,6 +313,75 @@ fn tracked_pool_graph_agrees_with_rebuild_after_every_batch() {
         assert!(
             seen.iter().all(|&count| count > 0),
             "seed {seed}: every admission path must fire: {seen:?}"
+        );
+    }
+}
+
+/// The graph's maintenance counts are a pure function of the offered traffic:
+/// one fixed hot-spot stream with fee replacements, a pool small enough that the
+/// capacity rule evicts, and blocks of chain heads settling as it goes. A change
+/// to how components are keyed, folded, released or compacted that shifts any of
+/// these literals changes what the benchmark's `itdg.*` counts report.
+#[test]
+fn maintenance_counts_are_pinned_on_a_fixed_hotspot_stream() {
+    // (weak edges, op units, compactions, resident txs, largest component)
+    let pins = [
+        (false, 47_901u64, 157u64, 119usize, 103usize),
+        (true, 18_721, 105, 119, 97),
+    ];
+    for (weak, op_units, compactions, tx_count, largest) in pins {
+        let mut pool = TrackedPool::new(200, weak);
+        let mut account_nonce: HashMap<Address, u64> = HashMap::new();
+        let mut stream =
+            workload_of(7, 4_000).with_fee_escalation(FeeEscalationSpec::standard(14.0));
+        let mut replaced = 0u64;
+        let mut evicted = 0u64;
+        loop {
+            let batch: Vec<_> = (&mut stream).take(60).collect();
+            if batch.is_empty() {
+                break;
+            }
+            for arrival in &batch {
+                let nonce = account_nonce
+                    .get(&arrival.tx.sender())
+                    .copied()
+                    .unwrap_or(0);
+                let effects = pool.offer(
+                    &arrival.tx,
+                    arrival.fee_per_gas,
+                    arrival.arrival_secs,
+                    nonce,
+                    None,
+                );
+                replaced += (effects.outcome == AdmitOutcome::Replaced) as u64;
+                evicted += effects.evicted.is_some() as u64;
+            }
+            let heads: Vec<AccountTransaction> = pool
+                .pool()
+                .ready_heads()
+                .iter()
+                .rev()
+                .take(40)
+                .map(|&(_, _, sender)| pool.pool().head_of(sender).expect("head").tx.clone())
+                .collect();
+            for tx in pool.settle_packed(&heads) {
+                account_nonce.insert(tx.tx.sender(), tx.tx.nonce() + 1);
+            }
+        }
+        assert!(
+            replaced > 0 && evicted > 0,
+            "weak {weak}: {replaced} {evicted}"
+        );
+        let tdg = pool.tdg();
+        assert_eq!(
+            (
+                tdg.op_units(),
+                tdg.compactions(),
+                tdg.tx_count(),
+                tdg.largest_component_tx_count()
+            ),
+            (op_units, compactions, tx_count, largest),
+            "weak {weak}"
         );
     }
 }

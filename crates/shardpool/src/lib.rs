@@ -7,8 +7,8 @@
 //! concurrent-structure scaling and conflict-aware partitioning:
 //!
 //! * [`ShardedMempool`] — the pool partitioned across N shards **by TDG
-//!   component**, routed through the incremental union–find (see
-//!   `blockconc_graph::UnionFind::merge_roots`) with absolute sender affinity, so
+//!   component**, routed through a `blockconc_graph::ComponentIndex` (payload:
+//!   the component's anchor and pinned senders) with absolute sender affinity, so
 //!   nonce chains never split. Admission semantics — nonce discipline, the 10%
 //!   replacement rule, and a *global* cheapest-tail eviction — are identical to the
 //!   single `Mempool`; the equivalence property tests hold the two bit-compatible.

@@ -4,7 +4,7 @@ use crate::ShardedMempool;
 use blockconc_account::{AccountTransaction, BlockBuilder, WorldState};
 use blockconc_pipeline::{
     advance_deferral_counters, aged_senders, block_group_sizes, choose_component_cap, gas_estimate,
-    pack_capped, slacked_cap, BlockTemplate, CapDeferrals, PackedBlock, PipelineConfig,
+    pack_capped, BlockTemplate, CapDeferrals, PackedBlock, PipelineConfig,
 };
 use blockconc_types::{Address, Gas};
 use serde::{Deserialize, Serialize};
@@ -84,7 +84,6 @@ pub struct ShardPackReport {
 pub struct ShardedPacker {
     shards: usize,
     threads: usize,
-    merge_slack: f64,
     max_deferral: usize,
     /// One aging map for the whole pool, keyed by sender — deliberately *not*
     /// per shard, so a sender's starvation count survives chain migrations and
@@ -106,23 +105,9 @@ impl ShardedPacker {
         ShardedPacker {
             shards,
             threads,
-            merge_slack: 1.0,
             max_deferral: 0,
             deferrals: HashMap::new(),
         }
-    }
-
-    /// Overrides the merge cap's slack factor (builder-style): values above 1 let
-    /// merged components exceed the optimal cap proportionally, trading predicted
-    /// makespan for block fullness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slack < 1`.
-    pub fn with_merge_slack(mut self, slack: f64) -> Self {
-        assert!(slack >= 1.0, "slack must be at least 1");
-        self.merge_slack = slack;
-        self
     }
 
     /// A short, stable name for reports.
@@ -191,10 +176,7 @@ impl ShardedPacker {
             (ready_gas / ready_txs as u64).max(1)
         };
         let capacity = (template.gas_limit.value() / mean_gas).max(1) as usize;
-        let cap = slacked_cap(
-            choose_component_cap(&sizes, capacity, self.threads),
-            self.merge_slack,
-        );
+        let cap = choose_component_cap(&sizes, capacity, self.threads);
 
         // Step 3a: parallel sub-packing with the fixed global cap. The aged set is
         // computed once from the shared (pool-wide) aging map. Empty shards
@@ -552,25 +534,6 @@ mod tests {
         let mut sizes = packed.predicted_group_sizes.clone();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![3, 3]);
-    }
-
-    #[test]
-    fn merge_slack_admits_more_of_the_hot_component() {
-        let pool = hotspot_pool(4);
-        let state = funded_state(10..30);
-        let tight = ShardedPacker::new(4, 4)
-            .pack(&pool, &state, &template(Gas::new(21_000 * 10)))
-            .0;
-        let slack = ShardedPacker::new(4, 4)
-            .with_merge_slack(2.0)
-            .pack(&pool, &state, &template(Gas::new(21_000 * 10)))
-            .0;
-        assert!(
-            slack.block.transaction_count() > tight.block.transaction_count(),
-            "slack {} vs tight {}",
-            slack.block.transaction_count(),
-            tight.block.transaction_count()
-        );
     }
 
     /// Packs and settles four blocks out of a standing 8-shard pool of `n`

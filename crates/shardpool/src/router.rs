@@ -1,12 +1,13 @@
 //! Component → shard routing.
 //!
 //! The router is the sharded pool's single source of truth for *where a
-//! transaction's dependency component lives*. It maintains a monotone union–find
-//! over every address ever offered to the pool (monotone on purpose: an edge once
-//! seen is never forgotten, so two transactions sharing an address can never be
-//! routed to different shards) and a **sender pin** per sender with live pooled
-//! entries. Sender chains always live inside their component, so they never split
-//! across shards; when a component migrates, its chains move whole.
+//! transaction's dependency component lives*. It keeps a monotone
+//! [`ComponentIndex`] over every address ever offered to the pool (monotone on
+//! purpose: an edge once seen is never forgotten, so two transactions sharing an
+//! address can never be routed to different shards) whose per-component payload is
+//! the component's **anchor** and the **senders pinned** in it — the senders with
+//! live pooled entries. Sender chains always live inside their component, so they
+//! never split across shards; when a component migrates, its chains move whole.
 //!
 //! # Canonical placement
 //!
@@ -35,15 +36,15 @@
 //! component on every offer, as this module once did, made admission quadratic per
 //! block exactly when one hot spot owns most of the pool.)
 //!
-//! [`Router::rebalance`] periodically rebuilds the union–find from the surviving
-//! pool contents — un-fusing components whose only bridges have since been packed,
-//! which the monotone online structure cannot do — and re-derives canonical
-//! placement for the survivors.
+//! [`Router::rebalance`] periodically replaces the index with a fresh one over the
+//! surviving pool contents — un-fusing components whose only bridges have since
+//! been packed, which the monotone online structure cannot do — and re-derives
+//! canonical placement for the survivors.
 
-use blockconc_graph::UnionFind;
+use blockconc_graph::{ComponentIndex, ComponentPayload};
 use blockconc_sharding::canonical_shard;
 use blockconc_types::Address;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// An order to move every pooled transaction of `sender` between shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,20 +87,43 @@ fn stable_shard(anchor: Address, shards: usize) -> usize {
     canonical_shard(anchor, shards)
 }
 
+/// What the router keeps per component.
+#[derive(Debug)]
+struct Component {
+    /// Smallest address the component has ever contained.
+    anchor: Address,
+    /// Senders with live pooled entries (deterministically ordered so migration
+    /// plans are reproducible).
+    senders: BTreeSet<Address>,
+}
+
+impl ComponentPayload<Address> for Component {
+    fn singleton(address: Address) -> Self {
+        Component {
+            anchor: address,
+            senders: BTreeSet::new(),
+        }
+    }
+
+    /// The lower anchor wins; the smaller sender set folds into the larger.
+    fn absorb(&mut self, mut absorbed: Self) -> usize {
+        self.anchor = self.anchor.min(absorbed.anchor);
+        if self.senders.len() < absorbed.senders.len() {
+            std::mem::swap(&mut self.senders, &mut absorbed.senders);
+        }
+        let folded = absorbed.senders.len();
+        self.senders.extend(absorbed.senders);
+        folded
+    }
+}
+
 /// The component-to-shard routing state (all methods require external locking; the
 /// sharded pool wraps one `Router` in a mutex that orders strictly *before* any
 /// shard lock).
 #[derive(Debug)]
 pub(crate) struct Router {
     shards: usize,
-    uf: UnionFind,
-    node_of: HashMap<Address, usize>,
-    address_of: Vec<Address>,
-    /// Smallest address ever seen in each component, keyed by union–find root.
-    anchor_of_root: HashMap<usize, Address>,
-    /// Senders with live pooled entries, per component root (deterministically
-    /// ordered so migration plans are reproducible).
-    senders_of_root: HashMap<usize, BTreeSet<Address>>,
+    components: ComponentIndex<Address, Component>,
     pin: HashMap<Address, Pin>,
     /// Live pooled transactions per shard (reporting only — never a routing input,
     /// which would reintroduce interleaving-dependence).
@@ -117,36 +141,13 @@ impl Router {
         assert!(shards > 0, "shard count must be positive");
         Router {
             shards,
-            uf: UnionFind::new(0),
-            node_of: HashMap::new(),
-            address_of: Vec::new(),
-            anchor_of_root: HashMap::new(),
-            senders_of_root: HashMap::new(),
+            components: ComponentIndex::new(),
             pin: HashMap::new(),
             shard_live: vec![0; shards],
             migrated_chains: 0,
             rebalances: 0,
             senders_examined: 0,
         }
-    }
-
-    fn node(&mut self, address: Address) -> usize {
-        match self.node_of.get(&address) {
-            Some(&index) => index,
-            None => {
-                let index = self.uf.grow();
-                self.node_of.insert(address, index);
-                self.address_of.push(address);
-                index
-            }
-        }
-    }
-
-    fn anchor(&mut self, root: usize) -> Address {
-        self.anchor_of_root
-            .get(&root)
-            .copied()
-            .unwrap_or(self.address_of[root])
     }
 
     /// The shard a sender's live chain is pinned to, if any.
@@ -157,9 +158,7 @@ impl Router {
     /// The canonical shard of `address`'s component, if the address has been seen.
     #[cfg(test)]
     pub fn component_shard(&mut self, address: Address) -> Option<usize> {
-        let node = *self.node_of.get(&address)?;
-        let root = self.uf.find(node);
-        let anchor = self.anchor(root);
+        let anchor = self.components.get_mut(&address)?.anchor;
         Some(stable_shard(anchor, self.shards))
     }
 
@@ -168,57 +167,37 @@ impl Router {
     /// re-homes one side of the union, the decision carries the side's chains as
     /// migrations and their pins have already moved (see the module docs).
     pub fn route(&mut self, sender: Address, receiver: Address) -> RouteDecision {
-        let sender_node = self.node(sender);
-        let receiver_node = self.node(receiver);
-        let sender_root = self.uf.find(sender_node);
-        let receiver_root = self.uf.find(receiver_node);
-        let sender_anchor = self.anchor(sender_root);
-        let receiver_anchor = self.anchor(receiver_root);
-        let anchor = sender_anchor.min(receiver_anchor);
-        let target = stable_shard(anchor, self.shards);
-        if sender_root == receiver_root {
-            return RouteDecision {
-                shard: target,
-                migrations: Vec::new(),
-            };
-        }
-
-        // The side that keeps its anchor is on `target` already; the other side
-        // moves whole if its home differs. One side, one ordered set: the plan
-        // comes out in sender order, as a scan of the fused component would give.
-        let (outbid_root, outbid_anchor) = if sender_anchor > receiver_anchor {
-            (sender_root, sender_anchor)
-        } else {
-            (receiver_root, receiver_anchor)
-        };
+        let sender_anchor = self.components.intern(sender).anchor;
+        let receiver_anchor = self.components.intern(receiver).anchor;
+        let target = stable_shard(sender_anchor.min(receiver_anchor), self.shards);
         let mut migrations = Vec::new();
-        if stable_shard(outbid_anchor, self.shards) != target {
-            for &member in self.senders_of_root.get(&outbid_root).into_iter().flatten() {
-                self.senders_examined += 1;
-                let pin = self
-                    .pin
-                    .get_mut(&member)
-                    .expect("listed senders are pinned");
-                debug_assert_ne!(pin.shard, target, "placement invariant");
-                migrations.push(pin.move_to(target, member, &mut self.shard_live));
+        // An anchor is a member of its component, so two sides with one anchor
+        // are one component already.
+        if sender_anchor != receiver_anchor {
+            // The side that keeps its anchor is on `target` already; the other
+            // side moves whole if its home differs. One side, one ordered set:
+            // the plan comes out in sender order, as a scan of the fused
+            // component would give.
+            let (outbid, outbid_anchor) = if sender_anchor > receiver_anchor {
+                (sender, sender_anchor)
+            } else {
+                (receiver, receiver_anchor)
+            };
+            if stable_shard(outbid_anchor, self.shards) != target {
+                let side = self.components.get_mut(&outbid).expect("just interned");
+                for &member in &side.senders {
+                    self.senders_examined += 1;
+                    let pin = self
+                        .pin
+                        .get_mut(&member)
+                        .expect("listed senders are pinned");
+                    debug_assert_ne!(pin.shard, target, "placement invariant");
+                    migrations.push(pin.move_to(target, member, &mut self.shard_live));
+                }
+                self.migrated_chains += migrations.len() as u64;
             }
-            self.migrated_chains += migrations.len() as u64;
+            self.components.union(sender, receiver);
         }
-
-        // Fold the absorbed component's per-root state into the survivor, the
-        // smaller sender set into the larger.
-        let (survivor, absorbed) = self.uf.merge_roots(sender_root, receiver_root);
-        let absorbed = absorbed.expect("distinct roots merge");
-        self.anchor_of_root.remove(&absorbed);
-        self.anchor_of_root.insert(survivor, anchor);
-        if let Some(mut folded) = self.senders_of_root.remove(&absorbed) {
-            let kept = self.senders_of_root.entry(survivor).or_default();
-            if kept.len() < folded.len() {
-                std::mem::swap(kept, &mut folded);
-            }
-            kept.extend(folded);
-        }
-
         RouteDecision {
             shard: target,
             migrations,
@@ -232,12 +211,9 @@ impl Router {
         let pin = self.pin.entry(sender).or_insert(Pin { shard, live: 0 });
         debug_assert_eq!(pin.shard, shard, "placement invariant");
         pin.live += 1;
-        let (shard, first) = (pin.shard, pin.live == 1);
-        self.shard_live[shard] += 1;
-        if first {
-            let node = self.node(sender);
-            let root = self.uf.find(node);
-            self.senders_of_root.entry(root).or_default().insert(sender);
+        self.shard_live[pin.shard] += 1;
+        if pin.live == 1 {
+            self.components.intern(sender).senders.insert(sender);
         }
     }
 
@@ -258,14 +234,8 @@ impl Router {
         self.shard_live[pin.shard] -= count;
         if pin.live == 0 {
             self.pin.remove(&sender);
-            if let Some(&node) = self.node_of.get(&sender) {
-                let root = self.uf.find(node);
-                if let Some(senders) = self.senders_of_root.get_mut(&root) {
-                    senders.remove(&sender);
-                    if senders.is_empty() {
-                        self.senders_of_root.remove(&root);
-                    }
-                }
+            if let Some(component) = self.components.get_mut(&sender) {
+                component.senders.remove(&sender);
             }
         }
     }
@@ -286,52 +256,23 @@ impl Router {
     ///
     /// `residents` is one `(sender, effective_receiver)` edge per pooled
     /// transaction. The rebuild un-fuses components that only shared packed (now
-    /// gone) transactions — something the monotone online union–find cannot do — so
+    /// gone) transactions — something the monotone online index cannot do — so
     /// their anchors rise back to the surviving minima and the freed components
     /// re-spread over the shards.
     pub fn rebalance(&mut self, residents: &[(Address, Address)]) -> Vec<Migration> {
-        // Fresh union–find over the surviving edges only.
-        let mut uf = UnionFind::new(0);
-        let mut node_of: HashMap<Address, usize> = HashMap::new();
-        let mut address_of: Vec<Address> = Vec::new();
-        let mut node =
-            |address: Address, uf: &mut UnionFind, address_of: &mut Vec<Address>| match node_of
-                .get(&address)
-            {
-                Some(&index) => index,
-                None => {
-                    let index = uf.grow();
-                    node_of.insert(address, index);
-                    address_of.push(address);
-                    index
-                }
-            };
-        let mut live_of_sender: BTreeMap<Address, usize> = BTreeMap::new();
+        // A fresh index over the surviving edges only: anchors and sender sets
+        // fall out of the same union `route` performs.
+        self.components = ComponentIndex::new();
         for &(sender, receiver) in residents {
-            let a = node(sender, &mut uf, &mut address_of);
-            let b = node(receiver, &mut uf, &mut address_of);
-            uf.union(a, b);
-            *live_of_sender.entry(sender).or_insert(0) += 1;
-        }
-
-        // Re-derive per-component state: members, anchors, canonical shards.
-        let mut anchor_of_root: HashMap<usize, Address> = HashMap::new();
-        for (index, &address) in address_of.iter().enumerate() {
-            let root = uf.find(index);
-            let anchor = anchor_of_root.entry(root).or_insert(address);
-            *anchor = (*anchor).min(address);
-        }
-        let mut senders_of_root: HashMap<usize, BTreeSet<Address>> = HashMap::new();
-        for &sender in live_of_sender.keys() {
-            let root = uf.find(node_of[&sender]);
-            senders_of_root.entry(root).or_default().insert(sender);
+            let (component, _) = self.components.union(sender, receiver);
+            component.senders.insert(sender);
         }
 
         // Re-pin every sender pinned off its component's canonical shard.
         let mut migrations = Vec::new();
-        for (root, senders) in &senders_of_root {
-            let target = stable_shard(anchor_of_root[root], self.shards);
-            for &sender in senders {
+        for (_, component) in self.components.components() {
+            let target = stable_shard(component.anchor, self.shards);
+            for &sender in &component.senders {
                 if let Some(pin) = self.pin.get_mut(&sender) {
                     if pin.shard != target {
                         migrations.push(pin.move_to(target, sender, &mut self.shard_live));
@@ -341,13 +282,6 @@ impl Router {
         }
         migrations.sort_by_key(|m| (m.from, m.to, m.sender));
         self.migrated_chains += migrations.len() as u64;
-
-        // Install the rebuilt state.
-        self.uf = uf;
-        self.node_of = node_of;
-        self.address_of = address_of;
-        self.anchor_of_root = anchor_of_root;
-        self.senders_of_root = senders_of_root;
         self.rebalances += 1;
         migrations
     }
@@ -470,23 +404,15 @@ mod tests {
     /// pinned sender of either side that is off the fused target, in sender order.
     /// Read-only, so it can run right before the `route` call it checks.
     fn full_scan_plan(router: &mut Router, sender: Address, receiver: Address) -> Vec<Migration> {
-        let mut side = |address: Address| match router.node_of.get(&address).copied() {
-            Some(node) => {
-                let root = router.uf.find(node);
-                (Some(root), router.anchor(root))
-            }
-            None => (None, address),
+        // An address the router has not seen is its own anchor and pins no one.
+        let mut side = |address: Address| match router.components.get_mut(&address) {
+            Some(component) => (component.anchor, component.senders.clone()),
+            None => (address, BTreeSet::new()),
         };
-        let (sender_root, sender_anchor) = side(sender);
-        let (receiver_root, receiver_anchor) = side(receiver);
+        let (sender_anchor, mut members) = side(sender);
+        let (receiver_anchor, receiver_members) = side(receiver);
+        members.extend(receiver_members);
         let target = stable_shard(sender_anchor.min(receiver_anchor), router.shards);
-        let members: BTreeSet<Address> = [sender_root, receiver_root]
-            .into_iter()
-            .flatten()
-            .filter_map(|root| router.senders_of_root.get(&root))
-            .flatten()
-            .copied()
-            .collect();
         members
             .into_iter()
             .filter_map(|member| {

@@ -165,12 +165,6 @@ impl TelemetryRegistry {
         }
     }
 
-    /// A disabled registry on an explicit clock (deterministic timing without
-    /// collection).
-    pub fn disabled_with_clock(clock: SharedClock) -> Self {
-        TelemetryRegistry { clock, inner: None }
-    }
-
     /// An enabled registry on the wall clock with the default flight-recorder
     /// capacity.
     pub fn enabled() -> Self {
