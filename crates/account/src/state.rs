@@ -259,8 +259,7 @@ pub trait CellBackend: StateBackend {
 /// writes are tracked as the open block's dirty set, and
 /// [`commit_block`](WorldState::commit_block) pushes the block's write-set delta
 /// down (journaled to disk by `blockconc_store::DiskBackend`). Clones share the
-/// backend handle but own their resident map, which is what lets the speculative
-/// engines execute against per-worker snapshots and throw them away.
+/// backend handle but own their resident map.
 ///
 /// All mutating operations can be journalled (pass a [`Journal`]) so that a failed
 /// transaction can be reverted precisely; this mirrors how real execution clients

@@ -3,19 +3,25 @@
 //! The paper stops at *estimating* speed-ups analytically and explicitly lists the
 //! missing execution engine as future work ("One major limitation is that we have not
 //! designed and implemented an execution engine that can exploit the available
-//! concurrency"). This crate builds that engine in four flavours so the analytical
-//! model of `blockconc-model` can be validated against real executions:
+//! concurrency"). This crate builds that engine, and evaluates the paper's two
+//! models on real blocks so the analytical model of `blockconc-model` can be
+//! validated against what executions actually touch — two engines and two
+//! evaluators behind one trait:
 //!
 //! * [`SequentialEngine`] — the baseline: one transaction at a time, in block order,
 //!   exactly like the clients of the chains the paper studies.
-//! * [`SpeculativeEngine`] — the two-phase technique modelled by Equation (1): execute
-//!   every transaction speculatively against the pre-block state (in parallel across
-//!   worker threads), detect storage-level conflicts from the recorded read/write
-//!   sets, then re-execute the conflicted transactions sequentially.
-//! * [`ScheduledEngine`] — the group-concurrency technique modelled by Equation (2):
-//!   build the transaction dependency graph, split the block into connected
-//!   components, and execute whole components in parallel (each component internally
-//!   sequential), scheduled LPT-style onto the worker threads.
+//! * [`SpeculativeEngine`] — evaluates the two-phase technique modelled by
+//!   Equation (1): a parallel discovery pass executes every transaction against the
+//!   pre-block state and keeps its read/write set, storage-level conflicts between
+//!   the sets give the sequential bin, and the report charges `⌈x/n⌉ + bin` units.
+//! * [`ScheduledEngine`] — evaluates the group-concurrency technique modelled by
+//!   Equation (2): the same discovery pass, the conflict graph split into connected
+//!   components, and the report charges the makespan of scheduling whole
+//!   components (each internally sequential) LPT-style onto the worker threads.
+//!
+//!   Both evaluators commit by executing the block sequentially: what discovery
+//!   observed against the pre-block state decides the reported units, never the
+//!   committed state.
 //! * [`OptimisticEngine`] — the Block-STM-style MVCC engine: every transaction
 //!   executes optimistically over a multi-version view of the pre-block state on a
 //!   persistent worker pool, read sets are validated lazily against the highest
@@ -30,10 +36,12 @@
 //!   `SAdd` increments to one cell commute.
 //!
 //! Every engine returns both the canonical [`ExecutedBlock`](blockconc_account::ExecutedBlock)
-//! (the committed state transition is always identical to sequential execution — this
-//! is asserted by the test-suite) and an [`ExecutionReport`] containing wall-clock
-//! timings and abstract time units that map one-to-one onto the quantities in the
-//! paper's model.
+//! (the committed state transition is always identical to sequential execution —
+//! asserted for all four, on generated blocks over memory and cold disk state, by
+//! `tests/equivalence_oracle.rs`) and an [`ExecutionReport`] of abstract time units
+//! and counters that map one-to-one onto the quantities in the paper's model. The
+//! engines do not time themselves: wall clock is the caller's (`benchmark/`'s
+//! `execution.ladder.*.ns_per_tx`).
 //!
 //! # Examples
 //!

@@ -1,65 +1,83 @@
 //! Optimistic-concurrency conflict detection over recorded access sets.
 
+use crate::mvcc::MvMemory;
+use crate::optimistic::MvView;
 use crate::thread_pool::{Job, WorkerPool};
 use blockconc_account::{AccessSet, AccountBlock, BlockExecutor, StateKey, WorldState};
 use blockconc_types::Result;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+/// Lends `state` to `'static` pool jobs for the duration of `run`: the state
+/// moves behind an [`Arc`] the jobs clone, and moves back once `run` returns.
+/// [`WorkerPool::run_tasks`] has dropped every job (and the handle it captured)
+/// by then, so the `Arc` is unique again and the clone below is never taken.
+pub(crate) fn lend_state<R>(state: &mut WorldState, run: impl FnOnce(&Arc<WorldState>) -> R) -> R {
+    let base = Arc::new(std::mem::take(state));
+    let outcome = run(&base);
+    *state = Arc::try_unwrap(base).unwrap_or_else(|arc| WorldState::clone(&arc));
+    outcome
+}
+
 /// The discovery pass of the speculative and the scheduled engine: executes every
-/// transaction of `block` against the pre-block state `base`, spread over `pool`
-/// in one chunk per worker, and returns each transaction's access set in block
-/// order. Each worker clones the pre-block state once and rolls every execution
-/// back, so all transactions observe the same starting state.
+/// transaction of `block` against the pre-block `state`, spread over `pool` in one
+/// chunk per worker, and returns each transaction's access set in block order.
+/// Each worker reads the lent state through an [`MvView`] with no versions in it
+/// — so every cell resolves to the base, resident or not — under a scratch state
+/// it resets between transactions: all transactions observe the same starting
+/// state, nothing is cloned and `state` is left as it was found.
 pub(crate) fn discover_access_sets(
     pool: &WorkerPool,
-    threads: usize,
-    base: &Arc<WorldState>,
-    block: &Arc<AccountBlock>,
+    state: &mut WorldState,
+    block: &AccountBlock,
 ) -> Result<Vec<AccessSet>> {
     let tx_count = block.transaction_count();
     if tx_count == 0 {
         return Ok(Vec::new());
     }
-    let chunk_size = tx_count.div_ceil(threads);
+    let chunk_size = tx_count.div_ceil(pool.size());
     let chunk_count = tx_count.div_ceil(chunk_size);
+    let block = Arc::new(block.clone());
+    let no_versions = Arc::new(MvMemory::new());
     let slots: Arc<Mutex<Vec<Vec<AccessSet>>>> =
         Arc::new(Mutex::new((0..chunk_count).map(|_| Vec::new()).collect()));
-    let tasks: Vec<Job> = (0..chunk_count)
-        .map(|chunk_index| {
-            let base = Arc::clone(base);
-            let block = Arc::clone(block);
-            let slots = Arc::clone(&slots);
-            Box::new(move || {
-                let start = chunk_index * chunk_size;
-                let end = (start + chunk_size).min(block.transaction_count());
-                let mut local = WorldState::clone(&base);
-                let mut executor = BlockExecutor::new();
-                let sets: Vec<AccessSet> = block.transactions()[start..end]
-                    .iter()
-                    .map(|tx| match executor.execute_transaction(&mut local, tx) {
-                        Ok(ctx) => {
-                            local.revert(ctx.journal);
-                            ctx.access
-                        }
-                        Err(_) => {
-                            // A transaction that fails speculation (e.g. a nonce that
-                            // only becomes valid after an earlier same-sender
-                            // transaction) must be treated as conflicted, so give it
-                            // the sender/receiver balance keys its execution would
-                            // have touched.
-                            let mut access = AccessSet::new();
-                            access.record_write(StateKey::Balance(tx.sender()));
-                            access.record_write(StateKey::Balance(tx.receiver()));
-                            access
-                        }
-                    })
-                    .collect();
-                slots.lock().expect("discovery slot lock")[chunk_index] = sets;
-            }) as Job
-        })
-        .collect();
-    pool.run_tasks(tasks)?;
+    lend_state(state, |base| {
+        let tasks: Vec<Job> = (0..chunk_count)
+            .map(|chunk_index| {
+                let view = MvView::new(Arc::clone(&no_versions), Arc::clone(base), 0);
+                let block = Arc::clone(&block);
+                let slots = Arc::clone(&slots);
+                Box::new(move || {
+                    let start = chunk_index * chunk_size;
+                    let end = (start + chunk_size).min(block.transaction_count());
+                    let mut local = WorldState::scratch_over(Arc::new(Mutex::new(view)));
+                    let mut executor = BlockExecutor::new();
+                    let sets: Vec<AccessSet> = block.transactions()[start..end]
+                        .iter()
+                        .map(|tx| {
+                            local.reset_working_set();
+                            match executor.execute_transaction(&mut local, tx) {
+                                Ok(ctx) => ctx.access,
+                                Err(_) => {
+                                    // A transaction that fails speculation (e.g. a
+                                    // nonce that only becomes valid after an earlier
+                                    // same-sender transaction) must be treated as
+                                    // conflicted, so give it the sender/receiver
+                                    // balance keys its execution would have touched.
+                                    let mut access = AccessSet::new();
+                                    access.record_write(StateKey::Balance(tx.sender()));
+                                    access.record_write(StateKey::Balance(tx.receiver()));
+                                    access
+                                }
+                            }
+                        })
+                        .collect();
+                    slots.lock().expect("discovery slot lock")[chunk_index] = sets;
+                }) as Job
+            })
+            .collect();
+        pool.run_tasks(tasks)
+    })?;
     let slots = Arc::try_unwrap(slots)
         .expect("pool drained all jobs")
         .into_inner()

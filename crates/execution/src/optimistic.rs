@@ -22,6 +22,7 @@
 use crate::mvcc::{
     cell_key_of, fold_delta, CellKey, CellPart, CellValue, CellWrite, MvMemory, ReadOrigin, Stamp,
 };
+use crate::occ::lend_state;
 use crate::thread_pool::{Job, WorkerPool};
 use crate::{ExecutionEngine, ExecutionReport};
 use blockconc_account::vm::Contract;
@@ -33,13 +34,11 @@ use blockconc_store::{
     BlockDelta, CommitStats, FragmentValue, StateBackend, StateKey, StateValue, StoreStats,
     StoredAccount,
 };
-use blockconc_telemetry::{SharedClock, WallClock};
 use blockconc_types::{Address, Amount, Gas, Result};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Incarnation ceiling per transaction. Exceeding it means validation keeps
 /// invalidating the same transaction (pathological contention); the engine then
@@ -133,8 +132,12 @@ struct ServedCell {
 /// lookup. That projection of the origins onto the keys the transaction
 /// actually consumed is the validation read set; a slot-7 write is invisible
 /// to a slot-3 reader because nothing ever asked about slot 7.
+///
+/// Over a version map nobody writes to, the same view is a cell-granular read
+/// path to the base state alone — what the evaluators' discovery pass
+/// (`occ::discover_access_sets`) mounts its scratch states on.
 #[derive(Debug)]
-struct MvView {
+pub(crate) struct MvView {
     mv: Arc<MvMemory>,
     base: Arc<WorldState>,
     tx_index: usize,
@@ -147,7 +150,7 @@ struct MvView {
 }
 
 impl MvView {
-    fn new(mv: Arc<MvMemory>, base: Arc<WorldState>, tx_index: usize) -> Self {
+    pub(crate) fn new(mv: Arc<MvMemory>, base: Arc<WorldState>, tx_index: usize) -> Self {
         MvView {
             mv,
             base,
@@ -689,7 +692,6 @@ impl AbortInjection {
 
 struct RunCtx {
     mv: Arc<MvMemory>,
-    base: Arc<WorldState>,
     block: AccountBlock,
     scheduler: Scheduler,
     /// Whether pure credits and `SAdd` increments land as commutative
@@ -745,12 +747,8 @@ struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    fn new(ctx: &RunCtx) -> Self {
-        let view = Arc::new(Mutex::new(MvView::new(
-            Arc::clone(&ctx.mv),
-            Arc::clone(&ctx.base),
-            0,
-        )));
+    fn new(ctx: &RunCtx, base: Arc<WorldState>) -> Self {
+        let view = Arc::new(Mutex::new(MvView::new(Arc::clone(&ctx.mv), base, 0)));
         // Delta cells flip the executor into delta-emitting mode: pure credits
         // and `SAdd` increments accumulate as pending deltas instead of
         // materializing the target account, and land in the version map as
@@ -900,8 +898,8 @@ impl RunCtx {
     }
 }
 
-fn worker_loop(ctx: &RunCtx) {
-    let mut ws = WorkerScratch::new(ctx);
+fn worker_loop(ctx: &RunCtx, base: Arc<WorldState>) {
+    let mut ws = WorkerScratch::new(ctx, base);
     let mut task: Option<Task> = None;
     loop {
         if ctx.scheduler.halted() {
@@ -960,7 +958,6 @@ pub struct OptimisticEngine {
     threads: usize,
     pool: WorkerPool,
     executor: BlockExecutor,
-    clock: SharedClock,
     abort_injection: Option<AbortInjection>,
     delta_cells: bool,
 }
@@ -978,7 +975,6 @@ impl OptimisticEngine {
             threads,
             pool: WorkerPool::new(threads),
             executor: BlockExecutor::new(),
-            clock: WallClock::shared(),
             abort_injection: None,
             delta_cells: false,
         }
@@ -993,14 +989,6 @@ impl OptimisticEngine {
     /// `"optimistic-delta"`.
     pub fn with_delta_cells(mut self) -> Self {
         self.delta_cells = true;
-        self
-    }
-
-    /// This engine timing itself on `clock` instead of the wall clock
-    /// (builder-style) — a mock clock makes the reported wall times
-    /// deterministic.
-    pub fn with_clock(mut self, clock: SharedClock) -> Self {
-        self.clock = clock;
         self
     }
 
@@ -1028,24 +1016,22 @@ impl OptimisticEngine {
         fallbacks: u64,
         delta_merges: u64,
         delta_downgrades: u64,
-        wall: Duration,
     ) -> ExecutionReport {
-        let parallel_units = executions.div_ceil(self.threads as u64);
         ExecutionReport {
-            engine: self.name().to_string(),
-            threads: self.threads,
-            tx_count: x,
-            conflicted_transactions: conflicted,
-            largest_group: conflicted,
-            sequential_units: x as u64,
-            parallel_units,
             validations,
             aborts,
             re_executions: executions.saturating_sub(x as u64),
             sequential_fallbacks: fallbacks,
             delta_merges,
             delta_downgrades,
-            wall_time: wall,
+            ..ExecutionReport::new(
+                self.name(),
+                self.threads,
+                x,
+                conflicted,
+                conflicted,
+                executions.div_ceil(self.threads as u64),
+            )
         }
     }
 }
@@ -1071,19 +1057,11 @@ impl ExecutionEngine for OptimisticEngine {
         let x = block.transaction_count();
         if x == 0 {
             let executed = ExecutedBlock::new(block.clone(), Vec::new());
-            return Ok((
-                executed,
-                self.report(0, 0, 0, 0, 0, 0, 0, 0, Duration::ZERO),
-            ));
+            return Ok((executed, self.report(0, 0, 0, 0, 0, 0, 0, 0)));
         }
 
-        let start = self.clock.now_nanos();
-        // Move the state behind an Arc so the 'static pool jobs can read it; it is
-        // recovered (and restored into `*state`) on every exit path below.
-        let base = Arc::new(std::mem::take(state));
         let ctx = Arc::new(RunCtx {
             mv: Arc::new(MvMemory::new()),
-            base: Arc::clone(&base),
             block: block.clone(),
             scheduler: Scheduler::new(x),
             delta_cells: self.delta_cells,
@@ -1099,24 +1077,26 @@ impl ExecutionEngine for OptimisticEngine {
             abort_injection: self.abort_injection,
         });
 
-        let workers = self.threads.min(x);
-        let tasks: Vec<Job> = (0..workers)
-            .map(|_| {
-                let ctx = Arc::clone(&ctx);
-                Box::new(move || worker_loop(&ctx)) as Job
-            })
-            .collect();
-        let run = self.pool.run_tasks(tasks);
+        // The workers only read the state: it is back in `*state`, untouched,
+        // before any exit path below.
+        let run = lend_state(state, |base| {
+            let tasks: Vec<Job> = (0..self.threads.min(x))
+                .map(|_| {
+                    let (ctx, base) = (Arc::clone(&ctx), Arc::clone(base));
+                    Box::new(move || worker_loop(&ctx, base)) as Job
+                })
+                .collect();
+            self.pool.run_tasks(tasks)
+        });
 
-        // Every job has been consumed (even on panic), so both Arcs are unique
-        // again. Reclaim the state before any early return.
+        // Every job has been consumed (even on panic), so the context is unique
+        // again.
         let ctx = match Arc::try_unwrap(ctx) {
             Ok(ctx) => ctx,
             Err(_) => unreachable!("pool drained all jobs"),
         };
         let RunCtx {
             mv,
-            base: ctx_base,
             outcomes,
             read_sets,
             touched,
@@ -1127,8 +1107,6 @@ impl ExecutionEngine for OptimisticEngine {
             fell_back,
             ..
         } = ctx;
-        drop(ctx_base);
-        let mut owned = Arc::try_unwrap(base).unwrap_or_else(|arc| WorldState::clone(&arc));
 
         let executions = executions.into_inner();
         let validations = validations.into_inner();
@@ -1136,11 +1114,9 @@ impl ExecutionEngine for OptimisticEngine {
 
         if run.is_err() || fell_back.into_inner() {
             // Worker panic or abort bound exceeded: the state was never touched, so
-            // hand it back and (for the bound case) execute sequentially instead.
-            *state = owned;
+            // (for the bound case) execute sequentially instead.
             run?;
             let executed = self.executor.execute_block(state, block)?;
-            let wall = Duration::from_nanos(self.clock.now_nanos().saturating_sub(start));
             let conflicted = ever_aborted
                 .iter()
                 .filter(|a| a.load(Ordering::SeqCst))
@@ -1156,7 +1132,6 @@ impl ExecutionEngine for OptimisticEngine {
                 // commuted speculatively did not commit that way.
                 0,
                 0,
-                wall,
             );
             return Ok((executed, report));
         }
@@ -1189,14 +1164,14 @@ impl ExecutionEngine for OptimisticEngine {
         // slots land.
         for (key, cell) in mv.into_final_cells() {
             if let Some(fragment) = cell.write {
-                owned.set_cell(&key.state_key(), fragment.as_ref());
+                state.set_cell(&key.state_key(), fragment.as_ref());
             }
             match (key.part, cell.delta) {
                 (_, None) => {}
-                (CellPart::Meta, Some(sum)) => owned.credit(key.address, Amount::from_sats(sum)),
+                (CellPart::Meta, Some(sum)) => state.credit(key.address, Amount::from_sats(sum)),
                 (CellPart::Slot(slot), Some(sum)) => {
-                    let value = owned.storage(key.address, slot).wrapping_add(sum);
-                    owned.storage_set(key.address, slot, value, None);
+                    let value = state.storage(key.address, slot).wrapping_add(sum);
+                    state.storage_set(key.address, slot, value, None);
                 }
                 (CellPart::Code, Some(_)) => unreachable!("delta buffered under a code cell"),
             }
@@ -1207,11 +1182,9 @@ impl ExecutionEngine for OptimisticEngine {
         // a pipeline-level `commit_block` would journal sequentially.
         for slot in touched {
             for address in slot.into_inner().expect("touched lock") {
-                owned.touch(address);
+                state.touch(address);
             }
         }
-        let wall = Duration::from_nanos(self.clock.now_nanos().saturating_sub(start));
-        *state = owned;
 
         let receipts: Vec<Receipt> = outcomes
             .into_iter()
@@ -1235,7 +1208,6 @@ impl ExecutionEngine for OptimisticEngine {
             0,
             delta_merges,
             delta_downgrades,
-            wall,
         );
         Ok((executed, report))
     }

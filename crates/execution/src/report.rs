@@ -1,7 +1,6 @@
 //! Execution reports.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// What an execution engine measured while executing one block.
 ///
@@ -49,12 +48,36 @@ pub struct ExecutionReport {
     /// High merge counts with low downgrade counts are the commutative ideal;
     /// downgrades approaching merges mean the "hot sink" is also hot to read.
     pub delta_downgrades: u64,
-    /// Wall-clock time of the parallelizable portion as actually measured.
-    #[serde(skip)]
-    pub wall_time: Duration,
 }
 
 impl ExecutionReport {
+    /// A report of `tx_count` unit-cost transactions with the optimistic
+    /// engine's counters at zero (it fills its own in by struct update).
+    pub(crate) fn new(
+        engine: &str,
+        threads: usize,
+        tx_count: usize,
+        conflicted_transactions: usize,
+        largest_group: usize,
+        parallel_units: u64,
+    ) -> Self {
+        ExecutionReport {
+            engine: engine.to_string(),
+            threads,
+            tx_count,
+            conflicted_transactions,
+            largest_group,
+            sequential_units: tx_count as u64,
+            parallel_units,
+            validations: 0,
+            aborts: 0,
+            re_executions: 0,
+            sequential_fallbacks: 0,
+            delta_merges: 0,
+            delta_downgrades: 0,
+        }
+    }
+
     /// The speed-up in abstract time units, `sequential_units / parallel_units`
     /// (0 when the parallel time is 0).
     pub fn unit_speedup(&self) -> f64 {
@@ -89,22 +112,7 @@ mod tests {
     use super::*;
 
     fn report() -> ExecutionReport {
-        ExecutionReport {
-            engine: "test".to_string(),
-            threads: 4,
-            tx_count: 100,
-            conflicted_transactions: 40,
-            largest_group: 20,
-            sequential_units: 100,
-            parallel_units: 66,
-            validations: 0,
-            aborts: 0,
-            re_executions: 0,
-            sequential_fallbacks: 0,
-            delta_merges: 0,
-            delta_downgrades: 0,
-            wall_time: Duration::from_millis(10),
-        }
+        ExecutionReport::new("test", 4, 100, 40, 20, 66)
     }
 
     #[test]

@@ -1,68 +1,52 @@
-//! The two-phase speculative engine (single-transaction concurrency, Equation 1).
+//! The single-transaction-concurrency evaluator (Equation 1).
 
 use crate::occ::discover_access_sets;
 use crate::thread_pool::WorkerPool;
 use crate::{detect_conflicts, ExecutionEngine, ExecutionReport};
-use blockconc_account::{AccountBlock, BlockExecutor, ExecutedBlock, Receipt, WorldState};
-use blockconc_telemetry::{SharedClock, WallClock};
-use blockconc_types::{Gas, Result};
-use std::sync::Arc;
-use std::time::Duration;
+use blockconc_account::{AccountBlock, BlockExecutor, ExecutedBlock, WorldState};
+use blockconc_types::Result;
 
-/// The speculative two-phase engine modelled by the paper's Equation (1):
+/// The speculative two-phase technique modelled by the paper's Equation (1),
+/// evaluated over the sequential commit:
 ///
-/// 1. **Speculative phase** — every transaction is executed against the pre-block
-///    state, spread across worker threads; each execution records the transaction's
-///    read/write set and provisional receipt, then rolls itself back.
-/// 2. **Sequential phase** — transactions whose access sets conflict with another
-///    transaction's are re-executed sequentially, in block order, on top of the
-///    committed effects of the non-conflicted transactions.
+/// 1. **Discovery** — every transaction is executed against the pre-block state,
+///    spread across worker threads, and leaves only its read/write set behind.
+///    Transactions whose sets conflict with another transaction's form the
+///    *sequential bin* a two-phase engine would have to re-execute in block order.
+/// 2. **Commit** — the block is executed sequentially, in block order. Pre-block
+///    access sets are not a sound basis for committing anything out of order (an
+///    earlier transaction of the block can flip a later one's branch, and with it
+///    the keys it touches), so they decide what is *reported*, never what is
+///    committed.
 ///
-/// The committed state transition and receipts are identical to sequential execution;
-/// only the time profile differs. Committing the non-conflicted speculative results is
-/// done by re-executing them (a real engine would install their buffered write sets
-/// directly), and that installation step is excluded from the reported wall time so
-/// the measured profile matches the modelled `⌈x/n⌉ + c·x` shape.
+/// The report's `parallel_units` is the modelled `⌈x/n⌉ + bin`.
 ///
 /// # Examples
 ///
 /// See the [crate documentation](crate).
 #[derive(Debug)]
 pub struct SpeculativeEngine {
-    threads: usize,
     pool: WorkerPool,
     executor: BlockExecutor,
-    clock: SharedClock,
 }
 
 impl SpeculativeEngine {
     /// Creates an engine whose persistent worker pool holds `threads` threads
-    /// (spawned once here, reused for every block), timing itself on the
-    /// wall clock.
+    /// (spawned once here, reused for every block).
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Self {
         SpeculativeEngine {
-            threads,
             pool: WorkerPool::new(threads),
             executor: BlockExecutor::new(),
-            clock: WallClock::shared(),
         }
-    }
-
-    /// This engine timing itself on `clock` instead of the wall clock
-    /// (builder-style) — a mock clock makes the reported wall times
-    /// deterministic.
-    pub fn with_clock(mut self, clock: SharedClock) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// The number of worker threads.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.size()
     }
 }
 
@@ -76,72 +60,20 @@ impl ExecutionEngine for SpeculativeEngine {
         state: &mut WorldState,
         block: &AccountBlock,
     ) -> Result<(ExecutedBlock, ExecutionReport)> {
+        let conflicts = detect_conflicts(&discover_access_sets(&self.pool, state, block)?);
+        let executed = self.executor.execute_block(state, block)?;
+
         let x = block.transaction_count();
-        let phase1_start = self.clock.now_nanos();
-        // Pool jobs are 'static: move the state behind an Arc for the phase and
-        // reclaim it afterwards (the jobs only read it, so it is unique again once
-        // `run_tasks` has drained the batch).
-        let base = Arc::new(std::mem::take(state));
-        let shared_block = Arc::new(block.clone());
-        let phase_outcome = discover_access_sets(&self.pool, self.threads, &base, &shared_block);
-        drop(shared_block);
-        *state = Arc::try_unwrap(base).unwrap_or_else(|arc| WorldState::clone(&arc));
-        let access_sets = phase_outcome?;
-        let phase1 = self.clock.now_nanos().saturating_sub(phase1_start);
-
-        let conflicts = detect_conflicts(&access_sets);
-        let conflicted = conflicts.conflicted_flags().to_vec();
         let bin_size = conflicts.conflicted_count();
-
-        // Install the non-conflicted speculative results. (Re-executed here for
-        // simplicity; excluded from the reported wall time — see the type docs.)
-        let mut receipts: Vec<Option<Receipt>> = vec![None; x];
-        for (idx, tx) in block.transactions().iter().enumerate() {
-            if !conflicted[idx] {
-                let receipt = match self.executor.execute_transaction(state, tx) {
-                    Ok(ctx) => ctx.receipt,
-                    Err(err) => Receipt::failure(tx.id(), Gas::ZERO, err.to_string()),
-                };
-                receipts[idx] = Some(receipt);
-            }
-        }
-
-        // Sequential phase: re-execute the conflicted bin in block order.
-        let phase2_start = self.clock.now_nanos();
-        for (idx, tx) in block.transactions().iter().enumerate() {
-            if conflicted[idx] {
-                let receipt = match self.executor.execute_transaction(state, tx) {
-                    Ok(ctx) => ctx.receipt,
-                    Err(err) => Receipt::failure(tx.id(), Gas::ZERO, err.to_string()),
-                };
-                receipts[idx] = Some(receipt);
-            }
-        }
-        let phase2 = self.clock.now_nanos().saturating_sub(phase2_start);
-
-        let receipts: Vec<Receipt> = receipts
-            .into_iter()
-            .map(|r| r.expect("every transaction received a receipt"))
-            .collect();
-        let executed = ExecutedBlock::new(block.clone(), receipts);
-
-        let parallel_units = (x as u64).div_ceil(self.threads as u64) + bin_size as u64;
-        let report = ExecutionReport {
-            engine: self.name().to_string(),
-            threads: self.threads,
-            tx_count: x,
-            conflicted_transactions: bin_size,
-            largest_group: bin_size,
-            sequential_units: x as u64,
+        let parallel_units = (x as u64).div_ceil(self.threads() as u64) + bin_size as u64;
+        let report = ExecutionReport::new(
+            self.name(),
+            self.threads(),
+            x,
+            bin_size,
+            bin_size,
             parallel_units,
-            validations: 0,
-            aborts: 0,
-            re_executions: 0,
-            sequential_fallbacks: 0,
-            delta_merges: 0,
-            delta_downgrades: 0,
-            wall_time: Duration::from_nanos(phase1 + phase2),
-        };
+        );
         Ok((executed, report))
     }
 }

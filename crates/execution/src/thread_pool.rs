@@ -51,10 +51,10 @@ impl WaitGroup {
 /// Workers are spawned once (at engine construction) and reused for every block, so
 /// the measured execution wall time contains no thread-startup cost. Jobs are
 /// `'static` closures: callers that need to share non-`'static` data (like the
-/// engine's `WorldState`) temporarily move it into an [`Arc`] — see the optimistic
-/// engine — and recover it with [`Arc::try_unwrap`] after [`WorkerPool::run_tasks`]
-/// returns, which is guaranteed to succeed because every job (and the data it
-/// captured) has been consumed by then.
+/// engine's `WorldState`) temporarily move it into an [`Arc`] and recover it with
+/// [`Arc::try_unwrap`] after [`WorkerPool::run_tasks`] returns, which is
+/// guaranteed to succeed because every job (and the data it captured) has been
+/// consumed by then. The engines do this in one place, `lend_state` in `occ.rs`.
 ///
 /// Dropping the pool closes the job channel and joins all workers.
 ///

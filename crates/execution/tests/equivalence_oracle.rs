@@ -1,9 +1,13 @@
-//! The equivalence oracle: proptest evidence that [`OptimisticEngine`] computes
-//! the *same state transition* as [`SequentialEngine`] — bit-identical receipts,
+//! The equivalence oracle: proptest evidence that every engine computes the
+//! *same state transition* as [`SequentialEngine`] — bit-identical receipts,
 //! bit-identical per-block write sets, identical `state_root` and identical
-//! committed backend contents — on both the memory and the disk backend, and
-//! under forced-abort interleavings that exercise the estimate / suspension /
-//! re-execution machinery on otherwise conflict-free workloads.
+//! committed backend contents — on both the memory and the disk backend, and,
+//! for [`OptimisticEngine`], under forced-abort interleavings that exercise the
+//! estimate / suspension / re-execution machinery on otherwise conflict-free
+//! workloads. The two model evaluators ([`SpeculativeEngine`],
+//! [`ScheduledEngine`]) commit through the sequential executor, so what the
+//! oracle exercises in them is the discovery pass reading the lent state —
+//! resident or cold — without disturbing it.
 //!
 //! Workloads are generated over a small sender pool so blocks routinely contain
 //! hot-account conflicts, same-sender nonce chains, bad-nonce failures and
@@ -18,15 +22,22 @@
 //!   transaction's version* as often as to base;
 //! * a ~1 000-slot "lab" contract whose operations store zero onto live slots
 //!   (slot deletion), load absent slots into the receipt's log, `SAdd` into a
-//!   sink slot that later transactions load, overwrite slots, and write then
-//!   revert with value attached;
+//!   sink slot that later transactions load, overwrite slots, write then
+//!   revert with value attached, and pay a sender out of the contract's balance
+//!   iff a slot is live — a branch an earlier transaction of the block can flip,
+//!   funding (or not) the payee's own later transfers;
 //! * contract creation followed by calls of the new contract inside the block
 //!   (the code cell served from a lower version).
 //!
 //! The disk runs re-open the store and mount it under a cold working set, so the
 //! base state the versioned view falls through to is *not resident*. Every
-//! property rolls the engine's granularity, key cells with and without delta
-//! cells.
+//! property rolls the optimistic engine's granularity, key cells with and
+//! without delta cells.
+//!
+//! Two fixed blocks pin the branch-flip shape itself — once on a hand-written
+//! contract, once spelled in the generator's own plans — through all five engine
+//! configurations: an engine that commits by pre-block access sets rather than
+//! in block order fails both.
 //!
 //! Beside the generated blocks, two fixed-seed workload profiles of
 //! `blockconc-chainsim` run through the same comparison at 8 workers: the
@@ -37,7 +48,10 @@
 use blockconc_account::vm::{Contract, OpCode};
 use blockconc_account::{AccountBlock, AccountTransaction, BlockBuilder, Receipt, WorldState};
 use blockconc_chainsim::{AccountWorkloadGen, AccountWorkloadParams};
-use blockconc_execution::{AbortInjection, ExecutionEngine, OptimisticEngine, SequentialEngine};
+use blockconc_execution::{
+    AbortInjection, ExecutionEngine, OptimisticEngine, ScheduledEngine, SequentialEngine,
+    SpeculativeEngine,
+};
 use blockconc_store::{
     shared, DeltaRecord, DiskBackend, DiskConfig, MemoryBackend, SharedBackend, StoredAccount,
 };
@@ -61,9 +75,11 @@ const CONTRACT: u64 = 777;
 /// A token ledger keyed by address low bits; every sender starts with a balance.
 const TOKEN: u64 = 778;
 
-/// The lab contract (see [`lab_contract`]), holding [`LAB_SLOTS`] live slots.
+/// The lab contract (see [`lab_contract`]), holding [`LAB_SLOTS`] live slots
+/// and [`LAB_FUNDS`] sats to pay out of.
 const LAB: u64 = 779;
 const LAB_SLOTS: u64 = 1_000;
+const LAB_FUNDS: u64 = 1_000_000;
 
 /// Receiver rolls from here up turn a plan into contract traffic.
 const CALL_MARKER: u64 = SENDERS + 3;
@@ -93,6 +109,9 @@ fn plan_strategy() -> impl Strategy<Value = RawPlan> {
 ///   cells, a read-modify-write otherwise);
 /// * `3` — store the operand, then revert (with the call's value attached, the
 ///   value transfer rolls back too);
+/// * `5` — pay the address in argument 3 the operand iff the slot is live (a
+///   branch that lower transactions of the same block flip by deleting or
+///   creating the slot);
 /// * anything else — store the operand.
 fn lab_contract() -> Contract {
     let dispatch = |op: u64, target: usize| {
@@ -104,39 +123,48 @@ fn lab_contract() -> Contract {
         ]
     };
     let mut code = Vec::new();
-    code.extend(dispatch(0, 16)); // 0..4
-    code.extend(dispatch(1, 20)); // 4..8
-    code.extend(dispatch(2, 25)); // 8..12
+    code.extend(dispatch(0, 20)); // 0..4
+    code.extend(dispatch(1, 24)); // 4..8
+    code.extend(dispatch(2, 29)); // 8..12
+    code.extend(dispatch(5, 39)); // 12..16
     code.extend([
-        // 12: store the operand; op 3 reverts afterwards.
+        // 16: store the operand; op 3 reverts afterwards.
         OpCode::Arg(2),
         OpCode::Arg(1),
         OpCode::SStore,
-        OpCode::Jump(29),
-        // 16: store zero.
+        OpCode::Jump(33),
+        // 20: store zero.
         OpCode::Push(0),
         OpCode::Arg(1),
         OpCode::SStore,
         OpCode::Stop,
-        // 20: load and log.
+        // 24: load and log.
         OpCode::Arg(1),
         OpCode::SLoad,
         OpCode::Log,
         OpCode::Pop,
         OpCode::Stop,
-        // 25: accumulate.
+        // 29: accumulate.
         OpCode::Arg(2),
         OpCode::Arg(1),
         OpCode::SAdd,
         OpCode::Stop,
-        // 29: revert iff op == 3.
+        // 33: revert iff op == 3.
         OpCode::Arg(0),
         OpCode::Push(3),
         OpCode::Sub,
-        OpCode::JumpIfZero(34),
+        OpCode::JumpIfZero(38),
         OpCode::Stop,
-        // 34
+        // 38
         OpCode::Revert,
+        // 39: pay iff the slot is live.
+        OpCode::Arg(1),
+        OpCode::SLoad,
+        OpCode::JumpIfZero(44),
+        OpCode::Arg(2),
+        OpCode::TransferArg(3),
+        // 44
+        OpCode::Stop,
     ]);
     Contract::new(code)
 }
@@ -193,12 +221,18 @@ fn build_block(plans: &[RawPlan]) -> AccountBlock {
                 0,
                 vec![100 + sats % SENDERS, sats / SENDERS % 4 * 250],
             ),
-            // Value rides along on a third of the lab calls.
-            LAB_MARKER => call(
-                Address::from_low(LAB),
-                if sats % 3 == 0 { sats % 1_000 } else { 0 },
-                vec![sats % 5, lab_slot(sats / 5), 1 + sats % 7],
-            ),
+            // Value rides along on a third of the lab calls. A payout (op 5)
+            // is sized like a transfer, so it decides whether the payee's own
+            // later transfers are funded.
+            LAB_MARKER => {
+                let op = sats % 6;
+                let operand = (1 + sats % 7) * if op == 5 { 50_000 } else { 1 };
+                call(
+                    Address::from_low(LAB),
+                    if sats % 3 == 0 { sats % 1_000 } else { 0 },
+                    vec![op, lab_slot(sats / 6), operand, 100 + sats / 7 % SENDERS],
+                )
+            }
             CREATE_MARKER => {
                 created = created_code.deployment_address(from, nonce);
                 AccountTransaction::contract_create(from, Arc::clone(&created_code), nonce)
@@ -245,6 +279,7 @@ fn genesis(funding: &[u64]) -> WorldState {
     }
     let lab = Address::from_low(LAB);
     state.deploy_contract(lab, Arc::new(lab_contract()));
+    state.credit(lab, Amount::from_sats(LAB_FUNDS));
     for slot in 0..LAB_SLOTS {
         state.storage_set(lab, slot, 1 + slot, None);
     }
@@ -259,10 +294,9 @@ fn genesis(funding: &[u64]) -> WorldState {
 fn run_engine(
     engine: &mut dyn ExecutionEngine,
     disk: Option<&PathBuf>,
-    funding: &[u64],
+    mut state: WorldState,
     block: &AccountBlock,
 ) -> Transition {
-    let mut state = genesis(funding);
     let backend: SharedBackend = match disk {
         None => {
             let backend = shared(MemoryBackend::new());
@@ -308,46 +342,58 @@ fn run_engine(
     }
 }
 
-fn assert_equivalent(
-    funding: &[u64],
-    plans: &[RawPlan],
-    mut optimistic: OptimisticEngine,
+/// Requires `engine` to commit `block` over `pre_state` exactly as
+/// [`SequentialEngine`] does, on the memory backend or on a re-opened disk store.
+fn assert_same_transition(
+    pre_state: &WorldState,
+    block: &AccountBlock,
+    engine: &mut dyn ExecutionEngine,
     on_disk: bool,
 ) {
-    let block = build_block(plans);
-    let (seq, opt) = if on_disk {
-        let (seq_dir, opt_dir) = (disk_dir(), disk_dir());
-        let seq = run_engine(
-            &mut SequentialEngine::new(),
-            Some(&seq_dir),
-            funding,
-            &block,
-        );
-        let opt = run_engine(&mut optimistic, Some(&opt_dir), funding, &block);
-        let _ = std::fs::remove_dir_all(&seq_dir);
-        let _ = std::fs::remove_dir_all(&opt_dir);
-        (seq, opt)
-    } else {
-        let seq = run_engine(&mut SequentialEngine::new(), None, funding, &block);
-        let opt = run_engine(&mut optimistic, None, funding, &block);
-        (seq, opt)
+    let run = |engine: &mut dyn ExecutionEngine| {
+        let dir = on_disk.then(disk_dir);
+        let transition = run_engine(engine, dir.as_ref(), pre_state.clone(), block);
+        if let Some(dir) = dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        transition
     };
+    let seq = run(&mut SequentialEngine::new());
+    let name = engine.name();
+    let got = run(engine);
     prop_assert_eq!(
         &seq.receipts,
-        &opt.receipts,
-        "receipts must be bit-identical"
+        &got.receipts,
+        "{} receipts must be bit-identical",
+        name
     );
     prop_assert_eq!(
         &seq.write_set,
-        &opt.write_set,
-        "write sets must be bit-identical"
+        &got.write_set,
+        "{} write sets must be bit-identical",
+        name
     );
-    prop_assert_eq!(seq.state_root, opt.state_root, "state roots must match");
+    prop_assert_eq!(
+        seq.state_root,
+        got.state_root,
+        "{} state roots must match",
+        name
+    );
     prop_assert_eq!(
         &seq.committed,
-        &opt.committed,
-        "committed stores must match"
+        &got.committed,
+        "{} committed stores must match",
+        name
     );
+}
+
+fn assert_equivalent(
+    funding: &[u64],
+    plans: &[RawPlan],
+    engine: &mut dyn ExecutionEngine,
+    on_disk: bool,
+) {
+    assert_same_transition(&genesis(funding), &build_block(plans), engine, on_disk);
 }
 
 /// An engine with the rolled granularity: roll 0 keeps the key-granular
@@ -360,10 +406,21 @@ fn engine_with(threads: usize, granularity_roll: u64) -> OptimisticEngine {
     }
 }
 
+/// Every parallel engine at `threads`: the optimistic engine at the rolled
+/// granularity and the two model evaluators.
+fn engines_with(threads: usize, granularity_roll: u64) -> [Box<dyn ExecutionEngine>; 3] {
+    [
+        Box::new(engine_with(threads, granularity_roll)),
+        Box::new(SpeculativeEngine::new(threads)),
+        Box::new(ScheduledEngine::new(threads)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Memory backend: any generated block, any worker count, both granularities.
+    // Memory backend: any generated block, any worker count, both granularities,
+    // and both evaluators.
     #[test]
     fn optimistic_matches_sequential_in_memory(
         funding in any_vec(0u64..2_000_000, 6usize),
@@ -371,12 +428,15 @@ proptest! {
         threads in 1usize..5,
         granularity in 0u64..2,
     ) {
-        assert_equivalent(&funding, &plans, engine_with(threads, granularity), false);
+        for mut engine in engines_with(threads, granularity) {
+            assert_equivalent(&funding, &plans, engine.as_mut(), false);
+        }
     }
 
     // Disk backend: the pre-state round-trips through the journal (genesis commit,
     // close, re-open, cold working set — the engine's base is not resident) and
-    // the block's write set is journalled on commit.
+    // the block's write set is journalled on commit. The evaluators' discovery
+    // pass reads the same cold base through the same view.
     #[test]
     fn optimistic_matches_sequential_on_disk(
         funding in any_vec(0u64..2_000_000, 6usize),
@@ -384,7 +444,9 @@ proptest! {
         threads in 1usize..5,
         granularity in 0u64..2,
     ) {
-        assert_equivalent(&funding, &plans, engine_with(threads, granularity), true);
+        for mut engine in engines_with(threads, granularity) {
+            assert_equivalent(&funding, &plans, engine.as_mut(), true);
+        }
     }
 
     // Forced aborts: deterministically fail validation for a large share of the
@@ -400,11 +462,11 @@ proptest! {
         disk_roll in 0u64..2,
         granularity in 0u64..2,
     ) {
-        let engine = engine_with(threads, granularity).with_forced_aborts(AbortInjection {
+        let mut engine = engine_with(threads, granularity).with_forced_aborts(AbortInjection {
             seed,
             percent: percent as u8,
         });
-        assert_equivalent(&funding, &plans, engine, disk_roll == 1);
+        assert_equivalent(&funding, &plans, &mut engine, disk_roll == 1);
     }
 }
 
@@ -449,6 +511,116 @@ fn lab_contract_operations_do_what_the_shapes_need() {
     assert!(run(&mut state, 6, 500, vec![4, 1, 99]).succeeded());
     assert_eq!(state.storage(lab, 1), 99);
     assert_eq!(state.balance(lab), balance + Amount::from_sats(500));
+    // 5: a live slot pays the named address, a deleted one pays nobody.
+    let (payee, balance) = (Address::from_low(103), state.balance(lab));
+    let before = state.balance(payee);
+    assert!(run(&mut state, 7, 0, vec![5, 1, 700, 103]).succeeded());
+    assert_eq!(state.balance(payee), before + Amount::from_sats(700));
+    assert!(run(&mut state, 8, 0, vec![5, 2, 700, 103]).succeeded());
+    assert_eq!(state.balance(payee), before + Amount::from_sats(700));
+    assert_eq!(state.balance(lab), balance - Amount::from_sats(700));
+}
+
+/// The branch-flip block: *A* stores K's slot 0, *C* calls K, which pays V by
+/// an internal transfer iff slot 0 is set, and *T* is a transfer out of V that
+/// only that payout funds. Against the pre-block state C takes the other branch
+/// and never touches V, so read/write sets recorded there call T independent of
+/// both; an engine that orders its commit by them runs T first and fails it.
+#[test]
+fn a_branch_flipped_inside_the_block_commits_like_sequential() {
+    let [a, c, k, v, w] = [1u64, 2, 3, 4, 5].map(Address::from_low);
+    let mut pre_state = WorldState::new();
+    pre_state.credit(a, Amount::from_sats(100_000));
+    pre_state.credit(c, Amount::from_sats(100_000));
+    pre_state.credit(v, Amount::from_sats(10));
+    pre_state.deploy_contract(
+        k,
+        Arc::new(Contract::new(vec![
+            OpCode::Arg(0),
+            OpCode::JumpIfZero(6),
+            OpCode::Push(1),
+            OpCode::Push(0),
+            OpCode::SStore,
+            OpCode::Stop,
+            // 6
+            OpCode::Push(0),
+            OpCode::SLoad,
+            OpCode::JumpIfZero(11),
+            OpCode::Push(1000),
+            OpCode::Transfer(v),
+            // 11
+            OpCode::Stop,
+        ])),
+    );
+    pre_state.credit(k, Amount::from_sats(10_000));
+    let block = BlockBuilder::new(1, 0, Address::from_low(9))
+        .transactions([
+            AccountTransaction::contract_call(a, k, Amount::ZERO, vec![1], 0),
+            AccountTransaction::contract_call(c, k, Amount::ZERO, vec![0], 0),
+            AccountTransaction::transfer(v, w, Amount::from_sats(500), 0),
+        ])
+        .build();
+
+    let mut sequential_state = pre_state.clone();
+    let (executed, _) = SequentialEngine::new()
+        .execute(&mut sequential_state, &block)
+        .expect("engine run");
+    assert!(executed.receipts().iter().all(Receipt::succeeded));
+    assert_eq!(sequential_state.balance(w), Amount::from_sats(500));
+
+    let engines: [Box<dyn ExecutionEngine>; 5] = [
+        Box::new(SequentialEngine::new()),
+        Box::new(SpeculativeEngine::new(2)),
+        Box::new(ScheduledEngine::new(2)),
+        Box::new(OptimisticEngine::new(2)),
+        Box::new(OptimisticEngine::new(2).with_delta_cells()),
+    ];
+    for mut engine in engines {
+        assert_same_transition(&pre_state, &block, engine.as_mut(), false);
+    }
+}
+
+/// The same shape out of the generator's own vocabulary — a lab store that
+/// creates an absent slot, a lab payout on that slot, and a transfer the payee
+/// can only fund from it — pinned through [`build_block`] rather than left to the
+/// odds of a few dozen random cases, and run over the cold disk store as well.
+#[test]
+fn generated_plans_reach_the_branch_flip() {
+    let lab_call = |op: u64, payee: u64| {
+        (1u64..400_000)
+            .find(|sats| {
+                sats % 6 == op
+                    && sats % 3 != 0
+                    && lab_slot(sats / 6) == 5_000
+                    && sats / 7 % SENDERS == payee
+            })
+            .expect("the plan space holds the call")
+    };
+    let plans = [
+        (0, LAB_MARKER, lab_call(4, 0), 0),
+        (1, LAB_MARKER, lab_call(5, 2), 0),
+        (2, 3, 40_000, 0),
+    ];
+    let funding = [1_000_000, 1_000_000, 10, 0, 0, 0];
+
+    let mut state = genesis(&funding);
+    let (executed, _) = SequentialEngine::new()
+        .execute(&mut state, &build_block(&plans))
+        .expect("engine run");
+    assert!(executed.receipts().iter().all(Receipt::succeeded));
+    assert_eq!(executed.receipts()[1].internal_transactions().len(), 1);
+    assert_eq!(
+        state.balance(Address::from_low(103)),
+        Amount::from_sats(40_000)
+    );
+
+    for on_disk in [false, true] {
+        for granularity in 0..2 {
+            for mut engine in engines_with(2, granularity) {
+                assert_equivalent(&funding, &plans, engine.as_mut(), on_disk);
+            }
+        }
+    }
 }
 
 /// Generates `blocks` blocks of `txs` transactions from a workload profile (seed
@@ -561,8 +733,8 @@ fn forced_abort_stress_sweep() {
         };
         let on_disk = i % 6 == 0;
         for granularity in 0..2u64 {
-            let engine = engine_with(threads, granularity).with_forced_aborts(injection);
-            assert_equivalent(&funding, &plans, engine, on_disk);
+            let mut engine = engine_with(threads, granularity).with_forced_aborts(injection);
+            assert_equivalent(&funding, &plans, &mut engine, on_disk);
         }
     }
 }

@@ -246,8 +246,8 @@ pub trait StateBackend: Send + std::fmt::Debug {
     }
 }
 
-/// A backend handle shareable across `WorldState` clones (the speculative engines
-/// clone the working set per worker; all clones read the same committed store).
+/// A backend handle shareable across `WorldState` clones (each clone owns its
+/// working set; all clones read the same committed store).
 pub type SharedBackend = Arc<Mutex<dyn StateBackend>>;
 
 /// Wraps a backend into a [`SharedBackend`] handle.

@@ -16,7 +16,7 @@
 
 use blockconc::pipeline::ConcurrencyAwarePacker;
 use blockconc::prelude::*;
-use blockconc::telemetry::{SharedClock, SpanRecord};
+use blockconc::telemetry::SpanRecord;
 
 fn workload() -> AccountWorkloadParams {
     AccountWorkloadParams {
@@ -88,8 +88,7 @@ fn check_jsonl_schema(jsonl: &str) -> usize {
 }
 
 fn mock_run(step: u64) -> TelemetrySnapshot {
-    let clock: SharedClock = MockClock::shared(step);
-    let telemetry = TelemetryRegistry::enabled_with(clock.clone(), 64);
+    let telemetry = TelemetryRegistry::enabled_with(MockClock::shared(step), 64);
     let config = PipelineConfig {
         threads: 4,
         max_blocks: 4,
@@ -98,7 +97,7 @@ fn mock_run(step: u64) -> TelemetrySnapshot {
     };
     PipelineDriver::new(
         ConcurrencyAwarePacker::new(4),
-        SequentialEngine::new().with_clock(clock),
+        SequentialEngine::new(),
         config,
     )
     .run(stream())
