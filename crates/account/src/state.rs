@@ -1437,10 +1437,8 @@ impl WorldState {
         backend
             .lock()
             .expect("backend lock")
-            .for_each_account(&mut |address, stored| {
-                if !self.accounts.contains_key(&address) && !self.dirty.contains(&address) {
-                    total += stored.balance_sats;
-                }
+            .for_each_account(&|address| self.holds_current(address), &mut |_, stored| {
+                total += stored.balance_sats
             });
         total += self
             .accounts
@@ -1455,41 +1453,78 @@ impl WorldState {
     /// overlaid with the resident working set), independent of which backend holds
     /// it — the oracle the backend-equivalence tests compare across pipelines.
     pub fn state_root(&self) -> Hash {
-        let mut entries: BTreeMap<Address, StoredAccount> = BTreeMap::new();
+        // Committed accounts the working set lacks, ascending. A dirty account
+        // that is not resident was deleted this block and stays out.
+        let mut cold: Vec<(Address, StoredAccount)> = Vec::new();
         if let Some(backend) = &self.backend {
-            backend
-                .lock()
-                .expect("backend lock")
-                .for_each_account(&mut |address, stored| {
-                    entries.insert(address, stored);
-                });
+            backend.lock().expect("backend lock").for_each_account(
+                &|address| self.holds_current(address),
+                &mut |address, stored| cold.push((address, stored)),
+            );
         }
-        for (address, account) in &self.accounts {
-            entries.insert(*address, account_to_stored(account));
-        }
-        for address in &self.dirty {
-            if !self.accounts.contains_key(address) {
-                entries.remove(address); // deleted this block
-            }
-        }
+        // Pending blind contributions to a non-resident account fold over its
+        // committed value, or over nothing (the credit creates it). A resident
+        // account's fold happens as it is digested.
+        let mut created: Vec<(Address, StoredAccount)> = Vec::new();
         for (address, deltas) in &self.pending {
-            if deltas.is_noop() {
+            if deltas.is_noop() || self.accounts.contains_key(address) {
                 continue;
             }
-            let entry = entries.entry(*address).or_insert_with(|| StoredAccount {
-                balance_sats: 0,
-                nonce: 0,
-                storage: Vec::new(),
-                code_json: None,
-            });
-            fold_deltas_into(entry, deltas);
+            match cold.binary_search_by_key(address, |(a, _)| *a) {
+                Ok(pos) => fold_deltas_into(&mut cold[pos].1, deltas),
+                Err(_) => {
+                    let mut stored = StoredAccount {
+                        balance_sats: 0,
+                        nonce: 0,
+                        storage: Vec::new(),
+                        code_json: None,
+                    };
+                    fold_deltas_into(&mut stored, deltas);
+                    created.push((*address, stored));
+                }
+            }
         }
+
+        /// One account of the root, borrowed where it lives.
+        enum RootEntry<'a> {
+            Resident(&'a Account, Option<&'a AccountDeltas>),
+            Stored(&'a StoredAccount),
+        }
+        let mut entries: Vec<(Address, RootEntry<'_>)> =
+            Vec::with_capacity(self.accounts.len() + cold.len() + created.len());
+        entries.extend(self.accounts.iter().map(|(address, account)| {
+            let deltas = self.pending.get(address).filter(|d| !d.is_noop());
+            (*address, RootEntry::Resident(account, deltas))
+        }));
+        entries.extend(
+            cold.iter()
+                .chain(&created)
+                .map(|(address, stored)| (*address, RootEntry::Stored(stored))),
+        );
+        entries.sort_unstable_by_key(|(address, _)| *address);
+
         let mut data = Vec::new();
-        for (address, stored) in &entries {
+        for (address, entry) in &entries {
             data.extend_from_slice(address.as_bytes());
-            stored.digest_into(&mut data);
+            match entry {
+                RootEntry::Resident(account, deltas) => {
+                    let mut stored = account_to_stored(account);
+                    if let Some(deltas) = deltas {
+                        fold_deltas_into(&mut stored, deltas);
+                    }
+                    stored.digest_into(&mut data);
+                }
+                RootEntry::Stored(stored) => stored.digest_into(&mut data),
+            }
         }
         Hash::of_bytes(&data)
+    }
+
+    /// Whether the working set already holds `address`'s current value, so a
+    /// whole-state walk of the backend can skip it: resident, or deleted in the
+    /// open block (dirty but not resident).
+    fn holds_current(&self, address: Address) -> bool {
+        self.accounts.contains_key(&address) || self.dirty.contains(&address)
     }
 }
 
@@ -1498,6 +1533,7 @@ mod tests {
     use super::*;
     use crate::vm::OpCode;
     use blockconc_store::{apply_fragment, diff_account_fragments, shared, MemoryBackend};
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     #[test]
     fn credit_creates_accounts_and_debit_requires_existence() {
@@ -1733,23 +1769,222 @@ mod tests {
         assert!(!state.contains(Address::from_low(50)));
     }
 
+    /// A [`MemoryBackend`] that counts the committed accounts it materializes,
+    /// by point read or by walk (the `Counting` pattern of the execution
+    /// crate's `slot_count_independence` test).
+    #[derive(Debug)]
+    struct Counting {
+        inner: MemoryBackend,
+        materialized: Arc<AtomicUsize>,
+    }
+
+    impl StateBackend for Counting {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn get_account(&mut self, address: Address) -> Option<StoredAccount> {
+            let account = self.inner.get_account(address)?;
+            self.materialized.fetch_add(1, AtomicOrdering::Relaxed);
+            Some(account)
+        }
+        fn contains_account(&mut self, address: Address) -> bool {
+            self.inner.contains_account(address)
+        }
+        fn begin_block(&mut self, height: u64) -> Result<()> {
+            self.inner.begin_block(height)
+        }
+        fn commit_block(&mut self, delta: &BlockDelta) -> Result<CommitStats> {
+            self.inner.commit_block(delta)
+        }
+        fn rollback_block(&mut self) -> Result<()> {
+            self.inner.rollback_block()
+        }
+        fn committed_block(&self) -> Option<u64> {
+            self.inner.committed_block()
+        }
+        fn open_height(&self) -> Option<u64> {
+            self.inner.open_height()
+        }
+        fn account_count(&self) -> usize {
+            self.inner.account_count()
+        }
+        fn for_each_account(
+            &mut self,
+            skip: &dyn Fn(Address) -> bool,
+            f: &mut dyn FnMut(Address, StoredAccount),
+        ) {
+            let materialized = &self.materialized;
+            self.inner.for_each_account(skip, &mut |address, account| {
+                materialized.fetch_add(1, AtomicOrdering::Relaxed);
+                f(address, account);
+            });
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+    }
+
+    fn disk_store(tag: &str) -> (SharedBackend, std::path::PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("blockconc-account-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = blockconc_store::DiskConfig::new(&dir);
+        (
+            shared(blockconc_store::DiskBackend::open(&config).unwrap()),
+            dir,
+        )
+    }
+
     #[test]
     fn state_root_is_identical_with_and_without_backend() {
-        let mut plain = WorldState::new();
-        plain.credit(Address::from_low(1), Amount::from_coins(10));
-        plain.credit(Address::from_low(2), Amount::from_coins(20));
-        plain.deploy_contract(Address::from_low(9), Arc::new(Contract::counter()));
-        let mut backed = plain.clone();
-        backed
-            .attach_backend(shared(MemoryBackend::new()), Some(1))
-            .unwrap();
-        assert_eq!(plain.state_root(), backed.state_root());
-        // Same mutation on both sides keeps the roots in lockstep.
-        plain.bump_nonce(Address::from_low(1), None);
-        backed.begin_block(1).unwrap();
-        backed.bump_nonce(Address::from_low(1), None);
-        backed.commit_block().unwrap();
-        assert_eq!(plain.state_root(), backed.state_root());
+        let mut genesis = WorldState::new();
+        for i in 1..=40u64 {
+            genesis.credit(Address::from_low(i), Amount::from_coins(i));
+        }
+        genesis.storage_set(Address::from_low(3), 7, 70, None);
+        genesis.deploy_contract(Address::from_low(99), Arc::new(Contract::counter()));
+        let materialized = Arc::new(AtomicUsize::new(0));
+        let counting = || {
+            shared(Counting {
+                inner: MemoryBackend::new(),
+                materialized: Arc::clone(&materialized),
+            })
+        };
+        let (disk_uncapped, uncapped_dir) = disk_store("root-cap0");
+        let (disk_capped, capped_dir) = disk_store("root-cap16");
+        // (label, backend, working-set cap, counted)
+        let cases = [
+            (
+                "memory, cap 1",
+                shared(MemoryBackend::new()),
+                Some(1),
+                false,
+            ),
+            ("disk, cap 0", disk_uncapped, None, false),
+            ("disk, cap 16", disk_capped, Some(16), false),
+            ("counted, cap 0", counting(), None, true),
+            ("counted, cap 16", counting(), Some(16), true),
+        ];
+        for (label, backend, cap, counted) in cases {
+            let mut plain = genesis.clone();
+            let mut backed = genesis.clone();
+            backed.attach_backend(backend, cap).unwrap();
+            let check = |plain: &WorldState, backed: &WorldState, step: &str| {
+                assert_eq!(plain.state_root(), backed.state_root(), "{label}: {step}");
+                assert_eq!(
+                    plain.total_supply(),
+                    backed.total_supply(),
+                    "{label}: {step}"
+                );
+                if !counted {
+                    return;
+                }
+                // The root and the supply materialize exactly the committed
+                // accounts the working set lacks: evicted, not deleted.
+                let mut committed = Vec::new();
+                let backend = backed.backend().unwrap();
+                backend
+                    .lock()
+                    .unwrap()
+                    .for_each_account(&|_| false, &mut |address, _| committed.push(address));
+                let evicted = committed
+                    .iter()
+                    .filter(|a| !backed.accounts.contains_key(a) && !backed.dirty.contains(a))
+                    .count();
+                if cap.is_none() {
+                    assert_eq!(evicted, 0, "{label}: {step}: everything is resident");
+                }
+                materialized.store(0, AtomicOrdering::Relaxed);
+                backed.state_root();
+                let by_root = materialized.swap(0, AtomicOrdering::Relaxed);
+                backed.total_supply();
+                let by_supply = materialized.swap(0, AtomicOrdering::Relaxed);
+                assert_eq!((by_root, by_supply), (evicted, evicted), "{label}: {step}");
+            };
+            check(&plain, &backed, "genesis");
+            if counted && cap == Some(16) {
+                assert_eq!(backed.resident_accounts(), 16);
+            }
+
+            // Same mutation on both sides keeps the roots in lockstep.
+            for state in [&mut plain, &mut backed] {
+                state.begin_block(1).unwrap();
+                state.bump_nonce(Address::from_low(1), None);
+                state.commit_block().unwrap();
+            }
+            check(&plain, &backed, "block 1");
+
+            // An open block: a committed account deleted, blind credits to a
+            // committed account (non-resident under a cap) and to a new one, a
+            // blind slot add on the resident contract.
+            let (evictee, fresh, contract) = (
+                Address::from_low(5),
+                Address::from_low(500),
+                Address::from_low(99),
+            );
+            for state in [&mut plain, &mut backed] {
+                state.begin_block(2).unwrap();
+                state.remove_account(Address::from_low(2));
+                state.credit_delta(evictee, Amount::from_sats(3), None);
+                state.credit_delta(fresh, Amount::from_sats(9), None);
+                if !state.storage_add_delta(contract, 1, 4, None) {
+                    let current = state.storage(contract, 1);
+                    state.storage_set(contract, 1, current + 4, None);
+                }
+            }
+            assert_eq!(
+                backed.pending.contains_key(&evictee),
+                cap.is_some(),
+                "{label}"
+            );
+            assert!(backed.pending.contains_key(&fresh), "{label}");
+            assert!(backed.pending.contains_key(&contract), "{label}");
+            check(&plain, &backed, "open block");
+
+            plain.commit_block().unwrap();
+            backed.commit_block().unwrap();
+            check(&plain, &backed, "block 2");
+        }
+        let _ = std::fs::remove_dir_all(&uncapped_dir);
+        let _ = std::fs::remove_dir_all(&capped_dir);
+    }
+
+    #[test]
+    fn an_unreadable_evicted_record_fails_the_root_instead_of_vanishing_from_it() {
+        // The walk reads an evicted account's record; a record that no longer
+        // passes its CRC is corruption and must stop the root and the supply,
+        // not drop the account out of them.
+        fn root(state: &WorldState) {
+            state.state_root();
+        }
+        fn supply(state: &WorldState) {
+            state.total_supply();
+        }
+        let aggregates = [
+            ("unreadable-root", root as fn(&WorldState)),
+            ("unreadable-supply", supply),
+        ];
+        for (tag, aggregate) in aggregates {
+            let (backend, dir) = disk_store(tag);
+            let mut state = WorldState::new();
+            state.credit(Address::from_low(1), Amount::from_sats(1_234_567));
+            state.credit(Address::from_low(2), Amount::from_sats(20));
+            state.attach_backend(backend, Some(1)).unwrap();
+            assert!(state.account(Address::from_low(1)).is_none(), "evicted");
+            // Flip one digit of the evicted balance inside its genesis frame.
+            let journal = dir.join("journal-000000.log");
+            let mut bytes = std::fs::read(&journal).unwrap();
+            let at = bytes
+                .windows(7)
+                .position(|w| w == b"1234567")
+                .expect("the balance is in the journal");
+            bytes[at] ^= 0x01;
+            std::fs::write(&journal, &bytes).unwrap();
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| aggregate(&state)));
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(outcome.is_err(), "{tag}: an aggregate without the account");
+        }
     }
 
     #[test]
@@ -2063,9 +2298,15 @@ mod tests {
         fn account_count(&self) -> usize {
             self.accounts.len()
         }
-        fn for_each_account(&mut self, f: &mut dyn FnMut(Address, StoredAccount)) {
+        fn for_each_account(
+            &mut self,
+            skip: &dyn Fn(Address) -> bool,
+            f: &mut dyn FnMut(Address, StoredAccount),
+        ) {
             for (address, account) in &self.accounts {
-                f(*address, account.clone());
+                if !skip(*address) {
+                    f(*address, account.clone());
+                }
             }
         }
         fn stats(&self) -> StoreStats {

@@ -375,7 +375,12 @@ impl StateBackend for MvView {
         0
     }
 
-    fn for_each_account(&mut self, _f: &mut dyn FnMut(Address, StoredAccount)) {}
+    fn for_each_account(
+        &mut self,
+        _skip: &dyn Fn(Address) -> bool,
+        _f: &mut dyn FnMut(Address, StoredAccount),
+    ) {
+    }
 
     fn stats(&self) -> StoreStats {
         StoreStats::default()

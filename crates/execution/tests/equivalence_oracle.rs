@@ -331,7 +331,7 @@ fn run_engine(
     backend
         .lock()
         .expect("backend lock")
-        .for_each_account(&mut |address, account| {
+        .for_each_account(&|_| false, &mut |address, account| {
             committed.insert(address, account);
         });
     Transition {

@@ -74,8 +74,12 @@ impl StateBackend for Counting {
     fn account_count(&self) -> usize {
         self.inner.account_count()
     }
-    fn for_each_account(&mut self, f: &mut dyn FnMut(Address, StoredAccount)) {
-        self.inner.for_each_account(f)
+    fn for_each_account(
+        &mut self,
+        skip: &dyn Fn(Address) -> bool,
+        f: &mut dyn FnMut(Address, StoredAccount),
+    ) {
+        self.inner.for_each_account(skip, f)
     }
     fn stats(&self) -> StoreStats {
         self.inner.stats()

@@ -230,8 +230,20 @@ pub trait StateBackend: Send + std::fmt::Debug {
     /// Number of accounts in committed state.
     fn account_count(&self) -> usize;
 
-    /// Visits every committed account in ascending address order.
-    fn for_each_account(&mut self, f: &mut dyn FnMut(Address, StoredAccount));
+    /// Visits every committed account in ascending address order, except those
+    /// `skip` returns `true` for.
+    ///
+    /// `skip` is asked first, once per committed address: a skipped account is
+    /// neither read nor cloned, so a caller that already holds the current value
+    /// of an account (a resident or dirty one in `WorldState`'s working set)
+    /// pays nothing for it. An account that is not skipped but cannot be read is
+    /// store corruption, as in [`get_account`](StateBackend::get_account): the
+    /// walk panics rather than leave it out. Pass `&|_| false` to visit all.
+    fn for_each_account(
+        &mut self,
+        skip: &dyn Fn(Address) -> bool,
+        f: &mut dyn FnMut(Address, StoredAccount),
+    );
 
     /// Cumulative counters.
     fn stats(&self) -> StoreStats;

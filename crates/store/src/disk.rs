@@ -5,11 +5,12 @@
 //! the compaction policy; the crash-recovery property tests in
 //! `crates/store/tests/` drive torn-tail and torn-snapshot scenarios against it.
 
-use crate::journal::{append_frame, decode_frame, FrameScanner, JournalRecord};
+use crate::journal::{append_frame, check_frame, decode_frame, FrameScanner, JournalRecord};
 use crate::{
     store_units, BlockDelta, CommitStats, DiskConfig, StateBackend, StoreStats, StoredAccount,
 };
 use blockconc_types::{Address, Error, Result};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -235,49 +236,52 @@ impl DiskBackend {
     ///
     /// Returns an error on I/O failure.
     pub fn compact(&mut self) -> Result<CommitStats> {
-        // The snapshot reads records through the index, and the fresh epoch must
-        // not strand buffered commits in the abandoned journal: seal first.
+        // The snapshot reads records straight from the files, and the fresh
+        // epoch must not strand buffered commits in the abandoned journal: seal
+        // first.
         self.seal_group()?;
         let new_epoch = self.epoch + 1;
         let height = self.committed.unwrap_or(0);
-        let addresses: Vec<(Address, Location)> =
-            self.index.iter().map(|(a, l)| (*a, *l)).collect();
+        let accounts = self.index.len() as u64;
 
-        let mut buf = Vec::new();
-        append_frame(
-            &mut buf,
-            &JournalRecord::SnapshotBegin {
-                height,
-                accounts: addresses.len() as u64,
-            },
-        )?;
-        let mut new_index = BTreeMap::new();
-        for (address, location) in &addresses {
-            let account = self.read_location(*location)?;
-            let offset = buf.len() as u64;
-            let len = append_frame(
-                &mut buf,
-                &JournalRecord::Upsert {
-                    address: *address,
-                    account,
-                },
-            )?;
-            new_index.insert(
-                *address,
-                Location {
-                    kind: FileKind::Snapshot,
-                    epoch: new_epoch,
-                    offset,
-                    len: len as u32,
-                },
-            );
+        // Every live record is one whole `Upsert` frame in one of a few files
+        // (the current snapshot and journal; after a torn-snapshot fallback, the
+        // epochs replayed past it). Read each file once and copy each frame
+        // verbatim after its CRC check: the payload is byte-for-byte what
+        // decoding and re-encoding it would write.
+        let mut sources: HashMap<(FileKind, u64), Vec<u8>> = HashMap::new();
+        for location in self.index.values() {
+            if let Entry::Vacant(source) = sources.entry((location.kind, location.epoch)) {
+                let path = file_path(&self.dir, location.kind, location.epoch);
+                source.insert(fs::read(path).map_err(|e| io_err("read compaction source", e))?);
+            }
         }
-        append_frame(
-            &mut buf,
-            &JournalRecord::SnapshotEnd {
-                accounts: addresses.len() as u64,
-            },
-        )?;
+        let mut buf = Vec::new();
+        append_frame(&mut buf, &JournalRecord::SnapshotBegin { height, accounts })?;
+        let new_index = self
+            .index
+            .iter()
+            .map(|(address, location)| {
+                let start = location.offset as usize;
+                let frame = sources[&(location.kind, location.epoch)]
+                    .get(start..start + location.len as usize)
+                    .ok_or_else(|| Error::execution("store: index pointed past its file"))?;
+                check_frame(frame)?;
+                let offset = buf.len() as u64;
+                buf.extend_from_slice(frame);
+                Ok((
+                    *address,
+                    Location {
+                        kind: FileKind::Snapshot,
+                        epoch: new_epoch,
+                        offset,
+                        len: location.len,
+                    },
+                ))
+            })
+            .collect::<Result<BTreeMap<_, _>>>()?;
+        drop(sources);
+        append_frame(&mut buf, &JournalRecord::SnapshotEnd { accounts })?;
 
         // Durable snapshot via temp file + atomic rename, then a fresh journal.
         let final_path = file_path(&self.dir, FileKind::Snapshot, new_epoch);
@@ -310,7 +314,7 @@ impl DiskBackend {
         self.epoch = new_epoch;
         self.last_snapshot_height = height;
         self.stats.snapshots_written += 1;
-        let records = addresses.len() as u64;
+        let records = accounts;
         let bytes = buf.len() as u64;
         let units = store_units(records, bytes);
         self.stats.records_written += records;
@@ -324,7 +328,18 @@ impl DiskBackend {
         })
     }
 
+    /// The account in the frame at `location`: one raw-frame read plus a decode.
     fn read_location(&mut self, location: Location) -> Result<StoredAccount> {
+        match decode_frame(&self.read_frame(location)?)? {
+            JournalRecord::Upsert { account, .. } => Ok(account),
+            other => Err(Error::execution(format!(
+                "store: index pointed at a non-account record {other:?}"
+            ))),
+        }
+    }
+
+    /// The raw bytes of the frame at `location`, undecoded.
+    fn read_frame(&mut self, location: Location) -> Result<Vec<u8>> {
         // Records of the open commit group live in the buffer, not on disk yet.
         if location.kind == FileKind::Journal
             && location.epoch == self.epoch
@@ -332,21 +347,16 @@ impl DiskBackend {
         {
             let start = (location.offset - self.flushed_len) as usize;
             let end = start + location.len as usize;
-            let bytes = self
+            return self
                 .group_buffer
                 .get(start..end)
-                .ok_or_else(|| Error::execution("store: index pointed past the group buffer"))?;
-            return match decode_frame(bytes)? {
-                JournalRecord::Upsert { account, .. } => Ok(account),
-                other => Err(Error::execution(format!(
-                    "store: index pointed at a non-account record {other:?}"
-                ))),
-            };
+                .map(<[u8]>::to_vec)
+                .ok_or_else(|| Error::execution("store: index pointed past the group buffer"));
         }
         let path = file_path(&self.dir, location.kind, location.epoch);
         let file = match self.readers.entry((location.kind, location.epoch)) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
                 e.insert(File::open(&path).map_err(|err| io_err("open for read", err))?)
             }
         };
@@ -355,12 +365,7 @@ impl DiskBackend {
         let mut bytes = vec![0u8; location.len as usize];
         file.read_exact(&mut bytes)
             .map_err(|e| io_err("read record", e))?;
-        match decode_frame(&bytes)? {
-            JournalRecord::Upsert { account, .. } => Ok(account),
-            other => Err(Error::execution(format!(
-                "store: index pointed at a non-account record {other:?}"
-            ))),
-        }
+        Ok(bytes)
     }
 }
 
@@ -688,12 +693,24 @@ impl StateBackend for DiskBackend {
         self.index.len()
     }
 
-    fn for_each_account(&mut self, f: &mut dyn FnMut(Address, StoredAccount)) {
-        let entries: Vec<(Address, Location)> = self.index.iter().map(|(a, l)| (*a, *l)).collect();
+    fn for_each_account(
+        &mut self,
+        skip: &dyn Fn(Address) -> bool,
+        f: &mut dyn FnMut(Address, StoredAccount),
+    ) {
+        let entries: Vec<(Address, Location)> = self
+            .index
+            .iter()
+            .filter(|(address, _)| !skip(**address))
+            .map(|(a, l)| (*a, *l))
+            .collect();
         for (address, location) in entries {
-            if let Ok(account) = self.read_location(location) {
-                f(address, account);
-            }
+            // Same rule as `get_account`: an indexed record that cannot be read
+            // is corruption, never an account to leave out of a root or a sum.
+            let account = self
+                .read_location(location)
+                .expect("indexed account record must be readable");
+            f(address, account);
         }
     }
 

@@ -132,33 +132,46 @@ impl<'a> FrameScanner<'a> {
     }
 }
 
+/// The CRC-checked payload of the frame at the start of `bytes`, or `None` if
+/// its header or payload is torn or its CRC does not match.
+fn frame_payload(bytes: &[u8]) -> Option<&[u8]> {
+    if bytes.len() < FRAME_HEADER_LEN {
+        return None; // torn or absent header
+    }
+    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let payload = bytes.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len)?; // torn payload
+    (crc32(payload) == crc).then_some(payload)
+}
+
 impl Iterator for FrameScanner<'_> {
     type Item = Frame;
 
     fn next(&mut self) -> Option<Frame> {
         let start = self.consumed as usize;
-        let rest = &self.bytes[start.min(self.bytes.len())..];
-        if rest.len() < FRAME_HEADER_LEN {
-            return None; // torn or absent header
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if rest.len() < FRAME_HEADER_LEN + len {
-            return None; // torn payload
-        }
-        let payload = &rest[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
-        if crc32(payload) != crc {
-            return None; // corrupt payload
-        }
+        let payload = frame_payload(&self.bytes[start.min(self.bytes.len())..])?;
         let text = std::str::from_utf8(payload).ok()?;
         let record: JournalRecord = serde_json::from_str(text).ok()?;
+        let len = FRAME_HEADER_LEN + payload.len();
         let frame = Frame {
             record,
             offset: start as u64,
-            len: (FRAME_HEADER_LEN + len) as u32,
+            len: len as u32,
         };
-        self.consumed = (start + FRAME_HEADER_LEN + len) as u64;
+        self.consumed = (start + len) as u64;
         Some(frame)
+    }
+}
+
+/// Checks that `frame_bytes` is exactly one whole frame whose payload matches
+/// its CRC, without decoding the payload: what snapshot compaction asks of a
+/// live record before it copies the bytes verbatim.
+pub fn check_frame(frame_bytes: &[u8]) -> Result<()> {
+    match frame_payload(frame_bytes) {
+        Some(payload) if FRAME_HEADER_LEN + payload.len() == frame_bytes.len() => Ok(()),
+        _ => Err(Error::execution(
+            "store: frame bytes are not one whole frame with a matching CRC",
+        )),
     }
 }
 
@@ -245,6 +258,20 @@ mod tests {
         append_frame(&mut two, &upsert(2)).unwrap();
         assert!(decode_frame(&two).is_err());
         assert!(decode_frame(&buf[..buf.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn check_frame_requires_one_whole_frame_with_a_matching_crc() {
+        let mut buf = Vec::new();
+        append_frame(&mut buf, &upsert(1)).unwrap();
+        assert!(check_frame(&buf).is_ok());
+        assert!(check_frame(&buf[..buf.len() - 1]).is_err());
+        let mut two = buf.clone();
+        append_frame(&mut two, &upsert(2)).unwrap();
+        assert!(check_frame(&two).is_err());
+        let mut flipped = buf.clone();
+        flipped[FRAME_HEADER_LEN] ^= 0x01;
+        assert!(check_frame(&flipped).is_err());
     }
 
     #[test]

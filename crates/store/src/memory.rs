@@ -162,9 +162,15 @@ impl StateBackend for MemoryBackend {
         self.accounts.len()
     }
 
-    fn for_each_account(&mut self, f: &mut dyn FnMut(Address, StoredAccount)) {
+    fn for_each_account(
+        &mut self,
+        skip: &dyn Fn(Address) -> bool,
+        f: &mut dyn FnMut(Address, StoredAccount),
+    ) {
         for (address, account) in &self.accounts {
-            f(*address, account.clone());
+            if !skip(*address) {
+                f(*address, account.clone());
+            }
         }
     }
 
@@ -246,8 +252,12 @@ mod tests {
             fn account_count(&self) -> usize {
                 self.0.account_count()
             }
-            fn for_each_account(&mut self, f: &mut dyn FnMut(Address, StoredAccount)) {
-                self.0.for_each_account(f)
+            fn for_each_account(
+                &mut self,
+                skip: &dyn Fn(Address) -> bool,
+                f: &mut dyn FnMut(Address, StoredAccount),
+            ) {
+                self.0.for_each_account(skip, f)
             }
             fn stats(&self) -> StoreStats {
                 self.0.stats()
@@ -314,10 +324,16 @@ mod tests {
             })
             .unwrap();
         let mut seen = Vec::new();
-        backend.for_each_account(&mut |addr, _| seen.push(addr));
+        backend.for_each_account(&|_| false, &mut |addr, _| seen.push(addr));
         let mut sorted = seen.clone();
         sorted.sort();
         assert_eq!(seen, sorted);
         assert_eq!(seen.len(), 3);
+        // A skipped address is left out; the rest keep their order.
+        seen.clear();
+        backend.for_each_account(&|addr| addr == Address::from_low(5), &mut |addr, _| {
+            seen.push(addr)
+        });
+        assert_eq!(seen, vec![Address::from_low(2), Address::from_low(9)]);
     }
 }

@@ -4,8 +4,13 @@
 //!    (point reads, iteration, account counts); and
 //! 2. replay cost after compaction is bounded by blocks-since-snapshot, asserted
 //!    via the store's model-unit counters (`replayed_blocks` / `replayed_records` /
-//!    `replay_units`).
+//!    `replay_units`);
+//! 3. compaction copies live frames verbatim: the snapshot is byte-for-byte what
+//!    decoding and re-encoding every live record writes; and
+//! 4. a live frame that fails its CRC fails compaction, which then publishes
+//!    nothing.
 
+use blockconc_store::journal::{append_frame, FrameScanner, JournalRecord, FRAME_HEADER_LEN};
 use blockconc_store::{
     BlockDelta, DeltaRecord, DiskBackend, DiskConfig, StateBackend, StoredAccount,
 };
@@ -52,7 +57,7 @@ fn delta_for(height: u64, mix: u64) -> BlockDelta {
 
 fn observed_state(backend: &mut DiskBackend) -> BTreeMap<Address, StoredAccount> {
     let mut observed = BTreeMap::new();
-    backend.for_each_account(&mut |address, account| {
+    backend.for_each_account(&|_| false, &mut |address, account| {
         observed.insert(address, account);
     });
     observed
@@ -174,4 +179,115 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&twin_dir);
     }
+
+    // Invariant 3: the snapshot `compact()` writes equals, byte for byte, the
+    // reference path — decode every live record, re-encode it with
+    // `append_frame` — over live records drawn from an earlier snapshot and
+    // from the journal, contract-code JSON with escapes included.
+    #[test]
+    fn compaction_writes_exactly_what_decoding_and_re_encoding_would(
+        blocks in 2u64..14,
+        mix in 0u64..1_000,
+        first_compaction in 1u64..14,
+    ) {
+        let dir = store_dir("verbatim");
+        let config = DiskConfig { snapshot_every: 0, ..DiskConfig::new(dir.clone()) };
+        let mut backend = DiskBackend::open(&config).expect("open");
+        for height in 1..=blocks {
+            let mut delta = delta_for(height, mix);
+            delta.records.push(DeltaRecord {
+                address: Address::from_low(50 + height % 3),
+                account: Some(StoredAccount {
+                    balance_sats: height,
+                    nonce: mix,
+                    storage: vec![(height, mix + 1)],
+                    code_json: Some(format!("[\"Push\",{{\"n\":{height},\"s\":\"a\\\\b\\\"c\\n\"}}]")),
+                }),
+            });
+            backend.begin_block(height).expect("begin");
+            backend.commit_block(&delta).expect("commit");
+            if height == first_compaction {
+                backend.compact().expect("earlier compaction");
+            }
+        }
+
+        let live = observed_state(&mut backend);
+        let accounts = live.len() as u64;
+        let mut reference = Vec::new();
+        append_frame(&mut reference, &JournalRecord::SnapshotBegin { height: blocks, accounts })
+            .expect("encode");
+        for (address, account) in live {
+            append_frame(&mut reference, &JournalRecord::Upsert { address, account })
+                .expect("encode");
+        }
+        append_frame(&mut reference, &JournalRecord::SnapshotEnd { accounts }).expect("encode");
+
+        let stats = backend.compact().expect("compaction");
+        let snapshot = dir.join(format!("snapshot-{:06}.log", backend.epoch()));
+        let written = fs::read(&snapshot).expect("read snapshot");
+        prop_assert_eq!(stats.bytes, reference.len() as u64);
+        prop_assert!(written == reference, "snapshot differs from the re-encoded reference");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// Invariant 4: compaction checks every frame it copies. One flipped payload
+// byte in a live journal frame makes `compact()` fail before anything is
+// published, so the generation it started from is still the one that reopens.
+#[test]
+fn a_corrupt_live_frame_fails_compaction_and_keeps_the_previous_generation() {
+    let dir = store_dir("corrupt");
+    let config = DiskConfig {
+        snapshot_every: 0,
+        ..DiskConfig::new(dir.clone())
+    };
+    let mut backend = DiskBackend::open(&config).expect("open");
+    for height in 1..=4 {
+        backend.begin_block(height).expect("begin");
+        backend.commit_block(&delta_for(height, 3)).expect("commit");
+    }
+    backend.compact().expect("first compaction");
+    let epoch = backend.epoch();
+    // The only record for a fresh address: live by construction.
+    let fresh = Address::from_low(77);
+    backend.begin_block(5).expect("begin");
+    backend
+        .commit_block(&BlockDelta {
+            height: 5,
+            records: vec![DeltaRecord {
+                address: fresh,
+                account: Some(StoredAccount {
+                    balance_sats: 5,
+                    nonce: 0,
+                    storage: vec![],
+                    code_json: None,
+                }),
+            }],
+        })
+        .expect("commit");
+
+    let journal = dir.join(format!("journal-{epoch:06}.log"));
+    let mut bytes = fs::read(&journal).expect("read journal");
+    let frame = FrameScanner::new(&bytes)
+        .find(|frame| matches!(frame.record, JournalRecord::Upsert { address, .. } if address == fresh))
+        .expect("the fresh account's frame");
+    bytes[frame.offset as usize + FRAME_HEADER_LEN + 1] ^= 0x01;
+    fs::write(&journal, &bytes).expect("corrupt journal");
+
+    assert!(
+        backend.compact().is_err(),
+        "a corrupt live frame was copied"
+    );
+    assert_eq!(backend.epoch(), epoch);
+    let next = |kind: &str| dir.join(format!("{kind}-{:06}.log", epoch + 1));
+    assert!(!next("snapshot").exists() && !next("journal").exists());
+    drop(backend);
+
+    // The corrupt block is a torn tail to recovery; everything before it comes
+    // back from the snapshot the failed compaction started from.
+    let reopened = DiskBackend::open(&config).expect("reopen");
+    assert_eq!(reopened.epoch(), epoch);
+    assert_eq!(reopened.last_snapshot_height(), 4);
+    assert_eq!(reopened.committed_height(), 4);
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -69,7 +69,7 @@ fn apply_expected(expected: &mut ExpectedState, delta: &BlockDelta) {
 
 fn observed_state(backend: &mut DiskBackend) -> ExpectedState {
     let mut observed = BTreeMap::new();
-    backend.for_each_account(&mut |address, account| {
+    backend.for_each_account(&|_| false, &mut |address, account| {
         observed.insert(address, account);
     });
     observed
