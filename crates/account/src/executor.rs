@@ -1,8 +1,7 @@
 //! Sequential block execution.
 
-use crate::state::{AccessSet, Journal, WorldState};
 use crate::vm::{CallParams, Interpreter};
-use crate::StateKey;
+use crate::{AccessSet, Journal, StateAccess, StateKey};
 use crate::{AccountBlock, AccountTransaction, ExecutedBlock, Receipt, TxPayload};
 use blockconc_types::{Error, Result};
 
@@ -28,7 +27,6 @@ pub struct TxContext {
 #[derive(Debug, Default)]
 pub struct BlockExecutor {
     interpreter: Interpreter,
-    delta_accesses: bool,
 }
 
 impl BlockExecutor {
@@ -43,19 +41,19 @@ impl BlockExecutor {
     /// Receipts, state changes and gas are bit-identical to the classic
     /// executor; only the [`AccessSet`] classification (and the blind-delta
     /// journal entries backing it) differ. Used by the delta-cell granularity
-    /// of the optimistic engine.
+    /// of the optimistic engine: only a [`ScratchState`](crate::ScratchState)
+    /// accumulates blind deltas, so on a [`WorldState`](crate::WorldState) the
+    /// receiver side is recorded as a precise write instead.
     pub fn with_delta_accesses() -> Self {
         BlockExecutor {
             interpreter: Interpreter::new().with_delta_accesses(),
-            delta_accesses: true,
         }
     }
 
     /// Executes a single transaction against `state`, committing its effects.
     ///
     /// The returned [`TxContext`] carries the receipt, the access set and the undo
-    /// journal (which allows the caller to revert the committed transaction later —
-    /// used by speculative engines when a conflict is detected).
+    /// journal (which allows the caller to revert the committed transaction later).
     ///
     /// Failed transactions (revert / out of gas) still consume gas and bump the
     /// sender's nonce but leave no other state changes behind.
@@ -65,9 +63,9 @@ impl BlockExecutor {
     /// Returns [`Error::Validation`] if the transaction's nonce does not match the
     /// sender's account nonce, or an error from the value transfer if the sender cannot
     /// cover the transferred value. In both cases the state is unchanged.
-    pub fn execute_transaction(
+    pub fn execute_transaction<S: StateAccess>(
         &mut self,
-        state: &mut WorldState,
+        state: &mut S,
         tx: &AccountTransaction,
     ) -> Result<TxContext> {
         let mut journal = Journal::new();
@@ -112,7 +110,7 @@ impl BlockExecutor {
                     TxPayload::ContractCall { args } => args.clone(),
                     _ => Vec::new(),
                 };
-                if !self.delta_accesses {
+                if !self.interpreter.delta_accesses() {
                     // Classic mode pre-declares the receiver balance write; in
                     // delta mode the interpreter records the receiver side
                     // precisely (delta for blind credits, write otherwise).
@@ -183,9 +181,9 @@ impl BlockExecutor {
     ///
     /// Currently never returns an error (the signature leaves room for stricter
     /// validation modes).
-    pub fn execute_block(
+    pub fn execute_block<S: StateAccess>(
         &mut self,
-        state: &mut WorldState,
+        state: &mut S,
         block: &AccountBlock,
     ) -> Result<ExecutedBlock> {
         let mut receipts = Vec::with_capacity(block.transaction_count());
@@ -206,8 +204,9 @@ impl BlockExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::tests::{commit_harvest, MapCells};
     use crate::vm::Contract;
-    use crate::BlockBuilder;
+    use crate::{BlockBuilder, ScratchState, WorldState};
     use blockconc_types::{Address, Amount, Gas};
     use std::sync::Arc;
 
@@ -377,8 +376,7 @@ mod tests {
         assert_eq!(state.nonce(Address::from_low(1)), 0);
     }
 
-    fn delta_backed_state() -> WorldState {
-        use blockconc_store::{shared, MemoryBackend};
+    fn delta_genesis() -> WorldState {
         let mut state = WorldState::new();
         for i in 1..=4u64 {
             state.credit(Address::from_low(i), Amount::from_coins(100));
@@ -389,16 +387,29 @@ mod tests {
             Arc::new(Contract::per_caller_counter()),
         );
         state
+    }
+
+    /// The genesis on a memory backend, block 1 open.
+    fn delta_backed_state() -> WorldState {
+        use blockconc_store::{shared, MemoryBackend};
+        let mut state = delta_genesis();
+        state
             .attach_backend(shared(MemoryBackend::new()), Some(1))
             .unwrap();
         state.begin_block(1).unwrap();
         state
     }
 
+    /// The genesis as committed state under an empty scratch state: where
+    /// blind deltas accumulate.
+    fn delta_scratch_state() -> ScratchState<MapCells> {
+        ScratchState::new(MapCells::of(&delta_genesis()))
+    }
+
     fn delta_workload() -> Vec<AccountTransaction> {
         let fresh = Address::from_low(4_000);
         vec![
-            // Blind credit: receiver is non-resident on the backed state.
+            // Blind credit: the receiver is not materialized in the scratch state.
             AccountTransaction::transfer(Address::from_low(1), fresh, Amount::from_sats(11), 0),
             // Commutative fee-sink accumulation (zero-value call, nonzero addend).
             AccountTransaction::contract_call(
@@ -430,7 +441,7 @@ mod tests {
 
     #[test]
     fn delta_executor_emits_delta_accesses_for_credits_and_sadd() {
-        let mut state = delta_backed_state();
+        let mut state = delta_scratch_state();
         let mut exec = BlockExecutor::with_delta_accesses();
         let txs = delta_workload();
 
@@ -461,7 +472,7 @@ mod tests {
     #[test]
     fn delta_executor_matches_classic_receipts_and_state_root() {
         let mut classic_state = delta_backed_state();
-        let mut delta_state = delta_backed_state();
+        let mut delta_state = delta_scratch_state();
         let mut classic = BlockExecutor::new();
         let mut delta = BlockExecutor::with_delta_accesses();
 
@@ -476,8 +487,7 @@ mod tests {
         let classic_block = classic.execute_block(&mut classic_state, &block).unwrap();
         let delta_block = delta.execute_block(&mut delta_state, &block).unwrap();
         assert_eq!(classic_block.receipts(), delta_block.receipts());
-        // Virtual folds make the pending deltas observable before commit.
-        assert_eq!(classic_state.state_root(), delta_state.state_root());
+        // Virtual folds make the pending deltas observable before any harvest.
         assert_eq!(
             classic_state.balance(Address::from_low(4_000)),
             Amount::from_sats(16)
@@ -488,12 +498,16 @@ mod tests {
         );
         assert_eq!(delta_state.storage(Address::from_low(700), 0), 77);
 
+        // Harvested onto the same pre-state, the delta run commits the classic
+        // write set and root.
+        let mut committed = delta_backed_state();
+        commit_harvest(&mut committed, &mut delta_state);
+        assert_eq!(classic_state.state_root(), committed.state_root());
         let mut classic_ws = Vec::new();
         classic_state.take_write_set(&mut classic_ws);
         let mut delta_ws = Vec::new();
-        delta_state.take_write_set(&mut delta_ws);
+        committed.take_write_set(&mut delta_ws);
         assert_eq!(classic_ws, delta_ws);
-        assert_eq!(classic_state.state_root(), delta_state.state_root());
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! ([`AccountTransaction`]), a contract VM, a sequential block executor
 //! ([`BlockExecutor`]) that produces receipts with call traces, and the
 //! per-transaction read/write [`AccessSet`]s that the parallel execution engines in
-//! `blockconc-execution` rely on for conflict detection.
+//! `blockconc-execution` rely on for conflict detection. The executor runs over
+//! the [`StateAccess`] trait: on the resident [`WorldState`], or on a
+//! [`ScratchState`] — the private, sparse view of state an engine executes one
+//! transaction in, read cell by cell through a [`CellView`].
 //!
 //! # Examples
 //!
@@ -44,10 +47,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod access;
 mod account;
 mod block;
 mod executor;
+mod journal;
 mod receipt;
+mod scratch;
 mod state;
 mod transaction;
 pub mod vm;
@@ -56,11 +62,11 @@ pub use account::Account;
 pub use block::{AccountBlock, BlockBuilder, ExecutedBlock};
 // `StateKey` moved to `blockconc-store` (the unit of backend storage); re-exported
 // here so existing `blockconc_account::StateKey` imports keep working.
+pub use access::AccessSet;
 pub use blockconc_store::{StateKey, StateValue};
 pub use executor::{BlockExecutor, TxContext};
+pub use journal::Journal;
 pub use receipt::{InternalTransaction, Receipt};
-pub use state::{
-    account_to_stored, decode_contract, stored_to_account, AccessSet, CellBackend, Journal,
-    WorldState,
-};
+pub use scratch::{CellView, ScratchState};
+pub use state::{account_to_stored, decode_contract, stored_to_account, StateAccess, WorldState};
 pub use transaction::{AccountTransaction, TxPayload};

@@ -1,197 +1,107 @@
-//! World state, rollback journal and per-transaction access sets.
+//! The resident world state, and the state-access trait transaction execution
+//! runs on.
 
+use crate::journal::{Source, WorkingSet};
 use crate::vm::Contract;
-use crate::Account;
+use crate::{Account, Journal};
 use blockconc_store::{
-    BlockDelta, CommitStats, DeltaRecord, FragmentValue, SharedBackend, StateBackend,
-    StateFragment, StateKey, StateValue, StoreStats, StoredAccount,
+    BlockDelta, CommitStats, DeltaRecord, FragmentValue, SharedBackend, StateKey, StateValue,
+    StoreStats, StoredAccount,
 };
 use blockconc_types::{Address, Amount, Error, Hash, Result};
-use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// The read, write and delta sets collected while executing one transaction.
+/// The state operations transaction execution needs: reads, journalled writes,
+/// contract deployment and journal rollback. [`BlockExecutor`] and the
+/// [`Interpreter`] run generically over it, on the resident [`WorldState`] or
+/// on an engine's [`ScratchState`].
 ///
-/// A *delta* access is a commutative merge on a key — a pure balance credit or a
-/// counter increment — whose final value does not depend on the order in which
-/// concurrent deltas land. Two transactions conflict at the storage layer iff one
-/// writes a key the other reads, writes or delta-merges, or one delta-merges a
-/// key the other reads. Delta∧delta on the same key does **not** conflict: that
-/// is the property that dissolves hot fee-sink accounts into independent work.
+/// Reads take `&mut self` because a scratch state's cell view may record what
+/// it served.
 ///
-/// Keys are kept in sorted, deduplicated small vectors rather than hash sets: the
-/// typical transaction touches a handful of keys, so [`conflicts_with`] is a linear
-/// two-pointer merge over cache-friendly slices instead of per-key re-hashing — the
-/// hot loop of optimistic-concurrency conflict detection (benchmarked in
-/// `crates/bench/benches/access_set.rs`).
-///
-/// [`conflicts_with`]: AccessSet::conflicts_with
-///
-/// # Examples
-///
-/// ```
-/// use blockconc_types::Address;
-/// use blockconc_account::{AccessSet, StateKey};
-///
-/// let mut a = AccessSet::new();
-/// a.record_delta(StateKey::Balance(Address::from_low(1)));
-/// let mut b = AccessSet::new();
-/// b.record_delta(StateKey::Balance(Address::from_low(1)));
-/// assert!(!a.conflicts_with(&b)); // commutative credits never conflict
-/// let mut r = AccessSet::new();
-/// r.record_read(StateKey::Balance(Address::from_low(1)));
-/// assert!(a.conflicts_with(&r)); // an observer still orders against them
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccessSet {
-    reads: Vec<StateKey>,
-    writes: Vec<StateKey>,
-    deltas: Vec<StateKey>,
-}
+/// [`BlockExecutor`]: crate::BlockExecutor
+/// [`Interpreter`]: crate::vm::Interpreter
+/// [`ScratchState`]: crate::ScratchState
+pub trait StateAccess {
+    /// The nonce of `address` (zero if the account does not exist).
+    fn nonce(&mut self, address: Address) -> u64;
 
-/// Inserts `key` into a sorted vector, keeping it sorted and duplicate-free.
-fn insert_sorted(set: &mut Vec<StateKey>, key: StateKey) {
-    if let Err(pos) = set.binary_search(&key) {
-        set.insert(pos, key);
-    }
-}
+    /// The balance of `address` (zero if the account does not exist).
+    fn balance(&mut self, address: Address) -> Amount;
 
-/// Returns `true` if two sorted slices share an element (two-pointer merge).
-fn sorted_intersects(a: &[StateKey], b: &[StateKey]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => return true,
-        }
-    }
-    false
-}
+    /// A storage slot of `address` (zero when absent).
+    fn storage(&mut self, address: Address, key: u64) -> u64;
 
-impl AccessSet {
-    /// Creates an empty access set.
-    pub fn new() -> Self {
-        AccessSet::default()
-    }
+    /// The contract deployed at `address`, if any.
+    fn contract(&mut self, address: Address) -> Option<Arc<Contract>>;
 
-    /// Records a read of `key`.
-    pub fn record_read(&mut self, key: StateKey) {
-        insert_sorted(&mut self.reads, key);
-    }
+    /// Adds `value` to the balance of `address` (creating the account if
+    /// needed), journalling the old balance.
+    fn credit_journalled(&mut self, address: Address, value: Amount, journal: Option<&mut Journal>);
 
-    /// Records a write of `key`. An absolute write subsumes any delta previously
-    /// recorded on the same key (the order-dependent access is the stronger one).
-    pub fn record_write(&mut self, key: StateKey) {
-        insert_sorted(&mut self.writes, key);
-        if let Ok(pos) = self.deltas.binary_search(&key) {
-            self.deltas.remove(pos);
-        }
-    }
+    /// Removes `value` from the balance of `address`, journalling the old
+    /// balance.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InsufficientFunds`] (without modifying state) if the
+    /// balance is too low, or [`Error::MissingState`] if the account does not
+    /// exist.
+    fn debit_journalled(
+        &mut self,
+        address: Address,
+        value: Amount,
+        journal: Option<&mut Journal>,
+    ) -> Result<()>;
 
-    /// Records a commutative delta merge on `key`. A no-op when the key is
-    /// already in the write set — the write already carries the stronger class.
-    pub fn record_delta(&mut self, key: StateKey) {
-        if self.writes.binary_search(&key).is_ok() {
-            return;
-        }
-        insert_sorted(&mut self.deltas, key);
+    /// Increments the nonce of `address`, journalling the old nonce.
+    fn bump_nonce(&mut self, address: Address, journal: Option<&mut Journal>);
+
+    /// Writes a storage slot, journalling the previous value.
+    fn storage_set(
+        &mut self,
+        address: Address,
+        key: u64,
+        value: u64,
+        journal: Option<&mut Journal>,
+    );
+
+    /// Deploys a contract at `address` (overwriting any existing code).
+    fn deploy_contract(&mut self, address: Address, contract: Arc<Contract>);
+
+    /// Reverts (and removes) every journal operation recorded after
+    /// `checkpoint`, most recent first, leaving earlier operations in place.
+    ///
+    /// Used for nested-call rollback: a failing inner contract call undoes only
+    /// its own state changes while the enclosing transaction continues.
+    fn revert_to(&mut self, journal: &mut Journal, checkpoint: usize);
+
+    /// Credits `address` as a blind commutative delta, if this state can:
+    /// returns `true` when it did (the caller records a *delta* access) and
+    /// `false`, changing nothing, when the caller must
+    /// [`credit_journalled`](StateAccess::credit_journalled) instead. Only a
+    /// [`ScratchState`](crate::ScratchState) ever accumulates deltas.
+    fn credit_delta(
+        &mut self,
+        _address: Address,
+        _value: Amount,
+        _journal: Option<&mut Journal>,
+    ) -> bool {
+        false
     }
 
-    /// Keys read by the transaction, in sorted order.
-    pub fn reads(&self) -> &[StateKey] {
-        &self.reads
-    }
-
-    /// Keys written by the transaction, in sorted order.
-    pub fn writes(&self) -> &[StateKey] {
-        &self.writes
-    }
-
-    /// Keys delta-merged by the transaction, in sorted order.
-    pub fn deltas(&self) -> &[StateKey] {
-        &self.deltas
-    }
-
-    /// Returns `true` if this access set conflicts with `other`: a write in one
-    /// intersects a read, write or delta in the other, or a delta in one
-    /// intersects a read in the other. Delta∧delta never conflicts — commutative
-    /// merges reorder freely.
-    pub fn conflicts_with(&self, other: &AccessSet) -> bool {
-        sorted_intersects(&self.writes, &other.writes)
-            || sorted_intersects(&self.writes, &other.reads)
-            || sorted_intersects(&other.writes, &self.reads)
-            || sorted_intersects(&self.writes, &other.deltas)
-            || sorted_intersects(&other.writes, &self.deltas)
-            || sorted_intersects(&self.deltas, &other.reads)
-            || sorted_intersects(&other.deltas, &self.reads)
-    }
-
-    /// Merges another access set into this one (used when a transaction triggers
-    /// nested contract calls).
-    pub fn merge(&mut self, other: &AccessSet) {
-        for key in &other.reads {
-            insert_sorted(&mut self.reads, *key);
-        }
-        for key in &other.writes {
-            self.record_write(*key);
-        }
-        for key in &other.deltas {
-            self.record_delta(*key);
-        }
-    }
-
-    /// Returns `true` if no reads, writes or deltas were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty() && self.deltas.is_empty()
-    }
-}
-
-/// An undo journal recording the previous values of everything a transaction mutated,
-/// so a failing transaction can be rolled back without cloning the whole state.
-#[derive(Debug, Default)]
-pub struct Journal {
-    ops: Vec<UndoOp>,
-}
-
-#[derive(Debug)]
-enum UndoOp {
-    Balance(Address, Amount),
-    Nonce(Address, u64),
-    Storage(Address, u64, u64),
-    Created(Address),
-    /// A blind delta was accumulated on `key`: undo subtracts the addend back out
-    /// of the pending map.
-    DeltaAdded(StateKey, u64),
-    /// A pending delta on `key` was folded into (or overridden on) the resident
-    /// account: undo restores the pending addend. The account-side effects of the
-    /// fold are journalled separately (Balance/Created ops), so LIFO replay first
-    /// restores the pending entry, then the account.
-    DeltaFolded(StateKey, u64),
-}
-
-impl Journal {
-    /// Creates an empty journal.
-    pub fn new() -> Self {
-        Journal::default()
-    }
-
-    /// Number of recorded undo operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Returns `true` if nothing has been journalled.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// A checkpoint that can later be passed to [`WorldState::revert_to`] to undo only
-    /// the operations recorded after this point (nested-call rollback).
-    pub fn checkpoint(&self) -> usize {
-        self.ops.len()
+    /// Adds `value` (wrapping) to a storage slot as a blind commutative delta,
+    /// if this state can (see [`credit_delta`](StateAccess::credit_delta));
+    /// `false` means the caller performs the classic read-modify-write.
+    fn storage_add_delta(
+        &mut self,
+        _address: Address,
+        _key: u64,
+        _value: u64,
+        _journal: Option<&mut Journal>,
+    ) -> bool {
+        false
     }
 }
 
@@ -240,15 +150,6 @@ pub fn stored_to_account(stored: &StoredAccount) -> Account {
     account
 }
 
-/// A [`StateBackend`] that serves a *scratch* [`WorldState`] one cell at a time
-/// ([`WorldState::scratch_over`]): balance/nonce pairs and slots through
-/// [`StateBackend::get`], and deployed code through this trait — `blockconc_store`
-/// cannot name [`Contract`], and a digest is not something the interpreter can run.
-pub trait CellBackend: StateBackend {
-    /// The contract deployed at `address` as this backend sees it, if any.
-    fn contract(&mut self, address: Address) -> Option<Arc<Contract>>;
-}
-
 /// The global state of an account-based blockchain.
 ///
 /// Without a backend this is exactly the historical in-memory map: every account
@@ -263,8 +164,7 @@ pub trait CellBackend: StateBackend {
 ///
 /// All mutating operations can be journalled (pass a [`Journal`]) so that a failed
 /// transaction can be reverted precisely; this mirrors how real execution clients
-/// handle reverts and is also what allows speculative executors to roll back
-/// conflicting transactions.
+/// handle reverts.
 ///
 /// # Examples
 ///
@@ -279,81 +179,26 @@ pub trait CellBackend: StateBackend {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WorldState {
-    accounts: HashMap<Address, Account>,
-    backend: Option<SharedBackend>,
+    /// The resident accounts, the open block's dirty set and the backend.
+    set: WorkingSet<Option<SharedBackend>>,
     working_set_cap: Option<usize>,
-    dirty: BTreeSet<Address>,
     open_height: Option<u64>,
-    /// Blind commutative contributions to non-resident accounts: accumulated
-    /// without reading the account, folded over the authoritative value only
-    /// when observed (value accessors), ordered against (debit, absolute slot
-    /// write) or harvested ([`take_delta_ops`](WorldState::take_delta_ops) /
-    /// [`commit_block`](WorldState::commit_block)).
-    pending: HashMap<Address, AccountDeltas>,
-    /// Slots absolutely written (`storage_set`) in the current working set.
-    /// A blind slot delta must not coexist with an absolute write to the same
-    /// slot inside one write-set harvest (the engine would emit two cell
-    /// writes for one part), so `SAdd` on a stored slot falls back to the
-    /// classic read-modify-write. On a scratch state these are also exactly
-    /// the slots a sparse resident account holds authoritatively (ordered, so
-    /// the harvest walks one account's slots ascending).
-    stored_slots: BTreeSet<(Address, u64)>,
-    /// The mounted backend again, typed, when this is a scratch state
-    /// ([`WorldState::scratch_over`]). Its presence is what makes first writes
-    /// materialize *sparse* accounts.
-    cells: Option<Arc<Mutex<dyn CellBackend>>>,
 }
 
-/// The unmaterialized commutative contributions to one account: a balance
-/// credit sum plus per-slot wrapping addends. A zero entry is *not* removed —
-/// it is the conservative "was touched, then fully reverted" marker that keeps
-/// the delta path's write sets bit-identical to classic execution's dirty
-/// marks.
-#[derive(Debug, Clone, Default)]
-struct AccountDeltas {
-    balance: u64,
-    slots: BTreeMap<u64, u64>,
-}
-
-impl AccountDeltas {
-    /// True when every addend is zero — nothing to fold, only the touch marker.
-    fn is_noop(&self) -> bool {
-        self.balance == 0 && self.slots.values().all(|&v| v == 0)
+/// A resident state materializes a miss whole, from the backend if one is
+/// mounted.
+impl Source for Option<SharedBackend> {
+    fn tracks_writes(&self) -> bool {
+        self.is_some()
     }
-}
 
-/// Folds pending deltas over a persisted account value in place: balance adds
-/// are checked (mirroring [`Account::credit`]'s overflow panic), slot adds wrap
-/// and a slot reaching zero is removed (mirroring [`Account::storage_set`]).
-fn fold_deltas_into(stored: &mut StoredAccount, deltas: &AccountDeltas) {
-    stored.balance_sats = stored
-        .balance_sats
-        .checked_add(deltas.balance)
-        .expect("amount overflow");
-    for (&slot, &add) in &deltas.slots {
-        if add == 0 {
-            continue;
-        }
-        match stored.storage.binary_search_by_key(&slot, |&(k, _)| k) {
-            Ok(pos) => {
-                let new = stored.storage[pos].1.wrapping_add(add);
-                if new == 0 {
-                    stored.storage.remove(pos);
-                } else {
-                    stored.storage[pos].1 = new;
-                }
-            }
-            Err(pos) => stored.storage.insert(pos, (slot, add)),
-        }
-    }
-}
-
-/// A backend's answer to a storage key as a slot value (absent reads zero).
-fn slot_value(answer: Option<StateValue>) -> u64 {
-    match answer {
-        Some(StateValue::Slot(value)) => value,
-        None => 0,
-        Some(other) => unreachable!("backend answered a storage key with {other:?}"),
+    fn load(&mut self, address: Address) -> Option<Account> {
+        let stored = self
+            .as_ref()?
+            .lock()
+            .expect("backend lock")
+            .get_account(address)?;
+        Some(stored_to_account(&stored))
     }
 }
 
@@ -390,6 +235,7 @@ impl WorldState {
         if fresh {
             // Fresh store: current accounts are the genesis.
             let mut records: Vec<DeltaRecord> = self
+                .set
                 .accounts
                 .iter()
                 .map(|(address, account)| DeltaRecord {
@@ -403,60 +249,29 @@ impl WorldState {
             guard.commit_block(&BlockDelta { height: 0, records })?;
         } else {
             // Recovered store: its committed state wins.
-            self.accounts.clear();
+            self.set.accounts.clear();
         }
-        self.backend = Some(backend);
+        self.set.source = Some(backend);
         self.working_set_cap = working_set_cap;
-        self.dirty.clear();
-        self.pending.clear();
-        self.stored_slots.clear();
+        self.set.dirty.clear();
         self.evict_to_cap(&BTreeSet::new());
         Ok(())
     }
 
-    /// A scratch state over `cells`: an empty working set whose reads resolve one
-    /// cell at a time through the backend and whose first write to an account
-    /// materializes it *sparse* — balance and nonce, code only if this state
-    /// deploys it, and only the slots it stores — so a call into a contract
-    /// costs the keys it touches, not the slots the contract holds. Nothing is
-    /// committed through it: the owner harvests
-    /// [`take_write_fragments`](WorldState::take_write_fragments) /
-    /// [`take_delta_ops`](WorldState::take_delta_ops) and
-    /// [`reset_working_set`](WorldState::reset_working_set)s. Whole-account
-    /// operations (`export_account`, `commit_block`, …) have no meaning on sparse
-    /// accounts and are debug-asserted against.
-    pub fn scratch_over<B: CellBackend + 'static>(cells: Arc<Mutex<B>>) -> Self {
-        WorldState {
-            backend: Some(Arc::clone(&cells) as SharedBackend),
-            cells: Some(cells),
-            ..WorldState::default()
-        }
-    }
-
-    /// Whole-account operations on a scratch state would read or publish sparse
-    /// accounts as if they were complete: stop at the call site, by name.
-    fn assert_whole_accounts(&self, operation: &str) {
-        debug_assert!(
-            self.cells.is_none(),
-            "WorldState::{operation} on a scratch state: its accounts are sparse"
-        );
-    }
-
     /// The mounted backend handle, if any.
     pub fn backend(&self) -> Option<&SharedBackend> {
-        self.backend.as_ref()
+        self.set.source.as_ref()
     }
 
     /// The mounted backend's cumulative counters, if any.
     pub fn backend_stats(&self) -> Option<StoreStats> {
-        self.backend
-            .as_ref()
+        self.backend()
             .map(|b| b.lock().expect("backend lock").stats())
     }
 
     /// Accounts currently materialized in the resident working set.
     pub fn resident_accounts(&self) -> usize {
-        self.accounts.len()
+        self.set.accounts.len()
     }
 
     /// Opens block `height`: subsequent writes form its write-set delta.
@@ -465,7 +280,7 @@ impl WorldState {
     ///
     /// Propagates the backend's block-scope validation.
     pub fn begin_block(&mut self, height: u64) -> Result<()> {
-        if let Some(backend) = &self.backend {
+        if let Some(backend) = self.backend() {
             backend.lock().expect("backend lock").begin_block(height)?;
         }
         self.open_height = Some(height);
@@ -488,22 +303,21 @@ impl WorldState {
     /// Returns an error if no block is open (with a backend mounted), or if the
     /// backend commit fails.
     pub fn commit_block(&mut self) -> Result<CommitStats> {
-        self.assert_whole_accounts("commit_block");
-        self.flush_pending_deltas();
-        let Some(backend) = self.backend.clone() else {
+        let Some(backend) = self.backend().cloned() else {
             self.open_height = None;
-            self.dirty.clear();
+            self.set.dirty.clear();
             return Ok(CommitStats::default());
         };
         let height = self
             .open_height
             .ok_or_else(|| Error::validation("no open block to commit"))?;
         let records: Vec<DeltaRecord> = self
+            .set
             .dirty
             .iter()
             .map(|address| DeltaRecord {
                 address: *address,
-                account: self.accounts.get(address).map(account_to_stored),
+                account: self.set.accounts.get(address).map(account_to_stored),
             })
             .collect();
         // Close the block scope only after the backend accepted the delta: a
@@ -514,8 +328,7 @@ impl WorldState {
             .expect("backend lock")
             .commit_block(&BlockDelta { height, records })?;
         self.open_height = None;
-        self.stored_slots.clear();
-        let last_dirty = std::mem::take(&mut self.dirty);
+        let last_dirty = std::mem::take(&mut self.set.dirty);
         self.evict_to_cap(&last_dirty);
         Ok(stats)
     }
@@ -528,18 +341,16 @@ impl WorldState {
     /// Returns an error without a backend (the map alone cannot restore overwritten
     /// values) or if no block is open.
     pub fn rollback_block(&mut self) -> Result<()> {
-        let Some(backend) = &self.backend else {
+        let Some(backend) = &self.set.source else {
             return Err(Error::validation("rollback_block requires a state backend"));
         };
         self.open_height
             .take()
             .ok_or_else(|| Error::validation("no open block to roll back"))?;
         backend.lock().expect("backend lock").rollback_block()?;
-        for address in std::mem::take(&mut self.dirty) {
-            self.accounts.remove(&address);
+        for address in std::mem::take(&mut self.set.dirty) {
+            self.set.accounts.remove(&address);
         }
-        self.pending.clear();
-        self.stored_slots.clear();
         Ok(())
     }
 
@@ -551,63 +362,47 @@ impl WorldState {
         let Some(cap) = self.working_set_cap else {
             return;
         };
-        if self.backend.is_none() || self.accounts.len() <= cap {
+        let accounts = &mut self.set.accounts;
+        if self.set.source.is_none() || accounts.len() <= cap {
             return;
         }
-        let mut evictable: Vec<Address> = self
-            .accounts
+        let mut evictable: Vec<Address> = accounts
             .iter()
             .filter(|(address, account)| !account.is_contract() && !keep.contains(address))
             .map(|(address, _)| *address)
             .collect();
         evictable.sort_unstable();
-        let excess = self.accounts.len() - cap;
+        let excess = accounts.len() - cap;
         for address in evictable.into_iter().take(excess) {
-            self.accounts.remove(&address);
+            accounts.remove(&address);
         }
-    }
-
-    fn backend_stored(&self, address: Address) -> Option<StoredAccount> {
-        self.backend
-            .as_ref()?
-            .lock()
-            .expect("backend lock")
-            .get_account(address)
     }
 
     /// The committed value visible to a read that misses the resident map: `None`
     /// without a backend, when the account was deleted in the open block (dirty
     /// but not resident — the committed value is stale), or when the backend has
-    /// no such account. Every read-through path resolves through here so the
-    /// dirty-deletion rule lives in one place.
+    /// no such account. Every read-through path resolves through here or through
+    /// [`fallback_value`](WorldState::fallback_value), which applies the same
+    /// dirty-deletion rule.
     fn fallback_stored(&self, address: Address) -> Option<StoredAccount> {
-        if self.dirty.contains(&address) {
+        if self.set.dirty.contains(&address) {
             return None;
         }
-        self.backend_stored(address)
+        self.backend()?
+            .lock()
+            .expect("backend lock")
+            .get_account(address)
     }
 
     /// The committed value of one key visible to a read that misses the resident
     /// map — the per-key face of [`fallback_stored`](WorldState::fallback_stored),
     /// same dirty-deletion rule. What it costs is the backend's business: the
-    /// key alone on the memory backend and under a scratch state, the account
-    /// record on disk.
+    /// key alone on the memory backend, the account record on disk.
     fn fallback_value(&self, key: &StateKey) -> Option<StateValue> {
-        if self.dirty.contains(&key.address()) {
+        if self.set.dirty.contains(&key.address()) {
             return None;
         }
-        self.backend_value(key)
-    }
-
-    /// [`fallback_value`](WorldState::fallback_value) without the dirty rule: the
-    /// backend's own answer. A sparse resident account's unstored slots and the
-    /// harvest's served pre-values read through here.
-    fn backend_value(&self, key: &StateKey) -> Option<StateValue> {
-        self.backend
-            .as_ref()?
-            .lock()
-            .expect("backend lock")
-            .get(key)
+        self.backend()?.lock().expect("backend lock").get(key)
     }
 
     fn fallback_meta(&self, address: Address) -> Option<(Amount, u64)> {
@@ -620,10 +415,6 @@ impl WorldState {
         }
     }
 
-    fn backend_slot(&self, address: Address, key: u64) -> u64 {
-        slot_value(self.backend_value(&StateKey::Storage(address, key)))
-    }
-
     /// The committed account behind a resident miss, materialized whole (`None`
     /// when deleted in the open block or unknown to the backend) — one
     /// whole-account backend read. Readers that serve many keys of a
@@ -634,59 +425,20 @@ impl WorldState {
             .map(|stored| stored_to_account(&stored))
     }
 
-    /// The resident-miss half of every first write: brings the committed account
-    /// into the working set if there is one. A scratch state loads it sparse —
-    /// balance and nonce only; slots and code stay behind the backend until
-    /// this state writes them.
-    fn load(&mut self, address: Address) -> bool {
-        let account = if self.cells.is_some() {
-            self.fallback_meta(address).map(|(balance, nonce)| {
-                let mut account = Account::with_balance(balance);
-                account.set_nonce(nonce);
-                account
-            })
-        } else {
-            self.load_account(address)
-        };
-        match account {
-            Some(account) => {
-                self.accounts.insert(address, account);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn mark_dirty(&mut self, address: Address) {
-        if self.backend.is_some() {
-            self.dirty.insert(address);
-        }
-    }
-
     /// Number of accounts that exist (have been touched at least once).
     pub fn account_count(&self) -> usize {
-        self.assert_whole_accounts("account_count");
-        let Some(backend) = &self.backend else {
-            return self.accounts.len();
+        let Some(backend) = self.backend() else {
+            return self.set.accounts.len();
         };
         let mut guard = backend.lock().expect("backend lock");
         let mut count = guard.account_count();
-        for address in &self.dirty {
-            let resident = self.accounts.contains_key(address);
+        for address in &self.set.dirty {
+            let resident = self.set.accounts.contains_key(address);
             let committed = guard.contains_account(*address);
             if resident && !committed {
                 count += 1; // created this block, not yet committed
             } else if !resident && committed {
                 count -= 1; // deleted this block, not yet committed
-            }
-        }
-        for (address, deltas) in &self.pending {
-            if !deltas.is_noop()
-                && !self.accounts.contains_key(address)
-                && !self.dirty.contains(address)
-                && !guard.contains_account(*address)
-            {
-                count += 1; // will be created when the blind credit folds
             }
         }
         count
@@ -697,40 +449,27 @@ impl WorldState {
     /// committed state — use the value accessors ([`balance`](WorldState::balance),
     /// [`nonce`](WorldState::nonce), …) for authoritative reads.
     pub fn account(&self, address: Address) -> Option<&Account> {
-        self.accounts.get(&address)
+        self.set.accounts.get(&address)
     }
 
-    /// Returns `true` if the account exists (resident, committed, or about to be
-    /// created by a pending blind credit).
+    /// Returns `true` if the account exists (resident or committed).
     pub fn contains(&self, address: Address) -> bool {
-        self.accounts.contains_key(&address)
-            || self.pending.get(&address).is_some_and(|d| !d.is_noop())
+        self.set.accounts.contains_key(&address)
             || self.fallback_value(&StateKey::Balance(address)).is_some()
     }
 
-    /// The balance of `address` (zero if the account does not exist). Pending
-    /// blind credits are folded in virtually — observing the value does not
-    /// materialize it.
+    /// The balance of `address` (zero if the account does not exist).
     pub fn balance(&self, address: Address) -> Amount {
-        let base = if let Some(account) = self.accounts.get(&address) {
-            account.balance()
-        } else {
-            self.fallback_meta(address)
-                .map_or(Amount::ZERO, |(balance, _)| balance)
-        };
-        match self.pending.get(&address) {
-            Some(deltas) if deltas.balance != 0 => Amount::from_sats(
-                base.sats()
-                    .checked_add(deltas.balance)
-                    .expect("amount overflow"),
-            ),
-            _ => base,
+        if let Some(account) = self.set.accounts.get(&address) {
+            return account.balance();
         }
+        self.fallback_meta(address)
+            .map_or(Amount::ZERO, |(balance, _)| balance)
     }
 
     /// The nonce of `address` (zero if the account does not exist).
     pub fn nonce(&self, address: Address) -> u64 {
-        if let Some(account) = self.accounts.get(&address) {
+        if let Some(account) = self.set.accounts.get(&address) {
             return account.nonce();
         }
         self.fallback_meta(address).map_or(0, |(_, nonce)| nonce)
@@ -738,170 +477,28 @@ impl WorldState {
 
     /// The contract deployed at `address`, if any.
     pub fn contract(&self, address: Address) -> Option<Arc<Contract>> {
-        let resident = self.accounts.get(&address);
-        if let Some(code) = resident.and_then(Account::code) {
-            return Some(Arc::clone(code));
-        }
-        if let Some(cells) = &self.cells {
-            // Scratch state: a resident account is sparse (it carries code only
-            // if this state deployed it), so resident or not the backend
-            // answers — unless the account was deleted in this working set.
-            if resident.is_none() && self.dirty.contains(&address) {
-                return None;
-            }
-            return cells.lock().expect("backend lock").contract(address);
-        }
-        if resident.is_some() {
-            return None;
+        if let Some(account) = self.set.accounts.get(&address) {
+            return account.code().cloned();
         }
         let stored = self.fallback_stored(address)?;
         stored.code_json.as_deref().map(decode_contract)
     }
 
-    /// Reads a storage slot of `address` (zero when absent). Pending blind slot
-    /// addends are folded in virtually.
+    /// Reads a storage slot of `address` (zero when absent).
     pub fn storage(&self, address: Address, key: u64) -> u64 {
-        let base = if let Some(account) = self.accounts.get(&address) {
-            if self.cells.is_none() || self.stored_slots.contains(&(address, key)) {
-                account.storage_get(key)
-            } else {
-                // A sparse account holds only the slots this state stored.
-                self.backend_slot(address, key)
-            }
-        } else {
-            slot_value(self.fallback_value(&StateKey::Storage(address, key)))
-        };
-        match self.pending.get(&address).and_then(|d| d.slots.get(&key)) {
-            Some(add) => base.wrapping_add(*add),
-            None => base,
+        if let Some(account) = self.set.accounts.get(&address) {
+            return account.storage_get(key);
         }
-    }
-
-    fn entry(&mut self, address: Address, journal: Option<&mut Journal>) -> &mut Account {
-        if self.backend.is_some() {
-            if !self.accounts.contains_key(&address) && !self.load(address) {
-                if let Some(j) = journal {
-                    j.ops.push(UndoOp::Created(address));
-                }
-                self.accounts.insert(address, Account::new());
-            }
-            self.dirty.insert(address);
-            return self.accounts.get_mut(&address).expect("just materialized");
+        match self.fallback_value(&StateKey::Storage(address, key)) {
+            Some(StateValue::Slot(value)) => value,
+            None => 0,
+            Some(other) => unreachable!("backend answered a storage key with {other:?}"),
         }
-        self.accounts.entry(address).or_insert_with(|| {
-            if let Some(j) = journal {
-                j.ops.push(UndoOp::Created(address));
-            }
-            Account::new()
-        })
     }
 
     /// Adds `value` to the balance of `address` (creating the account if needed).
     pub fn credit(&mut self, address: Address, value: Amount) {
-        self.credit_journalled(address, value, None);
-    }
-
-    /// True when a commutative merge on `address` can be accumulated *blind* —
-    /// without reading the account: a backend is mounted (so the authoritative
-    /// value exists somewhere to fold over) and the account is not resident (a
-    /// resident value is already order-materialized, so the classic path is both
-    /// correct and cheaper).
-    fn delta_eligible(&self, address: Address) -> bool {
-        self.backend.is_some() && !self.accounts.contains_key(&address)
-    }
-
-    /// Slot deltas are finer-grained than balance deltas: a resident account is
-    /// fine (the `Meta` and `Slot` cell parts are independent), only a slot the
-    /// working set has already absolutely written must stay classic.
-    fn slot_delta_eligible(&self, address: Address, key: u64) -> bool {
-        self.backend.is_some() && !self.stored_slots.contains(&(address, key))
-    }
-
-    /// Credits `address` as a commutative delta when possible: the addend is
-    /// accumulated blind (no account read, no dirty mark) and folded over the
-    /// authoritative value only when observed or committed. Returns `true` on
-    /// the blind path — the caller records a *delta* access. Otherwise falls
-    /// back to [`credit_journalled`](WorldState::credit_journalled) and returns
-    /// `false` — the caller records a write.
-    pub fn credit_delta(
-        &mut self,
-        address: Address,
-        value: Amount,
-        journal: Option<&mut Journal>,
-    ) -> bool {
-        if value.is_zero() || !self.delta_eligible(address) {
-            // An ordered credit observes the balance: fold any blind pending
-            // credit first so the account never carries both a `Meta` value
-            // change and a pending balance addend in one harvest.
-            let mut journal = journal;
-            self.fold_pending_balance(address, journal.as_deref_mut());
-            self.credit_journalled(address, value, journal);
-            return false;
-        }
-        let deltas = self.pending.entry(address).or_default();
-        deltas.balance = deltas
-            .balance
-            .checked_add(value.sats())
-            .expect("amount overflow");
-        if let Some(j) = journal {
-            j.ops
-                .push(UndoOp::DeltaAdded(StateKey::Balance(address), value.sats()));
-        }
-        true
-    }
-
-    /// Adds `value` (wrapping) to a storage slot of `address` as a commutative
-    /// delta when possible (see [`credit_delta`](WorldState::credit_delta)).
-    /// Returns `true` on the blind path; `false` means the caller must perform
-    /// the classic read-modify-write (which keeps a zero-valued add's
-    /// account-creation side effect identical to classic execution).
-    pub fn storage_add_delta(
-        &mut self,
-        address: Address,
-        key: u64,
-        value: u64,
-        journal: Option<&mut Journal>,
-    ) -> bool {
-        if value == 0 || !self.slot_delta_eligible(address, key) {
-            return false;
-        }
-        let deltas = self.pending.entry(address).or_default();
-        let slot = deltas.slots.entry(key).or_insert(0);
-        *slot = slot.wrapping_add(value);
-        if let Some(j) = journal {
-            j.ops
-                .push(UndoOp::DeltaAdded(StateKey::Storage(address, key), value));
-        }
-        true
-    }
-
-    /// Folds any pending blind balance credit into the resident account — the
-    /// point where a commutative contribution is upgraded to an ordered one,
-    /// because the caller is about to observe or overwrite the true balance.
-    fn fold_pending_balance(&mut self, address: Address, mut journal: Option<&mut Journal>) {
-        let amount = match self.pending.get_mut(&address) {
-            Some(deltas) if deltas.balance != 0 => std::mem::take(&mut deltas.balance),
-            _ => return,
-        };
-        self.credit_journalled(address, Amount::from_sats(amount), journal.as_deref_mut());
-        if let Some(j) = journal {
-            j.ops
-                .push(UndoOp::DeltaFolded(StateKey::Balance(address), amount));
-        }
-    }
-
-    /// Adds `value` to the balance of `address`, journalling the old balance.
-    pub fn credit_journalled(
-        &mut self,
-        address: Address,
-        value: Amount,
-        mut journal: Option<&mut Journal>,
-    ) {
-        let acct = self.entry(address, journal.as_deref_mut());
-        if let Some(j) = journal {
-            j.ops.push(UndoOp::Balance(address, acct.balance()));
-        }
-        acct.credit(value);
+        self.set.credit(address, value, None);
     }
 
     /// Removes `value` from the balance of `address`.
@@ -911,98 +508,7 @@ impl WorldState {
     /// Returns [`Error::InsufficientFunds`] (without modifying state) if the balance is
     /// too low, or [`Error::MissingState`] if the account does not exist.
     pub fn debit(&mut self, address: Address, value: Amount) -> Result<()> {
-        self.debit_journalled(address, value, None)
-    }
-
-    /// Removes `value` from the balance of `address`, journalling the old balance.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WorldState::debit`].
-    pub fn debit_journalled(
-        &mut self,
-        address: Address,
-        value: Amount,
-        mut journal: Option<&mut Journal>,
-    ) -> Result<()> {
-        // A debit observes the true balance: fold any blind pending credit
-        // first, so a blind-credited account can be spent from in-block.
-        self.fold_pending_balance(address, journal.as_deref_mut());
-        // Materialize a committed-but-evicted account before debiting it.
-        if self.backend.is_some() && !self.accounts.contains_key(&address) {
-            self.load(address);
-        }
-        let acct = self
-            .accounts
-            .get_mut(&address)
-            .ok_or_else(|| Error::missing_state(format!("account {address} does not exist")))?;
-        let old = acct.balance();
-        if !acct.debit(value) {
-            return Err(Error::insufficient_funds(format!(
-                "account {address} holds {} but tried to spend {}",
-                old.sats(),
-                value.sats()
-            )));
-        }
-        if let Some(j) = journal {
-            j.ops.push(UndoOp::Balance(address, old));
-        }
-        self.mark_dirty(address);
-        Ok(())
-    }
-
-    /// Increments the nonce of `address`, journalling the old nonce.
-    pub fn bump_nonce(&mut self, address: Address, mut journal: Option<&mut Journal>) {
-        let acct = self.entry(address, journal.as_deref_mut());
-        if let Some(j) = journal {
-            j.ops.push(UndoOp::Nonce(address, acct.nonce()));
-        }
-        acct.bump_nonce();
-    }
-
-    /// Writes a storage slot, journalling the previous value.
-    pub fn storage_set(
-        &mut self,
-        address: Address,
-        key: u64,
-        value: u64,
-        mut journal: Option<&mut Journal>,
-    ) {
-        // An absolute write overrides any blind pending addend on the slot, so
-        // add-then-store agrees with the classic read-modify-write order.
-        if let Some(deltas) = self.pending.get_mut(&address) {
-            if let Some(pending) = deltas.slots.remove(&key) {
-                if pending != 0 {
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.ops.push(UndoOp::DeltaFolded(
-                            StateKey::Storage(address, key),
-                            pending,
-                        ));
-                    }
-                }
-            }
-        }
-        // A sparse account learns a slot's served value on its first store, so
-        // the journalled `old` and every later read of the slot are the
-        // account's own.
-        let served = if self.stored_slots.insert((address, key)) && self.cells.is_some() {
-            self.backend_slot(address, key)
-        } else {
-            0
-        };
-        let acct = self.entry(address, journal.as_deref_mut());
-        if served != 0 {
-            acct.storage_set(key, served);
-        }
-        let old = acct.storage_set(key, value);
-        if let Some(j) = journal {
-            j.ops.push(UndoOp::Storage(address, key, old));
-        }
-    }
-
-    /// Deploys a contract at `address` (overwriting any existing code).
-    pub fn deploy_contract(&mut self, address: Address, contract: Arc<Contract>) {
-        self.entry(address, None).set_code(contract);
+        self.set.debit(address, value, None)
     }
 
     /// Reverts every operation recorded in `journal`, most recent first.
@@ -1010,266 +516,17 @@ impl WorldState {
         self.revert_to(&mut journal, 0);
     }
 
-    /// Reverts (and removes) every journal operation recorded after `checkpoint`,
-    /// most recent first, leaving earlier operations in place.
-    ///
-    /// Used for nested-call rollback: a failing inner contract call undoes only its own
-    /// state changes while the enclosing transaction continues.
-    pub fn revert_to(&mut self, journal: &mut Journal, checkpoint: usize) {
-        while journal.ops.len() > checkpoint {
-            let op = journal.ops.pop().expect("length checked");
-            self.apply_undo(op);
-        }
-    }
-
-    fn apply_undo(&mut self, op: UndoOp) {
-        match op {
-            UndoOp::Balance(addr, old) => {
-                if let Some(acct) = self.accounts.get_mut(&addr) {
-                    acct.set_balance(old);
-                }
-            }
-            UndoOp::Nonce(addr, old) => {
-                if let Some(acct) = self.accounts.get_mut(&addr) {
-                    acct.set_nonce(old);
-                }
-            }
-            UndoOp::Storage(addr, key, old) => {
-                if let Some(acct) = self.accounts.get_mut(&addr) {
-                    acct.storage_set(key, old);
-                }
-            }
-            UndoOp::Created(addr) => {
-                self.accounts.remove(&addr);
-                // The account never existed in committed state (Created is only
-                // journalled when neither the working set nor the backend had it),
-                // so the delta does not need a deletion record... unless an earlier
-                // transaction in the same block committed it. Keeping the dirty
-                // mark emits a harmless Delete record in that edge case and none
-                // otherwise would lose it, so the mark stays.
-            }
-            UndoOp::DeltaAdded(key, amount) => {
-                // Subtract the addend back out. The entry is kept even at zero:
-                // it is the touch marker mirroring the dirty mark Created leaves.
-                match key {
-                    StateKey::Balance(addr) => {
-                        if let Some(deltas) = self.pending.get_mut(&addr) {
-                            deltas.balance = deltas.balance.wrapping_sub(amount);
-                        }
-                    }
-                    StateKey::Storage(addr, slot) => {
-                        if let Some(deltas) = self.pending.get_mut(&addr) {
-                            if let Some(value) = deltas.slots.get_mut(&slot) {
-                                *value = value.wrapping_sub(amount);
-                            }
-                        }
-                    }
-                    StateKey::Code(_) => debug_assert!(false, "code keys carry no deltas"),
-                }
-            }
-            UndoOp::DeltaFolded(key, amount) => match key {
-                StateKey::Balance(addr) => {
-                    let deltas = self.pending.entry(addr).or_default();
-                    deltas.balance = deltas.balance.checked_add(amount).expect("amount overflow");
-                }
-                StateKey::Storage(addr, slot) => {
-                    let deltas = self.pending.entry(addr).or_default();
-                    let value = deltas.slots.entry(slot).or_insert(0);
-                    *value = value.wrapping_add(amount);
-                }
-                StateKey::Code(_) => debug_assert!(false, "code keys carry no deltas"),
-            },
-        }
-    }
-
-    /// Drops the resident working set, the dirty set and any open block scope
-    /// (rolled back on the backend), keeping the mounted backend. The next read
-    /// re-materializes from the backend's committed state, exactly as after
-    /// [`attach_backend`](WorldState::attach_backend) to a recovered store — but
-    /// cheap enough to call between transactions. Executors that recycle a
-    /// scratch state across independent transactions (the optimistic engine's
-    /// per-worker scratch) use this instead of rebuilding the whole state.
-    pub fn reset_working_set(&mut self) {
-        self.accounts.clear();
-        self.dirty.clear();
-        self.pending.clear();
-        self.stored_slots.clear();
-        if self.open_height.take().is_some() {
-            if let Some(backend) = &self.backend {
-                // With a block open on our side the backend cannot refuse the
-                // rollback; ignore the impossible error rather than propagate
-                // fallibility into every reset call site.
-                let _ = backend.lock().expect("backend lock").rollback_block();
-            }
-        }
-    }
-
     /// Collects the dirty accounts' current values into `out` — exactly the
     /// records [`commit_block`](WorldState::commit_block) would push — then
     /// clears the dirty set and closes any open block scope *without notifying
     /// the backend*. `out` is cleared first and its capacity reused.
-    ///
-    /// This is the write-set half of a virtual-backend interposition: the
-    /// optimistic engine executes each transaction on a scratch state mounted
-    /// over a versioned view, and consumes the write set directly instead of
-    /// round-tripping it through a backend commit (which would build the same
-    /// records, clone them, and take a backend lock — per transaction).
     pub fn take_write_set(&mut self, out: &mut Vec<DeltaRecord>) {
-        self.assert_whole_accounts("take_write_set");
-        self.flush_pending_deltas();
         out.clear();
-        out.extend(self.dirty.iter().map(|address| DeltaRecord {
+        out.extend(self.set.dirty.iter().map(|address| DeltaRecord {
             address: *address,
-            account: self.accounts.get(address).map(account_to_stored),
+            account: self.set.accounts.get(address).map(account_to_stored),
         }));
-        self.dirty.clear();
-        self.open_height = None;
-    }
-
-    /// Drains the blind pending contributions as `(key, addend)` delta ops in
-    /// ascending address order (balance first, then slots). The optimistic
-    /// engine harvests these into delta cells next to the write fragments of
-    /// [`take_write_fragments`](WorldState::take_write_fragments) — the two key
-    /// sets are disjoint by construction (a fold or an absolute write always
-    /// consumes the pending entry first). A fully reverted entry is emitted as a
-    /// zero balance addend: the conservative touch marker matching the dirty
-    /// mark classic execution leaves behind.
-    pub fn take_delta_ops(&mut self, out: &mut Vec<(StateKey, u64)>) {
-        out.clear();
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut addresses: Vec<Address> = self.pending.keys().copied().collect();
-        addresses.sort_unstable();
-        for address in addresses {
-            let deltas = self.pending.remove(&address).expect("key from this map");
-            if deltas.is_noop() {
-                out.push((StateKey::Balance(address), 0));
-                continue;
-            }
-            if deltas.balance != 0 {
-                out.push((StateKey::Balance(address), deltas.balance));
-            }
-            for (slot, add) in deltas.slots {
-                if add != 0 {
-                    out.push((StateKey::Storage(address, slot), add));
-                }
-            }
-        }
-    }
-
-    /// Folds every pending blind contribution into the resident working set —
-    /// the sequential counterpart of [`take_delta_ops`](WorldState::take_delta_ops),
-    /// run by the commit/write-set paths so a state executed with delta accesses
-    /// commits exactly what classic execution would.
-    fn flush_pending_deltas(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let mut entries: Vec<(Address, AccountDeltas)> = pending.into_iter().collect();
-        entries.sort_unstable_by_key(|&(address, _)| address);
-        for (address, deltas) in entries {
-            if deltas.is_noop() {
-                // Fully reverted: keep only the conservative dirty mark, the
-                // same trace a reverted classic creation leaves.
-                self.mark_dirty(address);
-                continue;
-            }
-            let acct = self.entry(address, None);
-            if deltas.balance != 0 {
-                acct.credit(Amount::from_sats(deltas.balance));
-            }
-            for (&slot, &add) in &deltas.slots {
-                if add != 0 {
-                    let new = acct.storage_get(slot).wrapping_add(add);
-                    acct.storage_set(slot, new);
-                }
-            }
-        }
-    }
-
-    /// The per-[`StateKey`] write set of a scratch state
-    /// ([`scratch_over`](WorldState::scratch_over)): compares every key this
-    /// working set *touched* — each dirty account's balance/nonce pair, the slots
-    /// it stored, the code it deployed — with the value the backend served for
-    /// it, and collects the keys that actually changed into `fragments`
-    /// (address-major, canonical part order). Cost is the touched keys; the
-    /// slots the account holds besides are never visited.
-    /// `blockconc_store::diff_account_fragments` over the full accounts is the
-    /// oracle this is tested against. `touched` receives every dirty address,
-    /// changed or not — the optimistic engine needs the full set to reproduce
-    /// the sequential write set at commit, since an untouched-value record
-    /// still appears in a block delta.
-    ///
-    /// The pre-values are re-read from the backend, not the dirty-aware
-    /// fallback: for a scratch state mounted over a versioned view the
-    /// backend's answer *is* the pre-state this execution observed, which is
-    /// what makes an unchanged key diff to no fragment even when the served
-    /// value was itself speculative.
-    ///
-    /// Clears the dirty set and closes any open block scope without notifying
-    /// the backend. Pending blind deltas are *not* folded here — the optimistic
-    /// engine harvests them separately via
-    /// [`take_delta_ops`](WorldState::take_delta_ops).
-    pub fn take_write_fragments(
-        &mut self,
-        fragments: &mut Vec<StateFragment>,
-        touched: &mut Vec<Address>,
-    ) {
-        fragments.clear();
-        touched.clear();
-        let cells = self
-            .cells
-            .as_ref()
-            .expect("take_write_fragments harvests a scratch state");
-        let mut cells = cells.lock().expect("backend lock");
-        for &address in &self.dirty {
-            touched.push(address);
-            let Some(post) = self.accounts.get(&address) else {
-                // Created and rolled back: nothing was served for it, nothing
-                // remains of it. (A *committed* account cannot vanish from a
-                // scratch working set — execution has no operation for that.)
-                debug_assert!(cells.get(&StateKey::Balance(address)).is_none());
-                continue;
-            };
-            let meta = StateValue::AccountMeta {
-                balance_sats: post.balance().sats(),
-                nonce: post.nonce(),
-            };
-            if cells.get(&StateKey::Balance(address)) != Some(meta) {
-                fragments.push(StateFragment {
-                    key: StateKey::Balance(address),
-                    value: Some(FragmentValue::Meta {
-                        balance_sats: post.balance().sats(),
-                        nonce: post.nonce(),
-                    }),
-                });
-            }
-            for &(_, slot) in self
-                .stored_slots
-                .range((address, u64::MIN)..=(address, u64::MAX))
-            {
-                let key = StateKey::Storage(address, slot);
-                let value = post.storage_get(slot);
-                if slot_value(cells.get(&key)) != value {
-                    fragments.push(StateFragment {
-                        key,
-                        value: (value != 0).then_some(FragmentValue::Slot(value)),
-                    });
-                }
-            }
-            if let Some(code) = post.code() {
-                if cells.contract(address).as_ref() != Some(code) {
-                    fragments.push(StateFragment {
-                        key: StateKey::Code(address),
-                        value: post.code_json().map(|c| FragmentValue::Code(c.to_string())),
-                    });
-                }
-            }
-        }
-        drop(cells);
-        self.dirty.clear();
+        self.set.dirty.clear();
         self.open_height = None;
     }
 
@@ -1290,7 +547,7 @@ impl WorldState {
                     nonce,
                 }),
             ) => {
-                let account = self.entry(address, None);
+                let account = self.set.entry(address, None);
                 account.set_balance(Amount::from_sats(*balance_sats));
                 account.set_nonce(*nonce);
             }
@@ -1327,7 +584,7 @@ impl WorldState {
     /// account, if it exists.
     fn touched(&mut self, address: Address) -> Option<&mut Account> {
         self.touch(address);
-        self.accounts.get_mut(&address)
+        self.set.accounts.get_mut(&address)
     }
 
     /// Joins `address` to the open block's write set without changing its value
@@ -1335,10 +592,8 @@ impl WorldState {
     /// a deletion): what sequential execution leaves behind for an account it
     /// wrote back unchanged.
     pub fn touch(&mut self, address: Address) {
-        if self.backend.is_some() && !self.accounts.contains_key(&address) {
-            self.load(address);
-        }
-        self.mark_dirty(address);
+        self.set.load(address);
+        self.set.mark_dirty(address);
     }
 
     /// The complete persisted view of one account (resident value if cached,
@@ -1348,32 +603,18 @@ impl WorldState {
     /// ([`WorldState::remove_account`]) and installing it on the destination
     /// ([`WorldState::install_account`]).
     pub fn export_account(&self, address: Address) -> Option<StoredAccount> {
-        self.assert_whole_accounts("export_account");
-        let mut stored = if let Some(account) = self.accounts.get(&address) {
-            Some(account_to_stored(account))
-        } else {
-            self.fallback_stored(address)
-        };
-        if let Some(deltas) = self.pending.get(&address) {
-            if !deltas.is_noop() {
-                let account = stored.get_or_insert_with(|| StoredAccount {
-                    balance_sats: 0,
-                    nonce: 0,
-                    storage: Vec::new(),
-                    code_json: None,
-                });
-                fold_deltas_into(account, deltas);
-            }
+        match self.set.accounts.get(&address) {
+            Some(account) => Some(account_to_stored(account)),
+            None => self.fallback_stored(address),
         }
-        stored
     }
 
     /// Installs an account's persisted value into this state (the import half of a
     /// cross-partition handoff). The account joins the open block's write set, so
     /// the commit journals it into this partition's backend.
     pub fn install_account(&mut self, address: Address, stored: &StoredAccount) {
-        self.accounts.insert(address, stored_to_account(stored));
-        self.mark_dirty(address);
+        self.set.accounts.insert(address, stored_to_account(stored));
+        self.set.mark_dirty(address);
     }
 
     /// Removes an account from this state (the eviction half of a cross-partition
@@ -1381,8 +622,8 @@ impl WorldState {
     /// the commit journals the departure; reads of the address afterwards see
     /// nothing, exactly as if the account never lived here.
     pub fn remove_account(&mut self, address: Address) {
-        self.accounts.remove(&address);
-        self.mark_dirty(address);
+        self.set.accounts.remove(&address);
+        self.set.mark_dirty(address);
     }
 
     /// Withdraws `value` credited to a *phantom* account — one materialized by
@@ -1398,9 +639,8 @@ impl WorldState {
     /// Returns the usual debit errors if the account does not hold `value` (which
     /// would indicate the caller mis-tracked the phantom credit).
     pub fn withdraw_phantom(&mut self, address: Address, value: Amount) -> Result<()> {
-        self.assert_whole_accounts("withdraw_phantom");
         self.debit(address, value)?;
-        let untouched = self.accounts.get(&address).is_some_and(|account| {
+        let untouched = self.set.accounts.get(&address).is_some_and(|account| {
             account.balance() == Amount::ZERO
                 && account.nonce() == 0
                 && !account.is_contract()
@@ -1408,12 +648,11 @@ impl WorldState {
         });
         if untouched {
             let committed = self
-                .backend
-                .as_ref()
+                .backend()
                 .is_some_and(|b| b.lock().expect("backend lock").contains_account(address));
             if !committed {
-                self.accounts.remove(&address);
-                self.dirty.remove(&address);
+                self.set.accounts.remove(&address);
+                self.set.dirty.remove(&address);
             }
         }
         Ok(())
@@ -1424,28 +663,22 @@ impl WorldState {
     /// [`WorldState::state_root`] or [`WorldState::total_supply`] for whole-state
     /// aggregates.
     pub fn iter(&self) -> impl Iterator<Item = (&Address, &Account)> {
-        self.accounts.iter()
+        self.set.accounts.iter()
     }
 
     /// Sum of all account balances (conserved by transfers; useful as an invariant).
     /// Merges committed and resident state when a backend is mounted.
     pub fn total_supply(&self) -> Amount {
-        let Some(backend) = &self.backend else {
-            return self.accounts.values().map(|a| a.balance()).sum();
-        };
-        let mut total: u64 = 0;
-        backend
-            .lock()
-            .expect("backend lock")
-            .for_each_account(&|address| self.holds_current(address), &mut |_, stored| {
-                total += stored.balance_sats
-            });
-        total += self
-            .accounts
-            .values()
-            .map(|a| a.balance().sats())
-            .sum::<u64>();
-        total += self.pending.values().map(|d| d.balance).sum::<u64>();
+        let resident: u64 = self.set.accounts.values().map(|a| a.balance().sats()).sum();
+        let mut total = resident;
+        if let Some(backend) = self.backend() {
+            backend
+                .lock()
+                .expect("backend lock")
+                .for_each_account(&|address| self.holds_current(address), &mut |_, stored| {
+                    total += stored.balance_sats
+                });
+        }
         Amount::from_sats(total)
     }
 
@@ -1456,49 +689,28 @@ impl WorldState {
         // Committed accounts the working set lacks, ascending. A dirty account
         // that is not resident was deleted this block and stays out.
         let mut cold: Vec<(Address, StoredAccount)> = Vec::new();
-        if let Some(backend) = &self.backend {
+        if let Some(backend) = self.backend() {
             backend.lock().expect("backend lock").for_each_account(
                 &|address| self.holds_current(address),
                 &mut |address, stored| cold.push((address, stored)),
             );
         }
-        // Pending blind contributions to a non-resident account fold over its
-        // committed value, or over nothing (the credit creates it). A resident
-        // account's fold happens as it is digested.
-        let mut created: Vec<(Address, StoredAccount)> = Vec::new();
-        for (address, deltas) in &self.pending {
-            if deltas.is_noop() || self.accounts.contains_key(address) {
-                continue;
-            }
-            match cold.binary_search_by_key(address, |(a, _)| *a) {
-                Ok(pos) => fold_deltas_into(&mut cold[pos].1, deltas),
-                Err(_) => {
-                    let mut stored = StoredAccount {
-                        balance_sats: 0,
-                        nonce: 0,
-                        storage: Vec::new(),
-                        code_json: None,
-                    };
-                    fold_deltas_into(&mut stored, deltas);
-                    created.push((*address, stored));
-                }
-            }
-        }
 
         /// One account of the root, borrowed where it lives.
         enum RootEntry<'a> {
-            Resident(&'a Account, Option<&'a AccountDeltas>),
+            Resident(&'a Account),
             Stored(&'a StoredAccount),
         }
         let mut entries: Vec<(Address, RootEntry<'_>)> =
-            Vec::with_capacity(self.accounts.len() + cold.len() + created.len());
-        entries.extend(self.accounts.iter().map(|(address, account)| {
-            let deltas = self.pending.get(address).filter(|d| !d.is_noop());
-            (*address, RootEntry::Resident(account, deltas))
-        }));
+            Vec::with_capacity(self.set.accounts.len() + cold.len());
+        entries.extend(
+            self.set
+                .accounts
+                .iter()
+                .map(|(address, account)| (*address, RootEntry::Resident(account))),
+        );
         entries.extend(
             cold.iter()
-                .chain(&created)
                 .map(|(address, stored)| (*address, RootEntry::Stored(stored))),
         );
         entries.sort_unstable_by_key(|(address, _)| *address);
@@ -1507,13 +719,7 @@ impl WorldState {
         for (address, entry) in &entries {
             data.extend_from_slice(address.as_bytes());
             match entry {
-                RootEntry::Resident(account, deltas) => {
-                    let mut stored = account_to_stored(account);
-                    if let Some(deltas) = deltas {
-                        fold_deltas_into(&mut stored, deltas);
-                    }
-                    stored.digest_into(&mut data);
-                }
+                RootEntry::Resident(account) => account_to_stored(account).digest_into(&mut data),
                 RootEntry::Stored(stored) => stored.digest_into(&mut data),
             }
         }
@@ -1524,15 +730,84 @@ impl WorldState {
     /// whole-state walk of the backend can skip it: resident, or deleted in the
     /// open block (dirty but not resident).
     fn holds_current(&self, address: Address) -> bool {
-        self.accounts.contains_key(&address) || self.dirty.contains(&address)
+        self.set.accounts.contains_key(&address) || self.set.dirty.contains(&address)
+    }
+}
+
+/// The journalled writes live here only; the reads forward to the inherent
+/// `&self` accessors.
+impl StateAccess for WorldState {
+    fn nonce(&mut self, address: Address) -> u64 {
+        WorldState::nonce(self, address)
+    }
+
+    fn balance(&mut self, address: Address) -> Amount {
+        WorldState::balance(self, address)
+    }
+
+    fn storage(&mut self, address: Address, key: u64) -> u64 {
+        WorldState::storage(self, address, key)
+    }
+
+    fn contract(&mut self, address: Address) -> Option<Arc<Contract>> {
+        WorldState::contract(self, address)
+    }
+
+    fn credit_journalled(
+        &mut self,
+        address: Address,
+        value: Amount,
+        journal: Option<&mut Journal>,
+    ) {
+        self.set.credit(address, value, journal);
+    }
+
+    fn debit_journalled(
+        &mut self,
+        address: Address,
+        value: Amount,
+        journal: Option<&mut Journal>,
+    ) -> Result<()> {
+        self.set.debit(address, value, journal)
+    }
+
+    fn bump_nonce(&mut self, address: Address, journal: Option<&mut Journal>) {
+        self.set.bump_nonce(address, journal);
+    }
+
+    fn storage_set(
+        &mut self,
+        address: Address,
+        key: u64,
+        value: u64,
+        journal: Option<&mut Journal>,
+    ) {
+        self.set.storage_set(address, key, value, journal);
+    }
+
+    fn deploy_contract(&mut self, address: Address, contract: Arc<Contract>) {
+        self.set.entry(address, None).set_code(contract);
+    }
+
+    fn revert_to(&mut self, journal: &mut Journal, checkpoint: usize) {
+        self.set.revert_to(journal, checkpoint, |op| {
+            unreachable!(
+                "blind-delta undo {op:?} on a resident state: only a ScratchState journals deltas"
+            )
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::tests::{commit_harvest, MapCells};
     use crate::vm::OpCode;
-    use blockconc_store::{apply_fragment, diff_account_fragments, shared, MemoryBackend};
+    use crate::{AccessSet, ScratchState};
+    use blockconc_store::{
+        apply_fragment, diff_account_fragments, shared, MemoryBackend, StateBackend,
+    };
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     #[test]
@@ -1710,14 +985,34 @@ mod tests {
         }
     }
 
-    fn backed_state() -> WorldState {
+    /// Two funded accounts and a counter contract, no backend.
+    fn genesis() -> WorldState {
         let mut state = WorldState::new();
         state.credit(Address::from_low(1), Amount::from_coins(10));
         state.credit(Address::from_low(2), Amount::from_coins(20));
         state.deploy_contract(Address::from_low(9), Arc::new(Contract::counter()));
         state
+    }
+
+    /// The genesis on a memory backend, capped so only the contract stays
+    /// resident.
+    fn backed_state() -> WorldState {
+        let mut state = genesis();
+        state
             .attach_backend(shared(MemoryBackend::new()), Some(1))
             .unwrap();
+        state
+    }
+
+    /// The genesis as committed state under an empty scratch state.
+    fn scratch_state() -> ScratchState<MapCells> {
+        ScratchState::new(MapCells::of(&genesis()))
+    }
+
+    /// [`backed_state`] with block 1 open.
+    fn open_block() -> WorldState {
+        let mut state = backed_state();
+        state.begin_block(1).unwrap();
         state
     }
 
@@ -1889,7 +1184,7 @@ mod tests {
                     .for_each_account(&|_| false, &mut |address, _| committed.push(address));
                 let evicted = committed
                     .iter()
-                    .filter(|a| !backed.accounts.contains_key(a) && !backed.dirty.contains(a))
+                    .filter(|a| !backed.holds_current(**a))
                     .count();
                 if cap.is_none() {
                     assert_eq!(evicted, 0, "{label}: {step}: everything is resident");
@@ -1914,31 +1209,35 @@ mod tests {
             }
             check(&plain, &backed, "block 1");
 
-            // An open block: a committed account deleted, blind credits to a
-            // committed account (non-resident under a cap) and to a new one, a
-            // blind slot add on the resident contract.
+            // An open block: a committed account deleted, then the harvest of
+            // a scratch state's blind credits to a committed account
+            // (non-resident under a cap) and to a new one, and its blind slot
+            // add on the resident contract.
             let (evictee, fresh, contract) = (
                 Address::from_low(5),
                 Address::from_low(500),
                 Address::from_low(99),
             );
+            let mut scratch = ScratchState::new(MapCells::of(&plain));
+            assert!(scratch.credit_delta(evictee, Amount::from_sats(3), None));
+            assert!(scratch.credit_delta(fresh, Amount::from_sats(9), None));
+            assert!(scratch.storage_add_delta(contract, 1, 4, None));
+            let mut ops = Vec::new();
+            scratch.clone().take_delta_ops(&mut ops);
+            assert_eq!(
+                ops,
+                [
+                    (StateKey::Balance(evictee), 3),
+                    (StateKey::Storage(contract, 1), 4),
+                    (StateKey::Balance(fresh), 9),
+                ],
+                "{label}"
+            );
             for state in [&mut plain, &mut backed] {
                 state.begin_block(2).unwrap();
                 state.remove_account(Address::from_low(2));
-                state.credit_delta(evictee, Amount::from_sats(3), None);
-                state.credit_delta(fresh, Amount::from_sats(9), None);
-                if !state.storage_add_delta(contract, 1, 4, None) {
-                    let current = state.storage(contract, 1);
-                    state.storage_set(contract, 1, current + 4, None);
-                }
+                commit_harvest(state, &mut scratch.clone());
             }
-            assert_eq!(
-                backed.pending.contains_key(&evictee),
-                cap.is_some(),
-                "{label}"
-            );
-            assert!(backed.pending.contains_key(&fresh), "{label}");
-            assert!(backed.pending.contains_key(&contract), "{label}");
             check(&plain, &backed, "open block");
 
             plain.commit_block().unwrap();
@@ -2077,21 +1376,26 @@ mod tests {
 
     #[test]
     fn reset_working_set_drops_uncommitted_state_but_keeps_the_backend() {
-        let mut state = backed_state();
-        state.begin_block(1).unwrap();
-        state.credit(Address::from_low(55), Amount::from_coins(9));
+        let mut state = scratch_state();
+        let (contract, fresh) = (Address::from_low(9), Address::from_low(55));
+        state.credit_journalled(fresh, Amount::from_coins(9), None);
         state
-            .debit(Address::from_low(1), Amount::from_coins(1))
+            .debit_journalled(Address::from_low(1), Amount::from_coins(1), None)
             .unwrap();
+        state.storage_set(contract, 0, 5, None);
+        assert!(state.credit_delta(Address::from_low(70), Amount::from_sats(1), None));
         state.reset_working_set();
-        assert_eq!(state.resident_accounts(), 0);
+        assert!(state.set.accounts.is_empty());
         // Uncommitted writes are gone; committed values read through again.
-        assert!(!state.contains(Address::from_low(55)));
+        assert!(!state.contains(fresh));
         assert_eq!(state.balance(Address::from_low(1)), Amount::from_coins(10));
-        // The block scope is closed on our side: a fresh block can open.
-        state.begin_block(1).unwrap();
+        assert_eq!(state.storage(contract, 0), 0);
+        // Nothing is left to harvest, and the state is usable again.
+        let (mut fragments, mut touched, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
+        state.take_write_fragments(&mut fragments, &mut touched);
+        state.take_delta_ops(&mut deltas);
+        assert!(fragments.is_empty() && touched.is_empty() && deltas.is_empty());
         state.bump_nonce(Address::from_low(1), None);
-        state.commit_block().unwrap();
         assert_eq!(state.nonce(Address::from_low(1)), 1);
     }
 
@@ -2156,12 +1460,11 @@ mod tests {
 
     #[test]
     fn blind_credit_folds_virtually_and_commits_classically() {
-        let mut classic = backed_state();
-        let mut delta = backed_state(); // same genesis, independent backend
-        classic.begin_block(1).unwrap();
-        delta.begin_block(1).unwrap();
-        let hot = Address::from_low(2); // committed but evicted by the cap
+        let mut classic = open_block();
+        let mut delta = scratch_state(); // the same genesis, read cell by cell
+        let hot = Address::from_low(2); // committed, never materialized below
         let ghost = Address::from_low(70); // never existed
+        let spender = Address::from_low(1);
 
         classic.credit(hot, Amount::from_sats(5));
         classic.credit(hot, Amount::from_sats(6));
@@ -2171,44 +1474,72 @@ mod tests {
         assert!(delta.credit_delta(hot, Amount::from_sats(6), None));
         assert!(delta.credit_delta(ghost, Amount::from_sats(9), None));
         // Nothing materialized, yet every observer sees the folded values.
-        assert_eq!(delta.resident_accounts(), classic.resident_accounts() - 2);
+        assert!(delta.set.accounts.is_empty());
         assert_eq!(delta.balance(hot), classic.balance(hot));
         assert_eq!(delta.balance(ghost), Amount::from_sats(9));
         assert!(delta.contains(ghost));
-        assert_eq!(delta.total_supply(), classic.total_supply());
-        assert_eq!(delta.account_count(), classic.account_count());
-        assert_eq!(delta.state_root(), classic.state_root());
-        assert_eq!(delta.export_account(hot), classic.export_account(hot));
+
+        // A materialized account's balance is already ordered: the classic
+        // path takes over.
+        classic.bump_nonce(spender, None);
+        delta.bump_nonce(spender, None);
+        assert!(!delta.credit_delta(spender, Amount::from_sats(1), None));
+        classic.credit(spender, Amount::from_sats(1));
+        delta.credit_journalled(spender, Amount::from_sats(1), None);
+
+        // Harvested onto the same pre-state, the blind credits commit exactly
+        // what the classic ones do.
+        let mut committed = open_block();
+        commit_harvest(&mut committed, &mut delta);
+        assert_eq!(committed.total_supply(), classic.total_supply());
+        assert_eq!(committed.account_count(), classic.account_count());
+        assert_eq!(committed.state_root(), classic.state_root());
+        assert_eq!(committed.export_account(hot), classic.export_account(hot));
+        let (mut expected, mut actual) = (Vec::new(), Vec::new());
+        classic.clone().take_write_set(&mut expected);
+        committed.clone().take_write_set(&mut actual);
+        assert_eq!(actual, expected);
 
         classic.commit_block().unwrap();
-        delta.commit_block().unwrap();
-        assert_eq!(delta.state_root(), classic.state_root());
-        assert_eq!(delta.balance(hot), classic.balance(hot));
+        committed.commit_block().unwrap();
+        assert_eq!(committed.state_root(), classic.state_root());
+        assert_eq!(committed.balance(hot), classic.balance(hot));
     }
 
     #[test]
     fn blind_credit_reverts_and_leaves_the_classic_touch_marker() {
-        let mut state = backed_state();
-        state.begin_block(1).unwrap();
+        let mut state = scratch_state();
         let ghost = Address::from_low(71);
         let mut journal = Journal::new();
         assert!(state.credit_delta(ghost, Amount::from_sats(4), Some(&mut journal)));
         assert!(state.contains(ghost));
-        state.revert(journal);
+        state.revert_to(&mut journal, 0);
         assert!(!state.contains(ghost));
         assert_eq!(state.balance(ghost), Amount::ZERO);
         // The reverted entry still surfaces as a zero-addend touch marker.
         let mut ops = Vec::new();
         state.clone().take_delta_ops(&mut ops);
         assert_eq!(ops, vec![(StateKey::Balance(ghost), 0)]);
-        state.commit_block().unwrap();
-        assert!(!state.contains(ghost));
+
+        // Committed, the marker is the write-set record a reverted classic
+        // creation leaves, and no account.
+        let mut classic = open_block();
+        let mut journal = Journal::new();
+        classic.credit_journalled(ghost, Amount::from_sats(4), Some(&mut journal));
+        classic.revert(journal);
+        let mut committed = open_block();
+        commit_harvest(&mut committed, &mut state);
+        let (mut expected, mut actual) = (Vec::new(), Vec::new());
+        classic.clone().take_write_set(&mut expected);
+        committed.clone().take_write_set(&mut actual);
+        assert_eq!(actual, expected);
+        committed.commit_block().unwrap();
+        assert!(!committed.contains(ghost));
     }
 
     #[test]
     fn debit_folds_pending_credit_and_revert_restores_it() {
-        let mut state = backed_state();
-        state.begin_block(1).unwrap();
+        let mut state = scratch_state();
         let ghost = Address::from_low(72);
         assert!(state.credit_delta(ghost, Amount::from_sats(10), None));
         let mut journal = Journal::new();
@@ -2216,109 +1547,59 @@ mod tests {
             .debit_journalled(ghost, Amount::from_sats(3), Some(&mut journal))
             .unwrap();
         assert_eq!(state.balance(ghost), Amount::from_sats(7));
-        state.revert(journal);
+        state.revert_to(&mut journal, 0);
         // The fold reversed: the credit is pending again, the account is gone.
         assert_eq!(state.balance(ghost), Amount::from_sats(10));
-        assert_eq!(state.resident_accounts(), 1); // only the contract survives the cap
+        assert!(state.set.accounts.is_empty());
         let mut ops = Vec::new();
         state.take_delta_ops(&mut ops);
         assert_eq!(ops, vec![(StateKey::Balance(ghost), 10)]);
     }
 
+    /// The classic `SAdd`: an ordered read-modify-write.
+    fn classic_add<S: StateAccess>(state: &mut S, address: Address, slot: u64, v: u64) {
+        let cur = state.storage(address, slot);
+        state.storage_set(address, slot, cur.wrapping_add(v), None);
+    }
+
     #[test]
     fn storage_add_delta_agrees_with_classic_read_modify_write() {
-        let mut classic = backed_state();
-        let mut delta = backed_state(); // same genesis, independent backend
-        classic.begin_block(1).unwrap();
-        delta.begin_block(1).unwrap();
+        let mut classic = open_block();
+        let mut delta = scratch_state();
         let sink = Address::from_low(73);
 
         // add, add, absolute store, add — the absolute write must override the
         // pending addends on both paths.
-        let classic_add = |state: &mut WorldState, slot: u64, v: u64| {
-            let cur = state.storage(sink, slot);
-            state.storage_set(sink, slot, cur.wrapping_add(v), None);
-        };
-        classic_add(&mut classic, 0, 5);
-        classic_add(&mut classic, 0, 6);
+        classic_add(&mut classic, sink, 0, 5);
+        classic_add(&mut classic, sink, 0, 6);
         classic.storage_set(sink, 0, 100, None);
-        classic_add(&mut classic, 0, 1);
-        classic_add(&mut classic, 1, 9);
+        classic_add(&mut classic, sink, 0, 1);
+        classic_add(&mut classic, sink, 1, 9);
 
         assert!(delta.storage_add_delta(sink, 0, 5, None));
         assert!(delta.storage_add_delta(sink, 0, 6, None));
         assert_eq!(delta.storage(sink, 0), 11);
         delta.storage_set(sink, 0, 100, None); // drops the pending addend
         assert!(!delta.storage_add_delta(sink, 0, 1, None)); // stored slot: classic path
-        classic_add(&mut delta, 0, 1);
+        classic_add(&mut delta, sink, 0, 1);
         // A *different* slot of the now-resident account still goes blind: the
         // Meta and Slot cell parts are independent.
         assert!(delta.storage_add_delta(sink, 1, 9, None));
 
-        assert_eq!(delta.storage(sink, 0), classic.storage(sink, 0));
+        assert_eq!(
+            delta.storage(sink, 0),
+            WorldState::storage(&classic, sink, 0)
+        );
+        assert_eq!(
+            delta.storage(sink, 1),
+            WorldState::storage(&classic, sink, 1)
+        );
+        let mut committed = open_block();
+        commit_harvest(&mut committed, &mut delta);
+        assert_eq!(committed.state_root(), classic.state_root());
         classic.commit_block().unwrap();
-        delta.commit_block().unwrap();
-        assert_eq!(delta.state_root(), classic.state_root());
-    }
-
-    /// A committed account map that serves cells: the scratch-state test double
-    /// (the production implementor is the optimistic engine's versioned view).
-    #[derive(Debug, Default)]
-    struct MapCells {
-        accounts: BTreeMap<Address, StoredAccount>,
-        whole_reads: usize,
-    }
-
-    impl StateBackend for MapCells {
-        fn name(&self) -> &'static str {
-            "map-cells"
-        }
-        fn get_account(&mut self, address: Address) -> Option<StoredAccount> {
-            self.whole_reads += 1;
-            self.accounts.get(&address).cloned()
-        }
-        fn get(&mut self, key: &StateKey) -> Option<StateValue> {
-            Some(self.accounts.get(&key.address())?.value_of(key))
-        }
-        fn begin_block(&mut self, _height: u64) -> Result<()> {
-            Ok(())
-        }
-        fn commit_block(&mut self, _delta: &BlockDelta) -> Result<CommitStats> {
-            Ok(CommitStats::default())
-        }
-        fn rollback_block(&mut self) -> Result<()> {
-            Ok(())
-        }
-        fn committed_block(&self) -> Option<u64> {
-            Some(0)
-        }
-        fn open_height(&self) -> Option<u64> {
-            None
-        }
-        fn account_count(&self) -> usize {
-            self.accounts.len()
-        }
-        fn for_each_account(
-            &mut self,
-            skip: &dyn Fn(Address) -> bool,
-            f: &mut dyn FnMut(Address, StoredAccount),
-        ) {
-            for (address, account) in &self.accounts {
-                if !skip(*address) {
-                    f(*address, account.clone());
-                }
-            }
-        }
-        fn stats(&self) -> StoreStats {
-            StoreStats::default()
-        }
-    }
-
-    impl CellBackend for MapCells {
-        fn contract(&mut self, address: Address) -> Option<Arc<Contract>> {
-            let code = self.accounts.get(&address)?.code_json.as_deref()?;
-            Some(decode_contract(code))
-        }
+        committed.commit_block().unwrap();
+        assert_eq!(committed.state_root(), classic.state_root());
     }
 
     /// SplitMix64 step for the generated-mutation tests.
@@ -2347,8 +1628,25 @@ mod tests {
             .collect()
     }
 
+    /// `committed` mounted under a cold working set: every read falls through
+    /// to the backend, every first write loads the account whole.
+    fn cold_state(committed: &BTreeMap<Address, StoredAccount>) -> WorldState {
+        let mut genesis = WorldState::new();
+        for (address, stored) in committed {
+            genesis.install_account(*address, stored);
+        }
+        let backend = shared(MemoryBackend::new());
+        genesis
+            .attach_backend(SharedBackend::clone(&backend), None)
+            .unwrap();
+        let mut cold = WorldState::new();
+        cold.attach_backend(backend, None).unwrap();
+        assert_eq!(cold.resident_accounts(), 0);
+        cold
+    }
+
     /// One generated mutation, applied identically to any state.
-    fn mutate(state: &mut WorldState, rng: &mut u64, journal: &mut Journal) {
+    fn mutate<S: StateAccess>(state: &mut S, rng: &mut u64, journal: &mut Journal) {
         // Addresses 1..=6 are committed, 7..=8 never existed.
         let address = Address::from_low(1 + mix(rng) % 8);
         let slot = match mix(rng) % 3 {
@@ -2391,22 +1689,12 @@ mod tests {
     fn sparse_write_fragments_equal_the_full_account_diff_on_generated_mutations() {
         let committed = committed_universe();
         for seed in 0..200u64 {
-            let cells = Arc::new(Mutex::new(MapCells {
+            let mut scratch = ScratchState::new(MapCells {
                 accounts: committed.clone(),
-                whole_reads: 0,
-            }));
-            let mut scratch = WorldState::scratch_over(Arc::clone(&cells));
+            });
             // The oracle side: the same committed accounts under a full state
             // (cold working set, whole-account loads).
-            let mut full = WorldState::new();
-            full.attach_backend(
-                shared(MapCells {
-                    accounts: committed.clone(),
-                    whole_reads: 0,
-                }),
-                None,
-            )
-            .unwrap();
+            let mut full = cold_state(&committed);
 
             let (mut rng_a, mut rng_b) = (seed, seed);
             let (mut journal_a, mut journal_b) = (Journal::new(), Journal::new());
@@ -2429,7 +1717,7 @@ mod tests {
                     );
                     assert_eq!(
                         scratch.contract(address),
-                        full.contract(address),
+                        WorldState::contract(&full, address),
                         "seed {seed}"
                     );
                     for slot in [0, 3, 39, 117, 500, 503] {
@@ -2461,12 +1749,13 @@ mod tests {
                 dirty.iter().map(|r| r.address).collect::<Vec<_>>(),
                 "seed {seed}"
             );
-            // Sparse means sparse: no resident account outgrew what was stored,
-            // and nothing was ever read whole.
+            // Sparse means sparse: no resident account outgrew what was stored.
+            // (Nothing can be read whole: a cell view has no such question.)
             assert!(scratch
-                .iter()
-                .all(|(_, account)| account.storage_len() <= 12));
-            assert_eq!(cells.lock().unwrap().whole_reads, 0, "seed {seed}");
+                .set
+                .accounts
+                .values()
+                .all(|account| account.storage_len() <= 12));
         }
     }
 
@@ -2532,18 +1821,6 @@ mod tests {
                 "seed {seed}"
             );
         }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "WorldState::export_account on a scratch state")]
-    fn whole_account_calls_on_a_scratch_state_fail_at_the_call_site() {
-        let cells = Arc::new(Mutex::new(MapCells {
-            accounts: committed_universe(),
-            whole_reads: 0,
-        }));
-        let scratch = WorldState::scratch_over(cells);
-        let _ = scratch.export_account(Address::from_low(5));
     }
 
     #[test]

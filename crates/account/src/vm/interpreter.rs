@@ -1,9 +1,7 @@
 //! The VM interpreter.
 
-use crate::state::{AccessSet, Journal, WorldState};
 use crate::vm::{GasSchedule, OpCode};
-use crate::InternalTransaction;
-use crate::StateKey;
+use crate::{AccessSet, InternalTransaction, Journal, StateAccess, StateKey};
 use blockconc_types::{Address, Amount, Error, Gas, Result};
 
 /// Maximum nested call depth (top-level call is depth 1).
@@ -45,23 +43,24 @@ pub struct CallOutcome {
 /// The virtual-machine interpreter.
 ///
 /// An [`Interpreter`] owns only configuration (gas schedule, limits); every call runs
-/// against caller-provided [`WorldState`], and rollback of failing calls is precise via
-/// the journal.
+/// against caller-provided [`StateAccess`] state, and rollback of failing calls is
+/// precise via the journal.
 ///
 /// See the [module documentation](crate::vm) for an end-to-end example.
 #[derive(Debug, Clone, Default)]
 pub struct Interpreter {
     schedule: GasSchedule,
-    /// When set, pure credits and `SAdd` accumulations on non-resident accounts
-    /// are recorded as commutative *delta* accesses (blind, unordered) instead
-    /// of read/write pairs. Off by default: classic executors keep the exact
-    /// access sets and conflict structure they always had.
+    /// When set, pure credits and `SAdd` accumulations the state accepts blind
+    /// ([`StateAccess::credit_delta`]) are recorded as commutative *delta*
+    /// accesses (blind, unordered) instead of read/write pairs. Off by default:
+    /// classic executors keep the exact access sets and conflict structure they
+    /// always had.
     delta_accesses: bool,
 }
 
-struct Frame<'a> {
+struct Frame<'a, S> {
     interpreter: &'a Interpreter,
-    state: &'a mut WorldState,
+    state: &'a mut S,
     journal: &'a mut Journal,
     access: &'a mut AccessSet,
     internal: &'a mut Vec<InternalTransaction>,
@@ -76,8 +75,8 @@ impl Interpreter {
     }
 
     /// Enables commutative delta accounting: pure credits and `SAdd`
-    /// accumulations targeting non-resident accounts are accumulated blind in
-    /// the state's pending-delta map and recorded as delta accesses. Gas,
+    /// accumulations the state accepts blind ([`StateAccess::credit_delta`],
+    /// [`StateAccess::storage_add_delta`]) are recorded as delta accesses. Gas,
     /// receipts and final state are identical to the classic mode — only the
     /// access classification (and hence the conflict structure) weakens.
     pub fn with_delta_accesses(mut self) -> Self {
@@ -103,7 +102,11 @@ impl Interpreter {
     /// Returns an error only for caller-level problems (the caller lacks the funds for
     /// the value transfer); VM-level failures (revert, out of gas) are reported through
     /// [`CallOutcome::success`].
-    pub fn call(&mut self, state: &mut WorldState, params: CallParams) -> Result<CallOutcome> {
+    pub fn call<S: StateAccess>(
+        &mut self,
+        state: &mut S,
+        params: CallParams,
+    ) -> Result<CallOutcome> {
         let mut journal = Journal::new();
         let mut access = AccessSet::new();
         let outcome = self.call_tracked(state, params, &mut journal, &mut access)?;
@@ -119,9 +122,9 @@ impl Interpreter {
     /// # Errors
     ///
     /// Returns an error only if the caller cannot fund the value transfer.
-    pub fn call_tracked(
+    pub fn call_tracked<S: StateAccess>(
         &mut self,
-        state: &mut WorldState,
+        state: &mut S,
         params: CallParams,
         journal: &mut Journal,
         access: &mut AccessSet,
@@ -190,7 +193,7 @@ enum VmFailure {
     OutOfGas,
 }
 
-impl Frame<'_> {
+impl<S: StateAccess> Frame<'_, S> {
     /// Runs one call (value transfer + code execution). Returns remaining gas.
     fn run_call(
         &mut self,
@@ -357,10 +360,9 @@ impl Frame<'_> {
     }
 
     /// Credits the receiving side of a value transfer. In delta mode a credit
-    /// to a non-resident account is accumulated blind and recorded as a
-    /// commutative delta (falling back to an ordered write when the account is
-    /// already materialized); classic mode credits exactly as before — the
-    /// write access was already recorded ahead of the debit.
+    /// the state accepts blind is recorded as a commutative delta, anything
+    /// else as an ordered write; classic mode recorded the write ahead of the
+    /// debit already.
     fn credit_side(&mut self, to: Address, amount: Amount) {
         if self.interpreter.delta_accesses {
             if self
@@ -368,13 +370,12 @@ impl Frame<'_> {
                 .credit_delta(to, amount, Some(&mut *self.journal))
             {
                 self.access.record_delta(StateKey::Balance(to));
-            } else {
-                self.access.record_write(StateKey::Balance(to));
+                return;
             }
-        } else {
-            self.state
-                .credit_journalled(to, amount, Some(&mut *self.journal));
+            self.access.record_write(StateKey::Balance(to));
         }
+        self.state
+            .credit_journalled(to, amount, Some(&mut *self.journal));
     }
 
     fn do_transfer(
@@ -447,6 +448,7 @@ impl Frame<'_> {
 mod tests {
     use super::*;
     use crate::vm::Contract;
+    use crate::WorldState;
     use std::sync::Arc;
 
     fn setup(contract: Contract) -> (WorldState, Address, Address) {

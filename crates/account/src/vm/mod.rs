@@ -18,7 +18,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use blockconc_types::{Address, Amount, Gas};
-//! use blockconc_account::WorldState;
+//! use blockconc_account::{StateAccess, WorldState};
 //! use blockconc_account::vm::{CallParams, Contract, Interpreter, OpCode};
 //!
 //! let beneficiary = Address::from_low(7);

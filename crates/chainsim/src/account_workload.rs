@@ -4,7 +4,8 @@ use crate::hotspot::{HotspotKind, HotspotSpec};
 use crate::UserPopulation;
 use blockconc_account::vm::Contract;
 use blockconc_account::{
-    AccountBlock, AccountTransaction, BlockBuilder, BlockExecutor, ExecutedBlock, WorldState,
+    AccountBlock, AccountTransaction, BlockBuilder, BlockExecutor, ExecutedBlock, StateAccess,
+    WorldState,
 };
 use blockconc_types::{Address, Amount, DeterministicRng};
 use serde::{Deserialize, Serialize};

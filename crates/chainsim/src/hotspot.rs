@@ -39,7 +39,7 @@ pub struct HotspotSpec {
     pub kind: HotspotKind,
     /// The share of the block's transactions involving this hot spot, in `[0, 1]`.
     pub share: f64,
-    /// For [`HotspotKind::PopularContract`], how many nested internal calls each
+    /// For `HotspotKind::PopularContract`, how many nested internal calls each
     /// transaction triggers (the proxy → contract → sub-contract chains of the paper's
     /// Fig. 1b); ignored otherwise.
     pub call_depth: usize,

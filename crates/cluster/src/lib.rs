@@ -19,8 +19,8 @@
 //!   sender shard's micro-block and ships a receipt-carried credit that the
 //!   owner shard applies next height, modeled after Zilliqa — a hot exchange
 //!   wallet therefore *never* fuses the whole network into one component;
-//! * **per-epoch committee rotation** reusing [`DsEpoch`]
-//!   (blockconc_sharding::DsEpoch) with component-affine re-homing: at each
+//! * **per-epoch committee rotation** reusing [`DsEpoch`](blockconc_sharding::DsEpoch)
+//!   with component-affine re-homing: at each
 //!   rotation, live components migrate whole (accounts + pooled chains) to
 //!   their new-epoch canonical homes;
 //! * a **final-block merge** folding the per-shard micro-blocks into a

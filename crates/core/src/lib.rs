@@ -64,7 +64,7 @@ pub use blockconc_utxo as utxo;
 pub mod prelude {
     pub use blockconc_account::{
         AccountTransaction, BlockBuilder as AccountBlockBuilder, BlockExecutor, ExecutedBlock,
-        WorldState,
+        StateAccess, WorldState,
     };
     pub use blockconc_analysis::{
         bucketed_series, compare, export, report, speedup, Dataset, MetricKind, Series, SeriesPoint,

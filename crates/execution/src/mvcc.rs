@@ -28,7 +28,7 @@ const SHARDS: usize = 64;
 
 /// The part of an account one versioned cell covers. Orders canonically within
 /// an address: meta, then slots ascending, then code (the fragment order
-/// `WorldState::take_write_fragments` emits).
+/// `ScratchState::take_write_fragments` emits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum CellPart {
     /// The balance/nonce pair (one conflict unit, like [`StateKey::Balance`]).

@@ -3,7 +3,9 @@
 use crate::mvcc::MvMemory;
 use crate::optimistic::MvView;
 use crate::thread_pool::{Job, WorkerPool};
-use blockconc_account::{AccessSet, AccountBlock, BlockExecutor, StateKey, WorldState};
+use blockconc_account::{
+    AccessSet, AccountBlock, BlockExecutor, ScratchState, StateKey, WorldState,
+};
 use blockconc_types::Result;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -23,8 +25,8 @@ pub(crate) fn lend_state<R>(state: &mut WorldState, run: impl FnOnce(&Arc<WorldS
 /// transaction of `block` against the pre-block `state`, spread over `pool` in one
 /// chunk per worker, and returns each transaction's access set in block order.
 /// Each worker reads the lent state through an [`MvView`] with no versions in it
-/// — so every cell resolves to the base, resident or not — under a scratch state
-/// it resets between transactions: all transactions observe the same starting
+/// — so every cell resolves to the base, resident or not — from a
+/// [`ScratchState`] it resets between transactions: all transactions observe the same starting
 /// state, nothing is cloned and `state` is left as it was found.
 pub(crate) fn discover_access_sets(
     pool: &WorkerPool,
@@ -50,7 +52,7 @@ pub(crate) fn discover_access_sets(
                 Box::new(move || {
                     let start = chunk_index * chunk_size;
                     let end = (start + chunk_size).min(block.transaction_count());
-                    let mut local = WorldState::scratch_over(Arc::new(Mutex::new(view)));
+                    let mut local = ScratchState::new(view);
                     let mut executor = BlockExecutor::new();
                     let sets: Vec<AccessSet> = block.transactions()[start..end]
                         .iter()

@@ -15,9 +15,9 @@
 //! only aborts when a cell it actually consumed changes under it, and it only
 //! pays for the cells it touches. Calls into one shared contract run side by
 //! side at a per-call cost that does not depend on how many slots the contract
-//! holds: reads resolve one cell ([`MvView`]), the scratch state materializes
-//! sparse accounts and harvests only touched keys, and the commit sets each
-//! final cell on the resident account in place.
+//! holds: reads resolve one cell ([`MvView`]), the [`ScratchState`] over it
+//! materializes sparse accounts and harvests only touched keys, and the commit
+//! sets each final cell on the resident account in place.
 
 use crate::mvcc::{
     cell_key_of, fold_delta, CellKey, CellPart, CellValue, CellWrite, MvMemory, ReadOrigin, Stamp,
@@ -27,13 +27,10 @@ use crate::thread_pool::{Job, WorkerPool};
 use crate::{ExecutionEngine, ExecutionReport};
 use blockconc_account::vm::Contract;
 use blockconc_account::{
-    decode_contract, AccessSet, Account, AccountBlock, BlockExecutor, CellBackend, ExecutedBlock,
-    Receipt, WorldState,
+    decode_contract, AccessSet, Account, AccountBlock, BlockExecutor, CellView, ExecutedBlock,
+    Receipt, ScratchState, StateAccess, WorldState,
 };
-use blockconc_store::{
-    BlockDelta, CommitStats, FragmentValue, StateBackend, StateKey, StateValue, StoreStats,
-    StoredAccount,
-};
+use blockconc_store::{FragmentValue, StateKey};
 use blockconc_types::{Address, Amount, Gas, Result};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -118,24 +115,24 @@ struct ServedCell {
     deltas: Vec<Stamp>,
 }
 
-/// A [`CellBackend`] that resolves each cell through the multi-version map,
+/// A [`CellView`] that resolves each cell through the multi-version map,
 /// falling through to the immutable pre-block state.
 ///
-/// Each worker mounts one `MvView` under a scratch
-/// [`WorldState`](WorldState::scratch_over), so the unmodified sequential
-/// executor runs on top of it: every read misses the (sparse) working set and
-/// lands here as a single-cell question. The view answers with the highest
-/// fragment below the reader plus the deltas stacked on it
-/// ([`MvMemory::read_cell`]) or, failing that, the base state's own value, and
-/// keeps value and origins per cell for the rest of the execution — one stable
-/// snapshot per cell, and [`consumed_reads`](MvView::consumed_reads) is a
-/// lookup. That projection of the origins onto the keys the transaction
-/// actually consumed is the validation read set; a slot-7 write is invisible
-/// to a slot-3 reader because nothing ever asked about slot 7.
+/// Each worker's [`ScratchState`] owns one `MvView` by value, so the
+/// unmodified sequential executor runs on top of it: every read misses the
+/// (sparse) working set and lands here as a single-cell question — a direct
+/// call, no lock. The view answers with the highest fragment below the reader
+/// plus the deltas stacked on it ([`MvMemory::read_cell`]) or, failing that,
+/// the base state's own value, and keeps value and origins per cell for the
+/// rest of the execution — one stable snapshot per cell, and
+/// [`consumed_reads`](MvView::consumed_reads) is a lookup. That projection of
+/// the origins onto the keys the transaction actually consumed is the
+/// validation read set; a slot-7 write is invisible to a slot-3 reader because
+/// nothing ever asked about slot 7.
 ///
 /// Over a version map nobody writes to, the same view is a cell-granular read
 /// path to the base state alone — what the evaluators' discovery pass
-/// (`occ::discover_access_sets`) mounts its scratch states on.
+/// (`occ::discover_access_sets`) runs its scratch states over.
 #[derive(Debug)]
 pub(crate) struct MvView {
     mv: Arc<MvMemory>,
@@ -200,17 +197,6 @@ impl MvView {
                     deltas: read.deltas.iter().map(|&(stamp, _)| stamp).collect(),
                 })
             }
-        }
-    }
-
-    fn meta(&mut self, address: Address) -> Option<(u64, u64)> {
-        let key = CellKey {
-            address,
-            part: CellPart::Meta,
-        };
-        match self.cell(key).value {
-            Served::Meta(meta) => meta,
-            _ => unreachable!("meta cell served a non-meta value"),
         }
     }
 
@@ -293,97 +279,29 @@ impl MvView {
     }
 }
 
-impl CellBackend for MvView {
+impl CellView for MvView {
+    fn meta(&mut self, address: Address) -> Option<(Amount, u64)> {
+        match self.cell(cell_key_of(StateKey::Balance(address))).value {
+            Served::Meta(meta) => meta.map(|(balance, nonce)| (Amount::from_sats(balance), nonce)),
+            _ => unreachable!("meta cell served a non-meta value"),
+        }
+    }
+
+    fn slot(&mut self, address: Address, key: u64) -> u64 {
+        match self
+            .cell(cell_key_of(StateKey::Storage(address, key)))
+            .value
+        {
+            Served::Slot(value) => value,
+            _ => unreachable!("slot cell served a non-slot value"),
+        }
+    }
+
     fn contract(&mut self, address: Address) -> Option<Arc<Contract>> {
-        let key = CellKey {
-            address,
-            part: CellPart::Code,
-        };
-        match &self.cell(key).value {
+        match &self.cell(cell_key_of(StateKey::Code(address))).value {
             Served::Code(code) => code.clone(),
             _ => unreachable!("code cell served a non-code value"),
         }
-    }
-}
-
-impl StateBackend for MvView {
-    fn name(&self) -> &'static str {
-        "mv-view"
-    }
-
-    /// The view serves cells; nothing in it can assemble an account. A scratch
-    /// `WorldState` never asks (its whole-account operations are asserted
-    /// against at their own call sites), so reaching this is a bug in the caller.
-    fn get_account(&mut self, address: Address) -> Option<StoredAccount> {
-        unreachable!("whole-account read of {address} through a cell-granular mv-view")
-    }
-
-    fn contains_account(&mut self, address: Address) -> bool {
-        self.meta(address).is_some()
-    }
-
-    /// One cell. A slot (or the code) of an account that does not exist reads as
-    /// zero (no code) rather than `None`: existence is the meta cell's question,
-    /// and asking it here would make every slot reader depend on the
-    /// contract's balance.
-    fn get(&mut self, key: &StateKey) -> Option<StateValue> {
-        match self.cell(cell_key_of(*key)).value.clone() {
-            Served::Meta(meta) => meta.map(|(balance_sats, nonce)| StateValue::AccountMeta {
-                balance_sats,
-                nonce,
-            }),
-            Served::Slot(value) => Some(StateValue::Slot(value)),
-            // Off the execution path (the scratch state runs code, it does not
-            // compare digests): pay for the canonical JSON here, not per call.
-            Served::Code(code) => Some(
-                StoredAccount {
-                    balance_sats: 0,
-                    nonce: 0,
-                    storage: Vec::new(),
-                    code_json: code
-                        .and_then(|c| Account::contract(c).code_json().map(str::to_string)),
-                }
-                .value_of(key),
-            ),
-        }
-    }
-
-    fn begin_block(&mut self, _height: u64) -> Result<()> {
-        Ok(())
-    }
-
-    /// Never reached: the engine harvests write sets straight out of the scratch
-    /// working set with [`WorldState::take_write_fragments`] instead of paying
-    /// for a journalled commit per transaction.
-    fn commit_block(&mut self, _delta: &BlockDelta) -> Result<CommitStats> {
-        Ok(CommitStats::default())
-    }
-
-    fn rollback_block(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn committed_block(&self) -> Option<u64> {
-        None
-    }
-
-    fn open_height(&self) -> Option<u64> {
-        None
-    }
-
-    fn account_count(&self) -> usize {
-        0
-    }
-
-    fn for_each_account(
-        &mut self,
-        _skip: &dyn Fn(Address) -> bool,
-        _f: &mut dyn FnMut(Address, StoredAccount),
-    ) {
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats::default()
     }
 }
 
@@ -724,22 +642,21 @@ struct RunCtx {
 }
 
 /// One worker's reusable execution machinery, built once per block run and
-/// recycled across every transaction the worker executes: the versioned view,
-/// the scratch [`WorldState`] mounted on it, the executor, and local task
-/// counters (flushed into the shared totals when the worker drains). Rebuilding
-/// these per transaction — allocation, backend attachment, atomics — used to
-/// cost several times the transaction itself.
+/// recycled across every transaction the worker executes: the [`ScratchState`]
+/// that owns the worker's versioned view, the executor, and local task
+/// counters (flushed into the shared totals when the worker drains). Rebuilt
+/// per transaction — allocation, view set-up, atomics — they would cost
+/// several times the transaction itself.
 struct WorkerScratch {
-    view: Arc<Mutex<MvView>>,
-    state: WorldState,
+    state: ScratchState<MvView>,
     executor: BlockExecutor,
     /// Reusable cell-write buffer: filled from the harvested write set, drained
     /// by `MvMemory::apply` — the values move into the version map and the
     /// vector's capacity survives for the next transaction.
     writes: Vec<CellWrite>,
-    /// Reusable fragment buffer for `WorldState::take_write_fragments`.
+    /// Reusable fragment buffer for `ScratchState::take_write_fragments`.
     fragments: Vec<blockconc_store::StateFragment>,
-    /// Reusable delta-op buffer for `WorldState::take_delta_ops` (delta mode).
+    /// Reusable delta-op buffer for `ScratchState::take_delta_ops` (delta mode).
     delta_ops: Vec<(blockconc_store::StateKey, u64)>,
     /// Reusable written-cell-keys buffer, swapped into `last_writes[t]`.
     keys: Vec<CellKey>,
@@ -753,7 +670,6 @@ struct WorkerScratch {
 
 impl WorkerScratch {
     fn new(ctx: &RunCtx, base: Arc<WorldState>) -> Self {
-        let view = Arc::new(Mutex::new(MvView::new(Arc::clone(&ctx.mv), base, 0)));
         // Delta cells flip the executor into delta-emitting mode: pure credits
         // and `SAdd` increments accumulate as pending deltas instead of
         // materializing the target account, and land in the version map as
@@ -764,8 +680,7 @@ impl WorkerScratch {
             BlockExecutor::new()
         };
         WorkerScratch {
-            state: WorldState::scratch_over(Arc::clone(&view)),
-            view,
+            state: ScratchState::new(MvView::new(Arc::clone(&ctx.mv), base, 0)),
             executor,
             writes: Vec::new(),
             fragments: Vec::new(),
@@ -794,10 +709,9 @@ impl RunCtx {
         let tx = &self.block.transactions()[t];
         loop {
             ws.executions += 1;
-            // No begin/commit on the scratch state: dirty tracking only needs the
-            // mounted backend, and the write set is harvested directly below —
-            // the journalled per-transaction commit was pure overhead.
-            ws.view.lock().expect("mv-view lock").reset(t);
+            // No commit per transaction: the write set is harvested straight
+            // out of the scratch state below.
+            ws.state.cells_mut().reset(t);
             ws.state.reset_working_set();
             let (receipt, access) = match ws.executor.execute_transaction(&mut ws.state, tx) {
                 Ok(ctx) => (ctx.receipt, Some(ctx.access)),
@@ -833,11 +747,10 @@ impl RunCtx {
                 // sorted-by-key order `MvMemory::apply` expects.
                 ws.writes.sort_unstable_by_key(|w| w.key);
             }
-            let blocked_on = ws.view.lock().expect("mv-view lock").consumed_reads(
-                access.as_ref(),
-                tx.sender(),
-                &mut ws.reads,
-            );
+            let blocked_on =
+                ws.state
+                    .cells()
+                    .consumed_reads(access.as_ref(), tx.sender(), &mut ws.reads);
             // Every write must be a consumed key — otherwise its fragment-or-not
             // decision would escape validation. Delta contributions are exempt:
             // they observe nothing by construction, which is exactly what makes
@@ -1459,9 +1372,10 @@ mod tests {
         let mut base = WorldState::new();
         base.credit(sender, Amount::from_coins(1));
         let mut view = MvView::new(Arc::clone(&mv), Arc::new(base), 8);
-        assert!(view.contains_account(sender));
-        assert_eq!(view.meta(early), Some((1, 0)));
-        assert_eq!(view.meta(late), Some((1, 0)));
+        assert!(view.meta(sender).is_some());
+        let served = Some((Amount::from_sats(1), 0));
+        assert_eq!(view.meta(early), served);
+        assert_eq!(view.meta(late), served);
 
         let mut access = AccessSet::default();
         access.record_read(StateKey::Balance(early));

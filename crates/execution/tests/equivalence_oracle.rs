@@ -46,7 +46,9 @@
 //! shares.
 
 use blockconc_account::vm::{Contract, OpCode};
-use blockconc_account::{AccountBlock, AccountTransaction, BlockBuilder, Receipt, WorldState};
+use blockconc_account::{
+    AccountBlock, AccountTransaction, BlockBuilder, Receipt, StateAccess, WorldState,
+};
 use blockconc_chainsim::{AccountWorkloadGen, AccountWorkloadParams};
 use blockconc_execution::{
     AbortInjection, ExecutionEngine, OptimisticEngine, ScheduledEngine, SequentialEngine,

@@ -10,7 +10,7 @@
 //! one for the commit that makes it resident; never one per transaction.
 
 use blockconc_account::vm::Contract;
-use blockconc_account::{AccountBlock, AccountTransaction, BlockBuilder, WorldState};
+use blockconc_account::{AccountBlock, AccountTransaction, BlockBuilder, StateAccess, WorldState};
 use blockconc_execution::{ExecutionEngine, OptimisticEngine, SequentialEngine};
 use blockconc_store::{
     BlockDelta, CommitStats, MemoryBackend, StateBackend, StoreStats, StoredAccount,

@@ -160,7 +160,9 @@ pub fn build_account_tdg(executed: &ExecutedBlock) -> AccountTdgAnalysis {
 mod tests {
     use super::*;
     use blockconc_account::vm::Contract;
-    use blockconc_account::{AccountTransaction, BlockBuilder, BlockExecutor, WorldState};
+    use blockconc_account::{
+        AccountTransaction, BlockBuilder, BlockExecutor, StateAccess, WorldState,
+    };
     use blockconc_types::Amount;
     use std::sync::Arc;
 

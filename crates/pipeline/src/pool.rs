@@ -286,8 +286,8 @@ impl Mempool {
     /// [`Mempool::insert_stamped`], additionally reporting the entries the
     /// admission displaced (the superseded same-slot entry of a replacement, the
     /// evicted chain tail of a capacity admission). Callers that maintain
-    /// pool-adjacent incremental structures — the drivers' [`IncrementalTdg`]
-    /// (crate::IncrementalTdg), the sharded pool's routing counts — apply these
+    /// pool-adjacent incremental structures — the drivers' [`IncrementalTdg`](crate::IncrementalTdg),
+    /// the sharded pool's routing counts — apply these
     /// effects as O(1) edits instead of rebuilding from a pool scan.
     pub fn offer(
         &mut self,

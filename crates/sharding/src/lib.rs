@@ -4,7 +4,7 @@
 //! properties for the concurrency analysis are:
 //!
 //! * nodes run PoW to join a directory-service (DS) epoch and are assigned to small
-//!   committees (shards) based on their solution ([`pow`], [`CommitteeAssignment`]);
+//!   committees (shards) based on their solution ([`solve_pow`], [`CommitteeAssignment`]);
 //! * transactions are routed to a shard **by sender address**, so one user's
 //!   transactions always serialize on the same shard;
 //! * cross-shard transactions (receiver homed on another shard) execute their debit

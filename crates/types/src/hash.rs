@@ -6,7 +6,7 @@ use std::fmt;
 /// A 256-bit hash value.
 ///
 /// The workspace does not need cryptographic strength — hashes only serve as unique,
-/// collision-resistant-enough identifiers inside simulations and tests — so [`Hash`]
+/// collision-resistant-enough identifiers inside simulations and tests — so [`Hash`](struct@Hash)
 /// uses a fast non-cryptographic mixing function (a fixed-key variant of
 /// SplitMix64/xxHash-style avalanche mixing applied per 8-byte lane). The important
 /// property, exercised by the test-suite, is that distinct inputs essentially never
@@ -143,7 +143,7 @@ impl AsRef<[u8]> for Hash {
 
 /// A transaction identifier: the hash of the transaction.
 ///
-/// A thin newtype over [`Hash`] so that transaction ids cannot be confused with block
+/// A thin newtype over [`Hash`](struct@Hash) so that transaction ids cannot be confused with block
 /// hashes or other hashed material ([C-NEWTYPE]).
 ///
 /// # Examples
