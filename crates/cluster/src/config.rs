@@ -5,7 +5,8 @@ use blockconc_pipeline::PipelineConfig;
 use blockconc_sharding::ShardingConfig;
 
 /// Configuration of a cluster run: one [`ShardingConfig`] (how many node shards,
-/// how many PoW nodes per DS epoch, how many blocks between committee rotations)
+/// how many blocks between DS-epoch rotations; its PoW population `num_nodes`
+/// only shapes `ShardedNetwork`'s committees, the cluster does not read it)
 /// composed with one [`PipelineConfig`] (what each node shard's pipeline looks
 /// like).
 ///
@@ -23,7 +24,7 @@ use blockconc_sharding::ShardingConfig;
 ///   `blockconc-shardpool`'s axis, orthogonal to this crate's cross-node one.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// The network shape: shard count, PoW population, rotation cadence.
+    /// The network shape: shard count and rotation cadence.
     pub sharding: ShardingConfig,
     /// Each node shard's pipeline configuration (see the type-level docs for the
     /// fields' per-shard meaning).

@@ -1,6 +1,6 @@
 //! The cluster driver: arrival stream → cluster router → N node pipelines →
 //! per-shard micro-blocks → merged final block, with the cross-shard credit
-//! protocol and DS-epoch committee rotation.
+//! protocol and DS-epoch re-homing.
 
 use crate::router::{ClusterRouter, MemberMove};
 use crate::{ClusterBlockRecord, ClusterConfig, ClusterRunReport, CrossShardReceipt};
@@ -11,10 +11,9 @@ use blockconc_pipeline::{
     begin_block_span, effective_receiver, emit_ingest, mount_state, AdmitOutcome, ArrivalWindow,
     BlockRecord, ConcurrencyAwarePacker, MempoolStats, NodePipeline, NodeRound,
 };
-use blockconc_sharding::{DsEpoch, FinalBlock, MicroBlock, NodeId, ShardId};
 use blockconc_store::StoredAccount;
 use blockconc_telemetry::{Count, Dist, Stage, TelemetryRegistry};
-use blockconc_types::{Address, Amount, BlockHeight, Hash, Result};
+use blockconc_types::{Address, Amount, Hash, Result};
 use std::collections::BTreeSet;
 
 /// One shard's full node: exactly what `PipelineDriver` steps.
@@ -86,9 +85,9 @@ fn apply_receipts<E: ExecutionEngine>(
 /// README). Around that step, per height, the driver does what only a cluster
 /// needs:
 ///
-/// 1. at DS-epoch boundaries it rotates the committee ([`DsEpoch`]) and re-homes
-///    live components under the new epoch's canonical placement (accounts and
-///    pooled chains move whole);
+/// 1. at DS-epoch boundaries it advances the epoch and re-homes live
+///    components under the new epoch's canonical placement (accounts and pooled
+///    chains move whole);
 /// 2. it applies the previous round's in-flight [`CrossShardReceipt`] credits on
 ///    their owner shards;
 /// 3. it routes the due arrivals through the cluster router — whole dependency
@@ -98,8 +97,8 @@ fn apply_receipts<E: ExecutionEngine>(
 /// 5. between each node's settle and commit it reverses every successful credit
 ///    to a foreign-owned account ([`WorldState::withdraw_phantom`]) and ships it
 ///    as a receipt — the Zilliqa-style debit/credit protocol;
-/// 6. it merges the micro-blocks into a [`FinalBlock`], recording per-phase
-///    model units.
+/// 6. it merges the micro-blocks into the round's final block — the sum of
+///    their transaction counts — recording per-phase model units.
 ///
 /// After the last round, in-flight receipts settle in one extra commit, so the
 /// reported shard roots describe a fully settled cluster.
@@ -191,17 +190,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
         let pipeline = self.config.pipeline.clone();
         let telemetry = pipeline.telemetry.clone();
         let mut router = ClusterRouter::new(shards);
-
-        // DS epoch 0: PoW-assign the node population to committees.
-        let population: Vec<NodeId> = (0..self.config.sharding.num_nodes)
-            .map(NodeId::new)
-            .collect();
-        let mut epoch = DsEpoch::start(
-            0,
-            &population,
-            self.config.sharding.num_shards,
-            self.config.sharding.tx_blocks_per_ds_epoch,
-        );
+        // The DS epoch number: every rotation advances it by one from 0.
         let mut rotations = 0u64;
         let mut blocks_in_epoch = 0u64;
 
@@ -253,21 +242,14 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             let moved_accounts_before = moved_accounts;
             let block_span = begin_block_span(&telemetry, height);
 
-            // DS-epoch rotation: reshuffle the committee, re-home live
-            // components under the new epoch's canonical placement.
+            // DS-epoch rotation: re-home live components under the new
+            // epoch's canonical placement.
             if self.config.sharding.tx_blocks_per_ds_epoch > 0
                 && blocks_in_epoch >= self.config.sharding.tx_blocks_per_ds_epoch
             {
-                let number = epoch.number() + 1;
-                epoch = DsEpoch::start(
-                    number,
-                    &population,
-                    self.config.sharding.num_shards,
-                    self.config.sharding.tx_blocks_per_ds_epoch,
-                );
                 rotations += 1;
                 blocks_in_epoch = 0;
-                let moves = router.rotate(number);
+                let moves = router.rotate(rotations);
                 let rehome_started = telemetry.now_nanos();
                 rehome_units +=
                     apply_moves(&mut nodes, &moves, &mut moved_accounts, &mut moved_chains);
@@ -278,7 +260,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                     rehome_started,
                     rehome_started + rehome_wall,
                     rehome_units,
-                    &[("epoch", number)],
+                    &[("epoch", rotations)],
                 );
             }
 
@@ -400,7 +382,6 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             let mut hops_this = 0u64;
             let mut micro: Vec<BlockRecord> = Vec::with_capacity(shards);
             let mut bytes_total = 0u64;
-            let mut microblocks: Vec<MicroBlock> = Vec::with_capacity(shards);
             for (index, round) in rounds.into_iter().enumerate() {
                 let node = &mut nodes[index];
                 for departed in node.settle(&round) {
@@ -459,11 +440,6 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                     &[("shard", index as u64), ("txs", record.tx_count as u64)],
                 );
                 micro.push(record);
-                microblocks.push(MicroBlock::new(
-                    ShardId::new(index as u32),
-                    BlockHeight::new(height),
-                    round.packed.block.transactions().to_vec(),
-                ));
             }
 
             // One stage sample per height: shards pack and execute side by
@@ -482,11 +458,11 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 &[("bytes", bytes_total)],
             );
 
-            // The DS merge: micro-blocks fold into the round's final block.
+            // The DS merge: the round's final block is the union of its
+            // micro-blocks, so its transaction count is theirs summed.
             let merge_started = telemetry.now_nanos();
-            let final_block = FinalBlock::merge(BlockHeight::new(height), microblocks);
+            let tx_count: usize = micro.iter().map(|record| record.tx_count).sum();
             let merge_wall = telemetry.now_nanos().saturating_sub(merge_started);
-            let tx_count = final_block.transaction_count();
             blocks_in_epoch += 1;
 
             let merge_units = shards as u64;
@@ -609,7 +585,6 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             moved_accounts,
             moved_chains,
             rotations,
-            ds_epoch: epoch.number(),
             per_shard_leftover: nodes.iter().map(|node| node.pool.pool().len()).collect(),
             total_supply_sats: nodes
                 .iter()
@@ -772,10 +747,11 @@ mod tests {
     fn one_shard_cluster_and_pipeline_report_equal_counters() {
         // One emission family serves both drivers, so on the same stream every
         // counter both report must agree — on a mock clock, so nothing about
-        // the comparison depends on the host. A single-worker delta engine on a
-        // fee-escalating hot-spot stream through a small pool makes the
-        // admission, engine and delta counters all non-zero and deterministic
-        // (blocks hold half of what arrives, so entries wait, re-bid and evict).
+        // the comparison depends on the host. A single-worker optimistic
+        // engine on a fee-escalating hot-spot stream through a small pool
+        // makes the admission, engine and delta counters all non-zero and
+        // deterministic (blocks hold half of what arrives, so entries wait,
+        // re-bid and evict).
         use blockconc_chainsim::FeeEscalationSpec;
         use blockconc_execution::OptimisticEngine;
         use blockconc_telemetry::MockClock;
@@ -798,7 +774,7 @@ mod tests {
             config.pipeline.telemetry = TelemetryRegistry::enabled_with(MockClock::shared(10), 64);
             config
         };
-        let engine = || OptimisticEngine::new(1).with_delta_cells();
+        let engine = || OptimisticEngine::new(1);
         let single =
             PipelineDriver::new(ConcurrencyAwarePacker::new(2), engine(), traced().pipeline)
                 .run(stream())
@@ -871,11 +847,9 @@ mod tests {
     fn epoch_rotation_rehomes_components_and_stays_clean() {
         let mut config = config(4, 9);
         config.sharding.tx_blocks_per_ds_epoch = 2;
-        config.sharding.num_nodes = 80;
         let stream = ArrivalStream::new(AccountWorkloadParams::cross_shard_heavy(), 8.0, 800, 5);
         let report = ClusterDriver::new(engines(4), config).run(stream).unwrap();
         assert!(report.rotations >= 2, "rotations: {}", report.rotations);
-        assert_eq!(report.ds_epoch, report.rotations);
         assert!(
             report.moved_accounts > 0,
             "rotation must hand accounts over"

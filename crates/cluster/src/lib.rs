@@ -19,13 +19,13 @@
 //!   sender shard's micro-block and ships a receipt-carried credit that the
 //!   owner shard applies next height, modeled after Zilliqa — a hot exchange
 //!   wallet therefore *never* fuses the whole network into one component;
-//! * **per-epoch committee rotation** reusing [`DsEpoch`](blockconc_sharding::DsEpoch)
-//!   with component-affine re-homing: at each
-//!   rotation, live components migrate whole (accounts + pooled chains) to
-//!   their new-epoch canonical homes;
-//! * a **final-block merge** folding the per-shard micro-blocks into a
-//!   [`FinalBlock`](blockconc_sharding::FinalBlock), with per-phase model-unit
-//!   accounting ([`ClusterBlockRecord`]) in the convention of
+//! * **per-epoch rotation** with component-affine re-homing: every
+//!   `tx_blocks_per_ds_epoch` blocks the epoch salt advances and live
+//!   components migrate whole (accounts + pooled chains) to their new-epoch
+//!   canonical homes;
+//! * a **final-block merge** folding the per-shard micro-block records into
+//!   one [`ClusterBlockRecord`] per height, with per-phase model-unit
+//!   accounting in the convention of
 //!   `PipelineRunReport`'s block records (what the layout costs by the clock
 //!   is the `cluster_xshard` workload of `benchmark/`).
 //!

@@ -72,10 +72,8 @@ pub struct ClusterRunReport {
     pub moved_accounts: u64,
     /// Pooled sender chains handed between shard mempools.
     pub moved_chains: u64,
-    /// DS epochs completed (committee rotations performed).
+    /// DS-epoch rotations performed — also the final DS epoch number.
     pub rotations: u64,
-    /// The final DS epoch number.
-    pub ds_epoch: u64,
     /// Transactions still pooled per shard when the run ended.
     pub per_shard_leftover: Vec<usize>,
     /// Merged admission counters across all shard mempools.
@@ -165,7 +163,6 @@ mod tests {
             moved_accounts: 0,
             moved_chains: 0,
             rotations: 0,
-            ds_epoch: 0,
             per_shard_leftover: vec![1, 2],
             total_supply_sats: 0,
             mempool_stats: MempoolStats::default(),

@@ -16,11 +16,13 @@ pub trait ExecutionEngine {
 
     /// Whether this engine treats commutative contributions (pure credits,
     /// `SAdd`-style increments) as unordered delta accesses rather than
-    /// read-modify-writes. Schedulers upstream may then model pure-credit
-    /// receiver edges as *weak* — e.g.
-    /// `IncrementalTdg::with_weak_edges` — because transactions
-    /// sharing only a delta-accumulated cell no longer conflict. Purely
-    /// advisory: engines validate their own reads either way.
+    /// read-modify-writes: `true` for the optimistic engine, `false` (the
+    /// default) for the sequential engine and the two evaluators, whose
+    /// storage-level conflict model orders them. Schedulers upstream may then
+    /// model pure-credit receiver edges as *weak* — e.g.
+    /// `IncrementalTdg::with_weak_edges` — because transactions sharing only a
+    /// delta-accumulated cell no longer conflict. Purely advisory: engines
+    /// validate their own reads either way.
     fn commutes_deltas(&self) -> bool {
         false
     }

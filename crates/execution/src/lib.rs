@@ -31,9 +31,9 @@
 //!   [`StateKey`](blockconc_store::StateKey) cell (balance/nonce, each storage
 //!   slot and the code versioned independently): transactions writing different
 //!   slots of one shared contract never conflict, and each pays for the cells it
-//!   touches, not for the slots the contract holds.
-//!   [`OptimisticEngine::with_delta_cells`] additionally lets pure credits and
-//!   `SAdd` increments to one cell commute.
+//!   touches, not for the slots the contract holds. Pure credits and `SAdd`
+//!   increments to one cell install as commutative delta cells, so they do not
+//!   conflict either until some transaction reads the cell.
 //!
 //! Every engine returns both the canonical [`ExecutedBlock`](blockconc_account::ExecutedBlock)
 //! (the committed state transition is always identical to sequential execution —

@@ -7,16 +7,15 @@
 //! against the current contents, and aborted incarnations leave `ESTIMATE` markers
 //! behind so dependent transactions suspend instead of chasing stale data.
 //!
-//! A cell is one [`CellKey`]: an address plus the [`CellPart`] of the account it
-//! covers — the balance/nonce pair, one storage slot, or the deployed code, each
-//! versioned independently so transactions touching disjoint parts of one
-//! account never conflict. The cell is also the unit of *data movement*: a read
-//! resolves one cell ([`MvMemory::read_cell`]), a write installs one, and the
-//! commit drains one final value per cell ([`MvMemory::into_final_cells`]) —
-//! nothing in here assembles, clones or diffs an account.
+//! A cell is one [`StateKey`] — an account's balance/nonce pair, one storage
+//! slot, or its deployed code — each versioned independently so transactions
+//! touching disjoint parts of one account never conflict. The cell is also the
+//! unit of *data movement*: a read resolves one cell ([`MvMemory::read_cell`]),
+//! a write installs one, and the commit drains one final value per cell
+//! ([`MvMemory::into_final_cells`]) — nothing in here assembles, clones or
+//! diffs an account.
 
 use blockconc_store::{FragmentValue, StateKey};
-use blockconc_types::Address;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
@@ -25,57 +24,6 @@ use std::sync::Mutex;
 /// disjoint slots of one hot contract — so the stripes keep lock contention off
 /// the execution hot path either way.
 const SHARDS: usize = 64;
-
-/// The part of an account one versioned cell covers. Orders canonically within
-/// an address: meta, then slots ascending, then code (the fragment order
-/// `ScratchState::take_write_fragments` emits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) enum CellPart {
-    /// The balance/nonce pair (one conflict unit, like [`StateKey::Balance`]).
-    Meta,
-    /// One storage slot.
-    Slot(u64),
-    /// The deployed contract code.
-    Code,
-}
-
-/// A fully qualified versioned cell: one part of one account.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct CellKey {
-    /// The account.
-    pub(crate) address: Address,
-    /// The part of the account.
-    pub(crate) part: CellPart,
-}
-
-impl CellKey {
-    /// The [`StateKey`] this cell is tracked under.
-    pub(crate) fn state_key(self) -> StateKey {
-        match self.part {
-            CellPart::Meta => StateKey::Balance(self.address),
-            CellPart::Slot(slot) => StateKey::Storage(self.address, slot),
-            CellPart::Code => StateKey::Code(self.address),
-        }
-    }
-}
-
-/// Maps a tracked [`StateKey`] to its versioned cell.
-pub(crate) fn cell_key_of(key: StateKey) -> CellKey {
-    match key {
-        StateKey::Balance(address) => CellKey {
-            address,
-            part: CellPart::Meta,
-        },
-        StateKey::Storage(address, slot) => CellKey {
-            address,
-            part: CellPart::Slot(slot),
-        },
-        StateKey::Code(address) => CellKey {
-            address,
-            part: CellPart::Code,
-        },
-    }
-}
 
 /// The value buffered in one cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,7 +45,7 @@ pub(crate) enum CellValue {
 #[derive(Debug)]
 pub(crate) struct CellWrite {
     /// The written cell.
-    pub(crate) key: CellKey,
+    pub(crate) key: StateKey,
     /// Its new value.
     pub(crate) value: CellValue,
 }
@@ -105,9 +53,9 @@ pub(crate) struct CellWrite {
 /// Folds one commutative contribution over a cell's scalar with exactly the
 /// arithmetic the sequential flush uses: balance adds are checked (mirroring
 /// `Account::credit`'s overflow panic), slot adds wrap.
-pub(crate) fn fold_delta(part: CellPart, value: u64, amount: u64) -> u64 {
-    match part {
-        CellPart::Meta => value.checked_add(amount).expect("amount overflow"),
+pub(crate) fn fold_delta(key: StateKey, value: u64, amount: u64) -> u64 {
+    match key {
+        StateKey::Balance(_) => value.checked_add(amount).expect("amount overflow"),
         _ => value.wrapping_add(amount),
     }
 }
@@ -168,7 +116,7 @@ type Versions = BTreeMap<usize, VersionEntry>;
 /// The sharded multi-version map: `cell → (tx_index → versioned write)`.
 #[derive(Debug)]
 pub(crate) struct MvMemory {
-    shards: Vec<Mutex<HashMap<CellKey, Versions>>>,
+    shards: Vec<Mutex<HashMap<StateKey, Versions>>>,
 }
 
 impl MvMemory {
@@ -178,15 +126,15 @@ impl MvMemory {
         }
     }
 
-    fn shard(&self, key: CellKey) -> &Mutex<HashMap<CellKey, Versions>> {
+    fn shard(&self, key: StateKey) -> &Mutex<HashMap<StateKey, Versions>> {
         // Fibonacci hash of the address' low word (spreads both sequential test
         // addresses and hash-derived workload addresses), offset by the slot so
         // one contract's cells do not pile onto a single stripe.
-        let slot = match key.part {
-            CellPart::Slot(slot) => slot,
-            CellPart::Meta | CellPart::Code => 0,
+        let slot = match key {
+            StateKey::Storage(_, slot) => slot,
+            StateKey::Balance(_) | StateKey::Code(_) => 0,
         };
-        let word = key.address.low_u64() ^ slot.rotate_left(32);
+        let word = key.address().low_u64() ^ slot.rotate_left(32);
         let mix = (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
         &self.shards[mix % SHARDS]
     }
@@ -200,7 +148,7 @@ impl MvMemory {
     /// computed from a pre-state that had already folded them). An `ESTIMATE`
     /// surfaces through its [`Stamp`]; an execution suspends on the lowest such
     /// writer.
-    pub(crate) fn read_cell(&self, key: CellKey, reader: usize) -> CellRead {
+    pub(crate) fn read_cell(&self, key: StateKey, reader: usize) -> CellRead {
         let mut read = CellRead {
             write: None,
             deltas: Vec::new(),
@@ -233,15 +181,15 @@ impl MvMemory {
     /// (Block-STM's `wrote_new_path`, which forces revalidation of higher
     /// transactions).
     ///
-    /// Both `writes` and `previous` must be sorted by cell key (the canonical
-    /// order `take_write_fragments` produces); the stale sweep is then a single
-    /// two-pointer merge instead of the quadratic contains-scan per cell.
+    /// Both `writes` and `previous` must be sorted by `StateKey` (the engine
+    /// sorts its harvest); the stale sweep is then a single two-pointer merge
+    /// instead of the quadratic contains-scan per cell.
     pub(crate) fn apply(
         &self,
         tx_index: usize,
         incarnation: u32,
         writes: &mut Vec<CellWrite>,
-        previous: &[CellKey],
+        previous: &[StateKey],
     ) -> bool {
         debug_assert!(
             writes.windows(2).all(|w| w[0].key < w[1].key),
@@ -285,7 +233,7 @@ impl MvMemory {
         wrote_new_path
     }
 
-    fn remove_version(&self, key: CellKey, tx_index: usize) {
+    fn remove_version(&self, key: StateKey, tx_index: usize) {
         let mut shard = self.shard(key).lock().expect("mvcc shard lock");
         if let Some(versions) = shard.get_mut(&key) {
             versions.remove(&tx_index);
@@ -295,7 +243,7 @@ impl MvMemory {
     /// Marks every write of `tx_index` as an `ESTIMATE` after its validation failed,
     /// so transactions that read them suspend instead of executing against data
     /// known to be stale.
-    pub(crate) fn convert_writes_to_estimates(&self, tx_index: usize, writes: &[CellKey]) {
+    pub(crate) fn convert_writes_to_estimates(&self, tx_index: usize, writes: &[StateKey]) {
         for &key in writes {
             let mut shard = self.shard(key).lock().expect("mvcc shard lock");
             if let Some(entry) = shard
@@ -319,7 +267,7 @@ impl MvMemory {
     /// delta contributor appearing, vanishing or re-executing invalidates the
     /// observer even when the write-level origin is untouched (the *reader
     /// upgrade* that keeps commutative cells serializable).
-    pub(crate) fn validate_reads(&self, tx_index: usize, reads: &[(CellKey, ReadOrigin)]) -> bool {
+    pub(crate) fn validate_reads(&self, tx_index: usize, reads: &[(StateKey, ReadOrigin)]) -> bool {
         let mut i = 0;
         while i < reads.len() {
             let key = reads[i].0;
@@ -384,14 +332,14 @@ impl MvMemory {
         merges
     }
 
-    /// The final value of every written cell, as one flat list sorted by cell
-    /// key: the fragment of the highest transaction index plus the folded sum
+    /// The final value of every written cell, as one flat list sorted by
+    /// `StateKey`: the fragment of the highest transaction index plus the folded sum
     /// of every delta contribution above it (deltas *below* a fragment are
     /// excluded — see [`read_cell`](MvMemory::read_cell)). Called once after the
     /// whole block has executed and validated; the map is consumed, so values
     /// *move* out instead of being cloned under shard locks, and the sorted
     /// order is what the engine's in-place commit walks.
-    pub(crate) fn into_final_cells(self) -> Vec<(CellKey, FinalCell)> {
+    pub(crate) fn into_final_cells(self) -> Vec<(StateKey, FinalCell)> {
         let mut out = Vec::new();
         for shard in self.shards {
             for (key, versions) in shard.into_inner().expect("mvcc shard lock") {
@@ -402,8 +350,7 @@ impl MvMemory {
                 for (_, entry) in versions.into_iter().rev() {
                     match entry.value {
                         CellValue::Delta(amount) => {
-                            cell.delta =
-                                Some(fold_delta(key.part, cell.delta.unwrap_or(0), amount));
+                            cell.delta = Some(fold_delta(key, cell.delta.unwrap_or(0), amount));
                         }
                         CellValue::Fragment(fragment) => {
                             cell.write = Some(fragment);
@@ -440,24 +387,19 @@ pub(crate) struct FinalCell {
 mod tests {
     use super::*;
     use blockconc_store::{apply_fragment, StoredAccount};
+    use blockconc_types::Address;
     use proptest::prelude::*;
 
     fn addr(n: u64) -> Address {
         Address::from_low(n)
     }
 
-    fn meta_key(n: u64) -> CellKey {
-        CellKey {
-            address: addr(n),
-            part: CellPart::Meta,
-        }
+    fn meta_key(n: u64) -> StateKey {
+        StateKey::Balance(addr(n))
     }
 
-    fn slot_key(n: u64, slot: u64) -> CellKey {
-        CellKey {
-            address: addr(n),
-            part: CellPart::Slot(slot),
-        }
+    fn slot_key(n: u64, slot: u64) -> StateKey {
+        StateKey::Storage(addr(n), slot)
     }
 
     fn meta_write(n: u64, balance: u64) -> CellWrite {
@@ -485,15 +427,15 @@ mod tests {
     }
 
     /// The write-level resolution of `key` for `reader` (deltas are transparent).
-    fn resolved(mv: &MvMemory, key: CellKey, reader: usize) -> Option<Stamp> {
+    fn resolved(mv: &MvMemory, key: StateKey, reader: usize) -> Option<Stamp> {
         mv.read_cell(key, reader).write.map(|(stamp, _)| stamp)
     }
 
-    fn resolved_txn(mv: &MvMemory, key: CellKey, reader: usize) -> Option<usize> {
+    fn resolved_txn(mv: &MvMemory, key: StateKey, reader: usize) -> Option<usize> {
         resolved(mv, key, reader).map(|stamp| stamp.txn)
     }
 
-    fn final_cell(finals: &[(CellKey, FinalCell)], key: CellKey) -> Option<&FinalCell> {
+    fn final_cell(finals: &[(StateKey, FinalCell)], key: StateKey) -> Option<&FinalCell> {
         finals.iter().find(|(k, _)| *k == key).map(|(_, cell)| cell)
     }
 
@@ -779,7 +721,8 @@ mod tests {
             }],
             &[],
         );
-        // One flat list, sorted by cell: meta before slots within an address.
+        // One flat list in `StateKey` order: every balance key before any
+        // slot, so an account's meta lands before its slots.
         let write = |fragment| FinalCell {
             write: Some(fragment),
             delta: None,
@@ -794,9 +737,9 @@ mod tests {
                         nonce: 0
                     }))
                 ),
-                (slot_key(1, 6), write(Some(FragmentValue::Slot(66)))),
                 // Deletion survives as a `None` fragment.
                 (meta_key(2), write(None)),
+                (slot_key(1, 6), write(Some(FragmentValue::Slot(66)))),
             ]
         );
     }
@@ -807,7 +750,7 @@ mod tests {
     /// one flat `(cell, txn) → (incarnation, estimate, is_delta)` map.
     #[derive(Default)]
     struct NaiveModel {
-        entries: BTreeMap<(CellKey, usize), (u32, bool, bool)>,
+        entries: BTreeMap<(StateKey, usize), (u32, bool, bool)>,
     }
 
     impl NaiveModel {
@@ -815,8 +758,8 @@ mod tests {
             &mut self,
             txn: usize,
             incarnation: u32,
-            writes: &[(CellKey, bool)],
-            previous: &[CellKey],
+            writes: &[(StateKey, bool)],
+            previous: &[StateKey],
         ) {
             for &key in previous {
                 if !writes.iter().any(|&(w, _)| w == key) {
@@ -829,7 +772,7 @@ mod tests {
             }
         }
 
-        fn estimate(&mut self, txn: usize, writes: &[CellKey]) {
+        fn estimate(&mut self, txn: usize, writes: &[StateKey]) {
             for &key in writes {
                 if let Some(entry) = self.entries.get_mut(&(key, txn)) {
                     entry.1 = true;
@@ -838,7 +781,7 @@ mod tests {
         }
 
         /// Write-level resolution: deltas are transparent.
-        fn resolve(&self, key: CellKey, reader: usize) -> Option<(usize, u32, bool)> {
+        fn resolve(&self, key: StateKey, reader: usize) -> Option<(usize, u32, bool)> {
             self.entries
                 .range((key, 0)..(key, reader))
                 .rev()
@@ -847,7 +790,7 @@ mod tests {
         }
 
         /// Delta contributors above the winning write, ascending.
-        fn resolve_deltas(&self, key: CellKey, reader: usize) -> Vec<(usize, u32, bool)> {
+        fn resolve_deltas(&self, key: StateKey, reader: usize) -> Vec<(usize, u32, bool)> {
             let mut out: Vec<(usize, u32, bool)> = self
                 .entries
                 .range((key, 0)..(key, reader))
@@ -859,7 +802,7 @@ mod tests {
             out
         }
 
-        fn any_entry(&self, key: CellKey) -> bool {
+        fn any_entry(&self, key: StateKey) -> bool {
             self.entries
                 .range((key, 0)..(key, usize::MAX))
                 .next()
@@ -869,40 +812,37 @@ mod tests {
 
     /// The cell-key universe the interleaving oracle draws from: two accounts'
     /// metas plus shared-contract slots and code — the shapes the engine writes.
-    fn oracle_key(index: u8) -> CellKey {
+    fn oracle_key(index: u8) -> StateKey {
         match index % 6 {
             0 => meta_key(1),
             1 => meta_key(2),
             2 => slot_key(2, 3),
             3 => slot_key(2, 7),
             4 => slot_key(2, 11),
-            _ => CellKey {
-                address: addr(2),
-                part: CellPart::Code,
-            },
+            _ => StateKey::Code(addr(2)),
         }
     }
 
-    fn stamp_of(mv: &MvMemory, key: CellKey, reader: usize) -> Option<(usize, u32, bool)> {
+    fn stamp_of(mv: &MvMemory, key: StateKey, reader: usize) -> Option<(usize, u32, bool)> {
         resolved(mv, key, reader).map(|s| (s.txn, s.incarnation, s.estimate))
     }
 
-    fn oracle_value(key: CellKey, value: u8) -> CellValue {
+    fn oracle_value(key: StateKey, value: u8) -> CellValue {
         if value == 0 {
             return CellValue::Fragment(None);
         }
         // One roll in five is a commutative delta (code cells have no
         // commutative form).
-        if value == 4 && !matches!(key.part, CellPart::Code) {
+        if value == 4 && !matches!(key, StateKey::Code(_)) {
             return CellValue::Delta(u64::from(value));
         }
-        CellValue::Fragment(Some(match key.part {
-            CellPart::Meta => FragmentValue::Meta {
+        CellValue::Fragment(Some(match key {
+            StateKey::Balance(_) => FragmentValue::Meta {
                 balance_sats: u64::from(value),
                 nonce: 0,
             },
-            CellPart::Slot(_) => FragmentValue::Slot(u64::from(value)),
-            CellPart::Code => FragmentValue::Code(format!("code-{value}")),
+            StateKey::Storage(..) => FragmentValue::Slot(u64::from(value)),
+            StateKey::Code(_) => FragmentValue::Code(format!("code-{value}")),
         }))
     }
 
@@ -920,7 +860,7 @@ mod tests {
             let mv = MvMemory::new();
             let mut model = NaiveModel::default();
             let mut incarnations = [0u32; 10];
-            let mut last_writes: Vec<Vec<CellKey>> = vec![Vec::new(); 10];
+            let mut last_writes: Vec<Vec<StateKey>> = vec![Vec::new(); 10];
 
             for (txn, action, key_roll, value_roll) in ops {
                 let txn = txn as usize;
@@ -934,7 +874,7 @@ mod tests {
                             .iter()
                             .map(|&key| CellWrite { key, value: oracle_value(key, value_roll) })
                             .collect();
-                        let paired: Vec<(CellKey, bool)> = writes
+                        let paired: Vec<(StateKey, bool)> = writes
                             .iter()
                             .map(|w| (w.key, matches!(w.value, CellValue::Delta(_))))
                             .collect();
@@ -1042,7 +982,7 @@ mod tests {
                 code_json: None,
             };
             // Every cell the mutations can touch, in canonical order.
-            let universe: Vec<CellKey> = std::iter::once(CellKey { address, part: CellPart::Meta })
+            let universe: Vec<StateKey> = std::iter::once(StateKey::Balance(address))
                 .chain((0..5).map(|slot| slot_key(42, slot)))
                 .collect();
 
@@ -1054,7 +994,7 @@ mod tests {
                 let mut pre = base.clone();
                 for &key in &universe {
                     if let Some((_, fragment)) = mv.read_cell(key, t).write {
-                        apply_fragment(&mut pre, &key.state_key(), fragment.as_ref());
+                        apply_fragment(&mut pre, &key, fragment.as_ref());
                     }
                 }
                 prop_assert_eq!(&pre, &current, "tx {} is served its predecessor's post-state", t);
@@ -1094,7 +1034,7 @@ mod tests {
                 blockconc_store::diff_account_fragments(address, pre.as_ref(), post.as_ref(), &mut fragments);
                 let mut writes: Vec<CellWrite> = fragments
                     .into_iter()
-                    .map(|f| CellWrite { key: cell_key_of(f.key), value: CellValue::Fragment(f.value) })
+                    .map(|f| CellWrite { key: f.key, value: CellValue::Fragment(f.value) })
                     .collect();
                 mv.apply(t, 0, &mut writes, &[]);
                 current = post;
@@ -1105,7 +1045,7 @@ mod tests {
             for (key, cell) in mv.into_final_cells() {
                 prop_assert_eq!(cell.delta, None);
                 if let Some(fragment) = cell.write {
-                    apply_fragment(&mut committed, &key.state_key(), fragment.as_ref());
+                    apply_fragment(&mut committed, &key, fragment.as_ref());
                 }
             }
             prop_assert_eq!(committed, current);

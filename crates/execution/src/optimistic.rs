@@ -17,11 +17,11 @@
 //! side at a per-call cost that does not depend on how many slots the contract
 //! holds: reads resolve one cell ([`MvView`]), the [`ScratchState`] over it
 //! materializes sparse accounts and harvests only touched keys, and the commit
-//! sets each final cell on the resident account in place.
+//! sets each final cell on the resident account in place. Pure credits and
+//! `SAdd` increments land as commutative *delta* contributions, so a hot sink
+//! that nobody reads within the block orders nothing.
 
-use crate::mvcc::{
-    cell_key_of, fold_delta, CellKey, CellPart, CellValue, CellWrite, MvMemory, ReadOrigin, Stamp,
-};
+use crate::mvcc::{fold_delta, CellValue, CellWrite, MvMemory, ReadOrigin, Stamp};
 use crate::occ::lend_state;
 use crate::thread_pool::{Job, WorkerPool};
 use crate::{ExecutionEngine, ExecutionReport};
@@ -59,45 +59,45 @@ enum Served {
 }
 
 impl Served {
-    /// What a buffered fragment of `part` holds (`None`: the part was deleted).
-    fn from_fragment(part: CellPart, fragment: Option<FragmentValue>) -> Self {
-        match (part, fragment) {
-            (CellPart::Meta, None) => Served::Meta(None),
+    /// What a buffered fragment of `key` holds (`None`: the part was deleted).
+    fn from_fragment(key: StateKey, fragment: Option<FragmentValue>) -> Self {
+        match (key, fragment) {
+            (StateKey::Balance(_), None) => Served::Meta(None),
             (
-                CellPart::Meta,
+                StateKey::Balance(_),
                 Some(FragmentValue::Meta {
                     balance_sats,
                     nonce,
                 }),
             ) => Served::Meta(Some((balance_sats, nonce))),
-            (CellPart::Slot(_), None) => Served::Slot(0),
-            (CellPart::Slot(_), Some(FragmentValue::Slot(value))) => Served::Slot(value),
-            (CellPart::Code, None) => Served::Code(None),
-            (CellPart::Code, Some(FragmentValue::Code(code))) => {
+            (StateKey::Storage(..), None) => Served::Slot(0),
+            (StateKey::Storage(..), Some(FragmentValue::Slot(value))) => Served::Slot(value),
+            (StateKey::Code(_), None) => Served::Code(None),
+            (StateKey::Code(_), Some(FragmentValue::Code(code))) => {
                 Served::Code(Some(decode_contract(&code)))
             }
-            (part, fragment) => unreachable!("fragment {fragment:?} buffered under {part:?}"),
+            (key, fragment) => unreachable!("fragment {fragment:?} buffered under {key:?}"),
         }
     }
 
-    /// What `part` of a base account holds (`None`: no such account).
-    fn from_base(part: CellPart, account: Option<&Account>) -> Self {
-        match part {
-            CellPart::Meta => Served::Meta(account.map(|a| (a.balance().sats(), a.nonce()))),
-            CellPart::Slot(slot) => Served::Slot(account.map_or(0, |a| a.storage_get(slot))),
-            CellPart::Code => Served::Code(account.and_then(|a| a.code().cloned())),
+    /// What a base account holds under `key` (`None`: no such account).
+    fn from_base(key: StateKey, account: Option<&Account>) -> Self {
+        match key {
+            StateKey::Balance(_) => Served::Meta(account.map(|a| (a.balance().sats(), a.nonce()))),
+            StateKey::Storage(_, slot) => Served::Slot(account.map_or(0, |a| a.storage_get(slot))),
+            StateKey::Code(_) => Served::Code(account.and_then(|a| a.code().cloned())),
         }
     }
 
     /// Folds one commutative contribution on top. A missing account is created
     /// empty first — the blind-credit account-creation side effect.
-    fn plus(self, part: CellPart, amount: u64) -> Self {
+    fn plus(self, key: StateKey, amount: u64) -> Self {
         match self {
             Served::Meta(meta) => {
                 let (balance, nonce) = meta.unwrap_or((0, 0));
-                Served::Meta(Some((fold_delta(part, balance, amount), nonce)))
+                Served::Meta(Some((fold_delta(key, balance, amount), nonce)))
             }
-            Served::Slot(value) => Served::Slot(fold_delta(part, value, amount)),
+            Served::Slot(value) => Served::Slot(fold_delta(key, value, amount)),
             Served::Code(_) => unreachable!("delta buffered under a code cell"),
         }
     }
@@ -139,7 +139,7 @@ pub(crate) struct MvView {
     base: Arc<WorldState>,
     tx_index: usize,
     /// The cells served to the current execution.
-    served: HashMap<CellKey, ServedCell>,
+    served: HashMap<StateKey, ServedCell>,
     /// Base accounts that are not resident in `base`, loaded whole on first
     /// touch and kept for the block: a cold account costs one backend read per
     /// worker per *block*, however many transactions or keys ask for it.
@@ -167,32 +167,31 @@ impl MvView {
 
     /// Serves one cell: from this execution's cache, else resolved through the
     /// version map over the base state.
-    fn cell(&mut self, key: CellKey) -> &ServedCell {
+    fn cell(&mut self, key: StateKey) -> &ServedCell {
         match self.served.entry(key) {
             Entry::Occupied(cell) => cell.into_mut(),
             Entry::Vacant(slot) => {
                 let read = self.mv.read_cell(key, self.tx_index);
                 let (value, write) = match read.write {
-                    Some((stamp, fragment)) => {
-                        (Served::from_fragment(key.part, fragment), Some(stamp))
-                    }
+                    Some((stamp, fragment)) => (Served::from_fragment(key, fragment), Some(stamp)),
                     None => {
-                        let account = match self.base.account(key.address) {
+                        let address = key.address();
+                        let account = match self.base.account(address) {
                             Some(resident) => Some(resident),
                             None => self
                                 .cold
-                                .entry(key.address)
-                                .or_insert_with(|| self.base.load_account(key.address))
+                                .entry(address)
+                                .or_insert_with(|| self.base.load_account(address))
                                 .as_ref(),
                         };
-                        (Served::from_base(key.part, account), None)
+                        (Served::from_base(key, account), None)
                     }
                 };
                 slot.insert(ServedCell {
                     value: read
                         .deltas
                         .iter()
-                        .fold(value, |value, &(_, amount)| value.plus(key.part, amount)),
+                        .fold(value, |value, &(_, amount)| value.plus(key, amount)),
                     write,
                     deltas: read.deltas.iter().map(|&(stamp, _)| stamp).collect(),
                 })
@@ -207,8 +206,8 @@ impl MvView {
     /// every contributor.
     fn push_consumed(
         &self,
-        key: CellKey,
-        out: &mut Vec<(CellKey, ReadOrigin)>,
+        key: StateKey,
+        out: &mut Vec<(StateKey, ReadOrigin)>,
         blocked: &mut Option<usize>,
     ) {
         let Some(cell) = self.served.get(&key) else {
@@ -259,18 +258,14 @@ impl MvView {
         &self,
         access: Option<&AccessSet>,
         sender: Address,
-        out: &mut Vec<(CellKey, ReadOrigin)>,
+        out: &mut Vec<(StateKey, ReadOrigin)>,
     ) -> Option<usize> {
         out.clear();
         let mut blocked = None;
-        let sender_meta = CellKey {
-            address: sender,
-            part: CellPart::Meta,
-        };
-        self.push_consumed(sender_meta, out, &mut blocked);
+        self.push_consumed(StateKey::Balance(sender), out, &mut blocked);
         if let Some(access) = access {
             for &key in access.reads().iter().chain(access.writes()) {
-                self.push_consumed(cell_key_of(key), out, &mut blocked);
+                self.push_consumed(key, out, &mut blocked);
             }
         }
         out.sort_unstable();
@@ -281,24 +276,21 @@ impl MvView {
 
 impl CellView for MvView {
     fn meta(&mut self, address: Address) -> Option<(Amount, u64)> {
-        match self.cell(cell_key_of(StateKey::Balance(address))).value {
+        match self.cell(StateKey::Balance(address)).value {
             Served::Meta(meta) => meta.map(|(balance, nonce)| (Amount::from_sats(balance), nonce)),
             _ => unreachable!("meta cell served a non-meta value"),
         }
     }
 
     fn slot(&mut self, address: Address, key: u64) -> u64 {
-        match self
-            .cell(cell_key_of(StateKey::Storage(address, key)))
-            .value
-        {
+        match self.cell(StateKey::Storage(address, key)).value {
             Served::Slot(value) => value,
             _ => unreachable!("slot cell served a non-slot value"),
         }
     }
 
     fn contract(&mut self, address: Address) -> Option<Arc<Contract>> {
-        match &self.cell(cell_key_of(StateKey::Code(address))).value {
+        match &self.cell(StateKey::Code(address)).value {
             Served::Code(code) => code.clone(),
             _ => unreachable!("code cell served a non-code value"),
         }
@@ -617,16 +609,13 @@ struct RunCtx {
     mv: Arc<MvMemory>,
     block: AccountBlock,
     scheduler: Scheduler,
-    /// Whether pure credits and `SAdd` increments land as commutative
-    /// [`CellValue::Delta`] contributions (`with_delta_cells`).
-    delta_cells: bool,
     /// Latest receipt per transaction (set at every finished execution).
     outcomes: Vec<Mutex<Option<Receipt>>>,
     /// Latest validation read set per transaction.
-    read_sets: Vec<Mutex<Vec<(CellKey, ReadOrigin)>>>,
+    read_sets: Vec<Mutex<Vec<(StateKey, ReadOrigin)>>>,
     /// Cells written by the previous incarnation (for stale-entry removal and
     /// `wrote_new_path` detection), sorted.
-    last_writes: Vec<Mutex<Vec<CellKey>>>,
+    last_writes: Vec<Mutex<Vec<StateKey>>>,
     /// Addresses the latest incarnation dirtied — changed or not. The commit
     /// needs the union of these to reproduce the sequential write set exactly:
     /// an account whose every consumed key diffed to "unchanged" produces no
@@ -649,6 +638,10 @@ struct RunCtx {
 /// several times the transaction itself.
 struct WorkerScratch {
     state: ScratchState<MvView>,
+    /// The delta-emitting executor: pure credits and `SAdd` increments
+    /// accumulate as pending deltas instead of materializing the target
+    /// account, and land in the version map as commutative
+    /// `CellValue::Delta` contributions.
     executor: BlockExecutor,
     /// Reusable cell-write buffer: filled from the harvested write set, drained
     /// by `MvMemory::apply` — the values move into the version map and the
@@ -656,32 +649,23 @@ struct WorkerScratch {
     writes: Vec<CellWrite>,
     /// Reusable fragment buffer for `ScratchState::take_write_fragments`.
     fragments: Vec<blockconc_store::StateFragment>,
-    /// Reusable delta-op buffer for `ScratchState::take_delta_ops` (delta mode).
-    delta_ops: Vec<(blockconc_store::StateKey, u64)>,
+    /// Reusable delta-op buffer for `ScratchState::take_delta_ops`.
+    delta_ops: Vec<(StateKey, u64)>,
     /// Reusable written-cell-keys buffer, swapped into `last_writes[t]`.
-    keys: Vec<CellKey>,
+    keys: Vec<StateKey>,
     /// Reusable dirty-addresses buffer, swapped into `touched[t]`.
     addrs: Vec<Address>,
     /// Reusable consumed-read-set buffer, swapped into `read_sets[t]`.
-    reads: Vec<(CellKey, ReadOrigin)>,
+    reads: Vec<(StateKey, ReadOrigin)>,
     executions: u64,
     validations: u64,
 }
 
 impl WorkerScratch {
     fn new(ctx: &RunCtx, base: Arc<WorldState>) -> Self {
-        // Delta cells flip the executor into delta-emitting mode: pure credits
-        // and `SAdd` increments accumulate as pending deltas instead of
-        // materializing the target account, and land in the version map as
-        // commutative `CellValue::Delta` contributions.
-        let executor = if ctx.delta_cells {
-            BlockExecutor::with_delta_accesses()
-        } else {
-            BlockExecutor::new()
-        };
         WorkerScratch {
             state: ScratchState::new(MvView::new(Arc::clone(&ctx.mv), base, 0)),
-            executor,
+            executor: BlockExecutor::with_delta_accesses(),
             writes: Vec::new(),
             fragments: Vec::new(),
             delta_ops: Vec::new(),
@@ -717,36 +701,33 @@ impl RunCtx {
                 Ok(ctx) => (ctx.receipt, Some(ctx.access)),
                 Err(err) => (Receipt::failure(tx.id(), Gas::ZERO, err.to_string()), None),
             };
-            // Harvest the write set as sorted cell writes: one fragment per
-            // touched key whose value changed (unchanged keys vanish here).
+            // Harvest the write set as cell writes: one fragment per touched
+            // key whose value changed (unchanged keys vanish here), plus one
+            // commutative contribution per pending delta.
             ws.writes.clear();
             ws.state
                 .take_write_fragments(&mut ws.fragments, &mut ws.addrs);
             ws.writes.extend(ws.fragments.drain(..).map(|f| CellWrite {
-                key: cell_key_of(f.key),
+                key: f.key,
                 value: CellValue::Fragment(f.value),
             }));
-            if self.delta_cells {
-                ws.state.take_delta_ops(&mut ws.delta_ops);
-                for (key, amount) in ws.delta_ops.drain(..) {
-                    let key = cell_key_of(key);
-                    // The address is touched even when the contribution
-                    // reverted to nothing — sequential execution journals
-                    // the account either way, and the commit reproduces
-                    // that. A zero addend installs no cell: readers must
-                    // not observe (and depend on) a no-op.
-                    ws.addrs.push(key.address);
-                    if amount != 0 {
-                        ws.writes.push(CellWrite {
-                            key,
-                            value: CellValue::Delta(amount),
-                        });
-                    }
+            ws.state.take_delta_ops(&mut ws.delta_ops);
+            for (key, amount) in ws.delta_ops.drain(..) {
+                // The address is touched even when the contribution reverted
+                // to nothing — sequential execution journals the account
+                // either way, and the commit reproduces that. A zero addend
+                // installs no cell: readers must not observe (and depend on)
+                // a no-op.
+                ws.addrs.push(key.address());
+                if amount != 0 {
+                    ws.writes.push(CellWrite {
+                        key,
+                        value: CellValue::Delta(amount),
+                    });
                 }
-                // Fragments and delta contributions interleave: restore the
-                // sorted-by-key order `MvMemory::apply` expects.
-                ws.writes.sort_unstable_by_key(|w| w.key);
             }
+            // `MvMemory::apply` expects the writes sorted by key.
+            ws.writes.sort_unstable_by_key(|w| w.key);
             let blocked_on =
                 ws.state
                     .cells()
@@ -862,6 +843,13 @@ fn worker_loop(ctx: &RunCtx, base: Arc<WorldState>) {
 /// equivalence oracle on both memory and disk backends, including forced-abort
 /// interleavings.
 ///
+/// **Delta cells:** pure credits and `SAdd` increments install as commutative
+/// contributions instead of ordered writes. Contributions to one hot cell
+/// commute — no aborts, no ordering — and fold over the base value at read and
+/// commit time; a transaction that *reads* the accumulated cell becomes ordered
+/// after the exact contributor set it observed. Upstream schedulers learn this
+/// through [`ExecutionEngine::commutes_deltas`], which is always `true` here.
+///
 /// **Abort bound:** a transaction may re-execute at most 32 incarnations. Beyond
 /// that the optimistic run halts and the whole block falls back to sequential
 /// execution (counted in [`ExecutionReport::sequential_fallbacks`]); the fallback
@@ -877,13 +865,13 @@ pub struct OptimisticEngine {
     pool: WorkerPool,
     executor: BlockExecutor,
     abort_injection: Option<AbortInjection>,
-    delta_cells: bool,
 }
 
 impl OptimisticEngine {
     /// Creates an engine whose persistent pool holds `threads` workers.
     /// Conflicts are tracked, and data moved, per
-    /// [`StateKey`](blockconc_store::StateKey).
+    /// [`StateKey`](blockconc_store::StateKey), with commutative delta cells
+    /// for pure credits and `SAdd` increments.
     ///
     /// # Panics
     ///
@@ -894,19 +882,13 @@ impl OptimisticEngine {
             pool: WorkerPool::new(threads),
             executor: BlockExecutor::new(),
             abort_injection: None,
-            delta_cells: false,
         }
     }
 
-    /// Adds commutative delta cells (builder-style): per-key cells plus
-    /// commutative accumulation for pure credits and `SAdd`
-    /// increments. Contributions to one hot cell commute — no aborts, no
-    /// ordering — and fold over the base value at read and commit time; a
-    /// transaction that *reads* the accumulated cell becomes ordered after the
-    /// exact contributor set it observed. Reported as engine
-    /// `"optimistic-delta"`.
-    pub fn with_delta_cells(mut self) -> Self {
-        self.delta_cells = true;
+    /// Returns `self` unchanged. Delta cells are what the engine always does;
+    /// the builder stays only because the wall-clock benchmark's frozen
+    /// surface still calls it.
+    pub fn with_delta_cells(self) -> Self {
         self
     }
 
@@ -956,15 +938,11 @@ impl OptimisticEngine {
 
 impl ExecutionEngine for OptimisticEngine {
     fn name(&self) -> &'static str {
-        if self.delta_cells {
-            "optimistic-delta"
-        } else {
-            "optimistic"
-        }
+        "optimistic"
     }
 
     fn commutes_deltas(&self) -> bool {
-        self.delta_cells
+        true
     }
 
     fn execute(
@@ -982,7 +960,6 @@ impl ExecutionEngine for OptimisticEngine {
             mv: Arc::new(MvMemory::new()),
             block: block.clone(),
             scheduler: Scheduler::new(x),
-            delta_cells: self.delta_cells,
             outcomes: (0..x).map(|_| Mutex::new(None)).collect(),
             read_sets: (0..x).map(|_| Mutex::new(Vec::new())).collect(),
             last_writes: (0..x).map(|_| Mutex::new(Vec::new())).collect(),
@@ -1077,21 +1054,23 @@ impl ExecutionEngine for OptimisticEngine {
         // Commit: set each final cell — fragment first, folded delta on top —
         // on the resident account in place; nothing is re-executed and no
         // account is exported, reassembled or re-installed, so the step costs
-        // the cells the block wrote. The cells arrive sorted, meta before slots
-        // before code, so an account a fragment creates exists by the time its
-        // slots land.
+        // the cells the block wrote. The cells arrive in `StateKey` order —
+        // every `Balance` key before any `Storage` or `Code` key — so an
+        // account a fragment creates exists by the time its slots land.
         for (key, cell) in mv.into_final_cells() {
             if let Some(fragment) = cell.write {
-                state.set_cell(&key.state_key(), fragment.as_ref());
+                state.set_cell(&key, fragment.as_ref());
             }
-            match (key.part, cell.delta) {
+            match (key, cell.delta) {
                 (_, None) => {}
-                (CellPart::Meta, Some(sum)) => state.credit(key.address, Amount::from_sats(sum)),
-                (CellPart::Slot(slot), Some(sum)) => {
-                    let value = state.storage(key.address, slot).wrapping_add(sum);
-                    state.storage_set(key.address, slot, value, None);
+                (StateKey::Balance(address), Some(sum)) => {
+                    state.credit(address, Amount::from_sats(sum))
                 }
-                (CellPart::Code, Some(_)) => unreachable!("delta buffered under a code cell"),
+                (StateKey::Storage(address, slot), Some(sum)) => {
+                    let value = state.storage(address, slot).wrapping_add(sum);
+                    state.storage_set(address, slot, value, None);
+                }
+                (StateKey::Code(_), Some(_)) => unreachable!("delta buffered under a code cell"),
             }
         }
         // An account whose fragments all diffed away (value written back
@@ -1146,16 +1125,21 @@ mod tests {
         state
     }
 
-    fn assert_matches_sequential(block: &AccountBlock, mut opt_state: WorldState) {
-        let mut seq_state = opt_state.clone();
+    /// Runs `block` on a 4-worker engine over a copy of `state`, asserts
+    /// receipts + state root match the sequential engine's, and returns the
+    /// engine's report.
+    fn assert_matches_sequential(block: &AccountBlock, state: &WorldState) -> ExecutionReport {
+        let mut seq_state = state.clone();
         let (seq_block, _) = SequentialEngine::new()
             .execute(&mut seq_state, block)
             .unwrap();
-        let (opt_block, _) = OptimisticEngine::new(4)
+        let mut opt_state = state.clone();
+        let (opt_block, report) = OptimisticEngine::new(4)
             .execute(&mut opt_state, block)
             .unwrap();
         assert_eq!(seq_block.receipts(), opt_block.receipts());
         assert_eq!(seq_state.state_root(), opt_state.state_root());
+        report
     }
 
     #[test]
@@ -1184,6 +1168,23 @@ mod tests {
     }
 
     #[test]
+    fn same_sender_nonce_chain_matches_sequential() {
+        let mut txs = Vec::new();
+        for nonce in 0..6u64 {
+            txs.push(AccountTransaction::transfer(
+                Address::from_low(100),
+                Address::from_low(200 + nonce),
+                Amount::from_sats(10),
+                nonce,
+            ));
+        }
+        let block = BlockBuilder::new(1, 0, Address::from_low(1))
+            .transactions(txs)
+            .build();
+        assert_matches_sequential(&block, &funded(100..101));
+    }
+
+    #[test]
     fn hot_account_block_matches_sequential() {
         let hot = Address::from_low(900);
         let mut txs: Vec<_> = (0..12u64)
@@ -1208,24 +1209,7 @@ mod tests {
             .build();
         let mut state = funded(100..120);
         state.credit(hot, Amount::from_coins(1));
-        assert_matches_sequential(&block, state);
-    }
-
-    #[test]
-    fn same_sender_nonce_chain_matches_sequential() {
-        let mut txs = Vec::new();
-        for nonce in 0..6u64 {
-            txs.push(AccountTransaction::transfer(
-                Address::from_low(100),
-                Address::from_low(200 + nonce),
-                Amount::from_sats(10),
-                nonce,
-            ));
-        }
-        let block = BlockBuilder::new(1, 0, Address::from_low(1))
-            .transactions(txs)
-            .build();
-        assert_matches_sequential(&block, funded(100..101));
+        assert_matches_sequential(&block, &state);
     }
 
     #[test]
@@ -1256,7 +1240,7 @@ mod tests {
         let block = BlockBuilder::new(1, 0, Address::from_low(1))
             .transactions(txs)
             .build();
-        assert_matches_sequential(&block, funded(100..110));
+        assert_matches_sequential(&block, &funded(100..110));
     }
 
     #[test]
@@ -1345,18 +1329,13 @@ mod tests {
     /// out the earlier writer's re-execution.
     #[test]
     fn blocked_on_is_the_lowest_indexed_estimate_writer() {
-        use blockconc_store::{FragmentValue, StateKey};
-
         let mv = Arc::new(MvMemory::new());
         // Ascending key order encounters tx 5's estimate (lower address)
         // before tx 2's — a first-encounter fold would return 5.
         let early = Address::from_low(50);
         let late = Address::from_low(60);
         for (txn, address) in [(5usize, early), (2usize, late)] {
-            let key = CellKey {
-                address,
-                part: CellPart::Meta,
-            };
+            let key = StateKey::Balance(address);
             let mut writes = vec![CellWrite {
                 key,
                 value: CellValue::Fragment(Some(FragmentValue::Meta {
@@ -1420,6 +1399,11 @@ mod tests {
         let mut opt_state = state;
         let mut engine = OptimisticEngine::new(4);
         assert_eq!(engine.name(), "optimistic");
+        assert!(engine.commutes_deltas());
+        // The frozen builder is the identity.
+        let frozen = OptimisticEngine::new(1).with_delta_cells();
+        assert_eq!(frozen.name(), engine.name());
+        assert!(frozen.commutes_deltas());
         let (opt_block, report) = engine.execute(&mut opt_state, &block).unwrap();
         assert!(opt_block.receipts().iter().all(|r| r.succeeded()));
         assert_eq!(seq_block.receipts(), opt_block.receipts());
@@ -1428,6 +1412,26 @@ mod tests {
         // contract, yet none of them conflict — regardless of schedule.
         assert_eq!(report.aborts, 0);
         assert_eq!(report.re_executions, 0);
+        assert_eq!(report.sequential_fallbacks, 0);
+    }
+
+    /// The `with_delta_cells()` builder still executes: on the disjoint-slot
+    /// workload the `SStore` path stays an ordered fragment write and the
+    /// transition stays exact.
+    #[test]
+    fn delta_cells_match_sequential_on_disjoint_slot_writers() {
+        let (state, block) = shared_counter_block(24);
+        let mut seq_state = state.clone();
+        let (seq_block, _) = SequentialEngine::new()
+            .execute(&mut seq_state, &block)
+            .unwrap();
+        let mut opt_state = state;
+        let (opt_block, report) = OptimisticEngine::new(4)
+            .with_delta_cells()
+            .execute(&mut opt_state, &block)
+            .unwrap();
+        assert_eq!(seq_block.receipts(), opt_block.receipts());
+        assert_eq!(seq_state.state_root(), opt_state.state_root());
         assert_eq!(report.sequential_fallbacks, 0);
     }
 
@@ -1454,31 +1458,8 @@ mod tests {
         let block = BlockBuilder::new(1, 0, Address::from_low(1))
             .transactions(txs)
             .build();
-        for mut engine in [
-            OptimisticEngine::new(4),
-            OptimisticEngine::new(4).with_delta_cells(),
-        ] {
-            let report = assert_engine_matches_sequential(&block, &state, &mut engine);
-            assert_eq!(report.sequential_fallbacks, 0);
-        }
-    }
-
-    /// Runs `block` under `engine` and asserts receipts + state root match the
-    /// sequential engine on an identical starting state.
-    fn assert_engine_matches_sequential(
-        block: &AccountBlock,
-        state: &WorldState,
-        engine: &mut OptimisticEngine,
-    ) -> ExecutionReport {
-        let mut seq_state = state.clone();
-        let (seq_block, _) = SequentialEngine::new()
-            .execute(&mut seq_state, block)
-            .unwrap();
-        let mut opt_state = state.clone();
-        let (opt_block, report) = engine.execute(&mut opt_state, block).unwrap();
-        assert_eq!(seq_block.receipts(), opt_block.receipts());
-        assert_eq!(seq_state.state_root(), opt_state.state_root());
-        report
+        let report = assert_matches_sequential(&block, &state);
+        assert_eq!(report.sequential_fallbacks, 0);
     }
 
     /// The delta tentpole's headline case: every transaction credits one hot
@@ -1499,9 +1480,7 @@ mod tests {
             .transactions(txs)
             .build();
         let state = funded(100..130);
-        let mut engine = OptimisticEngine::new(4).with_delta_cells();
-        assert_eq!(engine.name(), "optimistic-delta");
-        let report = assert_engine_matches_sequential(&block, &state, &mut engine);
+        let report = assert_matches_sequential(&block, &state);
         assert_eq!(report.aborts, 0);
         assert_eq!(report.re_executions, 0);
         assert_eq!(report.sequential_fallbacks, 0);
@@ -1536,12 +1515,18 @@ mod tests {
         let block = BlockBuilder::new(1, 0, Address::from_low(1))
             .transactions(txs)
             .build();
-        let mut engine = OptimisticEngine::new(4).with_delta_cells();
-        let report = assert_engine_matches_sequential(&block, &state, &mut engine);
+        let report = assert_matches_sequential(&block, &state);
         assert_eq!(report.aborts, 0);
         assert_eq!(report.re_executions, 0);
+        assert!(
+            report.delta_merges >= n,
+            "every increment commits as a commutative merge, got {}",
+            report.delta_merges
+        );
         let mut opt_state = state;
-        engine.execute(&mut opt_state, &block).unwrap();
+        OptimisticEngine::new(4)
+            .execute(&mut opt_state, &block)
+            .unwrap();
         assert_eq!(opt_state.storage(sink, 0), n * (n + 1) / 2);
     }
 
@@ -1572,8 +1557,7 @@ mod tests {
             .build();
         let mut state = funded(100..120);
         state.credit(hot, Amount::from_coins(1));
-        let mut engine = OptimisticEngine::new(4).with_delta_cells();
-        let report = assert_engine_matches_sequential(&block, &state, &mut engine);
+        let report = assert_matches_sequential(&block, &state);
         assert!(
             report.delta_merges >= 12,
             "the credits still commit as merges, got {}",
@@ -1618,21 +1602,6 @@ mod tests {
                 0,
             ))
             .build();
-        for mut engine in [
-            OptimisticEngine::new(2),
-            OptimisticEngine::new(2).with_delta_cells(),
-        ] {
-            assert_engine_matches_sequential(&block, &state, &mut engine);
-        }
-    }
-
-    /// Delta granularity on the classic disjoint-slot workload: the `SStore`
-    /// path stays an ordered fragment write and the transition stays exact.
-    #[test]
-    fn delta_cells_match_sequential_on_disjoint_slot_writers() {
-        let (state, block) = shared_counter_block(24);
-        let mut engine = OptimisticEngine::new(4).with_delta_cells();
-        let report = assert_engine_matches_sequential(&block, &state, &mut engine);
-        assert_eq!(report.sequential_fallbacks, 0);
+        assert_matches_sequential(&block, &state);
     }
 }

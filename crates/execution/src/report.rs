@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 /// the modelled `R`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionReport {
-    /// Engine name ("sequential", "speculative", "scheduled", "optimistic",
-    /// "optimistic-delta").
+    /// Engine name ("sequential", "speculative", "scheduled", "optimistic").
     pub engine: String,
     /// Worker threads used (1 for the sequential engine).
     pub threads: usize,
@@ -38,7 +37,7 @@ pub struct ExecutionReport {
     /// Whole-block fallbacks to sequential execution after the abort bound was
     /// exceeded (optimistic engine; 0 or 1 per block).
     pub sequential_fallbacks: u64,
-    /// Commutative delta contributions committed without ordering (delta-cell
+    /// Commutative delta contributions committed without ordering (optimistic
     /// engine; 0 for the others and on the sequential-fallback path). Every
     /// merge is a same-cell collision that would have serialized — or aborted —
     /// under write tracking.

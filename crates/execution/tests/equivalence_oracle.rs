@@ -30,14 +30,12 @@
 //!   (the code cell served from a lower version).
 //!
 //! The disk runs re-open the store and mount it under a cold working set, so the
-//! base state the versioned view falls through to is *not resident*. Every
-//! property rolls the optimistic engine's granularity, key cells with and
-//! without delta cells.
+//! base state the versioned view falls through to is *not resident*.
 //!
 //! Two fixed blocks pin the branch-flip shape itself — once on a hand-written
-//! contract, once spelled in the generator's own plans — through all five engine
-//! configurations: an engine that commits by pre-block access sets rather than
-//! in block order fails both.
+//! contract, once spelled in the generator's own plans — through all four
+//! engines: an engine that commits by pre-block access sets rather than in
+//! block order fails both.
 //!
 //! Beside the generated blocks, two fixed-seed workload profiles of
 //! `blockconc-chainsim` run through the same comparison at 8 workers: the
@@ -107,8 +105,8 @@ fn plan_strategy() -> impl Strategy<Value = RawPlan> {
 /// * `0` — store zero onto the slot (deletes it if it is live);
 /// * `1` — load the slot and log it (an absent slot logs 0: the base miss
 ///   reaches the receipt);
-/// * `2` — `SAdd` the operand into the slot (a commutative sink under delta
-///   cells, a read-modify-write otherwise);
+/// * `2` — `SAdd` the operand into the slot (a commutative sink for the
+///   optimistic engine, a read-modify-write for the others);
 /// * `3` — store the operand, then revert (with the call's value attached, the
 ///   value transfer rolls back too);
 /// * `5` — pay the address in argument 3 the operand iff the slot is live (a
@@ -398,21 +396,11 @@ fn assert_equivalent(
     assert_same_transition(&genesis(funding), &build_block(plans), engine, on_disk);
 }
 
-/// An engine with the rolled granularity: roll 0 keeps the key-granular
-/// default, roll 1 adds commutative delta cells.
-fn engine_with(threads: usize, granularity_roll: u64) -> OptimisticEngine {
-    let engine = OptimisticEngine::new(threads);
-    match granularity_roll % 2 {
-        1 => engine.with_delta_cells(),
-        _ => engine,
-    }
-}
-
-/// Every parallel engine at `threads`: the optimistic engine at the rolled
-/// granularity and the two model evaluators.
-fn engines_with(threads: usize, granularity_roll: u64) -> [Box<dyn ExecutionEngine>; 3] {
+/// Every parallel engine at `threads`: the optimistic engine and the two model
+/// evaluators.
+fn engines_with(threads: usize) -> [Box<dyn ExecutionEngine>; 3] {
     [
-        Box::new(engine_with(threads, granularity_roll)),
+        Box::new(OptimisticEngine::new(threads)),
         Box::new(SpeculativeEngine::new(threads)),
         Box::new(ScheduledEngine::new(threads)),
     ]
@@ -421,16 +409,15 @@ fn engines_with(threads: usize, granularity_roll: u64) -> [Box<dyn ExecutionEngi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Memory backend: any generated block, any worker count, both granularities,
-    // and both evaluators.
+    // Memory backend: any generated block, any worker count, and both
+    // evaluators.
     #[test]
     fn optimistic_matches_sequential_in_memory(
         funding in any_vec(0u64..2_000_000, 6usize),
         plans in any_vec(plan_strategy(), 1..28),
         threads in 1usize..5,
-        granularity in 0u64..2,
     ) {
-        for mut engine in engines_with(threads, granularity) {
+        for mut engine in engines_with(threads) {
             assert_equivalent(&funding, &plans, engine.as_mut(), false);
         }
     }
@@ -444,9 +431,8 @@ proptest! {
         funding in any_vec(0u64..2_000_000, 6usize),
         plans in any_vec(plan_strategy(), 1..16),
         threads in 1usize..5,
-        granularity in 0u64..2,
     ) {
-        for mut engine in engines_with(threads, granularity) {
+        for mut engine in engines_with(threads) {
             assert_equivalent(&funding, &plans, engine.as_mut(), true);
         }
     }
@@ -462,9 +448,8 @@ proptest! {
         seed in 0u64..u64::MAX,
         percent in 20u64..95,
         disk_roll in 0u64..2,
-        granularity in 0u64..2,
     ) {
-        let mut engine = engine_with(threads, granularity).with_forced_aborts(AbortInjection {
+        let mut engine = OptimisticEngine::new(threads).with_forced_aborts(AbortInjection {
             seed,
             percent: percent as u8,
         });
@@ -570,12 +555,11 @@ fn a_branch_flipped_inside_the_block_commits_like_sequential() {
     assert!(executed.receipts().iter().all(Receipt::succeeded));
     assert_eq!(sequential_state.balance(w), Amount::from_sats(500));
 
-    let engines: [Box<dyn ExecutionEngine>; 5] = [
+    let engines: [Box<dyn ExecutionEngine>; 4] = [
         Box::new(SequentialEngine::new()),
         Box::new(SpeculativeEngine::new(2)),
         Box::new(ScheduledEngine::new(2)),
         Box::new(OptimisticEngine::new(2)),
-        Box::new(OptimisticEngine::new(2).with_delta_cells()),
     ];
     for mut engine in engines {
         assert_same_transition(&pre_state, &block, engine.as_mut(), false);
@@ -617,18 +601,16 @@ fn generated_plans_reach_the_branch_flip() {
     );
 
     for on_disk in [false, true] {
-        for granularity in 0..2 {
-            for mut engine in engines_with(2, granularity) {
-                assert_equivalent(&funding, &plans, engine.as_mut(), on_disk);
-            }
+        for mut engine in engines_with(2) {
+            assert_equivalent(&funding, &plans, engine.as_mut(), on_disk);
         }
     }
 }
 
 /// Generates `blocks` blocks of `txs` transactions from a workload profile (seed
-/// 2020), executes them in sequence on `SequentialEngine` and on both optimistic
-/// modes at 8 workers, and requires identical receipts and final roots. Returns
-/// the larger of the two modes' abort counts.
+/// 2020), executes them in sequence on `SequentialEngine` and on the optimistic
+/// engine at 8 workers, and requires identical receipts and final roots. Returns
+/// the optimistic engine's abort count.
 fn profile_matches_sequential(params: AccountWorkloadParams, blocks: u64, txs: usize) -> u64 {
     let mut generator = AccountWorkloadGen::new(params, 2020);
     let built: Vec<AccountBlock> = (1..=blocks)
@@ -652,17 +634,10 @@ fn profile_matches_sequential(params: AccountWorkloadParams, blocks: u64, txs: u
     };
     let (receipts, root, _) = run(&mut SequentialEngine::new());
     assert!(receipts.iter().all(Receipt::succeeded), "funded and valid");
-    let mut worst = 0;
-    for mut engine in [
-        OptimisticEngine::new(8),
-        OptimisticEngine::new(8).with_delta_cells(),
-    ] {
-        let (engine_receipts, engine_root, aborts) = run(&mut engine);
-        assert_eq!(receipts, engine_receipts, "{} receipts", engine.name());
-        assert_eq!(root, engine_root, "{} state root", engine.name());
-        worst = aborts.max(worst);
-    }
-    worst
+    let (engine_receipts, engine_root, aborts) = run(&mut OptimisticEngine::new(8));
+    assert_eq!(receipts, engine_receipts, "optimistic receipts");
+    assert_eq!(root, engine_root, "optimistic state root");
+    aborts
 }
 
 /// One shared contract, a slot per caller: per-key tracking dissolves the
@@ -701,8 +676,7 @@ fn mix(state: &mut u64) -> u64 {
 }
 
 /// The CI abort-stress entry point: a deterministic sweep of forced-abort
-/// interleavings over both granularities (key cells, with and without delta
-/// cells). The base seed comes from the
+/// interleavings. The base seed comes from the
 /// `BLOCKCONC_STRESS_SEED` environment variable (default 0), so a CI loop
 /// re-running this test under different values covers a fresh slice of the
 /// interleaving space on every iteration while staying reproducible.
@@ -734,9 +708,7 @@ fn forced_abort_stress_sweep() {
             percent: 65,
         };
         let on_disk = i % 6 == 0;
-        for granularity in 0..2u64 {
-            let mut engine = engine_with(threads, granularity).with_forced_aborts(injection);
-            assert_equivalent(&funding, &plans, &mut engine, on_disk);
-        }
+        let mut engine = OptimisticEngine::new(threads).with_forced_aborts(injection);
+        assert_equivalent(&funding, &plans, &mut engine, on_disk);
     }
 }

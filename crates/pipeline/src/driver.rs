@@ -454,12 +454,33 @@ mod tests {
     }
 
     #[test]
+    fn a_node_over_the_optimistic_engine_keeps_a_weak_edge_pool_graph() {
+        use blockconc_account::WorldState;
+        use blockconc_execution::OptimisticEngine;
+        let weak = NodePipeline::new(
+            ConcurrencyAwarePacker::new(4),
+            OptimisticEngine::new(2),
+            WorldState::new(),
+            &config(),
+        );
+        assert!(weak.pool.tdg().weak_edges());
+        let strong = NodePipeline::new(
+            ConcurrencyAwarePacker::new(4),
+            ScheduledEngine::new(2),
+            WorldState::new(),
+            &config(),
+        );
+        assert!(!strong.pool.tdg().weak_edges());
+    }
+
+    #[test]
     fn delta_engine_dissolves_the_deposit_hotspot_end_to_end() {
-        // The weak-TDG propagation test: with the delta-commuting engine the
-        // driver's maintained graph treats exchange deposits as weak edges, so
-        // the concurrency-aware cap no longer sees one giant component and
-        // stops deferring the hot traffic — while the same stream under the
-        // key-granular engine keeps fusing and deferring.
+        // The weak-TDG propagation test: with the delta-commuting optimistic
+        // engine the driver's maintained graph treats exchange deposits as
+        // weak edges, so the concurrency-aware cap no longer sees one giant
+        // component and stops deferring the hot traffic — while the same
+        // stream under the scheduled evaluator, whose storage-level conflict
+        // model orders credits, keeps fusing and deferring.
         use blockconc_execution::OptimisticEngine;
         let params = AccountWorkloadParams {
             txs_per_block: 60.0,
@@ -469,15 +490,15 @@ mod tests {
             hotspots: vec![HotspotSpec::exchange(0.6)],
             contract_create_share: 0.0,
         };
-        let run = |engine: OptimisticEngine| {
+        fn run<E: ExecutionEngine>(engine: E, params: &AccountWorkloadParams) -> PipelineRunReport {
             PipelineDriver::new(ConcurrencyAwarePacker::new(4), engine, config())
                 .run(ArrivalStream::new(params.clone(), 4.0, 700, 11))
                 .unwrap()
-        };
-        let strong = run(OptimisticEngine::new(2));
-        let weak = run(OptimisticEngine::new(2).with_delta_cells());
-        assert_eq!(strong.engine, "optimistic");
-        assert_eq!(weak.engine, "optimistic-delta");
+        }
+        let strong = run(ScheduledEngine::new(2), &params);
+        let weak = run(OptimisticEngine::new(2), &params);
+        assert_eq!(strong.engine, "scheduled");
+        assert_eq!(weak.engine, "optimistic");
         assert_eq!(weak.total_failed, 0);
         let strong_deferred: u64 = strong.blocks.iter().map(|b| b.deferred_by_cap).sum();
         let weak_deferred: u64 = weak.blocks.iter().map(|b| b.deferred_by_cap).sum();

@@ -294,18 +294,14 @@ impl BlockPacker for FeeGreedyPacker {
 /// Unbounded deferral would let a giant component starve under sustained hot-spot
 /// overload (its serial work exceeds `threads × block capacity`, so the cap search
 /// keeps deferring it). The optional **aging rule**
-/// ([`with_max_deferral`](ConcurrencyAwarePacker::with_max_deferral), surfaced as
-/// [`PipelineConfig::max_deferral_blocks`]) bounds this: a sender whose ready chain
+/// ([`PipelineConfig::max_deferral_blocks`], adopted by
+/// [`BlockPacker::configure`]) bounds this: a sender whose ready chain
 /// was cap-rejected for that many consecutive packs bypasses the cap in the next
 /// block. The per-block report records how often the rule fired.
 #[derive(Debug)]
 pub struct ConcurrencyAwarePacker {
     threads: usize,
     max_deferral: usize,
-    /// `true` once [`with_max_deferral`](ConcurrencyAwarePacker::with_max_deferral)
-    /// was called explicitly — [`BlockPacker::configure`] must not clobber an
-    /// explicit builder choice with the config default.
-    max_deferral_overridden: bool,
     deferrals: HashMap<Address, u64>,
 }
 
@@ -377,19 +373,8 @@ impl ConcurrencyAwarePacker {
         ConcurrencyAwarePacker {
             threads,
             max_deferral: 0,
-            max_deferral_overridden: false,
             deferrals: HashMap::new(),
         }
-    }
-
-    /// Bounds deferral (builder-style): a sender whose chain was deferred by the
-    /// component cap for `blocks` consecutive packs bypasses the cap in the next
-    /// block, so giant components cannot be starved forever. `0` disables the bound
-    /// (the pre-aging behaviour).
-    pub fn with_max_deferral(mut self, blocks: usize) -> Self {
-        self.max_deferral = blocks;
-        self.max_deferral_overridden = true;
-        self
     }
 
     /// The core count the packer optimizes for.
@@ -415,9 +400,7 @@ impl BlockPacker for ConcurrencyAwarePacker {
     }
 
     fn configure(&mut self, config: &PipelineConfig) {
-        if !self.max_deferral_overridden {
-            self.max_deferral = config.max_deferral_blocks;
-        }
+        self.max_deferral = config.max_deferral_blocks;
     }
 
     fn pack(
@@ -725,7 +708,11 @@ mod tests {
     fn aging_bounds_deferral_of_capped_components() {
         let (pool, mut tdg) = hotspot_pool();
         let state = funded_state(10..30);
-        let mut packer = ConcurrencyAwarePacker::new(4).with_max_deferral(2);
+        let mut packer = ConcurrencyAwarePacker::new(4);
+        packer.configure(&crate::PipelineConfig {
+            max_deferral_blocks: 2,
+            ..crate::PipelineConfig::default()
+        });
         assert_eq!(packer.max_deferral(), 2);
         let exchange_txs = |packed: &PackedBlock| {
             packed
@@ -763,11 +750,6 @@ mod tests {
             ..PipelineConfig::default()
         });
         assert_eq!(packer.max_deferral(), 7);
-        // An explicit builder choice survives configure (the drivers call it
-        // unconditionally; it must not clobber what the caller asked for).
-        let mut packer = ConcurrencyAwarePacker::new(4).with_max_deferral(3);
-        packer.configure(&PipelineConfig::default());
-        assert_eq!(packer.max_deferral(), 3);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!    same arrival stream produces the same normalized block records (packed
 //!    transactions, gas, speed-ups, receipts digests), the same mempool
 //!    statistics and the same final state root, on both state backends and on
-//!    sequential, scheduled and optimistic engines — the delta-commuting one
-//!    included, whose nodes must pack under the same weak-edge graph. Every
+//!    sequential, scheduled and optimistic engines — the optimistic one
+//!    commutes deltas, so its nodes must pack under the same weak-edge graph. Every
 //!    cluster-only mechanism (routing, receipts, rotation, settlement) must be
 //!    a perfect no-op at one shard.
 //! 2. For a **fixed routing** (same stream, same configuration), the N-shard
@@ -119,7 +119,7 @@ proptest! {
         seed in 1u64..500,
         backend_sel in 0u8..2,
     ) {
-        for engine_sel in 0u8..4 {
+        for engine_sel in 0u8..3 {
             let (pipeline_backend, cluster_backend, dirs) = if backend_sel == 1 {
                 let pipeline_dir = store_dir("pipe");
                 let cluster_dir = store_dir("cluster");
@@ -137,20 +137,14 @@ proptest! {
                 state_backend: pipeline_backend,
                 ..config.pipeline.clone()
             };
-            // The optimistic rows run the hot-spot stream: the cap must defer
+            // The optimistic row runs the hot-spot stream: the cap must defer
             // for the strong-vs-weak graph choice to show in the blocks.
-            let optimistic = engine_sel >= 2;
+            let optimistic = engine_sel == 2;
             let (cross, hot) = (|| stream(seed), || hotspot_stream(seed));
             let (single, cluster) = match engine_sel {
                 0 => single_and_cluster(SequentialEngine::new, cross, pipeline_config, config),
                 1 => single_and_cluster(|| ScheduledEngine::new(4), cross, pipeline_config, config),
-                2 => single_and_cluster(|| OptimisticEngine::new(2), hot, pipeline_config, config),
-                _ => single_and_cluster(
-                    || OptimisticEngine::new(2).with_delta_cells(),
-                    hot,
-                    pipeline_config,
-                    config,
-                ),
+                _ => single_and_cluster(|| OptimisticEngine::new(2), hot, pipeline_config, config),
             };
 
             prop_assert_eq!(cluster.total_failed + single.total_failed, 0);
