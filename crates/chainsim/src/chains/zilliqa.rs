@@ -27,7 +27,7 @@ pub fn params_at(year: f64) -> AccountWorkloadParams {
 
 /// Number of shards the simulated Zilliqa network runs (the mainnet launched with a
 /// handful of transaction shards).
-pub const NUM_SHARDS: u32 = 4;
+pub const NUM_SHARDS: usize = 4;
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,7 @@
 use crate::chains::{self, WorkloadParams};
 use crate::{AccountWorkloadGen, ChainId, UtxoWorkloadGen};
 use blockconc_account::ExecutedBlock;
-use blockconc_graph::{build_account_tdg, build_utxo_tdg, BlockMetrics};
-use blockconc_sharding::{ShardedNetwork, ShardingConfig};
+use blockconc_graph::{build_account_tdg, build_utxo_tdg, canonical_shard, BlockMetrics};
 use blockconc_types::Timestamp;
 use blockconc_utxo::UtxoBlock;
 use serde::{Deserialize, Serialize};
@@ -74,12 +73,6 @@ impl HistoryConfig {
         }
     }
 
-    /// A configuration matching the paper's figure resolution (buckets in the
-    /// 20–200 range; 40 buckets of 3 blocks keeps bench runtimes reasonable).
-    pub fn paper_resolution(seed: u64) -> Self {
-        HistoryConfig::new(40, 3, seed)
-    }
-
     /// Number of buckets.
     pub fn buckets(&self) -> usize {
         self.buckets
@@ -137,31 +130,14 @@ impl HistoryConfig {
             }
             WorkloadParams::Account(params) => {
                 let mut gen = AccountWorkloadGen::new(params, seed);
-                let mut network = (chain == ChainId::Zilliqa).then(|| {
-                    ShardedNetwork::new(
-                        ShardingConfig {
-                            num_shards: chains::zilliqa::NUM_SHARDS,
-                            num_nodes: 400,
-                            tx_blocks_per_ds_epoch: 50,
-                        },
-                        seed,
-                    )
-                });
                 (0..self.blocks_per_bucket)
                     .map(|i| {
                         let height = first_height + i as u64;
                         let ts = timestamp + i as u64 * profile.block_interval_secs;
-                        let executed = match network.as_mut() {
-                            Some(network) => {
-                                // Zilliqa: generate the round's transactions, route them
-                                // to shards, and execute the merged final block.
-                                let n = gen.params().txs_per_block.max(1.0) as usize;
-                                let txs = gen.generate_transactions(n);
-                                let final_block = network.produce_final_block(txs);
-                                let ordered: Vec<_> = final_block.transactions().cloned().collect();
-                                gen.execute(height, ts, ordered)
-                            }
-                            None => gen.generate_block(height, ts),
+                        let executed = if chain == ChainId::Zilliqa {
+                            zilliqa_final_block(&mut gen, height, ts)
+                        } else {
+                            gen.generate_block(height, ts)
                         };
                         *build_account_tdg(&executed).metrics()
                     })
@@ -185,6 +161,16 @@ impl HistoryConfig {
             }
         }
     }
+}
+
+/// One Zilliqa final block: the round's transactions, ordered stably by the
+/// sender's canonical shard — the shards' microblocks concatenated in shard
+/// order, which is the unit the paper's Zilliqa crawl analyses.
+fn zilliqa_final_block(gen: &mut AccountWorkloadGen, height: u64, ts: u64) -> ExecutedBlock {
+    let n = gen.params().txs_per_block.max(1.0) as usize;
+    let mut txs = gen.generate_transactions(n);
+    txs.sort_by_key(|tx| canonical_shard(tx.sender(), chains::zilliqa::NUM_SHARDS));
+    gen.execute(height, ts, txs)
 }
 
 /// The sampled history of one chain: per-block metrics in chronological order.
@@ -225,6 +211,8 @@ impl ChainHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chains::zilliqa::NUM_SHARDS;
+    use blockconc_account::AccountTransaction;
 
     #[test]
     fn history_has_expected_shape_and_order() {
@@ -271,6 +259,34 @@ mod tests {
             .sum::<f64>()
             / history.len() as f64;
         assert!(avg_group > 0.3, "group {avg_group}");
+    }
+
+    #[test]
+    fn zilliqa_final_block_is_the_round_ordered_stably_by_sender_shard() {
+        let shard = |tx: &AccountTransaction| canonical_shard(tx.sender(), NUM_SHARDS);
+        let mut reordered = 0;
+        for (bucket, year) in [2019.1, 2019.3, 2019.5, 2019.7].into_iter().enumerate() {
+            let WorkloadParams::Account(params) = chains::workload_params(ChainId::Zilliqa, year)
+            else {
+                panic!("Zilliqa is an account chain");
+            };
+            // A twin generator replays the round the final block was cut from.
+            let mut round_gen = AccountWorkloadGen::new(params.clone(), bucket as u64);
+            let round = round_gen.generate_transactions(params.txs_per_block.max(1.0) as usize);
+            let mut gen = AccountWorkloadGen::new(params, bucket as u64);
+            let executed = zilliqa_final_block(&mut gen, 1, 0);
+            let block = executed.block().transactions();
+
+            assert_eq!(block.len(), round.len());
+            assert!(block.windows(2).all(|w| shard(&w[0]) <= shard(&w[1])));
+            for s in 0..NUM_SHARDS {
+                let in_block: Vec<_> = block.iter().filter(|tx| shard(tx) == s).collect();
+                let in_round: Vec<_> = round.iter().filter(|tx| shard(tx) == s).collect();
+                assert_eq!(in_block, in_round, "shard {s} lost generation order");
+            }
+            reordered += usize::from(block != round.as_slice());
+        }
+        assert!(reordered > 0, "no round needed reordering");
     }
 
     #[test]

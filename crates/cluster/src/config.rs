@@ -1,14 +1,11 @@
-//! Cluster configuration: the network-sharding shape composed with the
-//! per-shard pipeline configuration.
+//! Cluster configuration: the shard count and rotation cadence composed with
+//! the per-shard pipeline configuration.
 
 use blockconc_pipeline::PipelineConfig;
-use blockconc_sharding::ShardingConfig;
 
-/// Configuration of a cluster run: one [`ShardingConfig`] (how many node shards,
-/// how many blocks between DS-epoch rotations; its PoW population `num_nodes`
-/// only shapes `ShardedNetwork`'s committees, the cluster does not read it)
-/// composed with one [`PipelineConfig`] (what each node shard's pipeline looks
-/// like).
+/// Configuration of a cluster run: how many node shards, how many blocks
+/// between placement-epoch rotations, and one [`PipelineConfig`] (what each
+/// node shard's pipeline looks like).
 ///
 /// Per-shard semantics of the embedded pipeline configuration:
 ///
@@ -24,31 +21,30 @@ use blockconc_sharding::ShardingConfig;
 ///   `blockconc-shardpool`'s axis, orthogonal to this crate's cross-node one.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// The network shape: shard count and rotation cadence.
-    pub sharding: ShardingConfig,
+    shards: usize,
+    /// Blocks between epoch rotations, each of which re-homes live components
+    /// under the next epoch's canonical placement (0 = never rotate).
+    pub blocks_per_epoch: u64,
     /// Each node shard's pipeline configuration (see the type-level docs for the
     /// fields' per-shard meaning).
     pub pipeline: PipelineConfig,
 }
 
 impl ClusterConfig {
-    /// A cluster of `shards` node shards with default pipeline settings and a
-    /// committee population of 100 PoW nodes per shard, rotating every 50 blocks.
+    /// A cluster of `shards` node shards with default pipeline settings,
+    /// rotating every 50 blocks.
     pub fn new(shards: u32) -> Self {
         assert!(shards > 0, "cluster needs at least one shard");
         ClusterConfig {
-            sharding: ShardingConfig {
-                num_shards: shards,
-                num_nodes: shards as u64 * 100,
-                tx_blocks_per_ds_epoch: 50,
-            },
+            shards: shards as usize,
+            blocks_per_epoch: 50,
             pipeline: PipelineConfig::default(),
         }
     }
 
     /// Number of node shards.
     pub fn shards(&self) -> usize {
-        self.sharding.num_shards as usize
+        self.shards
     }
 }
 
@@ -60,7 +56,7 @@ mod tests {
     fn defaults_compose_sharding_and_pipeline() {
         let config = ClusterConfig::new(4);
         assert_eq!(config.shards(), 4);
-        assert_eq!(config.sharding.num_nodes, 400);
+        assert_eq!(config.blocks_per_epoch, 50);
         assert_eq!(
             config.pipeline.mempool_capacity,
             PipelineConfig::default().mempool_capacity

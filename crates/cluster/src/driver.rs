@@ -1,6 +1,6 @@
 //! The cluster driver: arrival stream → cluster router → N node pipelines →
 //! per-shard micro-blocks → merged final block, with the cross-shard credit
-//! protocol and DS-epoch re-homing.
+//! protocol and epoch re-homing.
 
 use crate::router::{ClusterRouter, MemberMove};
 use crate::{ClusterBlockRecord, ClusterConfig, ClusterRunReport, CrossShardReceipt};
@@ -85,7 +85,7 @@ fn apply_receipts<E: ExecutionEngine>(
 /// README). Around that step, per height, the driver does what only a cluster
 /// needs:
 ///
-/// 1. at DS-epoch boundaries it advances the epoch and re-homes live
+/// 1. at epoch boundaries it advances the epoch and re-homes live
 ///    components under the new epoch's canonical placement (accounts and pooled
 ///    chains move whole);
 /// 2. it applies the previous round's in-flight [`CrossShardReceipt`] credits on
@@ -190,7 +190,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
         let pipeline = self.config.pipeline.clone();
         let telemetry = pipeline.telemetry.clone();
         let mut router = ClusterRouter::new(shards);
-        // The DS epoch number: every rotation advances it by one from 0.
+        // The placement epoch: every rotation advances it by one from 0.
         let mut rotations = 0u64;
         let mut blocks_in_epoch = 0u64;
 
@@ -242,11 +242,9 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             let moved_accounts_before = moved_accounts;
             let block_span = begin_block_span(&telemetry, height);
 
-            // DS-epoch rotation: re-home live components under the new
+            // Epoch rotation: re-home live components under the new
             // epoch's canonical placement.
-            if self.config.sharding.tx_blocks_per_ds_epoch > 0
-                && blocks_in_epoch >= self.config.sharding.tx_blocks_per_ds_epoch
-            {
+            if self.config.blocks_per_epoch > 0 && blocks_in_epoch >= self.config.blocks_per_epoch {
                 rotations += 1;
                 blocks_in_epoch = 0;
                 let moves = router.rotate(rotations);
@@ -649,7 +647,7 @@ mod tests {
     }
 
     /// One cell of the protocol-health grid: a backlogged stream (9 000 arrivals
-    /// at 42/s, 14 blocks, one committee rotation mid-run) whose `heaviness`
+    /// at 42/s, 14 blocks, one placement rotation mid-run) whose `heaviness`
     /// interpolates from fresh-receiver-dominated traffic (0) to four popular
     /// exchange wallets taking every third transaction (1). No receipt may fail,
     /// every shipped credit must be applied, none faster than the one-block
@@ -667,7 +665,7 @@ mod tests {
         let mut config = config(shards, 14);
         config.pipeline.threads = 8;
         config.pipeline.max_deferral_blocks = 2;
-        config.sharding.tx_blocks_per_ds_epoch = 7;
+        config.blocks_per_epoch = 7;
         let report = ClusterDriver::new(engines(shards as usize), config)
             .run(ArrivalStream::new(params, 42.0, 9_000, 2020))
             .unwrap();
@@ -846,7 +844,7 @@ mod tests {
     #[test]
     fn epoch_rotation_rehomes_components_and_stays_clean() {
         let mut config = config(4, 9);
-        config.sharding.tx_blocks_per_ds_epoch = 2;
+        config.blocks_per_epoch = 2;
         let stream = ArrivalStream::new(AccountWorkloadParams::cross_shard_heavy(), 8.0, 800, 5);
         let report = ClusterDriver::new(engines(4), config).run(stream).unwrap();
         assert!(report.rotations >= 2, "rotations: {}", report.rotations);

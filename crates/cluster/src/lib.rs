@@ -12,7 +12,7 @@
 //!
 //! * a **cluster router** placing whole TDG components on home shards through
 //!   the workspace-wide canonical anchor hash
-//!   ([`blockconc_sharding::canonical_shard_epoch`]), with sender chains moving
+//!   ([`blockconc_graph::canonical_shard_epoch`]), with sender chains moving
 //!   whole on fusion — conflicts stay shard-local, Conflux-style;
 //! * an explicit **cross-shard transaction protocol** ([`CrossShardReceipt`]):
 //!   a transfer to a foreign-owned account executes its debit half in the
@@ -20,7 +20,7 @@
 //!   owner shard applies next height, modeled after Zilliqa — a hot exchange
 //!   wallet therefore *never* fuses the whole network into one component;
 //! * **per-epoch rotation** with component-affine re-homing: every
-//!   `tx_blocks_per_ds_epoch` blocks the epoch salt advances and live
+//!   [`ClusterConfig::blocks_per_epoch`] blocks the epoch salt advances and live
 //!   components migrate whole (accounts + pooled chains) to their new-epoch
 //!   canonical homes;
 //! * a **final-block merge** folding the per-shard micro-block records into

@@ -72,7 +72,7 @@ pub struct ClusterRunReport {
     pub moved_accounts: u64,
     /// Pooled sender chains handed between shard mempools.
     pub moved_chains: u64,
-    /// DS-epoch rotations performed — also the final DS epoch number.
+    /// Epoch rotations performed — also the final placement epoch.
     pub rotations: u64,
     /// Transactions still pooled per shard when the run ended.
     pub per_shard_leftover: Vec<usize>,

@@ -5,7 +5,7 @@
 //! this router spreads the whole network's traffic over *nodes*, each of which
 //! owns a disjoint partition of the world state. The placement rule is the same
 //! workspace-wide canonical anchor hash
-//! ([`canonical_shard_epoch`](blockconc_sharding::canonical_shard_epoch)), so the
+//! ([`canonical_shard_epoch`](blockconc_graph::canonical_shard_epoch)), so the
 //! two layers can never disagree about where a component belongs.
 //!
 //! # Fusing vs. cross-shard edges
@@ -33,9 +33,8 @@
 //! is restored before the next offer.
 
 use blockconc_account::AccountTransaction;
-use blockconc_graph::{ComponentIndex, ComponentPayload};
+use blockconc_graph::{canonical_shard_epoch, ComponentIndex, ComponentPayload};
 use blockconc_pipeline::effective_receiver;
-use blockconc_sharding::canonical_shard_epoch;
 use blockconc_types::Address;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -98,7 +97,7 @@ impl ComponentPayload<Address> for Component {
 #[derive(Debug)]
 pub(crate) struct ClusterRouter {
     shards: usize,
-    /// DS-epoch salt for the canonical placement (0 = the un-salted epoch-0 rule
+    /// Epoch salt for the canonical placement (0 = the un-salted epoch-0 rule
     /// shared with the thread-sharded pool).
     salt: u64,
     components: ComponentIndex<Address, Component>,
@@ -255,7 +254,7 @@ impl ClusterRouter {
         self.contracts.insert(address);
     }
 
-    /// Rotates to DS epoch `salt`: every component with live pooled activity is
+    /// Rotates to epoch `salt`: every component with live pooled activity is
     /// re-homed at its canonical shard under the new salt, moving whole
     /// (accounts and chains together — "component-affine re-homing"). Dormant
     /// components keep their current homes until traffic touches them again.
@@ -312,7 +311,7 @@ fn rehome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockconc_sharding::canonical_shard;
+    use blockconc_graph::canonical_shard;
     use blockconc_types::Amount;
 
     fn transfer(sender: u64, receiver: u64, nonce: u64) -> AccountTransaction {

@@ -15,11 +15,10 @@
 //! | [`types`] | shared primitives (hashes, addresses, amounts, gas, deterministic RNG) |
 //! | [`utxo`] | UTXO ledger substrate (Bitcoin family) |
 //! | [`account`] | account/contract substrate with a gas-metered VM (Ethereum family) |
-//! | [`graph`] | TDG construction, connected components, conflict metrics |
+//! | [`graph`] | TDG construction, connected components, conflict metrics, the canonical shard placement |
 //! | [`model`] | the analytical speed-up model (Equations 1 and 2) |
-//! | [`sharding`] | Zilliqa-style network-sharding vocabulary and canonical placement |
 //! | [`chainsim`] | calibrated workload/history simulators for the seven chains |
-//! | [`execution`] | sequential, speculative, TDG-scheduled and optimistic (Block-STM-style MVCC, per-key cells for conflicts and data, optional commutative delta cells) execution engines |
+//! | [`execution`] | sequential, speculative, TDG-scheduled and optimistic (Block-STM-style MVCC, per-key cells for conflicts and data, commutative delta cells) execution engines |
 //! | [`pipeline`] | concurrency-aware mempool and block-building pipeline |
 //! | [`shardpool`] | concurrent TDG-component-sharded mempool with parallel per-shard packers |
 //! | [`cluster`] | cross-node sharded mempool fabric: per-shard pipelines over partitioned state with a cross-shard credit protocol |
@@ -53,7 +52,6 @@ pub use blockconc_execution as execution;
 pub use blockconc_graph as graph;
 pub use blockconc_model as model;
 pub use blockconc_pipeline as pipeline;
-pub use blockconc_sharding as sharding;
 pub use blockconc_shardpool as shardpool;
 pub use blockconc_store as store;
 pub use blockconc_telemetry as telemetry;
@@ -82,7 +80,8 @@ pub mod prelude {
         SpeculativeEngine,
     };
     pub use blockconc_graph::{
-        build_account_tdg, build_utxo_tdg, tdg_to_dot, BlockMetrics, BlockWeight, Tdg,
+        build_account_tdg, build_utxo_tdg, canonical_shard, canonical_shard_epoch, tdg_to_dot,
+        BlockMetrics, BlockWeight, Tdg,
     };
     pub use blockconc_model::{
         exact_speedup, group_speedup, lpt_makespan, oracle_speedup, scheduled_speedup,
@@ -91,9 +90,6 @@ pub mod prelude {
     pub use blockconc_pipeline::{
         BlockPacker, ConcurrencyAwarePacker, FeeGreedyPacker, IncrementalTdg, Mempool,
         PipelineConfig, PipelineDriver, PipelineRunReport,
-    };
-    pub use blockconc_sharding::{
-        canonical_shard, canonical_shard_epoch, ShardedNetwork, ShardingConfig,
     };
     pub use blockconc_shardpool::{
         IngestItem, IngestRouter, ShardedMempool, ShardedPacker, ShardedPipelineDriver,

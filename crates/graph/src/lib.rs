@@ -23,7 +23,8 @@
 //! transaction set rather than of one block. They all sit on [`ComponentIndex`]:
 //! key interning, the [`UnionFind`], one payload per component, the fold on union,
 //! whole-component release and the re-keying after a generation compaction live
-//! there and nowhere else.
+//! there and nowhere else. Where a component lives is [`canonical_shard`] /
+//! [`canonical_shard_epoch`]: one placement rule for every sharded layer.
 //!
 //! # Examples
 //!
@@ -61,6 +62,7 @@ mod component_index;
 mod components;
 mod dot;
 mod metrics;
+mod placement;
 mod tdg;
 mod union_find;
 mod weights;
@@ -73,6 +75,7 @@ pub use component_index::{ComponentIndex, ComponentPayload};
 pub use components::{connected_components, largest_component_size};
 pub use dot::tdg_to_dot;
 pub use metrics::BlockMetrics;
+pub use placement::{canonical_shard, canonical_shard_epoch};
 pub use tdg::Tdg;
 pub use union_find::UnionFind;
 pub use weights::{weighted_average, BlockWeight};

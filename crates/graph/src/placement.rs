@@ -2,10 +2,11 @@
 //!
 //! Three subsystems place work onto shards: the thread-sharded mempool of
 //! `blockconc-shardpool`, the cross-node cluster of `blockconc-cluster`, and the
-//! transaction routing of this crate's [`ShardedNetwork`](crate::ShardedNetwork).
-//! They must all agree, or a dependency component could be "owned" by two
-//! different shards depending on which layer asked — so the rule lives here, once,
-//! and everyone delegates.
+//! Zilliqa history of `blockconc-chainsim`, which orders each final block by the
+//! sender's shard. They must all agree, or a dependency component could be
+//! "owned" by two different shards depending on which layer asked — so the rule
+//! lives here, once, next to the [`ComponentIndex`](crate::ComponentIndex) whose
+//! components it places, and everyone delegates.
 //!
 //! The rule: a component's home shard is `hash(anchor) mod shards`, where the
 //! *anchor* is the smallest address the component has ever contained. The minimum
@@ -14,7 +15,7 @@
 //! or network peers interleaved. (A load-aware rule like "least loaded shard wins"
 //! reads racy counters and makes block composition nondeterministic.)
 //!
-//! [`canonical_shard_epoch`] adds a DS-epoch salt for committee rotation: a new
+//! [`canonical_shard_epoch`] adds an epoch salt for the cluster's rotation: a new
 //! epoch re-deals component homes without perturbing the epoch-0 placement that
 //! the thread-sharded pool relies on (`canonical_shard_epoch(a, 0, n)` is
 //! bit-identical to [`canonical_shard`]).
@@ -33,7 +34,7 @@ use std::hash::{Hash, Hasher};
 /// # Examples
 ///
 /// ```
-/// use blockconc_sharding::canonical_shard;
+/// use blockconc_graph::canonical_shard;
 /// use blockconc_types::Address;
 ///
 /// let shard = canonical_shard(Address::from_low(42), 8);
@@ -48,7 +49,7 @@ pub fn canonical_shard(anchor: Address, shards: usize) -> usize {
     (hasher.finish() % shards as u64) as usize
 }
 
-/// The canonical home shard of a component under DS epoch `epoch_salt`.
+/// The canonical home shard of a component under placement epoch `epoch_salt`.
 ///
 /// Epoch 0 is the un-salted rule ([`canonical_shard`]), so layers that never
 /// rotate (the thread-sharded pool) and layers that do (the cluster) share one

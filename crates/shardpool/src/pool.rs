@@ -647,7 +647,7 @@ mod tests {
         // may read a sender only to move it, so the count is bounded by the
         // chains migrated plus a constant per offer — a whole-component scan per
         // offer would examine ~6 000 000.
-        use blockconc_sharding::canonical_shard;
+        use blockconc_graph::canonical_shard;
         let members = (1_000..3_000u64).chain([900_000]);
         let anchor = members.map(Address::from_low).min().unwrap();
         let low = (10_000..100_000u64)

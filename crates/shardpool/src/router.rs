@@ -11,7 +11,8 @@
 //!
 //! # Canonical placement
 //!
-//! A component's home shard is `hash(anchor)`, where the *anchor* is the smallest
+//! A component's home shard is `hash(anchor)` ([`canonical_shard`], the
+//! workspace-wide rule the cluster router shares), where the *anchor* is the smallest
 //! address the component has ever contained. The minimum is order-independent, so
 //! the placement reached after ingesting any set of transactions is a pure function
 //! of that set — **not** of how concurrent callers interleaved. (A
@@ -41,8 +42,7 @@
 //! been packed, which the monotone online structure cannot do — and re-derives
 //! canonical placement for the survivors.
 
-use blockconc_graph::{ComponentIndex, ComponentPayload};
-use blockconc_sharding::canonical_shard;
+use blockconc_graph::{canonical_shard, ComponentIndex, ComponentPayload};
 use blockconc_types::Address;
 use std::collections::{BTreeSet, HashMap};
 
@@ -78,13 +78,6 @@ impl Pin {
         shard_live[to] += self.live;
         Migration { sender, from, to }
     }
-}
-
-/// The canonical shard of a component anchored at `anchor` — the workspace-wide
-/// placement rule, shared with `blockconc-sharding`'s network routing and the
-/// cluster router so no two layers can ever disagree about a component's home.
-fn stable_shard(anchor: Address, shards: usize) -> usize {
-    canonical_shard(anchor, shards)
 }
 
 /// What the router keeps per component.
@@ -159,7 +152,7 @@ impl Router {
     #[cfg(test)]
     pub fn component_shard(&mut self, address: Address) -> Option<usize> {
         let anchor = self.components.get_mut(&address)?.anchor;
-        Some(stable_shard(anchor, self.shards))
+        Some(canonical_shard(anchor, self.shards))
     }
 
     /// Routes one offered transaction edge: interns both endpoints, unions them,
@@ -169,7 +162,7 @@ impl Router {
     pub fn route(&mut self, sender: Address, receiver: Address) -> RouteDecision {
         let sender_anchor = self.components.intern(sender).anchor;
         let receiver_anchor = self.components.intern(receiver).anchor;
-        let target = stable_shard(sender_anchor.min(receiver_anchor), self.shards);
+        let target = canonical_shard(sender_anchor.min(receiver_anchor), self.shards);
         let mut migrations = Vec::new();
         // An anchor is a member of its component, so two sides with one anchor
         // are one component already.
@@ -183,7 +176,7 @@ impl Router {
             } else {
                 (receiver, receiver_anchor)
             };
-            if stable_shard(outbid_anchor, self.shards) != target {
+            if canonical_shard(outbid_anchor, self.shards) != target {
                 let side = self.components.get_mut(&outbid).expect("just interned");
                 for &member in &side.senders {
                     self.senders_examined += 1;
@@ -271,7 +264,7 @@ impl Router {
         // Re-pin every sender pinned off its component's canonical shard.
         let mut migrations = Vec::new();
         for (_, component) in self.components.components() {
-            let target = stable_shard(component.anchor, self.shards);
+            let target = canonical_shard(component.anchor, self.shards);
             for &sender in &component.senders {
                 if let Some(pin) = self.pin.get_mut(&sender) {
                     if pin.shard != target {
@@ -412,7 +405,7 @@ mod tests {
         let (sender_anchor, mut members) = side(sender);
         let (receiver_anchor, receiver_members) = side(receiver);
         members.extend(receiver_members);
-        let target = stable_shard(sender_anchor.min(receiver_anchor), router.shards);
+        let target = canonical_shard(sender_anchor.min(receiver_anchor), router.shards);
         members
             .into_iter()
             .filter_map(|member| {

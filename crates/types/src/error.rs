@@ -30,8 +30,6 @@ pub enum Error {
     InsufficientFunds(String),
     /// Contract execution ran out of gas.
     OutOfGas(String),
-    /// Contract execution trapped (stack underflow, bad opcode, explicit revert, …).
-    VmTrap(String),
     /// An execution engine detected an unrecoverable scheduling or concurrency error.
     Execution(String),
     /// A simulator or analysis was configured inconsistently.
@@ -59,11 +57,6 @@ impl Error {
         Error::OutOfGas(msg.into())
     }
 
-    /// Creates a [`Error::VmTrap`] error.
-    pub fn vm_trap(msg: impl Into<String>) -> Self {
-        Error::VmTrap(msg.into())
-    }
-
     /// Creates a [`Error::Execution`] error.
     pub fn execution(msg: impl Into<String>) -> Self {
         Error::Execution(msg.into())
@@ -82,7 +75,6 @@ impl fmt::Display for Error {
             Error::MissingState(msg) => write!(f, "missing state: {msg}"),
             Error::InsufficientFunds(msg) => write!(f, "insufficient funds: {msg}"),
             Error::OutOfGas(msg) => write!(f, "out of gas: {msg}"),
-            Error::VmTrap(msg) => write!(f, "vm trap: {msg}"),
             Error::Execution(msg) => write!(f, "execution error: {msg}"),
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
         }

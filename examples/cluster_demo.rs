@@ -37,7 +37,7 @@ fn total<T>(records: &[T], units: impl Fn(&T) -> u64) -> u64 {
 fn run_cluster(params: AccountWorkloadParams, label: &str) {
     let mut config = ClusterConfig::new(SHARDS);
     config.pipeline = pipeline_config(12);
-    config.sharding.tx_blocks_per_ds_epoch = 6; // one DS-epoch rotation mid-run
+    config.blocks_per_epoch = 6; // one epoch rotation mid-run
     let engines = (0..SHARDS).map(|_| ScheduledEngine::new(THREADS)).collect();
     let report = ClusterDriver::new(engines, config)
         .run(stream(params))

@@ -19,8 +19,8 @@ fn cluster_flight_recording_exports_a_valid_trace_and_an_exact_critical_path() {
         telemetry: telemetry.clone(),
         ..PipelineConfig::default()
     };
-    // One committee rotation mid-run, so a `rehome` span is among the exported.
-    config.sharding.tx_blocks_per_ds_epoch = 2;
+    // One epoch rotation mid-run, so a `rehome` span is among the exported.
+    config.blocks_per_epoch = 2;
     let engines = (0..SHARDS).map(|_| SequentialEngine::new()).collect();
     let report = ClusterDriver::new(engines, config)
         .run(ArrivalStream::new(
