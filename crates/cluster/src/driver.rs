@@ -21,31 +21,31 @@ type ShardNode<E> = NodePipeline<ConcurrencyAwarePacker, E>;
 
 /// Executes member-move orders physically: account records hand over between
 /// shard partitions, pooled chains (with their graph edges) between shard pools.
-/// Returns the move's cost in one-touch work units.
+/// Returns the items moved: accounts plus pooled transactions.
 fn apply_moves<E: ExecutionEngine>(
     nodes: &mut [ShardNode<E>],
     moves: &[MemberMove],
     moved_accounts: &mut u64,
     moved_chains: &mut u64,
 ) -> u64 {
-    let mut units = 0u64;
+    let mut moved = 0u64;
     for mv in moves {
         if let Some(stored) = nodes[mv.from].state.export_account(mv.address) {
             nodes[mv.from].state.remove_account(mv.address);
             nodes[mv.to].state.install_account(mv.address, &stored);
             *moved_accounts += 1;
-            units += 1;
+            moved += 1;
         }
         let chain = nodes[mv.from].pool.take_sender(mv.address);
         if !chain.is_empty() {
             *moved_chains += 1;
-            units += chain.len() as u64;
+            moved += chain.len() as u64;
             for pooled in chain {
                 nodes[mv.to].pool.restore(pooled);
             }
         }
     }
-    units
+    moved
 }
 
 /// Credits every due receipt on its owner shard; returns how many were applied
@@ -98,7 +98,8 @@ fn apply_receipts<E: ExecutionEngine>(
 ///    to a foreign-owned account ([`WorldState::withdraw_phantom`]) and ships it
 ///    as a receipt — the Zilliqa-style debit/credit protocol;
 /// 6. it merges the micro-blocks into the round's final block — the sum of
-///    their transaction counts — recording per-phase model units.
+///    their transaction counts — and records the round's critical path
+///    ([`ClusterBlockRecord::critical_units`]).
 ///
 /// After the last round, in-flight receipts settle in one extra commit, so the
 /// reported shard roots describe a fully settled cluster.
@@ -237,7 +238,8 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             // Receipt-carried credits each shard applies this height.
             let mut receipts_in = vec![0u64; shards];
             last_height = height;
-            let mut rehome_units = 0u64;
+            // Accounts plus pooled transactions moved between partitions.
+            let mut rehomed = 0u64;
             let mut rehome_wall = 0u64;
             let moved_accounts_before = moved_accounts;
             let block_span = begin_block_span(&telemetry, height);
@@ -249,15 +251,14 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 blocks_in_epoch = 0;
                 let moves = router.rotate(rotations);
                 let rehome_started = telemetry.now_nanos();
-                rehome_units +=
-                    apply_moves(&mut nodes, &moves, &mut moved_accounts, &mut moved_chains);
+                rehomed += apply_moves(&mut nodes, &moves, &mut moved_accounts, &mut moved_chains);
                 rehome_wall = telemetry.now_nanos().saturating_sub(rehome_started);
                 telemetry.record_span(
                     "rehome",
                     block_span,
                     rehome_started,
                     rehome_started + rehome_wall,
-                    rehome_units,
+                    rehomed,
                     &[("epoch", rotations)],
                 );
             }
@@ -289,7 +290,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 // rejected create deploys nothing, so transfers to its target
                 // must keep using the credit protocol.
                 let decision = router.route(&arrival.tx);
-                rehome_units += apply_moves(
+                rehomed += apply_moves(
                     &mut nodes,
                     &decision.moves,
                     &mut moved_accounts,
@@ -314,12 +315,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 }
             }
             let ingest_wall = telemetry.now_nanos().saturating_sub(ingest_started);
-            let ingest_units = nodes
-                .iter()
-                .zip(&receipts_in)
-                .map(|(node, credits)| node.ingested() as u64 + credits)
-                .max()
-                .unwrap_or(0);
+            let offered: u64 = nodes.iter().map(|node| node.ingested() as u64).sum();
             for node in &nodes {
                 node.emit_admissions();
             }
@@ -328,7 +324,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 block_span,
                 ingest_started,
                 ingest_wall,
-                ingest_units,
+                offered + applied_this,
                 &[],
             );
 
@@ -379,7 +375,11 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             let mut cross_txs_this = 0u64;
             let mut hops_this = 0u64;
             let mut micro: Vec<BlockRecord> = Vec::with_capacity(shards);
-            let mut bytes_total = 0u64;
+            let (mut records_total, mut bytes_total) = (0u64, 0u64);
+            // The busiest shard's executions and its whole-round critical path
+            // (phases of one shard do not overlap, so the path takes the
+            // slowest single shard's round, not the max of each phase).
+            let (mut executions, mut shard_path) = (0u64, 0u64);
             for (index, round) in rounds.into_iter().enumerate() {
                 let node = &mut nodes[index];
                 for departed in node.settle(&round) {
@@ -428,13 +428,22 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 }
 
                 let (record, commit) = node.commit(&round, None)?;
+                records_total += commit.records;
                 bytes_total += commit.bytes;
+                let exec = &round.exec_report;
+                executions = executions.max(exec.tx_count as u64 + exec.re_executions);
+                shard_path = shard_path.max(
+                    record.ingested as u64
+                        + receipts_in[index]
+                        + record.pack_considered
+                        + exec.parallel_units,
+                );
                 telemetry.record_span(
                     "shard",
                     block_span,
                     round.started_nanos,
                     round.started_nanos + round.pack_wall_nanos + round.execute_wall_nanos,
-                    record.pack_considered + record.measured_parallel_units,
+                    record.tx_count as u64,
                     &[("shard", index as u64), ("txs", record.tx_count as u64)],
                 );
                 micro.push(record);
@@ -443,16 +452,12 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             // One stage sample per height: shards pack and execute side by
             // side, so those take the slowest shard; the serial commits add up.
             let slowest = |f: fn(&BlockRecord) -> u64| micro.iter().map(f).max().unwrap_or(0);
-            let total = |f: fn(&BlockRecord) -> u64| micro.iter().map(f).sum::<u64>();
-            let pack_units = slowest(|r| r.pack_considered);
-            let execute_units = slowest(|r| r.measured_parallel_units);
-            let store_units = total(|r| r.store_units);
             telemetry.record_span(
                 "settle",
                 block_span,
                 settle_started,
                 telemetry.now_nanos(),
-                store_units,
+                records_total,
                 &[("bytes", bytes_total)],
             );
 
@@ -462,33 +467,22 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             let tx_count: usize = micro.iter().map(|record| record.tx_count).sum();
             let merge_wall = telemetry.now_nanos().saturating_sub(merge_started);
             blocks_in_epoch += 1;
+            let merged = micro.len() as u64;
 
-            let merge_units = shards as u64;
-            // The critical path takes the slowest *single shard's* whole round
-            // (phases of one shard do not overlap), not the max of each phase.
-            let critical_units = micro
-                .iter()
-                .zip(&receipts_in)
-                .map(|(record, credits)| {
-                    record.ingested as u64
-                        + credits
-                        + record.pack_considered
-                        + record.measured_parallel_units
-                })
-                .max()
-                .unwrap_or(0)
-                + merge_units
-                + rehome_units;
-
-            telemetry.stage(Stage::Pack, slowest(|r| r.pack_wall_nanos), pack_units);
+            telemetry.stage(
+                Stage::Pack,
+                slowest(|r| r.pack_wall_nanos),
+                slowest(|r| r.pack_considered),
+            );
             telemetry.stage(
                 Stage::Execute,
                 slowest(|r| r.execute_wall_nanos),
-                execute_units,
+                executions,
             );
-            telemetry.stage(Stage::Store, total(|r| r.store_wall_nanos), store_units);
-            telemetry.stage(Stage::Merge, merge_wall, merge_units);
-            telemetry.stage(Stage::Rehome, rehome_wall, rehome_units);
+            let store_wall = micro.iter().map(|r| r.store_wall_nanos).sum();
+            telemetry.stage(Stage::Store, store_wall, records_total);
+            telemetry.stage(Stage::Merge, merge_wall, merged);
+            telemetry.stage(Stage::Rehome, rehome_wall, rehomed);
             telemetry.count(
                 Count::RehomedAccounts,
                 moved_accounts - moved_accounts_before,
@@ -499,10 +493,10 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 block_span,
                 merge_started,
                 merge_started + merge_wall,
-                merge_units,
+                merged,
                 &[("txs", tx_count as u64)],
             );
-            telemetry.end_span(block_span, critical_units);
+            telemetry.end_span(block_span, tx_count as u64);
 
             records.push(ClusterBlockRecord {
                 height,
@@ -512,12 +506,7 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 cross_shard_hops: hops_this,
                 receipts_applied: applied_this,
                 receipt_latency_blocks: latency_this,
-                ingest_units,
-                pack_units,
-                execute_units,
-                merge_units,
-                rehome_units,
-                critical_units,
+                critical_units: shard_path + merged + rehomed,
             });
         }
 

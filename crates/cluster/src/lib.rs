@@ -24,10 +24,9 @@
 //!   components migrate whole (accounts + pooled chains) to their new-epoch
 //!   canonical homes;
 //! * a **final-block merge** folding the per-shard micro-block records into
-//!   one [`ClusterBlockRecord`] per height, with per-phase model-unit
-//!   accounting in the convention of
-//!   `PipelineRunReport`'s block records (what the layout costs by the clock
-//!   is the `cluster_xshard` workload of `benchmark/`).
+//!   one [`ClusterBlockRecord`] per height, with the round's modelled
+//!   critical path (what the layout costs by the clock is the `cluster_xshard`
+//!   workload of `benchmark/`).
 //!
 //! A 1-shard cluster degenerates to exactly the single `PipelineDriver` run,
 //! bit for bit (normalized records, receipts digests, state roots) — pinned by

@@ -1,11 +1,11 @@
-//! Run reports of the cluster driver, in the same model-unit convention as
+//! Run reports of the cluster driver, the cluster counterpart of
 //! `PipelineRunReport` / `ShardedRunReport`.
 
 use blockconc_pipeline::{BlockRecord, MempoolStats};
 use serde::{Deserialize, Serialize};
 
 /// One cluster height: the merged final block plus every shard's micro-block
-/// record and the phase accounting of the round.
+/// record and the round's critical path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterBlockRecord {
     /// Final-block height.
@@ -25,20 +25,14 @@ pub struct ClusterBlockRecord {
     pub receipts_applied: u64,
     /// Sum of the applied receipts' latencies, in blocks (emit → apply).
     pub receipt_latency_blocks: u64,
-    /// Ingest critical path: the largest per-shard admission batch (arrivals
-    /// offered plus credits applied), in one-touch work units.
-    pub ingest_units: u64,
-    /// Pack critical path: the largest per-shard candidate scan.
-    pub pack_units: u64,
-    /// Execute critical path: the largest per-shard parallel execution units.
-    pub execute_units: u64,
-    /// Serial DS-merge cost: one unit per micro-block merged.
-    pub merge_units: u64,
-    /// Serial re-homing cost this round: accounts plus pooled transactions moved
+    /// The round's cluster-wide critical path in abstract work units: the
+    /// slowest shard's arrivals offered + credits applied + candidates
+    /// considered + its engine's `ExecutionReport::parallel_units`, plus one
+    /// per micro-block merged, plus the accounts and pooled transactions moved
     /// between shard partitions (fusions, anchor decreases, epoch rotations).
-    pub rehome_units: u64,
-    /// The round's cluster-wide critical path:
-    /// `max_shard(ingest + pack + execute) + merge + rehome`.
+    /// The one modelled value the runtime keeps, read by the benchmark as
+    /// `cluster.critical_units_per_tx` through
+    /// [`ClusterRunReport::total_units`].
     pub critical_units: u64,
 }
 
@@ -127,10 +121,10 @@ impl ClusterRunReport {
 mod tests {
     use super::*;
 
+    /// A record whose critical path is the slowest shard's `ingest + pack +
+    /// execute` over `parts`, plus one per micro-block merged.
     fn record(height: u64, parts: &[(u64, u64, u64)]) -> ClusterBlockRecord {
-        let ingest = parts.iter().map(|&(i, _, _)| i).max().unwrap_or(0);
-        let pack = parts.iter().map(|&(_, p, _)| p).max().unwrap_or(0);
-        let execute = parts.iter().map(|&(_, _, e)| e).max().unwrap_or(0);
+        let slowest = parts.iter().map(|&(i, p, e)| i + p + e).max().unwrap_or(0);
         ClusterBlockRecord {
             height,
             micro: Vec::new(),
@@ -139,12 +133,7 @@ mod tests {
             cross_shard_hops: 2,
             receipts_applied: 1,
             receipt_latency_blocks: 1,
-            ingest_units: ingest,
-            pack_units: pack,
-            execute_units: execute,
-            merge_units: parts.len() as u64,
-            rehome_units: 0,
-            critical_units: ingest + pack + execute + parts.len() as u64,
+            critical_units: slowest + parts.len() as u64,
         }
     }
 
@@ -176,7 +165,7 @@ mod tests {
     #[test]
     fn unit_accounting_takes_the_max_shard_path() {
         let r = report(vec![record(1, &[(10, 5, 8), (4, 6, 2)])]);
-        assert_eq!(r.total_units(), 10 + 6 + 8 + 2);
+        assert_eq!(r.total_units(), 10 + 5 + 8 + 2);
         assert!((r.cross_shard_fraction() - 0.1).abs() < 1e-12);
         assert!((r.mean_receipt_latency() - 1.0).abs() < 1e-12);
         assert_eq!(r.leftover_mempool(), 3);

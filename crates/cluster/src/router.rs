@@ -92,8 +92,8 @@ impl ComponentPayload<Address> for Component {
 }
 
 /// Component-to-node routing state. Single-threaded by design: the driver *is*
-/// the network fabric, and routing is the serial coordination path the unit
-/// accounting charges separately.
+/// the network fabric, and routing is the serial coordination path, timed in
+/// the driver's ingest stage.
 #[derive(Debug)]
 pub(crate) struct ClusterRouter {
     shards: usize,

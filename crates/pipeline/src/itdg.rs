@@ -468,9 +468,10 @@ fn release_ref<T: std::hash::Hash + Eq>(refs: &mut HashMap<T, usize>, key: T, wh
 
 /// Dependency-component transaction counts of one packed block, computed with a
 /// throwaway block-local [`ComponentIndex`] over exactly the included transactions —
-/// O(block), independent of any pool-level graph. This is what the packers use to
-/// predict a block's group structure (the pool-level [`IncrementalTdg`] covers the
-/// whole pool and, between compactions, may be coarser than the block's own graph).
+/// O(block), independent of any pool-level graph: a packed block's static group
+/// structure, which tests hold against the engine's observed groups (the
+/// pool-level [`IncrementalTdg`] covers the whole pool and, between compactions,
+/// may be coarser than the block's own graph).
 pub fn block_group_sizes<'a>(txs: impl IntoIterator<Item = &'a AccountTransaction>) -> Vec<u64> {
     let mut groups: ComponentIndex<Address, u64> = ComponentIndex::new();
     for tx in txs {
@@ -481,7 +482,7 @@ pub fn block_group_sizes<'a>(txs: impl IntoIterator<Item = &'a AccountTransactio
 
 /// Weak-aware variant of [`block_group_sizes`]: a pure-credit receiver
 /// ([`receiver_edge_is_weak`]) does not union — the transaction counts in its
-/// sender's group only, predicting the delta-cell engine's conflict structure.
+/// sender's group only, the delta-cell engine's conflict structure.
 /// Unlike the streaming graph's arrival-order promotion, the block-local
 /// classification is computed in two passes, so a payload-weak transaction
 /// whose target any strong edge in the block touches is promoted regardless of

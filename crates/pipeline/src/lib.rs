@@ -29,9 +29,8 @@
 //!   [`FeeGreedyPacker`] reproduces today's miners (highest fee bid first under the
 //!   gas limit), while [`ConcurrencyAwarePacker`] additionally caps how many
 //!   transactions any dependency component contributes to a block, keeping the
-//!   predicted LPT makespan (computed with `blockconc_model::lpt_makespan`) near the
-//!   balanced optimum. Capped transactions are deferred to later blocks, never
-//!   dropped.
+//!   block's largest group near the balanced optimum `block / threads`. Capped
+//!   transactions are deferred to later blocks, never dropped.
 //! * [`TrackedPool`] and [`NodePipeline`] — the block step every driver layout
 //!   runs (this crate's, `blockconc-shardpool`'s, `blockconc-cluster`'s): a pool
 //!   whose mutators keep its graph current themselves, and the node — pool, packer,
@@ -40,8 +39,9 @@
 //! * [`PipelineDriver`] — one [`NodePipeline`] under an [`ArrivalWindow`]: wires a
 //!   `blockconc-chainsim` [`ArrivalStream`] through the mempool and a packer into
 //!   any `blockconc-execution` [`ExecutionEngine`], producing blocks on a fixed
-//!   interval and reporting predicted vs. measured speed-up, throughput and mempool
-//!   occupancy per block ([`PipelineRunReport`]).
+//!   interval and reporting per block what was packed, the conflict rates the
+//!   engine observed, the graph and store counts and the wall clock of each
+//!   stage ([`PipelineRunReport`]).
 //!
 //! Both packers emit blocks that execute to the identical `WorldState` and receipts
 //! on every engine (the serializability property the workspace's engines already
@@ -54,8 +54,8 @@
 //!
 //! # Examples
 //!
-//! Stream a hot-spot workload through both packers and compare how much of the
-//! available concurrency each realizes on the TDG-scheduled engine:
+//! Stream a hot-spot workload through both packers and compare the group conflict
+//! rate *l* the TDG-scheduled engine finds in the blocks each one builds:
 //!
 //! ```
 //! use blockconc_chainsim::{AccountWorkloadParams, ArrivalStream, HotspotSpec};
@@ -85,7 +85,7 @@
 //!     .unwrap();
 //!
 //! assert_eq!(greedy.total_failed + aware.total_failed, 0);
-//! assert!(aware.mean_measured_speedup() >= greedy.mean_measured_speedup());
+//! assert!(aware.mean_group_conflict_rate() <= greedy.mean_group_conflict_rate());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,9 +1,8 @@
 //! Block packers: fee-greedy (what miners do today) and concurrency-aware (what the
 //! paper's speed-up model says they should do).
 
-use crate::{block_group_sizes, gas_estimate, IncrementalTdg, Mempool, PipelineConfig, PooledTx};
+use crate::{gas_estimate, IncrementalTdg, Mempool, PipelineConfig, PooledTx};
 use blockconc_account::{AccountBlock, BlockBuilder, WorldState};
-use blockconc_model::lpt_makespan;
 use blockconc_types::{Address, Gas};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -21,14 +20,11 @@ pub struct BlockTemplate {
     pub gas_limit: Gas,
 }
 
-/// A block produced by a packer, together with its predicted dependency structure.
+/// A block produced by a packer, with what packing it counted.
 #[derive(Debug, Clone)]
 pub struct PackedBlock {
     /// The packed block (transactions in the packer's chosen order).
     pub block: AccountBlock,
-    /// Predicted transaction counts per dependency component *within the block*,
-    /// from the pre-execution (static) TDG.
-    pub predicted_group_sizes: Vec<u64>,
     /// Total estimated gas of the included transactions.
     pub estimated_gas: Gas,
     /// Sum of the included transactions' fee bids (the quantity fee-greedy packing
@@ -46,26 +42,6 @@ pub struct PackedBlock {
     /// independent of the pool size. Reported per block as
     /// [`BlockRecord::pack_considered`](crate::BlockRecord::pack_considered).
     pub considered: u64,
-}
-
-impl PackedBlock {
-    /// Predicted LPT makespan (in transaction time units) of executing the block's
-    /// components on `threads` cores — the quantity the concurrency-aware packer
-    /// minimizes, via `blockconc_model::lpt_makespan`.
-    pub fn predicted_makespan(&self, threads: usize) -> u64 {
-        lpt_makespan(&self.predicted_group_sizes, threads)
-    }
-
-    /// Predicted group-concurrency speed-up on `threads` cores.
-    pub fn predicted_speedup(&self, threads: usize) -> f64 {
-        let total: u64 = self.predicted_group_sizes.iter().sum();
-        let makespan = self.predicted_makespan(threads);
-        if makespan == 0 {
-            0.0
-        } else {
-            total as f64 / makespan as f64
-        }
-    }
 }
 
 /// A strategy for selecting and ordering mempool transactions into a block.
@@ -201,39 +177,23 @@ fn pack_by_fee(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_packed(
-    included: Vec<PooledTx>,
-    gas_used: Gas,
-    total_fee: u64,
+    outcome: PackOutcome,
     template: &BlockTemplate,
     deferred_by_cap: u64,
     aged_included: u64,
-    considered: u64,
-    weak_edges: bool,
 ) -> PackedBlock {
-    // Block-local grouping over exactly the included transactions — O(block),
-    // independent of the pool-level graph and its conservative coarsening. With
-    // a weak-edged pool graph (delta-commuting engine downstream), the
-    // prediction uses the matching weak grouping so predicted makespans track
-    // what the engine will actually serialize.
-    let predicted_group_sizes = if weak_edges {
-        crate::block_group_sizes_weak(included.iter().map(|p| &p.tx))
-    } else {
-        block_group_sizes(included.iter().map(|p| &p.tx))
-    };
     let block = BlockBuilder::new(template.height, template.timestamp, template.beneficiary)
         .gas_limit(template.gas_limit)
-        .transactions(included.into_iter().map(|p| p.tx))
+        .transactions(outcome.included.into_iter().map(|p| p.tx))
         .build();
     PackedBlock {
         block,
-        predicted_group_sizes,
-        estimated_gas: gas_used,
-        total_fee_per_gas: total_fee,
+        estimated_gas: outcome.gas_used,
+        total_fee_per_gas: outcome.total_fee,
         deferred_by_cap,
         aged_included,
-        considered,
+        considered: outcome.considered,
     }
 }
 
@@ -258,20 +218,15 @@ impl BlockPacker for FeeGreedyPacker {
     fn pack(
         &mut self,
         pool: &Mempool,
-        tdg: &mut IncrementalTdg,
+        _tdg: &mut IncrementalTdg,
         _state: &WorldState,
         template: &BlockTemplate,
     ) -> PackedBlock {
-        let outcome = pack_by_fee(pool, template.gas_limit, |_, _| true);
         build_packed(
-            outcome.included,
-            outcome.gas_used,
-            outcome.total_fee,
+            pack_by_fee(pool, template.gas_limit, |_, _| true),
             template,
             0,
             0,
-            outcome.considered,
-            tdg.weak_edges(),
         )
     }
 }
@@ -530,18 +485,8 @@ pub fn pack_capped(
         .copied()
         .collect();
 
-    let packed = build_packed(
-        outcome.included,
-        outcome.gas_used,
-        outcome.total_fee,
-        template,
-        deferred_by_cap,
-        aged_included,
-        outcome.considered,
-        tdg.weak_edges(),
-    );
     (
-        packed,
+        build_packed(outcome, template, deferred_by_cap, aged_included),
         CapDeferrals {
             included_senders,
             starved_senders,
@@ -572,8 +517,17 @@ impl ConcurrencyAwarePacker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_group_sizes;
     use blockconc_account::AccountTransaction;
+    use blockconc_model::lpt_makespan;
     use blockconc_types::Amount;
+
+    /// The packed block's transaction counts per block-local dependency group.
+    fn group_sizes(packed: &PackedBlock) -> Vec<u64> {
+        let mut sizes = block_group_sizes(packed.block.transactions());
+        sizes.sort_unstable();
+        sizes
+    }
 
     fn funded_state(senders: impl IntoIterator<Item = u64>) -> WorldState {
         let mut state = WorldState::new();
@@ -631,9 +585,9 @@ mod tests {
             .map(|t| t.receiver())
             .collect();
         assert!(receivers.iter().all(|&r| r == Address::from_low(500)));
-        // One five-transaction component: no predicted parallelism.
-        assert_eq!(packed.predicted_group_sizes, vec![5]);
-        assert_eq!(packed.predicted_makespan(8), 5);
+        // One five-transaction component: no parallelism to schedule.
+        assert_eq!(group_sizes(&packed), vec![5]);
+        assert_eq!(lpt_makespan(&group_sizes(&packed), 8), 5);
     }
 
     #[test]
@@ -644,13 +598,10 @@ mod tests {
         let mut packer = ConcurrencyAwarePacker::new(4);
         let packed = packer.pack(&pool, &mut tdg, &state, &template(Gas::new(21_000 * 5)));
         assert_eq!(packed.block.transaction_count(), 5);
-        let mut sizes = packed.predicted_group_sizes.clone();
-        sizes.sort_unstable();
         // One exchange deposit (capped) plus the four independent payments: the cap
         // search prefers perfectly balanced singletons at the same block size.
-        assert_eq!(sizes, vec![1, 1, 1, 1, 1]);
-        assert_eq!(packed.predicted_makespan(4), 2);
-        assert!(packed.predicted_speedup(4) > 2.0);
+        assert_eq!(group_sizes(&packed), vec![1, 1, 1, 1, 1]);
+        assert_eq!(lpt_makespan(&group_sizes(&packed), 4), 2);
     }
 
     #[test]
@@ -797,7 +748,7 @@ mod tests {
             },
         );
         assert_eq!(packed.block.transaction_count(), 0);
-        assert_eq!(packed.predicted_makespan(8), 0);
+        assert!(group_sizes(&packed).is_empty());
         assert_eq!(packed.block.height().value(), 7);
     }
 }

@@ -55,14 +55,6 @@ pub struct BlockRecord {
     pub gas_used: u64,
     /// Sum of the included transactions' fee bids.
     pub total_fee_per_gas: u64,
-    /// Predicted LPT makespan of the packed block (transaction time units).
-    pub predicted_makespan: u64,
-    /// Predicted group-concurrency speed-up at the run's thread count.
-    pub predicted_speedup: f64,
-    /// The engine's abstract parallel execution time (`T'` of the paper's model).
-    pub measured_parallel_units: u64,
-    /// The engine's measured abstract speed-up (`R`).
-    pub measured_speedup: f64,
     /// Single-transaction conflict rate the engine observed.
     pub conflict_rate: f64,
     /// Group conflict rate the engine observed.
@@ -83,25 +75,20 @@ pub struct BlockRecord {
     pub execute_wall_nanos: u64,
     /// Digest of this block's receipts (see [`receipts_digest`]).
     pub receipts_digest: String,
-    /// Model-unit cost of committing this block's write-set delta to the state
-    /// backend (journal append + amortized snapshot compaction for the disk
-    /// backend; see `blockconc_store::store_units`).
-    pub store_units: u64,
     /// Wall-clock nanoseconds of the state-backend commit.
     pub store_wall_nanos: u64,
 }
 
 impl BlockRecord {
-    /// This record with every wall-clock and backend-cost field zeroed: what must
-    /// be *bit-identical* across state backends for the same arrival stream (the
-    /// backend may only change how long commits take and what they cost — never
-    /// which transactions are packed, how they execute, or what they leave behind).
+    /// This record with its three wall-clock fields zeroed: what must be
+    /// *bit-identical* across state backends for the same arrival stream (the
+    /// backend may only change how long commits take — never which transactions
+    /// are packed, how they execute, or what they leave behind).
     pub fn normalized(&self) -> BlockRecord {
         BlockRecord {
             pack_wall_nanos: 0,
             execute_wall_nanos: 0,
             store_wall_nanos: 0,
-            store_units: 0,
             ..self.clone()
         }
     }
@@ -166,26 +153,19 @@ impl PipelineRunReport {
         }
     }
 
-    /// Mean measured abstract speed-up, weighted by block size: total sequential time
-    /// units over total parallel time units across all non-empty blocks.
-    pub fn mean_measured_speedup(&self) -> f64 {
-        let sequential: u64 = self.blocks.iter().map(|b| b.tx_count as u64).sum();
-        let parallel: u64 = self.blocks.iter().map(|b| b.measured_parallel_units).sum();
-        if parallel == 0 {
+    /// The engine-observed group conflict rate *l* (largest group over block
+    /// size) of the run's blocks, weighted by block size: Σ largest group / Σ
+    /// transactions (0 for a run without transactions).
+    pub fn mean_group_conflict_rate(&self) -> f64 {
+        let largest: f64 = self
+            .blocks
+            .iter()
+            .map(|b| b.group_conflict_rate * b.tx_count as f64)
+            .sum();
+        if self.total_txs == 0 {
             0.0
         } else {
-            sequential as f64 / parallel as f64
-        }
-    }
-
-    /// Mean predicted speed-up, weighted by block size.
-    pub fn mean_predicted_speedup(&self) -> f64 {
-        let sequential: u64 = self.blocks.iter().map(|b| b.tx_count as u64).sum();
-        let makespan: u64 = self.blocks.iter().map(|b| b.predicted_makespan).sum();
-        if makespan == 0 {
-            0.0
-        } else {
-            sequential as f64 / makespan as f64
+            largest / self.total_txs as f64
         }
     }
 
@@ -221,7 +201,7 @@ impl PipelineRunReport {
 mod tests {
     use super::*;
 
-    fn record(tx_count: usize, parallel: u64, makespan: u64) -> BlockRecord {
+    fn record(tx_count: usize, group_conflict_rate: f64) -> BlockRecord {
         BlockRecord {
             height: 1,
             ingested: tx_count,
@@ -232,19 +212,14 @@ mod tests {
             estimated_gas: 0,
             gas_used: 0,
             total_fee_per_gas: 0,
-            predicted_makespan: makespan,
-            predicted_speedup: 0.0,
-            measured_parallel_units: parallel,
-            measured_speedup: 0.0,
             conflict_rate: 0.0,
-            group_conflict_rate: 0.0,
+            group_conflict_rate,
             mempool_len_after: 10,
             tdg_units: 0,
             pack_considered: 0,
             pack_wall_nanos: 100_000,
             execute_wall_nanos: 1_000_000,
             receipts_digest: String::new(),
-            store_units: 3,
             store_wall_nanos: 10_000,
         }
     }
@@ -267,9 +242,8 @@ mod tests {
 
     #[test]
     fn aggregates_weight_by_block_size() {
-        let r = report(vec![record(100, 25, 20), record(50, 50, 40)]);
-        assert!((r.mean_measured_speedup() - 150.0 / 75.0).abs() < 1e-12);
-        assert!((r.mean_predicted_speedup() - 150.0 / 60.0).abs() < 1e-12);
+        let r = report(vec![record(100, 0.25), record(50, 1.0)]);
+        assert!((r.mean_group_conflict_rate() - 75.0 / 150.0).abs() < 1e-12);
         assert_eq!(r.total_txs, 150);
         assert!((r.mean_mempool_len() - 10.0).abs() < 1e-12);
         assert!(r.throughput_tps() > 0.0);
@@ -278,20 +252,18 @@ mod tests {
     #[test]
     fn empty_run_is_all_zeroes() {
         let r = report(vec![]);
-        assert_eq!(r.mean_measured_speedup(), 0.0);
-        assert_eq!(r.mean_predicted_speedup(), 0.0);
+        assert_eq!(r.mean_group_conflict_rate(), 0.0);
         assert_eq!(r.throughput_tps(), 0.0);
         assert_eq!(r.mean_mempool_len(), 0.0);
     }
 
     #[test]
     fn normalized_records_zero_only_cost_fields() {
-        let record = record(10, 5, 5);
+        let record = record(10, 0.5);
         let normalized = record.normalized();
         assert_eq!(normalized.pack_wall_nanos, 0);
         assert_eq!(normalized.execute_wall_nanos, 0);
         assert_eq!(normalized.store_wall_nanos, 0);
-        assert_eq!(normalized.store_units, 0);
         assert_eq!(normalized.tx_count, record.tx_count);
         assert_eq!(normalized.height, record.height);
     }
@@ -310,7 +282,7 @@ mod tests {
 
     #[test]
     fn reports_serialize_to_json() {
-        let r = report(vec![record(10, 5, 5)]);
+        let r = report(vec![record(10, 0.5)]);
         let json = serde_json::to_string_pretty(&r).unwrap();
         assert!(json.contains("\"packer\""));
         let parsed: PipelineRunReport = serde_json::from_str(&json).unwrap();

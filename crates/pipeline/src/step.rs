@@ -143,7 +143,6 @@ impl NodeRound {
 #[derive(Debug)]
 pub struct BlockTail {
     telemetry: TelemetryRegistry,
-    threads: usize,
     tdg_units_seen: u64,
     flushes_seen: u64,
     compactions_seen: u64,
@@ -154,7 +153,6 @@ impl BlockTail {
     pub fn new(config: &PipelineConfig) -> Self {
         BlockTail {
             telemetry: config.telemetry.clone(),
-            threads: config.threads,
             tdg_units_seen: 0,
             flushes_seen: 0,
             compactions_seen: 0,
@@ -210,10 +208,6 @@ impl BlockTail {
             estimated_gas: packed.estimated_gas.value(),
             gas_used: executed.gas_used().value(),
             total_fee_per_gas: packed.total_fee_per_gas,
-            predicted_makespan: packed.predicted_makespan(self.threads),
-            predicted_speedup: packed.predicted_speedup(self.threads),
-            measured_parallel_units: exec_report.parallel_units,
-            measured_speedup: exec_report.unit_speedup(),
             conflict_rate: exec_report.conflict_rate(),
             group_conflict_rate: exec_report.group_conflict_rate(),
             mempool_len_after,
@@ -222,15 +216,15 @@ impl BlockTail {
             pack_wall_nanos: round.pack_wall_nanos,
             execute_wall_nanos: round.execute_wall_nanos,
             receipts_digest: receipts_digest(executed.receipts()),
-            store_units: commit.store_units,
             store_wall_nanos,
         };
         if !telemetry.is_enabled() {
             return Ok((record, commit));
         }
 
+        let tx_count = record.tx_count as u64;
         if let Some(span) = block_span {
-            let tx_count = record.tx_count as u64;
+            let executions = tx_count + exec_report.re_executions;
             let pack_done = round.started_nanos + round.pack_wall_nanos;
             let execute_done = pack_done + round.execute_wall_nanos;
             telemetry.stage(Stage::Pack, round.pack_wall_nanos, packed.considered);
@@ -242,30 +236,26 @@ impl BlockTail {
                 packed.considered,
                 &[("txs", tx_count)],
             );
-            telemetry.stage(
-                Stage::Execute,
-                round.execute_wall_nanos,
-                exec_report.parallel_units,
-            );
+            telemetry.stage(Stage::Execute, round.execute_wall_nanos, executions);
             telemetry.record_span(
                 "execute",
                 span,
                 pack_done,
                 execute_done,
-                exec_report.parallel_units,
+                executions,
                 &[
                     ("conflicts", exec_report.conflicted_transactions as u64),
                     ("aborts", exec_report.aborts),
                     ("re_executions", exec_report.re_executions),
                 ],
             );
-            telemetry.stage(Stage::Store, store_wall_nanos, commit.store_units);
+            telemetry.stage(Stage::Store, store_wall_nanos, commit.records);
             telemetry.record_span(
                 "store",
                 span,
                 store_started,
                 store_started + store_wall_nanos,
-                commit.store_units,
+                commit.records,
                 &[("bytes", commit.bytes)],
             );
             telemetry.dist(Dist::BlockTxs, tx_count);
@@ -299,10 +289,7 @@ impl BlockTail {
             self.compactions_seen = stats.snapshots_written;
         }
         if let Some(span) = block_span {
-            telemetry.end_span(
-                span,
-                exec_report.parallel_units + commit.store_units + tdg_units,
-            );
+            telemetry.end_span(span, tx_count);
         }
         Ok((record, commit))
     }

@@ -15,8 +15,8 @@ use blockconc_types::Result;
 
 /// Drives the sharded mempool and per-shard packers over an arrival stream — the
 /// sharded counterpart of `blockconc_pipeline::PipelineDriver`, selected by the
-/// [`PipelineConfig::shards`] / [`PipelineConfig::producer_threads`] switch (both
-/// `1` reproduces the single-pool pipeline's behaviour on the sharded machinery).
+/// [`PipelineConfig::shards`] switch (`1` reproduces the single-pool pipeline's
+/// behaviour on the sharded machinery).
 ///
 /// It runs the pipeline crate's block step (see *The block step* in its README)
 /// with two phases swapped for sharded ones: admission goes through the
@@ -28,11 +28,10 @@ use blockconc_types::Result;
 /// components across shards. Nothing in a run depends on thread timing except
 /// an optimistic engine's abort counts.
 ///
-/// The report carries both the familiar per-block pipeline records and per-phase
-/// **modelled** work units (see [`ShardedRunReport`]): what the sharded layout's
-/// critical path would be with a thread per producer bin and per shard, for
-/// comparison against the single pool's serial one independently of this
-/// machine's core count. `producer_threads` sizes that model only.
+/// The report carries both the familiar per-block pipeline records and per-block
+/// shard counts (see [`ShardedRunReport`]): the most arrivals offered to, and the
+/// most candidates examined by, any one shard. [`PipelineConfig::producer_threads`]
+/// is read by nothing.
 ///
 /// # Examples
 ///
@@ -51,7 +50,7 @@ use blockconc_types::Result;
 ///     contract_create_share: 0.01,
 /// };
 /// let config = PipelineConfig {
-///     threads: 4, max_blocks: 4, shards: 4, producer_threads: 2,
+///     threads: 4, max_blocks: 4, shards: 4,
 ///     ..PipelineConfig::default()
 /// };
 /// let stream = ArrivalStream::new(params, 3.0, 150, 11);
@@ -79,13 +78,11 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
     pub const DEFAULT_REBALANCE_EVERY: usize = 4;
 
     /// Creates a driver from an engine and a pipeline configuration
-    /// ([`PipelineConfig::shards`] and [`PipelineConfig::producer_threads`] select
-    /// the parallel layout).
+    /// ([`PipelineConfig::shards`] selects the layout).
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards`, `config.producer_threads` or `config.threads` is
-    /// zero.
+    /// Panics if `config.shards` or `config.threads` is zero.
     pub fn new(engine: E, config: PipelineConfig) -> Self {
         let mut packer = ShardedPacker::new(config.shards, config.threads);
         packer.configure(&config);
@@ -169,7 +166,7 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
                 block_span,
                 ingest_started,
                 ingest_report.wall_nanos,
-                ingest_report.parallel_units(),
+                ingest_report.items as u64,
                 &[("items", ingest_report.items as u64)],
             );
 
@@ -182,11 +179,11 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
 
             // Parallel pack + merge, then execute.
             let template = window.template(height);
-            let mut pack_units = 0;
+            let mut max_shard_considered = 0;
             let packer = &mut self.packer;
             let round = NodeRound::produce(&telemetry, &mut self.engine, &mut state, |state| {
                 let (packed, pack_report) = packer.pack(&pool, state, &template);
-                pack_units = pack_report.parallel_units;
+                max_shard_considered = pack_report.sub_considered.into_iter().max().unwrap_or(0);
                 packed
             })?;
 
@@ -211,9 +208,8 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
             )?;
             phases.push(BlockPhaseRecord {
                 height,
-                ingest_units: ingest_report.parallel_units(),
-                pack_units,
-                execute_units: record.measured_parallel_units,
+                max_shard_offered: ingest_report.max_consumer_items as u64,
+                max_shard_considered,
                 ingest_wall_nanos: ingest_report.wall_nanos,
                 shard_lens: pool.shard_lens(),
             });
@@ -231,7 +227,6 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
                 &state,
             ),
             shards: config.shards,
-            producers: config.producer_threads,
             phases,
             migrated_chains: pool.migrated_chains(),
             rebalances: pool.rebalances(),
@@ -261,19 +256,18 @@ mod tests {
         ArrivalStream::new(hotspot_params(), 4.0, 700, seed)
     }
 
-    fn config(shards: usize, producers: usize) -> PipelineConfig {
+    fn config(shards: usize) -> PipelineConfig {
         PipelineConfig {
             threads: 4,
             max_blocks: 10,
             shards,
-            producer_threads: producers,
             ..PipelineConfig::default()
         }
     }
 
     #[test]
     fn sharded_pipeline_executes_every_packed_transaction_successfully() {
-        let report = ShardedPipelineDriver::new(SequentialEngine::new(), config(4, 3))
+        let report = ShardedPipelineDriver::new(SequentialEngine::new(), config(4))
             .run(stream(1))
             .unwrap();
         assert!(!report.run.blocks.is_empty());
@@ -291,13 +285,13 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_single_pool_totals_at_one_shard() {
-        let sharded = ShardedPipelineDriver::new(SequentialEngine::new(), config(1, 1))
+        let sharded = ShardedPipelineDriver::new(SequentialEngine::new(), config(1))
             .run(stream(2))
             .unwrap();
         let single = PipelineDriver::new(
             ConcurrencyAwarePacker::new(4),
             SequentialEngine::new(),
-            config(1, 1),
+            config(1),
         )
         .run(stream(2))
         .unwrap();
@@ -327,81 +321,38 @@ mod tests {
             contract_create_share: 0.01,
         };
         let stream = |seed| ArrivalStream::new(params.clone(), 6.0, 900, seed);
-        let narrow = ShardedPipelineDriver::new(ScheduledEngine::new(4), config(1, 1))
+        let narrow = ShardedPipelineDriver::new(ScheduledEngine::new(4), config(1))
             .run(stream(3))
             .unwrap();
-        let wide = ShardedPipelineDriver::new(ScheduledEngine::new(4), config(4, 4))
+        let wide = ShardedPipelineDriver::new(ScheduledEngine::new(4), config(4))
             .run(stream(3))
             .unwrap();
         assert_eq!(wide.run.total_failed + narrow.run.total_failed, 0);
-        // Stage by stage: an ingest unit and a pack unit are not the same cost.
+        // Stage by stage, as counts: the busiest shard's offered arrivals and
+        // examined candidates.
         let stages = |report: &ShardedRunReport| -> (u64, u64) {
             let phases = &report.phases;
             (
-                phases.iter().map(|p| p.ingest_units).sum(),
-                phases.iter().map(|p| p.pack_units).sum(),
+                phases.iter().map(|p| p.max_shard_offered).sum(),
+                phases.iter().map(|p| p.max_shard_considered).sum(),
             )
         };
         let (wide_stages, narrow_stages) = (stages(&wide), stages(&narrow));
+        println!("(offered, considered) on the busiest shard: wide {wide_stages:?} vs narrow {narrow_stages:?}");
         assert!(
             wide_stages.0 < narrow_stages.0 && wide_stages.1 < narrow_stages.1,
-            "(ingest, pack) units: wide {wide_stages:?} vs narrow {narrow_stages:?}"
+            "(offered, considered) on the busiest shard: wide {wide_stages:?} vs narrow \
+             {narrow_stages:?}"
         );
         assert!(wide.migrated_chains > 0 || wide.rebalances > 0);
     }
 
     #[test]
-    fn modelled_ingest_path_halves_with_eight_producer_bins() {
-        // A modelled quantity of one stage: admission runs in order on one
-        // thread, and `ingest_units` is the critical path it would have with a
-        // thread per producer bin and per shard. Seven simultaneous moderate hot
-        // spots under an arrival rate above block capacity keep a backlog
-        // standing that eight shards can spread.
-        let params = AccountWorkloadParams {
-            txs_per_block: 200.0,
-            user_population: 30_000,
-            fresh_receiver_share: 0.7,
-            zipf_exponent: 0.15,
-            hotspots: vec![
-                HotspotSpec::exchange(0.05),
-                HotspotSpec::exchange(0.04),
-                HotspotSpec::exchange(0.03),
-                HotspotSpec::contract(0.04, 3),
-                HotspotSpec::contract(0.04, 2),
-                HotspotSpec::contract(0.03, 2),
-                HotspotSpec::exchange(0.03),
-            ],
-            contract_create_share: 0.01,
-        };
-        let ingest_units = |producers: usize| -> u64 {
-            let config = PipelineConfig {
-                threads: 8,
-                max_blocks: 14,
-                shards: 8,
-                producer_threads: producers,
-                max_deferral_blocks: 2,
-                ..PipelineConfig::default()
-            };
-            let report = ShardedPipelineDriver::new(SequentialEngine::new(), config)
-                .with_rebalance_every(1)
-                .run(ArrivalStream::new(params.clone(), 42.0, 9_000, 2020))
-                .unwrap();
-            assert_eq!(report.run.total_failed, 0);
-            report.phases.iter().map(|p| p.ingest_units).sum()
-        };
-        let (serial, split) = (ingest_units(1), ingest_units(8));
-        assert!(
-            split * 2 <= serial,
-            "8 producer bins must at least halve the modelled ingest path ({serial} -> {split})"
-        );
-    }
-
-    #[test]
     fn sharded_run_is_deterministic_in_structure() {
-        let a = ShardedPipelineDriver::new(SequentialEngine::new(), config(4, 4))
+        let a = ShardedPipelineDriver::new(SequentialEngine::new(), config(4))
             .run(stream(4))
             .unwrap();
-        let b = ShardedPipelineDriver::new(SequentialEngine::new(), config(4, 4))
+        let b = ShardedPipelineDriver::new(SequentialEngine::new(), config(4))
             .run(stream(4))
             .unwrap();
         // In-order ingest leaves no thread timing in the run: everything but the
@@ -416,7 +367,13 @@ mod tests {
         let structure = |report: &ShardedRunReport| -> Vec<_> {
             let phases = report.phases.iter();
             phases
-                .map(|p| (p.ingest_units, p.pack_units, p.shard_lens.clone()))
+                .map(|p| {
+                    (
+                        p.max_shard_offered,
+                        p.max_shard_considered,
+                        p.shard_lens.clone(),
+                    )
+                })
                 .collect()
         };
         assert_eq!(structure(&a), structure(&b));
@@ -425,7 +382,7 @@ mod tests {
     #[test]
     fn sharded_pipeline_survives_fee_escalation_replacement_pressure() {
         let escalating = stream(5).with_fee_escalation(FeeEscalationSpec::standard(14.0));
-        let report = ShardedPipelineDriver::new(SequentialEngine::new(), config(4, 3))
+        let report = ShardedPipelineDriver::new(SequentialEngine::new(), config(4))
             .run(escalating)
             .unwrap();
         assert_eq!(report.run.total_failed, 0);

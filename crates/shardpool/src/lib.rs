@@ -17,8 +17,8 @@
 //!   admission costs what it moves, never a scan of the component it lands in.
 //! * [`IngestRouter`] — in-order batch admission: a block's arrivals go through
 //!   the pool's one admission step in stream order, on the caller's thread, under
-//!   a single hold of the router lock. Its report *models* the producer × shard
-//!   split the layout allows; nothing about a batch depends on thread timing.
+//!   a single hold of the router lock. Its report counts the batch's shard
+//!   split; nothing about a batch depends on thread timing.
 //! * [`ShardedPacker`] — one `ConcurrencyAwarePacker` per shard builds
 //!   non-conflicting sub-blocks in parallel (components are shard-disjoint, so no
 //!   cross-checking); a **predicted-makespan-aware merge** then re-caps the
@@ -27,13 +27,12 @@
 //! * [`ShardedPipelineDriver`] — wires an `ArrivalStream` through ingest, pack,
 //!   merge and any `ExecutionEngine`, with periodic component
 //!   [rebalancing](ShardedMempool::rebalance); selected via the
-//!   [`PipelineConfig::shards`](blockconc_pipeline::PipelineConfig) /
-//!   `producer_threads` switch (1/1 reproduces the single-pool pipeline exactly).
+//!   [`PipelineConfig::shards`](blockconc_pipeline::PipelineConfig) switch (1
+//!   reproduces the single-pool pipeline exactly).
 //!
-//! Reports account each phase's *modelled* critical path in hardware-independent
-//! work units (the execution engines' `parallel_units` convention), read stage by
-//! stage and never summed (a unit is worth a different time in each); what the
-//! layout costs by the clock is the `shardpool_hot` workload of `benchmark/`.
+//! Reports count, per block, the most arrivals offered to and the most candidates
+//! examined by any one shard ([`BlockPhaseRecord`]); what the layout costs by the
+//! clock is the `shardpool_hot` workload of `benchmark/`.
 //!
 //! # Examples
 //!
@@ -52,18 +51,17 @@
 //!     contract_create_share: 0.01,
 //! };
 //! let config = PipelineConfig {
-//!     threads: 4, max_blocks: 4, shards: 4, producer_threads: 2,
+//!     threads: 4, max_blocks: 4, shards: 4,
 //!     ..PipelineConfig::default()
 //! };
 //! let report = ShardedPipelineDriver::new(ScheduledEngine::new(4), config)
 //!     .run(ArrivalStream::new(params, 3.0, 150, 7))
 //!     .unwrap();
 //! assert_eq!(report.run.total_failed, 0);
-//! // The sharded layout's modelled ingest critical path is below the serial cost
-//! // of the same work.
-//! let serial: u64 = report.run.blocks.iter().map(|b| b.ingested as u64).sum();
-//! let parallel: u64 = report.phases.iter().map(|p| p.ingest_units).sum();
-//! assert!(parallel <= serial);
+//! // No shard is offered more than the block's whole batch.
+//! for (block, phase) in report.run.blocks.iter().zip(&report.phases) {
+//!     assert!(phase.max_shard_offered <= block.ingested as u64);
+//! }
 //! ```
 
 #![forbid(unsafe_code)]

@@ -3,8 +3,8 @@
 use crate::ShardedMempool;
 use blockconc_account::{AccountTransaction, BlockBuilder, WorldState};
 use blockconc_pipeline::{
-    advance_deferral_counters, aged_senders, block_group_sizes, choose_component_cap, gas_estimate,
-    pack_capped, BlockTemplate, CapDeferrals, PackedBlock, PipelineConfig,
+    advance_deferral_counters, aged_senders, choose_component_cap, gas_estimate, pack_capped,
+    BlockTemplate, CapDeferrals, PackedBlock, PipelineConfig,
 };
 use blockconc_types::{Address, Gas};
 use serde::{Deserialize, Serialize};
@@ -31,7 +31,7 @@ struct SubBlock {
     deferrals: CapDeferrals,
 }
 
-/// Measurements of one sharded pack (used by the driver's phase accounting).
+/// Counts of one sharded pack (the driver's phase record reads them).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardPackReport {
     /// Sub-block sizes per shard, pre-merge.
@@ -44,14 +44,10 @@ pub struct ShardPackReport {
     /// Sub-block candidates the merge could not fit under the block gas limit
     /// (deferred back to the pool, like every other deferral).
     pub merge_deferred: u64,
-    /// Candidates each shard's packing loop examined, pre-merge.
+    /// Candidates each shard's packing loop examined, pre-merge. The per-shard
+    /// packers consume the pools' maintained ready indexes, so these track the
+    /// block-window delta, not the shard pool sizes.
     pub sub_considered: Vec<u64>,
-    /// Abstract parallel cost of the pack phase in per-transaction work units:
-    /// the largest single-shard candidate scan (shards pack concurrently) plus
-    /// the serial merge's heap pops. Since the per-shard packers consume the
-    /// pools' maintained ready indexes, this tracks the examined candidates —
-    /// O(Δ) — not the shard pool sizes.
-    pub parallel_units: u64,
 }
 
 /// Packs blocks from a [`ShardedMempool`] by running the concurrency-aware
@@ -258,14 +254,11 @@ impl ShardedPacker {
             .iter()
             .fold(Gas::ZERO, |acc, m| acc + gas_estimate(&m.tx));
         let total_fee_per_gas: u64 = kept.iter().map(|m| m.fee_per_gas).sum();
-        // Block-local grouping over the merged selection — O(block).
-        let predicted_group_sizes = block_group_sizes(kept.iter().map(|m| &m.tx));
         let block = BlockBuilder::new(template.height, template.timestamp, template.beneficiary)
             .gas_limit(template.gas_limit)
             .transactions(kept.into_iter().map(|m| m.tx))
             .build();
 
-        let max_considered = sub_considered.iter().copied().max().unwrap_or(0);
         let considered: u64 = sub_considered.iter().sum::<u64>() + merge_pops;
         let report = ShardPackReport {
             sub_sizes,
@@ -273,12 +266,10 @@ impl ShardedPacker {
             component_cap: cap,
             merge_deferred,
             sub_considered,
-            parallel_units: max_considered + merge_pops,
         };
         (
             PackedBlock {
                 block,
-                predicted_group_sizes,
                 estimated_gas,
                 total_fee_per_gas,
                 // Cap-attributed deferrals only, matching the field's documented
@@ -357,7 +348,15 @@ fn merge_by_fee(lists: Vec<Vec<MergeTx>>, gas_limit: Gas) -> (Vec<MergeTx>, u64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blockconc_pipeline::block_group_sizes;
     use blockconc_types::Amount;
+
+    /// The packed block's transaction counts per block-local dependency group.
+    fn group_sizes(packed: &PackedBlock) -> Vec<u64> {
+        let mut sizes = block_group_sizes(packed.block.transactions());
+        sizes.sort_unstable();
+        sizes
+    }
 
     fn transfer(sender: u64, receiver: u64, nonce: u64) -> AccountTransaction {
         AccountTransaction::transfer(
@@ -417,9 +416,7 @@ mod tests {
         assert_eq!(report.sub_sizes.iter().sum::<usize>(), 6);
         assert!(report.sub_sizes.iter().filter(|&&s| s > 0).count() >= 2);
         assert_eq!(report.merge_deferred, 0);
-        let mut sizes = packed.predicted_group_sizes.clone();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 1, 1, 1, 2]);
+        assert_eq!(group_sizes(&packed), vec![1, 1, 1, 1, 2]);
         // Nonce order per sender holds in the merged block.
         let mut seen: HashMap<Address, u64> = HashMap::new();
         for tx in packed.block.transactions() {
@@ -441,9 +438,7 @@ mod tests {
         let (packed, _) = packer.pack(&pool, &state, &template(Gas::new(21_000 * 5)));
         assert_eq!(packed.block.transaction_count(), 5);
         assert!(packed.estimated_gas <= Gas::new(21_000 * 5));
-        let mut sizes = packed.predicted_group_sizes.clone();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 1, 1, 1, 1]);
+        assert_eq!(group_sizes(&packed), vec![1, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -470,13 +465,9 @@ mod tests {
             "cap must defer the dominant component (deferred {})",
             packed.deferred_by_cap
         );
-        let largest = packed
-            .predicted_group_sizes
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let total: u64 = packed.predicted_group_sizes.iter().sum();
+        let sizes = group_sizes(&packed);
+        let largest = sizes.last().copied().unwrap_or(0);
+        let total: u64 = sizes.iter().sum();
         assert!(
             largest <= total.div_ceil(4).max(1) + 1,
             "merged block stays balanced: largest {largest} of {total}"
@@ -531,9 +522,7 @@ mod tests {
         let (packed, report) = packer.pack(&pool, &state, &template(Gas::new(21_000 * 6)));
         assert_eq!(report.component_cap, 3);
         assert_eq!(packed.deferred_by_cap, 2, "one deposit deferred per shard");
-        let mut sizes = packed.predicted_group_sizes.clone();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![3, 3]);
+        assert_eq!(group_sizes(&packed), vec![3, 3]);
     }
 
     /// Packs and settles four blocks out of a standing 8-shard pool of `n`
@@ -586,7 +575,8 @@ mod tests {
         let (packed, report) =
             packer.pack(&pool, &WorldState::new(), &template(Gas::new(1_000_000)));
         assert_eq!(packed.block.transaction_count(), 0);
-        assert_eq!(report.parallel_units, 0);
+        assert_eq!(packed.considered, 0);
+        assert!(report.sub_considered.iter().all(|&c| c == 0));
         assert_eq!(packed.block.height().value(), 1);
     }
 }

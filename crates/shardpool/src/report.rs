@@ -3,23 +3,18 @@
 use blockconc_pipeline::PipelineRunReport;
 use serde::{Deserialize, Serialize};
 
-/// Per-block phase accounting of the sharded pipeline, in **modelled** work units
-/// (the same hardware-independent convention as the execution engines'
-/// `parallel_units`): one unit ≈ one per-transaction touch of the respective phase,
-/// on the critical path the layout would have with a thread per parallel part.
+/// Per-block shard counts of the sharded pipeline: how unevenly the block's
+/// ingest and pack work fell across the shards.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlockPhaseRecord {
     /// Block height.
     pub height: u64,
-    /// Modelled ingest critical path: the larger of the largest producer bin and
-    /// the largest per-shard share of the batch (admission itself runs in order on
-    /// one thread; see [`IngestReport`](crate::IngestReport)).
-    pub ingest_units: u64,
-    /// Pack critical path: the largest single-shard scan plus the serial merge.
-    pub pack_units: u64,
-    /// The engine's parallel execution units for this block (copied from the block
-    /// record so each phase reads from one place).
-    pub execute_units: u64,
+    /// Most arrivals offered to any one shard
+    /// ([`IngestReport::max_consumer_items`](crate::IngestReport::max_consumer_items)).
+    pub max_shard_offered: u64,
+    /// Most candidates any one shard's packing loop examined
+    /// ([`ShardPackReport::sub_considered`](crate::ShardPackReport::sub_considered)).
+    pub max_shard_considered: u64,
     /// Ingest wall-clock nanoseconds (actual, hardware-dependent).
     pub ingest_wall_nanos: u64,
     /// Shard pool lengths after this block.
@@ -34,8 +29,6 @@ pub struct ShardedRunReport {
     pub run: PipelineRunReport,
     /// Number of mempool shards.
     pub shards: usize,
-    /// Producer bins the ingest model splits a batch across.
-    pub producers: usize,
     /// Per-block phase records, in height order.
     pub phases: Vec<BlockPhaseRecord>,
     /// Chains migrated between shards (component fusions + rebalances).
@@ -66,7 +59,6 @@ mod tests {
                 telemetry: None,
             },
             shards: 2,
-            producers: 2,
             phases: vec![],
             migrated_chains: 3,
             rebalances: 1,

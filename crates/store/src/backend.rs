@@ -6,22 +6,6 @@ use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// A commit of `records` delta records totalling `bytes` serialized bytes costs this
-/// many abstract model units per [`STORE_RECORDS_PER_UNIT`] records…
-pub const STORE_RECORDS_PER_UNIT: u64 = 8;
-/// …plus this many bytes per unit: appending a framed ~100-byte record is roughly an
-/// order of magnitude cheaper than executing one intrinsic-gas transfer, which is the
-/// workspace's 1-unit reference. The conversion is documented in
-/// `crates/store/README.md` and recorded per block in `BlockRecord::store_units`.
-pub const STORE_BYTES_PER_UNIT: u64 = 4096;
-
-/// Converts a commit's record and byte counts into abstract model units, the same
-/// currency as the execution engines' `parallel_units` (1 unit ≈ one transaction
-/// execution).
-pub fn store_units(records: u64, bytes: u64) -> u64 {
-    records.div_ceil(STORE_RECORDS_PER_UNIT) + bytes.div_ceil(STORE_BYTES_PER_UNIT)
-}
-
 /// One account's full persisted value: the unit of journal records and snapshots.
 ///
 /// Contract code is carried as an opaque, canonical JSON blob (produced by
@@ -123,8 +107,6 @@ pub struct CommitStats {
     pub records: u64,
     /// Serialized bytes appended to the journal (0 for the in-memory backend).
     pub bytes: u64,
-    /// The commit's cost in abstract model units (see [`store_units`]).
-    pub store_units: u64,
 }
 
 /// Cumulative counters of one backend instance, for run reports and the
@@ -139,8 +121,6 @@ pub struct StoreStats {
     pub records_written: u64,
     /// Journal bytes appended (0 for the in-memory backend).
     pub bytes_written: u64,
-    /// Total commit cost in model units.
-    pub commit_units: u64,
     /// Point reads answered by the backend (cache misses in the working set).
     pub backend_reads: u64,
     /// Bytes read from disk to answer point reads.
@@ -152,11 +132,10 @@ pub struct StoreStats {
     pub group_flushes: u64,
     /// Blocks replayed from the journal when the backend was opened.
     pub replayed_blocks: u64,
-    /// Records replayed when the backend was opened.
+    /// Records replayed when the backend was opened — bounded by the records
+    /// written since the last snapshot (the compaction invariant the tests
+    /// assert).
     pub replayed_records: u64,
-    /// Replay cost at open, in model units — bounded by blocks since the last
-    /// snapshot (the compaction invariant the tests assert).
-    pub replay_units: u64,
 }
 
 /// A block-scoped key–value state store under `WorldState`.
@@ -361,14 +340,6 @@ impl StateBackendConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn store_units_round_up_per_component() {
-        assert_eq!(store_units(0, 0), 0);
-        assert_eq!(store_units(1, 1), 2);
-        assert_eq!(store_units(8, 4096), 2);
-        assert_eq!(store_units(9, 4097), 4);
-    }
 
     #[test]
     fn stored_account_storage_get_binary_searches() {

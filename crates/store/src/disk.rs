@@ -6,9 +6,7 @@
 //! `crates/store/tests/` drive torn-tail and torn-snapshot scenarios against it.
 
 use crate::journal::{append_frame, check_frame, decode_frame, FrameScanner, JournalRecord};
-use crate::{
-    store_units, BlockDelta, CommitStats, DiskConfig, StateBackend, StoreStats, StoredAccount,
-};
+use crate::{BlockDelta, CommitStats, DiskConfig, StateBackend, StoreStats, StoredAccount};
 use blockconc_types::{Address, Error, Result};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -316,15 +314,12 @@ impl DiskBackend {
         self.stats.snapshots_written += 1;
         let records = accounts;
         let bytes = buf.len() as u64;
-        let units = store_units(records, bytes);
         self.stats.records_written += records;
         self.stats.bytes_written += bytes;
-        self.stats.commit_units += units;
         Ok(CommitStats {
             height,
             records,
             bytes,
-            store_units: units,
         })
     }
 
@@ -467,13 +462,11 @@ fn replay_journal(
     let mut valid_end = 0u64;
     let mut pending_height: Option<u64> = None;
     let mut pending: Vec<(Address, Option<Location>)> = Vec::new();
-    let mut pending_units = 0u64;
     while let Some(frame) = scanner.next() {
         match frame.record {
             JournalRecord::BlockBegin { height } => {
                 pending_height = Some(height);
                 pending.clear();
-                pending_units = frame.len as u64;
             }
             JournalRecord::Upsert { address, .. } if pending_height.is_some() => {
                 pending.push((
@@ -485,11 +478,9 @@ fn replay_journal(
                         len: frame.len,
                     }),
                 ));
-                pending_units += frame.len as u64;
             }
             JournalRecord::Delete { address } if pending_height.is_some() => {
                 pending.push((address, None));
-                pending_units += frame.len as u64;
             }
             JournalRecord::BlockCommit { height, records }
                 if pending_height == Some(height) && records == pending.len() as u64 =>
@@ -508,7 +499,6 @@ fn replay_journal(
                     *committed = Some(height);
                     stats.replayed_blocks += 1;
                     stats.replayed_records += records;
-                    stats.replay_units += store_units(records, pending_units + frame.len as u64);
                 }
                 pending_height = None;
                 valid_end = scanner.consumed;
@@ -649,20 +639,17 @@ impl StateBackend for DiskBackend {
         }
         let records = delta.records.len() as u64;
         let bytes = buf.len() as u64;
-        let mut units = store_units(records, bytes);
         self.stats.committed_blocks += 1;
         self.stats.records_written += records;
         self.stats.bytes_written += bytes;
-        self.stats.commit_units += units;
 
         let mut total_bytes = bytes;
         let mut total_records = records;
         if self.snapshot_every > 0
             && delta.height.saturating_sub(self.last_snapshot_height) >= self.snapshot_every
         {
-            // Amortized compaction cost is charged to the commit that triggers it.
+            // A compaction's records and bytes are charged to the commit that triggers it.
             let compaction = self.compact()?;
-            units += compaction.store_units;
             total_bytes += compaction.bytes;
             total_records += compaction.records;
         }
@@ -670,7 +657,6 @@ impl StateBackend for DiskBackend {
             height: delta.height,
             records: total_records,
             bytes: total_bytes,
-            store_units: units,
         })
     }
 

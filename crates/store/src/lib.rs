@@ -17,9 +17,10 @@
 //!   recovery-by-replay on open (torn tails discarded, torn snapshots falling back
 //!   one generation). See `crates/store/README.md` for the format and protocol.
 //!
-//! Everything is measured in the workspace's abstract model units ([`store_units`])
-//! so commit overhead, replay cost and point-read traffic appear alongside the
-//! pack/execute accounting in pipeline reports.
+//! Every commit reports its records and bytes ([`CommitStats`]) and every backend
+//! its cumulative counters ([`StoreStats`]): records and bytes written, point
+//! reads, flushes, snapshots and what replay read at open. What a commit costs by
+//! the clock is the pipeline's store stage.
 //!
 //! # Examples
 //!
@@ -60,9 +61,8 @@ mod key;
 mod memory;
 
 pub use backend::{
-    shared, store_units, BlockDelta, CommitStats, DeltaRecord, DiskConfig, SharedBackend,
-    StateBackend, StateBackendConfig, StoreStats, StoredAccount, STORE_BYTES_PER_UNIT,
-    STORE_RECORDS_PER_UNIT,
+    shared, BlockDelta, CommitStats, DeltaRecord, DiskConfig, SharedBackend, StateBackend,
+    StateBackendConfig, StoreStats, StoredAccount,
 };
 pub use disk::DiskBackend;
 pub use fragment::{apply_fragment, diff_account_fragments, FragmentValue, StateFragment};

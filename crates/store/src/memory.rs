@@ -2,8 +2,7 @@
 //! [`StateBackend`].
 
 use crate::{
-    store_units, BlockDelta, CommitStats, StateBackend, StateKey, StateValue, StoreStats,
-    StoredAccount,
+    BlockDelta, CommitStats, StateBackend, StateKey, StateValue, StoreStats, StoredAccount,
 };
 use blockconc_types::{Address, Error, Result};
 use std::collections::BTreeMap;
@@ -11,7 +10,7 @@ use std::collections::BTreeMap;
 /// Committed state held in an ordered in-memory map.
 ///
 /// Zero I/O: [`commit_block`](StateBackend::commit_block) applies the delta records
-/// to the map and only counts model units, so pipelines mounted on this backend
+/// to the map and only counts records, so pipelines mounted on this backend
 /// behave bit-identically to the historical map-only `WorldState` while exercising
 /// the same block-scoped commit protocol as the disk journal.
 ///
@@ -131,15 +130,12 @@ impl StateBackend for MemoryBackend {
         self.open_height = None;
         self.committed = Some(delta.height);
         let records = delta.records.len() as u64;
-        let units = store_units(records, 0);
         self.stats.committed_blocks += 1;
         self.stats.records_written += records;
-        self.stats.commit_units += units;
         Ok(CommitStats {
             height: delta.height,
             records,
             bytes: 0,
-            store_units: units,
         })
     }
 

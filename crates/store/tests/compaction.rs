@@ -3,8 +3,7 @@
 //! 1. compaction at arbitrary block boundaries never changes observable state
 //!    (point reads, iteration, account counts); and
 //! 2. replay cost after compaction is bounded by blocks-since-snapshot, asserted
-//!    via the store's model-unit counters (`replayed_blocks` / `replayed_records` /
-//!    `replay_units`);
+//!    via the store's replay counters (`replayed_blocks` / `replayed_records`);
 //! 3. compaction copies live frames verbatim: the snapshot is byte-for-byte what
 //!    decoding and re-encoding every live record writes; and
 //! 4. a live frame that fails its CRC fails compaction, which then publishes
@@ -115,7 +114,7 @@ proptest! {
     }
 
     // Invariant 2: replay cost after compaction is bounded by blocks since the
-    // last snapshot — visible in the model-unit counters a reopen reports.
+    // last snapshot — visible in the replay counters a reopen reports.
     #[test]
     fn replay_cost_is_bounded_by_blocks_since_snapshot(
         blocks in 6u64..16,
@@ -146,21 +145,13 @@ proptest! {
         prop_assert_eq!(stats.replayed_blocks, blocks - last_snapshot_height);
         prop_assert!(stats.replayed_blocks < cadence,
             "replayed {} blocks at cadence {}", stats.replayed_blocks, cadence);
+        // …and its records scale with that suffix, not the history: a block
+        // writes at most five records.
         prop_assert_eq!(stats.replayed_records, records_after_snapshot);
-        // …and the replay model units scale with that suffix, not the history:
-        // every replayed block costs at least one unit and no more than its
-        // record count plus its framed bytes can justify.
-        if stats.replayed_blocks > 0 {
-            prop_assert!(stats.replay_units >= 1);
-        }
-        let per_block_ceiling = 1 + blockconc_store::store_units(
-            records_after_snapshot,
-            (records_after_snapshot + 2 * stats.replayed_blocks) * 512,
-        );
         prop_assert!(
-            stats.replay_units <= stats.replayed_blocks * per_block_ceiling,
-            "replay units {} exceed the per-block ceiling {} x {}",
-            stats.replay_units, stats.replayed_blocks, per_block_ceiling
+            stats.replayed_records <= stats.replayed_blocks * 5,
+            "replayed {} records in {} blocks",
+            stats.replayed_records, stats.replayed_blocks
         );
 
         // A never-compacted twin of the same history must replay the whole of it.
@@ -176,6 +167,7 @@ proptest! {
         let twin = DiskBackend::open(&twin_config).expect("reopen twin");
         prop_assert_eq!(twin.stats().replayed_blocks, blocks);
         prop_assert!(twin.stats().replayed_blocks > stats.replayed_blocks);
+        prop_assert!(twin.stats().replayed_records > stats.replayed_records);
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&twin_dir);
     }

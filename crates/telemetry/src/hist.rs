@@ -72,7 +72,7 @@ pub fn bucket_representative(index: usize) -> u64 {
 }
 
 /// A concurrent log-bucketed histogram of `u64` samples (latencies in
-/// nanoseconds, sizes in bytes, work in model units — the histogram does not
+/// nanoseconds, sizes in bytes, work in counts — the histogram does not
 /// care which).
 ///
 /// Recording is lock-free (relaxed atomics) and callable through `&self`, so

@@ -9,7 +9,7 @@
 //!    log-bucketed recording (≤12.5% relative bucket width) with p50/p95/p99
 //!    extraction and order-independent snapshot merging.
 //! 3. **Spans** ([`SpanRecord`], [`FlightRecorder`]) — named intervals that
-//!    carry *both* wall nanos and model units with block → phase → shard
+//!    carry *both* wall nanos and a count with block → phase → shard
 //!    causality, kept in a bounded ring and exportable as JSONL.
 //! 4. **The registry** ([`TelemetryRegistry`]) — the one handle instrumented
 //!    code touches. Disabled (the default) it costs a single branch per call;
@@ -17,12 +17,13 @@
 //!    ([`Dist`]), per-stage timings ([`Stage`]) and the flight recorder, and
 //!    summarizes into a [`TelemetrySnapshot`] for run reports.
 //!
-//! The unit/wall duality mirrors the workspace's cost model: model units are
-//! the deterministic "how much work" axis (1 unit ≈ one transaction
-//! execution), wall nanos the "how long did it really take" axis. Spans and
-//! stages record both so a bench trajectory can show, e.g., that execute-stage
-//! p99 wall time grew while its unit profile stayed flat — a scheduling
-//! problem, not a workload change.
+//! The count/wall duality: each stage's count (transactions executed, records
+//! committed, candidates considered, ...) is the deterministic "how much work"
+//! axis, in that stage's own currency and never summed across stages; wall
+//! nanos are the "how long did it really take" axis. Spans and stages record
+//! both so a trajectory can show, e.g., that execute-stage p99 wall time grew
+//! while its count profile stayed flat — a scheduling problem, not a workload
+//! change.
 //!
 //! # Example
 //!

@@ -50,7 +50,7 @@ macro_rules! named_enum {
 }
 
 named_enum! {
-    /// Pipeline stages with a (wall, units) histogram pair each.
+    /// Pipeline stages with a (wall, count) histogram pair each.
     Stage {
         /// Mempool ingest / routing.
         Ingest => "ingest",
@@ -60,7 +60,8 @@ named_enum! {
         Execute => "execute",
         /// State/store commit.
         Store => "store",
-        /// Cluster serial settle (receipt + root merge).
+        /// Cluster merge of the shards' micro-block records into the height's
+        /// final block.
         Merge => "merge",
         /// Cluster account re-homing.
         Rehome => "rehome",
@@ -78,7 +79,8 @@ named_enum! {
         MempoolEvicted => "mempool_evicted",
         /// Offers rejected (underpriced / full / nonce).
         MempoolRejected => "mempool_rejected",
-        /// Incremental-TDG maintenance operations (model units).
+        /// Incremental-TDG maintenance operations (`IncrementalTdg::op_units`:
+        /// edge inserts/removes plus folded and compacted entries).
         TdgOps => "tdg_ops",
         /// TDG compaction passes.
         TdgCompactions => "tdg_compactions",
@@ -115,7 +117,7 @@ named_enum! {
         /// Largest per-shard share of an ingest batch (items offered to one shard;
         /// the name dates from per-shard admission queues).
         IngestQueueDepth => "ingest_queue_depth",
-        /// TDG maintenance units per block.
+        /// TDG maintenance operations per block.
         TdgBlockUnits => "tdg_block_units",
         /// Bytes committed to the store per block.
         CommitBytes => "commit_bytes",
@@ -207,7 +209,7 @@ impl TelemetryRegistry {
         self.clock.now_nanos()
     }
 
-    /// Records one (wall, units) observation for a stage.
+    /// Records one (wall, count) observation for a stage.
     pub fn stage(&self, stage: Stage, wall_nanos: u64, units: u64) {
         if let Some(inner) = &self.inner {
             let pair = &inner.stages[stage.index()];
@@ -254,8 +256,8 @@ impl TelemetryRegistry {
         }
     }
 
-    /// Closes a span at the current clock reading, attributing `units` model
-    /// units to it. Closing a root span seals its tree into the flight
+    /// Closes a span at the current clock reading, attributing the count
+    /// `units` to it. Closing a root span seals its tree into the flight
     /// recorder.
     pub fn end_span(&self, span: SpanId, units: u64) {
         if let Some(inner) = &self.inner {

@@ -9,14 +9,15 @@
 use crate::hist::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
 
-/// Wall-clock and model-unit histograms for one pipeline stage.
+/// Wall-clock and count histograms for one pipeline stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSnapshot {
     /// Stage name (`"pack"`, `"execute"`, ...).
     pub stage: String,
     /// Per-block wall-clock nanoseconds for the stage.
     pub wall_nanos: HistogramSnapshot,
-    /// Per-block model units for the stage.
+    /// Per-block count of the stage's own work (transactions executed,
+    /// records committed, ...).
     pub units: HistogramSnapshot,
 }
 

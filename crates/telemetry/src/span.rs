@@ -1,7 +1,7 @@
 //! Structured spans and the flight recorder.
 //!
-//! A span is a named interval carrying **both** wall nanoseconds and model
-//! units, with parent/child causality: a block span owns phase spans (ingest,
+//! A span is a named interval carrying **both** wall nanoseconds and a count
+//! of the work it covered, with parent/child causality: a block span owns phase spans (ingest,
 //! pack, execute, store), and a phase span may own per-shard spans. The
 //! [`FlightRecorder`] keeps a bounded ring of the most recent *sealed* block
 //! span trees (a tree seals when its root span ends), exportable as JSONL for
@@ -22,8 +22,8 @@ impl SpanId {
     pub const ROOT: SpanId = SpanId(0);
 }
 
-/// A completed span: a named `[start, end]` wall interval plus the model units
-/// of work it covered, and optional numeric attributes (block height, shard id,
+/// A completed span: a named `[start, end]` wall interval plus a count of the
+/// work it covered, and optional numeric attributes (block height, shard id,
 /// transaction count, ...).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
@@ -37,7 +37,8 @@ pub struct SpanRecord {
     pub start_nanos: u64,
     /// Clock reading when the span closed.
     pub end_nanos: u64,
-    /// Model units of work covered by the span.
+    /// Count of the work covered by the span, in the span's own currency
+    /// (transactions, records, candidates, ...).
     pub units: u64,
     /// Numeric attributes (`("height", 7)`, `("shard", 2)`, ...).
     pub attrs: Vec<(String, u64)>,
@@ -179,7 +180,7 @@ impl FlightRecorder {
         }
     }
 
-    /// Closes a span, recording its end time and model units. Closing a root
+    /// Closes a span, recording its end time and work count. Closing a root
     /// span seals its tree into the ring (children still open are force-closed
     /// at the root's end time so every exported span is closed).
     pub fn end(&self, span: SpanId, end_nanos: u64, units: u64) {

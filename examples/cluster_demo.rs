@@ -1,13 +1,13 @@
 //! Cross-node cluster demo: the same arrival stream driven through the
 //! single-node pipeline and through an 8-node-shard cluster, printing each
-//! stage's modelled units and showing the cross-shard credit protocol at work
-//! on a deposit-heavy workload. What the cluster costs by the clock is the
+//! stage's counts and showing the cross-shard credit protocol at work on a
+//! deposit-heavy workload. What the cluster costs by the clock is the
 //! `cluster_xshard` workload of `benchmark/`.
 //!
 //! Run with `cargo run --release --example cluster_demo`.
 
 use blockconc::cluster::{ClusterConfig, ClusterDriver};
-use blockconc::pipeline::ConcurrencyAwarePacker;
+use blockconc::pipeline::{BlockRecord, ConcurrencyAwarePacker};
 use blockconc::prelude::*;
 
 const THREADS: usize = 4;
@@ -29,9 +29,9 @@ fn pipeline_config(max_blocks: usize) -> PipelineConfig {
     }
 }
 
-/// One stage's modelled units summed over a run's per-block records.
-fn total<T>(records: &[T], units: impl Fn(&T) -> u64) -> u64 {
-    records.iter().map(units).sum()
+/// One stage's count summed over a run's per-block records.
+fn total<T>(records: &[T], count: impl Fn(&T) -> u64) -> u64 {
+    records.iter().map(count).sum()
 }
 
 fn run_cluster(params: AccountWorkloadParams, label: &str) {
@@ -43,24 +43,26 @@ fn run_cluster(params: AccountWorkloadParams, label: &str) {
         .run(stream(params))
         .expect("cluster run");
     assert_eq!(report.total_failed, 0);
+    let micro = |count: fn(&BlockRecord) -> u64| -> u64 {
+        report.blocks.iter().map(|b| total(&b.micro, count)).sum()
+    };
     println!(
-        "{label}: {} txs over {} blocks on {} shards — modelled units: ingest {}, \
-         pack {}, execute {}, critical path {}; cross-shard {:.1}% ({} hops, {} receipts \
-         applied, mean latency {:.1} blocks), {} components re-homed / {} accounts \
-         handed over, {} rotations",
+        "{label}: {} txs over {} blocks on {} shards — {} arrivals offered, {} candidates \
+         considered; cross-shard {:.1}% ({} hops, {} receipts applied, mean latency \
+         {:.1} blocks), {} components re-homed / {} accounts and {} chains handed over, \
+         {} rotations",
         report.total_txs,
         report.blocks.len(),
         report.shards,
-        total(&report.blocks, |b| b.ingest_units),
-        total(&report.blocks, |b| b.pack_units),
-        total(&report.blocks, |b| b.execute_units),
-        report.total_units(),
+        micro(|b| b.ingested as u64),
+        micro(|b| b.pack_considered),
         report.cross_shard_fraction() * 100.0,
         report.cross_shard_hops,
         report.receipts_applied,
         report.mean_receipt_latency(),
         report.rehomed_components,
         report.moved_accounts,
+        report.moved_chains,
         report.rotations,
     );
 }
@@ -76,12 +78,11 @@ fn main() {
     .expect("single-node run");
     assert_eq!(single.total_failed, 0);
     println!(
-        "single node: {} txs over {} blocks — modelled units: ingest {}, pack {}, execute {}",
+        "single node: {} txs over {} blocks — {} arrivals offered, {} candidates considered",
         single.total_txs,
         single.blocks.len(),
         total(&single.blocks, |b| b.ingested as u64),
         total(&single.blocks, |b| b.pack_considered),
-        total(&single.blocks, |b| b.measured_parallel_units),
     );
 
     run_cluster(

@@ -1,9 +1,8 @@
 //! Sharded-mempool pipeline demo: the same hot-spot workload driven through the
 //! single-pool pipeline and through the component-sharded pool with parallel
-//! per-shard packers, printing each stage's modelled critical path side by side
-//! (ingest admits in order; its producer split is a model). The stages' units are
-//! not commensurable, so they are not summed; what either layout costs by the
-//! clock is the `shardpool_hot` workload of `benchmark/`.
+//! per-shard packers, printing each stage's counts side by side: the whole run's,
+//! and for the sharded layout the busiest shard's per block. What either layout
+//! costs by the clock is the `shardpool_hot` workload of `benchmark/`.
 //!
 //! Run with `cargo run --release --example shardpool_demo`.
 
@@ -32,9 +31,9 @@ fn stream() -> ArrivalStream {
         .with_fee_escalation(FeeEscalationSpec::standard(14.0))
 }
 
-/// One stage's modelled units summed over a run's per-block records.
-fn total<T>(records: &[T], units: impl Fn(&T) -> u64) -> u64 {
-    records.iter().map(units).sum()
+/// One stage's count summed over a run's per-block records.
+fn total<T>(records: &[T], count: impl Fn(&T) -> u64) -> u64 {
+    records.iter().map(count).sum()
 }
 
 fn main() {
@@ -55,10 +54,9 @@ fn main() {
     .run(stream())
     .expect("single-pool run");
 
-    // Sharded: 8 component shards, 8 modelled producer bins.
+    // Sharded: 8 component shards.
     let sharded_config = PipelineConfig {
         shards: 8,
-        producer_threads: 8,
         ..single_config
     };
     let sharded = ShardedPipelineDriver::new(ScheduledEngine::new(threads), sharded_config)
@@ -66,44 +64,44 @@ fn main() {
         .expect("sharded run");
 
     println!("single-pool pipeline:");
-    println!("  txs executed        {:>8}", single.total_txs);
-    println!("  leftover mempool    {:>8}", single.leftover_mempool);
+    println!("  txs executed              {:>8}", single.total_txs);
+    println!("  leftover mempool          {:>8}", single.leftover_mempool);
     println!(
-        "  ingest units        {:>8}",
+        "  arrivals offered          {:>8}",
         total(&single.blocks, |b| b.ingested as u64)
     );
     println!(
-        "  pack units          {:>8}",
+        "  candidates considered     {:>8}",
         total(&single.blocks, |b| b.pack_considered)
     );
-    println!(
-        "  execute units       {:>8}",
-        total(&single.blocks, |b| b.measured_parallel_units)
-    );
     println!();
+    println!("sharded pipeline ({} shards):", sharded.shards);
+    println!("  txs executed              {:>8}", sharded.run.total_txs);
     println!(
-        "sharded pipeline ({} shards, {} producers):",
-        sharded.shards, sharded.producers
-    );
-    println!("  txs executed        {:>8}", sharded.run.total_txs);
-    println!("  leftover mempool    {:>8}", sharded.run.leftover_mempool);
-    println!(
-        "  ingest units        {:>8}",
-        total(&sharded.phases, |p| p.ingest_units)
+        "  leftover mempool          {:>8}",
+        sharded.run.leftover_mempool
     );
     println!(
-        "  pack units          {:>8}",
-        total(&sharded.phases, |p| p.pack_units)
+        "  arrivals offered          {:>8}",
+        total(&sharded.run.blocks, |b| b.ingested as u64)
     );
     println!(
-        "  execute units       {:>8}",
-        total(&sharded.phases, |p| p.execute_units)
+        "    to the busiest shard    {:>8}",
+        total(&sharded.phases, |p| p.max_shard_offered)
     );
-    println!("  chains migrated     {:>8}", sharded.migrated_chains);
-    println!("  rebalance passes    {:>8}", sharded.rebalances);
+    println!(
+        "  candidates considered     {:>8}",
+        total(&sharded.run.blocks, |b| b.pack_considered)
+    );
+    println!(
+        "    by the busiest shard    {:>8}",
+        total(&sharded.phases, |p| p.max_shard_considered)
+    );
+    println!("  chains migrated           {:>8}", sharded.migrated_chains);
+    println!("  rebalance passes          {:>8}", sharded.rebalances);
     let aged: u64 = sharded.run.blocks.iter().map(|b| b.aged_included).sum();
     let deferred: u64 = sharded.run.blocks.iter().map(|b| b.deferred_by_cap).sum();
-    println!("  cap deferrals       {:>8}", deferred);
-    println!("  aged inclusions     {:>8}", aged);
+    println!("  cap deferrals             {:>8}", deferred);
+    println!("  aged inclusions           {:>8}", aged);
     assert_eq!(single.total_failed + sharded.run.total_failed, 0);
 }

@@ -124,13 +124,13 @@ fn main() {
 
     let snapshot = report.telemetry.as_ref().expect("telemetry enabled");
     println!(
-        "pipeline run: {} blocks, {} txs — per-stage quantiles (wall ns / model units):\n",
+        "pipeline run: {} blocks, {} txs — per-stage quantiles (wall ns / stage count):\n",
         report.blocks.len(),
         report.total_txs
     );
     println!(
         "  {:<9} {:>8} {:>12} {:>12} {:>10} {:>10}",
-        "stage", "samples", "wall p50", "wall p99", "units p50", "units p99"
+        "stage", "samples", "wall p50", "wall p99", "count p50", "count p99"
     );
     for stage in &snapshot.stages {
         println!(

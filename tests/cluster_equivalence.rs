@@ -83,8 +83,6 @@ fn normalized_for(record: &BlockRecord, optimistic: bool) -> BlockRecord {
         return record;
     }
     BlockRecord {
-        measured_parallel_units: 0,
-        measured_speedup: 0.0,
         conflict_rate: 0.0,
         group_conflict_rate: 0.0,
         ..record

