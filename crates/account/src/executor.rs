@@ -394,7 +394,7 @@ mod tests {
         use blockconc_store::{shared, MemoryBackend};
         let mut state = delta_genesis();
         state
-            .attach_backend(shared(MemoryBackend::new()), Some(1))
+            .attach_backend(shared(MemoryBackend::new()), None)
             .unwrap();
         state.begin_block(1).unwrap();
         state

@@ -74,7 +74,9 @@ pub(crate) trait Source {
     fn tracks_writes(&self) -> bool;
 
     /// The committed account at `address`, as much of it as this state
-    /// materializes (whole, or sparse), or `None` if there is none.
+    /// materializes (sparse, for a scratch state), or `None` if there is none
+    /// (always, for the resident state, which holds every committed account).
+    /// Asked only about an address that is neither resident nor written here.
     fn load(&mut self, address: Address) -> Option<Account>;
 }
 

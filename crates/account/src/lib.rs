@@ -63,7 +63,7 @@ pub use block::{AccountBlock, BlockBuilder, ExecutedBlock};
 // `StateKey` moved to `blockconc-store` (the unit of backend storage); re-exported
 // here so existing `blockconc_account::StateKey` imports keep working.
 pub use access::AccessSet;
-pub use blockconc_store::{StateKey, StateValue};
+pub use blockconc_store::StateKey;
 pub use executor::{BlockExecutor, TxContext};
 pub use journal::Journal;
 pub use receipt::{InternalTransaction, Receipt};

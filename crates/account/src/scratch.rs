@@ -553,7 +553,7 @@ pub(crate) mod tests {
 
         fn contract(&mut self, address: Address) -> Option<Arc<Contract>> {
             let code = self.accounts.get(&address)?.code_json.as_deref()?;
-            Some(decode_contract(code))
+            Some(decode_contract(code).expect("committed code decodes"))
         }
     }
 

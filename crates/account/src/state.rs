@@ -5,11 +5,11 @@ use crate::journal::{Source, WorkingSet};
 use crate::vm::Contract;
 use crate::{Account, Journal};
 use blockconc_store::{
-    BlockDelta, CommitStats, DeltaRecord, FragmentValue, SharedBackend, StateKey, StateValue,
-    StoreStats, StoredAccount,
+    BlockDelta, CommitStats, DeltaRecord, FragmentValue, SharedBackend, StateKey, StoreStats,
+    StoredAccount,
 };
 use blockconc_types::{Address, Amount, Error, Hash, Result};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// The state operations transaction execution needs: reads, journalled writes,
@@ -119,48 +119,46 @@ pub fn account_to_stored(account: &Account) -> StoredAccount {
 /// Decodes a persisted contract-code blob (a [`StoredAccount::code_json`] or a
 /// [`FragmentValue::Code`]).
 ///
-/// # Panics
+/// # Errors
 ///
 /// Undecodable code means the store and this build disagree about the contract
-/// format (or the blob was corrupted past the frame CRC) — executing the account
-/// as if it had no code would silently diverge from the committed history, so
-/// fail loudly instead.
-pub fn decode_contract(code: &str) -> Arc<Contract> {
-    Arc::new(
-        serde_json::from_str::<Contract>(code)
-            .expect("persisted contract code must deserialize (format skew or corruption)"),
-    )
+/// format, or the blob was corrupted past the frame CRC. Executing the account
+/// as if it had no code would silently diverge from the committed history.
+pub fn decode_contract(code: &str) -> Result<Arc<Contract>> {
+    serde_json::from_str::<Contract>(code)
+        .map(Arc::new)
+        .map_err(|e| Error::execution(format!("contract code does not decode: {e}")))
 }
 
-/// Materializes a persisted account back into the working-set form.
+/// Materializes a persisted account back into its resident form.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the account carries contract code this build cannot decode (see
-/// [`decode_contract`]): continuing without the code would corrupt execution.
-pub fn stored_to_account(stored: &StoredAccount) -> Account {
+/// Fails if the account carries contract code this build cannot decode (see
+/// [`decode_contract`]).
+pub fn stored_to_account(stored: &StoredAccount) -> Result<Account> {
     let mut account = Account::with_balance(Amount::from_sats(stored.balance_sats));
     account.set_nonce(stored.nonce);
     for &(key, value) in &stored.storage {
         account.storage_set(key, value);
     }
     if let Some(code) = &stored.code_json {
-        account.set_code_with_json(decode_contract(code), Arc::from(code.as_str()));
+        account.set_code_with_json(decode_contract(code)?, Arc::from(code.as_str()));
     }
-    account
+    Ok(account)
 }
 
 /// The global state of an account-based blockchain.
 ///
-/// Without a backend this is exactly the historical in-memory map: every account
-/// lives in the resident map, and nothing else exists. With a
-/// [`StateBackend`](blockconc_store::StateBackend) mounted
-/// ([`WorldState::attach_backend`]), the map becomes a *working set* over the
-/// backend's committed state: reads fall through to the backend on a resident miss,
-/// writes are tracked as the open block's dirty set, and
-/// [`commit_block`](WorldState::commit_block) pushes the block's write-set delta
-/// down (journaled to disk by `blockconc_store::DiskBackend`). Clones share the
-/// backend handle but own their resident map.
+/// Every account lives in the resident map, with or without a backend: the
+/// state a block executes over is the whole state, held in memory. A
+/// [`StateBackend`](blockconc_store::StateBackend) mounted with
+/// [`WorldState::attach_backend`] is the state's journal. Writes are tracked as
+/// the open block's dirty set, and [`commit_block`](WorldState::commit_block)
+/// pushes the block's write-set delta down (journaled to disk by
+/// `blockconc_store::DiskBackend`). The backend is read once, when a state is
+/// mounted on a store that already holds commits. Clones share the backend
+/// handle but own their accounts.
 ///
 /// All mutating operations can be journalled (pass a [`Journal`]) so that a failed
 /// transaction can be reverted precisely; this mirrors how real execution clients
@@ -179,99 +177,104 @@ pub fn stored_to_account(stored: &StoredAccount) -> Account {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WorldState {
-    /// The resident accounts, the open block's dirty set and the backend.
-    set: WorkingSet<Option<SharedBackend>>,
-    working_set_cap: Option<usize>,
+    /// The accounts, the open block's dirty set and the mount.
+    set: WorkingSet<Mount>,
     open_height: Option<u64>,
 }
 
-/// A resident state materializes a miss whole, from the backend if one is
-/// mounted.
-impl Source for Option<SharedBackend> {
+/// What a resident state is mounted on, and what the open block did that
+/// [`WorldState::withdraw_phantom`] must tell apart. Both sets are kept only
+/// while a backend is mounted: without one there is no block scope.
+#[derive(Debug, Clone, Default)]
+struct Mount {
+    backend: Option<SharedBackend>,
+    /// Addresses the open block reached with nothing committed under them.
+    born: BTreeSet<Address>,
+    /// Committed addresses the open block removed (handed off).
+    departed: BTreeSet<Address>,
+}
+
+impl Source for Mount {
     fn tracks_writes(&self) -> bool {
-        self.is_some()
+        self.backend.is_some()
     }
 
+    /// Nothing to load: every committed account is resident. The working set
+    /// asks only about an address that is neither resident nor written in the
+    /// open block, so nothing is committed there, and the block scope notes it.
     fn load(&mut self, address: Address) -> Option<Account> {
-        let stored = self
-            .as_ref()?
-            .lock()
-            .expect("backend lock")
-            .get_account(address)?;
-        Some(stored_to_account(&stored))
+        if self.backend.is_some() {
+            self.born.insert(address);
+        }
+        None
     }
 }
 
 impl WorldState {
-    /// Creates an empty world state (no backend: the resident map is the state).
+    /// Creates an empty world state (no backend).
     pub fn new() -> Self {
         WorldState::default()
     }
 
     /// Mounts `backend` under this state.
     ///
-    /// If the backend is empty, the current resident accounts are committed to it as
-    /// the genesis delta (height 0). If the backend already holds committed state (a
-    /// reopened store), that state becomes authoritative and the resident map is
-    /// reset to a cold working set.
+    /// If the backend holds no commits, the current accounts are committed to
+    /// it as the genesis delta (height 0). If it holds commits (a reopened
+    /// store), every committed account is read back and replaces the current
+    /// ones: that state is authoritative, and the backend is not read again.
     ///
-    /// `working_set_cap` softly bounds the resident map: after each committed block,
-    /// accounts that are neither contracts nor part of the just-committed write set
-    /// are evicted down to the cap.
+    /// `_working_set_cap` is ignored: every account stays resident. The
+    /// parameter stays only because the wall-clock benchmark's frozen surface
+    /// still passes it.
     ///
     /// # Errors
     ///
-    /// Propagates backend commit failures for the genesis delta.
+    /// Propagates a failed genesis commit, and a committed record that cannot
+    /// be read or decoded. A memory backend that holds commits has no accounts
+    /// to hand back, which is an error too.
     pub fn attach_backend(
         &mut self,
         backend: SharedBackend,
-        working_set_cap: Option<usize>,
+        _working_set_cap: Option<usize>,
     ) -> Result<()> {
-        let fresh = backend
-            .lock()
-            .expect("backend lock")
-            .committed_block()
-            .is_none();
-        if fresh {
-            // Fresh store: current accounts are the genesis.
-            let mut records: Vec<DeltaRecord> = self
-                .set
-                .accounts
-                .iter()
-                .map(|(address, account)| DeltaRecord {
-                    address: *address,
-                    account: Some(account_to_stored(account)),
-                })
-                .collect();
-            records.sort_by_key(|r| r.address);
+        {
             let mut guard = backend.lock().expect("backend lock");
-            guard.begin_block(0)?;
-            guard.commit_block(&BlockDelta { height: 0, records })?;
-        } else {
-            // Recovered store: its committed state wins.
-            self.set.accounts.clear();
+            if guard.committed_block().is_none() {
+                let mut records: Vec<DeltaRecord> = self
+                    .set
+                    .accounts
+                    .iter()
+                    .map(|(address, account)| DeltaRecord {
+                        address: *address,
+                        account: Some(account_to_stored(account)),
+                    })
+                    .collect();
+                records.sort_by_key(|r| r.address);
+                guard.begin_block(0)?;
+                guard.commit_block(&BlockDelta { height: 0, records })?;
+            } else {
+                let mut accounts = HashMap::new();
+                guard.for_each_account(&mut |address, stored| {
+                    accounts.insert(address, stored_to_account(&stored)?);
+                    Ok(())
+                })?;
+                self.set.accounts = accounts;
+            }
         }
-        self.set.source = Some(backend);
-        self.working_set_cap = working_set_cap;
-        self.set.dirty.clear();
-        self.evict_to_cap(&BTreeSet::new());
+        self.set.source.backend = Some(backend);
+        self.close_block();
         Ok(())
     }
 
     /// The mounted backend handle, if any.
     pub fn backend(&self) -> Option<&SharedBackend> {
-        self.set.source.as_ref()
+        self.set.source.backend.as_ref()
     }
 
     /// The mounted backend's cumulative counters, if any.
     pub fn backend_stats(&self) -> Option<StoreStats> {
         self.backend()
             .map(|b| b.lock().expect("backend lock").stats())
-    }
-
-    /// Accounts currently materialized in the resident working set.
-    pub fn resident_accounts(&self) -> usize {
-        self.set.accounts.len()
     }
 
     /// Opens block `height`: subsequent writes form its write-set delta.
@@ -288,24 +291,23 @@ impl WorldState {
     }
 
     /// Commits the open block: the dirty accounts' new values are pushed to the
-    /// backend as one write-set delta (journaled, for the disk backend), the dirty
-    /// set is cleared, and the working set is evicted down to the cap.
+    /// backend as one write-set delta (journaled, for the disk backend) and the
+    /// block scope is cleared.
     ///
     /// Dirty marking is conservative: an account touched and then fully reverted
     /// within the block still commits its (unchanged) value. Detecting no-op
-    /// records would cost a backend pre-image read per dirty account on every
-    /// commit, so the rare reverted-transaction record is the cheaper trade.
+    /// records would cost a pre-image per dirty account on every commit, so the
+    /// rare reverted-transaction record is the cheaper trade.
     ///
     /// Without a backend this only clears the block scope and reports zero cost.
     ///
     /// # Errors
     ///
     /// Returns an error if no block is open (with a backend mounted), or if the
-    /// backend commit fails.
+    /// backend commit fails; the block then stays open.
     pub fn commit_block(&mut self) -> Result<CommitStats> {
         let Some(backend) = self.backend().cloned() else {
-            self.open_height = None;
-            self.set.dirty.clear();
+            self.close_block();
             return Ok(CommitStats::default());
         };
         let height = self
@@ -320,180 +322,57 @@ impl WorldState {
                 account: self.set.accounts.get(address).map(account_to_stored),
             })
             .collect();
-        // Close the block scope only after the backend accepted the delta: a
-        // failed commit (e.g. disk full) leaves the block open on both sides so
-        // the caller can still `rollback_block`.
         let stats = backend
             .lock()
             .expect("backend lock")
             .commit_block(&BlockDelta { height, records })?;
-        self.open_height = None;
-        let last_dirty = std::mem::take(&mut self.set.dirty);
-        self.evict_to_cap(&last_dirty);
+        self.close_block();
         Ok(stats)
     }
 
-    /// Abandons the open block: uncommitted writes are dropped from the working set
-    /// (they re-materialize from the backend's committed state on next access).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error without a backend (the map alone cannot restore overwritten
-    /// values) or if no block is open.
-    pub fn rollback_block(&mut self) -> Result<()> {
-        let Some(backend) = &self.set.source else {
-            return Err(Error::validation("rollback_block requires a state backend"));
-        };
-        self.open_height
-            .take()
-            .ok_or_else(|| Error::validation("no open block to roll back"))?;
-        backend.lock().expect("backend lock").rollback_block()?;
-        for address in std::mem::take(&mut self.set.dirty) {
-            self.set.accounts.remove(&address);
-        }
-        Ok(())
-    }
-
-    /// Evicts clean, non-contract accounts until the resident map is back at the
-    /// cap (`keep` is the just-committed write set — the hottest accounts, spared
-    /// from eviction). Deterministic: candidates leave in ascending address order,
-    /// and only as many as the excess demands.
-    fn evict_to_cap(&mut self, keep: &BTreeSet<Address>) {
-        let Some(cap) = self.working_set_cap else {
-            return;
-        };
-        let accounts = &mut self.set.accounts;
-        if self.set.source.is_none() || accounts.len() <= cap {
-            return;
-        }
-        let mut evictable: Vec<Address> = accounts
-            .iter()
-            .filter(|(address, account)| !account.is_contract() && !keep.contains(address))
-            .map(|(address, _)| *address)
-            .collect();
-        evictable.sort_unstable();
-        let excess = accounts.len() - cap;
-        for address in evictable.into_iter().take(excess) {
-            accounts.remove(&address);
-        }
-    }
-
-    /// The committed value visible to a read that misses the resident map: `None`
-    /// without a backend, when the account was deleted in the open block (dirty
-    /// but not resident — the committed value is stale), or when the backend has
-    /// no such account. Every read-through path resolves through here or through
-    /// [`fallback_value`](WorldState::fallback_value), which applies the same
-    /// dirty-deletion rule.
-    fn fallback_stored(&self, address: Address) -> Option<StoredAccount> {
-        if self.set.dirty.contains(&address) {
-            return None;
-        }
-        self.backend()?
-            .lock()
-            .expect("backend lock")
-            .get_account(address)
-    }
-
-    /// The committed value of one key visible to a read that misses the resident
-    /// map — the per-key face of [`fallback_stored`](WorldState::fallback_stored),
-    /// same dirty-deletion rule. What it costs is the backend's business: the
-    /// key alone on the memory backend, the account record on disk.
-    fn fallback_value(&self, key: &StateKey) -> Option<StateValue> {
-        if self.set.dirty.contains(&key.address()) {
-            return None;
-        }
-        self.backend()?.lock().expect("backend lock").get(key)
-    }
-
-    fn fallback_meta(&self, address: Address) -> Option<(Amount, u64)> {
-        match self.fallback_value(&StateKey::Balance(address))? {
-            StateValue::AccountMeta {
-                balance_sats,
-                nonce,
-            } => Some((Amount::from_sats(balance_sats), nonce)),
-            other => unreachable!("backend answered a balance key with {other:?}"),
-        }
-    }
-
-    /// The committed account behind a resident miss, materialized whole (`None`
-    /// when deleted in the open block or unknown to the backend) — one
-    /// whole-account backend read. Readers that serve many keys of a
-    /// non-resident account (the optimistic engine's view of its base state)
-    /// call this once and keep the result.
-    pub fn load_account(&self, address: Address) -> Option<Account> {
-        self.fallback_stored(address)
-            .map(|stored| stored_to_account(&stored))
+    /// Clears the block scope: the open height, the dirty set and what the
+    /// block created or removed.
+    fn close_block(&mut self) {
+        self.open_height = None;
+        self.set.dirty.clear();
+        self.set.source.born.clear();
+        self.set.source.departed.clear();
     }
 
     /// Number of accounts that exist (have been touched at least once).
     pub fn account_count(&self) -> usize {
-        let Some(backend) = self.backend() else {
-            return self.set.accounts.len();
-        };
-        let mut guard = backend.lock().expect("backend lock");
-        let mut count = guard.account_count();
-        for address in &self.set.dirty {
-            let resident = self.set.accounts.contains_key(address);
-            let committed = guard.contains_account(*address);
-            if resident && !committed {
-                count += 1; // created this block, not yet committed
-            } else if !resident && committed {
-                count -= 1; // deleted this block, not yet committed
-            }
-        }
-        count
+        self.set.accounts.len()
     }
 
-    /// Returns a reference to an account **in the resident working set**. With a
-    /// backend mounted, evicted accounts return `None` even though they exist in
-    /// committed state — use the value accessors ([`balance`](WorldState::balance),
-    /// [`nonce`](WorldState::nonce), …) for authoritative reads.
+    /// Returns a reference to an account.
     pub fn account(&self, address: Address) -> Option<&Account> {
         self.set.accounts.get(&address)
     }
 
-    /// Returns `true` if the account exists (resident or committed).
+    /// Returns `true` if the account exists.
     pub fn contains(&self, address: Address) -> bool {
         self.set.accounts.contains_key(&address)
-            || self.fallback_value(&StateKey::Balance(address)).is_some()
     }
 
     /// The balance of `address` (zero if the account does not exist).
     pub fn balance(&self, address: Address) -> Amount {
-        if let Some(account) = self.set.accounts.get(&address) {
-            return account.balance();
-        }
-        self.fallback_meta(address)
-            .map_or(Amount::ZERO, |(balance, _)| balance)
+        self.account(address).map_or(Amount::ZERO, Account::balance)
     }
 
     /// The nonce of `address` (zero if the account does not exist).
     pub fn nonce(&self, address: Address) -> u64 {
-        if let Some(account) = self.set.accounts.get(&address) {
-            return account.nonce();
-        }
-        self.fallback_meta(address).map_or(0, |(_, nonce)| nonce)
+        self.account(address).map_or(0, Account::nonce)
     }
 
     /// The contract deployed at `address`, if any.
     pub fn contract(&self, address: Address) -> Option<Arc<Contract>> {
-        if let Some(account) = self.set.accounts.get(&address) {
-            return account.code().cloned();
-        }
-        let stored = self.fallback_stored(address)?;
-        stored.code_json.as_deref().map(decode_contract)
+        self.account(address)?.code().cloned()
     }
 
     /// Reads a storage slot of `address` (zero when absent).
     pub fn storage(&self, address: Address, key: u64) -> u64 {
-        if let Some(account) = self.set.accounts.get(&address) {
-            return account.storage_get(key);
-        }
-        match self.fallback_value(&StateKey::Storage(address, key)) {
-            Some(StateValue::Slot(value)) => value,
-            None => 0,
-            Some(other) => unreachable!("backend answered a storage key with {other:?}"),
-        }
+        self.account(address)
+            .map_or(0, |account| account.storage_get(key))
     }
 
     /// Adds `value` to the balance of `address` (creating the account if needed).
@@ -518,16 +397,15 @@ impl WorldState {
 
     /// Collects the dirty accounts' current values into `out` — exactly the
     /// records [`commit_block`](WorldState::commit_block) would push — then
-    /// clears the dirty set and closes any open block scope *without notifying
-    /// the backend*. `out` is cleared first and its capacity reused.
+    /// clears the block scope *without notifying the backend*. `out` is
+    /// cleared first and its capacity reused.
     pub fn take_write_set(&mut self, out: &mut Vec<DeltaRecord>) {
         out.clear();
         out.extend(self.set.dirty.iter().map(|address| DeltaRecord {
             address: *address,
             account: self.set.accounts.get(address).map(account_to_stored),
         }));
-        self.set.dirty.clear();
-        self.open_height = None;
+        self.close_block();
     }
 
     /// Sets one committed cell on the resident account in place — the in-place
@@ -568,7 +446,8 @@ impl WorldState {
             }
             (StateKey::Code(_), Some(FragmentValue::Code(code))) => {
                 if let Some(account) = self.touched(address) {
-                    account.set_code_with_json(decode_contract(code), Arc::from(code.as_str()));
+                    let contract = decode_contract(code).expect("code this build serialized");
+                    account.set_code_with_json(contract, Arc::from(code.as_str()));
                 }
             }
             (key, fragment) => {
@@ -587,33 +466,36 @@ impl WorldState {
         self.set.accounts.get_mut(&address)
     }
 
-    /// Joins `address` to the open block's write set without changing its value
-    /// (materializing the committed account first, so the mark does not read as
-    /// a deletion): what sequential execution leaves behind for an account it
-    /// wrote back unchanged.
+    /// Joins `address` to the open block's write set without changing its
+    /// value: what sequential execution leaves behind for an account it wrote
+    /// back unchanged.
     pub fn touch(&mut self, address: Address) {
+        // The lookup lets the block scope note an address with nothing
+        // committed under it.
         self.set.load(address);
         self.set.mark_dirty(address);
     }
 
-    /// The complete persisted view of one account (resident value if cached,
-    /// committed value otherwise), or `None` if the account does not exist. This
-    /// is the export half of a cross-partition state handoff: the cluster layer
-    /// moves an account between shard partitions by exporting it here, removing it
-    /// ([`WorldState::remove_account`]) and installing it on the destination
-    /// ([`WorldState::install_account`]).
+    /// The complete persisted view of one account, or `None` if the account
+    /// does not exist. This is the export half of a cross-partition state
+    /// handoff: the cluster layer moves an account between shard partitions by
+    /// exporting it here, removing it ([`WorldState::remove_account`]) and
+    /// installing it on the destination ([`WorldState::install_account`]).
     pub fn export_account(&self, address: Address) -> Option<StoredAccount> {
-        match self.set.accounts.get(&address) {
-            Some(account) => Some(account_to_stored(account)),
-            None => self.fallback_stored(address),
-        }
+        self.account(address).map(account_to_stored)
     }
 
     /// Installs an account's persisted value into this state (the import half of a
     /// cross-partition handoff). The account joins the open block's write set, so
     /// the commit journals it into this partition's backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the account carries code this build cannot decode: a handoff
+    /// only moves what [`export_account`](WorldState::export_account) produced.
     pub fn install_account(&mut self, address: Address, stored: &StoredAccount) {
-        self.set.accounts.insert(address, stored_to_account(stored));
+        let account = stored_to_account(stored).expect("an account this build exported");
+        self.set.accounts.insert(address, account);
         self.set.mark_dirty(address);
     }
 
@@ -622,7 +504,9 @@ impl WorldState {
     /// the commit journals the departure; reads of the address afterwards see
     /// nothing, exactly as if the account never lived here.
     pub fn remove_account(&mut self, address: Address) {
-        self.set.accounts.remove(&address);
+        if self.set.accounts.remove(&address).is_some() && self.set.source.tracks_writes() {
+            self.set.source.departed.insert(address);
+        }
         self.set.mark_dirty(address);
     }
 
@@ -630,9 +514,14 @@ impl WorldState {
     /// executing the local debit half of a cross-shard transaction, whose real
     /// home is another shard's partition. If the withdrawal leaves the account
     /// exactly as if it had never been touched (zero balance, zero nonce, no
-    /// storage, no code, nothing committed for it in this partition), every trace
-    /// is erased — resident entry *and* dirty mark — so the block's write-set
-    /// delta carries no record of the visit.
+    /// storage, no code), the phantom goes:
+    ///
+    /// - nothing was committed for it in this partition: every trace is erased,
+    ///   resident entry *and* dirty mark, so the block's write-set delta carries
+    ///   no record of the visit (without a backend, always);
+    /// - it was committed here and removed earlier in this block (handed off to
+    ///   its new home): the removal stands, and the delta deletes it;
+    /// - it was committed here and never removed: it stays, as committed.
     ///
     /// # Errors
     ///
@@ -640,97 +529,51 @@ impl WorldState {
     /// would indicate the caller mis-tracked the phantom credit).
     pub fn withdraw_phantom(&mut self, address: Address, value: Amount) -> Result<()> {
         self.debit(address, value)?;
-        let untouched = self.set.accounts.get(&address).is_some_and(|account| {
+        let untouched = self.account(address).is_some_and(|account| {
             account.balance() == Amount::ZERO
                 && account.nonce() == 0
                 && !account.is_contract()
                 && account.storage_entries().is_empty()
         });
-        if untouched {
-            let committed = self
-                .backend()
-                .is_some_and(|b| b.lock().expect("backend lock").contains_account(address));
-            if !committed {
-                self.set.accounts.remove(&address);
-                self.set.dirty.remove(&address);
-            }
+        if !untouched {
+            return Ok(());
+        }
+        let mount = &self.set.source;
+        if mount.backend.is_none() || mount.born.contains(&address) {
+            self.set.accounts.remove(&address);
+            self.set.dirty.remove(&address);
+        } else if mount.departed.contains(&address) {
+            self.set.accounts.remove(&address);
         }
         Ok(())
     }
 
-    /// Iterates over the **resident** (address, account) pairs. Without a backend
-    /// this is every account; with one, evicted accounts are not visited — use
-    /// [`WorldState::state_root`] or [`WorldState::total_supply`] for whole-state
-    /// aggregates.
+    /// Iterates over every (address, account) pair, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (&Address, &Account)> {
         self.set.accounts.iter()
     }
 
     /// Sum of all account balances (conserved by transfers; useful as an invariant).
-    /// Merges committed and resident state when a backend is mounted.
     pub fn total_supply(&self) -> Amount {
-        let resident: u64 = self.set.accounts.values().map(|a| a.balance().sats()).sum();
-        let mut total = resident;
-        if let Some(backend) = self.backend() {
-            backend
-                .lock()
-                .expect("backend lock")
-                .for_each_account(&|address| self.holds_current(address), &mut |_, stored| {
-                    total += stored.balance_sats
-                });
-        }
-        Amount::from_sats(total)
+        Amount::from_sats(
+            self.iter()
+                .map(|(_, account)| account.balance().sats())
+                .sum(),
+        )
     }
 
-    /// A deterministic digest of the complete logical state (committed accounts
-    /// overlaid with the resident working set), independent of which backend holds
-    /// it — the oracle the backend-equivalence tests compare across pipelines.
+    /// A deterministic digest of the complete state, independent of which
+    /// backend journals it — the oracle the backend-equivalence tests compare
+    /// across pipelines.
     pub fn state_root(&self) -> Hash {
-        // Committed accounts the working set lacks, ascending. A dirty account
-        // that is not resident was deleted this block and stays out.
-        let mut cold: Vec<(Address, StoredAccount)> = Vec::new();
-        if let Some(backend) = self.backend() {
-            backend.lock().expect("backend lock").for_each_account(
-                &|address| self.holds_current(address),
-                &mut |address, stored| cold.push((address, stored)),
-            );
-        }
-
-        /// One account of the root, borrowed where it lives.
-        enum RootEntry<'a> {
-            Resident(&'a Account),
-            Stored(&'a StoredAccount),
-        }
-        let mut entries: Vec<(Address, RootEntry<'_>)> =
-            Vec::with_capacity(self.set.accounts.len() + cold.len());
-        entries.extend(
-            self.set
-                .accounts
-                .iter()
-                .map(|(address, account)| (*address, RootEntry::Resident(account))),
-        );
-        entries.extend(
-            cold.iter()
-                .map(|(address, stored)| (*address, RootEntry::Stored(stored))),
-        );
-        entries.sort_unstable_by_key(|(address, _)| *address);
-
+        let mut accounts: Vec<(&Address, &Account)> = self.iter().collect();
+        accounts.sort_unstable_by_key(|(address, _)| **address);
         let mut data = Vec::new();
-        for (address, entry) in &entries {
+        for (address, account) in accounts {
             data.extend_from_slice(address.as_bytes());
-            match entry {
-                RootEntry::Resident(account) => account_to_stored(account).digest_into(&mut data),
-                RootEntry::Stored(stored) => stored.digest_into(&mut data),
-            }
+            account_to_stored(account).digest_into(&mut data);
         }
         Hash::of_bytes(&data)
-    }
-
-    /// Whether the working set already holds `address`'s current value, so a
-    /// whole-state walk of the backend can skip it: resident, or deleted in the
-    /// open block (dirty but not resident).
-    fn holds_current(&self, address: Address) -> bool {
-        self.set.accounts.contains_key(&address) || self.set.dirty.contains(&address)
     }
 }
 
@@ -805,10 +648,9 @@ mod tests {
     use crate::vm::OpCode;
     use crate::{AccessSet, ScratchState};
     use blockconc_store::{
-        apply_fragment, diff_account_fragments, shared, MemoryBackend, StateBackend,
+        apply_fragment, diff_account_fragments, shared, DiskBackend, DiskConfig, MemoryBackend,
     };
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     #[test]
     fn credit_creates_accounts_and_debit_requires_existence() {
@@ -994,12 +836,11 @@ mod tests {
         state
     }
 
-    /// The genesis on a memory backend, capped so only the contract stays
-    /// resident.
+    /// The genesis on a memory backend.
     fn backed_state() -> WorldState {
         let mut state = genesis();
         state
-            .attach_backend(shared(MemoryBackend::new()), Some(1))
+            .attach_backend(shared(MemoryBackend::new()), None)
             .unwrap();
         state
     }
@@ -1016,16 +857,27 @@ mod tests {
         state
     }
 
+    /// The records the open block would commit, off a clone.
+    fn write_set(state: &WorldState) -> Vec<DeltaRecord> {
+        let mut records = Vec::new();
+        state.clone().take_write_set(&mut records);
+        records
+    }
+
     #[test]
-    fn attach_backend_commits_genesis_and_reads_fall_through() {
+    fn attach_backend_commits_genesis_and_keeps_every_account() {
         let state = backed_state();
-        // The cap evicted non-contract accounts, but reads fall through.
-        assert!(state.resident_accounts() < state.account_count());
+        assert_eq!(state.account_count(), 3);
         assert_eq!(state.balance(Address::from_low(1)), Amount::from_coins(10));
         assert_eq!(state.balance(Address::from_low(2)), Amount::from_coins(20));
         assert!(state.contract(Address::from_low(9)).is_some());
-        assert_eq!(state.account_count(), 3);
         assert_eq!(state.total_supply(), Amount::from_coins(30));
+        let stats = state.backend_stats().unwrap();
+        assert_eq!((stats.committed_blocks, stats.records_written), (1, 3));
+        // A memory backend keeps no accounts, so a second state cannot mount
+        // its commits.
+        let backend = SharedBackend::clone(state.backend().unwrap());
+        assert!(WorldState::new().attach_backend(backend, None).is_err());
     }
 
     #[test]
@@ -1049,85 +901,12 @@ mod tests {
         assert_eq!(backend_stats.committed_blocks, 2); // genesis + block 1
     }
 
-    #[test]
-    fn rollback_block_discards_uncommitted_writes() {
-        let mut state = backed_state();
-        let root = state.state_root();
-        state.begin_block(1).unwrap();
-        state.credit(Address::from_low(50), Amount::from_coins(1));
-        state
-            .debit(Address::from_low(1), Amount::from_coins(1))
-            .unwrap();
-        state.rollback_block().unwrap();
-        assert_eq!(state.state_root(), root);
-        assert_eq!(state.balance(Address::from_low(1)), Amount::from_coins(10));
-        assert!(!state.contains(Address::from_low(50)));
-    }
-
-    /// A [`MemoryBackend`] that counts the committed accounts it materializes,
-    /// by point read or by walk (the `Counting` pattern of the execution
-    /// crate's `slot_count_independence` test).
-    #[derive(Debug)]
-    struct Counting {
-        inner: MemoryBackend,
-        materialized: Arc<AtomicUsize>,
-    }
-
-    impl StateBackend for Counting {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-        fn get_account(&mut self, address: Address) -> Option<StoredAccount> {
-            let account = self.inner.get_account(address)?;
-            self.materialized.fetch_add(1, AtomicOrdering::Relaxed);
-            Some(account)
-        }
-        fn contains_account(&mut self, address: Address) -> bool {
-            self.inner.contains_account(address)
-        }
-        fn begin_block(&mut self, height: u64) -> Result<()> {
-            self.inner.begin_block(height)
-        }
-        fn commit_block(&mut self, delta: &BlockDelta) -> Result<CommitStats> {
-            self.inner.commit_block(delta)
-        }
-        fn rollback_block(&mut self) -> Result<()> {
-            self.inner.rollback_block()
-        }
-        fn committed_block(&self) -> Option<u64> {
-            self.inner.committed_block()
-        }
-        fn open_height(&self) -> Option<u64> {
-            self.inner.open_height()
-        }
-        fn account_count(&self) -> usize {
-            self.inner.account_count()
-        }
-        fn for_each_account(
-            &mut self,
-            skip: &dyn Fn(Address) -> bool,
-            f: &mut dyn FnMut(Address, StoredAccount),
-        ) {
-            let materialized = &self.materialized;
-            self.inner.for_each_account(skip, &mut |address, account| {
-                materialized.fetch_add(1, AtomicOrdering::Relaxed);
-                f(address, account);
-            });
-        }
-        fn stats(&self) -> StoreStats {
-            self.inner.stats()
-        }
-    }
-
     fn disk_store(tag: &str) -> (SharedBackend, std::path::PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("blockconc-account-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = blockconc_store::DiskConfig::new(&dir);
-        (
-            shared(blockconc_store::DiskBackend::open(&config).unwrap()),
-            dir,
-        )
+        let config = DiskConfig::new(&dir);
+        (shared(DiskBackend::open(&config).unwrap()), dir)
     }
 
     #[test]
@@ -1138,32 +917,12 @@ mod tests {
         }
         genesis.storage_set(Address::from_low(3), 7, 70, None);
         genesis.deploy_contract(Address::from_low(99), Arc::new(Contract::counter()));
-        let materialized = Arc::new(AtomicUsize::new(0));
-        let counting = || {
-            shared(Counting {
-                inner: MemoryBackend::new(),
-                materialized: Arc::clone(&materialized),
-            })
-        };
-        let (disk_uncapped, uncapped_dir) = disk_store("root-cap0");
-        let (disk_capped, capped_dir) = disk_store("root-cap16");
-        // (label, backend, working-set cap, counted)
-        let cases = [
-            (
-                "memory, cap 1",
-                shared(MemoryBackend::new()),
-                Some(1),
-                false,
-            ),
-            ("disk, cap 0", disk_uncapped, None, false),
-            ("disk, cap 16", disk_capped, Some(16), false),
-            ("counted, cap 0", counting(), None, true),
-            ("counted, cap 16", counting(), Some(16), true),
-        ];
-        for (label, backend, cap, counted) in cases {
+        let (disk, dir) = disk_store("root");
+        let cases = [("memory", shared(MemoryBackend::new())), ("disk", disk)];
+        for (label, backend) in cases {
             let mut plain = genesis.clone();
             let mut backed = genesis.clone();
-            backed.attach_backend(backend, cap).unwrap();
+            backed.attach_backend(backend, None).unwrap();
             let check = |plain: &WorldState, backed: &WorldState, step: &str| {
                 assert_eq!(plain.state_root(), backed.state_root(), "{label}: {step}");
                 assert_eq!(
@@ -1171,35 +930,8 @@ mod tests {
                     backed.total_supply(),
                     "{label}: {step}"
                 );
-                if !counted {
-                    return;
-                }
-                // The root and the supply materialize exactly the committed
-                // accounts the working set lacks: evicted, not deleted.
-                let mut committed = Vec::new();
-                let backend = backed.backend().unwrap();
-                backend
-                    .lock()
-                    .unwrap()
-                    .for_each_account(&|_| false, &mut |address, _| committed.push(address));
-                let evicted = committed
-                    .iter()
-                    .filter(|a| !backed.holds_current(**a))
-                    .count();
-                if cap.is_none() {
-                    assert_eq!(evicted, 0, "{label}: {step}: everything is resident");
-                }
-                materialized.store(0, AtomicOrdering::Relaxed);
-                backed.state_root();
-                let by_root = materialized.swap(0, AtomicOrdering::Relaxed);
-                backed.total_supply();
-                let by_supply = materialized.swap(0, AtomicOrdering::Relaxed);
-                assert_eq!((by_root, by_supply), (evicted, evicted), "{label}: {step}");
             };
             check(&plain, &backed, "genesis");
-            if counted && cap == Some(16) {
-                assert_eq!(backed.resident_accounts(), 16);
-            }
 
             // Same mutation on both sides keeps the roots in lockstep.
             for state in [&mut plain, &mut backed] {
@@ -1210,16 +942,15 @@ mod tests {
             check(&plain, &backed, "block 1");
 
             // An open block: a committed account deleted, then the harvest of
-            // a scratch state's blind credits to a committed account
-            // (non-resident under a cap) and to a new one, and its blind slot
-            // add on the resident contract.
-            let (evictee, fresh, contract) = (
+            // a scratch state's blind credits to a committed account and to a
+            // new one, and its blind slot add on the contract.
+            let (payee, fresh, contract) = (
                 Address::from_low(5),
                 Address::from_low(500),
                 Address::from_low(99),
             );
             let mut scratch = ScratchState::new(MapCells::of(&plain));
-            assert!(scratch.credit_delta(evictee, Amount::from_sats(3), None));
+            assert!(scratch.credit_delta(payee, Amount::from_sats(3), None));
             assert!(scratch.credit_delta(fresh, Amount::from_sats(9), None));
             assert!(scratch.storage_add_delta(contract, 1, 4, None));
             let mut ops = Vec::new();
@@ -1227,7 +958,7 @@ mod tests {
             assert_eq!(
                 ops,
                 [
-                    (StateKey::Balance(evictee), 3),
+                    (StateKey::Balance(payee), 3),
                     (StateKey::Storage(contract, 1), 4),
                     (StateKey::Balance(fresh), 9),
                 ],
@@ -1244,45 +975,75 @@ mod tests {
             backed.commit_block().unwrap();
             check(&plain, &backed, "block 2");
         }
-        let _ = std::fs::remove_dir_all(&uncapped_dir);
-        let _ = std::fs::remove_dir_all(&capped_dir);
+        // The disk store mounts back onto the same state.
+        let mut recovered = WorldState::new();
+        let reopened = shared(DiskBackend::open(&DiskConfig::new(&dir)).unwrap());
+        recovered.attach_backend(reopened, None).unwrap();
+        let mut expected = genesis;
+        expected.bump_nonce(Address::from_low(1), None);
+        expected.remove_account(Address::from_low(2));
+        expected.credit(Address::from_low(5), Amount::from_sats(3));
+        expected.credit(Address::from_low(500), Amount::from_sats(9));
+        expected.storage_set(Address::from_low(99), 1, 4, None);
+        assert_eq!(recovered.account_count(), expected.account_count());
+        assert_eq!(recovered.state_root(), expected.state_root());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn an_unreadable_evicted_record_fails_the_root_instead_of_vanishing_from_it() {
-        // The walk reads an evicted account's record; a record that no longer
-        // passes its CRC is corruption and must stop the root and the supply,
-        // not drop the account out of them.
-        fn root(state: &WorldState) {
-            state.state_root();
-        }
-        fn supply(state: &WorldState) {
-            state.total_supply();
-        }
-        let aggregates = [
-            ("unreadable-root", root as fn(&WorldState)),
-            ("unreadable-supply", supply),
-        ];
-        for (tag, aggregate) in aggregates {
+    fn a_corrupted_committed_record_fails_the_reopen_mount() {
+        // A record the mount cannot read or decode is corruption: the mount
+        // fails rather than recover a state without the account.
+        for undecodable in [false, true] {
+            let tag = if undecodable {
+                "undecodable"
+            } else {
+                "unreadable"
+            };
             let (backend, dir) = disk_store(tag);
             let mut state = WorldState::new();
             state.credit(Address::from_low(1), Amount::from_sats(1_234_567));
             state.credit(Address::from_low(2), Amount::from_sats(20));
-            state.attach_backend(backend, Some(1)).unwrap();
-            assert!(state.account(Address::from_low(1)).is_none(), "evicted");
-            // Flip one digit of the evicted balance inside its genesis frame.
-            let journal = dir.join("journal-000000.log");
-            let mut bytes = std::fs::read(&journal).unwrap();
-            let at = bytes
-                .windows(7)
-                .position(|w| w == b"1234567")
-                .expect("the balance is in the journal");
-            bytes[at] ^= 0x01;
-            std::fs::write(&journal, &bytes).unwrap();
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| aggregate(&state)));
+            state.attach_backend(backend, None).unwrap();
+            if undecodable {
+                // A frame with a valid CRC around code this build cannot run.
+                let record = DeltaRecord {
+                    address: Address::from_low(3),
+                    account: Some(StoredAccount {
+                        balance_sats: 1,
+                        nonce: 0,
+                        storage: vec![],
+                        code_json: Some("not code".to_string()),
+                    }),
+                };
+                let mut guard = state.backend().unwrap().lock().unwrap();
+                guard.begin_block(1).unwrap();
+                let delta = BlockDelta {
+                    height: 1,
+                    records: vec![record],
+                };
+                guard.commit_block(&delta).unwrap();
+            }
+            drop(state);
+            let reopened = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
+            if !undecodable {
+                // Flip one digit of a committed balance inside its genesis
+                // frame, after the reopen indexed it: its CRC no longer holds.
+                let journal = dir.join("journal-000000.log");
+                let mut bytes = std::fs::read(&journal).unwrap();
+                let at = bytes
+                    .windows(7)
+                    .position(|w| w == b"1234567")
+                    .expect("the balance is in the journal");
+                bytes[at] ^= 0x01;
+                std::fs::write(&journal, &bytes).unwrap();
+            }
+            let mut recovered = WorldState::new();
+            let outcome = recovered.attach_backend(shared(reopened), None);
             let _ = std::fs::remove_dir_all(&dir);
-            assert!(outcome.is_err(), "{tag}: an aggregate without the account");
+            assert!(outcome.is_err(), "{tag}: a mount without the account");
+            assert_eq!(recovered.account_count(), 0, "{tag}: nothing half-mounted");
+            assert!(recovered.backend().is_none(), "{tag}");
         }
     }
 
@@ -1297,10 +1058,13 @@ mod tests {
         state.revert(journal);
         assert!(!state.contains(ghost));
         assert_eq!(state.balance(ghost), Amount::ZERO);
+        let deletion = DeltaRecord {
+            address: ghost,
+            account: None,
+        };
+        assert_eq!(write_set(&state), [deletion]);
         state.commit_block().unwrap();
         assert!(!state.contains(ghost));
-        let backend = state.backend().unwrap();
-        assert!(!backend.lock().unwrap().contains_account(ghost));
     }
 
     #[test]
@@ -1311,14 +1075,14 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("blockconc-account-reattach-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = blockconc_store::DiskConfig::new(&dir);
+        let config = DiskConfig::new(&dir);
         {
-            let backend = blockconc_store::DiskBackend::open(&config).unwrap();
+            let backend = DiskBackend::open(&config).unwrap();
             let mut state = WorldState::new();
             state.attach_backend(shared(backend), None).unwrap();
             assert_eq!(state.account_count(), 0);
         }
-        let backend = blockconc_store::DiskBackend::open(&config).unwrap();
+        let backend = DiskBackend::open(&config).unwrap();
         let mut state = WorldState::new();
         state.attach_backend(shared(backend), None).unwrap();
         state.begin_block(1).unwrap();
@@ -1326,30 +1090,6 @@ mod tests {
         state.commit_block().unwrap();
         assert_eq!(state.balance(Address::from_low(1)), Amount::from_coins(1));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn eviction_removes_only_the_excess_in_address_order() {
-        let mut state = WorldState::new();
-        for i in 1..=10u64 {
-            state.credit(Address::from_low(i), Amount::from_coins(i));
-        }
-        state.deploy_contract(Address::from_low(99), Arc::new(Contract::counter()));
-        state
-            .attach_backend(shared(MemoryBackend::new()), Some(8))
-            .unwrap();
-        // 11 residents, cap 8: exactly 3 clean non-contract accounts leave, the
-        // lowest addresses first; the contract always stays.
-        assert_eq!(state.resident_accounts(), 8);
-        assert!(state.account(Address::from_low(99)).is_some());
-        for i in 1..=3u64 {
-            assert!(state.account(Address::from_low(i)).is_none(), "address {i}");
-        }
-        for i in 4..=10u64 {
-            assert!(state.account(Address::from_low(i)).is_some(), "address {i}");
-        }
-        // Evicted values still read through.
-        assert_eq!(state.balance(Address::from_low(1)), Amount::from_coins(1));
     }
 
     #[test]
@@ -1412,17 +1152,22 @@ mod tests {
         let stored = source.export_account(moved).expect("account exists");
         source.remove_account(moved);
         dest.install_account(moved, &stored);
+        // The source journals the departure, the destination the arrival.
+        let departure = DeltaRecord {
+            address: moved,
+            account: None,
+        };
+        assert_eq!(write_set(&source), [departure]);
+        let arrival = DeltaRecord {
+            address: moved,
+            account: Some(stored),
+        };
+        assert_eq!(write_set(&dest), [arrival]);
         source.commit_block().unwrap();
         dest.commit_block().unwrap();
 
         assert!(!source.contains(moved));
         assert_eq!(dest.balance(moved), Amount::from_coins(20));
-        // The departure was committed: a reopened view of the source backend has
-        // no trace of the account.
-        let source_backend = source.backend().unwrap();
-        assert!(!source_backend.lock().unwrap().contains_account(moved));
-        let dest_backend = dest.backend().unwrap();
-        assert!(dest_backend.lock().unwrap().contains_account(moved));
     }
 
     #[test]
@@ -1445,17 +1190,51 @@ mod tests {
 
     #[test]
     fn withdraw_phantom_keeps_real_accounts() {
-        let mut state = backed_state();
+        let mut genesis = genesis();
+        let empty = Address::from_low(4);
+        genesis.credit(empty, Amount::ZERO);
+        let mut state = genesis;
+        state
+            .attach_backend(shared(MemoryBackend::new()), None)
+            .unwrap();
         state.begin_block(1).unwrap();
         // A pre-existing account that receives and loses a credit stays (it is
         // committed state, not a phantom), even if the balance returns to its
-        // prior value.
-        state.credit(Address::from_low(1), Amount::from_coins(2));
+        // prior value — an empty one included.
+        for (address, balance) in [
+            (Address::from_low(1), Amount::from_coins(10)),
+            (empty, Amount::ZERO),
+        ] {
+            state.credit(address, Amount::from_coins(2));
+            state
+                .withdraw_phantom(address, Amount::from_coins(2))
+                .unwrap();
+            assert!(state.contains(address));
+            assert_eq!(state.balance(address), balance);
+        }
+    }
+
+    #[test]
+    fn a_phantom_credit_to_a_departed_account_commits_its_deletion() {
+        // An account handed off to another partition earlier in the block, then
+        // credited here by a transfer that still reaches it as a phantom: the
+        // withdrawal must leave the departure in place, not an empty account.
+        let mut state = open_block();
+        let departed = Address::from_low(2);
+        state.remove_account(departed);
+        state.credit(departed, Amount::from_coins(1));
         state
-            .withdraw_phantom(Address::from_low(1), Amount::from_coins(2))
+            .withdraw_phantom(departed, Amount::from_coins(1))
             .unwrap();
-        assert!(state.contains(Address::from_low(1)));
-        assert_eq!(state.balance(Address::from_low(1)), Amount::from_coins(10));
+        assert!(!state.contains(departed));
+        let deletion = DeltaRecord {
+            address: departed,
+            account: None,
+        };
+        assert_eq!(write_set(&state), [deletion]);
+        state.commit_block().unwrap();
+        assert!(!state.contains(departed));
+        assert_eq!(state.account_count(), 2);
     }
 
     #[test]
@@ -1628,21 +1407,17 @@ mod tests {
             .collect()
     }
 
-    /// `committed` mounted under a cold working set: every read falls through
-    /// to the backend, every first write loads the account whole.
-    fn cold_state(committed: &BTreeMap<Address, StoredAccount>) -> WorldState {
-        let mut genesis = WorldState::new();
+    /// `committed` as the genesis of a state on a memory backend: whole
+    /// accounts, every write tracked.
+    fn backed(committed: &BTreeMap<Address, StoredAccount>) -> WorldState {
+        let mut state = WorldState::new();
         for (address, stored) in committed {
-            genesis.install_account(*address, stored);
+            state.install_account(*address, stored);
         }
-        let backend = shared(MemoryBackend::new());
-        genesis
-            .attach_backend(SharedBackend::clone(&backend), None)
+        state
+            .attach_backend(shared(MemoryBackend::new()), None)
             .unwrap();
-        let mut cold = WorldState::new();
-        cold.attach_backend(backend, None).unwrap();
-        assert_eq!(cold.resident_accounts(), 0);
-        cold
+        state
     }
 
     /// One generated mutation, applied identically to any state.
@@ -1692,9 +1467,8 @@ mod tests {
             let mut scratch = ScratchState::new(MapCells {
                 accounts: committed.clone(),
             });
-            // The oracle side: the same committed accounts under a full state
-            // (cold working set, whole-account loads).
-            let mut full = cold_state(&committed);
+            // The oracle side: the same committed accounts, whole and resident.
+            let mut full = backed(&committed);
 
             let (mut rng_a, mut rng_b) = (seed, seed);
             let (mut journal_a, mut journal_b) = (Journal::new(), Journal::new());
@@ -1762,21 +1536,13 @@ mod tests {
     #[test]
     fn in_place_cell_commit_equals_sequential_replay() {
         let committed = committed_universe();
-        let backed = |cap| {
-            let mut state = WorldState::new();
-            for (address, stored) in &committed {
-                state.install_account(*address, stored);
-            }
-            state
-                .attach_backend(shared(MemoryBackend::new()), cap)
-                .unwrap();
+        let open = || {
+            let mut state = backed(&committed);
             state.begin_block(1).unwrap();
             state
         };
         for seed in 0..100u64 {
-            // Cap 1 evicts every plain account: cells land on non-resident ones too.
-            let cap = (seed % 2 == 0).then_some(1);
-            let mut sequential = backed(cap);
+            let mut sequential = open();
             let mut rng = seed;
             let mut journal = Journal::new();
             for _ in 0..(1 + seed % 16) {
@@ -1787,7 +1553,7 @@ mod tests {
 
             // The same transition as final cells: each journalled account's diff
             // against committed state, set in place; unchanged ones only touched.
-            let mut in_place = backed(cap);
+            let mut in_place = open();
             for record in &write_set {
                 let mut fragments = Vec::new();
                 diff_account_fragments(
@@ -1830,7 +1596,7 @@ mod tests {
         account.storage_set(3, 9);
         account.set_code(Arc::new(Contract::counter()));
         let stored = account_to_stored(&account);
-        let back = stored_to_account(&stored);
+        let back = stored_to_account(&stored).unwrap();
         assert_eq!(back.balance(), account.balance());
         assert_eq!(back.nonce(), account.nonce());
         assert_eq!(back.storage_get(3), 9);

@@ -846,6 +846,54 @@ mod tests {
     }
 
     #[test]
+    fn every_partition_holds_only_accounts_its_shard_owns() {
+        // Rotation re-homes accounts while transfers still reach them on their
+        // old shard (as phantoms, withdrawn before the commit). Mounted back
+        // from its journal, each shard's partition must hold its own accounts
+        // only: every account lives in exactly one partition.
+        use blockconc_store::{DiskConfig, StateBackendConfig};
+        use std::collections::BTreeMap;
+        let dir = std::env::temp_dir().join(format!(
+            "blockconc-cluster-partitions-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = config(2, 12);
+        config.blocks_per_epoch = 3;
+        config.pipeline.state_backend = StateBackendConfig::Disk(DiskConfig::new(&dir));
+        let backend = config.pipeline.state_backend.clone();
+        let stream =
+            ArrivalStream::new(AccountWorkloadParams::cross_shard_heavy(), 100.0, 4_000, 1);
+        let report = ClusterDriver::new(engines(2), config).run(stream).unwrap();
+        assert!(
+            report.moved_accounts > 0,
+            "rotation must hand accounts over"
+        );
+
+        let mut homes: BTreeMap<Address, Vec<usize>> = BTreeMap::new();
+        for (shard, root) in report.shard_roots.iter().enumerate() {
+            let mut partition = WorldState::new();
+            partition
+                .attach_backend(backend.partition(shard).build().unwrap(), None)
+                .unwrap();
+            assert_eq!(&partition.state_root().to_hex(), root, "shard {shard}");
+            for (address, _) in partition.iter() {
+                homes.entry(*address).or_default().push(shard);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let strays: Vec<_> = homes
+            .iter()
+            .filter(|(_, shards)| shards.len() > 1)
+            .collect();
+        assert!(
+            strays.is_empty(),
+            "{} accounts live in more than one partition: {strays:?}",
+            strays.len()
+        );
+    }
+
+    #[test]
     fn scheduled_engines_match_sequential_results() {
         let sequential = ClusterDriver::new(engines(4), config(4, 6))
             .run(heavy_stream(6))

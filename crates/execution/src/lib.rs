@@ -37,7 +37,7 @@
 //!
 //! Every engine returns both the canonical [`ExecutedBlock`](blockconc_account::ExecutedBlock)
 //! (the committed state transition is always identical to sequential execution —
-//! asserted for all four, on generated blocks over memory and cold disk state, by
+//! asserted for all four, on generated blocks over memory and reopened disk state, by
 //! `tests/equivalence_oracle.rs`) and an [`ExecutionReport`] of abstract time units
 //! and counters that map one-to-one onto the quantities in the paper's model. The
 //! engines do not time themselves: wall clock is the caller's (`benchmark/`'s

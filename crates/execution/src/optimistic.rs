@@ -73,9 +73,9 @@ impl Served {
             (StateKey::Storage(..), None) => Served::Slot(0),
             (StateKey::Storage(..), Some(FragmentValue::Slot(value))) => Served::Slot(value),
             (StateKey::Code(_), None) => Served::Code(None),
-            (StateKey::Code(_), Some(FragmentValue::Code(code))) => {
-                Served::Code(Some(decode_contract(&code)))
-            }
+            (StateKey::Code(_), Some(FragmentValue::Code(code))) => Served::Code(Some(
+                decode_contract(&code).expect("code this build serialized"),
+            )),
             (key, fragment) => unreachable!("fragment {fragment:?} buffered under {key:?}"),
         }
     }
@@ -140,10 +140,6 @@ pub(crate) struct MvView {
     tx_index: usize,
     /// The cells served to the current execution.
     served: HashMap<StateKey, ServedCell>,
-    /// Base accounts that are not resident in `base`, loaded whole on first
-    /// touch and kept for the block: a cold account costs one backend read per
-    /// worker per *block*, however many transactions or keys ask for it.
-    cold: HashMap<Address, Option<Account>>,
 }
 
 impl MvView {
@@ -153,7 +149,6 @@ impl MvView {
             base,
             tx_index,
             served: HashMap::new(),
-            cold: HashMap::new(),
         }
     }
 
@@ -174,18 +169,11 @@ impl MvView {
                 let read = self.mv.read_cell(key, self.tx_index);
                 let (value, write) = match read.write {
                     Some((stamp, fragment)) => (Served::from_fragment(key, fragment), Some(stamp)),
-                    None => {
-                        let address = key.address();
-                        let account = match self.base.account(address) {
-                            Some(resident) => Some(resident),
-                            None => self
-                                .cold
-                                .entry(address)
-                                .or_insert_with(|| self.base.load_account(address))
-                                .as_ref(),
-                        };
-                        (Served::from_base(key, account), None)
-                    }
+                    // A base miss means the account does not exist.
+                    None => (
+                        Served::from_base(key, self.base.account(key.address())),
+                        None,
+                    ),
                 };
                 slot.insert(ServedCell {
                     value: read

@@ -1,13 +1,13 @@
 //! The equivalence oracle: proptest evidence that every engine computes the
 //! *same state transition* as [`SequentialEngine`] — bit-identical receipts,
 //! bit-identical per-block write sets, identical `state_root` and identical
-//! committed backend contents — on both the memory and the disk backend, and,
+//! committed accounts — on both the memory and the disk backend, and,
 //! for [`OptimisticEngine`], under forced-abort interleavings that exercise the
 //! estimate / suspension / re-execution machinery on otherwise conflict-free
 //! workloads. The two model evaluators ([`SpeculativeEngine`],
 //! [`ScheduledEngine`]) commit through the sequential executor, so what the
-//! oracle exercises in them is the discovery pass reading the lent state —
-//! resident or cold — without disturbing it.
+//! oracle exercises in them is the discovery pass reading the lent state
+//! without disturbing it.
 //!
 //! Workloads are generated over a small sender pool so blocks routinely contain
 //! hot-account conflicts, same-sender nonce chains, bad-nonce failures and
@@ -29,8 +29,9 @@
 //! * contract creation followed by calls of the new contract inside the block
 //!   (the code cell served from a lower version).
 //!
-//! The disk runs re-open the store and mount it under a cold working set, so the
-//! base state the versioned view falls through to is *not resident*.
+//! The disk runs re-open the store and mount it, so the base state every engine
+//! reads is the one the journal recovered (every committed account resident),
+//! and re-open it once more after the commit to read back what was journaled.
 //!
 //! Two fixed blocks pin the branch-flip shape itself — once on a hand-written
 //! contract, once spelled in the generator's own plans — through all four
@@ -45,16 +46,15 @@
 
 use blockconc_account::vm::{Contract, OpCode};
 use blockconc_account::{
-    AccountBlock, AccountTransaction, BlockBuilder, Receipt, StateAccess, WorldState,
+    account_to_stored, AccountBlock, AccountTransaction, BlockBuilder, Receipt, StateAccess,
+    WorldState,
 };
 use blockconc_chainsim::{AccountWorkloadGen, AccountWorkloadParams};
 use blockconc_execution::{
     AbortInjection, ExecutionEngine, OptimisticEngine, ScheduledEngine, SequentialEngine,
     SpeculativeEngine,
 };
-use blockconc_store::{
-    shared, DeltaRecord, DiskBackend, DiskConfig, MemoryBackend, SharedBackend, StoredAccount,
-};
+use blockconc_store::{shared, DeltaRecord, DiskBackend, DiskConfig, MemoryBackend, StoredAccount};
 use blockconc_types::{Address, Amount, Hash};
 use proptest::collection::vec as any_vec;
 use proptest::prelude::*;
@@ -258,8 +258,17 @@ struct Transition {
     /// The block's write set as `commit_block` would journal it, sorted.
     write_set: Vec<DeltaRecord>,
     state_root: Hash,
-    /// Every account the backend holds after the commit.
+    /// Every account the state holds after the commit (on disk, also what a
+    /// fresh mount of the journal reads back).
     committed: BTreeMap<Address, StoredAccount>,
+}
+
+/// Every account of `state`, in its persisted form.
+fn accounts_of(state: &WorldState) -> BTreeMap<Address, StoredAccount> {
+    state
+        .iter()
+        .map(|(address, account)| (*address, account_to_stored(account)))
+        .collect()
 }
 
 /// The funded, contract-bearing pre-state every run starts from.
@@ -286,38 +295,39 @@ fn genesis(funding: &[u64]) -> WorldState {
     state
 }
 
-/// Mounts the pre-state on a backend — memory (`None`: the working set stays
-/// resident) or a disk store at the given directory, which is committed,
-/// closed, re-opened and mounted under a *cold* working set — then executes
-/// `block` with `engine` and commits, returning everything an observer could
-/// compare.
+/// Mounts the pre-state on a backend — memory, or a disk store at the given
+/// directory, which is committed, closed, re-opened and mounted again — then
+/// executes `block` with `engine` and commits, returning everything an observer
+/// could compare. On disk the journal is re-opened after the commit too, and
+/// must read back exactly the accounts the state holds.
 fn run_engine(
     engine: &mut dyn ExecutionEngine,
     disk: Option<&PathBuf>,
     mut state: WorldState,
     block: &AccountBlock,
 ) -> Transition {
-    let backend: SharedBackend = match disk {
-        None => {
-            let backend = shared(MemoryBackend::new());
-            state
-                .attach_backend(SharedBackend::clone(&backend), None)
-                .expect("attach backend");
-            backend
-        }
+    let open = |dir: &PathBuf| shared(DiskBackend::open(&DiskConfig::new(dir)).expect("open"));
+    match disk {
+        None => state
+            .attach_backend(shared(MemoryBackend::new()), None)
+            .expect("attach backend"),
         Some(dir) => {
-            let open = || shared(DiskBackend::open(&DiskConfig::new(dir)).expect("open"));
-            state.attach_backend(open(), None).expect("genesis commit");
+            let genesis = accounts_of(&state);
+            state
+                .attach_backend(open(dir), None)
+                .expect("genesis commit");
             drop(state);
-            let backend = open();
             state = WorldState::new();
             state
-                .attach_backend(SharedBackend::clone(&backend), None)
+                .attach_backend(open(dir), None)
                 .expect("attach reopened store");
-            assert_eq!(state.resident_accounts(), 0, "cold working set");
-            backend
+            assert_eq!(
+                accounts_of(&state),
+                genesis,
+                "every committed account is resident after mount"
+            );
         }
-    };
+    }
     state.begin_block(1).expect("begin block");
     let (executed, _) = engine.execute(&mut state, block).expect("engine run");
 
@@ -327,17 +337,24 @@ fn run_engine(
     write_set.sort_by_key(|record| record.address);
     state.commit_block().expect("commit block");
 
-    let mut committed = BTreeMap::new();
-    backend
-        .lock()
-        .expect("backend lock")
-        .for_each_account(&|_| false, &mut |address, account| {
-            committed.insert(address, account);
-        });
+    let committed = accounts_of(&state);
+    let state_root = state.state_root();
+    if let Some(dir) = disk {
+        drop(state);
+        let mut reopened = WorldState::new();
+        reopened
+            .attach_backend(open(dir), None)
+            .expect("attach store after commit");
+        assert_eq!(
+            accounts_of(&reopened),
+            committed,
+            "the journal holds what the state committed"
+        );
+    }
     Transition {
         receipts: executed.receipts().to_vec(),
         write_set,
-        state_root: state.state_root(),
+        state_root,
         committed,
     }
 }
@@ -423,9 +440,8 @@ proptest! {
     }
 
     // Disk backend: the pre-state round-trips through the journal (genesis commit,
-    // close, re-open, cold working set — the engine's base is not resident) and
-    // the block's write set is journalled on commit. The evaluators' discovery
-    // pass reads the same cold base through the same view.
+    // close, re-open, mount — the engine's base is the recovered state) and the
+    // block's write set is journalled on commit and read back by a fresh mount.
     #[test]
     fn optimistic_matches_sequential_on_disk(
         funding in any_vec(0u64..2_000_000, 6usize),
@@ -569,7 +585,7 @@ fn a_branch_flipped_inside_the_block_commits_like_sequential() {
 /// The same shape out of the generator's own vocabulary — a lab store that
 /// creates an absent slot, a lab payout on that slot, and a transfer the payee
 /// can only fund from it — pinned through [`build_block`] rather than left to the
-/// odds of a few dozen random cases, and run over the cold disk store as well.
+/// odds of a few dozen random cases, and run over the reopened disk store as well.
 #[test]
 fn generated_plans_reach_the_branch_flip() {
     let lab_call = |op: u64, payee: u64| {

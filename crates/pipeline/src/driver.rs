@@ -38,11 +38,11 @@ pub struct PipelineConfig {
     /// Vestigial and read by nothing: admission runs in order on one thread in
     /// every layout. Kept until the benchmark that sets it is updated.
     pub producer_threads: usize,
-    /// Which state backend the driver mounts under its `WorldState`: the in-memory
-    /// map behind the `blockconc_store::StateBackend` trait (default,
-    /// bit-identical to the historical behaviour) or the journaled disk store
-    /// (`StateBackendConfig::Disk`), which bounds resident state by the configured
-    /// working-set cap and makes every block commit durable.
+    /// Which state backend the driver mounts under its `WorldState`: the
+    /// in-memory journal that only counts (default, bit-identical to a state
+    /// without a backend) or the journaled disk store
+    /// (`StateBackendConfig::Disk`), which makes every block commit durable.
+    /// The state stays wholly resident either way.
     pub state_backend: StateBackendConfig,
     /// Observability handle. Disabled by default (a disabled registry is a
     /// single branch per record call, and an enabled one only observes: see

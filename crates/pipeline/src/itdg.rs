@@ -480,41 +480,6 @@ pub fn block_group_sizes<'a>(txs: impl IntoIterator<Item = &'a AccountTransactio
     groups.components().map(|(_, &count)| count).collect()
 }
 
-/// Weak-aware variant of [`block_group_sizes`]: a pure-credit receiver
-/// ([`receiver_edge_is_weak`]) does not union — the transaction counts in its
-/// sender's group only, the delta-cell engine's conflict structure.
-/// Unlike the streaming graph's arrival-order promotion, the block-local
-/// classification is computed in two passes, so a payload-weak transaction
-/// whose target any strong edge in the block touches is promoted regardless of
-/// its position in the block.
-pub fn block_group_sizes_weak<'a>(
-    txs: impl IntoIterator<Item = &'a AccountTransaction>,
-) -> Vec<u64> {
-    let txs: Vec<&AccountTransaction> = txs.into_iter().collect();
-    // Pass 1: every address a strong edge touches. A payload-weak transaction
-    // aimed at one of these is promoted to strong.
-    let mut strong_touched: HashSet<Address> = HashSet::new();
-    for tx in &txs {
-        if !receiver_edge_is_weak(tx) || tx.sender() == effective_receiver(tx) {
-            strong_touched.insert(tx.sender());
-            strong_touched.insert(effective_receiver(tx));
-        }
-    }
-    let mut groups: ComponentIndex<Address, u64> = ComponentIndex::new();
-    for tx in txs {
-        let sender = tx.sender();
-        let receiver = effective_receiver(tx);
-        let weak =
-            sender != receiver && receiver_edge_is_weak(tx) && !strong_touched.contains(&receiver);
-        *if weak {
-            groups.intern(sender)
-        } else {
-            groups.union(sender, receiver).0
-        } += 1;
-    }
-    groups.components().map(|(_, &count)| count).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,37 +936,26 @@ mod tests {
     }
 
     #[test]
-    fn block_group_sizes_weak_count_pure_credits_at_their_sender() {
-        let txs = [pay(1, 100, 0), pay(2, 100, 0), pay(3, 3, 0)];
-        let mut sizes = block_group_sizes_weak(txs.iter());
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 1, 1]);
-        // Same block, strong: the shared receiver fuses the two transfers.
-        let mut strong = block_group_sizes(txs.iter());
-        strong.sort_unstable();
-        assert_eq!(strong, vec![1, 2]);
-        // A strong touch on the shared receiver promotes both transfers,
-        // position in the block notwithstanding.
-        let with_call = [pay(1, 100, 0), pay(2, 100, 0), call(3, 100, 0)];
-        let mut promoted = block_group_sizes_weak(with_call.iter());
-        promoted.sort_unstable();
-        assert_eq!(promoted, vec![3]);
-    }
-
-    #[test]
     fn weak_largest_group_never_exceeds_strong_on_the_commutative_hotspot_sweep() {
         // Exchange deposits plus fee-sink increments at 0% to 80% of the traffic
-        // (6 blocks x 200 transactions per point): dropping the pure-credit
-        // edges may only split groups.
+        // (6 blocks x 200 transactions per point), each block into a fresh
+        // strong graph and a fresh weak one (the graph the driver keeps for a
+        // delta-commuting engine): dropping the pure-credit edges may only
+        // split groups.
         use blockconc_chainsim::{AccountWorkloadGen, AccountWorkloadParams};
-        let largest = |sizes: Vec<u64>| sizes.into_iter().max().unwrap_or(0);
+        let largest = |mut graph: IncrementalTdg, txs: &[AccountTransaction]| {
+            for tx in txs {
+                graph.insert(tx);
+            }
+            graph.largest_component_tx_count()
+        };
         for hot_share in [0.0, 0.2, 0.4, 0.6, 0.8] {
             let params = AccountWorkloadParams::commutative_hotspot(hot_share);
             let mut generator = AccountWorkloadGen::new(params, 2020);
             for _ in 0..6 {
                 let txs = generator.generate_transactions(200);
-                let strong = largest(block_group_sizes(&txs));
-                let weak = largest(block_group_sizes_weak(&txs));
+                let strong = largest(IncrementalTdg::new(), &txs);
+                let weak = largest(IncrementalTdg::new().with_weak_edges(), &txs);
                 assert!(
                     weak <= strong,
                     "hot share {hot_share}: weak {weak} > strong {strong}"

@@ -103,10 +103,7 @@ mod tracked;
 // `blockconc-store` dependency.
 pub use blockconc_store::{DiskConfig, StateBackendConfig, StoreStats};
 pub use driver::{PipelineConfig, PipelineDriver};
-pub use itdg::{
-    block_group_sizes, block_group_sizes_weak, effective_receiver, receiver_edge_is_weak,
-    IncrementalTdg,
-};
+pub use itdg::{block_group_sizes, effective_receiver, receiver_edge_is_weak, IncrementalTdg};
 pub use packer::{
     advance_deferral_counters, aged_senders, choose_component_cap, pack_capped, BlockPacker,
     BlockTemplate, CapDeferrals, ConcurrencyAwarePacker, FeeGreedyPacker, PackedBlock,

@@ -15,13 +15,14 @@ use blockconc_types::{Address, Amount, Gas, Result};
 use std::collections::HashSet;
 
 /// Mounts the configured backend under `state`: the state becomes the genesis
-/// commit (height 0) and every produced block commits its write-set delta.
+/// commit (height 0), or a reopened store's committed state replaces it, and
+/// every produced block commits its write-set delta.
 ///
 /// # Errors
 ///
 /// Propagates backend construction and attachment (I/O) errors.
 pub fn mount_state(mut state: WorldState, backend: &StateBackendConfig) -> Result<WorldState> {
-    state.attach_backend(backend.build()?, backend.working_set_cap())?;
+    state.attach_backend(backend.build()?, None)?;
     Ok(state)
 }
 

@@ -1,6 +1,5 @@
 //! The [`StateBackend`] trait, its block-delta commit model and shared plumbing.
 
-use crate::{StateKey, StateValue};
 use blockconc_types::{Address, Result};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -23,44 +22,8 @@ pub struct StoredAccount {
 }
 
 impl StoredAccount {
-    /// Reads a storage slot (missing slots read as zero).
-    pub fn storage_get(&self, key: u64) -> u64 {
-        match self.storage.binary_search_by_key(&key, |(k, _)| *k) {
-            Ok(pos) => self.storage[pos].1,
-            Err(_) => 0,
-        }
-    }
-
-    /// This account's value under `key` (which must address this account): what
-    /// [`StateBackend::get`] answers once the account is in hand.
-    pub fn value_of(&self, key: &StateKey) -> StateValue {
-        match key {
-            StateKey::Balance(_) => StateValue::AccountMeta {
-                balance_sats: self.balance_sats,
-                nonce: self.nonce,
-            },
-            StateKey::Storage(_, slot) => StateValue::Slot(self.storage_get(*slot)),
-            StateKey::Code(_) => StateValue::CodeDigest(self.code_digest()),
-        }
-    }
-
-    /// Identity digest of the deployed code (FNV-1a over the canonical JSON),
-    /// `0` when the account has no code. Backing value of
-    /// [`StateValue::CodeDigest`](crate::StateValue::CodeDigest).
-    pub fn code_digest(&self) -> u64 {
-        let Some(code) = &self.code_json else {
-            return 0;
-        };
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in code.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
-    /// Appends this account's canonical bytes to `buf` (used for state roots: both
-    /// cached and persisted views digest through this one encoding).
+    /// Appends this account's canonical bytes to `buf`: the one encoding the
+    /// state root digests every account through.
     pub fn digest_into(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.balance_sats.to_le_bytes());
         buf.extend_from_slice(&self.nonce.to_le_bytes());
@@ -121,9 +84,11 @@ pub struct StoreStats {
     pub records_written: u64,
     /// Journal bytes appended (0 for the in-memory backend).
     pub bytes_written: u64,
-    /// Point reads answered by the backend (cache misses in the working set).
+    /// Account records read back to mount a recovered store
+    /// ([`StateBackend::for_each_account`]); 0 for a store that was only
+    /// written.
     pub backend_reads: u64,
-    /// Bytes read from disk to answer point reads.
+    /// Bytes of those records.
     pub read_bytes: u64,
     /// Snapshot compactions performed.
     pub snapshots_written: u64,
@@ -138,35 +103,17 @@ pub struct StoreStats {
     pub replayed_records: u64,
 }
 
-/// A block-scoped key–value state store under `WorldState`.
+/// The block journal under `WorldState`.
 ///
-/// The contract mirrors how execution clients commit state: the owner opens a block
-/// with [`begin_block`](StateBackend::begin_block), accumulates writes in its own
-/// working set, and either [`commit_block`](StateBackend::commit_block)s the block's
-/// write-set delta or [`rollback_block`](StateBackend::rollback_block)s it. Point
-/// reads ([`get_account`](StateBackend::get_account)) always observe the last
-/// *committed* state — uncommitted writes live in the caller's working set, which is
-/// exactly what makes per-block rollback free.
+/// The resident `WorldState` is the whole state; a backend only records it. The
+/// owner opens a block with [`begin_block`](StateBackend::begin_block) and
+/// [`commit_block`](StateBackend::commit_block)s the block's write-set delta.
+/// Nothing is read back while the state runs: a backend is read exactly once,
+/// through [`for_each_account`](StateBackend::for_each_account), when a state is
+/// mounted on a store that already holds commits.
 pub trait StateBackend: Send + std::fmt::Debug {
     /// A short, stable name for reports and benchmark labels.
     fn name(&self) -> &'static str;
-
-    /// Reads an account's last committed value.
-    fn get_account(&mut self, address: Address) -> Option<StoredAccount>;
-
-    /// Returns `true` if the account exists in committed state.
-    fn contains_account(&mut self, address: Address) -> bool {
-        self.get_account(address).is_some()
-    }
-
-    /// Reads one [`StateKey`]'s committed value (`None` when the account does not
-    /// exist). The default loads the whole account and picks the key out of it —
-    /// right for a store whose unit of I/O is the account record; a backend that
-    /// can answer one key without assembling the account overrides it, and
-    /// `WorldState` takes this call on every resident miss of a value accessor.
-    fn get(&mut self, key: &StateKey) -> Option<StateValue> {
-        Some(self.get_account(key.address())?.value_of(key))
-    }
 
     /// Opens block `height` (must be greater than the committed height).
     ///
@@ -184,45 +131,23 @@ pub trait StateBackend: Send + std::fmt::Debug {
     /// no open block, is not ahead of the committed height), or on I/O failure.
     fn commit_block(&mut self, delta: &BlockDelta) -> Result<CommitStats>;
 
-    /// Abandons the open block. Nothing was persisted for it, so this only clears
-    /// the block scope.
+    /// The last committed block's height, or `None` if nothing has ever been
+    /// committed. Genesis commits at height 0 by convention, so this is what
+    /// tells a fresh store from a reopened one whose genesis was empty.
+    fn committed_block(&self) -> Option<u64>;
+
+    /// Hands every committed account to `f`, in ascending address order: the
+    /// one read of a store, when a state is mounted on it.
     ///
     /// # Errors
     ///
-    /// Returns an error if no block is open.
-    fn rollback_block(&mut self) -> Result<()>;
-
-    /// The last committed block's height, or `None` if nothing has ever been
-    /// committed. Genesis commits at height 0 by convention, so this (not
-    /// [`committed_height`](StateBackend::committed_height)) is what tells a
-    /// fresh store from a reopened one whose genesis was empty.
-    fn committed_block(&self) -> Option<u64>;
-
-    /// The height of the last committed block (0 before any commit).
-    fn committed_height(&self) -> u64 {
-        self.committed_block().unwrap_or(0)
-    }
-
-    /// The currently open block, if any.
-    fn open_height(&self) -> Option<u64>;
-
-    /// Number of accounts in committed state.
-    fn account_count(&self) -> usize;
-
-    /// Visits every committed account in ascending address order, except those
-    /// `skip` returns `true` for.
-    ///
-    /// `skip` is asked first, once per committed address: a skipped account is
-    /// neither read nor cloned, so a caller that already holds the current value
-    /// of an account (a resident or dirty one in `WorldState`'s working set)
-    /// pays nothing for it. An account that is not skipped but cannot be read is
-    /// store corruption, as in [`get_account`](StateBackend::get_account): the
-    /// walk panics rather than leave it out. Pass `&|_| false` to visit all.
+    /// Returns an error if a committed record cannot be read or decoded (a
+    /// mount without the account would be a different state), if `f` fails, or
+    /// if the backend keeps no accounts to hand over.
     fn for_each_account(
         &mut self,
-        skip: &dyn Fn(Address) -> bool,
-        f: &mut dyn FnMut(Address, StoredAccount),
-    );
+        f: &mut dyn FnMut(Address, StoredAccount) -> Result<()>,
+    ) -> Result<()>;
 
     /// Cumulative counters.
     fn stats(&self) -> StoreStats;
@@ -251,9 +176,6 @@ pub fn shared(backend: impl StateBackend + 'static) -> SharedBackend {
 pub struct DiskConfig {
     /// Directory holding the journal and snapshot files (created if missing).
     pub dir: PathBuf,
-    /// Soft cap on `WorldState`'s resident account cache; 0 means unbounded.
-    /// Contract accounts are always kept resident.
-    pub working_set_cap: usize,
     /// Snapshot-compact the journal every this many committed blocks; 0 disables
     /// compaction (the journal grows with history).
     pub snapshot_every: u64,
@@ -267,12 +189,11 @@ pub struct DiskConfig {
 }
 
 impl DiskConfig {
-    /// A disk store rooted at `dir` with an unbounded working set, compaction
-    /// every 64 blocks, and per-block journal flushes (no commit grouping).
+    /// A disk store rooted at `dir` with compaction every 64 blocks and
+    /// per-block journal flushes (no commit grouping).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DiskConfig {
             dir: dir.into(),
-            working_set_cap: 0,
             snapshot_every: 64,
             group_commit_every: 1,
         }
@@ -283,8 +204,8 @@ impl DiskConfig {
 /// `PipelineConfig::state_backend` switch.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum StateBackendConfig {
-    /// The in-memory map behind the [`StateBackend`] trait (the default; behaves
-    /// bit-identically to the pre-trait `WorldState`).
+    /// The in-memory journal that keeps only its counters (the default; behaves
+    /// bit-identically to a `WorldState` without a backend).
     #[default]
     InMemory,
     /// The log-structured disk journal with snapshot compaction.
@@ -304,14 +225,11 @@ impl StateBackendConfig {
         }
     }
 
-    /// The working-set cap the `WorldState` cache should honour, if any.
+    /// Returns `None`. A mounted `WorldState` keeps every account resident, so
+    /// there is no cap to configure; the method stays only because the
+    /// wall-clock benchmark's frozen surface still calls it.
     pub fn working_set_cap(&self) -> Option<usize> {
-        match self {
-            StateBackendConfig::InMemory => None,
-            StateBackendConfig::Disk(config) => {
-                (config.working_set_cap > 0).then_some(config.working_set_cap)
-            }
-        }
+        None
     }
 
     /// A short label for benchmark tables.
@@ -324,7 +242,7 @@ impl StateBackendConfig {
 
     /// This configuration specialized to one shard of an address-partitioned
     /// cluster: the in-memory backend partitions trivially (each shard gets its
-    /// own map), the disk backend roots each shard's journal in a `shard-N`
+    /// own), the disk backend roots each shard's journal in a `shard-N`
     /// subdirectory so N node-shards own N disjoint stores.
     pub fn partition(&self, shard: usize) -> StateBackendConfig {
         match self {
@@ -340,18 +258,6 @@ impl StateBackendConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stored_account_storage_get_binary_searches() {
-        let acct = StoredAccount {
-            balance_sats: 1,
-            nonce: 2,
-            storage: vec![(1, 10), (5, 50), (9, 90)],
-            code_json: None,
-        };
-        assert_eq!(acct.storage_get(5), 50);
-        assert_eq!(acct.storage_get(4), 0);
-    }
 
     #[test]
     fn digest_distinguishes_code_presence() {
@@ -393,11 +299,8 @@ mod tests {
         assert_eq!(StateBackendConfig::default(), StateBackendConfig::InMemory);
         assert_eq!(StateBackendConfig::InMemory.label(), "memory");
         assert_eq!(StateBackendConfig::InMemory.working_set_cap(), None);
-        let disk = StateBackendConfig::Disk(DiskConfig {
-            working_set_cap: 16,
-            ..DiskConfig::new("/tmp/x")
-        });
+        let disk = StateBackendConfig::Disk(DiskConfig::new("/tmp/x"));
         assert_eq!(disk.label(), "disk");
-        assert_eq!(disk.working_set_cap(), Some(16));
+        assert_eq!(disk.working_set_cap(), None);
     }
 }

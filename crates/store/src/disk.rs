@@ -11,7 +11,7 @@ use blockconc_types::{Address, Error, Result};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Which file of an epoch a record lives in.
@@ -41,22 +41,23 @@ fn io_err(context: &str, err: std::io::Error) -> Error {
     Error::execution(format!("store: {context}: {err}"))
 }
 
-/// A [`StateBackend`] whose committed state lives on disk.
+/// A [`StateBackend`] that journals committed state to disk.
 ///
 /// In memory it keeps only a per-account *index* (address → file/offset/length of
-/// the latest value record), so resident memory is O(accounts) index entries plus
-/// whatever working set the owning `WorldState` caches — account *values* and the
-/// whole block history stay on disk. Point reads seek one frame; commits append one
-/// framed write-set delta; [`DiskConfig::snapshot_every`] bounds recovery replay by
-/// compacting the live state into a snapshot and starting a fresh journal epoch.
+/// the latest value record); account values and the block history stay on disk.
+/// Commits append one framed write-set delta; the live records are read back
+/// once, when a state is mounted on a reopened store
+/// ([`for_each_account`](StateBackend::for_each_account)).
+/// [`DiskConfig::snapshot_every`] bounds recovery replay by compacting the live
+/// state into a snapshot and starting a fresh journal epoch.
 ///
 /// # Examples
 ///
 /// ```no_run
 /// use blockconc_store::{DiskBackend, DiskConfig, StateBackend};
 ///
-/// let mut backend = DiskBackend::open(&DiskConfig::new("/tmp/blockconc-demo")).unwrap();
-/// assert_eq!(backend.committed_height(), 0);
+/// let backend = DiskBackend::open(&DiskConfig::new("/tmp/blockconc-demo")).unwrap();
+/// assert_eq!(backend.committed_block(), None);
 /// ```
 #[derive(Debug)]
 pub struct DiskBackend {
@@ -82,7 +83,6 @@ pub struct DiskBackend {
     committed: Option<u64>,
     open_height: Option<u64>,
     last_snapshot_height: u64,
-    readers: HashMap<(FileKind, u64), File>,
     stats: StoreStats,
 }
 
@@ -160,7 +160,6 @@ impl DiskBackend {
             committed,
             open_height: None,
             last_snapshot_height,
-            readers: HashMap::new(),
             stats,
         };
         backend
@@ -234,36 +233,24 @@ impl DiskBackend {
     ///
     /// Returns an error on I/O failure.
     pub fn compact(&mut self) -> Result<CommitStats> {
-        // The snapshot reads records straight from the files, and the fresh
-        // epoch must not strand buffered commits in the abandoned journal: seal
-        // first.
+        // The fresh epoch must not strand buffered commits in the abandoned
+        // journal: seal first.
         self.seal_group()?;
         let new_epoch = self.epoch + 1;
         let height = self.committed.unwrap_or(0);
         let accounts = self.index.len() as u64;
 
-        // Every live record is one whole `Upsert` frame in one of a few files
-        // (the current snapshot and journal; after a torn-snapshot fallback, the
-        // epochs replayed past it). Read each file once and copy each frame
-        // verbatim after its CRC check: the payload is byte-for-byte what
-        // decoding and re-encoding it would write.
-        let mut sources: HashMap<(FileKind, u64), Vec<u8>> = HashMap::new();
-        for location in self.index.values() {
-            if let Entry::Vacant(source) = sources.entry((location.kind, location.epoch)) {
-                let path = file_path(&self.dir, location.kind, location.epoch);
-                source.insert(fs::read(path).map_err(|e| io_err("read compaction source", e))?);
-            }
-        }
+        // Every live record is one whole `Upsert` frame; copy each verbatim
+        // after its CRC check: the payload is byte-for-byte what decoding and
+        // re-encoding it would write.
+        let sources = self.sources()?;
         let mut buf = Vec::new();
         append_frame(&mut buf, &JournalRecord::SnapshotBegin { height, accounts })?;
         let new_index = self
             .index
             .iter()
             .map(|(address, location)| {
-                let start = location.offset as usize;
-                let frame = sources[&(location.kind, location.epoch)]
-                    .get(start..start + location.len as usize)
-                    .ok_or_else(|| Error::execution("store: index pointed past its file"))?;
+                let frame = frame_at(&sources, location)?;
                 check_frame(frame)?;
                 let offset = buf.len() as u64;
                 buf.extend_from_slice(frame);
@@ -306,7 +293,6 @@ impl DiskBackend {
         for epoch in journals.into_iter().filter(|&e| e < old_epoch) {
             let _ = fs::remove_file(file_path(&self.dir, FileKind::Journal, epoch));
         }
-        self.readers.retain(|&(_, epoch), _| epoch >= old_epoch);
 
         self.index = new_index;
         self.epoch = new_epoch;
@@ -323,45 +309,36 @@ impl DiskBackend {
         })
     }
 
-    /// The account in the frame at `location`: one raw-frame read plus a decode.
-    fn read_location(&mut self, location: Location) -> Result<StoredAccount> {
-        match decode_frame(&self.read_frame(location)?)? {
-            JournalRecord::Upsert { account, .. } => Ok(account),
-            other => Err(Error::execution(format!(
-                "store: index pointed at a non-account record {other:?}"
-            ))),
-        }
-    }
-
-    /// The raw bytes of the frame at `location`, undecoded.
-    fn read_frame(&mut self, location: Location) -> Result<Vec<u8>> {
-        // Records of the open commit group live in the buffer, not on disk yet.
-        if location.kind == FileKind::Journal
-            && location.epoch == self.epoch
-            && location.offset >= self.flushed_len
-        {
-            let start = (location.offset - self.flushed_len) as usize;
-            let end = start + location.len as usize;
-            return self
-                .group_buffer
-                .get(start..end)
-                .map(<[u8]>::to_vec)
-                .ok_or_else(|| Error::execution("store: index pointed past the group buffer"));
-        }
-        let path = file_path(&self.dir, location.kind, location.epoch);
-        let file = match self.readers.entry((location.kind, location.epoch)) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                e.insert(File::open(&path).map_err(|err| io_err("open for read", err))?)
+    /// Every file a live record sits in (the current snapshot and journal;
+    /// after a torn-snapshot fallback, the epochs replayed past it), each read
+    /// once, whole. The active journal is its flushed bytes followed by the open
+    /// group's buffer: the logical space the index addresses.
+    fn sources(&self) -> Result<HashMap<(FileKind, u64), Vec<u8>>> {
+        let mut sources = HashMap::new();
+        for location in self.index.values() {
+            if let Entry::Vacant(source) = sources.entry((location.kind, location.epoch)) {
+                let path = file_path(&self.dir, location.kind, location.epoch);
+                let mut bytes = fs::read(path).map_err(|e| io_err("read live records", e))?;
+                if (location.kind, location.epoch) == (FileKind::Journal, self.epoch) {
+                    bytes.truncate(self.flushed_len as usize);
+                    bytes.extend_from_slice(&self.group_buffer);
+                }
+                source.insert(bytes);
             }
-        };
-        file.seek(SeekFrom::Start(location.offset))
-            .map_err(|e| io_err("seek record", e))?;
-        let mut bytes = vec![0u8; location.len as usize];
-        file.read_exact(&mut bytes)
-            .map_err(|e| io_err("read record", e))?;
-        Ok(bytes)
+        }
+        Ok(sources)
     }
+}
+
+/// The bytes of the frame at `location` inside its source file.
+fn frame_at<'a>(
+    sources: &'a HashMap<(FileKind, u64), Vec<u8>>,
+    location: &Location,
+) -> Result<&'a [u8]> {
+    let start = location.offset as usize;
+    sources[&(location.kind, location.epoch)]
+        .get(start..start + location.len as usize)
+        .ok_or_else(|| Error::execution("store: index pointed past its file"))
 }
 
 /// Epochs present in `dir`, each list ascending.
@@ -516,23 +493,6 @@ impl StateBackend for DiskBackend {
         "disk-journal"
     }
 
-    fn get_account(&mut self, address: Address) -> Option<StoredAccount> {
-        let location = *self.index.get(&address)?;
-        self.stats.backend_reads += 1;
-        self.stats.read_bytes += location.len as u64;
-        // The index says the account exists, so a failed read is store corruption
-        // or an I/O fault — never "no such account". Returning None here would
-        // silently materialize an empty account and commit it as the new value.
-        Some(
-            self.read_location(location)
-                .expect("indexed account record must be readable"),
-        )
-    }
-
-    fn contains_account(&mut self, address: Address) -> bool {
-        self.index.contains_key(&address)
-    }
-
     fn begin_block(&mut self, height: u64) -> Result<()> {
         if let Some(open) = self.open_height {
             return Err(Error::validation(format!(
@@ -660,44 +620,29 @@ impl StateBackend for DiskBackend {
         })
     }
 
-    fn rollback_block(&mut self) -> Result<()> {
-        self.open_height
-            .take()
-            .map(|_| ())
-            .ok_or_else(|| Error::validation("no open block to roll back"))
-    }
-
     fn committed_block(&self) -> Option<u64> {
         self.committed
     }
 
-    fn open_height(&self) -> Option<u64> {
-        self.open_height
-    }
-
-    fn account_count(&self) -> usize {
-        self.index.len()
-    }
-
     fn for_each_account(
         &mut self,
-        skip: &dyn Fn(Address) -> bool,
-        f: &mut dyn FnMut(Address, StoredAccount),
-    ) {
-        let entries: Vec<(Address, Location)> = self
-            .index
-            .iter()
-            .filter(|(address, _)| !skip(**address))
-            .map(|(a, l)| (*a, *l))
-            .collect();
-        for (address, location) in entries {
-            // Same rule as `get_account`: an indexed record that cannot be read
-            // is corruption, never an account to leave out of a root or a sum.
-            let account = self
-                .read_location(location)
-                .expect("indexed account record must be readable");
-            f(address, account);
+        f: &mut dyn FnMut(Address, StoredAccount) -> Result<()>,
+    ) -> Result<()> {
+        let sources = self.sources()?;
+        for (address, location) in &self.index {
+            let account = match decode_frame(frame_at(&sources, location)?)? {
+                JournalRecord::Upsert { account, .. } => account,
+                other => {
+                    return Err(Error::execution(format!(
+                        "store: index pointed at a non-account record {other:?}"
+                    )))
+                }
+            };
+            self.stats.backend_reads += 1;
+            self.stats.read_bytes += u64::from(location.len);
+            f(*address, account)?;
         }
+        Ok(())
     }
 
     fn stats(&self) -> StoreStats {
@@ -740,6 +685,18 @@ mod tests {
         }
     }
 
+    /// Every committed account's balance, read the way a mount reads them.
+    fn balances(backend: &mut DiskBackend) -> Vec<(Address, u64)> {
+        let mut out = Vec::new();
+        backend
+            .for_each_account(&mut |address, account| {
+                out.push((address, account.balance_sats));
+                Ok(())
+            })
+            .unwrap();
+        out
+    }
+
     fn delta(height: u64, accounts: &[(u64, u64)]) -> BlockDelta {
         BlockDelta {
             height,
@@ -765,32 +722,14 @@ mod tests {
                 .unwrap();
             backend.begin_block(2).unwrap();
             backend.commit_block(&delta(2, &[(1, 150)])).unwrap();
-            assert_eq!(
-                backend
-                    .get_account(Address::from_low(1))
-                    .unwrap()
-                    .balance_sats,
-                150
-            );
         }
         let mut reopened = DiskBackend::open(&config).unwrap();
-        assert_eq!(reopened.committed_height(), 2);
-        assert_eq!(reopened.account_count(), 2);
-        assert_eq!(
-            reopened
-                .get_account(Address::from_low(1))
-                .unwrap()
-                .balance_sats,
-            150
-        );
-        assert_eq!(
-            reopened
-                .get_account(Address::from_low(2))
-                .unwrap()
-                .balance_sats,
-            200
-        );
+        assert_eq!(reopened.committed_block(), Some(2));
         assert_eq!(reopened.stats().replayed_blocks, 2);
+        assert_eq!(
+            balances(&mut reopened),
+            [(Address::from_low(1), 150), (Address::from_low(2), 200)]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -813,16 +752,32 @@ mod tests {
             assert!(backend.last_snapshot_height() >= 8);
         }
         let mut reopened = DiskBackend::open(&config).unwrap();
-        assert_eq!(reopened.committed_height(), 10);
+        assert_eq!(reopened.committed_block(), Some(10));
         // Replay after compaction is bounded by blocks since the last snapshot.
         assert!(reopened.stats().replayed_blocks <= 4);
         assert_eq!(
-            reopened
-                .get_account(Address::from_low(10 % 3))
-                .unwrap()
-                .balance_sats,
-            100
+            balances(&mut reopened),
+            [(0, 90), (1, 100), (2, 80)].map(|(low, sats)| (Address::from_low(low), sats))
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn for_each_visits_in_address_order() {
+        let dir = tempdir("order");
+        let mut backend = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
+        backend.begin_block(1).unwrap();
+        backend
+            .commit_block(&delta(1, &[(5, 50), (2, 20), (9, 90)]))
+            .unwrap();
+        assert_eq!(backend.stats().backend_reads, 0, "commits read nothing");
+        assert_eq!(
+            balances(&mut backend),
+            [(2, 20), (5, 50), (9, 90)].map(|(low, sats)| (Address::from_low(low), sats))
+        );
+        let stats = backend.stats();
+        assert_eq!(stats.backend_reads, 3);
+        assert!(stats.read_bytes > 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -871,11 +826,8 @@ mod tests {
         assert_eq!(backend.committed_block(), Some(6));
         // Reads of buffered commits are served from the group buffer.
         assert_eq!(
-            backend
-                .get_account(Address::from_low(6))
-                .unwrap()
-                .balance_sats,
-            60
+            balances(&mut backend).last(),
+            Some(&(Address::from_low(6), 60))
         );
         // An explicit flush seals the open group.
         backend.flush().unwrap();
@@ -908,13 +860,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(recovered.committed_block(), Some(6));
-        assert_eq!(
-            recovered
-                .get_account(Address::from_low(1))
-                .unwrap()
-                .balance_sats,
-            600
-        );
+        assert_eq!(balances(&mut recovered), [(Address::from_low(1), 600)]);
         // The recovered store keeps committing cleanly past the crash point.
         recovered.begin_block(7).unwrap();
         recovered.commit_block(&delta(7, &[(1, 777)])).unwrap();
@@ -1002,14 +948,8 @@ mod tests {
         file.set_len(boundary + (full - boundary) / 2).unwrap();
         drop(file);
         let mut reopened = DiskBackend::open(&config).unwrap();
-        assert_eq!(reopened.committed_height(), 1);
-        assert_eq!(
-            reopened
-                .get_account(Address::from_low(1))
-                .unwrap()
-                .balance_sats,
-            100
-        );
+        assert_eq!(reopened.committed_block(), Some(1));
+        assert_eq!(balances(&mut reopened), [(Address::from_low(1), 100)]);
         // The torn tail was truncated, so new commits extend a clean journal.
         assert_eq!(reopened.journal_bytes(), boundary);
         reopened.begin_block(2).unwrap();

@@ -16,9 +16,8 @@ use serde::{Deserialize, Serialize};
 
 /// The concrete value carried by one write fragment.
 ///
-/// Unlike [`StateValue`](crate::StateValue) (a `Copy` read-path summary), a
-/// fragment must be able to *reconstruct* its part of the account, so code is
-/// carried by value.
+/// A fragment must be able to *reconstruct* its part of the account, so code
+/// is carried by value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FragmentValue {
     /// New balance and nonce (the pair lives under one [`StateKey::Balance`]).

@@ -176,7 +176,7 @@ pub fn check_frame(frame_bytes: &[u8]) -> Result<()> {
 }
 
 /// Decodes the single record inside a frame previously located by a scanner
-/// (random-access point reads through the disk index).
+/// (the mount-time read of every live record through the disk index).
 pub fn decode_frame(frame_bytes: &[u8]) -> Result<JournalRecord> {
     let mut scanner = FrameScanner::new(frame_bytes);
     match scanner.next() {

@@ -1,11 +1,11 @@
-//! State keys and values: the unit of access tracking and backend storage.
+//! State keys: the unit of access tracking and of per-key write fragments.
 
 use blockconc_types::Address;
 use serde::{Deserialize, Serialize};
 
 /// A key identifying one piece of mutable state, used by access tracking, by the
-/// optimistic-concurrency engines in `blockconc-execution`, and by the state
-/// backends in this crate.
+/// optimistic-concurrency engines in `blockconc-execution`, and by the write
+/// fragments in this crate.
 ///
 /// Balance and nonce are tracked at account granularity; contract storage is tracked
 /// per slot, matching the storage-level conflict definition of Saraph & Herlihy that
@@ -31,26 +31,6 @@ impl StateKey {
             StateKey::Code(addr) => *addr,
         }
     }
-}
-
-/// The value stored under a [`StateKey`], as read through
-/// [`StateBackend::get`](crate::StateBackend::get).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StateValue {
-    /// Balance (in base units) and nonce of an account — the pair lives under one
-    /// [`StateKey::Balance`] key, mirroring account-granularity conflict tracking.
-    AccountMeta {
-        /// Balance in base units.
-        balance_sats: u64,
-        /// Transaction nonce.
-        nonce: u64,
-    },
-    /// One contract storage slot.
-    Slot(u64),
-    /// Identity digest of the account's deployed code; `0` when no code is
-    /// deployed. Point reads only need to detect *which* program is installed,
-    /// not its body, so the value stays `Copy`.
-    CodeDigest(u64),
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
 //! Journaled persistent state backends for the blockconc workspace.
 //!
-//! The paper's pipeline assumes the executor can materialize post-block state for
-//! arbitrarily long histories; an in-memory map caps history at RAM. This crate
-//! inverts the ownership of state: a [`StateBackend`] owns the *committed* state in
-//! block-scoped commits, while `WorldState` (in `blockconc-account`) keeps only a
-//! working set of resident accounts and pushes each block's write-set delta down at
-//! commit time.
+//! `WorldState` (in `blockconc-account`) holds the whole state in memory: every
+//! committed account is resident, as a validator executing a block holds the
+//! state it executes over. A [`StateBackend`] is the *journal* of that state. It
+//! takes each block's write-set delta at commit time, and it is read exactly
+//! once, when a state is mounted on a store that already holds commits.
 //!
 //! Two implementations:
 //!
-//! * [`MemoryBackend`] — the historical in-memory map behind the trait; zero I/O,
-//!   bit-identical pipeline behaviour to the pre-trait `WorldState`.
+//! * [`MemoryBackend`] — no I/O and no copy of the state: it enforces the block
+//!   protocol and counts records, so a pipeline on it behaves bit-identically to
+//!   a `WorldState` without a backend.
 //! * [`DiskBackend`] — a log-structured store: an append-only journal of framed,
 //!   CRC-guarded per-block write-set deltas, an in-memory address → record index,
 //!   periodic snapshot compaction into a fresh journal epoch, and
@@ -18,9 +18,9 @@
 //!   one generation). See `crates/store/README.md` for the format and protocol.
 //!
 //! Every commit reports its records and bytes ([`CommitStats`]) and every backend
-//! its cumulative counters ([`StoreStats`]): records and bytes written, point
-//! reads, flushes, snapshots and what replay read at open. What a commit costs by
-//! the clock is the pipeline's store stage.
+//! its cumulative counters ([`StoreStats`]): records and bytes written, records
+//! read at mount, flushes, snapshots and what replay read at open. What a commit
+//! costs by the clock is the pipeline's store stage.
 //!
 //! # Examples
 //!
@@ -47,7 +47,7 @@
 //!     })
 //!     .unwrap();
 //! assert_eq!(stats.records, 1);
-//! assert_eq!(backend.get_account(Address::from_low(1)).unwrap().balance_sats, 42);
+//! assert_eq!(backend.committed_block(), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,5 +66,5 @@ pub use backend::{
 };
 pub use disk::DiskBackend;
 pub use fragment::{apply_fragment, diff_account_fragments, FragmentValue, StateFragment};
-pub use key::{StateKey, StateValue};
+pub use key::StateKey;
 pub use memory::MemoryBackend;

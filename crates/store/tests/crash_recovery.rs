@@ -69,9 +69,12 @@ fn apply_expected(expected: &mut ExpectedState, delta: &BlockDelta) {
 
 fn observed_state(backend: &mut DiskBackend) -> ExpectedState {
     let mut observed = BTreeMap::new();
-    backend.for_each_account(&|_| false, &mut |address, account| {
-        observed.insert(address, account);
-    });
+    backend
+        .for_each_account(&mut |address, account| {
+            observed.insert(address, account);
+            Ok(())
+        })
+        .expect("every committed record reads back");
     observed
 }
 
@@ -157,7 +160,7 @@ proptest! {
             ..DiskConfig::new(dir.clone())
         })
         .expect("reopen");
-        prop_assert_eq!(reopened.committed_height(), expected_height);
+        prop_assert_eq!(reopened.committed_block().unwrap_or(0), expected_height);
         prop_assert_eq!(
             observed_state(&mut reopened),
             states[expected_height as usize].clone()
@@ -198,7 +201,7 @@ proptest! {
             ..DiskConfig::new(dir.clone())
         })
         .expect("reopen");
-        prop_assert_eq!(reopened.committed_height(), blocks);
+        prop_assert_eq!(reopened.committed_block(), Some(blocks));
         prop_assert_eq!(observed_state(&mut reopened), states[blocks as usize].clone());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -253,7 +256,7 @@ proptest! {
             ..DiskConfig::new(dir.clone())
         })
         .expect("reopen");
-        prop_assert_eq!(reopened.committed_height(), expected_height);
+        prop_assert_eq!(reopened.committed_block().unwrap_or(0), expected_height);
         prop_assert_eq!(
             observed_state(&mut reopened),
             states[expected_height as usize].clone()

@@ -12,15 +12,15 @@
 //! 2. identical mempool statistics and leftovers;
 //! 3. identical final state roots; and
 //! 4. that reopening the disk store afterwards recovers exactly the state the run
-//!    committed (recovery-by-replay lands on the final root).
+//!    committed (recovery-by-replay lands on the final root, and the mount reads
+//!    every committed account once).
 //!
-//! Working-set caps and snapshot cadences are proptest-chosen, so runs routinely
-//! evict accounts mid-run and compact mid-history — neither may leak into observable
-//! behaviour.
+//! Snapshot cadences are proptest-chosen, so runs routinely compact mid-history —
+//! which may not leak into observable behaviour.
 
 use blockconc::pipeline::{ConcurrencyAwarePacker, DiskConfig, StateBackendConfig};
 use blockconc::prelude::*;
-use blockconc::store::{DiskBackend, StateBackend};
+use blockconc::store::DiskBackend;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,9 +61,8 @@ fn config(backend: StateBackendConfig, shards: usize) -> PipelineConfig {
     }
 }
 
-fn disk_backend(dir: &Path, working_set_cap: usize, snapshot_every: u64) -> StateBackendConfig {
+fn disk_backend(dir: &Path, snapshot_every: u64) -> StateBackendConfig {
     StateBackendConfig::Disk(DiskConfig {
-        working_set_cap,
         snapshot_every,
         ..DiskConfig::new(dir)
     })
@@ -96,12 +95,11 @@ fn assert_equivalent(memory: &PipelineRunReport, disk: &PipelineRunReport) {
     );
 }
 
-/// Reopening the store must recover exactly the state the run committed. Returns
-/// how many journaled blocks the reopen replayed and how many distinct accounts
-/// the store holds.
-fn assert_recovers_to(dir: &Path, expected_root: &str) -> (u64, usize) {
+/// Reopening the store must recover exactly the state the run committed, reading
+/// each committed account once. Returns how many journaled blocks the reopen
+/// replayed.
+fn assert_recovers_to(dir: &Path, expected_root: &str) -> u64 {
     let backend = DiskBackend::open(&DiskConfig::new(dir)).expect("reopen store");
-    let recovery = (backend.stats().replayed_blocks, backend.account_count());
     let mut recovered = WorldState::new();
     recovered
         .attach_backend(blockconc::store::shared(backend), None)
@@ -111,16 +109,20 @@ fn assert_recovers_to(dir: &Path, expected_root: &str) -> (u64, usize) {
         expected_root,
         "recovery did not land on the run's final state"
     );
-    recovery
+    let stats = recovered.backend_stats().expect("mounted");
+    assert_eq!(
+        stats.backend_reads,
+        recovered.account_count() as u64,
+        "the mount reads every committed account once"
+    );
+    stats.replayed_blocks
 }
 
-/// A history long enough to outgrow the resident set by an order of magnitude:
-/// 48 blocks over a working-set cap of 256 accounts, compacting every 16 blocks.
-/// The disk run computes what the memory run computes, touches at least ten times
-/// the accounts it may keep resident, and reopens by replaying no more than one
-/// snapshot interval.
+/// A long history: 48 blocks of 200 transactions, compacting every 16 blocks.
+/// The disk run computes what the memory run computes, and reopens by
+/// replaying no more than one snapshot interval.
 #[test]
-fn long_history_outgrows_the_working_set_and_recovers_within_a_snapshot_interval() {
+fn long_history_recovers_within_a_snapshot_interval() {
     let params = AccountWorkloadParams {
         txs_per_block: 200.0,
         user_population: 8_000,
@@ -133,7 +135,7 @@ fn long_history_outgrows_the_working_set_and_recovers_within_a_snapshot_interval
         ],
         contract_create_share: 0.01,
     };
-    let (working_set_cap, snapshot_every) = (256, 16);
+    let snapshot_every = 16;
     let run = |backend: StateBackendConfig| {
         let config = PipelineConfig {
             max_blocks: 48,
@@ -149,17 +151,13 @@ fn long_history_outgrows_the_working_set_and_recovers_within_a_snapshot_interval
     };
     let memory = run(StateBackendConfig::InMemory);
     let dir = store_dir("long");
-    let disk = run(disk_backend(&dir, working_set_cap, snapshot_every));
+    let disk = run(disk_backend(&dir, snapshot_every));
     assert_equivalent(&memory, &disk);
     assert_eq!(memory.total_failed, 0);
-    let (replayed_blocks, accounts) = assert_recovers_to(&dir, &disk.final_state_root);
+    let replayed_blocks = assert_recovers_to(&dir, &disk.final_state_root);
     assert!(
         replayed_blocks <= snapshot_every,
         "reopen replayed {replayed_blocks} blocks at a snapshot cadence of {snapshot_every}"
-    );
-    assert!(
-        accounts >= 10 * working_set_cap,
-        "{accounts} distinct accounts over a {working_set_cap}-account resident cap"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -167,19 +165,16 @@ fn long_history_outgrows_the_working_set_and_recovers_within_a_snapshot_interval
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    // Property 1: the single-pool pipeline is backend-oblivious for any working-set
-    // cap and snapshot cadence, on both a sequential and a parallel engine — and the
-    // journaled history recovers to the same final state when reopened.
+    // Property 1: the single-pool pipeline is backend-oblivious for any snapshot
+    // cadence, on both a sequential and a parallel engine — and the journaled
+    // history recovers to the same final state when reopened.
     #[test]
     fn single_pipeline_is_backend_oblivious(
         seed in 1u64..500,
-        cap_raw in 0usize..200,
         snapshot_raw in 0u64..12,
         engine_sel in 0u8..2,
     ) {
-        // Raw draws map onto the interesting corners: caps below 16 mean
-        // "unbounded", snapshot cadences below 2 mean "never compact".
-        let working_set_cap = if cap_raw < 16 { 0 } else { cap_raw };
+        // Snapshot cadences below 2 mean "never compact".
         let snapshot_every = if snapshot_raw < 2 { 0 } else { snapshot_raw };
         let parallel_engine = engine_sel == 1;
         let memory = if parallel_engine {
@@ -200,7 +195,7 @@ proptest! {
         .expect("memory run");
 
         let dir = store_dir("single");
-        let disk_config = disk_backend(&dir, working_set_cap, snapshot_every);
+        let disk_config = disk_backend(&dir, snapshot_every);
         let disk = if parallel_engine {
             PipelineDriver::new(
                 ConcurrencyAwarePacker::new(4),
@@ -221,7 +216,7 @@ proptest! {
         assert_equivalent(&memory, &disk);
         prop_assert!(disk.store.bytes_written > 0, "disk run must journal bytes");
         prop_assert!(disk.store.committed_blocks >= memory.blocks.len() as u64);
-        let (replayed_blocks, _) = assert_recovers_to(&dir, &disk.final_state_root);
+        let replayed_blocks = assert_recovers_to(&dir, &disk.final_state_root);
         prop_assert!(
             snapshot_every == 0 || replayed_blocks <= snapshot_every,
             "reopen replayed {} blocks at a snapshot cadence of {}",
@@ -237,9 +232,7 @@ proptest! {
     fn sharded_pipeline_is_backend_oblivious(
         seed in 1u64..500,
         shards in 2usize..5,
-        cap_raw in 0usize..200,
     ) {
-        let working_set_cap = if cap_raw < 16 { 0 } else { cap_raw };
         let memory = ShardedPipelineDriver::new(
             SequentialEngine::new(),
             config(StateBackendConfig::InMemory, shards),
@@ -250,7 +243,7 @@ proptest! {
         let dir = store_dir("sharded");
         let disk = ShardedPipelineDriver::new(
             SequentialEngine::new(),
-            config(disk_backend(&dir, working_set_cap, 4), shards),
+            config(disk_backend(&dir, 4), shards),
         )
         .run(stream(seed))
         .expect("disk run");
@@ -265,7 +258,6 @@ proptest! {
     #[test]
     fn replacement_churn_is_backend_oblivious(
         seed in 1u64..500,
-        working_set_cap in 16usize..100,
     ) {
         let escalating =
             |seed| stream(seed).with_fee_escalation(FeeEscalationSpec::standard(14.0));
@@ -280,7 +272,7 @@ proptest! {
         let disk = PipelineDriver::new(
             ConcurrencyAwarePacker::new(4),
             SequentialEngine::new(),
-            config(disk_backend(&dir, working_set_cap, 3), 1),
+            config(disk_backend(&dir, 3), 1),
         )
         .run(escalating(seed))
         .expect("disk run");
