@@ -12,18 +12,65 @@
 //! touching disjoint parts of one account never conflict. The cell is also the
 //! unit of *data movement*: a read resolves one cell ([`MvMemory::read_cell`]),
 //! a write installs one, and the commit drains one final value per cell
-//! ([`MvMemory::into_final_cells`]) — nothing in here assembles, clones or
+//! ([`MvMemory::drain_final_cells`]) — nothing in here assembles, clones or
 //! diffs an account.
+//!
+//! A key is hashed once per transaction: [`MvMemory::cell_id`] (or
+//! [`MvMemory::serve`], which reads the cell too) interns it into a
+//! [`CellId`] — its lock stripe plus its slot in that stripe's cell list —
+//! and every later step of the block (read, install, validation, estimate
+//! marking, commit) indexes the cell by that id. A cell's versions are one flat
+//! list sorted by transaction index, so the common in-order install appends.
+//! The engine keeps one store for all its blocks and [`reset`](MvMemory::reset)s
+//! it at block start: cells, version lists and key maps are cleared with their
+//! capacity kept, so a steady run of blocks allocates nothing here.
 
 use blockconc_store::{FragmentValue, StateKey};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
 /// Number of independently locked shards of the version map, striped by cell:
 /// concurrent transactions mostly touch disjoint cells — disjoint accounts, or
 /// disjoint slots of one hot contract — so the stripes keep lock contention off
 /// the execution hot path either way.
 const SHARDS: usize = 64;
+
+/// The low bits of a [`CellId`] that name its stripe.
+const STRIPE_BITS: u32 = SHARDS.trailing_zeros();
+
+/// One value per cache line: state that different workers update — the
+/// scheduler's counters, the per-transaction slots, the lock stripes — would
+/// otherwise turn independent updates into false-sharing ping-pong.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+pub(crate) struct Aligned<T>(pub(crate) T);
+
+/// A cell's place in the store: its stripe in the low [`STRIPE_BITS`] bits,
+/// its slot in that stripe's cell list above them. Ids are handed out by
+/// [`MvMemory::cell_id`] and stay valid until the next
+/// [`reset`](MvMemory::reset). Ordering by id keeps all entries of one cell
+/// adjacent in a sorted read set, which is what
+/// [`validate_reads`](MvMemory::validate_reads) groups by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct CellId(u32);
+
+impl CellId {
+    fn new(stripe: usize, slot: usize) -> Self {
+        assert!(
+            slot < 1 << (u32::BITS - STRIPE_BITS),
+            "a stripe holds fewer than 2^26 cells per block"
+        );
+        CellId((slot as u32) << STRIPE_BITS | stripe as u32)
+    }
+
+    fn stripe(self) -> usize {
+        (self.0 as usize) & (SHARDS - 1)
+    }
+
+    fn slot(self) -> usize {
+        (self.0 >> STRIPE_BITS) as usize
+    }
+}
 
 /// The value buffered in one cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +92,7 @@ pub(crate) enum CellValue {
 #[derive(Debug)]
 pub(crate) struct CellWrite {
     /// The written cell.
-    pub(crate) key: StateKey,
+    pub(crate) cell: CellId,
     /// Its new value.
     pub(crate) value: CellValue,
 }
@@ -110,56 +157,37 @@ struct VersionEntry {
     value: CellValue,
 }
 
-/// One cell's buffered writes by transaction index.
-type Versions = BTreeMap<usize, VersionEntry>;
-
-/// The sharded multi-version map: `cell → (tx_index → versioned write)`.
-#[derive(Debug)]
-pub(crate) struct MvMemory {
-    shards: Vec<Mutex<HashMap<StateKey, Versions>>>,
+/// A transaction index as a version list stores it.
+fn version_index(tx_index: usize) -> u32 {
+    u32::try_from(tx_index).expect("a block holds fewer than 2^32 transactions")
 }
 
-impl MvMemory {
-    pub(crate) fn new() -> Self {
-        MvMemory {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
+/// One cell: its key and its buffered writes, sorted by transaction index.
+#[derive(Debug)]
+struct Cell {
+    key: StateKey,
+    versions: Vec<(u32, VersionEntry)>,
+}
+
+impl Cell {
+    /// The position of `txn`'s entry, or where it would go.
+    fn position(&self, txn: u32) -> Result<usize, usize> {
+        self.versions.binary_search_by_key(&txn, |&(t, _)| t)
     }
 
-    fn shard(&self, key: StateKey) -> &Mutex<HashMap<StateKey, Versions>> {
-        // Fibonacci hash of the address' low word (spreads both sequential test
-        // addresses and hash-derived workload addresses), offset by the slot so
-        // one contract's cells do not pile onto a single stripe.
-        let slot = match key {
-            StateKey::Storage(_, slot) => slot,
-            StateKey::Balance(_) | StateKey::Code(_) => 0,
-        };
-        let word = key.address().low_u64() ^ slot.rotate_left(32);
-        let mix = (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
-        &self.shards[mix % SHARDS]
-    }
-
-    /// Resolves one cell for transaction `reader` — the one walk every read
-    /// takes, execution and validation alike: newest-first over the entries of
-    /// `key` strictly below `reader`, collecting delta entries until the first
-    /// fragment. The delta-transparency rule lives here and nowhere else —
-    /// deltas stack on top of a fragment instead of replacing it, and deltas
-    /// *below* the winning fragment are superseded (that fragment's value was
-    /// computed from a pre-state that had already folded them). An `ESTIMATE`
-    /// surfaces through its [`Stamp`]; an execution suspends on the lowest such
-    /// writer.
-    pub(crate) fn read_cell(&self, key: StateKey, reader: usize) -> CellRead {
+    /// The walk behind [`MvMemory::read_cell`]: newest-first over the entries
+    /// strictly below `reader`, collecting deltas until the first fragment.
+    fn read(&self, reader: usize) -> CellRead {
         let mut read = CellRead {
             write: None,
             deltas: Vec::new(),
         };
-        let shard = self.shard(key).lock().expect("mvcc shard lock");
-        let Some(versions) = shard.get(&key) else {
-            return read;
-        };
-        for (&txn, entry) in versions.range(..reader).rev() {
+        let below = self
+            .versions
+            .partition_point(|&(txn, _)| (txn as usize) < reader);
+        for (txn, entry) in self.versions[..below].iter().rev() {
             let stamp = Stamp {
-                txn,
+                txn: *txn as usize,
                 incarnation: entry.incarnation,
                 estimate: entry.estimate,
             };
@@ -174,6 +202,121 @@ impl MvMemory {
         read.deltas.reverse();
         read
     }
+}
+
+/// One lock stripe: a key index over a dense cell list.
+#[derive(Debug, Default)]
+struct Stripe {
+    /// Key → slot in `cells`, for this block's cells.
+    index: HashMap<StateKey, u32>,
+    /// `cells[..live]` are this block's cells. The rest were emptied by a
+    /// reset and wait to be reused, version-list capacity and all.
+    cells: Vec<Cell>,
+    live: usize,
+}
+
+impl Stripe {
+    /// The slot of `key`'s cell, taking a parked (or new) cell on first sight.
+    fn intern(&mut self, key: StateKey) -> usize {
+        // `CellId::new` bounds every slot far below `u32::MAX`.
+        let Stripe { index, cells, live } = self;
+        *index.entry(key).or_insert_with(|| {
+            match cells.get_mut(*live) {
+                Some(parked) => parked.key = key,
+                None => cells.push(Cell {
+                    key,
+                    versions: Vec::new(),
+                }),
+            }
+            *live += 1;
+            (*live - 1) as u32
+        }) as usize
+    }
+}
+
+/// The sharded multi-version map: `cell → [(tx_index, versioned write)]`.
+#[derive(Debug)]
+pub(crate) struct MvMemory {
+    stripes: Vec<Aligned<Mutex<Stripe>>>,
+}
+
+impl Default for MvMemory {
+    fn default() -> Self {
+        MvMemory::new()
+    }
+}
+
+impl MvMemory {
+    pub(crate) fn new() -> Self {
+        MvMemory {
+            stripes: (0..SHARDS).map(|_| Aligned::default()).collect(),
+        }
+    }
+
+    /// Empties the store for the next block, keeping every allocation: each
+    /// live cell's version list is cleared (not freed) and parked for reuse,
+    /// and the key indexes keep their tables. Every [`CellId`] handed out
+    /// before is void afterwards.
+    pub(crate) fn reset(&mut self) {
+        for stripe in &mut self.stripes {
+            let stripe = stripe.0.get_mut().expect("mvcc stripe lock");
+            for cell in &mut stripe.cells[..stripe.live] {
+                cell.versions.clear();
+            }
+            stripe.index.clear();
+            stripe.live = 0;
+        }
+    }
+
+    fn stripe_of(key: StateKey) -> usize {
+        // Fibonacci hash of the address' low word (spreads both sequential test
+        // addresses and hash-derived workload addresses), offset by the slot so
+        // one contract's cells do not pile onto a single stripe.
+        let slot = match key {
+            StateKey::Storage(_, slot) => slot,
+            StateKey::Balance(_) | StateKey::Code(_) => 0,
+        };
+        let word = key.address().low_u64() ^ slot.rotate_left(32);
+        let mix = (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        mix % SHARDS
+    }
+
+    fn lock(&self, stripe: usize) -> MutexGuard<'_, Stripe> {
+        self.stripes[stripe].0.lock().expect("mvcc stripe lock")
+    }
+
+    /// The id of `key`'s cell, interning an empty cell on first sight.
+    /// Interning, here or in [`serve`](MvMemory::serve), is the one place a
+    /// key is hashed: the engine asks once per key and transaction — when its
+    /// view first serves the key, or when a blind delta first writes it — and
+    /// carries the id from there.
+    pub(crate) fn cell_id(&self, key: StateKey) -> CellId {
+        let stripe = Self::stripe_of(key);
+        let slot = self.lock(stripe).intern(key);
+        CellId::new(stripe, slot)
+    }
+
+    /// [`cell_id`](MvMemory::cell_id) and [`read_cell`](MvMemory::read_cell)
+    /// under one stripe lock: how a view serves a key the first time.
+    pub(crate) fn serve(&self, key: StateKey, reader: usize) -> (CellId, CellRead) {
+        let stripe = Self::stripe_of(key);
+        let mut guard = self.lock(stripe);
+        let slot = guard.intern(key);
+        (CellId::new(stripe, slot), guard.cells[slot].read(reader))
+    }
+
+    /// Resolves one cell for transaction `reader` — the one walk every read
+    /// takes, execution and validation alike: newest-first over the entries of
+    /// the cell strictly below `reader`, collecting delta entries until the
+    /// first fragment. The delta-transparency rule lives here and nowhere
+    /// else — deltas stack on top of a fragment instead of replacing it, and
+    /// deltas *below* the winning fragment are superseded (that fragment's
+    /// value was computed from a pre-state that had already folded them). An
+    /// `ESTIMATE` surfaces through its [`Stamp`]; an execution suspends on the
+    /// lowest such writer.
+    pub(crate) fn read_cell(&self, cell: CellId, reader: usize) -> CellRead {
+        self.lock(cell.stripe()).cells[cell.slot()].read(reader)
+    }
 
     /// Installs the write set of `(tx_index, incarnation)` and removes entries left
     /// behind by the previous incarnation at cells no longer written. Returns
@@ -181,7 +324,7 @@ impl MvMemory {
     /// (Block-STM's `wrote_new_path`, which forces revalidation of higher
     /// transactions).
     ///
-    /// Both `writes` and `previous` must be sorted by `StateKey` (the engine
+    /// Both `writes` and `previous` must be sorted by [`CellId`] (the engine
     /// sorts its harvest); the stale sweep is then a single two-pointer merge
     /// instead of the quadratic contains-scan per cell.
     pub(crate) fn apply(
@@ -189,68 +332,74 @@ impl MvMemory {
         tx_index: usize,
         incarnation: u32,
         writes: &mut Vec<CellWrite>,
-        previous: &[StateKey],
+        previous: &[CellId],
     ) -> bool {
         debug_assert!(
-            writes.windows(2).all(|w| w[0].key < w[1].key),
+            writes.windows(2).all(|w| w[0].cell < w[1].cell),
             "cell writes must be sorted and unique"
         );
         debug_assert!(
             previous.windows(2).all(|w| w[0] < w[1]),
-            "previous cell keys must be sorted and unique"
+            "previous cells must be sorted and unique"
         );
+        let txn = version_index(tx_index);
         let mut wrote_new_path = false;
         let mut stale = previous.iter().peekable();
-        // The write set is drained: values move into the map without a clone, and
-        // the caller keeps the vector's capacity for the next transaction.
+        // The write set is drained: values move into the store without a clone,
+        // and the caller keeps the vector's capacity for the next transaction.
         for write in writes.drain(..) {
-            while let Some(&&key) = stale.peek() {
-                if key < write.key {
-                    self.remove_version(key, tx_index);
+            while let Some(&&cell) = stale.peek() {
+                if cell < write.cell {
+                    self.remove_version(cell, txn);
                     stale.next();
                 } else {
                     break;
                 }
             }
-            if stale.peek().copied() == Some(&write.key) {
+            if stale.peek().copied() == Some(&write.cell) {
                 stale.next();
             } else {
                 wrote_new_path = true;
             }
-            let mut shard = self.shard(write.key).lock().expect("mvcc shard lock");
-            shard.entry(write.key).or_default().insert(
-                tx_index,
-                VersionEntry {
-                    incarnation,
-                    estimate: false,
-                    value: write.value,
+            let entry = VersionEntry {
+                incarnation,
+                estimate: false,
+                value: write.value,
+            };
+            let mut stripe = self.lock(write.cell.stripe());
+            let cell = &mut stripe.cells[write.cell.slot()];
+            match cell.versions.last() {
+                Some(&(last, _)) if last >= txn => match cell.position(txn) {
+                    Ok(at) => cell.versions[at].1 = entry,
+                    Err(at) => cell.versions.insert(at, (txn, entry)),
                 },
-            );
+                // Above every buffered writer, as in-order execution mostly is.
+                _ => cell.versions.push((txn, entry)),
+            }
         }
-        for &key in stale {
-            self.remove_version(key, tx_index);
+        for &cell in stale {
+            self.remove_version(cell, txn);
         }
         wrote_new_path
     }
 
-    fn remove_version(&self, key: StateKey, tx_index: usize) {
-        let mut shard = self.shard(key).lock().expect("mvcc shard lock");
-        if let Some(versions) = shard.get_mut(&key) {
-            versions.remove(&tx_index);
+    fn remove_version(&self, cell: CellId, txn: u32) {
+        let mut stripe = self.lock(cell.stripe());
+        let cell = &mut stripe.cells[cell.slot()];
+        if let Ok(at) = cell.position(txn) {
+            cell.versions.remove(at);
         }
     }
 
     /// Marks every write of `tx_index` as an `ESTIMATE` after its validation failed,
     /// so transactions that read them suspend instead of executing against data
     /// known to be stale.
-    pub(crate) fn convert_writes_to_estimates(&self, tx_index: usize, writes: &[StateKey]) {
-        for &key in writes {
-            let mut shard = self.shard(key).lock().expect("mvcc shard lock");
-            if let Some(entry) = shard
-                .get_mut(&key)
-                .and_then(|versions| versions.get_mut(&tx_index))
-            {
-                entry.estimate = true;
+    pub(crate) fn convert_writes_to_estimates(&self, tx_index: usize, writes: &[CellId]) {
+        for &cell in writes {
+            let mut stripe = self.lock(cell.stripe());
+            let cell = &mut stripe.cells[cell.slot()];
+            if let Ok(at) = cell.position(version_index(tx_index)) {
+                cell.versions[at].1.estimate = true;
             }
         }
     }
@@ -260,21 +409,21 @@ impl MvMemory {
     /// and no resolved entry is an estimate.
     ///
     /// Entries for one cell must be adjacent (the engine keeps the read set
-    /// sorted by cell key): each group carries exactly one write-level origin
+    /// sorted by cell id): each group carries exactly one write-level origin
     /// ([`ReadOrigin::Base`] or [`ReadOrigin::Version`]) plus the
     /// [`ReadOrigin::Delta`] contributor list the execution folded, in
     /// ascending transaction order. The group is re-resolved as a unit — a
     /// delta contributor appearing, vanishing or re-executing invalidates the
     /// observer even when the write-level origin is untouched (the *reader
     /// upgrade* that keeps commutative cells serializable).
-    pub(crate) fn validate_reads(&self, tx_index: usize, reads: &[(StateKey, ReadOrigin)]) -> bool {
+    pub(crate) fn validate_reads(&self, tx_index: usize, reads: &[(CellId, ReadOrigin)]) -> bool {
         let mut i = 0;
         while i < reads.len() {
-            let key = reads[i].0;
+            let cell = reads[i].0;
             let mut j = i;
             let mut write_origin = None;
             let mut delta_origins: Vec<(usize, u32)> = Vec::new();
-            while j < reads.len() && reads[j].0 == key {
+            while j < reads.len() && reads[j].0 == cell {
                 match reads[j].1 {
                     ReadOrigin::Delta(txn, incarnation) => delta_origins.push((txn, incarnation)),
                     origin => {
@@ -289,7 +438,7 @@ impl MvMemory {
             }
             i = j;
 
-            let actual = self.read_cell(key, tx_index);
+            let actual = self.read_cell(cell, tx_index);
             let write_ok = match (actual.write, write_origin) {
                 (None, Some(ReadOrigin::Base) | None) => true,
                 (Some((stamp, _)), Some(ReadOrigin::Version(txn, incarnation))) => {
@@ -320,51 +469,61 @@ impl MvMemory {
     /// they committed through the writer's served pre-state).
     pub(crate) fn delta_entries(&self) -> u64 {
         let mut merges = 0u64;
-        for shard in &self.shards {
-            let shard = shard.lock().expect("mvcc shard lock");
-            for versions in shard.values() {
-                merges += versions
-                    .values()
-                    .filter(|entry| matches!(entry.value, CellValue::Delta(_)))
+        for stripe in &self.stripes {
+            let stripe = stripe.0.lock().expect("mvcc stripe lock");
+            for cell in &stripe.cells[..stripe.live] {
+                merges += cell
+                    .versions
+                    .iter()
+                    .filter(|(_, entry)| matches!(entry.value, CellValue::Delta(_)))
                     .count() as u64;
             }
         }
         merges
     }
 
-    /// The final value of every written cell, as one flat list sorted by
-    /// `StateKey`: the fragment of the highest transaction index plus the folded sum
-    /// of every delta contribution above it (deltas *below* a fragment are
-    /// excluded — see [`read_cell`](MvMemory::read_cell)). Called once after the
-    /// whole block has executed and validated; the map is consumed, so values
-    /// *move* out instead of being cloned under shard locks, and the sorted
-    /// order is what the engine's in-place commit walks.
-    pub(crate) fn into_final_cells(self) -> Vec<(StateKey, FinalCell)> {
-        let mut out = Vec::new();
-        for shard in self.shards {
-            for (key, versions) in shard.into_inner().expect("mvcc shard lock") {
-                let mut cell = FinalCell {
-                    write: None,
-                    delta: None,
-                };
-                for (_, entry) in versions.into_iter().rev() {
-                    match entry.value {
-                        CellValue::Delta(amount) => {
-                            cell.delta = Some(fold_delta(key, cell.delta.unwrap_or(0), amount));
-                        }
-                        CellValue::Fragment(fragment) => {
-                            cell.write = Some(fragment);
-                            break;
+    /// Hands the final value of every written cell to `install`: the fragment
+    /// of the highest transaction index plus the folded sum of every delta
+    /// contribution above it (deltas *below* a fragment are excluded — see
+    /// [`read_cell`](MvMemory::read_cell)). Called once after the whole block
+    /// has executed and validated.
+    ///
+    /// Two phases and no sort: every `Balance` cell first, then every
+    /// `Storage` and `Code` cell, each phase in store order. That is the one
+    /// order the engine's in-place commit needs — an account a fragment
+    /// creates exists by the time its slots land. The winning entries *move*
+    /// out; the superseded ones below them stay until the next
+    /// [`reset`](MvMemory::reset).
+    pub(crate) fn drain_final_cells(&mut self, mut install: impl FnMut(StateKey, FinalCell)) {
+        for balances in [true, false] {
+            for stripe in &mut self.stripes {
+                let stripe = stripe.0.get_mut().expect("mvcc stripe lock");
+                for cell in &mut stripe.cells[..stripe.live] {
+                    if matches!(cell.key, StateKey::Balance(_)) != balances {
+                        continue;
+                    }
+                    let mut last = FinalCell {
+                        write: None,
+                        delta: None,
+                    };
+                    while let Some((_, entry)) = cell.versions.pop() {
+                        match entry.value {
+                            CellValue::Delta(amount) => {
+                                last.delta =
+                                    Some(fold_delta(cell.key, last.delta.unwrap_or(0), amount));
+                            }
+                            CellValue::Fragment(fragment) => {
+                                last.write = Some(fragment);
+                                break;
+                            }
                         }
                     }
-                }
-                if cell.write.is_some() || cell.delta.is_some() {
-                    out.push((key, cell));
+                    if last.write.is_some() || last.delta.is_some() {
+                        install(cell.key, last);
+                    }
                 }
             }
         }
-        out.sort_unstable_by_key(|&(key, _)| key);
-        out
     }
 }
 
@@ -389,6 +548,7 @@ mod tests {
     use blockconc_store::{apply_fragment, StoredAccount};
     use blockconc_types::Address;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn addr(n: u64) -> Address {
         Address::from_low(n)
@@ -402,37 +562,77 @@ mod tests {
         StateKey::Storage(addr(n), slot)
     }
 
-    fn meta_write(n: u64, balance: u64) -> CellWrite {
-        CellWrite {
-            key: meta_key(n),
-            value: CellValue::Fragment(Some(FragmentValue::Meta {
-                balance_sats: balance,
-                nonce: 0,
-            })),
-        }
+    fn meta(balance: u64) -> CellValue {
+        CellValue::Fragment(Some(FragmentValue::Meta {
+            balance_sats: balance,
+            nonce: 0,
+        }))
     }
 
-    fn slot_write(n: u64, slot: u64, value: u64) -> CellWrite {
-        CellWrite {
-            key: slot_key(n, slot),
-            value: CellValue::Fragment(Some(FragmentValue::Slot(value))),
-        }
+    fn slot(value: u64) -> CellValue {
+        CellValue::Fragment(Some(FragmentValue::Slot(value)))
     }
 
-    fn delta_write(n: u64, slot: u64, amount: u64) -> CellWrite {
-        CellWrite {
-            key: slot_key(n, slot),
-            value: CellValue::Delta(amount),
-        }
+    /// A write set as the engine hands it to `apply`: one write per cell,
+    /// sorted by cell id.
+    fn writes<const N: usize>(mv: &MvMemory, cells: [(StateKey, CellValue); N]) -> Vec<CellWrite> {
+        let mut out: Vec<CellWrite> = cells
+            .into_iter()
+            .map(|(key, value)| CellWrite {
+                cell: mv.cell_id(key),
+                value,
+            })
+            .collect();
+        out.sort_unstable_by_key(|write| write.cell);
+        out
+    }
+
+    /// The cells of `keys`, sorted by id (a previous-write list).
+    fn ids(mv: &MvMemory, keys: &[StateKey]) -> Vec<CellId> {
+        let mut out: Vec<CellId> = keys.iter().map(|&key| mv.cell_id(key)).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// A read set as the engine records it: by cell id, sorted.
+    fn read_set(mv: &MvMemory, reads: &[(StateKey, ReadOrigin)]) -> Vec<(CellId, ReadOrigin)> {
+        let mut out: Vec<(CellId, ReadOrigin)> = reads
+            .iter()
+            .map(|&(key, origin)| (mv.cell_id(key), origin))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn read(mv: &MvMemory, key: StateKey, reader: usize) -> CellRead {
+        mv.read_cell(mv.cell_id(key), reader)
     }
 
     /// The write-level resolution of `key` for `reader` (deltas are transparent).
     fn resolved(mv: &MvMemory, key: StateKey, reader: usize) -> Option<Stamp> {
-        mv.read_cell(key, reader).write.map(|(stamp, _)| stamp)
+        read(mv, key, reader).write.map(|(stamp, _)| stamp)
     }
 
     fn resolved_txn(mv: &MvMemory, key: StateKey, reader: usize) -> Option<usize> {
         resolved(mv, key, reader).map(|stamp| stamp.txn)
+    }
+
+    /// Drains the final cells in the order the commit receives them, checking
+    /// the one order it relies on: no `Balance` cell after any other.
+    fn finals(mv: &mut MvMemory) -> Vec<(StateKey, FinalCell)> {
+        let mut out = Vec::new();
+        mv.drain_final_cells(|key, cell| out.push((key, cell)));
+        let first_other = out
+            .iter()
+            .position(|(key, _)| !matches!(key, StateKey::Balance(_)))
+            .unwrap_or(out.len());
+        assert!(
+            out[first_other..]
+                .iter()
+                .all(|(key, _)| !matches!(key, StateKey::Balance(_))),
+            "a balance cell drained after a slot or code cell"
+        );
+        out
     }
 
     fn final_cell(finals: &[(StateKey, FinalCell)], key: StateKey) -> Option<&FinalCell> {
@@ -442,8 +642,8 @@ mod tests {
     #[test]
     fn read_resolves_highest_version_below_reader() {
         let mv = MvMemory::new();
-        mv.apply(2, 0, &mut vec![meta_write(1, 20)], &[]);
-        mv.apply(5, 0, &mut vec![meta_write(1, 50)], &[]);
+        mv.apply(2, 0, &mut writes(&mv, [(meta_key(1), meta(20))]), &[]);
+        mv.apply(5, 0, &mut writes(&mv, [(meta_key(1), meta(50))]), &[]);
 
         assert_eq!(resolved_txn(&mv, meta_key(1), 2), None);
         assert_eq!(resolved_txn(&mv, meta_key(1), 4), Some(2));
@@ -454,57 +654,60 @@ mod tests {
     #[test]
     fn read_cell_returns_the_highest_version_below_the_reader_with_its_value() {
         let mv = MvMemory::new();
-        mv.apply(2, 0, &mut vec![slot_write(1, 7, 20)], &[]);
-        mv.apply(5, 1, &mut vec![slot_write(1, 7, 50)], &[]);
+        // Out of block order: the later writer installs first.
+        mv.apply(5, 1, &mut writes(&mv, [(slot_key(1, 7), slot(50))]), &[]);
+        mv.apply(2, 0, &mut writes(&mv, [(slot_key(1, 7), slot(20))]), &[]);
 
         // The reader's own index is not below it; neither is anything above.
-        let below_all = mv.read_cell(slot_key(1, 7), 2);
+        let below_all = read(&mv, slot_key(1, 7), 2);
         assert!(below_all.write.is_none() && below_all.deltas.is_empty());
-        let (stamp, value) = mv.read_cell(slot_key(1, 7), 5).write.expect("tx 2 wins");
+        let (stamp, value) = read(&mv, slot_key(1, 7), 5).write.expect("tx 2 wins");
         assert_eq!(
             (stamp.txn, stamp.incarnation, stamp.estimate),
             (2, 0, false)
         );
         assert_eq!(value, Some(FragmentValue::Slot(20)));
-        let (stamp, value) = mv.read_cell(slot_key(1, 7), 9).write.expect("tx 5 wins");
+        let (stamp, value) = read(&mv, slot_key(1, 7), 9).write.expect("tx 5 wins");
         assert_eq!((stamp.txn, stamp.incarnation), (5, 1));
         assert_eq!(value, Some(FragmentValue::Slot(50)));
         // One cell is one question: the neighbouring slot and the meta are base.
-        assert!(mv.read_cell(slot_key(1, 8), 9).write.is_none());
-        assert!(mv.read_cell(meta_key(1), 9).write.is_none());
+        assert!(read(&mv, slot_key(1, 8), 9).write.is_none());
+        assert!(read(&mv, meta_key(1), 9).write.is_none());
     }
 
     #[test]
     fn read_cell_stacks_deltas_over_the_winning_write_only() {
         let mv = MvMemory::new();
-        mv.apply(1, 0, &mut vec![delta_write(3, 0, 4)], &[]);
-        mv.apply(2, 0, &mut vec![slot_write(3, 0, 100)], &[]);
-        mv.apply(3, 0, &mut vec![delta_write(3, 0, 5)], &[]);
-        mv.apply(6, 0, &mut vec![delta_write(3, 0, 7)], &[]);
-        mv.apply(6, 0, &mut vec![delta_write(3, 1, 9)], &[]); // another cell
+        let cell = slot_key(3, 0);
+        mv.apply(1, 0, &mut writes(&mv, [(cell, CellValue::Delta(4))]), &[]);
+        mv.apply(2, 0, &mut writes(&mv, [(cell, slot(100))]), &[]);
+        mv.apply(3, 0, &mut writes(&mv, [(cell, CellValue::Delta(5))]), &[]);
+        mv.apply(6, 0, &mut writes(&mv, [(cell, CellValue::Delta(7))]), &[]);
+        let other = slot_key(3, 1);
+        mv.apply(6, 0, &mut writes(&mv, [(other, CellValue::Delta(9))]), &[]);
 
-        let read = mv.read_cell(slot_key(3, 0), 9);
-        assert_eq!(read.write.as_ref().map(|(s, _)| s.txn), Some(2));
+        let got = read(&mv, cell, 9);
+        assert_eq!(got.write.as_ref().map(|(s, _)| s.txn), Some(2));
         // Ascending, values included; tx 1's delta sits under the fragment and
         // is superseded by it.
         assert_eq!(
-            read.deltas
+            got.deltas
                 .iter()
                 .map(|(s, a)| (s.txn, *a))
                 .collect::<Vec<_>>(),
             vec![(3, 5), (6, 7)]
         );
         // A reader between the contributors folds only what is below it.
-        let read = mv.read_cell(slot_key(3, 0), 6);
+        let got = read(&mv, cell, 6);
         assert_eq!(
-            read.deltas.iter().map(|(s, _)| s.txn).collect::<Vec<_>>(),
+            got.deltas.iter().map(|(s, _)| s.txn).collect::<Vec<_>>(),
             vec![3]
         );
         // Below the fragment the early delta stacks on base.
-        let read = mv.read_cell(slot_key(3, 0), 2);
-        assert!(read.write.is_none());
+        let got = read(&mv, cell, 2);
+        assert!(got.write.is_none());
         assert_eq!(
-            read.deltas
+            got.deltas
                 .iter()
                 .map(|(s, a)| (s.txn, *a))
                 .collect::<Vec<_>>(),
@@ -515,18 +718,19 @@ mod tests {
     #[test]
     fn read_cell_surfaces_every_estimate_so_the_reader_can_pick_the_lowest() {
         let mv = MvMemory::new();
-        mv.apply(2, 0, &mut vec![slot_write(4, 0, 10)], &[]);
-        mv.apply(3, 0, &mut vec![delta_write(4, 0, 1)], &[]);
-        mv.apply(5, 0, &mut vec![delta_write(4, 0, 1)], &[]);
-        mv.convert_writes_to_estimates(5, &[slot_key(4, 0)]);
-        mv.convert_writes_to_estimates(2, &[slot_key(4, 0)]);
+        let cell = slot_key(4, 0);
+        mv.apply(2, 0, &mut writes(&mv, [(cell, slot(10))]), &[]);
+        mv.apply(3, 0, &mut writes(&mv, [(cell, CellValue::Delta(1))]), &[]);
+        mv.apply(5, 0, &mut writes(&mv, [(cell, CellValue::Delta(1))]), &[]);
+        mv.convert_writes_to_estimates(5, &ids(&mv, &[cell]));
+        mv.convert_writes_to_estimates(2, &ids(&mv, &[cell]));
 
-        let read = mv.read_cell(slot_key(4, 0), 9);
-        let blockers: Vec<usize> = read
+        let got = read(&mv, cell, 9);
+        let blockers: Vec<usize> = got
             .write
             .iter()
             .map(|(stamp, _)| *stamp)
-            .chain(read.deltas.iter().map(|(stamp, _)| *stamp))
+            .chain(got.deltas.iter().map(|(stamp, _)| *stamp))
             .filter(|stamp| stamp.estimate)
             .map(|stamp| stamp.txn)
             .collect();
@@ -541,45 +745,49 @@ mod tests {
     #[test]
     fn disjoint_cells_of_one_account_resolve_independently() {
         let mv = MvMemory::new();
-        mv.apply(1, 0, &mut vec![slot_write(9, 3, 30)], &[]);
-        mv.apply(2, 0, &mut vec![slot_write(9, 7, 70)], &[]);
+        mv.apply(1, 0, &mut writes(&mv, [(slot_key(9, 3), slot(30))]), &[]);
+        mv.apply(2, 0, &mut writes(&mv, [(slot_key(9, 7), slot(70))]), &[]);
 
         // A reader of slot 3 sees only the slot-3 writer; slot 7's write is not
         // a conflict edge for it.
         assert_eq!(resolved_txn(&mv, slot_key(9, 3), 5), Some(1));
         assert_eq!(resolved_txn(&mv, slot_key(9, 7), 5), Some(2));
         assert_eq!(resolved_txn(&mv, meta_key(9), 5), None);
-        assert!(mv.validate_reads(5, &[(slot_key(9, 3), ReadOrigin::Version(1, 0))]));
+        assert!(mv.validate_reads(
+            5,
+            &read_set(&mv, &[(slot_key(9, 3), ReadOrigin::Version(1, 0))])
+        ));
     }
 
     #[test]
     fn delta_entries_stack_over_the_winning_write() {
-        let mv = MvMemory::new();
-        mv.apply(1, 0, &mut vec![slot_write(3, 0, 100)], &[]);
-        mv.apply(2, 0, &mut vec![delta_write(3, 0, 5)], &[]);
-        mv.apply(4, 0, &mut vec![delta_write(3, 0, 7)], &[]);
+        let mut mv = MvMemory::new();
+        let cell = slot_key(3, 0);
+        mv.apply(1, 0, &mut writes(&mv, [(cell, slot(100))]), &[]);
+        mv.apply(2, 0, &mut writes(&mv, [(cell, CellValue::Delta(5))]), &[]);
+        mv.apply(4, 0, &mut writes(&mv, [(cell, CellValue::Delta(7))]), &[]);
 
         // Write-level reads see through the deltas to the absolute write.
-        assert_eq!(resolved_txn(&mv, slot_key(3, 0), 9), Some(1));
-        let key_read = mv.read_cell(slot_key(3, 0), 9);
+        assert_eq!(resolved_txn(&mv, cell, 9), Some(1));
+        let key_read = read(&mv, cell, 9);
         assert_eq!(key_read.write.map(|(stamp, _)| stamp.txn), Some(1));
         assert_eq!(
             key_read.deltas.iter().map(|d| d.0.txn).collect::<Vec<_>>(),
             vec![2, 4]
         );
         // A reader between the contributors folds only what is below it.
-        let below = mv.read_cell(slot_key(3, 0), 4);
+        let below = read(&mv, cell, 4);
         assert_eq!(
             below.deltas.iter().map(|d| d.0.txn).collect::<Vec<_>>(),
             vec![2]
         );
+        assert_eq!(mv.delta_entries(), 2);
 
         // Commit folds write-then-delta: 100 + 5 + 7.
-        let finals = mv.into_final_cells();
         assert_eq!(
-            finals,
+            finals(&mut mv),
             vec![(
-                slot_key(3, 0),
+                cell,
                 FinalCell {
                     write: Some(Some(FragmentValue::Slot(100))),
                     delta: Some(12),
@@ -590,70 +798,93 @@ mod tests {
 
     #[test]
     fn deltas_below_an_absolute_write_are_superseded() {
-        let mv = MvMemory::new();
-        mv.apply(1, 0, &mut vec![delta_write(3, 0, 5)], &[]);
-        mv.apply(2, 0, &mut vec![slot_write(3, 0, 50)], &[]);
+        let mut mv = MvMemory::new();
+        let cell = slot_key(3, 0);
+        mv.apply(1, 0, &mut writes(&mv, [(cell, CellValue::Delta(5))]), &[]);
+        mv.apply(2, 0, &mut writes(&mv, [(cell, slot(50))]), &[]);
         // The absolute write at txn 2 was computed from a pre-state that folded
         // txn 1's contribution: neither readers nor the commit re-apply it.
-        let key_read = mv.read_cell(slot_key(3, 0), 9);
+        let key_read = read(&mv, cell, 9);
         assert_eq!(key_read.write.map(|(stamp, _)| stamp.txn), Some(2));
         assert!(key_read.deltas.is_empty());
-        let finals = mv.into_final_cells();
-        let cell = final_cell(&finals, slot_key(3, 0)).expect("written cell");
-        assert_eq!(cell.delta, None);
-        assert_eq!(cell.write, Some(Some(FragmentValue::Slot(50))));
+        let finals = finals(&mut mv);
+        let drained = final_cell(&finals, cell).expect("written cell");
+        assert_eq!(drained.delta, None);
+        assert_eq!(drained.write, Some(Some(FragmentValue::Slot(50))));
     }
 
     #[test]
     fn observer_of_delta_cell_validates_against_exact_contributors() {
         let mv = MvMemory::new();
-        mv.apply(2, 0, &mut vec![delta_write(6, 1, 5)], &[]);
-        let reads = vec![
-            (slot_key(6, 1), ReadOrigin::Base),
-            (slot_key(6, 1), ReadOrigin::Delta(2, 0)),
-        ];
+        let cell = slot_key(6, 1);
+        mv.apply(2, 0, &mut writes(&mv, [(cell, CellValue::Delta(5))]), &[]);
+        let reads = read_set(
+            &mv,
+            &[(cell, ReadOrigin::Base), (cell, ReadOrigin::Delta(2, 0))],
+        );
         assert!(mv.validate_reads(8, &reads));
 
         // A new contributor appears below the observer → invalid, even though
         // the write-level origin is untouched.
-        mv.apply(5, 0, &mut vec![delta_write(6, 1, 7)], &[]);
+        mv.apply(5, 0, &mut writes(&mv, [(cell, CellValue::Delta(7))]), &[]);
         assert!(!mv.validate_reads(8, &reads));
         // ...and a previously clean Base read upgrades the same way.
-        assert!(!mv.validate_reads(8, &[(slot_key(6, 1), ReadOrigin::Base)]));
+        assert!(!mv.validate_reads(8, &read_set(&mv, &[(cell, ReadOrigin::Base)])));
         // A pure contributor that read nothing stays valid: delta∧delta does
         // not conflict.
         assert!(mv.validate_reads(8, &[]));
 
         // With the full contributor list the observer is valid again.
-        let full = vec![
-            (slot_key(6, 1), ReadOrigin::Base),
-            (slot_key(6, 1), ReadOrigin::Delta(2, 0)),
-            (slot_key(6, 1), ReadOrigin::Delta(5, 0)),
-        ];
+        let full = read_set(
+            &mv,
+            &[
+                (cell, ReadOrigin::Base),
+                (cell, ReadOrigin::Delta(2, 0)),
+                (cell, ReadOrigin::Delta(5, 0)),
+            ],
+        );
         assert!(mv.validate_reads(8, &full));
 
         // An estimated contributor suspends observers, like estimated writes.
-        mv.convert_writes_to_estimates(5, &[slot_key(6, 1)]);
+        mv.convert_writes_to_estimates(5, &ids(&mv, &[cell]));
         assert!(!mv.validate_reads(8, &full));
         // Re-execution at a new incarnation changes the contributor stamp.
-        mv.apply(5, 1, &mut vec![delta_write(6, 1, 7)], &[slot_key(6, 1)]);
+        mv.apply(
+            5,
+            1,
+            &mut writes(&mv, [(cell, CellValue::Delta(7))]),
+            &ids(&mv, &[cell]),
+        );
         assert!(!mv.validate_reads(8, &full));
-        let bumped = vec![
-            (slot_key(6, 1), ReadOrigin::Base),
-            (slot_key(6, 1), ReadOrigin::Delta(2, 0)),
-            (slot_key(6, 1), ReadOrigin::Delta(5, 1)),
-        ];
+        let bumped = read_set(
+            &mv,
+            &[
+                (cell, ReadOrigin::Base),
+                (cell, ReadOrigin::Delta(2, 0)),
+                (cell, ReadOrigin::Delta(5, 1)),
+            ],
+        );
         assert!(mv.validate_reads(8, &bumped));
     }
 
     #[test]
     fn apply_reports_new_paths_and_clears_stale_writes() {
         let mv = MvMemory::new();
-        assert!(mv.apply(3, 0, &mut vec![meta_write(1, 10)], &[]));
+        assert!(mv.apply(3, 0, &mut writes(&mv, [(meta_key(1), meta(10))]), &[]));
         // Same write set: no new path.
-        assert!(!mv.apply(3, 1, &mut vec![meta_write(1, 11)], &[meta_key(1)]));
+        assert!(!mv.apply(
+            3,
+            1,
+            &mut writes(&mv, [(meta_key(1), meta(11))]),
+            &ids(&mv, &[meta_key(1)])
+        ));
         // Moves to a different cell: new path, and the stale entry disappears.
-        assert!(mv.apply(3, 2, &mut vec![meta_write(2, 12)], &[meta_key(1)]));
+        assert!(mv.apply(
+            3,
+            2,
+            &mut writes(&mv, [(meta_key(2), meta(12))]),
+            &ids(&mv, &[meta_key(1)])
+        ));
         assert_eq!(resolved(&mv, meta_key(1), 9), None);
         assert_eq!(
             resolved(&mv, meta_key(2), 9).map(|s| s.incarnation),
@@ -663,19 +894,19 @@ mod tests {
         assert!(mv.apply(
             3,
             3,
-            &mut vec![meta_write(2, 13), slot_write(2, 4, 44)],
-            &[meta_key(2)]
+            &mut writes(&mv, [(meta_key(2), meta(13)), (slot_key(2, 4), slot(44))]),
+            &ids(&mv, &[meta_key(2)])
         ));
     }
 
     #[test]
     fn estimates_flow_through_read_and_validation() {
         let mv = MvMemory::new();
-        mv.apply(1, 0, &mut vec![meta_write(7, 70)], &[]);
-        let reads = vec![(meta_key(7), ReadOrigin::Version(1, 0))];
+        mv.apply(1, 0, &mut writes(&mv, [(meta_key(7), meta(70))]), &[]);
+        let reads = read_set(&mv, &[(meta_key(7), ReadOrigin::Version(1, 0))]);
         assert!(mv.validate_reads(4, &reads));
 
-        mv.convert_writes_to_estimates(1, &[meta_key(7)]);
+        mv.convert_writes_to_estimates(1, &ids(&mv, &[meta_key(7)]));
         assert_eq!(
             resolved(&mv, meta_key(7), 4).map(|s| s.estimate),
             Some(true)
@@ -684,51 +915,68 @@ mod tests {
 
         // Re-execution at the next incarnation clears the estimate but the version
         // stamp changed, so the old read is still invalid.
-        mv.apply(1, 1, &mut vec![meta_write(7, 71)], &[meta_key(7)]);
+        mv.apply(
+            1,
+            1,
+            &mut writes(&mv, [(meta_key(7), meta(71))]),
+            &ids(&mv, &[meta_key(7)]),
+        );
         assert!(!mv.validate_reads(4, &reads));
-        assert!(mv.validate_reads(4, &[(meta_key(7), ReadOrigin::Version(1, 1))]));
+        assert!(mv.validate_reads(
+            4,
+            &read_set(&mv, &[(meta_key(7), ReadOrigin::Version(1, 1))])
+        ));
     }
 
     #[test]
     fn validation_catches_origin_flips_both_ways() {
         let mv = MvMemory::new();
+        let base = read_set(&mv, &[(meta_key(3), ReadOrigin::Base)]);
+        let version = read_set(&mv, &[(meta_key(3), ReadOrigin::Version(2, 0))]);
         // Read resolved from base, then a lower write appears.
-        assert!(mv.validate_reads(5, &[(meta_key(3), ReadOrigin::Base)]));
-        mv.apply(2, 0, &mut vec![meta_write(3, 30)], &[]);
-        assert!(!mv.validate_reads(5, &[(meta_key(3), ReadOrigin::Base)]));
+        assert!(mv.validate_reads(5, &base));
+        mv.apply(2, 0, &mut writes(&mv, [(meta_key(3), meta(30))]), &[]);
+        assert!(!mv.validate_reads(5, &base));
         // Read resolved from a version, then the write retreats.
-        assert!(mv.validate_reads(5, &[(meta_key(3), ReadOrigin::Version(2, 0))]));
-        mv.apply(2, 1, &mut vec![], &[meta_key(3)]);
-        assert!(!mv.validate_reads(5, &[(meta_key(3), ReadOrigin::Version(2, 0))]));
+        assert!(mv.validate_reads(5, &version));
+        mv.apply(2, 1, &mut Vec::new(), &ids(&mv, &[meta_key(3)]));
+        assert!(!mv.validate_reads(5, &version));
     }
 
     #[test]
     fn final_cells_take_the_highest_transaction() {
-        let mv = MvMemory::new();
-        mv.apply(0, 0, &mut vec![meta_write(1, 10), meta_write(2, 20)], &[]);
+        let mut mv = MvMemory::new();
+        // A cell that is only read (interned, never written) drains nothing.
+        mv.cell_id(StateKey::Code(addr(1)));
+        mv.apply(
+            0,
+            0,
+            &mut writes(&mv, [(meta_key(1), meta(10)), (meta_key(2), meta(20))]),
+            &[],
+        );
         mv.apply(
             4,
             1,
-            &mut vec![meta_write(1, 40), slot_write(1, 6, 66)],
+            &mut writes(&mv, [(meta_key(1), meta(40)), (slot_key(1, 6), slot(66))]),
             &[],
         );
         mv.apply(
             6,
             0,
-            &mut vec![CellWrite {
-                key: meta_key(2),
-                value: CellValue::Fragment(None),
-            }],
+            &mut writes(&mv, [(meta_key(2), CellValue::Fragment(None))]),
             &[],
         );
-        // One flat list in `StateKey` order: every balance key before any
-        // slot, so an account's meta lands before its slots.
+        // Every balance cell before any slot (`finals` checks), so an
+        // account's meta lands before its slots.
+        let mut drained = finals(&mut mv);
+        assert_eq!(drained.len(), 3);
+        drained.sort_by_key(|(key, _)| *key);
         let write = |fragment| FinalCell {
             write: Some(fragment),
             delta: None,
         };
         assert_eq!(
-            mv.into_final_cells(),
+            drained,
             vec![
                 (
                     meta_key(1),
@@ -744,10 +992,44 @@ mod tests {
         );
     }
 
+    #[test]
+    fn reset_empties_the_store_and_reuses_its_cells() {
+        let mut mv = MvMemory::new();
+        mv.apply(
+            1,
+            0,
+            &mut writes(&mv, [(meta_key(1), meta(10)), (slot_key(2, 0), slot(5))]),
+            &[],
+        );
+        mv.apply(
+            3,
+            0,
+            &mut writes(&mv, [(slot_key(2, 0), CellValue::Delta(4))]),
+            &[],
+        );
+        mv.convert_writes_to_estimates(1, &ids(&mv, &[meta_key(1), slot_key(2, 0)]));
+        let before = mv.cell_id(slot_key(2, 0));
+
+        mv.reset();
+        // Nothing of the last block is visible, nothing drains, and the parked
+        // cells are handed out again.
+        assert!(resolved(&mv, meta_key(1), 9).is_none());
+        let got = read(&mv, slot_key(2, 0), 9);
+        assert!(got.write.is_none() && got.deltas.is_empty());
+        assert_eq!(mv.delta_entries(), 0);
+        assert!(finals(&mut mv).is_empty());
+        mv.reset();
+        assert_eq!(
+            mv.cell_id(slot_key(2, 0)),
+            before,
+            "a parked cell is reused"
+        );
+    }
+
     // ---- property oracles -------------------------------------------------
 
     /// Naive single-map model of the multi-version store: no shards, no locks,
-    /// one flat `(cell, txn) → (incarnation, estimate, is_delta)` map.
+    /// no ids, one flat `(cell, txn) → (incarnation, estimate, is_delta)` map.
     #[derive(Default)]
     struct NaiveModel {
         entries: BTreeMap<(StateKey, usize), (u32, bool, bool)>,
@@ -846,107 +1128,147 @@ mod tests {
         }))
     }
 
+    /// One block of random apply / estimate / read operations on a store fresh
+    /// from a reset, held against a fresh naive model: resolution for
+    /// resolution, validation for validation, and final cell for final cell.
+    /// Ids are interned lazily, in operation order, as the engine does.
+    fn block_agrees_with_the_naive_model(mv: &mut MvMemory, ops: &[(u8, u8, u8, u8)]) {
+        let mut model = NaiveModel::default();
+        let mut incarnations = [0u32; 10];
+        let mut last_writes: Vec<Vec<StateKey>> = vec![Vec::new(); 10];
+
+        for &(txn, action, key_roll, value_roll) in ops {
+            let txn = txn as usize;
+            match action {
+                // Execute: install a small write set over the key universe.
+                0 | 1 => {
+                    let mut keys =
+                        vec![oracle_key(key_roll), oracle_key(key_roll + value_roll + 1)];
+                    keys.sort_unstable();
+                    keys.dedup();
+                    let mut cells: Vec<CellWrite> = keys
+                        .iter()
+                        .map(|&key| CellWrite {
+                            cell: mv.cell_id(key),
+                            value: oracle_value(key, value_roll),
+                        })
+                        .collect();
+                    cells.sort_unstable_by_key(|write| write.cell);
+                    let paired: Vec<(StateKey, bool)> = keys
+                        .iter()
+                        .map(|&key| {
+                            (
+                                key,
+                                matches!(oracle_value(key, value_roll), CellValue::Delta(_)),
+                            )
+                        })
+                        .collect();
+                    let incarnation = incarnations[txn];
+                    incarnations[txn] += 1;
+                    mv.apply(txn, incarnation, &mut cells, &ids(mv, &last_writes[txn]));
+                    model.apply(txn, incarnation, &paired, &last_writes[txn]);
+                    last_writes[txn] = keys;
+                }
+                // Abort: the last write set becomes estimates.
+                2 => {
+                    mv.convert_writes_to_estimates(txn, &ids(mv, &last_writes[txn]));
+                    model.estimate(txn, &last_writes[txn]);
+                }
+                // Read: resolve one cell for this reader in both stores.
+                _ => {
+                    let key = oracle_key(key_roll);
+                    prop_assert_eq!(
+                        stamp_of(mv, key, txn),
+                        model.resolve(key, txn),
+                        "read of {:?} by {}",
+                        key,
+                        txn
+                    );
+                }
+            }
+        }
+
+        // One id per key: stable on every ask, distinct across keys.
+        let universe: Vec<StateKey> = (0..6u8).map(oracle_key).collect();
+        let mut distinct = ids(mv, &universe);
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), universe.len());
+        for &key in &universe {
+            prop_assert_eq!(mv.cell_id(key), mv.cell_id(key));
+        }
+
+        // Whole-universe sweep: every cell, every reader, write-level and
+        // delta-level resolution alike.
+        for &key in &universe {
+            for reader in 0..11usize {
+                let cell = read(mv, key, reader);
+                prop_assert_eq!(
+                    cell.write.map(|(s, _)| (s.txn, s.incarnation, s.estimate)),
+                    model.resolve(key, reader)
+                );
+                prop_assert_eq!(
+                    cell.deltas
+                        .iter()
+                        .map(|(s, _)| (s.txn, s.incarnation, s.estimate))
+                        .collect::<Vec<_>>(),
+                    model.resolve_deltas(key, reader),
+                    "delta contributors of {:?} for {}",
+                    key,
+                    reader
+                );
+            }
+        }
+
+        // Validation must accept exactly the model's current resolutions
+        // (sans estimates), delta contributor lists included.
+        for &key in &universe {
+            let origin = match model.resolve(key, 10) {
+                None => ReadOrigin::Base,
+                Some((txn, incarnation, _)) => ReadOrigin::Version(txn, incarnation),
+            };
+            let deltas = model.resolve_deltas(key, 10);
+            let mut group = vec![(key, origin)];
+            group.extend(
+                deltas
+                    .iter()
+                    .map(|&(txn, incarnation, _)| (key, ReadOrigin::Delta(txn, incarnation))),
+            );
+            let estimate = model.resolve(key, 10).is_some_and(|(_, _, e)| e)
+                || deltas.iter().any(|&(_, _, e)| e);
+            prop_assert_eq!(mv.validate_reads(10, &read_set(mv, &group)), !estimate);
+        }
+
+        let finals = finals(mv);
+        for &key in &universe {
+            prop_assert_eq!(
+                final_cell(&finals, key).is_some(),
+                model.any_entry(key),
+                "final cell presence for {:?}",
+                key
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         // Random interleavings of apply / estimate / read over shared-contract
         // cells must agree, resolution for resolution, with the naive
         // single-map model — and the drained final cells must be the
-        // highest-transaction entries the model predicts.
+        // highest-transaction entries the model predicts. Two blocks run on
+        // one store, reset in between: nothing of the first (estimates,
+        // multi-version cells, ids) may show through in the second.
         #[test]
         fn interleavings_agree_with_the_naive_model(
-            ops in proptest::collection::vec((0u8..10, 0u8..4, 0u8..12, 0u8..5), 1..40),
+            blocks in proptest::collection::vec(
+                proptest::collection::vec((0u8..10, 0u8..4, 0u8..12, 0u8..5), 1..40),
+                2,
+            ),
         ) {
-            let mv = MvMemory::new();
-            let mut model = NaiveModel::default();
-            let mut incarnations = [0u32; 10];
-            let mut last_writes: Vec<Vec<StateKey>> = vec![Vec::new(); 10];
-
-            for (txn, action, key_roll, value_roll) in ops {
-                let txn = txn as usize;
-                match action {
-                    // Execute: install a small write set over the key universe.
-                    0 | 1 => {
-                        let mut keys = vec![oracle_key(key_roll), oracle_key(key_roll + value_roll + 1)];
-                        keys.sort_unstable();
-                        keys.dedup();
-                        let mut writes: Vec<CellWrite> = keys
-                            .iter()
-                            .map(|&key| CellWrite { key, value: oracle_value(key, value_roll) })
-                            .collect();
-                        let paired: Vec<(StateKey, bool)> = writes
-                            .iter()
-                            .map(|w| (w.key, matches!(w.value, CellValue::Delta(_))))
-                            .collect();
-                        let incarnation = incarnations[txn];
-                        incarnations[txn] += 1;
-                        mv.apply(txn, incarnation, &mut writes, &last_writes[txn]);
-                        model.apply(txn, incarnation, &paired, &last_writes[txn].clone());
-                        last_writes[txn] = keys;
-                    }
-                    // Abort: the last write set becomes estimates.
-                    2 => {
-                        mv.convert_writes_to_estimates(txn, &last_writes[txn]);
-                        model.estimate(txn, &last_writes[txn]);
-                    }
-                    // Read: resolve one cell for this reader in both stores.
-                    _ => {
-                        let key = oracle_key(key_roll);
-                        prop_assert_eq!(stamp_of(&mv, key, txn), model.resolve(key, txn), "read of {:?} by {}", key, txn);
-                    }
-                }
-            }
-
-            // Whole-universe sweep: every cell, every reader, write-level and
-            // delta-level resolution alike.
-            for key_roll in 0..6u8 {
-                let key = oracle_key(key_roll);
-                for reader in 0..11usize {
-                    prop_assert_eq!(stamp_of(&mv, key, reader), model.resolve(key, reader));
-                    let cell = mv.read_cell(key, reader);
-                    prop_assert_eq!(
-                        cell.write.map(|(s, _)| (s.txn, s.incarnation, s.estimate)),
-                        model.resolve(key, reader)
-                    );
-                    prop_assert_eq!(
-                        cell.deltas.iter().map(|(s, _)| (s.txn, s.incarnation, s.estimate)).collect::<Vec<_>>(),
-                        model.resolve_deltas(key, reader),
-                        "delta contributors of {:?} for {}",
-                        key,
-                        reader
-                    );
-                }
-            }
-
-            // Validation must accept exactly the model's current resolutions
-            // (sans estimates), delta contributor lists included.
-            for key_roll in 0..6u8 {
-                let key = oracle_key(key_roll);
-                let origin = match model.resolve(key, 10) {
-                    None => ReadOrigin::Base,
-                    Some((txn, incarnation, _)) => ReadOrigin::Version(txn, incarnation),
-                };
-                let deltas = model.resolve_deltas(key, 10);
-                let mut group = vec![(key, origin)];
-                group.extend(
-                    deltas
-                        .iter()
-                        .map(|&(txn, incarnation, _)| (key, ReadOrigin::Delta(txn, incarnation))),
-                );
-                let estimate = model.resolve(key, 10).is_some_and(|(_, _, e)| e)
-                    || deltas.iter().any(|&(_, _, e)| e);
-                prop_assert_eq!(mv.validate_reads(10, &group), !estimate);
-            }
-
-            let finals = mv.into_final_cells();
-            for key_roll in 0..6u8 {
-                let key = oracle_key(key_roll);
-                prop_assert_eq!(
-                    final_cell(&finals, key).is_some(),
-                    model.any_entry(key),
-                    "final cell presence for {:?}",
-                    key
-                );
+            let mut mv = MvMemory::new();
+            for ops in &blocks {
+                mv.reset();
+                block_agrees_with_the_naive_model(&mut mv, ops);
             }
         }
 
@@ -986,14 +1308,14 @@ mod tests {
                 .chain((0..5).map(|slot| slot_key(42, slot)))
                 .collect();
 
-            let mv = MvMemory::new();
+            let mut mv = MvMemory::new();
             let mut current = base.clone();
             for (t, (kind, balance_roll, slot, slot_value)) in mutations.into_iter().enumerate() {
                 // The transaction's served pre-state: base overlaid, cell by
                 // cell, with the winning fragment below it.
                 let mut pre = base.clone();
                 for &key in &universe {
-                    if let Some((_, fragment)) = mv.read_cell(key, t).write {
+                    if let Some((_, fragment)) = mv.read_cell(mv.cell_id(key), t).write {
                         apply_fragment(&mut pre, &key, fragment.as_ref());
                     }
                 }
@@ -1034,15 +1356,16 @@ mod tests {
                 blockconc_store::diff_account_fragments(address, pre.as_ref(), post.as_ref(), &mut fragments);
                 let mut writes: Vec<CellWrite> = fragments
                     .into_iter()
-                    .map(|f| CellWrite { key: f.key, value: CellValue::Fragment(f.value) })
+                    .map(|f| CellWrite { cell: mv.cell_id(f.key), value: CellValue::Fragment(f.value) })
                     .collect();
+                writes.sort_unstable_by_key(|write| write.cell);
                 mv.apply(t, 0, &mut writes, &[]);
                 current = post;
             }
 
             // The drained final cells, folded over base, are the last post-state.
             let mut committed = base.clone();
-            for (key, cell) in mv.into_final_cells() {
+            for (key, cell) in finals(&mut mv) {
                 prop_assert_eq!(cell.delta, None);
                 if let Some(fragment) = cell.write {
                     apply_fragment(&mut committed, &key, fragment.as_ref());

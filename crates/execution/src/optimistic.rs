@@ -20,8 +20,16 @@
 //! sets each final cell on the resident account in place. Pure credits and
 //! `SAdd` increments land as commutative *delta* contributions, so a hot sink
 //! that nobody reads within the block orders nothing.
+//!
+//! What a conflict-free transaction pays beyond executing is kept small:
+//! each key it touches is hashed once, into a [`CellId`] its read set, write
+//! list and the version store all index by; its results land in one locked
+//! slot per transaction; and the block's scaffolding — version store,
+//! scheduler vectors, result slots, worker scratches — is the engine's own,
+//! reset (not rebuilt) at every block start and lent to the pool's jobs for
+//! the run, the way the state is.
 
-use crate::mvcc::{fold_delta, CellValue, CellWrite, MvMemory, ReadOrigin, Stamp};
+use crate::mvcc::{fold_delta, Aligned, CellId, CellValue, CellWrite, MvMemory, ReadOrigin, Stamp};
 use crate::occ::lend_state;
 use crate::thread_pool::{Job, WorkerPool};
 use crate::{ExecutionEngine, ExecutionReport};
@@ -30,7 +38,7 @@ use blockconc_account::{
     decode_contract, AccessSet, Account, AccountBlock, BlockExecutor, CellView, ExecutedBlock,
     Receipt, ScratchState, StateAccess, WorldState,
 };
-use blockconc_store::{FragmentValue, StateKey};
+use blockconc_store::{FragmentValue, StateFragment, StateKey};
 use blockconc_types::{Address, Amount, Gas, Result};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -103,9 +111,10 @@ impl Served {
     }
 }
 
-/// One served cell: its value and where every part of it came from.
+/// One served cell: its id, its value and where every part of it came from.
 #[derive(Debug)]
 struct ServedCell {
+    id: CellId,
     value: Served,
     /// The fragment the write level resolved to; `None` is the base state. A
     /// delta-only cell still resolves its write level from base — that `Base`
@@ -115,41 +124,51 @@ struct ServedCell {
     deltas: Vec<Stamp>,
 }
 
+/// What a view reads through during one block run.
+#[derive(Debug)]
+struct Lent {
+    mv: Arc<MvMemory>,
+    base: Arc<WorldState>,
+}
+
 /// A [`CellView`] that resolves each cell through the multi-version map,
 /// falling through to the immutable pre-block state.
 ///
 /// Each worker's [`ScratchState`] owns one `MvView` by value, so the
 /// unmodified sequential executor runs on top of it: every read misses the
 /// (sparse) working set and lands here as a single-cell question — a direct
-/// call, no lock. The view answers with the highest fragment below the reader
-/// plus the deltas stacked on it ([`MvMemory::read_cell`]) or, failing that,
-/// the base state's own value, and keeps value and origins per cell for the
-/// rest of the execution — one stable snapshot per cell, and
-/// [`consumed_reads`](MvView::consumed_reads) is a lookup. That projection of
-/// the origins onto the keys the transaction actually consumed is the
-/// validation read set; a slot-7 write is invisible to a slot-3 reader because
-/// nothing ever asked about slot 7.
+/// call, no lock. The first question about a key interns it and resolves its
+/// cell under one stripe lock ([`MvMemory::serve`]); the view answers with the highest fragment below the reader plus the
+/// deltas stacked on it or, failing that, the base state's own value, and
+/// keeps id, value and origins per key for the rest of the execution — one
+/// stable snapshot per cell, and [`consumed_reads`](MvView::consumed_reads)
+/// is a lookup. That projection of the origins onto the keys the transaction
+/// actually consumed is the validation read set; a slot-7 write is invisible
+/// to a slot-3 reader because nothing ever asked about slot 7.
 ///
-/// Over a version map nobody writes to, the same view is a cell-granular read
-/// path to the base state alone — what the evaluators' discovery pass
-/// (`occ::discover_access_sets`) runs its scratch states over.
-#[derive(Debug)]
+/// The view belongs to its worker's scratch, which the engine keeps across
+/// blocks. The version store and the base state are lent to it for one block
+/// run ([`MvView::lend`]) and dropped at the run's end
+/// ([`MvView::release`]), so no handle on either outlives its block.
+#[derive(Debug, Default)]
 pub(crate) struct MvView {
-    mv: Arc<MvMemory>,
-    base: Arc<WorldState>,
+    lent: Option<Lent>,
     tx_index: usize,
     /// The cells served to the current execution.
     served: HashMap<StateKey, ServedCell>,
 }
 
 impl MvView {
-    pub(crate) fn new(mv: Arc<MvMemory>, base: Arc<WorldState>, tx_index: usize) -> Self {
-        MvView {
-            mv,
-            base,
-            tx_index,
-            served: HashMap::new(),
-        }
+    /// Points the view at a block run's version store and pre-block state.
+    fn lend(&mut self, mv: Arc<MvMemory>, base: Arc<WorldState>) {
+        self.lent = Some(Lent { mv, base });
+    }
+
+    /// Drops the view's handles on the block run and its cached cells, whose
+    /// ids die with the block.
+    fn release(&mut self) {
+        self.lent = None;
+        self.served.clear();
     }
 
     /// Re-arms the view for another transaction, keeping the allocated capacity
@@ -166,16 +185,21 @@ impl MvView {
         match self.served.entry(key) {
             Entry::Occupied(cell) => cell.into_mut(),
             Entry::Vacant(slot) => {
-                let read = self.mv.read_cell(key, self.tx_index);
+                let lent = self
+                    .lent
+                    .as_ref()
+                    .expect("a view reads only during a block run");
+                let (id, read) = lent.mv.serve(key, self.tx_index);
                 let (value, write) = match read.write {
                     Some((stamp, fragment)) => (Served::from_fragment(key, fragment), Some(stamp)),
                     // A base miss means the account does not exist.
                     None => (
-                        Served::from_base(key, self.base.account(key.address())),
+                        Served::from_base(key, lent.base.account(key.address())),
                         None,
                     ),
                 };
                 slot.insert(ServedCell {
+                    id,
                     value: read
                         .deltas
                         .iter()
@@ -183,6 +207,22 @@ impl MvView {
                     write,
                     deltas: read.deltas.iter().map(|&(stamp, _)| stamp).collect(),
                 })
+            }
+        }
+    }
+
+    /// The cell id of `key`: the served one, or interned now — a blind delta
+    /// writes a key nobody served, and a recorded key may never have been
+    /// observed.
+    fn cell_id(&self, key: StateKey) -> CellId {
+        match self.served.get(&key) {
+            Some(cell) => cell.id,
+            None => {
+                let lent = self
+                    .lent
+                    .as_ref()
+                    .expect("a view reads only during a block run");
+                lent.mv.cell_id(key)
             }
         }
     }
@@ -195,7 +235,7 @@ impl MvView {
     fn push_consumed(
         &self,
         key: StateKey,
-        out: &mut Vec<(StateKey, ReadOrigin)>,
+        out: &mut Vec<(CellId, ReadOrigin)>,
         blocked: &mut Option<usize>,
     ) {
         let Some(cell) = self.served.get(&key) else {
@@ -206,11 +246,11 @@ impl MvView {
             // it, and `Base` is a sound origin: if a lower transaction turns
             // out to have written it, validation aborts conservatively and
             // re-execution converges.
-            out.push((key, ReadOrigin::Base));
+            out.push((self.cell_id(key), ReadOrigin::Base));
             return;
         };
         out.push((
-            key,
+            cell.id,
             cell.write.map_or(ReadOrigin::Base, |stamp| {
                 ReadOrigin::Version(stamp.txn, stamp.incarnation)
             }),
@@ -218,7 +258,7 @@ impl MvView {
         out.extend(
             cell.deltas
                 .iter()
-                .map(|stamp| (key, ReadOrigin::Delta(stamp.txn, stamp.incarnation))),
+                .map(|stamp| (cell.id, ReadOrigin::Delta(stamp.txn, stamp.incarnation))),
         );
         // The *lowest-indexed* estimate writer: suspending on the earliest
         // blocker resumes as soon as any stale input can change, instead of
@@ -230,9 +270,10 @@ impl MvView {
         }
     }
 
-    /// Computes the finished execution's validation read set into `out` (sorted,
-    /// deduplicated) and returns the lowest-indexed transaction whose `ESTIMATE`
-    /// the execution consumed, if any — the dependency to suspend on.
+    /// Computes the finished execution's validation read set into `out`
+    /// (sorted by cell id, deduplicated) and returns the lowest-indexed
+    /// transaction whose `ESTIMATE` the execution consumed, if any — the
+    /// dependency to suspend on.
     ///
     /// The consumed keys are the tracked [`AccessSet`] (reads *and* writes — a
     /// written key's fragment-or-not decision depends on its served pre-value,
@@ -246,7 +287,7 @@ impl MvView {
         &self,
         access: Option<&AccessSet>,
         sender: Address,
-        out: &mut Vec<(StateKey, ReadOrigin)>,
+        out: &mut Vec<(CellId, ReadOrigin)>,
     ) -> Option<usize> {
         out.clear();
         let mut blocked = None;
@@ -304,14 +345,7 @@ enum Task {
     Validate(usize, u32),
 }
 
-/// One value per cache line: the scheduler's counters are hammered by every
-/// worker, so letting two of them share a line would turn independent updates
-/// into false-sharing ping-pong.
-#[repr(align(64))]
 #[derive(Debug, Default)]
-struct Aligned<T>(T);
-
-#[derive(Debug)]
 struct Scheduler {
     n: usize,
     execution_idx: Aligned<AtomicUsize>,
@@ -327,24 +361,37 @@ struct Scheduler {
     /// Per-transaction suspended dependents. `add_dependency` registers under this
     /// lock after re-checking the blocking status, and `finish_execution` drains
     /// under it — that mutual exclusion is what prevents lost wake-ups.
-    deps: Vec<Mutex<Vec<usize>>>,
+    deps: Vec<Aligned<Mutex<Vec<usize>>>>,
 }
 
 impl Scheduler {
-    fn new(n: usize) -> Self {
-        Scheduler {
-            n,
-            execution_idx: Aligned(AtomicUsize::new(0)),
-            validation_idx: Aligned(AtomicUsize::new(0)),
-            decrease_cnt: Aligned(AtomicUsize::new(0)),
-            num_active: Aligned(AtomicUsize::new(0)),
-            done_marker: Aligned(AtomicBool::new(false)),
-            halted: Aligned(AtomicBool::new(false)),
-            status: (0..n)
-                .map(|_| Aligned(Mutex::new(TxStatus::ReadyToExecute(0))))
-                .collect(),
-            deps: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+    /// Re-arms the scheduler for a block of `n` transactions: counters and
+    /// flags cleared, every status `ReadyToExecute(0)`, no dependents. The
+    /// status and dependency vectors keep their allocations from block to
+    /// block.
+    fn reset(&mut self, n: usize) {
+        self.n = n;
+        for counter in [
+            &mut self.execution_idx,
+            &mut self.validation_idx,
+            &mut self.decrease_cnt,
+            &mut self.num_active,
+        ] {
+            *counter.0.get_mut() = 0;
         }
+        *self.done_marker.0.get_mut() = false;
+        *self.halted.0.get_mut() = false;
+        self.status.truncate(n);
+        for status in &mut self.status {
+            *status.0.get_mut().expect("scheduler status lock") = TxStatus::ReadyToExecute(0);
+        }
+        self.status
+            .resize_with(n, || Aligned(Mutex::new(TxStatus::ReadyToExecute(0))));
+        self.deps.truncate(n);
+        for deps in &mut self.deps {
+            deps.0.get_mut().expect("scheduler deps lock").clear();
+        }
+        self.deps.resize_with(n, Aligned::default);
     }
 
     fn status(&self, t: usize) -> std::sync::MutexGuard<'_, TxStatus> {
@@ -484,7 +531,7 @@ impl Scheduler {
     /// Suspends `t` on `blocking`. Returns `false` (caller should retry execution
     /// immediately) when the blocking transaction finished in the meantime.
     fn add_dependency(&self, t: usize, blocking: usize) -> bool {
-        let mut deps = self.deps[blocking].lock().expect("scheduler deps lock");
+        let mut deps = self.deps[blocking].0.lock().expect("scheduler deps lock");
         if matches!(*self.status(blocking), TxStatus::Executed(_)) {
             return false;
         }
@@ -517,7 +564,7 @@ impl Scheduler {
 
     fn finish_execution(&self, t: usize, i: u32, wrote_new_path: bool) -> Option<Task> {
         *self.status(t) = TxStatus::Executed(i);
-        let dependents = std::mem::take(&mut *self.deps[t].lock().expect("scheduler deps lock"));
+        let dependents = std::mem::take(&mut *self.deps[t].0.lock().expect("scheduler deps lock"));
         self.resume_dependencies(&dependents);
         if self.validation_idx.0.load(Ordering::SeqCst) > t {
             if wrote_new_path {
@@ -593,24 +640,55 @@ impl AbortInjection {
     }
 }
 
+/// One transaction's results: written by its latest execution, read by its
+/// validations and by the commit. One lock per transaction, on a cache line of
+/// its own, so the two workers finishing neighbouring transactions do not
+/// trade a line.
+#[derive(Debug, Default)]
+struct TxSlot {
+    /// The latest receipt.
+    receipt: Option<Receipt>,
+    /// The latest validation read set, sorted by cell id.
+    reads: Vec<(CellId, ReadOrigin)>,
+    /// Cells the latest incarnation wrote, sorted: the next incarnation's
+    /// stale sweep and `wrote_new_path` check, and what an abort marks as
+    /// estimates.
+    writes: Vec<CellId>,
+    /// Addresses the latest incarnation dirtied without writing a cell: every
+    /// key it wrote diffed to "unchanged", or its contribution reverted to
+    /// nothing. Sequential execution still journals such an account, so the
+    /// commit touches it; every other dirtied address has a cell whose install
+    /// marks it.
+    touched: Vec<Address>,
+    /// Whether the transaction was aborted at least once (the conflict count).
+    aborted: bool,
+}
+
+/// A slot once its run is over: no worker holds it any more.
+fn settled(slot: &mut Aligned<Mutex<TxSlot>>) -> &mut TxSlot {
+    slot.0.get_mut().expect("transaction slot lock")
+}
+
+impl TxSlot {
+    fn reset(&mut self) {
+        self.receipt = None;
+        self.reads.clear();
+        self.writes.clear();
+        self.touched.clear();
+        self.aborted = false;
+    }
+}
+
+/// The per-block run context shared by the workers.
 struct RunCtx {
     mv: Arc<MvMemory>,
     block: AccountBlock,
     scheduler: Scheduler,
-    /// Latest receipt per transaction (set at every finished execution).
-    outcomes: Vec<Mutex<Option<Receipt>>>,
-    /// Latest validation read set per transaction.
-    read_sets: Vec<Mutex<Vec<(StateKey, ReadOrigin)>>>,
-    /// Cells written by the previous incarnation (for stale-entry removal and
-    /// `wrote_new_path` detection), sorted.
-    last_writes: Vec<Mutex<Vec<StateKey>>>,
-    /// Addresses the latest incarnation dirtied — changed or not. The commit
-    /// needs the union of these to reproduce the sequential write set exactly:
-    /// an account whose every consumed key diffed to "unchanged" produces no
-    /// cell, but sequential execution still journals it.
-    touched: Vec<Mutex<Vec<Address>>>,
-    /// Whether the transaction was aborted at least once (the conflict count).
-    ever_aborted: Vec<AtomicBool>,
+    /// One result slot per transaction (at least `block`'s count; the rest
+    /// are kept from larger blocks and never read).
+    slots: Vec<Aligned<Mutex<TxSlot>>>,
+    /// The worker scratches, handed back by their jobs once released.
+    returned: Mutex<Vec<WorkerScratch>>,
     executions: AtomicU64,
     validations: AtomicU64,
     aborts: AtomicU64,
@@ -618,12 +696,13 @@ struct RunCtx {
     abort_injection: Option<AbortInjection>,
 }
 
-/// One worker's reusable execution machinery, built once per block run and
-/// recycled across every transaction the worker executes: the [`ScratchState`]
-/// that owns the worker's versioned view, the executor, and local task
-/// counters (flushed into the shared totals when the worker drains). Rebuilt
-/// per transaction — allocation, view set-up, atomics — they would cost
-/// several times the transaction itself.
+/// One worker's reusable execution machinery, kept by the engine across
+/// blocks and recycled across every transaction the worker executes: the
+/// [`ScratchState`] that owns the worker's versioned view, the executor, and
+/// local task counters (flushed into the shared totals when the worker
+/// drains). Rebuilt per transaction — allocation, view set-up, atomics — they
+/// would cost several times the transaction itself.
+#[derive(Debug)]
 struct WorkerScratch {
     state: ScratchState<MvView>,
     /// The delta-emitting executor: pure credits and `SAdd` increments
@@ -636,28 +715,28 @@ struct WorkerScratch {
     /// vector's capacity survives for the next transaction.
     writes: Vec<CellWrite>,
     /// Reusable fragment buffer for `ScratchState::take_write_fragments`.
-    fragments: Vec<blockconc_store::StateFragment>,
+    fragments: Vec<StateFragment>,
     /// Reusable delta-op buffer for `ScratchState::take_delta_ops`.
     delta_ops: Vec<(StateKey, u64)>,
-    /// Reusable written-cell-keys buffer, swapped into `last_writes[t]`.
-    keys: Vec<StateKey>,
-    /// Reusable dirty-addresses buffer, swapped into `touched[t]`.
+    /// Reusable written-cells buffer, swapped into the slot's `writes`.
+    cells: Vec<CellId>,
+    /// Reusable dirty-addresses buffer, swapped into the slot's `touched`.
     addrs: Vec<Address>,
-    /// Reusable consumed-read-set buffer, swapped into `read_sets[t]`.
-    reads: Vec<(StateKey, ReadOrigin)>,
+    /// Reusable consumed-read-set buffer, swapped into the slot's `reads`.
+    reads: Vec<(CellId, ReadOrigin)>,
     executions: u64,
     validations: u64,
 }
 
 impl WorkerScratch {
-    fn new(ctx: &RunCtx, base: Arc<WorldState>) -> Self {
+    fn new() -> Self {
         WorkerScratch {
-            state: ScratchState::new(MvView::new(Arc::clone(&ctx.mv), base, 0)),
+            state: ScratchState::new(MvView::default()),
             executor: BlockExecutor::with_delta_accesses(),
             writes: Vec::new(),
             fragments: Vec::new(),
             delta_ops: Vec::new(),
-            keys: Vec::new(),
+            cells: Vec::new(),
             addrs: Vec::new(),
             reads: Vec::new(),
             executions: 0,
@@ -667,6 +746,10 @@ impl WorkerScratch {
 }
 
 impl RunCtx {
+    fn slot(&self, t: usize) -> std::sync::MutexGuard<'_, TxSlot> {
+        self.slots[t].0.lock().expect("transaction slot lock")
+    }
+
     fn execute_task(&self, t: usize, i: u32, ws: &mut WorkerScratch) -> Option<Task> {
         if i >= MAX_INCARNATIONS {
             self.fell_back.store(true, Ordering::SeqCst);
@@ -692,34 +775,40 @@ impl RunCtx {
             // Harvest the write set as cell writes: one fragment per touched
             // key whose value changed (unchanged keys vanish here), plus one
             // commutative contribution per pending delta.
-            ws.writes.clear();
             ws.state
                 .take_write_fragments(&mut ws.fragments, &mut ws.addrs);
+            ws.state.take_delta_ops(&mut ws.delta_ops);
+            // The address is touched even when the contribution reverted to
+            // nothing — sequential execution journals the account either way,
+            // and the commit reproduces that. A zero addend installs no cell:
+            // readers must not observe (and depend on) a no-op.
+            ws.addrs
+                .extend(ws.delta_ops.iter().map(|(key, _)| key.address()));
+            let (fragments, delta_ops) = (&ws.fragments, &ws.delta_ops);
+            ws.addrs.retain(|&address| {
+                !fragments.iter().any(|f| f.key.address() == address)
+                    && !delta_ops
+                        .iter()
+                        .any(|&(key, amount)| amount != 0 && key.address() == address)
+            });
+            let view = ws.state.cells();
+            ws.writes.clear();
             ws.writes.extend(ws.fragments.drain(..).map(|f| CellWrite {
-                key: f.key,
+                cell: view.cell_id(f.key),
                 value: CellValue::Fragment(f.value),
             }));
-            ws.state.take_delta_ops(&mut ws.delta_ops);
-            for (key, amount) in ws.delta_ops.drain(..) {
-                // The address is touched even when the contribution reverted
-                // to nothing — sequential execution journals the account
-                // either way, and the commit reproduces that. A zero addend
-                // installs no cell: readers must not observe (and depend on)
-                // a no-op.
-                ws.addrs.push(key.address());
-                if amount != 0 {
-                    ws.writes.push(CellWrite {
-                        key,
+            ws.writes.extend(
+                ws.delta_ops
+                    .drain(..)
+                    .filter(|&(_, amount)| amount != 0)
+                    .map(|(key, amount)| CellWrite {
+                        cell: view.cell_id(key),
                         value: CellValue::Delta(amount),
-                    });
-                }
-            }
-            // `MvMemory::apply` expects the writes sorted by key.
-            ws.writes.sort_unstable_by_key(|w| w.key);
-            let blocked_on =
-                ws.state
-                    .cells()
-                    .consumed_reads(access.as_ref(), tx.sender(), &mut ws.reads);
+                    }),
+            );
+            // `MvMemory::apply` expects the writes sorted by cell.
+            ws.writes.sort_unstable_by_key(|w| w.cell);
+            let blocked_on = view.consumed_reads(access.as_ref(), tx.sender(), &mut ws.reads);
             // Every write must be a consumed key — otherwise its fragment-or-not
             // decision would escape validation. Delta contributions are exempt:
             // they observe nothing by construction, which is exactly what makes
@@ -728,7 +817,7 @@ impl RunCtx {
                 ws.writes
                     .iter()
                     .filter(|w| !matches!(w.value, CellValue::Delta(_)))
-                    .all(|w| ws.reads.iter().any(|&(key, _)| key == w.key)),
+                    .all(|w| ws.reads.iter().any(|&(cell, _)| cell == w.cell)),
                 "write cell outside the consumed key set"
             );
             if let Some(blocking) = blocked_on {
@@ -737,36 +826,28 @@ impl RunCtx {
                 }
                 continue; // blocker finished in the meantime: retry immediately
             }
+            ws.cells.clear();
+            ws.cells.extend(ws.writes.iter().map(|w| w.cell));
             let wrote_new_path = {
-                ws.keys.clear();
-                ws.keys.extend(ws.writes.iter().map(|w| w.key));
-                let mut last = self.last_writes[t].lock().expect("last-writes lock");
-                let new_path = self.mv.apply(t, i, &mut ws.writes, &last);
-                // The previous incarnation's key list comes back to the worker
-                // as the next transaction's buffer — capacity circulates instead
-                // of being reallocated.
-                std::mem::swap(&mut *last, &mut ws.keys);
+                let mut slot = self.slot(t);
+                let new_path = self.mv.apply(t, i, &mut ws.writes, &slot.writes);
+                // The previous incarnation's buffers come back to the worker
+                // for its next transaction — capacity circulates instead of
+                // being reallocated.
+                std::mem::swap(&mut slot.writes, &mut ws.cells);
+                std::mem::swap(&mut slot.touched, &mut ws.addrs);
+                std::mem::swap(&mut slot.reads, &mut ws.reads);
+                slot.receipt = Some(receipt);
                 new_path
             };
-            {
-                let mut slot = self.touched[t].lock().expect("touched lock");
-                std::mem::swap(&mut *slot, &mut ws.addrs);
-            }
-            {
-                let mut slot = self.read_sets[t].lock().expect("read-set lock");
-                std::mem::swap(&mut *slot, &mut ws.reads);
-            }
-            *self.outcomes[t].lock().expect("outcome lock") = Some(receipt);
             return self.scheduler.finish_execution(t, i, wrote_new_path);
         }
     }
 
     fn validate_task(&self, t: usize, i: u32, ws: &mut WorkerScratch) -> Option<Task> {
         ws.validations += 1;
-        let mut valid = {
-            let reads = self.read_sets[t].lock().expect("read-set lock");
-            self.mv.validate_reads(t, &reads)
-        };
+        let mut slot = self.slot(t);
+        let mut valid = self.mv.validate_reads(t, &slot.reads);
         if valid && i == 0 {
             if let Some(injection) = self.abort_injection {
                 if injection.fires(t) {
@@ -777,24 +858,23 @@ impl RunCtx {
         let aborted = !valid && self.scheduler.try_validation_abort(t, i);
         if aborted {
             self.aborts.fetch_add(1, Ordering::SeqCst);
-            self.ever_aborted[t].store(true, Ordering::SeqCst);
-            let last = self.last_writes[t].lock().expect("last-writes lock");
-            self.mv.convert_writes_to_estimates(t, &last);
+            slot.aborted = true;
+            self.mv.convert_writes_to_estimates(t, &slot.writes);
         }
+        drop(slot);
         self.scheduler.finish_validation(t, aborted)
     }
 }
 
-fn worker_loop(ctx: &RunCtx, base: Arc<WorldState>) {
-    let mut ws = WorkerScratch::new(ctx, base);
+fn worker_loop(ctx: &RunCtx, ws: &mut WorkerScratch) {
     let mut task: Option<Task> = None;
     loop {
         if ctx.scheduler.halted() {
             break;
         }
         task = match task {
-            Some(Task::Execute(t, i)) => ctx.execute_task(t, i, &mut ws),
-            Some(Task::Validate(t, i)) => ctx.validate_task(t, i, &mut ws),
+            Some(Task::Execute(t, i)) => ctx.execute_task(t, i, ws),
+            Some(Task::Validate(t, i)) => ctx.validate_task(t, i, ws),
             None => {
                 if ctx.scheduler.done() {
                     break;
@@ -808,8 +888,24 @@ fn worker_loop(ctx: &RunCtx, base: Arc<WorldState>) {
         };
     }
     // One flush per worker instead of one contended RMW per task.
-    ctx.executions.fetch_add(ws.executions, Ordering::Relaxed);
-    ctx.validations.fetch_add(ws.validations, Ordering::Relaxed);
+    ctx.executions
+        .fetch_add(std::mem::take(&mut ws.executions), Ordering::Relaxed);
+    ctx.validations
+        .fetch_add(std::mem::take(&mut ws.validations), Ordering::Relaxed);
+}
+
+/// The scaffolding of a block run, which the engine keeps from block to
+/// block: the version store, the scheduler's per-transaction status and
+/// dependency vectors, one result slot per transaction and one scratch per
+/// worker. Each is reset at block start — cleared, capacity kept — and lent
+/// to the pool's jobs for the run, the way [`lend_state`] lends the state: in
+/// an [`Arc`] (or moved into the job) that must come back unique.
+#[derive(Debug, Default)]
+struct Kept {
+    mv: Arc<MvMemory>,
+    scheduler: Scheduler,
+    slots: Vec<Aligned<Mutex<TxSlot>>>,
+    workers: Vec<WorkerScratch>,
 }
 
 // ---------------------------------------------------------------------------
@@ -844,6 +940,11 @@ fn worker_loop(ctx: &RunCtx, base: Arc<WorldState>) {
 /// is trivially correct because the target state is not touched until the final
 /// install.
 ///
+/// **Kept scaffolding:** the version store, the scheduler's per-transaction
+/// vectors, the result slots and the worker scratches belong to the engine and
+/// are reset, not rebuilt, at every block start, so a run of similar blocks
+/// allocates almost nothing after the first. A worker panic discards them.
+///
 /// # Examples
 ///
 /// See the [crate documentation](crate).
@@ -853,6 +954,7 @@ pub struct OptimisticEngine {
     pool: WorkerPool,
     executor: BlockExecutor,
     abort_injection: Option<AbortInjection>,
+    kept: Kept,
 }
 
 impl OptimisticEngine {
@@ -870,6 +972,7 @@ impl OptimisticEngine {
             pool: WorkerPool::new(threads),
             executor: BlockExecutor::new(),
             abort_injection: None,
+            kept: Kept::default(),
         }
     }
 
@@ -944,15 +1047,27 @@ impl ExecutionEngine for OptimisticEngine {
             return Ok((executed, self.report(0, 0, 0, 0, 0, 0, 0, 0)));
         }
 
+        let kept = &mut self.kept;
+        Arc::get_mut(&mut kept.mv)
+            .expect("the version store came back from the last block")
+            .reset();
+        kept.scheduler.reset(x);
+        if kept.slots.len() < x {
+            kept.slots.resize_with(x, Aligned::default);
+        }
+        for slot in &mut kept.slots[..x] {
+            settled(slot).reset();
+        }
+        let jobs = self.threads.min(x);
+        let mut workers = std::mem::take(&mut kept.workers);
+        workers.resize_with(workers.len().max(jobs), WorkerScratch::new);
+        let spare = workers.split_off(jobs);
         let ctx = Arc::new(RunCtx {
-            mv: Arc::new(MvMemory::new()),
+            mv: Arc::clone(&kept.mv),
             block: block.clone(),
-            scheduler: Scheduler::new(x),
-            outcomes: (0..x).map(|_| Mutex::new(None)).collect(),
-            read_sets: (0..x).map(|_| Mutex::new(Vec::new())).collect(),
-            last_writes: (0..x).map(|_| Mutex::new(Vec::new())).collect(),
-            touched: (0..x).map(|_| Mutex::new(Vec::new())).collect(),
-            ever_aborted: (0..x).map(|_| AtomicBool::new(false)).collect(),
+            scheduler: std::mem::take(&mut kept.scheduler),
+            slots: std::mem::take(&mut kept.slots),
+            returned: Mutex::new(spare),
             executions: AtomicU64::new(0),
             validations: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
@@ -961,12 +1076,20 @@ impl ExecutionEngine for OptimisticEngine {
         });
 
         // The workers only read the state: it is back in `*state`, untouched,
-        // before any exit path below.
+        // before any exit path below. Each job lends its scratch's view the
+        // version store and the base for the run and hands the scratch back
+        // released; a panicking job drops its scratch, handles and all.
         let run = lend_state(state, |base| {
-            let tasks: Vec<Job> = (0..self.threads.min(x))
-                .map(|_| {
+            let tasks: Vec<Job> = workers
+                .into_iter()
+                .map(|mut ws| {
                     let (ctx, base) = (Arc::clone(&ctx), Arc::clone(base));
-                    Box::new(move || worker_loop(&ctx, base)) as Job
+                    Box::new(move || {
+                        ws.state.cells_mut().lend(Arc::clone(&ctx.mv), base);
+                        worker_loop(&ctx, &mut ws);
+                        ws.state.cells_mut().release();
+                        ctx.returned.lock().expect("returned-scratch lock").push(ws);
+                    }) as Job
                 })
                 .collect();
             self.pool.run_tasks(tasks)
@@ -980,30 +1103,50 @@ impl ExecutionEngine for OptimisticEngine {
         };
         let RunCtx {
             mv,
-            outcomes,
-            read_sets,
-            touched,
-            ever_aborted,
+            block: run_block,
+            scheduler,
+            slots,
+            returned,
             executions,
             validations,
             aborts,
             fell_back,
             ..
         } = ctx;
+        drop(mv);
+        if let Err(err) = run {
+            // A worker panicked mid-update: start the next block from fresh
+            // scaffolding rather than from whatever it left behind.
+            *kept = Kept::default();
+            return Err(err);
+        }
+        kept.scheduler = scheduler;
+        kept.slots = slots;
+        kept.workers = returned.into_inner().expect("returned-scratch lock");
 
         let executions = executions.into_inner();
         let validations = validations.into_inner();
         let abort_count = aborts.into_inner();
-
-        if run.is_err() || fell_back.into_inner() {
-            // Worker panic or abort bound exceeded: the state was never touched, so
-            // (for the bound case) execute sequentially instead.
-            run?;
-            let executed = self.executor.execute_block(state, block)?;
-            let conflicted = ever_aborted
+        // Delta attribution, from the committed run itself: downgrades are the
+        // committed reads that ordered themselves after commutative
+        // contributors, merges (below) the contributions live in the version
+        // map. Both are schedule-independent — the final read sets validated
+        // against the final version map.
+        let slots = &mut kept.slots[..x];
+        let (mut conflicted, mut delta_downgrades) = (0, 0u64);
+        for slot in slots.iter_mut().map(settled) {
+            conflicted += usize::from(slot.aborted);
+            delta_downgrades += slot
+                .reads
                 .iter()
-                .filter(|a| a.load(Ordering::SeqCst))
-                .count();
+                .filter(|(_, origin)| matches!(origin, ReadOrigin::Delta(_, _)))
+                .count() as u64;
+        }
+
+        if fell_back.into_inner() {
+            // Abort bound exceeded: the state was never touched, so execute
+            // sequentially instead.
+            let executed = self.executor.execute_block(state, block)?;
             let report = self.report(
                 x,
                 conflicted,
@@ -1019,33 +1162,15 @@ impl ExecutionEngine for OptimisticEngine {
             return Ok((executed, report));
         }
 
-        let mv = match Arc::try_unwrap(mv) {
-            Ok(mv) => mv,
-            Err(_) => unreachable!("workers exited"),
-        };
-        // Delta attribution, from the committed run itself: merges are the
-        // commutative contributions live in the version map, downgrades the
-        // committed reads that ordered themselves after those contributors.
-        // Both are schedule-independent — the final read sets validated
-        // against the final version map.
+        let mv = Arc::get_mut(&mut kept.mv).expect("every job released the version store");
         let delta_merges = mv.delta_entries();
-        let delta_downgrades: u64 = read_sets
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("read-set lock")
-                    .iter()
-                    .filter(|(_, origin)| matches!(origin, ReadOrigin::Delta(_, _)))
-                    .count() as u64
-            })
-            .sum();
         // Commit: set each final cell — fragment first, folded delta on top —
         // on the resident account in place; nothing is re-executed and no
         // account is exported, reassembled or re-installed, so the step costs
-        // the cells the block wrote. The cells arrive in `StateKey` order —
-        // every `Balance` key before any `Storage` or `Code` key — so an
-        // account a fragment creates exists by the time its slots land.
-        for (key, cell) in mv.into_final_cells() {
+        // the cells the block wrote. Every `Balance` cell is drained before
+        // any `Storage` or `Code` cell, so an account a fragment creates
+        // exists by the time its slots land.
+        mv.drain_final_cells(|key, cell| {
             if let Some(fragment) = cell.write {
                 state.set_cell(&key, fragment.as_ref());
             }
@@ -1060,30 +1185,19 @@ impl ExecutionEngine for OptimisticEngine {
                 }
                 (StateKey::Code(_), Some(_)) => unreachable!("delta buffered under a code cell"),
             }
-        }
+        });
         // An account whose fragments all diffed away (value written back
         // unchanged) produced no cell, yet sequential execution journals it:
-        // the dirty lists put it back, so the state marks exactly the addresses
-        // a pipeline-level `commit_block` would journal sequentially.
-        for slot in touched {
-            for address in slot.into_inner().expect("touched lock") {
+        // the touched lists put it back, so the state marks exactly the
+        // addresses a pipeline-level `commit_block` would journal sequentially.
+        let mut receipts = Vec::with_capacity(x);
+        for slot in slots.iter_mut().map(settled) {
+            for &address in &slot.touched {
                 state.touch(address);
             }
+            receipts.push(slot.receipt.take().expect("every transaction executed"));
         }
-
-        let receipts: Vec<Receipt> = outcomes
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("outcome lock")
-                    .expect("every transaction executed")
-            })
-            .collect();
-        let executed = ExecutedBlock::new(block.clone(), receipts);
-        let conflicted = ever_aborted
-            .iter()
-            .filter(|a| a.load(Ordering::SeqCst))
-            .count();
+        let executed = ExecutedBlock::new(run_block, receipts);
         let report = self.report(
             x,
             conflicted,
@@ -1323,22 +1437,24 @@ mod tests {
         let early = Address::from_low(50);
         let late = Address::from_low(60);
         for (txn, address) in [(5usize, early), (2usize, late)] {
-            let key = StateKey::Balance(address);
+            let cell = mv.cell_id(StateKey::Balance(address));
             let mut writes = vec![CellWrite {
-                key,
+                cell,
                 value: CellValue::Fragment(Some(FragmentValue::Meta {
                     balance_sats: 1,
                     nonce: 0,
                 })),
             }];
             mv.apply(txn, 0, &mut writes, &[]);
-            mv.convert_writes_to_estimates(txn, &[key]);
+            mv.convert_writes_to_estimates(txn, &[cell]);
         }
 
         let sender = Address::from_low(1);
         let mut base = WorldState::new();
         base.credit(sender, Amount::from_coins(1));
-        let mut view = MvView::new(Arc::clone(&mv), Arc::new(base), 8);
+        let mut view = MvView::default();
+        view.lend(Arc::clone(&mv), Arc::new(base));
+        view.reset(8);
         assert!(view.meta(sender).is_some());
         let served = Some((Amount::from_sats(1), 0));
         assert_eq!(view.meta(early), served);

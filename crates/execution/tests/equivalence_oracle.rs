@@ -691,6 +691,56 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One optimistic engine keeps its block scaffolding — version store,
+/// scheduler vectors, result slots, worker scratches — from block to block.
+/// Four blocks in a row on one engine must each commit exactly what a fresh
+/// engine and the sequential engine commit: a block under forced aborts
+/// (leaving multi-version cells behind), an empty block, a block that
+/// rewrites the same cells over other balances, and a block over a different
+/// base state.
+#[test]
+fn a_reused_engine_leaks_nothing_between_blocks() {
+    let injection = AbortInjection {
+        seed: 33,
+        percent: 50,
+    };
+    let mut rng = 0x5EED;
+    let mut plans = |count: usize| -> Vec<RawPlan> {
+        (0..count)
+            .map(|_| {
+                (
+                    mix(&mut rng) % SENDERS,
+                    mix(&mut rng) % RECEIVER_ROLLS,
+                    1 + mix(&mut rng) % 400_000,
+                    mix(&mut rng) % 10,
+                )
+            })
+            .collect()
+    };
+    let (first, other) = (plans(24), plans(24));
+    let blocks = [
+        (genesis(&[1_000_000; SENDERS as usize]), build_block(&first)),
+        (
+            genesis(&[1_000_000; SENDERS as usize]),
+            BlockBuilder::new(1, 0, Address::from_low(1)).build(),
+        ),
+        (genesis(&[400_000; SENDERS as usize]), build_block(&first)),
+        (
+            genesis(&[1_500_000, 10, 300_000, 0, 2_000_000, 50_000]),
+            build_block(&other),
+        ),
+    ];
+    let mut reused = OptimisticEngine::new(2).with_forced_aborts(injection);
+    for (n, (pre_state, block)) in blocks.iter().enumerate() {
+        let run =
+            |engine: &mut dyn ExecutionEngine| run_engine(engine, None, pre_state.clone(), block);
+        let sequential = run(&mut SequentialEngine::new());
+        let fresh = run(&mut OptimisticEngine::new(2).with_forced_aborts(injection));
+        assert_eq!(fresh, sequential, "block {n}: a fresh engine");
+        assert_eq!(run(&mut reused), sequential, "block {n}: the reused engine");
+    }
+}
+
 /// The CI abort-stress entry point: a deterministic sweep of forced-abort
 /// interleavings. The base seed comes from the
 /// `BLOCKCONC_STRESS_SEED` environment variable (default 0), so a CI loop
