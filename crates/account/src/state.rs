@@ -1027,13 +1027,13 @@ mod tests {
             drop(state);
             let reopened = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
             if !undecodable {
-                // Flip one digit of a committed balance inside its genesis
+                // Flip one bit of a committed balance inside its genesis
                 // frame, after the reopen indexed it: its CRC no longer holds.
                 let journal = dir.join("journal-000000.log");
                 let mut bytes = std::fs::read(&journal).unwrap();
                 let at = bytes
-                    .windows(7)
-                    .position(|w| w == b"1234567")
+                    .windows(8)
+                    .position(|w| w == 1_234_567u64.to_le_bytes())
                     .expect("the balance is in the journal");
                 bytes[at] ^= 0x01;
                 std::fs::write(&journal, &bytes).unwrap();

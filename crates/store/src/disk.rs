@@ -5,7 +5,9 @@
 //! the compaction policy; the crash-recovery property tests in
 //! `crates/store/tests/` drive torn-tail and torn-snapshot scenarios against it.
 
-use crate::journal::{append_frame, check_frame, decode_frame, FrameScanner, JournalRecord};
+use crate::journal::{
+    append_frame, append_upsert, check_frame, decode_frame, Frame, FrameScanner, JournalRecord,
+};
 use crate::{BlockDelta, CommitStats, DiskConfig, StateBackend, StoreStats, StoredAccount};
 use blockconc_types::{Address, Error, Result};
 use std::collections::hash_map::Entry;
@@ -95,7 +97,10 @@ impl DiskBackend {
     /// # Errors
     ///
     /// Returns an error if the directory cannot be created or the files cannot be
-    /// read.
+    /// read, or if recovery reads a whole frame whose CRC matches but whose payload
+    /// does not decode (the error names the file and the frame's offset). Such a
+    /// frame is corruption or a store in another format, not a torn write, so
+    /// `open` fails before it truncates or writes anything.
     pub fn open(config: &DiskConfig) -> Result<Self> {
         fs::create_dir_all(&config.dir).map_err(|e| io_err("create store directory", e))?;
         let (snapshots, journals) = list_epochs(&config.dir)?;
@@ -341,6 +346,58 @@ fn frame_at<'a>(
         .ok_or_else(|| Error::execution("store: index pointed past its file"))
 }
 
+/// Appends block `delta`'s frames to `buf`, each account encoded from the delta
+/// by reference, and returns where each touched account's record now lives
+/// (`None` for a delete). The block's first byte lands at logical offset
+/// `offset` of journal `epoch`.
+fn encode_block(
+    buf: &mut Vec<u8>,
+    offset: u64,
+    epoch: u64,
+    delta: &BlockDelta,
+) -> Result<Vec<(Address, Option<Location>)>> {
+    let start = buf.len();
+    append_frame(
+        buf,
+        &JournalRecord::BlockBegin {
+            height: delta.height,
+        },
+    )?;
+    let mut placements = Vec::with_capacity(delta.records.len());
+    for record in &delta.records {
+        let location = match &record.account {
+            Some(account) => {
+                let frame_offset = offset + (buf.len() - start) as u64;
+                let len = append_upsert(buf, &record.address, account)?;
+                Some(Location {
+                    kind: FileKind::Journal,
+                    epoch,
+                    offset: frame_offset,
+                    len: len as u32,
+                })
+            }
+            None => {
+                append_frame(
+                    buf,
+                    &JournalRecord::Delete {
+                        address: record.address,
+                    },
+                )?;
+                None
+            }
+        };
+        placements.push((record.address, location));
+    }
+    append_frame(
+        buf,
+        &JournalRecord::BlockCommit {
+            height: delta.height,
+            records: delta.records.len() as u64,
+        },
+    )?;
+    Ok(placements)
+}
+
 /// Epochs present in `dir`, each list ascending.
 fn list_epochs(dir: &Path) -> Result<(Vec<u64>, Vec<u64>)> {
     let mut snapshots = Vec::new();
@@ -378,7 +435,18 @@ fn read_file_or_absent(path: &Path, context: &str) -> Result<Option<Vec<u8>>> {
     }
 }
 
-/// Loads and validates one snapshot file; `None` if it is torn or malformed.
+/// The next frame of `scanner` over the file at `path`: `None` at the end of the
+/// file or at a torn frame, an error naming the file and offset at a whole frame
+/// with a matching CRC that does not decode.
+fn next_frame(scanner: &mut FrameScanner<'_>, path: &Path) -> Result<Option<Frame>> {
+    scanner
+        .next()
+        .transpose()
+        .map_err(|e| Error::execution(format!("store: {}: {e}", path.display())))
+}
+
+/// Loads and validates one snapshot file; `None` if it is torn or its records
+/// break the snapshot protocol, an error if one of its frames does not decode.
 #[allow(clippy::type_complexity)]
 fn load_snapshot(dir: &Path, epoch: u64) -> Result<Option<(BTreeMap<Address, Location>, u64)>> {
     let path = file_path(dir, FileKind::Snapshot, epoch);
@@ -386,7 +454,7 @@ fn load_snapshot(dir: &Path, epoch: u64) -> Result<Option<(BTreeMap<Address, Loc
         return Ok(None);
     };
     let mut scanner = FrameScanner::new(&bytes);
-    let Some(first) = scanner.next() else {
+    let Some(first) = next_frame(&mut scanner, &path)? else {
         return Ok(None);
     };
     let JournalRecord::SnapshotBegin { height, accounts } = first.record else {
@@ -394,7 +462,7 @@ fn load_snapshot(dir: &Path, epoch: u64) -> Result<Option<(BTreeMap<Address, Loc
     };
     let mut index = BTreeMap::new();
     for _ in 0..accounts {
-        let Some(frame) = scanner.next() else {
+        let Some(frame) = next_frame(&mut scanner, &path)? else {
             return Ok(None);
         };
         let JournalRecord::Upsert { address, .. } = frame.record else {
@@ -410,7 +478,7 @@ fn load_snapshot(dir: &Path, epoch: u64) -> Result<Option<(BTreeMap<Address, Loc
             },
         );
     }
-    match scanner.next() {
+    match next_frame(&mut scanner, &path)? {
         Some(frame)
             if frame.record == (JournalRecord::SnapshotEnd { accounts })
                 && scanner.consumed as usize == bytes.len() =>
@@ -439,7 +507,7 @@ fn replay_journal(
     let mut valid_end = 0u64;
     let mut pending_height: Option<u64> = None;
     let mut pending: Vec<(Address, Option<Location>)> = Vec::new();
-    while let Some(frame) = scanner.next() {
+    while let Some(frame) = next_frame(&mut scanner, &path)? {
         match frame.record {
             JournalRecord::BlockBegin { height } => {
                 pending_height = Some(height);
@@ -527,59 +595,18 @@ impl StateBackend for DiskBackend {
             _ => {}
         }
 
-        let mut buf = Vec::new();
-        append_frame(
-            &mut buf,
-            &JournalRecord::BlockBegin {
-                height: delta.height,
-            },
-        )?;
-        let mut placements: Vec<(Address, Option<Location>)> =
-            Vec::with_capacity(delta.records.len());
-        for record in &delta.records {
-            match &record.account {
-                Some(account) => {
-                    let offset = self.journal_len + buf.len() as u64;
-                    let len = append_frame(
-                        &mut buf,
-                        &JournalRecord::Upsert {
-                            address: record.address,
-                            account: account.clone(),
-                        },
-                    )?;
-                    placements.push((
-                        record.address,
-                        Some(Location {
-                            kind: FileKind::Journal,
-                            epoch: self.epoch,
-                            offset,
-                            len: len as u32,
-                        }),
-                    ));
-                }
-                None => {
-                    append_frame(
-                        &mut buf,
-                        &JournalRecord::Delete {
-                            address: record.address,
-                        },
-                    )?;
-                    placements.push((record.address, None));
-                }
-            }
-        }
-        append_frame(
-            &mut buf,
-            &JournalRecord::BlockCommit {
-                height: delta.height,
-                records: delta.records.len() as u64,
-            },
-        )?;
-        // Group commit: the framed block joins the open group; the journal file
-        // is only written (and flushed) every `group_every` blocks. The index
-        // below addresses the *logical* journal, so reads stay current either way.
-        self.group_buffer.extend_from_slice(&buf);
-        self.journal_len += buf.len() as u64;
+        // Group commit: the block is framed straight into the open group; the
+        // journal file is only written (and flushed) every `group_every` blocks.
+        // The index addresses the *logical* journal, so reads stay current
+        // either way. A failed encoding takes the block's frames back out.
+        let start = self.group_buffer.len();
+        let placements = encode_block(&mut self.group_buffer, self.journal_len, self.epoch, delta)
+            .map_err(|e| {
+                self.group_buffer.truncate(start);
+                e
+            })?;
+        let bytes = (self.group_buffer.len() - start) as u64;
+        self.journal_len += bytes;
         self.group_pending += 1;
 
         for (address, location) in placements {
@@ -598,7 +625,6 @@ impl StateBackend for DiskBackend {
             self.seal_group()?;
         }
         let records = delta.records.len() as u64;
-        let bytes = buf.len() as u64;
         self.stats.committed_blocks += 1;
         self.stats.records_written += records;
         self.stats.bytes_written += bytes;

@@ -256,6 +256,7 @@ fn a_corrupt_live_frame_fails_compaction_and_keeps_the_previous_generation() {
     let journal = dir.join(format!("journal-{epoch:06}.log"));
     let mut bytes = fs::read(&journal).expect("read journal");
     let frame = FrameScanner::new(&bytes)
+        .map(|frame| frame.expect("every journal frame decodes"))
         .find(|frame| matches!(frame.record, JournalRecord::Upsert { address, .. } if address == fresh))
         .expect("the fresh account's frame");
     bytes[frame.offset as usize + FRAME_HEADER_LEN + 1] ^= 0x01;

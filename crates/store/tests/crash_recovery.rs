@@ -2,9 +2,14 @@
 //! byte offsets (torn tail records) or tear the newest snapshot, reopen, and assert
 //! recovery lands exactly on the last committed block with the torn tail discarded.
 //!
+//! A whole frame whose CRC matches but whose payload does not decode is not a
+//! torn tail: `open` fails on it, naming the file and offset, and leaves the
+//! files as they were.
+//!
 //! All stores live under unique tempdirs and are removed afterwards, keeping the
 //! suite hermetic.
 
+use blockconc_store::journal::{crc32, FRAME_HEADER_LEN};
 use blockconc_store::{
     BlockDelta, DeltaRecord, DiskBackend, DiskConfig, StateBackend, StoredAccount,
 };
@@ -263,4 +268,91 @@ proptest! {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// One whole frame around `payload`, with a matching CRC.
+fn crc_valid_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+// A CRC-valid frame that does not decode, appended to the journal after two
+// sealed blocks, fails `open` instead of being truncated away as a torn tail;
+// among the payloads is a record from the JSON-era format.
+#[test]
+fn a_crc_valid_journal_frame_that_does_not_decode_fails_open_and_leaves_the_file() {
+    let payloads: [&[u8]; 3] = [br#"{"BlockBegin":{"height":3}}"#, &[0xee], &[1, 0, 0]];
+    for (case, payload) in payloads.into_iter().enumerate() {
+        let dir = store_dir(&format!("undecodable-journal-{case}"));
+        let (_, boundaries) = run_store(&dir, 2, 5, 0);
+        let journal = dir.join("journal-000000.log");
+        let sealed = boundaries.last().expect("blocks committed").1;
+        let mut bytes = fs::read(&journal).expect("read journal");
+        assert_eq!(bytes.len() as u64, sealed);
+        bytes.extend_from_slice(&crc_valid_frame(payload));
+        fs::write(&journal, &bytes).expect("write journal");
+
+        let err = DiskBackend::open(&DiskConfig {
+            snapshot_every: 0,
+            ..DiskConfig::new(dir.clone())
+        })
+        .expect_err("an undecodable frame must fail open")
+        .to_string();
+        assert!(
+            err.contains("journal-000000.log") && err.contains(&format!("offset {sealed}")),
+            "{err}"
+        );
+        assert_eq!(fs::read(&journal).expect("reread journal"), bytes);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// The same inside the newest snapshot: an account frame re-tagged with an
+// unknown tag (CRC recomputed) fails `open` instead of falling back a
+// generation, and no file is touched.
+#[test]
+fn a_crc_valid_snapshot_frame_that_does_not_decode_fails_open() {
+    let dir = store_dir("undecodable-snapshot");
+    let cadence = 3;
+    run_store(&dir, 7, 11, cadence);
+    let snapshot = newest_snapshot(&dir);
+    let mut bytes = fs::read(&snapshot).expect("read snapshot");
+    // The first account frame follows the SnapshotBegin frame.
+    let begin_len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+    let at = FRAME_HEADER_LEN + begin_len;
+    let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+    let payload = at + FRAME_HEADER_LEN..at + FRAME_HEADER_LEN + len;
+    bytes[payload.start] = 0xee;
+    let crc = crc32(&bytes[payload]);
+    bytes[at + 4..at + FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    fs::write(&snapshot, &bytes).expect("write snapshot");
+    let files = || {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(&dir)
+            .expect("list dir")
+            .map(|e| {
+                let path = e.expect("entry").path();
+                let bytes = fs::read(&path).expect("read file");
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = files();
+
+    let err = DiskBackend::open(&DiskConfig {
+        snapshot_every: cadence,
+        ..DiskConfig::new(dir.clone())
+    })
+    .expect_err("an undecodable snapshot frame must fail open")
+    .to_string();
+    let name = snapshot.file_name().expect("file name").to_string_lossy();
+    assert!(
+        err.contains(name.as_ref()) && err.contains(&format!("offset {at}")),
+        "{err}"
+    );
+    assert!(files() == before, "open changed the store's files");
+    let _ = fs::remove_dir_all(&dir);
 }
