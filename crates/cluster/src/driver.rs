@@ -106,7 +106,7 @@ fn apply_receipts<E: ExecutionEngine>(
 ///
 /// With **one shard** every cluster-only step is a no-op, so the run *is*
 /// `PipelineDriver`'s by construction — the equivalence property tests assert
-/// it bit for bit (normalized records, receipts digests, roots) for every
+/// it bit for bit (block records, receipts digests, roots) for every
 /// engine, delta-commuting ones included.
 ///
 /// # Examples
@@ -380,6 +380,10 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             // (phases of one shard do not overlap, so the path takes the
             // slowest single shard's round, not the max of each phase).
             let (mut executions, mut shard_path) = (0u64, 0u64);
+            // One stage sample per height: shards pack and execute side by
+            // side, so those take the slowest shard; the serial commits add up.
+            let (mut pack_wall, mut pack_considered) = (0u64, 0u64);
+            let (mut execute_wall, mut store_wall) = (0u64, 0u64);
             for (index, round) in rounds.into_iter().enumerate() {
                 let node = &mut nodes[index];
                 for departed in node.settle(&round) {
@@ -427,9 +431,14 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                     }
                 }
 
+                let store_started = telemetry.now_nanos();
                 let (record, commit) = node.commit(&round, None)?;
+                store_wall += telemetry.now_nanos().saturating_sub(store_started);
                 records_total += commit.records;
                 bytes_total += commit.bytes;
+                pack_wall = pack_wall.max(round.pack_wall_nanos);
+                pack_considered = pack_considered.max(record.pack_considered);
+                execute_wall = execute_wall.max(round.execute_wall_nanos);
                 let exec = &round.exec_report;
                 executions = executions.max(exec.tx_count as u64 + exec.re_executions);
                 shard_path = shard_path.max(
@@ -449,9 +458,6 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
                 micro.push(record);
             }
 
-            // One stage sample per height: shards pack and execute side by
-            // side, so those take the slowest shard; the serial commits add up.
-            let slowest = |f: fn(&BlockRecord) -> u64| micro.iter().map(f).max().unwrap_or(0);
             telemetry.record_span(
                 "settle",
                 block_span,
@@ -469,17 +475,8 @@ impl<E: ExecutionEngine + Send> ClusterDriver<E> {
             blocks_in_epoch += 1;
             let merged = micro.len() as u64;
 
-            telemetry.stage(
-                Stage::Pack,
-                slowest(|r| r.pack_wall_nanos),
-                slowest(|r| r.pack_considered),
-            );
-            telemetry.stage(
-                Stage::Execute,
-                slowest(|r| r.execute_wall_nanos),
-                executions,
-            );
-            let store_wall = micro.iter().map(|r| r.store_wall_nanos).sum();
+            telemetry.stage(Stage::Pack, pack_wall, pack_considered);
+            telemetry.stage(Stage::Execute, execute_wall, executions);
             telemetry.stage(Stage::Store, store_wall, records_total);
             telemetry.stage(Stage::Merge, merge_wall, merged);
             telemetry.stage(Stage::Rehome, rehome_wall, rehomed);
@@ -590,7 +587,7 @@ mod tests {
     use super::*;
     use blockconc_chainsim::{AccountWorkloadParams, HotspotSpec};
     use blockconc_execution::{ScheduledEngine, SequentialEngine};
-    use blockconc_pipeline::{BlockRecord, PipelineConfig, PipelineDriver};
+    use blockconc_pipeline::{PipelineConfig, PipelineDriver};
     use blockconc_telemetry::TelemetryRegistry;
 
     fn heavy_stream(seed: u64) -> ArrivalStream {
@@ -720,8 +717,7 @@ mod tests {
         assert_eq!(cluster.blocks.len(), single.blocks.len());
         for (cluster_block, single_block) in cluster.blocks.iter().zip(&single.blocks) {
             assert_eq!(
-                cluster_block.micro[0].normalized(),
-                single_block.normalized(),
+                &cluster_block.micro[0], single_block,
                 "height {} diverged",
                 single_block.height
             );
@@ -804,6 +800,29 @@ mod tests {
     }
 
     #[test]
+    fn an_enabled_registry_only_observes() {
+        // A 2-shard cluster under a disabled and an enabled registry, both on
+        // the wall clock: its records hold counts only, so they compare whole.
+        let run = |telemetry: TelemetryRegistry| {
+            let mut config = config(2, 8);
+            config.pipeline.telemetry = telemetry;
+            let engines = (0..2).map(|_| ScheduledEngine::new(2)).collect();
+            ClusterDriver::new(engines, config)
+                .run(heavy_stream(7))
+                .unwrap()
+        };
+        let (plain, traced) = (
+            run(TelemetryRegistry::disabled()),
+            run(TelemetryRegistry::enabled()),
+        );
+        assert!(traced.telemetry.is_some() && plain.telemetry.is_none());
+        assert!(plain.cross_shard_txs > 0, "the run must cross shards");
+        assert_eq!(plain.blocks, traced.blocks);
+        assert_eq!(plain.mempool_stats, traced.mempool_stats);
+        assert_eq!(plain.shard_roots, traced.shard_roots);
+    }
+
+    #[test]
     fn shard_execution_interleaving_does_not_change_the_run() {
         let parallel = ClusterDriver::new(engines(4), config(4, 6))
             .run(heavy_stream(4))
@@ -819,14 +838,7 @@ mod tests {
             );
             assert_eq!(serial.shard_roots, parallel.shard_roots);
             assert_eq!(serial.total_txs, parallel.total_txs);
-            let normalize = |report: &ClusterRunReport| -> Vec<Vec<BlockRecord>> {
-                report
-                    .blocks
-                    .iter()
-                    .map(|b| b.micro.iter().map(BlockRecord::normalized).collect())
-                    .collect()
-            };
-            assert_eq!(normalize(&serial), normalize(&parallel));
+            assert_eq!(serial.blocks, parallel.blocks);
         }
     }
 

@@ -29,7 +29,7 @@
 //!   workload of `benchmark/`).
 //!
 //! A 1-shard cluster degenerates to exactly the single `PipelineDriver` run,
-//! bit for bit (normalized records, receipts digests, state roots) — pinned by
+//! bit for bit (block records, receipts digests, state roots) — pinned by
 //! the `cluster_equivalence` property tests, which also prove the N-shard final
 //! state is independent of how shard executions interleave.
 //!

@@ -709,7 +709,7 @@ mod tests {
         let state = funded_state(10..30);
         let mut packer = ConcurrencyAwarePacker::new(4);
         let packed = packer.pack(&pool, &mut tdg, &state, &template(Gas::new(21_000 * 5)));
-        pool.remove_packed(packed.block.transactions());
+        pool.remove_packed_returning(packed.block.transactions());
         // The four deferred exchange deposits and one independent payment remain.
         assert_eq!(pool.len(), 5);
     }

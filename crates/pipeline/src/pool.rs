@@ -66,8 +66,8 @@ pub struct MempoolStats {
     pub rejected_full: u64,
     /// Rejections of stale or gap-opening nonces.
     pub rejected_nonce: u64,
-    /// Entries dropped by [`Mempool::resync_sender`] after a validation failure left
-    /// them unpackable.
+    /// Entries dropped by [`Mempool::resync_sender_removed`] after a validation
+    /// failure left them unpackable.
     pub dropped_unpackable: u64,
     /// Entries evicted to make room for better-paying arrivals.
     pub evicted: u64,
@@ -229,16 +229,6 @@ impl Mempool {
         self.len == 0
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Fill level in `[0, 1]`.
-    pub fn occupancy(&self) -> f64 {
-        self.len as f64 / self.capacity as f64
-    }
-
     /// The admission counters.
     pub fn stats(&self) -> MempoolStats {
         self.stats
@@ -263,32 +253,20 @@ impl Mempool {
             .outcome
     }
 
-    /// [`Mempool::insert`] with a caller-chosen admission sequence number.
+    /// [`Mempool::insert`] with a caller-chosen admission sequence number,
+    /// additionally reporting the entries the admission displaced (the superseded
+    /// same-slot entry of a replacement, the evicted chain tail of a capacity
+    /// admission). Callers that maintain pool-adjacent incremental structures — the
+    /// drivers' [`IncrementalTdg`](crate::IncrementalTdg), the sharded pool's
+    /// routing counts — apply these effects as O(1) edits instead of rebuilding from
+    /// a pool scan.
     ///
     /// A sharded pool admits transactions from concurrent producer threads, so the
     /// pool-internal admission counter would depend on thread interleaving; passing a
-    /// deterministic stamp (e.g. the transaction's position in the arrival stream)
+    /// deterministic `stamp` (e.g. the transaction's position in the arrival stream)
     /// keeps every fee tie-breaker — packing order and eviction choice — reproducible
     /// regardless of scheduling. The internal counter is advanced past any stamp, so
-    /// mixing stamped and unstamped inserts cannot reuse a sequence number.
-    pub fn insert_stamped(
-        &mut self,
-        tx: AccountTransaction,
-        fee_per_gas: u64,
-        arrival_secs: f64,
-        account_nonce: u64,
-        stamp: Option<u64>,
-    ) -> AdmitOutcome {
-        self.offer(tx, fee_per_gas, arrival_secs, account_nonce, stamp)
-            .outcome
-    }
-
-    /// [`Mempool::insert_stamped`], additionally reporting the entries the
-    /// admission displaced (the superseded same-slot entry of a replacement, the
-    /// evicted chain tail of a capacity admission). Callers that maintain
-    /// pool-adjacent incremental structures — the drivers' [`IncrementalTdg`](crate::IncrementalTdg),
-    /// the sharded pool's routing counts — apply these
-    /// effects as O(1) edits instead of rebuilding from a pool scan.
+    /// mixing stamped and unstamped admissions cannot reuse a sequence number.
     pub fn offer(
         &mut self,
         tx: AccountTransaction,
@@ -358,7 +336,7 @@ impl Mempool {
         // Capacity: evict the cheapest chain tail if the newcomer outbids it.
         let mut evicted = None;
         if self.len >= self.capacity {
-            match self.cheapest_tail() {
+            match self.cheapest_tail_excluding(None) {
                 Some((victim_sender, victim_nonce, victim_fee, _))
                     if victim_fee < fee_per_gas && victim_sender != sender =>
                 {
@@ -407,8 +385,8 @@ impl Mempool {
     }
 
     /// Removes one packed transaction, updating the `packed` counter — the
-    /// per-transaction unit of [`Mempool::remove_packed`], exposed so sharded
-    /// callers can settle blocks in deterministic block order.
+    /// per-transaction unit of [`Mempool::remove_packed_returning`], exposed so
+    /// sharded callers can settle blocks in deterministic block order.
     pub fn remove_packed_one(&mut self, tx: &AccountTransaction) -> Option<PooledTx> {
         let removed = self.remove(tx.sender(), tx.nonce());
         if removed.is_some() {
@@ -418,15 +396,8 @@ impl Mempool {
     }
 
     /// Removes every transaction of a packed block from the pool, updating the
-    /// `packed` counter.
-    pub fn remove_packed(&mut self, txs: &[AccountTransaction]) {
-        for tx in txs {
-            self.remove_packed_one(tx);
-        }
-    }
-
-    /// [`Mempool::remove_packed`], returning the removed entries (in block order)
-    /// so the caller can mirror the removal into incremental structures.
+    /// `packed` counter, and returns the removed entries (in block order) so the
+    /// caller can mirror the removal into incremental structures.
     pub fn remove_packed_returning(&mut self, txs: &[AccountTransaction]) -> Vec<PooledTx> {
         txs.iter()
             .filter_map(|tx| self.remove_packed_one(tx))
@@ -435,19 +406,14 @@ impl Mempool {
 
     /// Drops every entry of `sender` that can no longer be packed given its current
     /// account nonce: stale nonces below it, and everything above the first missing
-    /// nonce at or after it. Returns the number of entries dropped.
+    /// nonce at or after it. Returns the dropped entries (in nonce order) so the
+    /// caller can mirror the removal into incremental structures.
     ///
     /// Needed when a packed transaction *fails validation* at execution (the account
     /// nonce does not advance past it): the block's transactions have already been
     /// removed from the pool, so the sender's later nonces sit behind a gap that no
     /// future arrival will fill — without this sweep they would occupy capacity
     /// forever.
-    pub fn resync_sender(&mut self, sender: Address, account_nonce: u64) -> usize {
-        self.resync_sender_removed(sender, account_nonce).len()
-    }
-
-    /// [`Mempool::resync_sender`], returning the dropped entries (in nonce order)
-    /// so the caller can mirror the removal into incremental structures.
     pub fn resync_sender_removed(&mut self, sender: Address, account_nonce: u64) -> Vec<PooledTx> {
         let Some(queue) = self.by_sender.get_mut(&sender) else {
             return Vec::new();
@@ -507,19 +473,9 @@ impl Mempool {
         chains
     }
 
-    /// Returns `true` if the pool holds at least one transaction of `sender`.
-    pub fn contains_sender(&self, sender: Address) -> bool {
-        self.by_sender.contains_key(&sender)
-    }
-
     /// The pooled entry at `(sender, nonce)`, if any.
     pub fn get(&self, sender: Address, nonce: u64) -> Option<&PooledTx> {
         self.by_sender.get(&sender)?.get(&nonce)
-    }
-
-    /// Number of pooled transactions of `sender`.
-    pub fn sender_tx_count(&self, sender: Address) -> usize {
-        self.by_sender.get(&sender).map_or(0, |queue| queue.len())
     }
 
     /// Removes and returns every transaction of `sender`, in nonce order.
@@ -572,19 +528,15 @@ impl Mempool {
     }
 
     /// The cheapest evictable entry: `(sender, nonce, fee, seq)` of the chain tail
-    /// with the lowest fee bid (newest admission — highest `seq` — breaks ties). A
-    /// sharded pool uses this to enforce a *global* capacity across per-shard pools,
-    /// which is why the admission sequence number is exposed: stamped admissions (see
-    /// [`Mempool::insert_stamped`]) make `seq` comparable across shards.
+    /// with the lowest fee bid (newest admission — highest `seq` — breaks ties),
+    /// answered from the maintained tail index in O(log pool). A sharded pool uses
+    /// this to enforce a *global* capacity across per-shard pools, which is why the
+    /// admission sequence number is exposed: stamped admissions (see
+    /// [`Mempool::offer`]) make `seq` comparable across shards.
     ///
-    /// Answered from the maintained tail index in O(log pool).
-    pub fn cheapest_tail(&self) -> Option<(Address, u64, u64, u64)> {
-        self.cheapest_tail_excluding(None)
-    }
-
-    /// [`Mempool::cheapest_tail`] as it would have read *before* the entry
-    /// `exclude = (sender, nonce)` was admitted: that entry is ignored and its
-    /// sender's tail falls back to the predecessor nonce (if any).
+    /// With `exclude = Some((sender, nonce))` it reads as it would have *before*
+    /// that entry was admitted: the entry is ignored and its sender's tail falls
+    /// back to the predecessor nonce (if any).
     ///
     /// This lets a sharded pool admit optimistically and then apply the single
     /// pool's capacity rule exactly — the rule compares the newcomer against the
@@ -630,7 +582,7 @@ impl Mempool {
     /// Every pooled transaction is ready by the pool's maintained invariant: per
     /// sender, the queue is gap-free from the account nonce the entries were
     /// admitted against, packed prefixes are removed bottom-up, eviction takes only
-    /// tails, and validation failures are swept by [`Mempool::resync_sender`] — so
+    /// tails, and validation failures are swept by [`Mempool::resync_sender_removed`] — so
     /// chain heads *are* the ready-chain heads, with no per-pack state scan.
     pub fn ready_heads(&self) -> &BTreeSet<ReadyHeadKey> {
         &self.heads
@@ -865,15 +817,19 @@ mod tests {
         // Nonce 1 was packed but failed validation: the account nonce is stuck at 1
         // while the pool lost the entry, so nonce 2 is stranded. Nonce 0 is stale.
         pool.remove(Address::from_low(1), 1);
-        assert_eq!(pool.resync_sender(Address::from_low(1), 1), 2);
+        assert_eq!(pool.resync_sender_removed(Address::from_low(1), 1).len(), 2);
         assert!(pool.is_empty());
         assert_eq!(pool.stats().dropped_unpackable, 2);
         // Resyncing an unknown sender is a no-op.
-        assert_eq!(pool.resync_sender(Address::from_low(42), 0), 0);
+        assert!(pool
+            .resync_sender_removed(Address::from_low(42), 0)
+            .is_empty());
         // A healthy queue survives a resync untouched.
         pool.insert(transfer(2, 9, 0), 5, 0.3, 0);
         pool.insert(transfer(2, 9, 1), 5, 0.4, 0);
-        assert_eq!(pool.resync_sender(Address::from_low(2), 0), 0);
+        assert!(pool
+            .resync_sender_removed(Address::from_low(2), 0)
+            .is_empty());
         assert_eq!(pool.len(), 2);
     }
 
@@ -884,11 +840,11 @@ mod tests {
         let b = transfer(2, 9, 0);
         pool.insert(a.clone(), 5, 0.0, 0);
         pool.insert(b.clone(), 5, 0.1, 0);
-        pool.remove_packed(&[a, b.clone()]);
+        assert_eq!(pool.remove_packed_returning(&[a, b.clone()]).len(), 2);
         assert!(pool.is_empty());
         assert_eq!(pool.stats().packed, 2);
         // Removing an unknown transaction is a no-op.
-        pool.remove_packed(&[b]);
+        assert!(pool.remove_packed_returning(&[b]).is_empty());
         assert_eq!(pool.stats().packed, 2);
     }
 
@@ -929,13 +885,13 @@ mod tests {
         let chain = pool.take_sender(Address::from_low(1));
         assert_eq!(chain.len(), 2);
         assert_eq!(pool.len(), 1);
-        assert!(!pool.contains_sender(Address::from_low(1)));
+        assert!(pool.head_of(Address::from_low(1)).is_none());
         let mut other = Mempool::new(10);
         for pooled in chain {
             other.restore(pooled);
         }
         assert_eq!(other.len(), 2);
-        assert_eq!(other.sender_tx_count(Address::from_low(1)), 2);
+        assert_eq!(other.chain_len_from(Address::from_low(1), 0), 2);
         let fees: Vec<u64> = other.iter().map(|p| p.fee_per_gas).collect();
         assert_eq!(fees, vec![5, 7]);
         // Restored metadata keeps admission stamps ahead of the internal counter.
@@ -968,9 +924,9 @@ mod tests {
         // Two same-fee tails: the higher stamp is treated as newer and preferred as
         // the eviction victim, regardless of insertion order.
         let mut pool = Mempool::new(10);
-        pool.insert_stamped(transfer(1, 9, 0), 5, 0.0, 0, Some(7));
-        pool.insert_stamped(transfer(2, 9, 0), 5, 0.1, 0, Some(3));
-        let (victim, _, fee, seq) = pool.cheapest_tail().unwrap();
+        pool.offer(transfer(1, 9, 0), 5, 0.0, 0, Some(7));
+        pool.offer(transfer(2, 9, 0), 5, 0.1, 0, Some(3));
+        let (victim, _, fee, seq) = pool.cheapest_tail_excluding(None).unwrap();
         assert_eq!(victim, Address::from_low(1));
         assert_eq!((fee, seq), (5, 7));
         // The internal counter advanced past the largest stamp.
@@ -1021,7 +977,11 @@ mod tests {
                 Some((sender, nonce, pooled.fee_per_gas, pooled.seq))
             })
             .min_by_key(|&(_, _, fee, seq)| (fee, Reverse(seq)));
-        assert_eq!(pool.cheapest_tail(), scan, "tail index diverged");
+        assert_eq!(
+            pool.cheapest_tail_excluding(None),
+            scan,
+            "tail index diverged"
+        );
     }
 
     #[test]
@@ -1080,7 +1040,7 @@ mod tests {
         assert_eq!(pool.chain_len_from(Address::from_low(1), 3), 2);
         assert_eq!(pool.chain_len_from(Address::from_low(1), 5), 0);
         assert_eq!(pool.chain_len_from(Address::from_low(2), 0), 0);
-        pool.remove_packed(&[transfer(1, 9, 0), transfer(1, 9, 1)]);
+        pool.remove_packed_returning(&[transfer(1, 9, 0), transfer(1, 9, 1)]);
         assert_eq!(pool.chain_len_from(Address::from_low(1), 2), 3);
         assert_eq!(pool.chain_len_from(Address::from_low(1), 4), 1);
     }

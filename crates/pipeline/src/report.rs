@@ -5,7 +5,6 @@ use blockconc_account::{Receipt, WorldState};
 use blockconc_store::StoreStats;
 use blockconc_types::Hash;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// A deterministic digest of a block's receipts (transaction ids, outcomes, gas,
 /// internal transactions and logs): the per-block oracle the backend-equivalence
@@ -68,30 +67,8 @@ pub struct BlockRecord {
     /// Candidates the packer's fee-ordered loop examined for this block — the
     /// pack phase's O(Δ) scan cost (no pool-wide rescan behind it).
     pub pack_considered: u64,
-    /// Wall-clock nanoseconds spent packing (and, for sharded pools, merging) the
-    /// block.
-    pub pack_wall_nanos: u64,
-    /// Wall-clock nanoseconds of the engine's parallel phase.
-    pub execute_wall_nanos: u64,
     /// Digest of this block's receipts (see [`receipts_digest`]).
     pub receipts_digest: String,
-    /// Wall-clock nanoseconds of the state-backend commit.
-    pub store_wall_nanos: u64,
-}
-
-impl BlockRecord {
-    /// This record with its three wall-clock fields zeroed: what must be
-    /// *bit-identical* across state backends for the same arrival stream (the
-    /// backend may only change how long commits take — never which transactions
-    /// are packed, how they execute, or what they leave behind).
-    pub fn normalized(&self) -> BlockRecord {
-        BlockRecord {
-            pack_wall_nanos: 0,
-            execute_wall_nanos: 0,
-            store_wall_nanos: 0,
-            ..self.clone()
-        }
-    }
 }
 
 /// Aggregate results of one pipeline run (one packer × engine × thread combination
@@ -168,33 +145,6 @@ impl PipelineRunReport {
             largest / self.total_txs as f64
         }
     }
-
-    /// Total wall-clock time spent in the engines' parallel phases.
-    pub fn total_execute_wall(&self) -> Duration {
-        Duration::from_nanos(self.blocks.iter().map(|b| b.execute_wall_nanos).sum())
-    }
-
-    /// Executed-transaction throughput over the engines' wall time, in tx/s.
-    pub fn throughput_tps(&self) -> f64 {
-        let secs = self.total_execute_wall().as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.total_txs as f64 / secs
-        }
-    }
-
-    /// Mean mempool occupancy (transactions) across block boundaries.
-    pub fn mean_mempool_len(&self) -> f64 {
-        if self.blocks.is_empty() {
-            return 0.0;
-        }
-        self.blocks
-            .iter()
-            .map(|b| b.mempool_len_after as f64)
-            .sum::<f64>()
-            / self.blocks.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -217,10 +167,7 @@ mod tests {
             mempool_len_after: 10,
             tdg_units: 0,
             pack_considered: 0,
-            pack_wall_nanos: 100_000,
-            execute_wall_nanos: 1_000_000,
             receipts_digest: String::new(),
-            store_wall_nanos: 10_000,
         }
     }
 
@@ -245,27 +192,12 @@ mod tests {
         let r = report(vec![record(100, 0.25), record(50, 1.0)]);
         assert!((r.mean_group_conflict_rate() - 75.0 / 150.0).abs() < 1e-12);
         assert_eq!(r.total_txs, 150);
-        assert!((r.mean_mempool_len() - 10.0).abs() < 1e-12);
-        assert!(r.throughput_tps() > 0.0);
     }
 
     #[test]
     fn empty_run_is_all_zeroes() {
         let r = report(vec![]);
         assert_eq!(r.mean_group_conflict_rate(), 0.0);
-        assert_eq!(r.throughput_tps(), 0.0);
-        assert_eq!(r.mean_mempool_len(), 0.0);
-    }
-
-    #[test]
-    fn normalized_records_zero_only_cost_fields() {
-        let record = record(10, 0.5);
-        let normalized = record.normalized();
-        assert_eq!(normalized.pack_wall_nanos, 0);
-        assert_eq!(normalized.execute_wall_nanos, 0);
-        assert_eq!(normalized.store_wall_nanos, 0);
-        assert_eq!(normalized.tx_count, record.tx_count);
-        assert_eq!(normalized.height, record.height);
     }
 
     #[test]

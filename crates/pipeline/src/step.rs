@@ -93,6 +93,8 @@ impl ArrivalWindow {
 }
 
 /// What one node packed and executed for one height, timed on the run's clock.
+/// The timings feed the height's stage samples and spans only; the
+/// [`BlockRecord`] built from a round keeps its counts.
 #[derive(Debug)]
 pub struct NodeRound {
     /// The packer's proposal.
@@ -214,10 +216,7 @@ impl BlockTail {
             mempool_len_after,
             tdg_units,
             pack_considered: packed.considered,
-            pack_wall_nanos: round.pack_wall_nanos,
-            execute_wall_nanos: round.execute_wall_nanos,
             receipts_digest: receipts_digest(executed.receipts()),
-            store_wall_nanos,
         };
         if !telemetry.is_enabled() {
             return Ok((record, commit));

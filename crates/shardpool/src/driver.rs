@@ -87,8 +87,7 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
         let mut packer = ShardedPacker::new(config.shards, config.threads);
         packer.configure(&config);
         ShardedPipelineDriver {
-            ingest: IngestRouter::new(config.producer_threads, Self::DEFAULT_QUEUE_DEPTH)
-                .with_clock(config.telemetry.clock().clone()),
+            ingest: IngestRouter::new(config.producer_threads, Self::DEFAULT_QUEUE_DEPTH),
             packer,
             engine,
             config,
@@ -150,6 +149,7 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
             // In-order batch admission.
             let ingest_started = telemetry.now_nanos();
             let ingest_report = self.ingest.ingest(&pool, batch);
+            let ingest_wall = telemetry.now_nanos().saturating_sub(ingest_started);
             // Only ingest moves the admission counters, so one reading per
             // block is both this window's end and the next one's start.
             let stats = pool.stats();
@@ -165,7 +165,7 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
                 &telemetry,
                 block_span,
                 ingest_started,
-                ingest_report.wall_nanos,
+                ingest_wall,
                 ingest_report.items as u64,
                 &[("items", ingest_report.items as u64)],
             );
@@ -210,7 +210,6 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
                 height,
                 max_shard_offered: ingest_report.max_consumer_items as u64,
                 max_shard_considered,
-                ingest_wall_nanos: ingest_report.wall_nanos,
                 shard_lens: pool.shard_lens(),
             });
             blocks.push(record);
@@ -240,6 +239,7 @@ mod tests {
     use blockconc_chainsim::{AccountWorkloadParams, FeeEscalationSpec, HotspotSpec};
     use blockconc_execution::{ScheduledEngine, SequentialEngine};
     use blockconc_pipeline::{ConcurrencyAwarePacker, PipelineDriver};
+    use blockconc_telemetry::TelemetryRegistry;
 
     fn hotspot_params() -> AccountWorkloadParams {
         AccountWorkloadParams {
@@ -355,28 +355,38 @@ mod tests {
         let b = ShardedPipelineDriver::new(SequentialEngine::new(), config(4))
             .run(stream(4))
             .unwrap();
-        // In-order ingest leaves no thread timing in the run: everything but the
-        // wall-clock fields repeats, block for block.
-        let records = |report: &ShardedRunReport| -> Vec<_> {
-            report.run.blocks.iter().map(|r| r.normalized()).collect()
-        };
-        assert_eq!(records(&a), records(&b));
+        // In-order ingest leaves no thread timing in the run: every record
+        // repeats, block for block.
+        assert_eq!(a.run.blocks, b.run.blocks);
         assert_eq!(a.run.mempool_stats, b.run.mempool_stats);
         assert_eq!(a.migrated_chains, b.migrated_chains);
         assert!(a.migrated_chains > 0, "the run must exercise migration");
-        let structure = |report: &ShardedRunReport| -> Vec<_> {
-            let phases = report.phases.iter();
-            phases
-                .map(|p| {
-                    (
-                        p.max_shard_offered,
-                        p.max_shard_considered,
-                        p.shard_lens.clone(),
-                    )
-                })
-                .collect()
+        assert_eq!(a.phases, b.phases);
+    }
+
+    #[test]
+    fn an_enabled_registry_only_observes() {
+        // The sharded layout under a disabled and an enabled registry, both on
+        // the wall clock: block and phase records hold counts only, so they
+        // compare whole.
+        let run = |telemetry: TelemetryRegistry| {
+            let config = PipelineConfig {
+                telemetry,
+                ..config(4)
+            };
+            ShardedPipelineDriver::new(ScheduledEngine::new(4), config)
+                .run(stream(4))
+                .unwrap()
         };
-        assert_eq!(structure(&a), structure(&b));
+        let (plain, traced) = (
+            run(TelemetryRegistry::disabled()),
+            run(TelemetryRegistry::enabled()),
+        );
+        assert!(traced.run.telemetry.is_some() && plain.run.telemetry.is_none());
+        assert_eq!(plain.run.blocks, traced.run.blocks);
+        assert_eq!(plain.phases, traced.phases);
+        assert_eq!(plain.run.mempool_stats, traced.run.mempool_stats);
+        assert_eq!(plain.run.final_state_root, traced.run.final_state_root);
     }
 
     #[test]

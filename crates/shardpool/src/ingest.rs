@@ -11,11 +11,11 @@
 //! critical path — the shard's pool offer and graph insert — is about 1.5 µs of
 //! an admission; and a hot-spot pool sits on one shard. Threads and queues in
 //! front of that cost several times what they distribute. The report counts how
-//! the batch split across shards.
+//! the batch split across shards; timing the batch is the caller's, on its
+//! telemetry registry's clock.
 
 use crate::ShardedMempool;
 use blockconc_account::AccountTransaction;
-use blockconc_telemetry::{SharedClock, WallClock};
 use serde::{Deserialize, Serialize};
 
 /// One arrival prepared for ingestion: the transaction plus everything admission
@@ -35,7 +35,7 @@ pub struct IngestItem {
     pub stamp: u64,
 }
 
-/// What one ingest batch did and cost.
+/// What one ingest batch did.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IngestReport {
     /// Arrivals offered. What admission made of them is in the pool's own
@@ -43,32 +43,19 @@ pub struct IngestReport {
     pub items: usize,
     /// Most items offered to any one shard.
     pub max_consumer_items: usize,
-    /// Wall-clock nanoseconds for the whole batch.
-    pub wall_nanos: u64,
 }
 
-/// The batch ingestion front of a [`ShardedMempool`].
+/// The batch ingestion front of a [`ShardedMempool`]. It holds no state and no
+/// clock: a driver times [`IngestRouter::ingest`] on its own registry.
 #[derive(Debug, Clone)]
-pub struct IngestRouter {
-    clock: SharedClock,
-}
+pub struct IngestRouter;
 
 impl IngestRouter {
-    /// Creates a router timing batches on the wall clock. Both arguments are
-    /// vestigial — admission is serial and there are no queues — and ignored;
-    /// they stay until the benchmark that passes them is updated.
+    /// Creates a router. Both arguments are vestigial — admission is serial and
+    /// there are no queues — and ignored; they stay until the benchmark that
+    /// passes them is updated.
     pub fn new(_producers: usize, _queue_depth: usize) -> Self {
-        IngestRouter {
-            clock: WallClock::shared(),
-        }
-    }
-
-    /// This router timing its batches on `clock` instead of the wall clock
-    /// (builder-style) — a mock clock makes [`IngestReport::wall_nanos`]
-    /// deterministic.
-    pub fn with_clock(mut self, clock: SharedClock) -> Self {
-        self.clock = clock;
-        self
+        IngestRouter
     }
 
     /// Ingests one batch of arrivals into the pool and reports what happened.
@@ -78,12 +65,10 @@ impl IngestRouter {
     /// against the single-threaded pool).
     pub fn ingest(&self, pool: &ShardedMempool, items: Vec<IngestItem>) -> IngestReport {
         let total = items.len();
-        let started = self.clock.now_nanos();
         let offered = pool.insert_batch(items);
         IngestReport {
             items: total,
             max_consumer_items: offered.into_iter().max().unwrap_or(0),
-            wall_nanos: self.clock.now_nanos().saturating_sub(started),
         }
     }
 }

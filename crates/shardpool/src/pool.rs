@@ -333,7 +333,7 @@ impl ShardedMempool {
     }
 
     /// Drops `sender`'s unpackable entries after a validation failure, exactly like
-    /// [`Mempool::resync_sender`]. Returns the number of entries dropped.
+    /// [`Mempool::resync_sender_removed`]. Returns the number of entries dropped.
     pub fn resync_sender(&self, sender: Address, account_nonce: u64) -> usize {
         let mut router = self.router.lock().expect(POISON);
         let Some(shard_index) = router.pin_shard(sender) else {
@@ -627,7 +627,7 @@ mod tests {
         for (i, &(sender, receiver, nonce, fee)) in offers.iter().enumerate() {
             let tx = transfer(sender, receiver, nonce);
             let sharded_outcome = sharded.insert(tx.clone(), fee, i as f64, 0, Some(i as u64));
-            let single_outcome = single.insert_stamped(tx, fee, i as f64, 0, Some(i as u64));
+            let single_outcome = single.offer(tx, fee, i as f64, 0, Some(i as u64)).outcome;
             assert_eq!(sharded_outcome, single_outcome, "offer {i} diverged");
         }
         let sharded_keys = keys(&sharded);

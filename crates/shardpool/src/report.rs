@@ -15,8 +15,6 @@ pub struct BlockPhaseRecord {
     /// Most candidates any one shard's packing loop examined
     /// ([`ShardPackReport::sub_considered`](crate::ShardPackReport::sub_considered)).
     pub max_shard_considered: u64,
-    /// Ingest wall-clock nanoseconds (actual, hardware-dependent).
-    pub ingest_wall_nanos: u64,
     /// Shard pool lengths after this block.
     pub shard_lens: Vec<usize>,
 }

@@ -117,23 +117,11 @@ fn put_u64(buf: &mut Vec<u8>, value: u64) {
     buf.extend_from_slice(&value.to_le_bytes());
 }
 
+/// The body after tag and address is the state root's account encoding.
 fn encode_upsert(buf: &mut Vec<u8>, address: &Address, account: &StoredAccount) {
     buf.push(TAG_UPSERT);
     buf.extend_from_slice(address.as_bytes());
-    put_u64(buf, account.balance_sats);
-    put_u64(buf, account.nonce);
-    put_u64(buf, account.storage.len() as u64);
-    for &(slot, value) in &account.storage {
-        put_u64(buf, slot);
-        put_u64(buf, value);
-    }
-    match &account.code_json {
-        Some(code) => {
-            put_u64(buf, code.len() as u64);
-            buf.extend_from_slice(code.as_bytes());
-        }
-        None => put_u64(buf, NO_CODE),
-    }
+    account.digest_into(buf);
 }
 
 fn encode_record(buf: &mut Vec<u8>, record: &JournalRecord) {

@@ -21,9 +21,12 @@ fn workload() -> AccountWorkloadParams {
 
 fn main() {
     let threads = 8;
-    let config = PipelineConfig {
+    // Each run gets its own enabled registry: the run records hold counts only,
+    // and the clock readings live in the registry's stage histograms.
+    let config = || PipelineConfig {
         threads,
         max_blocks: 8,
+        telemetry: TelemetryRegistry::enabled(),
         ..PipelineConfig::default()
     };
     let stream = || ArrivalStream::new(workload(), 10.0, 1_000, 42);
@@ -31,14 +34,14 @@ fn main() {
     let greedy = PipelineDriver::new(
         FeeGreedyPacker::new(),
         ScheduledEngine::new(threads),
-        config.clone(),
+        config(),
     )
     .run(stream())
     .expect("pipeline run");
     let aware = PipelineDriver::new(
         ConcurrencyAwarePacker::new(threads),
         ScheduledEngine::new(threads),
-        config,
+        config(),
     )
     .run(stream())
     .expect("pipeline run");
@@ -46,14 +49,19 @@ fn main() {
     println!("same transaction stream, same engine ({threads} threads), two packers:\n");
     for report in [&greedy, &aware] {
         let l = report.mean_group_conflict_rate();
+        let execute_nanos = report
+            .telemetry
+            .as_ref()
+            .and_then(|snapshot| snapshot.stage("execute"))
+            .map_or(0, |stage| stage.wall_nanos.sum);
         println!(
-            "  {:<18} {:>4} blocks, {:>5} txs, l {:>5.3}, Eq. 2 bound {:>5.2}x, {:>7.0} tx/s",
+            "  {:<18} {:>4} blocks, {:>5} txs, l {:>5.3}, Eq. 2 bound {:>5.2}x, execute {:>6.2} ms",
             report.packer,
             report.blocks.len(),
             report.total_txs,
             l,
             group_speedup(l, threads),
-            report.throughput_tps(),
+            execute_nanos as f64 / 1e6,
         );
     }
 }

@@ -3,7 +3,7 @@
 //! The cluster layer may change *where* work happens — never *what* is computed:
 //!
 //! 1. A **1-shard cluster is bit-identical to the single `PipelineDriver`**: the
-//!    same arrival stream produces the same normalized block records (packed
+//!    same arrival stream produces the same block records (packed
 //!    transactions, gas, speed-ups, receipts digests), the same mempool
 //!    statistics and the same final state root, on both state backends and on
 //!    sequential, scheduled and optimistic engines — the optimistic one
@@ -73,19 +73,18 @@ fn single_and_cluster<E: ExecutionEngine + Send>(
     (single, cluster)
 }
 
-/// [`BlockRecord::normalized`] minus what a Block-STM engine measures about its
-/// own run: abort-driven execution counts depend on how its worker threads
-/// interleave, so they are diagnostics, not invariants. Everything the pool,
-/// the graph and the packer decided stays.
+/// `record` minus what a Block-STM engine measures about its own run: abort-driven
+/// execution counts depend on how its worker threads interleave, so they are
+/// diagnostics, not invariants. Everything the pool, the graph and the packer
+/// decided stays.
 fn normalized_for(record: &BlockRecord, optimistic: bool) -> BlockRecord {
-    let record = record.normalized();
     if !optimistic {
-        return record;
+        return record.clone();
     }
     BlockRecord {
         conflict_rate: 0.0,
         group_conflict_rate: 0.0,
-        ..record
+        ..record.clone()
     }
 }
 
@@ -98,14 +97,6 @@ fn cluster_config(shards: u32, backend: StateBackendConfig) -> ClusterConfig {
         ..PipelineConfig::default()
     };
     config
-}
-
-fn normalized_micro(report: &ClusterRunReport) -> Vec<Vec<BlockRecord>> {
-    report
-        .blocks
-        .iter()
-        .map(|block| block.micro.iter().map(BlockRecord::normalized).collect())
-        .collect()
 }
 
 proptest! {
@@ -217,7 +208,7 @@ proptest! {
             prop_assert_eq!(serial.total_txs, parallel.total_txs);
             prop_assert_eq!(serial.cross_shard_hops, parallel.cross_shard_hops);
             prop_assert_eq!(serial.total_supply_sats, parallel.total_supply_sats);
-            prop_assert_eq!(normalized_micro(&serial), normalized_micro(&parallel));
+            prop_assert_eq!(&serial.blocks, &parallel.blocks);
         }
     }
 

@@ -211,7 +211,7 @@ proptest! {
                 .expect("execution");
             prop_assert!(executed.receipts().iter().all(|r| r.succeeded()));
             packed_total += packed.block.transaction_count();
-            pool.remove_packed(packed.block.transactions());
+            pool.remove_packed_returning(packed.block.transactions());
             tdg = IncrementalTdg::rebuild_from(pool.iter().map(|p| &p.tx));
         }
         prop_assert_eq!(packed_total, total, "transactions lost or wedged in the pool");

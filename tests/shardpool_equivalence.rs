@@ -196,7 +196,7 @@ fn concurrent_inserts_on_disjoint_senders_match_the_single_pool() {
 
     let mut single = Mempool::new(10_000);
     for &(stamp, (tx, fee)) in &stamped {
-        single.insert_stamped(tx.clone(), *fee, stamp as f64, 0, Some(stamp));
+        single.offer(tx.clone(), *fee, stamp as f64, 0, Some(stamp));
     }
 
     let sharded = ShardedMempool::new(3, 10_000);
@@ -267,7 +267,7 @@ proptest! {
         let mut single = Mempool::new(capacity);
         let sharded = ShardedMempool::new(shards, capacity);
         for (i, (tx, fee)) in offers.iter().enumerate() {
-            let expected = single.insert_stamped(tx.clone(), *fee, i as f64, 0, Some(i as u64));
+            let expected = single.offer(tx.clone(), *fee, i as f64, 0, Some(i as u64)).outcome;
             let actual = sharded.insert(tx.clone(), *fee, i as f64, 0, Some(i as u64));
             prop_assert_eq!(expected, actual, "offer {} diverged ({} shards)", i, shards);
         }
@@ -290,7 +290,7 @@ proptest! {
         let offers = offers_from_spec(&spec);
         let mut single = Mempool::new(10_000);
         for (i, (tx, fee)) in offers.iter().enumerate() {
-            single.insert_stamped(tx.clone(), *fee, i as f64, 0, Some(i as u64));
+            single.offer(tx.clone(), *fee, i as f64, 0, Some(i as u64));
         }
 
         let sharded = ShardedMempool::new(shards, 10_000);
