@@ -86,7 +86,7 @@ impl BlockExecutor {
         access.record_write(StateKey::Balance(tx.sender()));
         state.bump_nonce(tx.sender(), Some(&mut journal));
 
-        let schedule = self.interpreter.schedule().clone();
+        let schedule = self.interpreter.schedule();
         let intrinsic = if tx.is_contract_creation() {
             schedule.creation_cost()
         } else {

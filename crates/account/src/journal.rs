@@ -3,8 +3,8 @@
 use crate::Account;
 use blockconc_store::StateKey;
 use blockconc_types::{Address, Amount, Error, Result};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::{Entry, VacantEntry};
+use std::collections::{HashMap, HashSet};
 
 /// An undo journal recording the previous values of everything a transaction mutated,
 /// so a failing transaction can be rolled back without cloning the whole state.
@@ -84,12 +84,18 @@ pub(crate) trait Source {
 /// implementation of every journalled operation on them. [`WorldState`] and
 /// [`ScratchState`] differ only in their [`Source`].
 ///
+/// Both maps hash under the standard library's keyed `RandomState`: addresses
+/// are chosen by senders, so an unkeyed hasher would let them pick colliding
+/// keys. The dirty set keeps no order; whoever pulls records out of it sorts
+/// the addresses once, at that point, so records still come out in ascending
+/// address order. Each operation hashes the accounts map once.
+///
 /// [`WorldState`]: crate::WorldState
 /// [`ScratchState`]: crate::ScratchState
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WorkingSet<S> {
     pub(crate) accounts: HashMap<Address, Account>,
-    pub(crate) dirty: BTreeSet<Address>,
+    pub(crate) dirty: HashSet<Address>,
     pub(crate) source: S,
 }
 
@@ -97,15 +103,15 @@ impl<S: Source> WorkingSet<S> {
     pub(crate) fn new(source: S) -> Self {
         WorkingSet {
             accounts: HashMap::new(),
-            dirty: BTreeSet::new(),
+            dirty: HashSet::new(),
             source,
         }
     }
 
-    pub(crate) fn mark_dirty(&mut self, address: Address) {
-        if self.source.tracks_writes() {
-            self.dirty.insert(address);
-        }
+    /// Joins `address` to the dirty set if this state tracks writes; returns
+    /// whether it was there already.
+    pub(crate) fn mark_dirty(&mut self, address: Address) -> bool {
+        self.source.tracks_writes() && !self.dirty.insert(address)
     }
 
     /// Whether `address` was deleted in this working set: written (dirty) but
@@ -114,22 +120,32 @@ impl<S: Source> WorkingSet<S> {
         self.dirty.contains(&address) && !self.accounts.contains_key(&address)
     }
 
-    /// Brings the committed account into the working set if it is not resident
-    /// and not deleted here. Returns whether it is resident afterwards.
-    pub(crate) fn load(&mut self, address: Address) -> bool {
-        if self.accounts.contains_key(&address) {
-            return true;
+    /// The resident account at `address`, or else the committed one brought
+    /// in from the source, unless `was_dirty` says it was deleted here. On a
+    /// miss the vacant slot comes back, so a caller can create the account
+    /// without hashing the address again.
+    fn resident(
+        &mut self,
+        address: Address,
+        was_dirty: bool,
+    ) -> std::result::Result<&mut Account, VacantEntry<'_, Address, Account>> {
+        match self.accounts.entry(address) {
+            Entry::Occupied(resident) => Ok(resident.into_mut()),
+            Entry::Vacant(slot) if was_dirty => Err(slot),
+            Entry::Vacant(slot) => match self.source.load(address) {
+                Some(loaded) => Ok(slot.insert(loaded)),
+                None => Err(slot),
+            },
         }
-        if self.dirty.contains(&address) {
-            return false;
-        }
-        match self.source.load(address) {
-            Some(account) => {
-                self.accounts.insert(address, account);
-                true
-            }
-            None => false,
-        }
+    }
+
+    /// Joins `address` to the dirty set without changing its value, and hands
+    /// out the account if it exists. A miss still asks the source, which lets
+    /// the resident state's block scope note an address with nothing
+    /// committed under it.
+    pub(crate) fn touch(&mut self, address: Address) -> Option<&mut Account> {
+        let was_dirty = self.mark_dirty(address);
+        self.resident(address, was_dirty).ok()
     }
 
     /// The account every first write lands on: resident, loaded, or created
@@ -139,21 +155,11 @@ impl<S: Source> WorkingSet<S> {
         address: Address,
         journal: Option<&mut Journal>,
     ) -> &mut Account {
-        let was_dirty = self.source.tracks_writes() && !self.dirty.insert(address);
-        match self.accounts.entry(address) {
-            Entry::Occupied(resident) => resident.into_mut(),
-            Entry::Vacant(slot) => {
-                let loaded = if was_dirty {
-                    None
-                } else {
-                    self.source.load(address)
-                };
-                slot.insert(loaded.unwrap_or_else(|| {
-                    record(journal, UndoOp::Created(address));
-                    Account::new()
-                }))
-            }
-        }
+        let was_dirty = self.mark_dirty(address);
+        self.resident(address, was_dirty).unwrap_or_else(|slot| {
+            record(journal, UndoOp::Created(address));
+            slot.insert(Account::new())
+        })
     }
 
     pub(crate) fn credit(
@@ -173,12 +179,12 @@ impl<S: Source> WorkingSet<S> {
         value: Amount,
         journal: Option<&mut Journal>,
     ) -> Result<()> {
-        if !self.load(address) {
+        let was_dirty = self.dirty.contains(&address);
+        let Ok(acct) = self.resident(address, was_dirty) else {
             return Err(Error::missing_state(format!(
                 "account {address} does not exist"
             )));
-        }
-        let acct = self.accounts.get_mut(&address).expect("just loaded");
+        };
         let old = acct.balance();
         if !acct.debit(value) {
             return Err(Error::insufficient_funds(format!(

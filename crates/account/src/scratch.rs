@@ -190,13 +190,14 @@ impl<C: CellView> ScratchState<C> {
     /// *touched* — each dirty account's balance/nonce pair, the slots it
     /// stored, the code it deployed — with the value the view serves for it,
     /// and collects the keys that actually changed into `fragments`
-    /// (address-major, canonical part order). Cost is the touched keys; the
-    /// slots the account holds besides are never visited.
-    /// `blockconc_store::diff_account_fragments` over the full accounts is the
-    /// oracle this is tested against. `touched` receives every dirty address,
-    /// changed or not — the optimistic engine needs the full set to reproduce
-    /// the sequential write set at commit, since an untouched-value record
-    /// still appears in a block delta.
+    /// (address-major in ascending address order, canonical part order). Cost
+    /// is the touched keys; the slots the account holds besides are never
+    /// visited. `blockconc_store::diff_account_fragments` over the full
+    /// accounts is the oracle this is tested against. `touched` receives every
+    /// dirty address, changed or not, in ascending order (the dirty set keeps
+    /// none, so it is sorted here, once per harvest) — the optimistic engine
+    /// needs the full set to reproduce the sequential write set at commit,
+    /// since an untouched-value record still appears in a block delta.
     ///
     /// For a view over a version map the served value *is* the pre-state this
     /// execution observed, which is what makes an unchanged key diff to no
@@ -212,9 +213,10 @@ impl<C: CellView> ScratchState<C> {
     ) {
         fragments.clear();
         touched.clear();
+        touched.extend(self.set.dirty.drain());
+        touched.sort_unstable();
         let cells = &mut self.set.source;
-        for &address in &self.set.dirty {
-            touched.push(address);
+        for &address in touched.iter() {
             let Some(post) = self.set.accounts.get(&address) else {
                 // Created and rolled back: nothing was served for it, nothing
                 // remains of it. (A *committed* account cannot vanish from a
@@ -252,7 +254,6 @@ impl<C: CellView> ScratchState<C> {
                 }
             }
         }
-        self.set.dirty.clear();
     }
 
     /// Drains the blind pending contributions as `(key, addend)` delta ops in

@@ -5,11 +5,10 @@ use crate::journal::{Source, WorkingSet};
 use crate::vm::Contract;
 use crate::{Account, Journal};
 use blockconc_store::{
-    BlockDelta, CommitStats, DeltaRecord, FragmentValue, SharedBackend, StateKey, StoreStats,
-    StoredAccount,
+    CommitStats, DeltaRecord, FragmentValue, SharedBackend, StateKey, StoreStats, StoredAccount,
 };
 use blockconc_types::{Address, Amount, Error, Hash, Result};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The state operations transaction execution needs: reads, journalled writes,
@@ -154,9 +153,13 @@ pub fn stored_to_account(stored: &StoredAccount) -> Result<Account> {
 /// state a block executes over is the whole state, held in memory. A
 /// [`StateBackend`](blockconc_store::StateBackend) mounted with
 /// [`WorldState::attach_backend`] is the state's journal. Writes are tracked as
-/// the open block's dirty set, and [`commit_block`](WorldState::commit_block)
-/// pushes the block's write-set delta down (journaled to disk by
-/// `blockconc_store::DiskBackend`). The backend is read once, when a state is
+/// the open block's dirty set, an unordered hashed set that costs O(1) per
+/// write, and [`commit_block`](WorldState::commit_block) hands the block's
+/// write set to the backend as an iterator: the dirty addresses are sorted
+/// once, on the first record pulled, and each record is built as it is
+/// pulled. The disk backend pulls all of them (journaling them to disk, by
+/// `blockconc_store::DiskBackend`); the memory backend only counts them, so no
+/// record is ever built on it. The backend is read once, when a state is
 /// mounted on a store that already holds commits. Clones share the backend
 /// handle but own their accounts.
 ///
@@ -184,15 +187,53 @@ pub struct WorldState {
 
 /// What a resident state is mounted on, and what the open block did that
 /// [`WorldState::withdraw_phantom`] must tell apart. Both sets are kept only
-/// while a backend is mounted: without one there is no block scope.
+/// while a backend is mounted: without one there is no block scope. Nothing
+/// reads them in order, so they are hashed sets, like the dirty set.
 #[derive(Debug, Clone, Default)]
 struct Mount {
     backend: Option<SharedBackend>,
     /// Addresses the open block reached with nothing committed under them.
-    born: BTreeSet<Address>,
+    born: HashSet<Address>,
     /// Committed addresses the open block removed (handed off).
-    departed: BTreeSet<Address>,
+    departed: HashSet<Address>,
 }
+
+/// The open block's write set as a backend pulls it: the dirty addresses,
+/// sorted on the first pull, each record built from the resident account as
+/// it is pulled (a deletion when the account is gone). A backend that only
+/// counts the records reads [`len`](ExactSizeIterator::len) and builds none.
+struct WriteSet<'a> {
+    set: &'a WorkingSet<Mount>,
+    order: Option<std::vec::IntoIter<Address>>,
+}
+
+impl Iterator for WriteSet<'_> {
+    type Item = DeltaRecord;
+
+    fn next(&mut self) -> Option<DeltaRecord> {
+        let dirty = &self.set.dirty;
+        let order = self.order.get_or_insert_with(|| {
+            let mut order: Vec<Address> = dirty.iter().copied().collect();
+            order.sort_unstable();
+            order.into_iter()
+        });
+        let address = order.next()?;
+        Some(DeltaRecord {
+            address,
+            account: self.set.accounts.get(&address).map(account_to_stored),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self
+            .order
+            .as_ref()
+            .map_or(self.set.dirty.len(), ExactSizeIterator::len);
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for WriteSet<'_> {}
 
 impl Source for Mount {
     fn tracks_writes(&self) -> bool {
@@ -240,18 +281,15 @@ impl WorldState {
         {
             let mut guard = backend.lock().expect("backend lock");
             if guard.committed_block().is_none() {
-                let mut records: Vec<DeltaRecord> = self
-                    .set
-                    .accounts
-                    .iter()
-                    .map(|(address, account)| DeltaRecord {
-                        address: *address,
-                        account: Some(account_to_stored(account)),
-                    })
-                    .collect();
-                records.sort_by_key(|r| r.address);
-                guard.begin_block(0)?;
-                guard.commit_block(&BlockDelta { height: 0, records })?;
+                // Genesis: every account is block 0's write set.
+                self.set.dirty.extend(self.set.accounts.keys().copied());
+                let genesis = guard
+                    .begin_block(0)
+                    .and_then(|()| guard.commit_block(0, &mut self.write_set()));
+                if genesis.is_err() {
+                    self.set.dirty.clear();
+                }
+                genesis?;
             } else {
                 let mut accounts = HashMap::new();
                 guard.for_each_account(&mut |address, stored| {
@@ -290,9 +328,10 @@ impl WorldState {
         Ok(())
     }
 
-    /// Commits the open block: the dirty accounts' new values are pushed to the
-    /// backend as one write-set delta (journaled, for the disk backend) and the
-    /// block scope is cleared.
+    /// Commits the open block: the backend is handed the dirty accounts' new
+    /// values as one write set, in ascending address order, and pulls what it
+    /// keeps (the disk backend journals every record; the memory backend counts
+    /// them and builds none). The block scope is then cleared.
     ///
     /// Dirty marking is conservative: an account touched and then fully reverted
     /// within the block still commits its (unchanged) value. Detecting no-op
@@ -313,21 +352,20 @@ impl WorldState {
         let height = self
             .open_height
             .ok_or_else(|| Error::validation("no open block to commit"))?;
-        let records: Vec<DeltaRecord> = self
-            .set
-            .dirty
-            .iter()
-            .map(|address| DeltaRecord {
-                address: *address,
-                account: self.set.accounts.get(address).map(account_to_stored),
-            })
-            .collect();
         let stats = backend
             .lock()
             .expect("backend lock")
-            .commit_block(&BlockDelta { height, records })?;
+            .commit_block(height, &mut self.write_set())?;
         self.close_block();
         Ok(stats)
+    }
+
+    /// The open block's write set, for a backend or a harvest to pull.
+    fn write_set(&self) -> WriteSet<'_> {
+        WriteSet {
+            set: &self.set,
+            order: None,
+        }
     }
 
     /// Clears the block scope: the open height, the dirty set and what the
@@ -395,16 +433,14 @@ impl WorldState {
         self.revert_to(&mut journal, 0);
     }
 
-    /// Collects the dirty accounts' current values into `out` — exactly the
-    /// records [`commit_block`](WorldState::commit_block) would push — then
-    /// clears the block scope *without notifying the backend*. `out` is
+    /// Collects the dirty accounts' current values into `out`, in ascending
+    /// address order — exactly the records
+    /// [`commit_block`](WorldState::commit_block) would hand the backend —
+    /// then clears the block scope *without notifying the backend*. `out` is
     /// cleared first and its capacity reused.
     pub fn take_write_set(&mut self, out: &mut Vec<DeltaRecord>) {
         out.clear();
-        out.extend(self.set.dirty.iter().map(|address| DeltaRecord {
-            address: *address,
-            account: self.set.accounts.get(address).map(account_to_stored),
-        }));
+        out.extend(self.write_set());
         self.close_block();
     }
 
@@ -430,22 +466,22 @@ impl WorldState {
                 account.set_nonce(*nonce);
             }
             (StateKey::Storage(_, slot), None) => {
-                if let Some(account) = self.touched(address) {
+                if let Some(account) = self.set.touch(address) {
                     account.storage_set(*slot, 0);
                 }
             }
             (StateKey::Storage(_, slot), Some(FragmentValue::Slot(new))) => {
-                if let Some(account) = self.touched(address) {
+                if let Some(account) = self.set.touch(address) {
                     account.storage_set(*slot, *new);
                 }
             }
             (StateKey::Code(_), None) => {
-                if let Some(account) = self.touched(address) {
+                if let Some(account) = self.set.touch(address) {
                     account.clear_code();
                 }
             }
             (StateKey::Code(_), Some(FragmentValue::Code(code))) => {
-                if let Some(account) = self.touched(address) {
+                if let Some(account) = self.set.touch(address) {
                     let contract = decode_contract(code).expect("code this build serialized");
                     account.set_code_with_json(contract, Arc::from(code.as_str()));
                 }
@@ -459,21 +495,11 @@ impl WorldState {
         }
     }
 
-    /// [`touch`](WorldState::touch)es `address` and hands out the resident
-    /// account, if it exists.
-    fn touched(&mut self, address: Address) -> Option<&mut Account> {
-        self.touch(address);
-        self.set.accounts.get_mut(&address)
-    }
-
     /// Joins `address` to the open block's write set without changing its
     /// value: what sequential execution leaves behind for an account it wrote
     /// back unchanged.
     pub fn touch(&mut self, address: Address) {
-        // The lookup lets the block scope note an address with nothing
-        // committed under it.
-        self.set.load(address);
-        self.set.mark_dirty(address);
+        self.set.touch(address);
     }
 
     /// The complete persisted view of one account, or `None` if the account
@@ -533,7 +559,7 @@ impl WorldState {
             account.balance() == Amount::ZERO
                 && account.nonce() == 0
                 && !account.is_contract()
-                && account.storage_entries().is_empty()
+                && account.storage_len() == 0
         });
         if !untouched {
             return Ok(());
@@ -1018,11 +1044,9 @@ mod tests {
                 };
                 let mut guard = state.backend().unwrap().lock().unwrap();
                 guard.begin_block(1).unwrap();
-                let delta = BlockDelta {
-                    height: 1,
-                    records: vec![record],
-                };
-                guard.commit_block(&delta).unwrap();
+                guard
+                    .commit_block(1, &mut vec![record].into_iter())
+                    .unwrap();
             }
             drop(state);
             let reopened = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
@@ -1602,5 +1626,105 @@ mod tests {
         assert_eq!(back.storage_get(3), 9);
         assert!(back.is_contract());
         assert_eq!(account_to_stored(&back), stored);
+    }
+
+    /// A block that writes its addresses in descending order, deletes one
+    /// account and reverts one creation; `mount` is the backend under it.
+    fn descending_block(mount: SharedBackend) -> WorldState {
+        let mut state = WorldState::new();
+        for low in 1..=40u64 {
+            state.credit(Address::from_low(low), Amount::from_sats(low));
+        }
+        state.attach_backend(mount, None).unwrap();
+        state.begin_block(1).unwrap();
+        let mut journal = Journal::new();
+        state.credit_journalled(
+            Address::from_low(50),
+            Amount::from_sats(5),
+            Some(&mut journal),
+        );
+        state.revert(journal);
+        for low in (1..=40u64).rev() {
+            state.credit(Address::from_low(low), Amount::from_sats(1));
+        }
+        state.remove_account(Address::from_low(17));
+        state
+    }
+
+    #[test]
+    fn write_sets_come_out_in_ascending_address_order() {
+        use blockconc_store::journal::{FrameScanner, JournalRecord};
+
+        // What every pull point must yield: addresses ascending, the removed
+        // account and the reverted creation as deletions.
+        let expected: Vec<(Address, bool)> = (1..=40u64)
+            .chain([50])
+            .map(|low| (Address::from_low(low), low != 17 && low != 50))
+            .collect();
+        let shape = |records: &[DeltaRecord]| -> Vec<(Address, bool)> {
+            records
+                .iter()
+                .map(|r| (r.address, r.account.is_some()))
+                .collect()
+        };
+        // Every state below is built afresh, and each hashed set draws its
+        // own keys, so an order leaking out of a hash set fails a run.
+        for run in 0..2 {
+            let mut harvested = Vec::new();
+            descending_block(shared(MemoryBackend::new())).take_write_set(&mut harvested);
+            assert_eq!(shape(&harvested), expected, "run {run}: take_write_set");
+
+            let mut counted = descending_block(shared(MemoryBackend::new()));
+            let dirty = counted.set.dirty.len() as u64;
+            assert_eq!(dirty, 41);
+            assert_eq!(counted.commit_block().unwrap().records, dirty, "run {run}");
+
+            let (backend, dir) = disk_store(&format!("write-set-order-{run}"));
+            let mut journaled = descending_block(backend);
+            let dirty = journaled.set.dirty.len() as u64;
+            assert_eq!(
+                journaled.commit_block().unwrap().records,
+                dirty,
+                "run {run}"
+            );
+            drop(journaled);
+            let bytes = std::fs::read(dir.join("journal-000000.log")).unwrap();
+            let frames: Vec<JournalRecord> = FrameScanner::new(&bytes)
+                .map(|frame| frame.unwrap().record)
+                .skip_while(|record| !matches!(record, JournalRecord::BlockBegin { height: 1 }))
+                .collect();
+            let frames: Vec<(Address, bool)> = frames
+                .iter()
+                .filter_map(|record| match record {
+                    JournalRecord::Upsert { address, .. } => Some((*address, true)),
+                    JournalRecord::Delete { address } => Some((*address, false)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(frames, expected, "run {run}: journal frames");
+            let _ = std::fs::remove_dir_all(&dir);
+
+            let mut committed = WorldState::new();
+            for low in 1..=40u64 {
+                committed.credit(Address::from_low(low), Amount::from_sats(low));
+            }
+            let mut scratch = ScratchState::new(MapCells::of(&committed));
+            let mut journal = Journal::new();
+            scratch.credit_journalled(
+                Address::from_low(50),
+                Amount::from_sats(5),
+                Some(&mut journal),
+            );
+            scratch.revert_to(&mut journal, 0);
+            for low in (1..=40u64).rev() {
+                scratch.credit_journalled(Address::from_low(low), Amount::from_sats(1), None);
+            }
+            let (mut fragments, mut touched) = (Vec::new(), Vec::new());
+            scratch.take_write_fragments(&mut fragments, &mut touched);
+            let ascending: Vec<Address> = expected.iter().map(|&(address, _)| address).collect();
+            assert_eq!(touched, ascending, "run {run}: touched");
+            let written: Vec<Address> = fragments.iter().map(|f| f.key.address()).collect();
+            assert_eq!(written, ascending[..40], "run {run}: fragments");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! The [`StateBackend`] trait, its block-delta commit model and shared plumbing.
+//! The [`StateBackend`] trait, its write-set commit model and shared plumbing.
 
 use blockconc_types::{Address, Result};
 use serde::{Deserialize, Serialize};
@@ -52,15 +52,6 @@ pub struct DeltaRecord {
     pub account: Option<StoredAccount>,
 }
 
-/// The write set of one committed block, in canonical (address-sorted) order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockDelta {
-    /// The committed block's height.
-    pub height: u64,
-    /// The touched accounts' new values, sorted by address.
-    pub records: Vec<DeltaRecord>,
-}
-
 /// What one [`StateBackend::commit_block`] cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommitStats {
@@ -107,7 +98,8 @@ pub struct StoreStats {
 ///
 /// The resident `WorldState` is the whole state; a backend only records it. The
 /// owner opens a block with [`begin_block`](StateBackend::begin_block) and
-/// [`commit_block`](StateBackend::commit_block)s the block's write-set delta.
+/// [`commit_block`](StateBackend::commit_block)s the block's write set, which the
+/// backend pulls record by record.
 /// Nothing is read back while the state runs: a backend is read exactly once,
 /// through [`for_each_account`](StateBackend::for_each_account), when a state is
 /// mounted on a store that already holds commits.
@@ -123,13 +115,23 @@ pub trait StateBackend: Send + std::fmt::Debug {
     /// committed height.
     fn begin_block(&mut self, height: u64) -> Result<()>;
 
-    /// Commits `delta` as the open block's write set and makes it durable.
+    /// Commits `records` as block `height`'s write set and makes it durable.
+    ///
+    /// The owner hands the write set over as an iterator that builds each
+    /// record when it is pulled, in ascending address order, and knows its
+    /// length up front. A backend pulls only what it keeps: the disk backend
+    /// pulls every record and journals it; the memory backend reads `len()`
+    /// and pulls none, so a state mounted on it never builds a record.
     ///
     /// # Errors
     ///
-    /// Returns an error if the delta's height does not match the open block (or, with
-    /// no open block, is not ahead of the committed height), or on I/O failure.
-    fn commit_block(&mut self, delta: &BlockDelta) -> Result<CommitStats>;
+    /// Returns an error if `height` does not match the open block (or, with no
+    /// open block, is not ahead of the committed height), or on I/O failure.
+    fn commit_block(
+        &mut self,
+        height: u64,
+        records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
+    ) -> Result<CommitStats>;
 
     /// The last committed block's height, or `None` if nothing has ever been
     /// committed. Genesis commits at height 0 by convention, so this is what

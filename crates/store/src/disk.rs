@@ -8,7 +8,7 @@
 use crate::journal::{
     append_frame, append_upsert, check_frame, decode_frame, Frame, FrameScanner, JournalRecord,
 };
-use crate::{BlockDelta, CommitStats, DiskConfig, StateBackend, StoreStats, StoredAccount};
+use crate::{CommitStats, DeltaRecord, DiskConfig, StateBackend, StoreStats, StoredAccount};
 use blockconc_types::{Address, Error, Result};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -346,25 +346,21 @@ fn frame_at<'a>(
         .ok_or_else(|| Error::execution("store: index pointed past its file"))
 }
 
-/// Appends block `delta`'s frames to `buf`, each account encoded from the delta
-/// by reference, and returns where each touched account's record now lives
-/// (`None` for a delete). The block's first byte lands at logical offset
-/// `offset` of journal `epoch`.
+/// Appends block `height`'s frames to `buf`, pulling the write set's records
+/// one at a time in the order the iterator yields them, and returns where each
+/// touched account's record now lives (`None` for a delete). The block's first
+/// byte lands at logical offset `offset` of journal `epoch`.
 fn encode_block(
     buf: &mut Vec<u8>,
     offset: u64,
     epoch: u64,
-    delta: &BlockDelta,
+    height: u64,
+    records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
 ) -> Result<Vec<(Address, Option<Location>)>> {
     let start = buf.len();
-    append_frame(
-        buf,
-        &JournalRecord::BlockBegin {
-            height: delta.height,
-        },
-    )?;
-    let mut placements = Vec::with_capacity(delta.records.len());
-    for record in &delta.records {
+    append_frame(buf, &JournalRecord::BlockBegin { height })?;
+    let mut placements = Vec::with_capacity(records.len());
+    for record in records {
         let location = match &record.account {
             Some(account) => {
                 let frame_offset = offset + (buf.len() - start) as u64;
@@ -391,8 +387,8 @@ fn encode_block(
     append_frame(
         buf,
         &JournalRecord::BlockCommit {
-            height: delta.height,
-            records: delta.records.len() as u64,
+            height,
+            records: placements.len() as u64,
         },
     )?;
     Ok(placements)
@@ -578,18 +574,20 @@ impl StateBackend for DiskBackend {
         Ok(())
     }
 
-    fn commit_block(&mut self, delta: &BlockDelta) -> Result<CommitStats> {
+    fn commit_block(
+        &mut self,
+        height: u64,
+        records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
+    ) -> Result<CommitStats> {
         match self.open_height {
-            Some(open) if open != delta.height => {
+            Some(open) if open != height => {
                 return Err(Error::validation(format!(
-                    "delta height {} does not match open block {open}",
-                    delta.height
+                    "delta height {height} does not match open block {open}"
                 )))
             }
-            None if self.committed.is_some_and(|c| delta.height <= c) => {
+            None if self.committed.is_some_and(|c| height <= c) => {
                 return Err(Error::validation(format!(
-                    "cannot commit block {} behind committed height",
-                    delta.height
+                    "cannot commit block {height} behind committed height"
                 )))
             }
             _ => {}
@@ -600,11 +598,18 @@ impl StateBackend for DiskBackend {
         // The index addresses the *logical* journal, so reads stay current
         // either way. A failed encoding takes the block's frames back out.
         let start = self.group_buffer.len();
-        let placements = encode_block(&mut self.group_buffer, self.journal_len, self.epoch, delta)
-            .map_err(|e| {
-                self.group_buffer.truncate(start);
-                e
-            })?;
+        let placements = encode_block(
+            &mut self.group_buffer,
+            self.journal_len,
+            self.epoch,
+            height,
+            records,
+        )
+        .map_err(|e| {
+            self.group_buffer.truncate(start);
+            e
+        })?;
+        let records = placements.len() as u64;
         let bytes = (self.group_buffer.len() - start) as u64;
         self.journal_len += bytes;
         self.group_pending += 1;
@@ -620,11 +625,10 @@ impl StateBackend for DiskBackend {
             }
         }
         self.open_height = None;
-        self.committed = Some(delta.height);
+        self.committed = Some(height);
         if self.group_pending >= self.group_every {
             self.seal_group()?;
         }
-        let records = delta.records.len() as u64;
         self.stats.committed_blocks += 1;
         self.stats.records_written += records;
         self.stats.bytes_written += bytes;
@@ -632,7 +636,7 @@ impl StateBackend for DiskBackend {
         let mut total_bytes = bytes;
         let mut total_records = records;
         if self.snapshot_every > 0
-            && delta.height.saturating_sub(self.last_snapshot_height) >= self.snapshot_every
+            && height.saturating_sub(self.last_snapshot_height) >= self.snapshot_every
         {
             // A compaction's records and bytes are charged to the commit that triggers it.
             let compaction = self.compact()?;
@@ -640,7 +644,7 @@ impl StateBackend for DiskBackend {
             total_records += compaction.records;
         }
         Ok(CommitStats {
-            height: delta.height,
+            height,
             records: total_records,
             bytes: total_bytes,
         })
@@ -693,7 +697,6 @@ impl Drop for DiskBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeltaRecord;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir =
@@ -723,17 +726,14 @@ mod tests {
         out
     }
 
-    fn delta(height: u64, accounts: &[(u64, u64)]) -> BlockDelta {
-        BlockDelta {
-            height,
-            records: accounts
-                .iter()
-                .map(|&(addr, balance)| DeltaRecord {
-                    address: Address::from_low(addr),
-                    account: Some(account(balance)),
-                })
-                .collect(),
-        }
+    fn records(accounts: &[(u64, u64)]) -> Vec<DeltaRecord> {
+        accounts
+            .iter()
+            .map(|&(addr, balance)| DeltaRecord {
+                address: Address::from_low(addr),
+                account: Some(account(balance)),
+            })
+            .collect()
     }
 
     #[test]
@@ -744,10 +744,12 @@ mod tests {
             let mut backend = DiskBackend::open(&config).unwrap();
             backend.begin_block(1).unwrap();
             backend
-                .commit_block(&delta(1, &[(1, 100), (2, 200)]))
+                .commit_block(1, &mut records(&[(1, 100), (2, 200)]).into_iter())
                 .unwrap();
             backend.begin_block(2).unwrap();
-            backend.commit_block(&delta(2, &[(1, 150)])).unwrap();
+            backend
+                .commit_block(2, &mut records(&[(1, 150)]).into_iter())
+                .unwrap();
         }
         let mut reopened = DiskBackend::open(&config).unwrap();
         assert_eq!(reopened.committed_block(), Some(2));
@@ -771,7 +773,10 @@ mod tests {
             for height in 1..=10u64 {
                 backend.begin_block(height).unwrap();
                 backend
-                    .commit_block(&delta(height, &[(height % 3, height * 10)]))
+                    .commit_block(
+                        height,
+                        &mut records(&[(height % 3, height * 10)]).into_iter(),
+                    )
                     .unwrap();
             }
             assert!(backend.stats().snapshots_written >= 2);
@@ -794,7 +799,7 @@ mod tests {
         let mut backend = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
         backend.begin_block(1).unwrap();
         backend
-            .commit_block(&delta(1, &[(5, 50), (2, 20), (9, 90)]))
+            .commit_block(1, &mut records(&[(5, 50), (2, 20), (9, 90)]).into_iter())
             .unwrap();
         assert_eq!(backend.stats().backend_reads, 0, "commits read nothing");
         assert_eq!(
@@ -843,7 +848,7 @@ mod tests {
         for height in 1..=6u64 {
             backend.begin_block(height).unwrap();
             backend
-                .commit_block(&delta(height, &[(height, height * 10)]))
+                .commit_block(height, &mut records(&[(height, height * 10)]).into_iter())
                 .unwrap();
         }
         // Blocks 1-4 sealed as one group; 5-6 pending in the buffer.
@@ -874,7 +879,7 @@ mod tests {
         for height in 1..=8u64 {
             backend.begin_block(height).unwrap();
             backend
-                .commit_block(&delta(height, &[(1, height * 100)]))
+                .commit_block(height, &mut records(&[(1, height * 100)]).into_iter())
                 .unwrap();
         }
         // Groups sealed after blocks 3 and 6; 7-8 are buffered only.
@@ -889,7 +894,9 @@ mod tests {
         assert_eq!(balances(&mut recovered), [(Address::from_low(1), 600)]);
         // The recovered store keeps committing cleanly past the crash point.
         recovered.begin_block(7).unwrap();
-        recovered.commit_block(&delta(7, &[(1, 777)])).unwrap();
+        recovered
+            .commit_block(7, &mut records(&[(1, 777)]).into_iter())
+            .unwrap();
         // A clean drop of the original seals the tail, so a normal reopen sees
         // everything.
         drop(backend);
@@ -911,7 +918,7 @@ mod tests {
         for height in 1..=5u64 {
             backend.begin_block(height).unwrap();
             backend
-                .commit_block(&delta(height, &[(2, height)]))
+                .commit_block(height, &mut records(&[(2, height)]).into_iter())
                 .unwrap();
         }
         // The compaction at height 4 sealed everything up to it; block 5 opened a
@@ -938,10 +945,7 @@ mod tests {
             assert!(backend.committed_block().is_none());
             backend.begin_block(0).unwrap();
             backend
-                .commit_block(&BlockDelta {
-                    height: 0,
-                    records: vec![],
-                })
+                .commit_block(0, &mut Vec::new().into_iter())
                 .unwrap();
         }
         let reopened = DiskBackend::open(&config).unwrap();
@@ -962,10 +966,14 @@ mod tests {
         {
             let mut backend = DiskBackend::open(&config).unwrap();
             backend.begin_block(1).unwrap();
-            backend.commit_block(&delta(1, &[(1, 100)])).unwrap();
+            backend
+                .commit_block(1, &mut records(&[(1, 100)]).into_iter())
+                .unwrap();
             boundary = backend.journal_bytes();
             backend.begin_block(2).unwrap();
-            backend.commit_block(&delta(2, &[(1, 999)])).unwrap();
+            backend
+                .commit_block(2, &mut records(&[(1, 999)]).into_iter())
+                .unwrap();
         }
         let journal = file_path(&dir, FileKind::Journal, 0);
         let full = fs::metadata(&journal).unwrap().len();
@@ -979,7 +987,9 @@ mod tests {
         // The torn tail was truncated, so new commits extend a clean journal.
         assert_eq!(reopened.journal_bytes(), boundary);
         reopened.begin_block(2).unwrap();
-        reopened.commit_block(&delta(2, &[(1, 101)])).unwrap();
+        reopened
+            .commit_block(2, &mut records(&[(1, 101)]).into_iter())
+            .unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -25,27 +25,21 @@
 //! # Examples
 //!
 //! ```
-//! use blockconc_store::{
-//!     BlockDelta, DeltaRecord, MemoryBackend, StateBackend, StoredAccount,
-//! };
+//! use blockconc_store::{DeltaRecord, MemoryBackend, StateBackend, StoredAccount};
 //! use blockconc_types::Address;
 //!
 //! let mut backend = MemoryBackend::new();
 //! backend.begin_block(1).unwrap();
-//! let stats = backend
-//!     .commit_block(&BlockDelta {
-//!         height: 1,
-//!         records: vec![DeltaRecord {
-//!             address: Address::from_low(1),
-//!             account: Some(StoredAccount {
-//!                 balance_sats: 42,
-//!                 nonce: 0,
-//!                 storage: vec![],
-//!                 code_json: None,
-//!             }),
-//!         }],
-//!     })
-//!     .unwrap();
+//! let records = vec![DeltaRecord {
+//!     address: Address::from_low(1),
+//!     account: Some(StoredAccount {
+//!         balance_sats: 42,
+//!         nonce: 0,
+//!         storage: vec![],
+//!         code_json: None,
+//!     }),
+//! }];
+//! let stats = backend.commit_block(1, &mut records.into_iter()).unwrap();
 //! assert_eq!(stats.records, 1);
 //! assert_eq!(backend.committed_block(), Some(1));
 //! ```
@@ -61,8 +55,8 @@ mod key;
 mod memory;
 
 pub use backend::{
-    shared, BlockDelta, CommitStats, DeltaRecord, DiskConfig, SharedBackend, StateBackend,
-    StateBackendConfig, StoreStats, StoredAccount,
+    shared, CommitStats, DeltaRecord, DiskConfig, SharedBackend, StateBackend, StateBackendConfig,
+    StoreStats, StoredAccount,
 };
 pub use disk::DiskBackend;
 pub use fragment::{apply_fragment, diff_account_fragments, FragmentValue, StateFragment};

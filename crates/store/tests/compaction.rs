@@ -10,9 +10,7 @@
 //!    nothing.
 
 use blockconc_store::journal::{append_frame, FrameScanner, JournalRecord, FRAME_HEADER_LEN};
-use blockconc_store::{
-    BlockDelta, DeltaRecord, DiskBackend, DiskConfig, StateBackend, StoredAccount,
-};
+use blockconc_store::{DeltaRecord, DiskBackend, DiskConfig, StateBackend, StoredAccount};
 use blockconc_types::Address;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -30,7 +28,7 @@ fn store_dir(tag: &str) -> PathBuf {
     ))
 }
 
-fn delta_for(height: u64, mix: u64) -> BlockDelta {
+fn delta_for(height: u64, mix: u64) -> Vec<DeltaRecord> {
     let mut records = Vec::new();
     for i in 0..(1 + (height.wrapping_add(mix) % 5)) {
         let addr = (height
@@ -51,7 +49,7 @@ fn delta_for(height: u64, mix: u64) -> BlockDelta {
     }
     records.sort_by_key(|r| r.address);
     records.dedup_by_key(|r| r.address);
-    BlockDelta { height, records }
+    records
 }
 
 fn observed_state(backend: &mut DiskBackend) -> BTreeMap<Address, StoredAccount> {
@@ -86,9 +84,9 @@ proptest! {
         for height in 1..=blocks {
             let delta = delta_for(height, mix);
             plain.begin_block(height).expect("begin");
-            plain.commit_block(&delta).expect("commit");
+            plain.commit_block(height, &mut delta.clone().into_iter()).expect("commit");
             compacted.begin_block(height).expect("begin");
-            compacted.commit_block(&delta).expect("commit");
+            compacted.commit_block(height, &mut delta.into_iter()).expect("commit");
             if compact_marks.contains(&height) {
                 compacted.compact().expect("forced compaction");
                 // Immediately observable: nothing changed.
@@ -125,11 +123,11 @@ proptest! {
             for height in 1..=blocks {
                 let delta = delta_for(height, mix);
                 backend.begin_block(height).expect("begin");
-                backend.commit_block(&delta).expect("commit");
+                backend.commit_block(height, &mut delta.into_iter()).expect("commit");
             }
             last_snapshot_height = backend.last_snapshot_height();
             for height in last_snapshot_height + 1..=blocks {
-                records_after_snapshot += delta_for(height, mix).records.len() as u64;
+                records_after_snapshot += delta_for(height, mix).len() as u64;
             }
             prop_assert!(backend.stats().snapshots_written >= 1);
         }
@@ -156,7 +154,7 @@ proptest! {
             let mut twin = DiskBackend::open(&twin_config).expect("open twin");
             for height in 1..=blocks {
                 twin.begin_block(height).expect("begin");
-                twin.commit_block(&delta_for(height, mix)).expect("commit");
+                twin.commit_block(height, &mut delta_for(height, mix).into_iter()).expect("commit");
             }
         }
         let twin = DiskBackend::open(&twin_config).expect("reopen twin");
@@ -182,7 +180,7 @@ proptest! {
         let mut backend = DiskBackend::open(&config).expect("open");
         for height in 1..=blocks {
             let mut delta = delta_for(height, mix);
-            delta.records.push(DeltaRecord {
+            delta.push(DeltaRecord {
                 address: Address::from_low(50 + height % 3),
                 account: Some(StoredAccount {
                     balance_sats: height,
@@ -192,7 +190,7 @@ proptest! {
                 }),
             });
             backend.begin_block(height).expect("begin");
-            backend.commit_block(&delta).expect("commit");
+            backend.commit_block(height, &mut delta.into_iter()).expect("commit");
             if height == first_compaction {
                 backend.compact().expect("earlier compaction");
             }
@@ -231,7 +229,9 @@ fn a_corrupt_live_frame_fails_compaction_and_keeps_the_previous_generation() {
     let mut backend = DiskBackend::open(&config).expect("open");
     for height in 1..=4 {
         backend.begin_block(height).expect("begin");
-        backend.commit_block(&delta_for(height, 3)).expect("commit");
+        backend
+            .commit_block(height, &mut delta_for(height, 3).into_iter())
+            .expect("commit");
     }
     backend.compact().expect("first compaction");
     let epoch = backend.epoch();
@@ -239,9 +239,9 @@ fn a_corrupt_live_frame_fails_compaction_and_keeps_the_previous_generation() {
     let fresh = Address::from_low(77);
     backend.begin_block(5).expect("begin");
     backend
-        .commit_block(&BlockDelta {
-            height: 5,
-            records: vec![DeltaRecord {
+        .commit_block(
+            5,
+            &mut vec![DeltaRecord {
                 address: fresh,
                 account: Some(StoredAccount {
                     balance_sats: 5,
@@ -249,8 +249,9 @@ fn a_corrupt_live_frame_fails_compaction_and_keeps_the_previous_generation() {
                     storage: vec![],
                     code_json: None,
                 }),
-            }],
-        })
+            }]
+            .into_iter(),
+        )
         .expect("commit");
 
     let journal = dir.join(format!("journal-{epoch:06}.log"));

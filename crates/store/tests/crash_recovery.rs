@@ -10,9 +10,7 @@
 //! suite hermetic.
 
 use blockconc_store::journal::{crc32, FRAME_HEADER_LEN};
-use blockconc_store::{
-    BlockDelta, DeltaRecord, DiskBackend, DiskConfig, StateBackend, StoredAccount,
-};
+use blockconc_store::{DeltaRecord, DiskBackend, DiskConfig, StateBackend, StoredAccount};
 use blockconc_types::Address;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -32,7 +30,7 @@ fn store_dir(tag: &str) -> PathBuf {
 
 /// Deterministic per-height write set over a small address space (so heights
 /// routinely overwrite and occasionally delete each other's accounts).
-fn delta_for(height: u64, mix: u64) -> BlockDelta {
+fn delta_for(height: u64, mix: u64) -> Vec<DeltaRecord> {
     let mut records = Vec::new();
     let touched = 1 + (height.wrapping_mul(7).wrapping_add(mix) % 4);
     for i in 0..touched {
@@ -54,13 +52,13 @@ fn delta_for(height: u64, mix: u64) -> BlockDelta {
     }
     records.sort_by_key(|r| r.address);
     records.dedup_by_key(|r| r.address);
-    BlockDelta { height, records }
+    records
 }
 
 type ExpectedState = BTreeMap<Address, StoredAccount>;
 
-fn apply_expected(expected: &mut ExpectedState, delta: &BlockDelta) {
-    for record in &delta.records {
+fn apply_expected(expected: &mut ExpectedState, delta: &[DeltaRecord]) {
+    for record in delta {
         match &record.account {
             Some(account) => {
                 expected.insert(record.address, account.clone());
@@ -102,7 +100,9 @@ fn run_store(
     for height in 1..=blocks {
         let delta = delta_for(height, mix);
         backend.begin_block(height).expect("begin");
-        backend.commit_block(&delta).expect("commit");
+        backend
+            .commit_block(height, &mut delta.clone().into_iter())
+            .expect("commit");
         apply_expected(&mut expected, &delta);
         states.push(expected.clone());
         boundaries.push((backend.epoch(), backend.journal_bytes()));
