@@ -650,7 +650,6 @@ mod tests {
         };
         let mut config = config(shards, 14);
         config.pipeline.threads = 8;
-        config.pipeline.max_deferral_blocks = 2;
         config.blocks_per_epoch = 7;
         let report = ClusterDriver::new(engines(shards as usize), config)
             .run(ArrivalStream::new(params, 42.0, 9_000, 2020))

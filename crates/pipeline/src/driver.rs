@@ -25,11 +25,6 @@ pub struct PipelineConfig {
     pub max_blocks: usize,
     /// Mempool capacity in transactions.
     pub mempool_capacity: usize,
-    /// Bounded-deferral blocks for the concurrency-aware packer's aging rule: a
-    /// sender capped out of this many consecutive blocks bypasses the component cap
-    /// once. `0` disables aging (components may be deferred indefinitely). Adopted by
-    /// packers through [`BlockPacker::configure`](crate::BlockPacker::configure).
-    pub max_deferral_blocks: usize,
     /// Mempool shards, keyed by TDG component (the sharded-pipeline switch; `1`
     /// reproduces the single-pool pipeline). Only honoured by drivers that understand
     /// sharding — `blockconc-shardpool`'s `ShardedPipelineDriver` — and ignored by
@@ -61,7 +56,6 @@ impl Default for PipelineConfig {
             block_interval_secs: 14.0,
             max_blocks: 20,
             mempool_capacity: 100_000,
-            max_deferral_blocks: 0,
             shards: 1,
             producer_threads: 1,
             state_backend: StateBackendConfig::InMemory,
@@ -310,10 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn aging_fires_under_sustained_hotspot_overload() {
+    fn capped_components_drain_once_arrivals_stop() {
         // One dominant exchange at a rate far above block capacity: the giant
-        // component's serial work exceeds threads × capacity, so without aging the
-        // cap defers most of it every block.
+        // component's serial work exceeds threads × capacity, so the cap defers
+        // most of it every block while arrivals last. Once they stop, the other
+        // components empty, the cap search widens the cap, and the run must end
+        // on exhaustion with every arrival committed.
         let params = AccountWorkloadParams {
             txs_per_block: 60.0,
             user_population: 2_000,
@@ -324,9 +320,8 @@ mod tests {
         };
         let config = PipelineConfig {
             threads: 4,
-            max_blocks: 8,
+            max_blocks: 200,
             block_gas_limit: blockconc_types::Gas::new(21_000 * 40),
-            max_deferral_blocks: 2,
             ..PipelineConfig::default()
         };
         let report = PipelineDriver::new(
@@ -337,13 +332,10 @@ mod tests {
         .run(ArrivalStream::new(params, 12.0, 900, 6))
         .unwrap();
         let deferred: u64 = report.blocks.iter().map(|b| b.deferred_by_cap).sum();
-        let aged: u64 = report.blocks.iter().map(|b| b.aged_included).sum();
         assert!(deferred > 0, "workload must exercise the component cap");
-        assert!(
-            aged > 0,
-            "bounded deferral must include aged senders (deferred {deferred})"
-        );
         assert_eq!(report.total_failed, 0);
+        assert_eq!(report.leftover_mempool, 0, "capped components must drain");
+        assert_eq!(report.total_txs, 900);
     }
 
     #[test]

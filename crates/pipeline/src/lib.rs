@@ -105,8 +105,8 @@ pub use blockconc_store::{DiskConfig, StateBackendConfig, StoreStats};
 pub use driver::{PipelineConfig, PipelineDriver};
 pub use itdg::{block_group_sizes, effective_receiver, receiver_edge_is_weak, IncrementalTdg};
 pub use packer::{
-    advance_deferral_counters, aged_senders, choose_component_cap, pack_capped, BlockPacker,
-    BlockTemplate, CapDeferrals, ConcurrencyAwarePacker, FeeGreedyPacker, PackedBlock,
+    choose_component_cap, pack_capped, BlockPacker, BlockTemplate, ConcurrencyAwarePacker,
+    FeeGreedyPacker, PackedBlock,
 };
 pub use pool::{
     gas_estimate, AdmitEffects, AdmitOutcome, Mempool, MempoolStats, PooledTx, ReadyChain,

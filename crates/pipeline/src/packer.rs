@@ -5,7 +5,7 @@ use crate::{gas_estimate, IncrementalTdg, Mempool, PipelineConfig, PooledTx};
 use blockconc_account::{AccountBlock, BlockBuilder, WorldState};
 use blockconc_types::{Address, Gas};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 /// The fixed header fields of a block under construction, handed to a packer.
 #[derive(Debug, Clone, Copy)]
@@ -33,10 +33,6 @@ pub struct PackedBlock {
     /// Ready transactions the packer deferred to a later block because of its
     /// component cap (0 for cap-free strategies). Deferred transactions stay pooled.
     pub deferred_by_cap: u64,
-    /// Transactions included *despite* exceeding the component cap because their
-    /// sender's chain had been deferred for `max_deferral_blocks` consecutive blocks
-    /// (the anti-starvation aging rule; 0 when aging is disabled or never fired).
-    pub aged_included: u64,
     /// Candidates the fee-ordered packing loop examined for this block (included +
     /// gas-skipped + policy-rejected) — the pack phase's O(Δ) cost in work units,
     /// independent of the pool size. Reported per block as
@@ -55,9 +51,8 @@ pub trait BlockPacker {
     fn name(&self) -> &'static str;
 
     /// Adopts run-level settings from the pipeline configuration before the first
-    /// block is packed (called once by the drivers). The default implementation
-    /// ignores the configuration; the concurrency-aware packer reads
-    /// [`PipelineConfig::max_deferral_blocks`] here.
+    /// block is packed. No packer reads a setting, so this is a no-op the drivers
+    /// do not call, kept until the benchmark that calls it is updated.
     fn configure(&mut self, _config: &PipelineConfig) {}
 
     /// Packs a block with the given `template` from the pool's ready transactions.
@@ -181,7 +176,6 @@ fn build_packed(
     outcome: PackOutcome,
     template: &BlockTemplate,
     deferred_by_cap: u64,
-    aged_included: u64,
 ) -> PackedBlock {
     let block = BlockBuilder::new(template.height, template.timestamp, template.beneficiary)
         .gas_limit(template.gas_limit)
@@ -192,7 +186,6 @@ fn build_packed(
         estimated_gas: outcome.gas_used,
         total_fee_per_gas: outcome.total_fee,
         deferred_by_cap,
-        aged_included,
         considered: outcome.considered,
     }
 }
@@ -226,7 +219,6 @@ impl BlockPacker for FeeGreedyPacker {
             pack_by_fee(pool, template.gas_limit, |_, _| true),
             template,
             0,
-            0,
         )
     }
 }
@@ -244,20 +236,12 @@ impl BlockPacker for FeeGreedyPacker {
 /// maximizing the implied speed-up `B(m) / makespan` (largest block on ties). The
 /// chosen cap is then widened to the implied makespan — components may fill up to the
 /// critical path "for free". Transactions of a capped component stay in the pool for
-/// later blocks — deferred, never dropped.
-///
-/// Unbounded deferral would let a giant component starve under sustained hot-spot
-/// overload (its serial work exceeds `threads × block capacity`, so the cap search
-/// keeps deferring it). The optional **aging rule**
-/// ([`PipelineConfig::max_deferral_blocks`], adopted by
-/// [`BlockPacker::configure`]) bounds this: a sender whose ready chain
-/// was cap-rejected for that many consecutive packs bypasses the cap in the next
-/// block. The per-block report records how often the rule fired.
+/// later blocks — deferred, never dropped. Once arrivals stop, the pool's other
+/// components empty and the cap search widens the cap, so a capped component
+/// drains.
 #[derive(Debug)]
 pub struct ConcurrencyAwarePacker {
     threads: usize,
-    max_deferral: usize,
-    deferrals: HashMap<Address, u64>,
 }
 
 /// Chooses the per-component transaction cap that maximizes the predicted speed-up of
@@ -325,21 +309,12 @@ impl ConcurrencyAwarePacker {
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "thread count must be positive");
-        ConcurrencyAwarePacker {
-            threads,
-            max_deferral: 0,
-            deferrals: HashMap::new(),
-        }
+        ConcurrencyAwarePacker { threads }
     }
 
     /// The core count the packer optimizes for.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured deferral bound (0 = unbounded).
-    pub fn max_deferral(&self) -> usize {
-        self.max_deferral
     }
 
     /// Chooses the per-component transaction cap for the given ready component sizes
@@ -354,15 +329,11 @@ impl BlockPacker for ConcurrencyAwarePacker {
         "concurrency-aware"
     }
 
-    fn configure(&mut self, config: &PipelineConfig) {
-        self.max_deferral = config.max_deferral_blocks;
-    }
-
     fn pack(
         &mut self,
         pool: &Mempool,
         tdg: &mut IncrementalTdg,
-        state: &WorldState,
+        _state: &WorldState,
         template: &BlockTemplate,
     ) -> PackedBlock {
         // Ready transaction counts per pool-level dependency component, straight
@@ -382,51 +353,11 @@ impl BlockPacker for ConcurrencyAwarePacker {
         };
         let capacity = (template.gas_limit.value() / mean_gas).max(1) as usize;
         let cap = self.choose_cap(&sizes, capacity);
-        self.pack_with_cap(pool, tdg, state, template, cap)
+        pack_capped(pool, tdg, template, cap)
     }
 }
 
-/// The senders whose deferral count in `deferrals` has reached `max_deferral`
-/// (empty when `max_deferral` is 0 — aging disabled). Shared between the
-/// single-pool packer and the sharded packer so the aging rule cannot drift
-/// between them.
-pub fn aged_senders(deferrals: &HashMap<Address, u64>, max_deferral: usize) -> HashSet<Address> {
-    if max_deferral == 0 {
-        return HashSet::new();
-    }
-    deferrals
-        .iter()
-        .filter(|&(_, &count)| count >= max_deferral as u64)
-        .map(|(&sender, _)| sender)
-        .collect()
-}
-
-/// Advances aging counters after a pack: senders that placed a transaction reset;
-/// starved senders age by one block. Counters of senders no longer ready are
-/// dropped, so the map cannot grow beyond the pool. The counterpart of
-/// [`aged_senders`], shared for the same no-drift reason.
-pub fn advance_deferral_counters(deferrals: &mut HashMap<Address, u64>, outcome: &CapDeferrals) {
-    deferrals.retain(|sender, _| outcome.starved_senders.contains(sender));
-    for &sender in &outcome.starved_senders {
-        *deferrals.entry(sender).or_insert(0) += 1;
-    }
-}
-
-/// Sender-level outcome of one [`pack_capped`] call, for callers that maintain the
-/// aging counters externally — the sharded packer keeps *one* counter map shared
-/// across all shards, so a sender's starvation count survives chain migrations and
-/// rebalances.
-#[derive(Debug, Default)]
-pub struct CapDeferrals {
-    /// Senders that placed at least one transaction in the block.
-    pub included_senders: HashSet<Address>,
-    /// Senders whose ready chain was cap-rejected without any inclusion (the ones
-    /// the aging rule should advance).
-    pub starved_senders: HashSet<Address>,
-}
-
-/// Packs a block from `pool` enforcing an externally chosen per-component cap,
-/// with `aged` senders bypassing the cap (the bounded-deferral rule).
+/// Packs a block from `pool` enforcing an externally chosen per-component cap.
 ///
 /// This is the stateless core of [`ConcurrencyAwarePacker`]'s packing, exposed for
 /// the sharded pool: with the pool partitioned by component, each shard sees only
@@ -435,18 +366,14 @@ pub struct CapDeferrals {
 /// giant near 1, even when the global distribution would award it dozens of
 /// slots). The sharded packer computes the cap once over the concatenated
 /// per-shard distributions — exact, because components never span shards — and
-/// calls this per shard, merging the returned [`CapDeferrals`] into its shared
-/// aging state.
+/// calls this per shard.
 pub fn pack_capped(
     pool: &Mempool,
     tdg: &mut IncrementalTdg,
-    _state: &WorldState,
     template: &BlockTemplate,
     cap: usize,
-    aged: &HashSet<Address>,
-) -> (PackedBlock, CapDeferrals) {
+) -> PackedBlock {
     let mut component_load: HashMap<usize, usize> = HashMap::new();
-    let mut aged_included = 0u64;
     let outcome = pack_by_fee(pool, template.gas_limit, |pooled, _| {
         // The sender is always part of the transaction's component, so its root
         // identifies the component in the pool-level graph.
@@ -454,11 +381,8 @@ pub fn pack_capped(
             .component_of(pooled.tx.sender())
             .expect("pooled transaction was inserted into the TDG");
         let load = component_load.entry(root).or_insert(0);
-        if *load >= cap && !aged.contains(&pooled.tx.sender()) {
-            return false;
-        }
         if *load >= cap {
-            aged_included += 1;
+            return false;
         }
         *load += 1;
         true
@@ -472,46 +396,7 @@ pub fn pack_capped(
         .iter()
         .map(|&(sender, nonce)| pool.chain_len_from(sender, nonce) as u64)
         .sum();
-
-    let included_senders: HashSet<Address> =
-        outcome.included.iter().map(|p| p.tx.sender()).collect();
-    let rejected_senders: HashSet<Address> = outcome
-        .policy_rejected
-        .iter()
-        .map(|&(sender, _)| sender)
-        .collect();
-    let starved_senders: HashSet<Address> = rejected_senders
-        .difference(&included_senders)
-        .copied()
-        .collect();
-
-    (
-        build_packed(outcome, template, deferred_by_cap, aged_included),
-        CapDeferrals {
-            included_senders,
-            starved_senders,
-        },
-    )
-}
-
-impl ConcurrencyAwarePacker {
-    /// Packs a block enforcing an externally chosen per-component cap instead of
-    /// running the cap search over this pool's own component distribution; the
-    /// packer's own aging state applies (see [`pack_capped`] for the stateless
-    /// variant).
-    pub fn pack_with_cap(
-        &mut self,
-        pool: &Mempool,
-        tdg: &mut IncrementalTdg,
-        state: &WorldState,
-        template: &BlockTemplate,
-        cap: usize,
-    ) -> PackedBlock {
-        let aged = aged_senders(&self.deferrals, self.max_deferral);
-        let (packed, deferrals) = pack_capped(pool, tdg, state, template, cap, &aged);
-        advance_deferral_counters(&mut self.deferrals, &deferrals);
-        packed
-    }
+    build_packed(outcome, template, deferred_by_cap)
 }
 
 #[cfg(test)]
@@ -647,60 +532,11 @@ mod tests {
         let state = funded_state(10..30);
         let mut packer = ConcurrencyAwarePacker::new(4);
         let packed = packer.pack(&pool, &mut tdg, &state, &template(Gas::new(21_000 * 5)));
-        // One exchange deposit in, five capped out; no aging configured.
+        // One exchange deposit in, five capped out.
         assert_eq!(packed.deferred_by_cap, 5);
-        assert_eq!(packed.aged_included, 0);
         let greedy =
             FeeGreedyPacker::new().pack(&pool, &mut tdg, &state, &template(Gas::new(21_000 * 5)));
         assert_eq!(greedy.deferred_by_cap, 0);
-    }
-
-    #[test]
-    fn aging_bounds_deferral_of_capped_components() {
-        let (pool, mut tdg) = hotspot_pool();
-        let state = funded_state(10..30);
-        let mut packer = ConcurrencyAwarePacker::new(4);
-        packer.configure(&crate::PipelineConfig {
-            max_deferral_blocks: 2,
-            ..crate::PipelineConfig::default()
-        });
-        assert_eq!(packer.max_deferral(), 2);
-        let exchange_txs = |packed: &PackedBlock| {
-            packed
-                .block
-                .transactions()
-                .iter()
-                .filter(|t| t.receiver() == Address::from_low(500))
-                .count()
-        };
-        // Blocks 1 and 2 (the pool is not drained, so the same chains stay ready):
-        // the cap admits one exchange deposit; the other five age.
-        let first = packer.pack(&pool, &mut tdg, &state, &template(Gas::new(21_000 * 5)));
-        assert_eq!(exchange_txs(&first), 1);
-        assert_eq!(first.aged_included, 0);
-        let second = packer.pack(&pool, &mut tdg, &state, &template(Gas::new(21_000 * 5)));
-        assert_eq!(second.aged_included, 0);
-        // Block 3: the five deferred senders hit the bound and bypass the cap.
-        let third = packer.pack(&pool, &mut tdg, &state, &template(Gas::new(21_000 * 5)));
-        assert!(
-            third.aged_included > 0,
-            "aged senders must bypass the cap after max_deferral blocks"
-        );
-        assert!(
-            exchange_txs(&third) > 1,
-            "aging must admit deferred deposits"
-        );
-    }
-
-    #[test]
-    fn configure_adopts_the_deferral_bound_from_config() {
-        use crate::PipelineConfig;
-        let mut packer = ConcurrencyAwarePacker::new(4);
-        packer.configure(&PipelineConfig {
-            max_deferral_blocks: 7,
-            ..PipelineConfig::default()
-        });
-        assert_eq!(packer.max_deferral(), 7);
     }
 
     #[test]

@@ -43,9 +43,6 @@ pub struct BlockRecord {
     pub tx_count: usize,
     /// Ready transactions deferred to later blocks by the packer's component cap.
     pub deferred_by_cap: u64,
-    /// Transactions included through the aging rule despite exceeding the cap (see
-    /// [`PipelineConfig::max_deferral_blocks`](crate::PipelineConfig::max_deferral_blocks)).
-    pub aged_included: u64,
     /// Receipts that failed (always 0 when the pipeline invariants hold).
     pub failed_receipts: usize,
     /// The packer's estimated gas for the block.
@@ -157,7 +154,6 @@ mod tests {
             ingested: tx_count,
             tx_count,
             deferred_by_cap: 0,
-            aged_included: 0,
             failed_receipts: 0,
             estimated_gas: 0,
             gas_used: 0,

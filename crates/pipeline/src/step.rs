@@ -202,7 +202,6 @@ impl BlockTail {
             ingested,
             tx_count: packed.block.transaction_count(),
             deferred_by_cap: packed.deferred_by_cap,
-            aged_included: packed.aged_included,
             failed_receipts: executed
                 .receipts()
                 .iter()
@@ -319,8 +318,7 @@ impl<P: BlockPacker, E: ExecutionEngine> NodePipeline<P, E> {
     /// graph with weak edges — hot deposit sinks stop fusing the pool into one
     /// giant component, and the packer's component cap sees the parallelism the
     /// engine will find.
-    pub fn new(mut packer: P, engine: E, state: WorldState, config: &PipelineConfig) -> Self {
-        packer.configure(config);
+    pub fn new(packer: P, engine: E, state: WorldState, config: &PipelineConfig) -> Self {
         NodePipeline {
             pool: TrackedPool::new(config.mempool_capacity, engine.commutes_deltas()),
             state,

@@ -66,7 +66,6 @@ pub struct ShardedPipelineDriver<E> {
     config: PipelineConfig,
     packer: ShardedPacker,
     ingest: IngestRouter,
-    rebalance_every: usize,
 }
 
 impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
@@ -74,7 +73,8 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
     /// [`IngestRouter::new`]'s second argument, until the benchmark that names it
     /// is updated.
     pub const DEFAULT_QUEUE_DEPTH: usize = 1_024;
-    /// Default rebalance cadence in blocks (0 disables rebalancing).
+    /// Rebalance cadence in blocks: the pool rebalances after every block whose
+    /// height is a multiple of it.
     pub const DEFAULT_REBALANCE_EVERY: usize = 4;
 
     /// Creates a driver from an engine and a pipeline configuration
@@ -84,22 +84,12 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
     ///
     /// Panics if `config.shards` or `config.threads` is zero.
     pub fn new(engine: E, config: PipelineConfig) -> Self {
-        let mut packer = ShardedPacker::new(config.shards, config.threads);
-        packer.configure(&config);
         ShardedPipelineDriver {
             ingest: IngestRouter::new(config.producer_threads, Self::DEFAULT_QUEUE_DEPTH),
-            packer,
+            packer: ShardedPacker::new(config.shards, config.threads),
             engine,
             config,
-            rebalance_every: Self::DEFAULT_REBALANCE_EVERY,
         }
-    }
-
-    /// Overrides the rebalance cadence in blocks; 0 disables rebalancing
-    /// (builder-style).
-    pub fn with_rebalance_every(mut self, blocks: usize) -> Self {
-        self.rebalance_every = blocks;
-        self
     }
 
     /// The driver's configuration.
@@ -194,7 +184,7 @@ impl<E: ExecutionEngine> ShardedPipelineDriver<E> {
                     pool.resync_sender(tx.sender(), state.nonce(tx.sender()));
                 }
             }
-            if self.rebalance_every > 0 && height % self.rebalance_every as u64 == 0 {
+            if height % Self::DEFAULT_REBALANCE_EVERY as u64 == 0 {
                 pool.rebalance();
             }
 

@@ -3,13 +3,12 @@
 use crate::ShardedMempool;
 use blockconc_account::{AccountTransaction, BlockBuilder, WorldState};
 use blockconc_pipeline::{
-    advance_deferral_counters, aged_senders, choose_component_cap, gas_estimate, pack_capped,
-    BlockTemplate, CapDeferrals, PackedBlock, PipelineConfig,
+    choose_component_cap, gas_estimate, pack_capped, BlockTemplate, PackedBlock, PipelineConfig,
 };
 use blockconc_types::{Address, Gas};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 /// One transaction selected by a shard packer, carried into the merge with its fee
 /// metadata (the sub-block's `AccountBlock` alone would lose the bids).
@@ -25,10 +24,8 @@ struct MergeTx {
 struct SubBlock {
     txs: Vec<MergeTx>,
     deferred_by_cap: u64,
-    aged_included: u64,
     /// Candidates this shard's packing loop examined (its O(Δ) scan cost).
     considered: u64,
-    deferrals: CapDeferrals,
 }
 
 /// Counts of one sharded pack (the driver's phase record reads them).
@@ -70,22 +67,16 @@ pub struct ShardPackReport {
 ///    the giant near 1 even when the global distribution awards it dozens of
 ///    slots.)
 /// 3. **Parallel sub-packing + fee merge** — each non-empty shard packs with the
-///    fixed global cap through [`pack_capped`] (the aging rule applies via this
-///    packer's pool-wide counter map; the first such shard packs on the calling
-///    thread, the others on scoped threads), and the sub-blocks are k-way merged by
-///    `(fee, stamp)` under the real block gas limit, deferring a gas-skipped
-///    sender's remaining chain exactly like the single packing loop. With one
-///    shard this pipeline reduces to the single-pool packer bit for bit.
+///    fixed global cap through [`pack_capped`] (the first such shard packs on the
+///    calling thread, the others on scoped threads), and the sub-blocks are k-way
+///    merged by `(fee, stamp)` under the real block gas limit, deferring a
+///    gas-skipped sender's remaining chain exactly like the single packing loop.
+///    With one shard this pipeline reduces to the single-pool packer bit for
+///    bit.
 #[derive(Debug)]
 pub struct ShardedPacker {
     shards: usize,
     threads: usize,
-    max_deferral: usize,
-    /// One aging map for the whole pool, keyed by sender — deliberately *not*
-    /// per shard, so a sender's starvation count survives chain migrations and
-    /// rebalances (per-shard counters would silently reset on every move and the
-    /// aging rule would never fire).
-    deferrals: HashMap<Address, u64>,
 }
 
 impl ShardedPacker {
@@ -98,12 +89,7 @@ impl ShardedPacker {
     pub fn new(shards: usize, threads: usize) -> Self {
         assert!(shards > 0, "shard count must be positive");
         assert!(threads > 0, "thread count must be positive");
-        ShardedPacker {
-            shards,
-            threads,
-            max_deferral: 0,
-            deferrals: HashMap::new(),
-        }
+        ShardedPacker { shards, threads }
     }
 
     /// A short, stable name for reports.
@@ -116,12 +102,13 @@ impl ShardedPacker {
         self.shards
     }
 
-    /// Adopts run-level settings (the aging bound) from the configuration.
-    pub fn configure(&mut self, config: &PipelineConfig) {
-        self.max_deferral = config.max_deferral_blocks;
-    }
+    /// Adopts run-level settings from the configuration. The packer reads no
+    /// setting, so this is a no-op the sharded driver does not call, kept until
+    /// the benchmark that calls it is updated.
+    pub fn configure(&mut self, _config: &PipelineConfig) {}
 
-    /// Packs one block proposal from the sharded pool.
+    /// Packs one block proposal from the sharded pool. The state is not read:
+    /// the pool's chains are gap-free from each sender's state nonce.
     ///
     /// # Panics
     ///
@@ -129,7 +116,7 @@ impl ShardedPacker {
     pub fn pack(
         &mut self,
         pool: &ShardedMempool,
-        state: &WorldState,
+        _state: &WorldState,
         template: &BlockTemplate,
     ) -> (PackedBlock, ShardPackReport) {
         let shards = self.shards;
@@ -174,15 +161,12 @@ impl ShardedPacker {
         let capacity = (template.gas_limit.value() / mean_gas).max(1) as usize;
         let cap = choose_component_cap(&sizes, capacity, self.threads);
 
-        // Step 3a: parallel sub-packing with the fixed global cap. The aged set is
-        // computed once from the shared (pool-wide) aging map. Empty shards
+        // Step 3a: parallel sub-packing with the fixed global cap. Empty shards
         // contribute nothing and start no thread; the first busy shard packs on
         // this thread, so a pool sitting on one shard packs inline.
-        let aged = aged_senders(&self.deferrals, self.max_deferral);
         let sub_pack = |index: usize| {
             pool.with_shard(index, |shard_pool, shard_tdg| {
-                let (packed, deferrals) =
-                    pack_capped(shard_pool, shard_tdg, state, template, cap, &aged);
+                let packed = pack_capped(shard_pool, shard_tdg, template, cap);
                 // Recover each included transaction's fee metadata from the pool
                 // (the packed block keeps only totals) — a per-entry lookup, not
                 // a full pool scan.
@@ -204,9 +188,7 @@ impl ShardedPacker {
                 SubBlock {
                     txs,
                     deferred_by_cap: packed.deferred_by_cap,
-                    aged_included: packed.aged_included,
                     considered: packed.considered,
-                    deferrals,
                 }
             })
         };
@@ -226,24 +208,9 @@ impl ShardedPacker {
             });
         }
 
-        // Advance the shared aging state through the same helper the single-pool
-        // packer uses. Senders are shard-disjoint, so the per-shard outcome sets
-        // union cleanly.
-        let mut combined = CapDeferrals::default();
-        for sub in &sub_blocks {
-            combined
-                .starved_senders
-                .extend(sub.deferrals.starved_senders.iter().copied());
-            combined
-                .included_senders
-                .extend(sub.deferrals.included_senders.iter().copied());
-        }
-        advance_deferral_counters(&mut self.deferrals, &combined);
-
         let sub_sizes: Vec<usize> = sub_blocks.iter().map(|sub| sub.txs.len()).collect();
         let sub_considered: Vec<u64> = sub_blocks.iter().map(|sub| sub.considered).collect();
         let deferred_in_shards: u64 = sub_blocks.iter().map(|sub| sub.deferred_by_cap).sum();
-        let aged_included: u64 = sub_blocks.iter().map(|sub| sub.aged_included).sum();
 
         // Step 3b: fee-ordered merge of the (already cap-compliant) candidates
         // under the real block gas limit.
@@ -276,7 +243,6 @@ impl ShardedPacker {
                 // semantics; gas-arbitration skips are reported separately as
                 // `ShardPackReport::merge_deferred`.
                 deferred_by_cap: deferred_in_shards,
-                aged_included,
                 considered,
             },
             report,
@@ -350,6 +316,7 @@ mod tests {
     use super::*;
     use blockconc_pipeline::block_group_sizes;
     use blockconc_types::Amount;
+    use std::collections::HashMap;
 
     /// The packed block's transaction counts per block-local dependency group.
     fn group_sizes(packed: &PackedBlock) -> Vec<u64> {

@@ -1,6 +1,6 @@
 //! The [`StateBackend`] trait, its write-set commit model and shared plumbing.
 
-use blockconc_types::{Address, Result};
+use blockconc_types::{Address, Error, Result};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -83,8 +83,9 @@ pub struct StoreStats {
     pub read_bytes: u64,
     /// Snapshot compactions performed.
     pub snapshots_written: u64,
-    /// Commit groups sealed (journal write + flush). With `group_commit_every`
-    /// = 1 this equals the committed blocks; larger groups amortize flushes.
+    /// Journal writes (append + flush): one per committed block, so this
+    /// equals `committed_blocks` on the disk backend and is 0 on the memory
+    /// backend.
     pub group_flushes: u64,
     /// Blocks replayed from the journal when the backend was opened.
     pub replayed_blocks: u64,
@@ -153,14 +154,68 @@ pub trait StateBackend: Send + std::fmt::Debug {
 
     /// Cumulative counters.
     fn stats(&self) -> StoreStats;
+}
 
-    /// Flushes buffered writes to the underlying medium.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure.
-    fn flush(&mut self) -> Result<()> {
+/// The block protocol both backends enforce: at most one open block, and every
+/// height strictly ahead of the committed one. Checking a commit and marking it
+/// committed are separate steps, so a backend moves the committed height only
+/// once its write has succeeded.
+#[derive(Debug, Default)]
+pub(crate) struct BlockScope {
+    open: Option<u64>,
+    committed: Option<u64>,
+}
+
+impl BlockScope {
+    /// A scope with nothing open at `committed` (a recovered store's height).
+    pub(crate) fn at(committed: Option<u64>) -> Self {
+        BlockScope {
+            open: None,
+            committed,
+        }
+    }
+
+    /// The last committed height.
+    pub(crate) fn committed(&self) -> Option<u64> {
+        self.committed
+    }
+
+    /// Opens block `height`.
+    pub(crate) fn begin(&mut self, height: u64) -> Result<()> {
+        if let Some(open) = self.open {
+            return Err(Error::validation(format!(
+                "block {open} is already open, cannot begin {height}"
+            )));
+        }
+        if let Some(committed) = self.committed {
+            if height <= committed {
+                return Err(Error::validation(format!(
+                    "cannot begin block {height} at committed height {committed}"
+                )));
+            }
+        }
+        self.open = Some(height);
         Ok(())
+    }
+
+    /// Checks that block `height` may commit: it is the open block, or, with
+    /// none open, it is ahead of the committed height.
+    pub(crate) fn check_commit(&self, height: u64) -> Result<()> {
+        match self.open {
+            Some(open) if open != height => Err(Error::validation(format!(
+                "delta height {height} does not match open block {open}"
+            ))),
+            None if self.committed.is_some_and(|c| height <= c) => Err(Error::validation(format!(
+                "cannot commit block {height} behind committed height"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Records block `height` as committed and closes it.
+    pub(crate) fn mark_committed(&mut self, height: u64) {
+        self.open = None;
+        self.committed = Some(height);
     }
 }
 
@@ -181,23 +236,14 @@ pub struct DiskConfig {
     /// Snapshot-compact the journal every this many committed blocks; 0 disables
     /// compaction (the journal grows with history).
     pub snapshot_every: u64,
-    /// Group commits: flush the journal to disk every this many committed blocks
-    /// (1 — the default — flushes every block, today's behaviour; 0 behaves like
-    /// 1). Blocks committed since the last group flush are readable and recorded
-    /// in the live index, but a crash loses them: recovery lands exactly on the
-    /// last *sealed* group boundary. Explicit [`StateBackend::flush`], snapshot
-    /// compaction and a clean drop all seal the open group.
-    pub group_commit_every: u64,
 }
 
 impl DiskConfig {
-    /// A disk store rooted at `dir` with compaction every 64 blocks and
-    /// per-block journal flushes (no commit grouping).
+    /// A disk store rooted at `dir` with compaction every 64 blocks.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DiskConfig {
             dir: dir.into(),
             snapshot_every: 64,
-            group_commit_every: 1,
         }
     }
 }
@@ -258,8 +304,52 @@ impl StateBackendConfig {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A write set of the given length that panics when a record is pulled.
+    pub(crate) struct Unpullable(pub(crate) usize);
+
+    impl Iterator for Unpullable {
+        type Item = DeltaRecord;
+
+        fn next(&mut self) -> Option<DeltaRecord> {
+            panic!("the backend pulled a record")
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            (self.0, Some(self.0))
+        }
+    }
+
+    impl ExactSizeIterator for Unpullable {}
+
+    /// The block protocol on a fresh `backend`: a second open block, a commit
+    /// at another height and a commit behind the committed height all fail
+    /// before a record is pulled, and move nothing.
+    pub(crate) fn assert_block_scope_is_enforced(backend: &mut dyn StateBackend) {
+        backend.begin_block(1).unwrap();
+        assert!(backend.begin_block(2).is_err());
+        assert!(
+            backend.commit_block(9, &mut Unpullable(1)).is_err(),
+            "not the open height"
+        );
+        assert_eq!(backend.committed_block(), None);
+        backend
+            .commit_block(1, &mut Vec::new().into_iter())
+            .unwrap();
+        assert!(
+            backend.begin_block(1).is_err(),
+            "not ahead of the committed height"
+        );
+        assert!(
+            backend.commit_block(1, &mut Unpullable(1)).is_err(),
+            "nothing open, and not ahead of the committed height"
+        );
+        assert_eq!(backend.committed_block(), Some(1));
+        let totals = backend.stats();
+        assert_eq!((totals.committed_blocks, totals.records_written), (1, 0));
+    }
 
     #[test]
     fn digest_distinguishes_code_presence() {

@@ -5,6 +5,7 @@
 //! the compaction policy; the crash-recovery property tests in
 //! `crates/store/tests/` drive torn-tail and torn-snapshot scenarios against it.
 
+use crate::backend::BlockScope;
 use crate::journal::{
     append_frame, append_upsert, check_frame, decode_frame, Frame, FrameScanner, JournalRecord,
 };
@@ -47,7 +48,8 @@ fn io_err(context: &str, err: std::io::Error) -> Error {
 ///
 /// In memory it keeps only a per-account *index* (address → file/offset/length of
 /// the latest value record); account values and the block history stay on disk.
-/// Commits append one framed write-set delta; the live records are read back
+/// Commits append one framed write-set delta, which is in the journal file when
+/// the commit returns; the live records are read back
 /// once, when a state is mounted on a reopened store
 /// ([`for_each_account`](StateBackend::for_each_account)).
 /// [`DiskConfig::snapshot_every`] bounds recovery replay by compacting the live
@@ -65,25 +67,14 @@ fn io_err(context: &str, err: std::io::Error) -> Error {
 pub struct DiskBackend {
     dir: PathBuf,
     snapshot_every: u64,
-    group_every: u64,
     epoch: u64,
     journal: File,
-    /// Logical journal length: sealed (on-disk) bytes plus the pending group
-    /// buffer. Index [`Location`]s address this logical space.
+    /// Length of the active journal file: every committed block's frames.
     journal_len: u64,
-    /// Bytes of the active journal epoch that are actually on disk.
-    flushed_len: u64,
-    /// Framed commits of the open group, not yet written to the journal file.
-    /// Reads of these records are served from here; a crash loses them.
-    group_buffer: Vec<u8>,
-    /// Blocks committed into the open group since the last seal.
-    group_pending: u64,
-    /// Height of the last block whose commit was sealed to disk (what recovery
-    /// lands on after a crash).
-    sealed_height: Option<u64>,
+    /// One block's frames on their way to the journal, reused across commits.
+    frame_buf: Vec<u8>,
     index: BTreeMap<Address, Location>,
-    committed: Option<u64>,
-    open_height: Option<u64>,
+    scope: BlockScope,
     last_snapshot_height: u64,
     stats: StoreStats,
 }
@@ -153,17 +144,12 @@ impl DiskBackend {
         let mut backend = DiskBackend {
             dir: config.dir.clone(),
             snapshot_every: config.snapshot_every,
-            group_every: config.group_commit_every.max(1),
             epoch: max_epoch,
             journal,
             journal_len,
-            flushed_len: journal_len,
-            group_buffer: Vec::new(),
-            group_pending: 0,
-            sealed_height: committed,
+            frame_buf: Vec::new(),
             index,
-            committed,
-            open_height: None,
+            scope: BlockScope::at(committed),
             last_snapshot_height,
             stats,
         };
@@ -174,51 +160,36 @@ impl DiskBackend {
         Ok(backend)
     }
 
-    /// Bytes currently in the active journal epoch, including the unsealed group
-    /// buffer (used by the crash-recovery tests to map truncation points onto
-    /// commit boundaries; with `group_commit_every` = 1 every byte is on disk).
+    /// Bytes in the active journal epoch: the journal file's length, since a
+    /// commit is in the file when it returns (used by the crash-recovery tests
+    /// to map truncation points onto commit boundaries).
     pub fn journal_bytes(&self) -> u64 {
         self.journal_len
     }
 
-    /// Blocks committed into the open (unsealed) commit group. Zero whenever
-    /// `group_commit_every` is 1 or a seal just happened.
-    pub fn pending_group_blocks(&self) -> u64 {
-        self.group_pending
-    }
-
-    /// Height of the last commit that is durable on disk — what recovery lands on
-    /// after a crash. Trails [`StateBackend::committed_block`] by up to
-    /// `group_commit_every - 1` blocks while a group is open.
-    pub fn sealed_height(&self) -> Option<u64> {
-        self.sealed_height
-    }
-
-    /// Writes the open commit group to the journal file and flushes it, sealing
-    /// every buffered block. A no-op when the buffer is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure.
-    pub fn seal_group(&mut self) -> Result<()> {
-        if self.group_buffer.is_empty() {
-            self.group_pending = 0;
-            self.sealed_height = self.committed;
+    /// Appends the framed block in `frame_buf` to the journal and flushes it.
+    /// On failure the journal is cut back to its last block boundary, so the
+    /// next commit does not land behind a partial frame that `open` would stop
+    /// at.
+    fn append_block(&mut self) -> Result<()> {
+        let appended = self
+            .journal
+            .write_all(&self.frame_buf)
+            .and_then(|()| self.journal.flush());
+        let Err(err) = appended else {
             return Ok(());
-        }
-        self.journal
-            .write_all(&self.group_buffer)
-            .map_err(|e| io_err("append commit group", e))?;
-        self.journal
-            .flush()
-            .map_err(|e| io_err("flush journal", e))?;
-        self.flushed_len += self.group_buffer.len() as u64;
-        debug_assert_eq!(self.flushed_len, self.journal_len);
-        self.group_buffer.clear();
-        self.group_pending = 0;
-        self.sealed_height = self.committed;
-        self.stats.group_flushes += 1;
-        Ok(())
+        };
+        let rewound = self
+            .journal
+            .set_len(self.journal_len)
+            .and_then(|()| self.journal.seek(SeekFrom::End(0)));
+        Err(match rewound {
+            Ok(_) => io_err("append block", err),
+            Err(rewind) => io_err(
+                &format!("append block ({err}), then rewind journal"),
+                rewind,
+            ),
+        })
     }
 
     /// The active journal/snapshot generation.
@@ -238,11 +209,8 @@ impl DiskBackend {
     ///
     /// Returns an error on I/O failure.
     pub fn compact(&mut self) -> Result<CommitStats> {
-        // The fresh epoch must not strand buffered commits in the abandoned
-        // journal: seal first.
-        self.seal_group()?;
         let new_epoch = self.epoch + 1;
-        let height = self.committed.unwrap_or(0);
+        let height = self.scope.committed().unwrap_or(0);
         let accounts = self.index.len() as u64;
 
         // Every live record is one whole `Upsert` frame; copy each verbatim
@@ -287,7 +255,6 @@ impl DiskBackend {
             .open(&journal_path)
             .map_err(|e| io_err("open fresh journal", e))?;
         self.journal_len = 0;
-        self.flushed_len = 0;
 
         // Keep exactly one previous generation as the torn-snapshot fallback.
         let old_epoch = self.epoch;
@@ -316,18 +283,13 @@ impl DiskBackend {
 
     /// Every file a live record sits in (the current snapshot and journal;
     /// after a torn-snapshot fallback, the epochs replayed past it), each read
-    /// once, whole. The active journal is its flushed bytes followed by the open
-    /// group's buffer: the logical space the index addresses.
+    /// once, whole.
     fn sources(&self) -> Result<HashMap<(FileKind, u64), Vec<u8>>> {
         let mut sources = HashMap::new();
         for location in self.index.values() {
             if let Entry::Vacant(source) = sources.entry((location.kind, location.epoch)) {
                 let path = file_path(&self.dir, location.kind, location.epoch);
-                let mut bytes = fs::read(path).map_err(|e| io_err("read live records", e))?;
-                if (location.kind, location.epoch) == (FileKind::Journal, self.epoch) {
-                    bytes.truncate(self.flushed_len as usize);
-                    bytes.extend_from_slice(&self.group_buffer);
-                }
+                let bytes = fs::read(path).map_err(|e| io_err("read live records", e))?;
                 source.insert(bytes);
             }
         }
@@ -349,7 +311,7 @@ fn frame_at<'a>(
 /// Appends block `height`'s frames to `buf`, pulling the write set's records
 /// one at a time in the order the iterator yields them, and returns where each
 /// touched account's record now lives (`None` for a delete). The block's first
-/// byte lands at logical offset `offset` of journal `epoch`.
+/// byte lands at offset `offset` of journal `epoch`.
 fn encode_block(
     buf: &mut Vec<u8>,
     offset: u64,
@@ -558,20 +520,7 @@ impl StateBackend for DiskBackend {
     }
 
     fn begin_block(&mut self, height: u64) -> Result<()> {
-        if let Some(open) = self.open_height {
-            return Err(Error::validation(format!(
-                "block {open} is already open, cannot begin {height}"
-            )));
-        }
-        if let Some(committed) = self.committed {
-            if height <= committed {
-                return Err(Error::validation(format!(
-                    "cannot begin block {height} at committed height {committed}"
-                )));
-            }
-        }
-        self.open_height = Some(height);
-        Ok(())
+        self.scope.begin(height)
     }
 
     fn commit_block(
@@ -579,40 +528,22 @@ impl StateBackend for DiskBackend {
         height: u64,
         records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
     ) -> Result<CommitStats> {
-        match self.open_height {
-            Some(open) if open != height => {
-                return Err(Error::validation(format!(
-                    "delta height {height} does not match open block {open}"
-                )))
-            }
-            None if self.committed.is_some_and(|c| height <= c) => {
-                return Err(Error::validation(format!(
-                    "cannot commit block {height} behind committed height"
-                )))
-            }
-            _ => {}
-        }
+        self.scope.check_commit(height)?;
 
-        // Group commit: the block is framed straight into the open group; the
-        // journal file is only written (and flushed) every `group_every` blocks.
-        // The index addresses the *logical* journal, so reads stay current
-        // either way. A failed encoding takes the block's frames back out.
-        let start = self.group_buffer.len();
+        // The block is framed, then appended and flushed, before anything moves:
+        // a failed encoding or append leaves the store at the previous height.
+        self.frame_buf.clear();
         let placements = encode_block(
-            &mut self.group_buffer,
+            &mut self.frame_buf,
             self.journal_len,
             self.epoch,
             height,
             records,
-        )
-        .map_err(|e| {
-            self.group_buffer.truncate(start);
-            e
-        })?;
+        )?;
+        self.append_block()?;
         let records = placements.len() as u64;
-        let bytes = (self.group_buffer.len() - start) as u64;
+        let bytes = self.frame_buf.len() as u64;
         self.journal_len += bytes;
-        self.group_pending += 1;
 
         for (address, location) in placements {
             match location {
@@ -624,12 +555,9 @@ impl StateBackend for DiskBackend {
                 }
             }
         }
-        self.open_height = None;
-        self.committed = Some(height);
-        if self.group_pending >= self.group_every {
-            self.seal_group()?;
-        }
+        self.scope.mark_committed(height);
         self.stats.committed_blocks += 1;
+        self.stats.group_flushes += 1;
         self.stats.records_written += records;
         self.stats.bytes_written += bytes;
 
@@ -651,7 +579,7 @@ impl StateBackend for DiskBackend {
     }
 
     fn committed_block(&self) -> Option<u64> {
-        self.committed
+        self.scope.committed()
     }
 
     fn for_each_account(
@@ -678,25 +606,12 @@ impl StateBackend for DiskBackend {
     fn stats(&self) -> StoreStats {
         self.stats.clone()
     }
-
-    fn flush(&mut self) -> Result<()> {
-        self.seal_group()?;
-        self.journal.flush().map_err(|e| io_err("flush journal", e))
-    }
-}
-
-impl Drop for DiskBackend {
-    /// A clean shutdown seals the open commit group; only a crash (process death,
-    /// or the crash-simulation tests copying the directory mid-group) loses the
-    /// buffered tail.
-    fn drop(&mut self) {
-        let _ = self.seal_group();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::assert_block_scope_is_enforced;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir =
@@ -742,14 +657,23 @@ mod tests {
         let config = DiskConfig::new(&dir);
         {
             let mut backend = DiskBackend::open(&config).unwrap();
-            backend.begin_block(1).unwrap();
-            backend
-                .commit_block(1, &mut records(&[(1, 100), (2, 200)]).into_iter())
-                .unwrap();
-            backend.begin_block(2).unwrap();
-            backend
-                .commit_block(2, &mut records(&[(1, 150)]).into_iter())
-                .unwrap();
+            for (height, block) in [(1, &[(1, 100), (2, 200)][..]), (2, &[(1, 150)][..])] {
+                backend.begin_block(height).unwrap();
+                backend
+                    .commit_block(height, &mut records(block).into_iter())
+                    .unwrap();
+                // A returned commit is in the file: the journal holds every
+                // byte, and a crash right now recovers exactly this height.
+                let journal = file_path(&dir, FileKind::Journal, 0);
+                assert_eq!(
+                    fs::metadata(journal).unwrap().len(),
+                    backend.journal_bytes()
+                );
+                let crashed = crash_copy(&dir, "roundtrip-crash");
+                let recovered = DiskBackend::open(&DiskConfig::new(&crashed)).unwrap();
+                assert_eq!(recovered.committed_block(), Some(height));
+                let _ = fs::remove_dir_all(&crashed);
+            }
         }
         let mut reopened = DiskBackend::open(&config).unwrap();
         assert_eq!(reopened.committed_block(), Some(2));
@@ -823,9 +747,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Simulates a crash: snapshots the store directory's on-disk bytes as they
-    /// are right now — buffered (unsealed) commit groups are lost, exactly as a
-    /// power cut would lose them — into a fresh directory a new backend can open.
+    /// Simulates a crash: copies the store directory's on-disk bytes as they are
+    /// right now into a fresh directory a new backend can open.
     fn crash_copy(dir: &Path, tag: &str) -> PathBuf {
         let copy = tempdir(tag);
         fs::create_dir_all(&copy).unwrap();
@@ -837,103 +760,53 @@ mod tests {
     }
 
     #[test]
-    fn group_commits_batch_journal_flushes() {
-        let dir = tempdir("group");
-        let config = DiskConfig {
-            snapshot_every: 0,
-            group_commit_every: 4,
-            ..DiskConfig::new(&dir)
-        };
-        let mut backend = DiskBackend::open(&config).unwrap();
-        for height in 1..=6u64 {
-            backend.begin_block(height).unwrap();
-            backend
-                .commit_block(height, &mut records(&[(height, height * 10)]).into_iter())
-                .unwrap();
-        }
-        // Blocks 1-4 sealed as one group; 5-6 pending in the buffer.
-        assert_eq!(backend.pending_group_blocks(), 2);
-        assert_eq!(backend.sealed_height(), Some(4));
-        assert_eq!(backend.committed_block(), Some(6));
-        // Reads of buffered commits are served from the group buffer.
-        assert_eq!(
-            balances(&mut backend).last(),
-            Some(&(Address::from_low(6), 60))
-        );
-        // An explicit flush seals the open group.
-        backend.flush().unwrap();
-        assert_eq!(backend.pending_group_blocks(), 0);
-        assert_eq!(backend.sealed_height(), Some(6));
+    fn block_scope_is_enforced() {
+        let dir = tempdir("scope");
+        let mut backend = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
+        assert_block_scope_is_enforced(&mut backend);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn crash_mid_group_recovers_to_the_last_sealed_group() {
-        let dir = tempdir("group-crash");
+    fn a_failed_append_does_not_commit() {
+        let dir = tempdir("failed-append");
         let config = DiskConfig {
             snapshot_every: 0,
-            group_commit_every: 3,
             ..DiskConfig::new(&dir)
         };
+        let journal = file_path(&dir, FileKind::Journal, 0);
         let mut backend = DiskBackend::open(&config).unwrap();
-        for height in 1..=8u64 {
-            backend.begin_block(height).unwrap();
-            backend
-                .commit_block(height, &mut records(&[(1, height * 100)]).into_iter())
-                .unwrap();
-        }
-        // Groups sealed after blocks 3 and 6; 7-8 are buffered only.
-        assert_eq!(backend.sealed_height(), Some(6));
-        let crashed = crash_copy(&dir, "group-crash-copy");
-        let mut recovered = DiskBackend::open(&DiskConfig {
-            dir: crashed.clone(),
-            ..config.clone()
-        })
-        .unwrap();
-        assert_eq!(recovered.committed_block(), Some(6));
-        assert_eq!(balances(&mut recovered), [(Address::from_low(1), 600)]);
-        // The recovered store keeps committing cleanly past the crash point.
-        recovered.begin_block(7).unwrap();
-        recovered
-            .commit_block(7, &mut records(&[(1, 777)]).into_iter())
+        backend.begin_block(1).unwrap();
+        backend
+            .commit_block(1, &mut records(&[(1, 100)]).into_iter())
             .unwrap();
-        // A clean drop of the original seals the tail, so a normal reopen sees
-        // everything.
-        drop(backend);
-        let reopened = DiskBackend::open(&config).unwrap();
-        assert_eq!(reopened.committed_block(), Some(8));
-        let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&crashed);
-    }
+        let boundary = backend.journal_bytes();
+        let before = balances(&mut backend);
 
-    #[test]
-    fn crash_mid_group_after_compaction_lands_on_the_snapshot_epoch_seal() {
-        let dir = tempdir("group-compact");
-        let config = DiskConfig {
-            snapshot_every: 4,
-            group_commit_every: 3,
-            ..DiskConfig::new(&dir)
-        };
-        let mut backend = DiskBackend::open(&config).unwrap();
-        for height in 1..=5u64 {
-            backend.begin_block(height).unwrap();
-            backend
-                .commit_block(height, &mut records(&[(2, height)]).into_iter())
-                .unwrap();
-        }
-        // The compaction at height 4 sealed everything up to it; block 5 opened a
-        // new group in the fresh epoch.
-        assert!(backend.stats().snapshots_written >= 1);
-        assert_eq!(backend.pending_group_blocks(), 1);
-        let crashed = crash_copy(&dir, "group-compact-copy");
-        let recovered = DiskBackend::open(&DiskConfig {
-            dir: crashed.clone(),
-            ..config.clone()
-        })
-        .unwrap();
-        assert_eq!(recovered.committed_block(), Some(4));
+        // A journal handle that cannot be written: the append of block 2 fails.
+        backend.journal = File::open(&journal).unwrap();
+        backend.begin_block(2).unwrap();
+        assert!(backend
+            .commit_block(2, &mut records(&[(1, 999)]).into_iter())
+            .is_err());
+        assert_eq!(backend.committed_block(), Some(1));
+        assert_eq!(backend.journal_bytes(), boundary);
+        assert_eq!(fs::metadata(&journal).unwrap().len(), boundary);
+        assert_eq!(balances(&mut backend), before);
+        drop(backend);
+
+        let mut reopened = DiskBackend::open(&config).unwrap();
+        assert_eq!(reopened.committed_block(), Some(1));
+        assert_eq!(balances(&mut reopened), before);
+        reopened.begin_block(2).unwrap();
+        reopened
+            .commit_block(2, &mut records(&[(1, 101)]).into_iter())
+            .unwrap();
+        drop(reopened);
+        let mut recovered = DiskBackend::open(&config).unwrap();
+        assert_eq!(recovered.committed_block(), Some(2));
+        assert_eq!(balances(&mut recovered), [(Address::from_low(1), 101)]);
         let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&crashed);
     }
 
     #[test]

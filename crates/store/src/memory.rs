@@ -1,6 +1,7 @@
 //! The in-memory backend: a block journal that keeps its counters and nothing
 //! else.
 
+use crate::backend::BlockScope;
 use crate::{CommitStats, DeltaRecord, StateBackend, StoreStats, StoredAccount};
 use blockconc_types::{Address, Error, Result};
 
@@ -39,8 +40,7 @@ use blockconc_types::{Address, Error, Result};
 /// ```
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
-    committed: Option<u64>,
-    open_height: Option<u64>,
+    scope: BlockScope,
     stats: StoreStats,
 }
 
@@ -63,20 +63,7 @@ impl StateBackend for MemoryBackend {
     }
 
     fn begin_block(&mut self, height: u64) -> Result<()> {
-        if let Some(open) = self.open_height {
-            return Err(Error::validation(format!(
-                "block {open} is already open, cannot begin {height}"
-            )));
-        }
-        if let Some(committed) = self.committed {
-            if height <= committed {
-                return Err(Error::validation(format!(
-                    "cannot begin block {height} at committed height {committed}"
-                )));
-            }
-        }
-        self.open_height = Some(height);
-        Ok(())
+        self.scope.begin(height)
     }
 
     fn commit_block(
@@ -84,21 +71,8 @@ impl StateBackend for MemoryBackend {
         height: u64,
         records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
     ) -> Result<CommitStats> {
-        match self.open_height {
-            Some(open) if open != height => {
-                return Err(Error::validation(format!(
-                    "delta height {height} does not match open block {open}"
-                )))
-            }
-            None if self.committed.is_some_and(|c| height <= c) => {
-                return Err(Error::validation(format!(
-                    "cannot commit block {height} behind committed height"
-                )))
-            }
-            _ => {}
-        }
-        self.open_height = None;
-        self.committed = Some(height);
+        self.scope.check_commit(height)?;
+        self.scope.mark_committed(height);
         let records = records.len() as u64;
         self.stats.committed_blocks += 1;
         self.stats.records_written += records;
@@ -110,7 +84,7 @@ impl StateBackend for MemoryBackend {
     }
 
     fn committed_block(&self) -> Option<u64> {
-        self.committed
+        self.scope.committed()
     }
 
     /// A fresh backend holds no accounts; one that holds commits kept none of
@@ -119,7 +93,7 @@ impl StateBackend for MemoryBackend {
         &mut self,
         _f: &mut dyn FnMut(Address, StoredAccount) -> Result<()>,
     ) -> Result<()> {
-        match self.committed {
+        match self.scope.committed() {
             None => Ok(()),
             Some(height) => Err(Error::validation(format!(
                 "the memory backend keeps no accounts: nothing to mount at height {height}"
@@ -135,6 +109,7 @@ impl StateBackend for MemoryBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::{assert_block_scope_is_enforced, Unpullable};
 
     fn upsert(addr: u64, balance: u64) -> DeltaRecord {
         DeltaRecord {
@@ -147,23 +122,6 @@ mod tests {
             }),
         }
     }
-
-    /// A write set of the given length that panics when a record is pulled.
-    struct Unpullable(usize);
-
-    impl Iterator for Unpullable {
-        type Item = DeltaRecord;
-
-        fn next(&mut self) -> Option<DeltaRecord> {
-            panic!("the memory backend pulled a record")
-        }
-
-        fn size_hint(&self) -> (usize, Option<usize>) {
-            (self.0, Some(self.0))
-        }
-    }
-
-    impl ExactSizeIterator for Unpullable {}
 
     #[test]
     fn commit_counts_records_and_keeps_no_accounts() {
@@ -206,25 +164,6 @@ mod tests {
 
     #[test]
     fn block_scope_is_enforced() {
-        let mut backend = MemoryBackend::new();
-        backend.begin_block(1).unwrap();
-        assert!(backend.begin_block(2).is_err());
-        assert!(
-            backend.commit_block(9, &mut Unpullable(1)).is_err(),
-            "not the open height"
-        );
-        assert_eq!(backend.committed_block(), None);
-        backend.commit_block(1, &mut Unpullable(0)).unwrap();
-        assert!(
-            backend.begin_block(1).is_err(),
-            "not ahead of the committed height"
-        );
-        assert!(
-            backend.commit_block(1, &mut Unpullable(1)).is_err(),
-            "nothing open, and not ahead of the committed height"
-        );
-        assert_eq!(backend.committed_block(), Some(1));
-        let totals = backend.stats();
-        assert_eq!((totals.committed_blocks, totals.records_written), (1, 0));
+        assert_block_scope_is_enforced(&mut MemoryBackend::new());
     }
 }

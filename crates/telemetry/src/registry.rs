@@ -82,11 +82,9 @@ named_enum! {
         /// Incremental-TDG maintenance operations (`IncrementalTdg::op_units`:
         /// edge inserts/removes plus folded and compacted entries).
         TdgOps => "tdg_ops",
-        /// TDG compaction passes.
-        TdgCompactions => "tdg_compactions",
         /// Bytes appended to the store journal.
         JournalBytes => "journal_bytes",
-        /// Group-commit journal flushes.
+        /// Journal writes: one per committed block.
         JournalFlushes => "journal_flushes",
         /// Store compaction (snapshot + truncate) passes.
         StoreCompactions => "store_compactions",

@@ -24,7 +24,6 @@ fn pipeline_config(max_blocks: usize) -> PipelineConfig {
     PipelineConfig {
         threads: THREADS,
         max_blocks,
-        max_deferral_blocks: 2,
         ..PipelineConfig::default()
     }
 }
