@@ -167,11 +167,13 @@ impl ClusterRouter {
         if count == 0 {
             return;
         }
-        if let Some(live) = self.live.get_mut(&sender) {
-            *live = live.saturating_sub(count);
-            if *live == 0 {
-                self.live.remove(&sender);
-            }
+        let Some(live) = self.live.get_mut(&sender) else {
+            return;
+        };
+        debug_assert!(*live >= count, "removing more than the sender's live txs");
+        *live -= count;
+        if *live == 0 {
+            self.live.remove(&sender);
         }
     }
 
@@ -454,5 +456,16 @@ mod tests {
         assert!(router.has_chain(sender));
         router.note_removed(sender, 2);
         assert!(!router.has_chain(sender));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "removing more than the sender's live txs")]
+    fn removing_more_than_was_admitted_panics() {
+        let mut router = ClusterRouter::new(4);
+        let sender = Address::from_low(5);
+        router.route(&transfer(5, 50_000, 0));
+        router.note_admitted(sender);
+        router.note_removed(sender, 2);
     }
 }

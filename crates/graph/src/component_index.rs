@@ -35,8 +35,8 @@ const NO_SLOT: usize = usize::MAX;
 ///
 /// The index owns the three things every streaming component structure in this
 /// workspace needs — the key interner, the [`UnionFind`] and the per-component
-/// state — so callers name components by *key* and never hold a node index, a
-/// root or a remap table:
+/// state — so callers name components by *key* and never hold a node index or a
+/// root:
 ///
 /// * [`intern`](Self::intern) / [`union`](Self::union) admit keys. A union of
 ///   two components folds the absorbed payload into the survivor
@@ -45,11 +45,11 @@ const NO_SLOT: usize = usize::MAX;
 ///   merges by size, so the absorbed side never holds more keys than the
 ///   survivor and total fold work stays O(n log n).
 /// * [`release`](Self::release) frees one whole component: its payload and its
-///   keys leave the index at once (the union–find cannot split a component, so
-///   a caller that wants one split releases it and re-inserts the edges that
-///   survive).
-/// * [`compact_if_sparse`](Self::compact_if_sparse) reclaims released slots once
-///   they outnumber the live ones, re-keying every internal table itself.
+///   keys leave the index at once (the index cannot split a component in two,
+///   so a caller that wants one split releases it and re-inserts the edges that
+///   survive). The released nodes go on a free list that new keys take from
+///   before the tables grow, so the tables never outgrow the most keys ever
+///   interned at once.
 ///
 /// # Examples
 ///
@@ -86,6 +86,8 @@ pub struct ComponentIndex<K, P> {
     slot_of: Vec<usize>,
     /// One `(root node, payload)` per live component, densely packed.
     components: Vec<(usize, P)>,
+    /// Released nodes, each a singleton in `uf`, waiting for a new key.
+    free: Vec<usize>,
 }
 
 impl<K, P> Default for ComponentIndex<K, P> {
@@ -97,6 +99,7 @@ impl<K, P> Default for ComponentIndex<K, P> {
             next: Vec::new(),
             slot_of: Vec::new(),
             components: Vec::new(),
+            free: Vec::new(),
         }
     }
 }
@@ -168,58 +171,40 @@ impl<K: Copy + Eq + Hash, P: ComponentPayload<K>> ComponentIndex<K, P> {
         let node = *self.node_of.get(key)?;
         let root = self.uf.find(node);
         let payload = self.take_slot(self.slot_of[root]);
-        let mut keys = Vec::with_capacity(self.uf.live_component_size(root));
+        let mut keys = Vec::with_capacity(self.uf.component_size(root));
+        let first_freed = self.free.len();
         let mut node = root;
         loop {
             let key = self.key_of[node];
             self.node_of.remove(&key);
-            self.uf.remove(node);
             keys.push(key);
-            node = self.next[node];
+            self.free.push(node);
+            node = std::mem::replace(&mut self.next[node], node);
             if node == root {
                 break;
             }
         }
+        self.uf.split(&self.free[first_freed..]);
         Some((payload, keys))
-    }
-
-    /// Generation compaction: once released slots outnumber the live ones (and a
-    /// small floor), rebuilds the dense tables over the live keys and re-keys
-    /// every component to its new root. Returns the number of slots swept — the
-    /// work done — or 0 if the index was dense enough to leave alone.
-    pub fn compact_if_sparse(&mut self) -> usize {
-        if self.uf.tombstone_count() <= self.uf.live_len().max(64) {
-            return 0;
-        }
-        let remap = self.uf.compact();
-        let live = |old: usize| remap[old].expect("a live component holds live nodes only");
-        let (mut key_of, mut next) = (Vec::new(), Vec::new());
-        for old in (0..remap.len()).filter(|&old| remap[old].is_some()) {
-            key_of.push(self.key_of[old]);
-            next.push(live(self.next[old]));
-        }
-        for node in self.node_of.values_mut() {
-            *node = live(*node);
-        }
-        self.slot_of = vec![NO_SLOT; key_of.len()];
-        for (slot, (root, _)) in self.components.iter_mut().enumerate() {
-            *root = self.uf.find(live(*root));
-            self.slot_of[*root] = slot;
-        }
-        self.key_of = key_of;
-        self.next = next;
-        remap.len()
     }
 
     fn node(&mut self, key: K) -> usize {
         if let Some(&node) = self.node_of.get(&key) {
             return node;
         }
-        let node = self.uf.grow();
+        let node = match self.free.pop() {
+            Some(node) => node,
+            None => {
+                let node = self.uf.grow();
+                self.key_of.push(key);
+                self.next.push(node);
+                self.slot_of.push(NO_SLOT);
+                node
+            }
+        };
+        self.key_of[node] = key;
+        self.slot_of[node] = self.components.len();
         self.node_of.insert(key, node);
-        self.key_of.push(key);
-        self.next.push(node);
-        self.slot_of.push(self.components.len());
         self.components.push((node, P::singleton(key)));
         node
     }
@@ -237,5 +222,40 @@ impl<K: Copy + Eq + Hash, P: ComponentPayload<K>> ComponentIndex<K, P> {
             self.slot_of[moved] = slot;
         }
         payload
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn released_nodes_are_reused() {
+        let mut index: ComponentIndex<u32, u64> = ComponentIndex::new();
+        for round in 0..200u32 {
+            // Ten keys a round, paired differently each round; a key comes back
+            // every third round, on whichever released node it is handed.
+            let key = |i: u32| 10 * (round % 3) + (i + round) % 10;
+            for i in 0..10 {
+                assert_eq!(*index.intern(key(i)), 0, "round {round}: stale payload");
+            }
+            assert_eq!(index.components().count(), 10, "round {round}: merged");
+            for pair in 0..5 {
+                *index.union(key(2 * pair), key(2 * pair + 1)).0 += 1;
+            }
+            let slots = index.uf.len();
+            assert!(slots <= 10, "round {round}: {slots} slots");
+            assert_eq!(index.components().count(), 5);
+            for pair in 0..5 {
+                let (count, mut keys) = index.release(&key(2 * pair)).expect("interned");
+                keys.sort_unstable();
+                let mut expected = vec![key(2 * pair), key(2 * pair + 1)];
+                expected.sort_unstable();
+                assert_eq!((count, keys), (1, expected), "round {round}");
+            }
+            assert_eq!(index.key_count(), 0);
+        }
+        assert_eq!(index.uf.len(), 10);
+        assert_eq!(index.uf.component_count(), 10);
     }
 }

@@ -22,8 +22,8 @@
 //! routers, the packers' block-local grouping) track components of a changing
 //! transaction set rather than of one block. They all sit on [`ComponentIndex`]:
 //! key interning, the [`UnionFind`], one payload per component, the fold on union,
-//! whole-component release and the re-keying after a generation compaction live
-//! there and nowhere else. Where a component lives is [`canonical_shard`] /
+//! whole-component release and the reuse of released nodes live there and
+//! nowhere else. Where a component lives is [`canonical_shard`] /
 //! [`canonical_shard_epoch`]: one placement rule for every sharded layer.
 //!
 //! # Examples

@@ -7,29 +7,11 @@
 /// Uses path compression and union by size, so all operations are effectively
 /// amortized constant time.
 ///
-/// # Deletion
-///
-/// A classic union–find cannot delete, which would force streaming users to rebuild
-/// from scratch whenever elements leave. This structure instead supports **tombstone
-/// removal** with **generation compaction**: [`UnionFind::remove`] marks an element
-/// dead in O(α) — it leaves its set's *live* accounting immediately while its slot
-/// lingers as a tombstone — and once tombstones outnumber live elements a caller runs
-/// [`UnionFind::compact`], which rebuilds the dense arrays over the survivors
-/// (preserving the partition) and returns an old-index → new-index remap. Amortized
-/// against the removals that created the garbage, every operation stays effectively
-/// constant time, and memory stays proportional to the live set.
-///
 /// Streaming users over *keys* (addresses) with state per set do not drive these
 /// primitives themselves: [`ComponentIndex`](crate::ComponentIndex) owns the
-/// interner, this structure, the per-set payloads and the re-keying a compaction
-/// forces. Direct use is for dense indices known up front (a block's transactions).
-///
-/// Live per-set accounting is tracked alongside the structural one:
-/// [`live_len`](UnionFind::live_len), [`live_component_count`](UnionFind::live_component_count)
-/// and [`live_component_size`](UnionFind::live_component_size) see only non-removed
-/// elements, while the structural [`component_count`](UnionFind::component_count) /
-/// [`component_size`](UnionFind::component_size) keep counting tombstones until the
-/// next compaction.
+/// interner, this structure, the per-set payloads and the reuse of released
+/// elements. Direct use is for dense indices known up front (a block's
+/// transactions).
 ///
 /// # Examples
 ///
@@ -43,24 +25,12 @@
 /// assert!(!uf.connected(0, 2));
 /// assert_eq!(uf.component_count(), 2);
 /// assert_eq!(uf.largest_component_size(), 2);
-///
-/// uf.remove(3);
-/// assert_eq!(uf.live_component_size(2), 1);
-/// let remap = uf.compact();
-/// assert_eq!(uf.len(), 3);
-/// assert!(uf.connected(remap[0].unwrap(), remap[1].unwrap()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
     size: Vec<usize>,
     components: usize,
-    removed: Vec<bool>,
-    /// Live (non-removed) elements per set, indexed by root.
-    live_size: Vec<usize>,
-    live_elements: usize,
-    /// Sets holding at least one live element.
-    live_components: usize,
 }
 
 impl UnionFind {
@@ -70,10 +40,6 @@ impl UnionFind {
             parent: (0..n).collect(),
             size: vec![1; n],
             components: n,
-            removed: vec![false; n],
-            live_size: vec![1; n],
-            live_elements: n,
-            live_components: n,
         }
     }
 
@@ -89,10 +55,6 @@ impl UnionFind {
         self.parent.push(index);
         self.size.push(1);
         self.components += 1;
-        self.removed.push(false);
-        self.live_size.push(1);
-        self.live_elements += 1;
-        self.live_components += 1;
         index
     }
 
@@ -140,11 +102,6 @@ impl UnionFind {
         self.parent[small] = big;
         self.size[big] += self.size[small];
         self.components -= 1;
-        if self.live_size[big] > 0 && self.live_size[small] > 0 {
-            self.live_components -= 1;
-        }
-        self.live_size[big] += self.live_size[small];
-        self.live_size[small] = 0;
         true
     }
 
@@ -200,95 +157,15 @@ impl UnionFind {
         self.component_sizes().into_iter().max().unwrap_or(0)
     }
 
-    /// Marks `x` removed (a tombstone): it immediately leaves every *live* count
-    /// while its slot lingers until the next [`UnionFind::compact`]. The structural
-    /// partition is unchanged — other members of `x`'s set stay connected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is out of range or already removed.
-    pub fn remove(&mut self, x: usize) {
-        assert!(!self.removed[x], "element {x} is already removed");
-        let root = self.find(x);
-        self.removed[x] = true;
-        self.live_size[root] -= 1;
-        self.live_elements -= 1;
-        if self.live_size[root] == 0 {
-            self.live_components -= 1;
+    /// Turns one whole set back into singletons. `members` must be every element
+    /// of exactly one set, so that no other element points into it — what
+    /// [`ComponentIndex`](crate::ComponentIndex) releases before it reuses them.
+    pub(crate) fn split(&mut self, members: &[usize]) {
+        for &m in members {
+            self.parent[m] = m;
+            self.size[m] = 1;
         }
-    }
-
-    /// Number of live (non-removed) elements.
-    pub fn live_len(&self) -> usize {
-        self.live_elements
-    }
-
-    /// Number of tombstoned slots awaiting compaction.
-    pub fn tombstone_count(&self) -> usize {
-        self.parent.len() - self.live_elements
-    }
-
-    /// Number of sets holding at least one live element.
-    pub fn live_component_count(&self) -> usize {
-        self.live_components
-    }
-
-    /// Live elements in the set containing `x` (0 once the whole set is removed).
-    pub fn live_component_size(&mut self, x: usize) -> usize {
-        let root = self.find(x);
-        self.live_size[root]
-    }
-
-    /// Generation compaction: drops every tombstoned slot, renumbering the live
-    /// elements densely (in index order) while preserving their partition. Returns
-    /// the old-index → new-index remap (`None` for removed slots), which callers
-    /// must use to re-key any cached indices. Representative *identities* are not
-    /// preserved — re-derive roots with [`UnionFind::find`] on remapped indices.
-    ///
-    /// Cost is O(n α); amortized against the Ω(n) removals that produced the
-    /// garbage it reclaims, it keeps all operations effectively constant time.
-    pub fn compact(&mut self) -> Vec<Option<usize>> {
-        let n = self.len();
-        let mut remap: Vec<Option<usize>> = vec![None; n];
-        let mut next = 0usize;
-        for (old, slot) in remap.iter_mut().enumerate() {
-            if !self.removed[old] {
-                *slot = Some(next);
-                next += 1;
-            }
-        }
-        let mut parent = vec![0usize; next];
-        let mut size = vec![1usize; next];
-        let mut live_size = vec![0usize; next];
-        // The first live member of each old set becomes the new root (an old root
-        // may itself be a tombstone, so root identity cannot be preserved).
-        let mut root_map: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        let pairs: Vec<(usize, usize)> = remap
-            .iter()
-            .enumerate()
-            .filter_map(|(old, new)| new.map(|new| (old, new)))
-            .collect();
-        for (old, new) in pairs {
-            let old_root = self.find(old);
-            let new_root = *root_map.entry(old_root).or_insert(new);
-            parent[new] = new_root;
-            live_size[new_root] += 1;
-        }
-        for (new, &root) in parent.iter().enumerate() {
-            if new == root {
-                size[new] = live_size[new];
-            }
-        }
-        let components = root_map.len();
-        self.parent = parent;
-        self.size = size;
-        self.live_size = live_size;
-        self.removed = vec![false; next];
-        self.components = components;
-        self.live_components = components;
-        self.live_elements = next;
-        remap
+        self.components += members.len() - 1;
     }
 }
 
@@ -323,6 +200,15 @@ mod tests {
         let sizes = uf.component_sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert_eq!(uf.largest_component_size(), 3);
+        // Splitting the whole three-element set leaves three singletons.
+        uf.split(&[2, 3, 4]);
+        assert_eq!(uf.component_count(), 9);
+        let mut sizes = uf.component_sizes();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [1, 1, 1, 1, 1, 1, 1, 1, 2]);
+        assert!(!uf.connected(2, 3));
+        assert!(uf.union(4, 0));
+        assert_eq!(uf.component_size(1), 3);
     }
 
     #[test]
@@ -392,92 +278,5 @@ mod tests {
         assert!(uf.is_empty());
         assert_eq!(uf.component_count(), 0);
         assert_eq!(uf.largest_component_size(), 0);
-    }
-
-    #[test]
-    fn remove_updates_live_accounting_without_breaking_structure() {
-        let mut uf = UnionFind::new(5);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        assert_eq!(uf.live_component_count(), 3);
-        uf.remove(1);
-        // Structural connectivity of the survivors is untouched.
-        assert!(uf.connected(0, 2));
-        assert_eq!(uf.live_len(), 4);
-        assert_eq!(uf.tombstone_count(), 1);
-        assert_eq!(uf.live_component_size(0), 2);
-        assert_eq!(uf.component_size(0), 3, "structural size keeps tombstones");
-        // Removing the whole set drops it from the live component count.
-        uf.remove(0);
-        uf.remove(2);
-        assert_eq!(uf.live_component_count(), 2);
-        assert_eq!(uf.live_component_size(0), 0);
-        assert_eq!(uf.live_component_size(3), 1);
-        assert_eq!(uf.live_component_size(4), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already removed")]
-    fn double_remove_panics() {
-        let mut uf = UnionFind::new(2);
-        uf.remove(0);
-        uf.remove(0);
-    }
-
-    #[test]
-    fn union_with_tombstoned_members_keeps_live_counts_right() {
-        let mut uf = UnionFind::new(4);
-        uf.remove(1);
-        // Merging a live singleton with a fully tombstoned set: one live component
-        // before and after.
-        assert_eq!(uf.live_component_count(), 3);
-        uf.union(0, 1);
-        assert_eq!(uf.live_component_count(), 3);
-        assert_eq!(uf.live_component_size(1), 1);
-        // Merging two live sets still collapses the live count.
-        uf.union(2, 3);
-        assert_eq!(uf.live_component_count(), 2);
-    }
-
-    #[test]
-    fn compact_drops_tombstones_and_preserves_the_partition() {
-        let mut uf = UnionFind::new(6);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(3, 4);
-        uf.remove(1);
-        uf.remove(5);
-        let remap = uf.compact();
-        assert_eq!(uf.len(), 4);
-        assert_eq!(uf.live_len(), 4);
-        assert_eq!(uf.tombstone_count(), 0);
-        assert_eq!(remap[1], None);
-        assert_eq!(remap[5], None);
-        // {0, 2} survive connected, {3, 4} survive connected, and the two sets
-        // stay disjoint.
-        let (a, c) = (remap[0].unwrap(), remap[2].unwrap());
-        let (d, e) = (remap[3].unwrap(), remap[4].unwrap());
-        assert!(uf.connected(a, c));
-        assert!(uf.connected(d, e));
-        assert!(!uf.connected(a, d));
-        assert_eq!(uf.component_count(), 2);
-        assert_eq!(uf.live_component_count(), 2);
-        assert_eq!(uf.live_component_size(a), 2);
-        // The compacted structure grows and unions like a fresh one.
-        let f = uf.grow();
-        uf.union(f, a);
-        assert_eq!(uf.live_component_size(f), 3);
-    }
-
-    #[test]
-    fn compact_handles_fully_tombstoned_sets() {
-        let mut uf = UnionFind::new(3);
-        uf.union(0, 1);
-        uf.remove(0);
-        uf.remove(1);
-        let remap = uf.compact();
-        assert_eq!(uf.len(), 1);
-        assert_eq!(uf.component_count(), 1);
-        assert_eq!(remap, vec![None, None, Some(0)]);
     }
 }

@@ -1,5 +1,5 @@
 //! Model-based property test of [`ComponentIndex`]: random intern / union /
-//! release / compact sequences against a naive `key → set id` partition.
+//! release / re-intern sequences against a naive `key → set id` partition.
 
 use blockconc_graph::{ComponentIndex, ComponentPayload};
 use proptest::prelude::*;
@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// A payload that makes every fold visible: the keys it has been told about (one
 /// entry per `deposit`, so duplicates count) — the index must keep exactly the
-/// deposits made into a component's keys, however components merge and re-key.
+/// deposits made into a component's keys, however components merge and nodes are reused.
 #[derive(Debug, Clone, PartialEq)]
 struct Deposits(Vec<u8>);
 
@@ -145,7 +145,11 @@ proptest! {
     ) {
         let mut index: ComponentIndex<u8, Deposits> = ComponentIndex::new();
         let mut model = Model::default();
-        let (mut deposited, mut released, mut compactions) = (0usize, 0usize, 0usize);
+        let (mut deposited, mut released, mut reuses) = (0usize, 0usize, 0usize);
+        // Keys released so far, and the most keys ever interned at once: the
+        // index only grows its tables past that peak, so a new key interned
+        // below it takes a released node.
+        let (mut gone, mut peak) = (Vec::new(), 0usize);
         for (at, &(op, a, b)) in ops.iter().enumerate() {
             let step = format!("op {at} ({op}, {a}, {b})");
             match op {
@@ -168,21 +172,32 @@ proptest! {
                     let got = index.release(&a);
                     prop_assert_eq!(got.is_some(), expected.is_some(), "{}", step);
                     if let (Some((payload, keys)), Some((deposits, model_keys))) = (got, expected) {
+                        gone.extend_from_slice(&keys);
                         prop_assert_eq!(sorted(keys), model_keys, "{}", step);
                         released += payload.0.len();
                         prop_assert_eq!(sorted(payload.0), sorted(deposits), "{}", step);
                     }
                 }
                 _ => {
-                    // Sweeps only once released slots outnumber live ones; the
-                    // partition check below is what a stale root would fail.
-                    compactions += (index.compact_if_sparse() > 0) as usize;
+                    // Re-intern a released key: it must come back as a fresh
+                    // singleton, whichever node it lands on; the partition check
+                    // below is what a stale ring or root would fail.
+                    if let Some(&key) = gone.get(a as usize % gone.len().max(1)) {
+                        let fresh = !model.set_of.contains_key(&key);
+                        reuses += (fresh && index.key_count() < peak) as usize;
+                        let payload = index.intern(key);
+                        if fresh {
+                            prop_assert!(payload.0.is_empty(), "{}: stale payload", step);
+                        }
+                        model.intern(key);
+                    }
                 }
             }
+            peak = peak.max(index.key_count());
             assert_same_partition(&mut index, &model, &step);
             let held: usize = index.components().map(|(_, payload)| payload.0.len()).sum();
             prop_assert_eq!(held + released, deposited, "{}: payload conservation", step);
         }
-        prop_assert!(compactions > 0, "the op mix must reach a generation compaction");
+        prop_assert!(reuses > 0, "the op mix must reach a reuse");
     }
 }

@@ -81,9 +81,8 @@ impl ComponentPayload<Address> for Component {
 ///   edges, at which point a **component-local compaction** releases just that
 ///   component and re-inserts its surviving edges (amortized O(1) per removal);
 /// * a component whose last transaction leaves is **freed exactly** — the index
-///   releases its record and addresses at once
-///   ([`ComponentIndex::release`]), and reclaims released slots whenever they
-///   outnumber the live ones ([`ComponentIndex::compact_if_sparse`]).
+///   releases its record and addresses at once ([`ComponentIndex::release`]),
+///   and the next new addresses reuse the released nodes.
 ///
 /// Between compactions the partition is *conservative*: it may keep two address
 /// groups merged whose only bridges have left the pool, but it never separates
@@ -287,7 +286,7 @@ impl IncrementalTdg {
         }
         self.edge_refs.remove(&key);
         if component.txs == 0 {
-            self.free_component(key.0);
+            self.release_component(key.0);
             return;
         }
         component.dead += 1;
@@ -315,7 +314,7 @@ impl IncrementalTdg {
         self.txs -= 1;
         self.ops += 1;
         if emptied {
-            self.free_component(directed.0);
+            self.release_component(directed.0);
         }
     }
 
@@ -335,12 +334,6 @@ impl IncrementalTdg {
             .expect("a component is released through one of its addresses");
         self.ops += (addresses.len() + component.edges.len()) as u64;
         (component, addresses)
-    }
-
-    /// Releases a component whose last live transaction left: exact, O(members).
-    fn free_component(&mut self, member: Address) {
-        self.release_component(member);
-        self.ops += self.index.compact_if_sparse() as u64;
     }
 
     /// Component-local (epoch) compaction: rebuilds one component from its live
@@ -374,7 +367,6 @@ impl IncrementalTdg {
             }
         }
         self.compactions += 1;
-        self.ops += self.index.compact_if_sparse() as u64;
     }
 
     /// Forces full tightness: compacts every component carrying dead edges, so the
@@ -382,8 +374,8 @@ impl IncrementalTdg {
     /// this — it exists for cross-checks and for consumers that want an exact
     /// component distribution at a chosen instant.
     pub fn compact(&mut self) {
-        // Compacting one component re-keys others, so look for the next dirty
-        // one after every pass instead of snapshotting the list up front.
+        // Compacting one component reorders the index's component list, so look
+        // for the next dirty one after every pass instead of snapshotting it.
         while let Some(member) = self.dirty_component() {
             self.compact_component(member);
         }
@@ -431,7 +423,8 @@ impl IncrementalTdg {
     }
 
     /// The component id of an address, if it has been seen. Ids are stable
-    /// between mutations but not across them (compaction renumbers).
+    /// between mutations but not across them (unions re-root, and released ids are
+    /// reused).
     pub fn component_of(&mut self, address: Address) -> Option<usize> {
         self.index.component_id(&address)
     }

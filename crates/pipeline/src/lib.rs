@@ -20,11 +20,14 @@
 //! * [`IncrementalTdg`] — the address-level dependency graph maintained *online* as
 //!   transactions arrive **and leave**, built on `blockconc-graph`'s
 //!   [`ComponentIndex`] (address interning, union-with-fold, whole-component
-//!   release and generation compaction in one place) with one record per
-//!   component. Insertions are amortized near-constant time; removals (packed blocks, evictions,
-//!   replacements) are amortized O(1) via edge reference counts, exact component
-//!   release, and component-local epoch compaction — no call site rebuilds the
-//!   graph on the hot path, so every per-block cost is O(Δ), not O(pool).
+//!   release and reuse of released nodes in one place) with one record per
+//!   component. Insertions are amortized near-constant time; removals (packed
+//!   blocks, evictions, replacements) are amortized O(1) via edge reference
+//!   counts, exact component release, and component-local epoch compaction — no
+//!   call site rebuilds the graph on the hot path, so graph maintenance per block
+//!   is O(Δ), not O(pool). The one per-block term that is not is the
+//!   concurrency-aware cap search, which collects and sorts every pooled
+//!   component's size: O(C log C) over the C components.
 //! * [`BlockPacker`] — the packing strategy trait, with two implementations:
 //!   [`FeeGreedyPacker`] reproduces today's miners (highest fee bid first under the
 //!   gas limit), while [`ConcurrencyAwarePacker`] additionally caps how many

@@ -339,7 +339,8 @@ impl BlockPacker for ConcurrencyAwarePacker {
         // Ready transaction counts per pool-level dependency component, straight
         // from the maintained graph (every pooled transaction is ready under the
         // pool's gap-free-chain invariant — see `Mempool::ready_heads`), so the cap
-        // search costs O(components), not an O(pool) chain scan.
+        // search sorts the C component sizes, O(C log C), instead of scanning the
+        // pool's chains.
         let sizes = tdg.component_tx_counts();
         // Block capacity in transactions under the *actual* gas profile of the
         // pool (an all-transfer assumption would overestimate it several-fold for
