@@ -1,17 +1,17 @@
-//! Benchmarks the OCC conflict-detection hot loop over [`AccessSet`]s: the
-//! sorted-small-vec representation's `conflicts_with` (a two-pointer merge with no
-//! per-key hashing, now spanning the read/write/**delta** class triple) and the
-//! full `detect_conflicts` index pass over a block's worth of recorded access
-//! sets.
+//! Benchmarks storage-level conflict detection over [`AccessSet`]s: the
+//! sorted-small-vec representation's pairwise `conflicts_with` (a two-pointer
+//! merge with no per-key hashing, spanning the read/write/**delta** class
+//! triple) and the one-pass `conflict_groups` over a block's worth of recorded
+//! access sets, which applies the same relation key by key with no pair list.
 //!
 //! This is the regression guard for the `HashSet` → sorted-`Vec` refactor: if
 //! `conflicts_with` ever regresses to per-key hashing or allocation, these numbers
 //! move first. The `delta_commute` group covers the fee-sink shape — every set
-//! delta-merges the same hot key — where the answer is "no conflict" but the walk
-//! still has to cross all three classes.
+//! delta-merges the same hot key — where the answer is "no conflict" but both
+//! the pairwise walk and the block pass still have to cross all three classes.
 
 use blockconc::account::{AccessSet, StateKey};
-use blockconc::execution::detect_conflicts;
+use blockconc::graph::conflict_groups;
 use blockconc::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -61,9 +61,9 @@ fn pairwise_conflicts(c: &mut Criterion) {
 }
 
 /// The fee-sink shape: every transaction delta-merges the same hot key plus a
-/// couple of private keys. `conflicts_with` must report *no* conflicts (deltas
-/// commute) while still walking all three class pairs — the cost of the answer
-/// "these all parallelize" is what this group pins.
+/// couple of private keys. `conflicts_with` and `conflict_groups` must report
+/// *no* conflicts (deltas commute) while still walking all three classes — the
+/// cost of the answer "these all parallelize" is what this group pins.
 fn delta_commute(c: &mut Criterion) {
     let mut group = c.benchmark_group("access_set_delta_commute");
     for &keys in &[2u64, 8] {
@@ -91,16 +91,23 @@ fn delta_commute(c: &mut Criterion) {
                 conflicts
             })
         });
+        group.bench_with_input(BenchmarkId::new("block", keys), &sets, |b, sets| {
+            b.iter(|| {
+                let groups = conflict_groups(std::hint::black_box(sets));
+                assert_eq!(groups.conflicted_count(), 0, "pure delta sets must commute");
+                groups
+            })
+        });
     }
     group.finish();
 }
 
 fn block_conflict_detection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("detect_conflicts_block");
+    let mut group = c.benchmark_group("conflict_groups_block");
     for &txs in &[64u64, 256] {
         let sets: Vec<AccessSet> = (0..txs).map(|tx| access_set(tx, 4)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(txs), &sets, |b, sets| {
-            b.iter(|| detect_conflicts(std::hint::black_box(sets)))
+            b.iter(|| conflict_groups(std::hint::black_box(sets)))
         });
     }
     group.finish();

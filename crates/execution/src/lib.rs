@@ -12,14 +12,17 @@
 //!   exactly like the clients of the chains the paper studies.
 //! * [`SpeculativeEngine`] — evaluates the two-phase technique modelled by
 //!   Equation (1): a parallel discovery pass executes every transaction against the
-//!   pre-block state and keeps its read/write set, storage-level conflicts between
+//!   pre-block state and keeps its access set, storage-level conflicts between
 //!   the sets give the sequential bin, and the report charges `⌈x/n⌉ + bin` units.
 //! * [`ScheduledEngine`] — evaluates the group-concurrency technique modelled by
-//!   Equation (2): the same discovery pass, the conflict graph split into connected
-//!   components, and the report charges the makespan of scheduling whole
-//!   components (each internally sequential) LPT-style onto the worker threads.
+//!   Equation (2): the same discovery pass, the transactions split into conflict
+//!   groups, and the report charges the makespan of scheduling whole groups
+//!   (each internally sequential) LPT-style onto the worker threads.
 //!
-//!   Both evaluators commit by executing the block sequentially: what discovery
+//!   Both evaluators group with
+//!   [`blockconc_graph::conflict_groups`], the one home of the storage-level
+//!   relation ([`AccessSet::conflicts_with`](blockconc_account::AccessSet::conflicts_with)),
+//!   and both commit by executing the block sequentially: what discovery
 //!   observed against the pre-block state decides the reported units, never the
 //!   committed state.
 //! * [`OptimisticEngine`] — the Block-STM-style MVCC engine: every transaction
@@ -85,7 +88,6 @@ mod speculative;
 mod thread_pool;
 
 pub use engine::ExecutionEngine;
-pub use occ::{detect_conflicts, ConflictMatrix};
 pub use optimistic::{AbortInjection, OptimisticEngine};
 pub use report::ExecutionReport;
 pub use scheduled::ScheduledEngine;

@@ -2,9 +2,9 @@
 
 use crate::occ::discover_access_sets;
 use crate::thread_pool::WorkerPool;
-use crate::{detect_conflicts, ExecutionEngine, ExecutionReport};
+use crate::{ExecutionEngine, ExecutionReport};
 use blockconc_account::{AccountBlock, BlockExecutor, ExecutedBlock, WorldState};
-use blockconc_graph::UnionFind;
+use blockconc_graph::conflict_groups;
 use blockconc_model::lpt_makespan;
 use blockconc_types::Result;
 
@@ -15,8 +15,8 @@ use blockconc_types::Result;
 ///    read/write set against the pre-block state (this plays the role of building
 ///    the transaction dependency graph, and corresponds to the preprocessing cost
 ///    `K` in the paper's refinement of Equation 2).
-/// 2. **Grouping** — transactions are partitioned into connected components of the
-///    conflict graph with a union–find structure.
+/// 2. **Grouping** — transactions are partitioned into storage-level conflict
+///    groups by [`conflict_groups`], one pass over the access sets.
 /// 3. **Commit** — the block is executed sequentially, in block order; as in
 ///    [`SpeculativeEngine`](crate::SpeculativeEngine), the discovered structure
 ///    decides what is reported, never what is committed.
@@ -65,26 +65,17 @@ impl ExecutionEngine for ScheduledEngine {
         state: &mut WorldState,
         block: &AccountBlock,
     ) -> Result<(ExecutedBlock, ExecutionReport)> {
-        let conflicts = detect_conflicts(&discover_access_sets(&self.pool, state, block)?);
+        let groups = conflict_groups(&discover_access_sets(&self.pool, state, block)?);
         let executed = self.executor.execute_block(state, block)?;
 
-        let x = block.transaction_count();
-        let mut components = UnionFind::new(x);
-        for &(a, b) in conflicts.edges() {
-            components.union(a, b);
-        }
-        let group_sizes: Vec<u64> = components
-            .component_sizes()
-            .into_iter()
-            .map(|size| size as u64)
-            .collect();
+        let sizes: Vec<u64> = groups.group_sizes().iter().map(|&s| s as u64).collect();
         let report = ExecutionReport::new(
             self.name(),
             self.threads(),
-            x,
-            group_sizes.iter().filter(|&&size| size > 1).sum::<u64>() as usize,
-            group_sizes.iter().copied().max().unwrap_or(0) as usize,
-            lpt_makespan(&group_sizes, self.threads()),
+            block.transaction_count(),
+            groups.conflicted_count(),
+            sizes.iter().copied().max().unwrap_or(0) as usize,
+            lpt_makespan(&sizes, self.threads()),
         );
         Ok((executed, report))
     }

@@ -2,8 +2,9 @@
 
 use crate::occ::discover_access_sets;
 use crate::thread_pool::WorkerPool;
-use crate::{detect_conflicts, ExecutionEngine, ExecutionReport};
+use crate::{ExecutionEngine, ExecutionReport};
 use blockconc_account::{AccountBlock, BlockExecutor, ExecutedBlock, WorldState};
+use blockconc_graph::conflict_groups;
 use blockconc_types::Result;
 
 /// The speculative two-phase technique modelled by the paper's Equation (1),
@@ -11,8 +12,9 @@ use blockconc_types::Result;
 ///
 /// 1. **Discovery** — every transaction is executed against the pre-block state,
 ///    spread across worker threads, and leaves only its read/write set behind.
-///    Transactions whose sets conflict with another transaction's form the
-///    *sequential bin* a two-phase engine would have to re-execute in block order.
+///    Transactions whose sets conflict with another transaction's
+///    ([`conflict_groups`]) form the *sequential bin* a two-phase engine would
+///    have to re-execute in block order.
 /// 2. **Commit** — the block is executed sequentially, in block order. Pre-block
 ///    access sets are not a sound basis for committing anything out of order (an
 ///    earlier transaction of the block can flip a later one's branch, and with it
@@ -60,7 +62,7 @@ impl ExecutionEngine for SpeculativeEngine {
         state: &mut WorldState,
         block: &AccountBlock,
     ) -> Result<(ExecutedBlock, ExecutionReport)> {
-        let conflicts = detect_conflicts(&discover_access_sets(&self.pool, state, block)?);
+        let conflicts = conflict_groups(&discover_access_sets(&self.pool, state, block)?);
         let executed = self.executor.execute_block(state, block)?;
 
         let x = block.transaction_count();

@@ -18,6 +18,13 @@
 //! * the **group conflict rate** — size of the largest connected component (in
 //!   transactions) / total transactions.
 //!
+//! Beside the paper's address-level TDG sits the storage-level relation the
+//! execution evaluators and the contention profiler measure: [`conflict_groups`]
+//! groups a block's transactions by the keys their recorded
+//! [`AccessSet`](blockconc_account::AccessSet)s share, under exactly
+//! [`AccessSet::conflicts_with`](blockconc_account::AccessSet::conflicts_with)
+//! (reads, writes and commutative deltas), in one pass with no list of pairs.
+//!
 //! Streaming consumers (the mempool's incremental TDG, the thread- and node-level
 //! routers, the packers' block-local grouping) track components of a changing
 //! transaction set rather than of one block. They all sit on [`ComponentIndex`]:
@@ -60,6 +67,7 @@ mod builder_account;
 mod builder_utxo;
 mod component_index;
 mod components;
+mod conflicts;
 mod dot;
 mod metrics;
 mod placement;
@@ -73,6 +81,7 @@ pub use builder_account::{
 pub use builder_utxo::{build_utxo_tdg, UtxoTdgAnalysis};
 pub use component_index::{ComponentIndex, ComponentPayload};
 pub use components::{connected_components, largest_component_size};
+pub use conflicts::{conflict_groups, ConflictGroups};
 pub use dot::tdg_to_dot;
 pub use metrics::BlockMetrics;
 pub use placement::{canonical_shard, canonical_shard_epoch};

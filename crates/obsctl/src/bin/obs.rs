@@ -11,8 +11,9 @@
 //! exit non-zero on violation; `tests/trace_checks.rs` makes the same library
 //! calls on a 4-shard cluster run in `cargo test`.
 
+use blockconc_account::{AccessSet, StateKey};
 use blockconc_chainsim::{AccountWorkloadParams, ArrivalStream, HotspotSpec};
-use blockconc_obsctl::contention::AccessClass;
+use blockconc_graph::receiver_edge_is_weak;
 use blockconc_obsctl::{contention, critpath, trace, trees_from_jsonl};
 use std::process::ExitCode;
 
@@ -68,10 +69,17 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-fn parse<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
+/// Pulls the value following `flag` out of `args` and parses it, or parses
+/// `default` when the flag is absent.
+fn parsed_option<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+    default: &str,
+) -> Result<T, String> {
+    let value = take_option(args, flag)?.unwrap_or_else(|| default.into());
     value
         .parse()
-        .map_err(|_| format!("invalid {what}: {value:?}"))
+        .map_err(|_| format!("invalid {flag}: {value:?}"))
 }
 
 fn read_file(path: &str) -> Result<String, String> {
@@ -129,26 +137,11 @@ fn cmd_critpath(args: &[String]) -> Result<(), String> {
 
 fn cmd_contention(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let blocks: usize = parse(
-        &take_option(&mut args, "--blocks")?.unwrap_or_else(|| "10".into()),
-        "--blocks",
-    )?;
-    let txs_per_block: usize = parse(
-        &take_option(&mut args, "--txs-per-block")?.unwrap_or_else(|| "100".into()),
-        "--txs-per-block",
-    )?;
-    let seed: u64 = parse(
-        &take_option(&mut args, "--seed")?.unwrap_or_else(|| "42".into()),
-        "--seed",
-    )?;
-    let zipf: f64 = parse(
-        &take_option(&mut args, "--zipf")?.unwrap_or_else(|| "0.4".into()),
-        "--zipf",
-    )?;
-    let top: usize = parse(
-        &take_option(&mut args, "--top")?.unwrap_or_else(|| "10".into()),
-        "--top",
-    )?;
+    let blocks: usize = parsed_option(&mut args, "--blocks", "10")?;
+    let txs_per_block: usize = parsed_option(&mut args, "--txs-per-block", "100")?;
+    let seed: u64 = parsed_option(&mut args, "--seed", "42")?;
+    let zipf: f64 = parsed_option(&mut args, "--zipf", "0.4")?;
+    let top: usize = parsed_option(&mut args, "--top", "10")?;
     if !args.is_empty() {
         return Err(format!("unexpected arguments {args:?}\n{USAGE}"));
     }
@@ -162,29 +155,29 @@ fn cmd_contention(args: &[String]) -> Result<(), String> {
         contract_create_share: 0.01,
     };
     let total = blocks * txs_per_block;
-    let stream = ArrivalStream::new(params, 10.0, total, seed);
-    let mut tx_accounts: Vec<Vec<(String, AccessClass)>> = Vec::with_capacity(total);
-    for arrival in stream {
-        // The sender's balance and nonce are read-modify-write: an ordering
-        // write. A plain transfer's receiver only gains a commutative credit
-        // (the delta-cell engine merges those without ordering); a contract
-        // call can rewrite arbitrary callee state, so it stays a write.
-        let mut accounts = vec![(arrival.tx.sender().to_string(), AccessClass::Write)];
-        if !arrival.tx.is_contract_creation() {
-            let class = if arrival.tx.is_contract_call() {
-                AccessClass::Write
-            } else {
-                AccessClass::Delta
-            };
-            accounts.push((arrival.tx.receiver().to_string(), class));
-        }
-        tx_accounts.push(accounts);
-    }
-    let block_list: Vec<Vec<Vec<(String, AccessClass)>>> = tx_accounts
-        .chunks(txs_per_block.max(1))
-        .map(|chunk| chunk.to_vec())
+    let access_sets: Vec<AccessSet> = ArrivalStream::new(params, 10.0, total, seed)
+        .map(|arrival| {
+            // The sender's balance and nonce are read-modify-write: an
+            // ordering write. The receiver gains a commutative credit where the
+            // packer's graph calls its edge weak, and is written otherwise; a
+            // creation records no receiver.
+            let tx = &arrival.tx;
+            let mut access = AccessSet::new();
+            access.record_write(StateKey::Balance(tx.sender()));
+            let receiver = StateKey::Balance(tx.receiver());
+            if receiver_edge_is_weak(tx) {
+                access.record_delta(receiver);
+            } else if !tx.is_contract_creation() {
+                access.record_write(receiver);
+            }
+            access
+        })
         .collect();
-    let profile = contention::profile_blocks_classed(&block_list, top);
+    let block_list: Vec<Vec<AccessSet>> = access_sets
+        .chunks(txs_per_block.max(1))
+        .map(<[AccessSet]>::to_vec)
+        .collect();
+    let profile = contention::profile_blocks(&block_list, top);
     print!("{}", profile.render());
     Ok(())
 }

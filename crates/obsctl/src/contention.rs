@@ -1,56 +1,32 @@
-//! Workload contention profiling: hot accounts, dependency-component growth,
-//! and conflict attribution from telemetry counters.
+//! Workload contention profiling: hot accounts and dependency-component growth.
 //!
 //! The paper's speedup bound is governed by how transactions fuse into
 //! dependency components — a handful of hot accounts (exchange wallets, \
 //! popular contracts) weld otherwise-independent transactions into one
 //! serial chain. This profiler quantifies exactly that, per block over time,
-//! from nothing but per-transaction account access lists: blocks are
-//! `Vec<tx>`, a tx is the list of account labels it touches.
+//! from nothing but per-transaction access sets, grouped by the storage-level
+//! relation of [`conflict_groups`].
 
-use blockconc_graph::UnionFind;
-use blockconc_telemetry::TelemetrySnapshot;
-use std::collections::BTreeMap;
+use blockconc_account::{AccessSet, StateKey};
+use blockconc_graph::conflict_groups;
+use std::collections::HashMap;
 
-/// How a transaction touches an account: a pure read, an ordering write, or a
-/// commutative delta contribution (a credit or counter bump that merges with
-/// other deltas without imposing an order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessClass {
-    /// The transaction observes the account's state.
-    Read,
-    /// The transaction overwrites account state — orders against everything.
-    Write,
-    /// The transaction adds a commutative delta — orders only against
-    /// readers and writers, never against other deltas.
-    Delta,
-}
-
-/// One account's touch count across the profiled window.
-#[derive(Debug, Clone, PartialEq)]
+/// One state key's touch count across the profiled window.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HotAccount {
-    /// Account label (rendered address).
+    /// Key label: the rendered address for a balance.
     pub account: String,
-    /// Transactions touching the account (all classes).
+    /// Transactions touching the key (all classes).
     pub touches: u64,
-    /// Pure-read touches.
+    /// Transactions reading it.
     pub reads: u64,
-    /// Ordering-write touches.
+    /// Transactions writing it.
     pub writes: u64,
-    /// Commutative-delta touches. A hot account whose touches are almost all
-    /// deltas is a dissolved hotspot: it no longer welds a component.
+    /// Transactions delta-merging it. A hot account whose touches are almost
+    /// all deltas is a dissolved hotspot: it no longer welds a component.
     pub deltas: u64,
     /// Share of all transactions touching it.
     pub share: f64,
-}
-
-/// A named conflict source from the telemetry counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConflictSource {
-    /// Counter name (`"engine_conflicts"`, `"mempool_replaced"`, ...).
-    pub source: String,
-    /// Counter value.
-    pub value: u64,
 }
 
 /// The contention profile of a block sequence.
@@ -70,83 +46,37 @@ pub struct ContentionProfile {
     pub largest_share_over_time: Vec<f64>,
 }
 
-/// Profiles blocks of transactions, each transaction the list of account
-/// labels it touches. Every touch is treated as an ordering write — the
-/// conservative view in which sharing an account always fuses. Callers that
-/// know the access class per touch get a sharper profile from
-/// [`profile_blocks_classed`].
-pub fn profile_blocks(blocks: &[Vec<Vec<String>>], top_k: usize) -> ContentionProfile {
-    let classed: Vec<Vec<Vec<(String, AccessClass)>>> = blocks
-        .iter()
-        .map(|block| {
-            block
-                .iter()
-                .map(|accounts| {
-                    accounts
-                        .iter()
-                        .map(|account| (account.clone(), AccessClass::Write))
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    profile_blocks_classed(&classed, top_k)
-}
-
-/// Profiles blocks of transactions with per-touch access classes.
+/// Profiles blocks of transactions, each transaction its access set.
 ///
-/// Transactions sharing an account within a block are unioned into one
-/// dependency component only when the sharing actually orders them: any write
-/// touch fuses everyone on the account, and a mix of reads and deltas fuses
-/// too (the reader upgrades to an ordered dependency on each contributor).
-/// Pure read sharing and pure delta sharing commute and fuse nothing — this
-/// is the operation-level view the delta-cell engine exploits.
-pub fn profile_blocks_classed(
-    blocks: &[Vec<Vec<(String, AccessClass)>>],
-    top_k: usize,
-) -> ContentionProfile {
-    #[derive(Default)]
-    struct Tally {
-        reads: u64,
-        writes: u64,
-        deltas: u64,
-    }
-    let mut touches: BTreeMap<String, Tally> = BTreeMap::new();
+/// A block's components are its [`conflict_groups`]: sharing a key fuses
+/// transactions only when the sharing orders them (a write, or a read among
+/// deltas); pure read sharing and pure delta sharing commute and fuse nothing.
+pub fn profile_blocks(blocks: &[Vec<AccessSet>], top_k: usize) -> ContentionProfile {
+    let mut hot: HashMap<StateKey, HotAccount> = HashMap::new();
     let mut component_sizes: Vec<usize> = Vec::new();
     let mut largest_share_over_time = Vec::with_capacity(blocks.len());
     let mut txs = 0usize;
     for block in blocks {
+        for access in block {
+            // A transaction touches a key once, whatever classes it uses.
+            let mut touched = [access.reads(), access.writes(), access.deltas()].concat();
+            touched.sort_unstable();
+            touched.dedup();
+            for key in touched {
+                hot.entry(key).or_default().touches += 1;
+            }
+            for key in access.reads() {
+                hot.entry(*key).or_default().reads += 1;
+            }
+            for key in access.writes() {
+                hot.entry(*key).or_default().writes += 1;
+            }
+            for key in access.deltas() {
+                hot.entry(*key).or_default().deltas += 1;
+            }
+        }
         txs += block.len();
-        let mut uf = UnionFind::new(block.len());
-        let mut per_account: BTreeMap<&str, Vec<(usize, AccessClass)>> = BTreeMap::new();
-        for (index, accesses) in block.iter().enumerate() {
-            for (account, class) in accesses {
-                let tally = touches.entry(account.clone()).or_default();
-                match class {
-                    AccessClass::Read => tally.reads += 1,
-                    AccessClass::Write => tally.writes += 1,
-                    AccessClass::Delta => tally.deltas += 1,
-                }
-                per_account
-                    .entry(account.as_str())
-                    .or_default()
-                    .push((index, *class));
-            }
-        }
-        for touchers in per_account.values() {
-            let any_write = touchers.iter().any(|(_, c)| *c == AccessClass::Write);
-            let any_read = touchers.iter().any(|(_, c)| *c == AccessClass::Read);
-            let any_delta = touchers.iter().any(|(_, c)| *c == AccessClass::Delta);
-            // Writes order against everything; a reader among deltas upgrades
-            // to ordered. Read-only or delta-only sharing commutes: no fusion.
-            if any_write || (any_read && any_delta) {
-                let first = touchers[0].0;
-                for &(index, _) in &touchers[1..] {
-                    uf.union(first, index);
-                }
-            }
-        }
-        let sizes = uf.component_sizes();
+        let sizes = conflict_groups(block).group_sizes().to_vec();
         let largest = sizes.iter().copied().max().unwrap_or(0);
         largest_share_over_time.push(if block.is_empty() {
             0.0
@@ -156,27 +86,16 @@ pub fn profile_blocks_classed(
         component_sizes.extend(sizes);
     }
 
-    let mut ranked: Vec<(String, Tally)> = touches.into_iter().collect();
-    ranked.sort_by(|a, b| {
-        let ta = a.1.reads + a.1.writes + a.1.deltas;
-        let tb = b.1.reads + b.1.writes + b.1.deltas;
-        tb.cmp(&ta).then(a.0.cmp(&b.0))
-    });
-    ranked.truncate(top_k);
-    let hot_accounts = ranked
+    let mut hot_accounts: Vec<HotAccount> = hot
         .into_iter()
-        .map(|(account, tally)| {
-            let count = tally.reads + tally.writes + tally.deltas;
-            HotAccount {
-                account,
-                touches: count,
-                reads: tally.reads,
-                writes: tally.writes,
-                deltas: tally.deltas,
-                share: count as f64 / txs.max(1) as f64,
-            }
+        .map(|(key, counts)| HotAccount {
+            account: label(&key),
+            share: counts.touches as f64 / txs.max(1) as f64,
+            ..counts
         })
         .collect();
+    hot_accounts.sort_by(|a, b| b.touches.cmp(&a.touches).then(a.account.cmp(&b.account)));
+    hot_accounts.truncate(top_k);
 
     // CDF weighted by transactions: a component of size s holds s txs.
     component_sizes.sort_unstable();
@@ -200,33 +119,12 @@ pub fn profile_blocks_classed(
     }
 }
 
-/// Conflict-source counters a profile report surfaces, in display order:
-/// engine aborts first, then the delta-cell split (merges are same-cell
-/// collisions dissolved without ordering, downgrades are readers re-ordered
-/// against delta contributors), then cross-shard and mempool churn.
-pub const CONFLICT_COUNTERS: &[&str] = &[
-    "engine_conflicts",
-    "delta_merges",
-    "delta_downgrades",
-    "cross_shard_receipts",
-    "rehomed_accounts",
-    "mempool_replaced",
-    "mempool_evicted",
-    "mempool_rejected",
-];
-
-/// Extracts the conflict-attribution counters from a telemetry snapshot.
-pub fn conflict_attribution(snapshot: &TelemetrySnapshot) -> Vec<ConflictSource> {
-    CONFLICT_COUNTERS
-        .iter()
-        .filter_map(|name| {
-            let value = snapshot.counter(name);
-            (value > 0).then(|| ConflictSource {
-                source: (*name).to_string(),
-                value,
-            })
-        })
-        .collect()
+/// A key's label in the report: a balance is its account's address.
+fn label(key: &StateKey) -> String {
+    match key {
+        StateKey::Balance(address) => address.to_string(),
+        other => format!("{other:?}"),
+    }
 }
 
 impl ContentionProfile {
@@ -274,52 +172,63 @@ impl ContentionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blockconc_types::Address;
 
-    fn tx(accounts: &[&str]) -> Vec<String> {
-        accounts.iter().map(|a| a.to_string()).collect()
+    /// The balance key of a named account (names up to eight bytes).
+    fn account(name: &str) -> StateKey {
+        let low = name.bytes().fold(0, |low, b| low << 8 | u64::from(b));
+        StateKey::Balance(Address::from_low(low))
+    }
+
+    /// A transaction reading, writing and delta-merging the named accounts.
+    fn tx(reads: &[&str], writes: &[&str], deltas: &[&str]) -> AccessSet {
+        let mut set = AccessSet::new();
+        reads.iter().for_each(|name| set.record_read(account(name)));
+        writes
+            .iter()
+            .for_each(|name| set.record_write(account(name)));
+        deltas
+            .iter()
+            .for_each(|name| set.record_delta(account(name)));
+        set
     }
 
     #[test]
     fn hot_accounts_and_components() {
-        // Block 0: three txs all touching the exchange → one component of 3.
+        // Block 0: three txs all writing the exchange → one component of 3.
         // Block 1: two independent transfers → two components of 1.
         let blocks = vec![
             vec![
-                tx(&["exchange", "a"]),
-                tx(&["exchange", "b"]),
-                tx(&["exchange", "c"]),
+                tx(&[], &["exchange", "a"], &[]),
+                tx(&[], &["exchange", "b"], &[]),
+                tx(&[], &["exchange", "c"], &[]),
             ],
-            vec![tx(&["d", "e"]), tx(&["f", "g"])],
+            vec![tx(&[], &["d"], &["e"]), tx(&[], &["f"], &["g"])],
         ];
         let profile = profile_blocks(&blocks, 3);
         assert_eq!(profile.blocks, 2);
         assert_eq!(profile.txs, 5);
-        assert_eq!(profile.hot_accounts[0].account, "exchange");
+        assert_eq!(profile.hot_accounts[0].account, label(&account("exchange")));
         assert_eq!(profile.hot_accounts[0].touches, 3);
         assert_eq!(profile.largest_share_over_time, vec![1.0, 0.5]);
         // Components: sizes [3] and [1, 1] → CDF: ≤1 covers 2/5, ≤3 covers 5/5.
         assert_eq!(profile.component_cdf, vec![(1, 0.4), (3, 1.0)]);
     }
 
-    fn classed(accesses: &[(&str, AccessClass)]) -> Vec<(String, AccessClass)> {
-        accesses.iter().map(|(a, c)| (a.to_string(), *c)).collect()
-    }
-
     #[test]
     fn delta_only_sharing_does_not_fuse() {
-        use AccessClass::*;
         // Three fee payers all crediting the sink with commutative deltas:
-        // under write tracking this is one component of 3; under class
-        // tracking they commute and stay independent.
+        // under write tracking this is one component of 3; with deltas they
+        // commute and stay independent.
         let blocks = vec![vec![
-            classed(&[("a", Write), ("sink", Delta)]),
-            classed(&[("b", Write), ("sink", Delta)]),
-            classed(&[("c", Write), ("sink", Delta)]),
+            tx(&[], &["a"], &["sink"]),
+            tx(&[], &["b"], &["sink"]),
+            tx(&[], &["c"], &["sink"]),
         ]];
-        let profile = profile_blocks_classed(&blocks, 3);
+        let profile = profile_blocks(&blocks, 3);
         assert_eq!(profile.largest_share_over_time, vec![1.0 / 3.0]);
         assert_eq!(profile.component_cdf, vec![(1, 1.0)]);
-        assert_eq!(profile.hot_accounts[0].account, "sink");
+        assert_eq!(profile.hot_accounts[0].account, label(&account("sink")));
         assert_eq!(profile.hot_accounts[0].touches, 3);
         assert_eq!(profile.hot_accounts[0].deltas, 3);
         assert_eq!(profile.hot_accounts[0].writes, 0);
@@ -327,14 +236,13 @@ mod tests {
 
     #[test]
     fn a_write_on_the_shared_account_fuses_everyone() {
-        use AccessClass::*;
         // Same sink, but one tx overwrites it — everyone orders against it.
         let blocks = vec![vec![
-            classed(&[("a", Write), ("sink", Delta)]),
-            classed(&[("b", Write), ("sink", Write)]),
-            classed(&[("c", Write), ("sink", Delta)]),
+            tx(&[], &["a"], &["sink"]),
+            tx(&[], &["b", "sink"], &[]),
+            tx(&[], &["c"], &["sink"]),
         ]];
-        let profile = profile_blocks_classed(&blocks, 1);
+        let profile = profile_blocks(&blocks, 1);
         assert_eq!(profile.largest_share_over_time, vec![1.0]);
         assert_eq!(profile.hot_accounts[0].writes, 1);
         assert_eq!(profile.hot_accounts[0].deltas, 2);
@@ -342,15 +250,14 @@ mod tests {
 
     #[test]
     fn a_reader_among_deltas_fuses_by_upgrade() {
-        use AccessClass::*;
-        // A balance reader on the sink upgrades to an ordered dependency on
-        // each delta contributor, welding the component back together.
+        // A balance reader on the sink orders against each delta contributor,
+        // welding the component back together.
         let blocks = vec![vec![
-            classed(&[("a", Write), ("sink", Delta)]),
-            classed(&[("b", Write), ("sink", Delta)]),
-            classed(&[("watcher", Write), ("sink", Read)]),
+            tx(&[], &["a"], &["sink"]),
+            tx(&[], &["b"], &["sink"]),
+            tx(&["sink"], &["watcher"], &[]),
         ]];
-        let profile = profile_blocks_classed(&blocks, 1);
+        let profile = profile_blocks(&blocks, 1);
         assert_eq!(profile.largest_share_over_time, vec![1.0]);
         assert_eq!(profile.hot_accounts[0].reads, 1);
         assert_eq!(profile.hot_accounts[0].deltas, 2);
@@ -358,34 +265,26 @@ mod tests {
 
     #[test]
     fn read_only_sharing_does_not_fuse() {
-        use AccessClass::*;
         let blocks = vec![vec![
-            classed(&[("a", Write), ("oracle", Read)]),
-            classed(&[("b", Write), ("oracle", Read)]),
+            tx(&["oracle"], &["a"], &[]),
+            tx(&["oracle"], &["b"], &[]),
         ]];
-        let profile = profile_blocks_classed(&blocks, 1);
+        let profile = profile_blocks(&blocks, 1);
         assert_eq!(profile.component_cdf, vec![(1, 1.0)]);
     }
 
+    /// A transaction touches a key once, whatever it does there: a
+    /// self-payment's write subsumes its credit, and a read-modify-write
+    /// counts as one touch in two classes.
     #[test]
-    fn conflict_attribution_reads_counters() {
-        use blockconc_telemetry::CounterSnapshot;
-        let snapshot = TelemetrySnapshot {
-            counters: vec![
-                CounterSnapshot {
-                    name: "engine_conflicts".into(),
-                    value: 9,
-                },
-                CounterSnapshot {
-                    name: "mempool_admitted".into(),
-                    value: 100,
-                },
-            ],
-            ..TelemetrySnapshot::default()
-        };
-        let sources = conflict_attribution(&snapshot);
-        assert_eq!(sources.len(), 1);
-        assert_eq!(sources[0].source, "engine_conflicts");
-        assert_eq!(sources[0].value, 9);
+    fn a_key_counts_each_transaction_once() {
+        let blocks = vec![vec![tx(&[], &["a"], &["a"]), tx(&["b"], &["b"], &[])]];
+        let profile = profile_blocks(&blocks, 2);
+        let counts: Vec<_> = profile
+            .hot_accounts
+            .iter()
+            .map(|hot| (hot.touches, hot.reads, hot.writes, hot.deltas))
+            .collect();
+        assert_eq!(counts, [(1, 0, 1, 0), (1, 1, 1, 0)]);
     }
 }

@@ -12,9 +12,10 @@
 //!   sums *exactly* to the measured wall time), and computes Amdahl-style
 //!   what-if bounds: "if pack were free", "if the slowest shard matched the
 //!   median", "serial-section speedup ceiling".
-//! - [`contention`] profiles workload contention: top-K hot accounts,
-//!   dependency-component size CDFs over time, and per-engine conflict
-//!   attribution from the existing telemetry counters.
+//! - [`contention`] profiles workload contention from per-transaction access
+//!   sets: top-K hot accounts and dependency-component size CDFs over time,
+//!   the components being `blockconc_graph::conflict_groups`, the evaluators'
+//!   own storage-level grouping.
 //!
 //! The `obs` binary (`src/bin/obs.rs`) exposes the first two over
 //! flight-recorder JSONL exports and the third over a synthetic arrival stream.

@@ -108,8 +108,8 @@ pub use blockconc_store::{DiskConfig, StateBackendConfig, StoreStats};
 pub use driver::{PipelineConfig, PipelineDriver};
 pub use itdg::{block_group_sizes, effective_receiver, receiver_edge_is_weak, IncrementalTdg};
 pub use packer::{
-    choose_component_cap, pack_capped, BlockPacker, BlockTemplate, ConcurrencyAwarePacker,
-    FeeGreedyPacker, PackedBlock,
+    block_capacity_txs, choose_component_cap, pack_capped, BlockPacker, BlockTemplate,
+    ConcurrencyAwarePacker, FeeGreedyPacker, PackedBlock,
 };
 pub use pool::{
     gas_estimate, AdmitEffects, AdmitOutcome, Mempool, MempoolStats, PooledTx, ReadyChain,

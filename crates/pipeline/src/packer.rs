@@ -244,6 +244,21 @@ pub struct ConcurrencyAwarePacker {
     threads: usize,
 }
 
+/// The block's capacity in transactions under the *actual* gas profile of the
+/// ready transactions: the gas limit over their mean gas, or over a plain
+/// transfer's when none is ready, and at least one. An all-transfer assumption
+/// would overestimate it several-fold for call/create-heavy pools and skew the
+/// cap search. Both the single-pool and the sharded packer pass it to
+/// [`choose_component_cap`].
+pub fn block_capacity_txs(gas_limit: Gas, ready_gas: u64, ready_txs: usize) -> usize {
+    let mean_gas = if ready_txs == 0 {
+        Gas::BASE_TX.value()
+    } else {
+        (ready_gas / ready_txs as u64).max(1)
+    };
+    (gas_limit.value() / mean_gas).max(1) as usize
+}
+
 /// Chooses the per-component transaction cap that maximizes the predicted speed-up of
 /// a block packed from components of the given ready sizes onto `threads` cores.
 ///
@@ -342,17 +357,8 @@ impl BlockPacker for ConcurrencyAwarePacker {
         // search sorts the C component sizes, O(C log C), instead of scanning the
         // pool's chains.
         let sizes = tdg.component_tx_counts();
-        // Block capacity in transactions under the *actual* gas profile of the
-        // pool (an all-transfer assumption would overestimate it several-fold for
-        // call/create-heavy pools and skew the cap search); both aggregates are
-        // maintained, O(1) reads.
-        let ready_txs = pool.len();
-        let mean_gas = if ready_txs == 0 {
-            Gas::BASE_TX.value()
-        } else {
-            (pool.ready_gas().value() / ready_txs as u64).max(1)
-        };
-        let capacity = (template.gas_limit.value() / mean_gas).max(1) as usize;
+        // Both pool aggregates are maintained, O(1) reads.
+        let capacity = block_capacity_txs(template.gas_limit, pool.ready_gas().value(), pool.len());
         let cap = self.choose_cap(&sizes, capacity);
         pack_capped(pool, tdg, template, cap)
     }

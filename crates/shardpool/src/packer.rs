@@ -3,7 +3,8 @@
 use crate::ShardedMempool;
 use blockconc_account::{AccountTransaction, BlockBuilder, WorldState};
 use blockconc_pipeline::{
-    choose_component_cap, gas_estimate, pack_capped, BlockTemplate, PackedBlock, PipelineConfig,
+    block_capacity_txs, choose_component_cap, gas_estimate, pack_capped, BlockTemplate,
+    PackedBlock, PipelineConfig,
 };
 use blockconc_types::{Address, Gas};
 use serde::{Deserialize, Serialize};
@@ -145,20 +146,15 @@ impl ShardedPacker {
             .collect();
 
         // Step 2: one cap for the whole block, from the concatenated (= global,
-        // since components are shard-disjoint) ready distribution. This mirrors
-        // the single packer's search, including the actual-gas-profile capacity.
+        // since components are shard-disjoint) ready distribution, with the
+        // single packer's capacity estimate and cap search.
         let sizes: Vec<usize> = scans
             .iter()
             .flat_map(|(sizes, _, _)| sizes.clone())
             .collect();
         let ready_txs: usize = scans.iter().map(|&(_, _, txs)| txs).sum();
         let ready_gas: u64 = scans.iter().map(|&(_, gas, _)| gas).sum();
-        let mean_gas = if ready_txs == 0 {
-            blockconc_types::Gas::BASE_TX.value()
-        } else {
-            (ready_gas / ready_txs as u64).max(1)
-        };
-        let capacity = (template.gas_limit.value() / mean_gas).max(1) as usize;
+        let capacity = block_capacity_txs(template.gas_limit, ready_gas, ready_txs);
         let cap = choose_component_cap(&sizes, capacity, self.threads);
 
         // Step 3a: parallel sub-packing with the fixed global cap. Empty shards
