@@ -8,7 +8,6 @@
 //! that on generated pairs.
 
 use blockconc_store::StateKey;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// The read, write and delta sets collected while executing one transaction.
@@ -43,7 +42,7 @@ use std::cmp::Ordering;
 /// r.record_read(StateKey::Balance(Address::from_low(1)));
 /// assert!(a.conflicts_with(&r)); // an observer still orders against them
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessSet {
     reads: Vec<StateKey>,
     writes: Vec<StateKey>,

@@ -2,7 +2,6 @@
 
 use crate::vm::Contract;
 use blockconc_types::Amount;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -23,17 +22,16 @@ use std::sync::{Arc, OnceLock};
 /// assert_eq!(acct.balance(), Amount::from_sats(500));
 /// assert!(!acct.is_contract());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Account {
     balance: Amount,
     nonce: u64,
-    #[serde(skip)]
     code: Option<Arc<Contract>>,
-    /// Canonical JSON of `code`, computed lazily on first persistence so that
-    /// committing a dirty contract account never re-serializes the (immutable)
-    /// code — and runs that never persist never serialize at all.
-    #[serde(skip)]
-    code_json: OnceLock<Arc<str>>,
+    /// The [binary encoding](Contract::encode) of `code`, computed lazily on
+    /// first persistence so that committing a dirty contract account never
+    /// re-encodes the (immutable) code — and runs that never persist never
+    /// encode at all.
+    code_bytes: OnceLock<Arc<[u8]>>,
     storage: HashMap<u64, u64>,
 }
 
@@ -81,36 +79,30 @@ impl Account {
     /// Sets the contract code (used at deployment).
     pub fn set_code(&mut self, code: Arc<Contract>) {
         self.code = Some(code);
-        self.code_json = OnceLock::new();
+        self.code_bytes = OnceLock::new();
     }
 
-    /// Sets contract code together with its already-canonical JSON (used when
-    /// materializing a persisted account, avoiding a re-serialization).
-    pub(crate) fn set_code_with_json(&mut self, code: Arc<Contract>, json: Arc<str>) {
+    /// Sets contract code together with its already-known encoding (used when
+    /// materializing a persisted account, avoiding a re-encoding).
+    pub(crate) fn set_code_with_bytes(&mut self, code: Arc<Contract>, bytes: Arc<[u8]>) {
         self.code = Some(code);
         let cell = OnceLock::new();
-        cell.set(json).expect("fresh cell");
-        self.code_json = cell;
+        cell.set(bytes).expect("fresh cell");
+        self.code_bytes = cell;
     }
 
     /// Removes the contract code.
     pub(crate) fn clear_code(&mut self) {
         self.code = None;
-        self.code_json = OnceLock::new();
+        self.code_bytes = OnceLock::new();
     }
 
-    /// The canonical JSON of the deployed code, if any — serialized once on first
-    /// access and cached (clones of this account share the cache via `Arc` only
-    /// after cloning a filled cell; an unfilled clone fills its own).
-    pub fn code_json(&self) -> Option<&str> {
+    /// The binary encoding of the deployed code, if any — encoded once on
+    /// first access and cached (clones of this account share the cache via
+    /// `Arc` only after cloning a filled cell; an unfilled clone fills its own).
+    pub fn code_bytes(&self) -> Option<&Arc<[u8]>> {
         let code = self.code.as_ref()?;
-        Some(self.code_json.get_or_init(|| {
-            Arc::from(
-                serde_json::to_string(code.as_ref())
-                    .expect("contract serializes")
-                    .as_str(),
-            )
-        }))
+        Some(self.code_bytes.get_or_init(|| Arc::from(code.encode())))
     }
 
     /// Adds `value` to the balance.

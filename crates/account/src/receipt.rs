@@ -1,7 +1,6 @@
 //! Execution receipts and internal transactions.
 
 use blockconc_types::{Address, Amount, Gas, TxId};
-use serde::{Deserialize, Serialize};
 
 /// A contract-to-contract interaction observed while executing a transaction.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 ///                                    Amount::from_sats(10), 1);
 /// assert_eq!(itx.depth(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InternalTransaction {
     from: Address,
     to: Address,
@@ -75,7 +74,7 @@ impl InternalTransaction {
 /// assert!(r.succeeded());
 /// assert_eq!(r.gas_used(), Gas::new(21_000));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Receipt {
     tx_id: TxId,
     success: bool,

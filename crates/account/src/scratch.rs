@@ -249,7 +249,7 @@ impl<C: CellView> ScratchState<C> {
                 if cells.contract(address).as_ref() != Some(code) {
                     fragments.push(StateFragment {
                         key: StateKey::Code(address),
-                        value: post.code_json().map(|c| FragmentValue::Code(c.to_string())),
+                        value: post.code_bytes().map(|c| FragmentValue::Code(c.clone())),
                     });
                 }
             }
@@ -553,7 +553,7 @@ pub(crate) mod tests {
         }
 
         fn contract(&mut self, address: Address) -> Option<Arc<Contract>> {
-            let code = self.accounts.get(&address)?.code_json.as_deref()?;
+            let code = self.accounts.get(&address)?.code.as_deref()?;
             Some(decode_contract(code).expect("committed code decodes"))
         }
     }

@@ -105,26 +105,26 @@ pub trait StateAccess {
 }
 
 /// Converts a cached [`Account`] into its canonical persisted form. The code
-/// blob is the JSON cached at deployment, so this never re-serializes contracts.
+/// blob is the encoding cached at deployment, so this never re-encodes contracts.
 pub fn account_to_stored(account: &Account) -> StoredAccount {
     StoredAccount {
         balance_sats: account.balance().sats(),
         nonce: account.nonce(),
         storage: account.storage_entries(),
-        code_json: account.code_json().map(str::to_string),
+        code: account.code_bytes().cloned(),
     }
 }
 
-/// Decodes a persisted contract-code blob (a [`StoredAccount::code_json`] or a
-/// [`FragmentValue::Code`]).
+/// Decodes a persisted contract-code blob (a [`StoredAccount::code`] or a
+/// [`FragmentValue::Code`]) written by [`Contract::encode`].
 ///
 /// # Errors
 ///
 /// Undecodable code means the store and this build disagree about the contract
 /// format, or the blob was corrupted past the frame CRC. Executing the account
 /// as if it had no code would silently diverge from the committed history.
-pub fn decode_contract(code: &str) -> Result<Arc<Contract>> {
-    serde_json::from_str::<Contract>(code)
+pub fn decode_contract(code: &[u8]) -> Result<Arc<Contract>> {
+    Contract::decode(code)
         .map(Arc::new)
         .map_err(|e| Error::execution(format!("contract code does not decode: {e}")))
 }
@@ -141,8 +141,8 @@ pub fn stored_to_account(stored: &StoredAccount) -> Result<Account> {
     for &(key, value) in &stored.storage {
         account.storage_set(key, value);
     }
-    if let Some(code) = &stored.code_json {
-        account.set_code_with_json(decode_contract(code)?, Arc::from(code.as_str()));
+    if let Some(code) = &stored.code {
+        account.set_code_with_bytes(decode_contract(code)?, code.clone());
     }
     Ok(account)
 }
@@ -482,8 +482,8 @@ impl WorldState {
             }
             (StateKey::Code(_), Some(FragmentValue::Code(code))) => {
                 if let Some(account) = self.set.touch(address) {
-                    let contract = decode_contract(code).expect("code this build serialized");
-                    account.set_code_with_json(contract, Arc::from(code.as_str()));
+                    let contract = decode_contract(code).expect("code this build encoded");
+                    account.set_code_with_bytes(contract, code.clone());
                 }
             }
             (key, fragment) => {
@@ -1039,7 +1039,8 @@ mod tests {
                         balance_sats: 1,
                         nonce: 0,
                         storage: vec![],
-                        code_json: Some("not code".to_string()),
+                        // A Push whose u64 operand is cut short.
+                        code: Some(Arc::from(&[1, 0, 0, 0, 0, 0, 0, 0, 1, 0xff][..])),
                     }),
                 };
                 let mut guard = state.backend().unwrap().lock().unwrap();

@@ -2,7 +2,6 @@
 
 use crate::vm::OpCode;
 use blockconc_types::{Address, Hash};
-use serde::{Deserialize, Serialize};
 
 /// An immutable piece of contract code: a flat list of instructions.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.len(), 4);
 /// assert!(!c.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Contract {
     code: Vec<OpCode>,
 }
@@ -46,13 +45,11 @@ impl Contract {
         self.code.is_empty()
     }
 
-    /// A content hash of the code (used to derive deterministic deployment addresses).
+    /// A content hash of the code: the hash of its [binary encoding](Contract::encode),
+    /// the bytes the state root digests. Derives deterministic deployment
+    /// addresses and identifies creation transactions.
     pub fn code_hash(&self) -> Hash {
-        let mut data = Vec::with_capacity(self.code.len() * 4);
-        for op in &self.code {
-            data.extend_from_slice(format!("{op:?};").as_bytes());
-        }
-        Hash::of_bytes(&data)
+        Hash::of_bytes(&self.encode())
     }
 
     /// Derives a deterministic deployment address from a deployer and nonce.

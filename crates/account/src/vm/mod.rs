@@ -47,6 +47,7 @@
 //! assert_eq!(outcome.internal_transactions.len(), 1);
 //! ```
 
+mod codec;
 mod contract;
 mod interpreter;
 mod opcode;

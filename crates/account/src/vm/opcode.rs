@@ -1,7 +1,6 @@
 //! The instruction set and its gas schedule.
 
 use blockconc_types::{Address, Gas};
-use serde::{Deserialize, Serialize};
 
 /// One instruction of the contract virtual machine.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// immediates are sufficient) or are taken from the per-call argument list via the
 /// `*Arg` variants, where the argument's low 64 bits are interpreted through
 /// [`Address::from_low`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpCode {
     /// Push an immediate value.
     Push(u64),
@@ -83,7 +82,7 @@ pub enum OpCode {
 /// assert!(schedule.cost(&OpCode::SStore) > schedule.cost(&OpCode::Add));
 /// assert_eq!(schedule.intrinsic_tx_cost(), Gas::BASE_TX);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GasSchedule {
     /// Cost of cheap stack / arithmetic operations.
     pub base: u64,

@@ -2,10 +2,9 @@
 
 use crate::{Series, SeriesPoint};
 use blockconc_graph::{weighted_average, BlockMetrics, BlockWeight};
-use serde::{Deserialize, Serialize};
 
 /// The per-block quantity being aggregated into a time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Number of regular transactions per block (Fig. 4a / 5a / 8a / 9a).
     TxCount,

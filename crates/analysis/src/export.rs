@@ -1,7 +1,6 @@
-//! CSV and JSON export of series.
+//! CSV export of series.
 
 use crate::Series;
-use blockconc_types::{Error, Result};
 
 /// Renders a set of series sharing a time axis as CSV: one `year` column followed by
 /// one column per series. Points are matched by position; series of different lengths
@@ -43,26 +42,6 @@ pub fn to_csv(series: &[Series]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Serializes a set of series to pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns [`Error::Config`] if serialization fails (practically impossible for these
-/// plain data types, but surfaced rather than panicking).
-pub fn to_json(series: &[Series]) -> Result<String> {
-    serde_json::to_string_pretty(series)
-        .map_err(|e| Error::config(format!("failed to serialize series: {e}")))
-}
-
-/// Parses series back from JSON produced by [`to_json`].
-///
-/// # Errors
-///
-/// Returns [`Error::Config`] if the JSON does not describe a list of series.
-pub fn from_json(json: &str) -> Result<Vec<Series>> {
-    serde_json::from_str(json).map_err(|e| Error::config(format!("failed to parse series: {e}")))
 }
 
 #[cfg(test)]
@@ -110,19 +89,6 @@ mod tests {
     fn commas_in_labels_are_sanitized() {
         let s = Series::new("a,b", vec![]);
         assert!(to_csv(&[s]).starts_with("year,a;b"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let original = sample();
-        let json = to_json(&original).unwrap();
-        let parsed = from_json(&json).unwrap();
-        assert_eq!(original, parsed);
-    }
-
-    #[test]
-    fn invalid_json_is_an_error() {
-        assert!(from_json("not json").is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   (Figure 7) and pairwise chain comparisons (Figures 8 and 9);
 //! * [`speedup`] — conflict-rate series combined with the analytical model of
 //!   `blockconc-model` (Figure 10);
-//! * [`export`] — CSV / JSON serialization of any series so results can be plotted or
+//! * [`export`] — CSV rendering of any series so results can be plotted or
 //!   archived;
 //! * [`report`] — plain-text table rendering used by the `table1`/`figN` binaries.
 //!

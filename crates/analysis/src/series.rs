@@ -1,10 +1,8 @@
 //! Labelled time series.
 
-use serde::{Deserialize, Serialize};
-
 /// One point of a time series: a position on the time axis (fractional calendar year,
 /// matching the x-axes of the paper's figures) and a value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Fractional calendar year (bucket midpoint).
     pub year: f64,
@@ -24,7 +22,7 @@ pub struct SeriesPoint {
 /// assert_eq!(s.points().len(), 1);
 /// assert!((s.mean() - 0.8).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     label: String,
     points: Vec<SeriesPoint>,

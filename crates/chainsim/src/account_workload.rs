@@ -8,7 +8,6 @@ use blockconc_account::{
     WorldState,
 };
 use blockconc_types::{Address, Amount, DeterministicRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// all), while the *largest* individual share drives the group conflict rate (how big
 /// the largest connected component gets) — mirroring the paper's explanation of why
 /// the two metrics diverge so strongly on Ethereum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccountWorkloadParams {
     /// Mean number of regular transactions per block.
     pub txs_per_block: f64,

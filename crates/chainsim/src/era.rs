@@ -1,7 +1,5 @@
 //! Piecewise-linear calibration series over time.
 
-use serde::{Deserialize, Serialize};
-
 /// A piecewise-linear function of (fractional) calendar year, used to describe how a
 /// workload parameter evolves over a chain's history (e.g. Bitcoin's transactions per
 /// block growing from 1 in 2009 to over 2000 in 2019).
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(tx_per_block.value_at(2000.0), 1.0);   // clamped before launch
 /// assert_eq!(tx_per_block.value_at(2025.0), 2000.0); // clamped after the dataset
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseSeries {
     points: Vec<(f64, f64)>,
 }

@@ -7,7 +7,6 @@ use blockconc_account::ExecutedBlock;
 use blockconc_graph::{build_account_tdg, build_utxo_tdg, canonical_shard, BlockMetrics};
 use blockconc_types::Timestamp;
 use blockconc_utxo::UtxoBlock;
-use serde::{Deserialize, Serialize};
 
 /// A single simulated block of either data model, paired with its timestamp.
 ///
@@ -46,7 +45,7 @@ impl SimulatedBlock {
 /// The paper divides each chain's history into 20–200 buckets and reports weighted
 /// averages per bucket; sampling a handful of blocks per bucket reproduces those
 /// series at a small fraction of the cost of generating every block ever mined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryConfig {
     buckets: usize,
     blocks_per_bucket: usize,
@@ -174,7 +173,7 @@ fn zilliqa_final_block(gen: &mut AccountWorkloadGen, height: u64, ts: u64) -> Ex
 }
 
 /// The sampled history of one chain: per-block metrics in chronological order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChainHistory {
     chain: ChainId,
     blocks: Vec<BlockMetrics>,

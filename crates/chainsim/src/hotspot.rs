@@ -1,9 +1,7 @@
 //! Hot-spot traffic specifications.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of hot spot attracting or emitting a disproportionate share of traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HotspotKind {
     /// A deposit address / hot wallet that many users *send to* (e.g. the Poloniex
     /// address of the paper's block 1000124, transactions 1–9).
@@ -33,7 +31,7 @@ pub enum HotspotKind {
 /// single-transaction conflict rate, while the largest individual share determines the
 /// group conflict rate — which is exactly the distinction between the paper's two
 /// metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotspotSpec {
     /// What kind of traffic pattern this hot spot produces.
     pub kind: HotspotKind,

@@ -1,10 +1,9 @@
 //! Static per-chain descriptors (the paper's Table I).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The data model of a blockchain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataModel {
     /// Unspent-transaction-output model (Bitcoin family).
     Utxo,
@@ -22,7 +21,7 @@ impl fmt::Display for DataModel {
 }
 
 /// The consensus family of a blockchain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Consensus {
     /// Plain proof of work.
     ProofOfWork,
@@ -40,7 +39,7 @@ impl fmt::Display for Consensus {
 }
 
 /// The seven public blockchains analyzed by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ChainId {
     /// Bitcoin (2009–).
     Bitcoin,
@@ -167,7 +166,7 @@ impl fmt::Display for ChainId {
 
 /// Static description of a chain: the columns of the paper's Table I plus the
 /// simulation constants (launch/end year, block interval).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainProfile {
     /// Which chain this profile describes.
     pub chain: ChainId,

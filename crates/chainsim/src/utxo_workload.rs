@@ -3,7 +3,6 @@
 use crate::UserPopulation;
 use blockconc_types::{Amount, DeterministicRng, TxId};
 use blockconc_utxo::{OutPoint, TransactionBuilder, TxOut, UtxoBlock, UtxoSet, UtxoTransaction};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a UTXO workload for one era of a chain's history.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// model), and `chain_continuation_prob` controls whether such spends extend one long
 /// chain (as in the paper's Bitcoin block 500,000 example) or attach to random earlier
 /// transactions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtxoWorkloadParams {
     /// Mean number of (regular) transactions per block.
     pub txs_per_block: f64,

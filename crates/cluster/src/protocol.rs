@@ -26,10 +26,9 @@
 //! protocol (sequence numbers, per-pair channels) is needed for value moves.
 
 use blockconc_types::Address;
-use serde::{Deserialize, Serialize};
 
 /// One in-flight cross-shard credit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrossShardReceipt {
     /// The credited account (owned by the destination shard).
     pub to: Address,

@@ -2,11 +2,10 @@
 //! `PipelineRunReport` / `ShardedRunReport`.
 
 use blockconc_pipeline::{BlockRecord, MempoolStats};
-use serde::{Deserialize, Serialize};
 
 /// One cluster height: the merged final block plus every shard's micro-block
 /// record and the round's critical path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterBlockRecord {
     /// Final-block height.
     pub height: u64,
@@ -37,7 +36,7 @@ pub struct ClusterBlockRecord {
 }
 
 /// Aggregate results of one cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterRunReport {
     /// Node shards in the cluster.
     pub shards: usize,
@@ -169,14 +168,6 @@ mod tests {
         assert!((r.cross_shard_fraction() - 0.1).abs() < 1e-12);
         assert!((r.mean_receipt_latency() - 1.0).abs() < 1e-12);
         assert_eq!(r.leftover_mempool(), 3);
-    }
-
-    #[test]
-    fn cluster_reports_serialize_to_json() {
-        let r = report(vec![record(1, &[(3, 3, 3)])]);
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let parsed: ClusterRunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, r);
     }
 
     #[test]

@@ -1,11 +1,43 @@
-//! Vendored API-compatibility subset of `serde_json` for the offline build
-//! environment: renders the `serde` compat crate's `Value` model as JSON and parses
-//! JSON text back into it.
+//! A small JSON codec over one self-describing [`Value`] type, vendored for the
+//! offline build environment. It keeps the `serde_json` package name but is not
+//! an upstream-compatible API: there is no typed (de)serialization, only
+//! [`Value`] to text ([`to_string`], [`to_string_pretty`]) and text to [`Value`]
+//! ([`from_str`]). Callers map their own types to and from [`Value`] by hand.
 
-use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
-/// A serialization or deserialization failure.
+/// A JSON document: what [`from_str`] parses and the writers render.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// Null.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A signed integer (the parser gives non-negative ones as [`Value::UInt`]).
+    Int(i64),
+    /// A non-negative integer.
+    UInt(u64),
+    /// A floating-point number.
+    Float(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Seq(Vec<Value>),
+    /// An object, its members in document order.
+    Map(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Looks up a key in a [`Value::Map`].
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+}
+
+/// A rendering or parsing failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -23,34 +55,34 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Serializes a value as compact JSON.
+/// Renders a value as compact JSON.
 ///
 /// # Errors
 ///
 /// Returns an error if the value contains a non-finite float.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), None, 0, &mut out)?;
+    write_value(value, None, 0, &mut out)?;
     Ok(out)
 }
 
-/// Serializes a value as pretty-printed JSON (two-space indent).
+/// Renders a value as pretty-printed JSON (two-space indent).
 ///
 /// # Errors
 ///
 /// Returns an error if the value contains a non-finite float.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), Some(2), 0, &mut out)?;
+    write_value(value, Some(2), 0, &mut out)?;
     Ok(out)
 }
 
-/// Parses a value from JSON text.
+/// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns an error on malformed JSON or a shape mismatch with `T`.
-pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
+/// Returns an error on malformed JSON or trailing characters.
+pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
@@ -64,7 +96,7 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
             parser.pos
         )));
     }
-    T::from_value(&value).map_err(|e| Error::new(e.to_string()))
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -381,40 +413,24 @@ mod tests {
                 ]),
             ),
         ]);
-        let compact = to_string(&WrappedValue(value.clone())).unwrap();
-        let pretty = to_string_pretty(&WrappedValue(value.clone())).unwrap();
+        let compact = to_string(&value).unwrap();
+        let pretty = to_string_pretty(&value).unwrap();
         for text in [compact, pretty] {
-            let parsed: WrappedValue = from_str(&text).unwrap();
-            assert_eq!(parsed.0, value);
+            assert_eq!(from_str(&text).unwrap(), value);
         }
     }
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(from_str::<bool>("not json").is_err());
-        assert!(from_str::<bool>("true trailing").is_err());
-        assert!(from_str::<Vec<u64>>("[1, 2").is_err());
+        assert!(from_str("not json").is_err());
+        assert!(from_str("true trailing").is_err());
+        assert!(from_str("[1, 2").is_err());
     }
 
     #[test]
     fn integral_floats_keep_decimal_point() {
-        assert_eq!(to_string(&2016.0f64).unwrap(), "2016.0");
-        assert_eq!(to_string(&0.5f64).unwrap(), "0.5");
-    }
-
-    /// Serialize/Deserialize passthrough wrapper so tests can round-trip raw values.
-    #[derive(Debug, PartialEq)]
-    struct WrappedValue(Value);
-
-    impl Serialize for WrappedValue {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-
-    impl Deserialize for WrappedValue {
-        fn from_value(value: &Value) -> Result<Self, serde::DeError> {
-            Ok(WrappedValue(value.clone()))
-        }
+        assert_eq!(to_string(&Value::Float(2016.0)).unwrap(), "2016.0");
+        assert_eq!(to_string(&Value::Float(0.5)).unwrap(), "0.5");
+        assert!(to_string(&Value::Float(f64::NAN)).is_err());
     }
 }

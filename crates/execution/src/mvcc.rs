@@ -1124,7 +1124,7 @@ mod tests {
                 nonce: 0,
             },
             StateKey::Storage(..) => FragmentValue::Slot(u64::from(value)),
-            StateKey::Code(_) => FragmentValue::Code(format!("code-{value}")),
+            StateKey::Code(_) => FragmentValue::Code(format!("code-{value}").into_bytes().into()),
         }))
     }
 
@@ -1288,7 +1288,7 @@ mod tests {
                 balance_sats: base_balance,
                 nonce: 0,
                 storage: Vec::new(),
-                code_json: None,
+                code: None,
             };
             for (slot, value) in base_slots {
                 if base.storage.binary_search_by_key(&slot, |(k, _)| *k).is_err() {
@@ -1301,7 +1301,7 @@ mod tests {
                 balance_sats: 0,
                 nonce: 0,
                 storage: Vec::new(),
-                code_json: None,
+                code: None,
             };
             // Every cell the mutations can touch, in canonical order.
             let universe: Vec<StateKey> = std::iter::once(StateKey::Balance(address))

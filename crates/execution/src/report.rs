@@ -1,14 +1,12 @@
 //! Execution reports.
 
-use serde::{Deserialize, Serialize};
-
 /// What an execution engine measured while executing one block.
 ///
 /// The abstract unit quantities use the paper's cost model — every transaction costs
 /// one time unit — so they can be compared directly against Equations (1) and (2):
 /// `sequential_units = x`, `parallel_units = T'`, and `unit_speedup` corresponds to
 /// the modelled `R`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Engine name ("sequential", "speculative", "scheduled", "optimistic").
     pub engine: String,

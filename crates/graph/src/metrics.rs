@@ -1,7 +1,6 @@
 //! Per-block concurrency metrics.
 
 use blockconc_types::{BlockHeight, Gas, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// The per-block quantities the paper's analysis extracts from every block: transaction
 /// counts, conflict counts, the largest-connected-component (LCC) size and gas usage.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((m.single_tx_conflict_rate() - 0.4).abs() < 1e-12);
 /// assert!((m.group_conflict_rate() - 0.4).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockMetrics {
     height: BlockHeight,
     timestamp: Timestamp,

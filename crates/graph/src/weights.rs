@@ -1,12 +1,11 @@
 //! Block weighting for aggregated metrics.
 
 use crate::BlockMetrics;
-use serde::{Deserialize, Serialize};
 
 /// How blocks are weighted when their per-block conflict rates are averaged over a
 /// bucket of blocks (the paper weights "by the block size (or gas cost)" because large
 /// blocks dominate total execution time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockWeight {
     /// Every block counts equally.
     Unit,

@@ -1,11 +1,10 @@
 //! Parameter sweeps over core counts, used to regenerate Figure 10.
 
 use crate::{group_speedup, speculative_speedup};
-use serde::{Deserialize, Serialize};
 
 /// One point of a speed-up series: a timestamp (fractional year, matching the x-axis
 /// of the paper's figures) and the estimated speed-up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
     /// Position on the time axis (fractional calendar year).
     pub year: f64,
@@ -27,7 +26,7 @@ pub struct SpeedupPoint {
 /// assert_eq!(series[0].1.len(), 2);      // two time points each
 /// assert!(series[2].1[1].speedup >= series[0].1[1].speedup);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreSweep {
     cores: Vec<usize>,
 }

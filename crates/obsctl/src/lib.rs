@@ -41,7 +41,7 @@ pub fn trees_from_jsonl(jsonl: &str) -> Result<Vec<SpanTree>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let span: SpanRecord = serde_json::from_str(line)
+        let span = SpanRecord::from_jsonl_line(line)
             .map_err(|err| format!("line {}: unparseable span: {err}", lineno + 1))?;
         if span.parent == 0 {
             trees.push(SpanTree { spans: vec![span] });
@@ -80,6 +80,31 @@ mod tests {
         }
         let trees = trees_from_jsonl(&registry.flight_jsonl()).unwrap();
         assert_eq!(trees, registry.flight_trees());
+    }
+
+    /// The export's bytes for one span whose name and attribute key need
+    /// escaping, as every earlier build wrote them: a change here breaks
+    /// `obs` on older exports.
+    #[test]
+    fn span_jsonl_line_is_pinned() {
+        let span = SpanRecord {
+            id: 3,
+            parent: 0,
+            name: "pa\"ck\\\nx".to_string(),
+            start_nanos: 10,
+            end_nanos: 25,
+            units: 4,
+            attrs: vec![
+                ("sh\"ard\\\n".to_string(), u64::MAX),
+                ("height".to_string(), 0),
+            ],
+        };
+        let line = r#"{"id":3,"parent":0,"name":"pa\"ck\\\nx","start_nanos":10,"end_nanos":25,"units":4,"attrs":[["sh\"ard\\\n",18446744073709551615],["height",0]]}"#;
+        assert_eq!(span.to_jsonl_line(), line);
+        assert_eq!(
+            trees_from_jsonl(line).unwrap(),
+            vec![SpanTree { spans: vec![span] }]
+        );
     }
 
     #[test]

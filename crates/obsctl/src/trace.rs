@@ -13,7 +13,7 @@
 //! monotone, and every referenced `(pid, tid)` is named by metadata.
 
 use blockconc_telemetry::{SpanRecord, SpanTree};
-use serde::Value;
+use serde_json::Value;
 use std::collections::BTreeMap;
 
 /// The single process id used by exports (one trace = one run).

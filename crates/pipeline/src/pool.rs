@@ -2,7 +2,6 @@
 
 use blockconc_account::{AccountTransaction, TxPayload};
 use blockconc_types::{Address, Gas};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -54,7 +53,7 @@ pub enum AdmitOutcome {
 }
 
 /// Counters describing a mempool's admission history.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MempoolStats {
     /// Transactions admitted as new entries.
     pub admitted: u64,

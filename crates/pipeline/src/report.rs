@@ -4,7 +4,6 @@ use crate::{MempoolStats, PipelineConfig};
 use blockconc_account::{Receipt, WorldState};
 use blockconc_store::StoreStats;
 use blockconc_types::Hash;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic digest of a block's receipts (transaction ids, outcomes, gas,
 /// internal transactions and logs): the per-block oracle the backend-equivalence
@@ -33,7 +32,7 @@ pub fn receipts_digest(receipts: &[Receipt]) -> String {
 }
 
 /// What the pipeline measured for one produced block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockRecord {
     /// Block height.
     pub height: u64,
@@ -70,7 +69,7 @@ pub struct BlockRecord {
 
 /// Aggregate results of one pipeline run (one packer × engine × thread combination
 /// over one arrival stream).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineRunReport {
     /// Packer name.
     pub packer: String,
@@ -206,14 +205,5 @@ mod tests {
             receipts_digest(std::slice::from_ref(&a))
         );
         assert_ne!(receipts_digest(&[a]), receipts_digest(&[b]));
-    }
-
-    #[test]
-    fn reports_serialize_to_json() {
-        let r = report(vec![record(10, 0.5)]);
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        assert!(json.contains("\"packer\""));
-        let parsed: PipelineRunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, r);
     }
 }

@@ -16,7 +16,6 @@
 
 use crate::ShardedMempool;
 use blockconc_account::AccountTransaction;
-use serde::{Deserialize, Serialize};
 
 /// One arrival prepared for ingestion: the transaction plus everything admission
 /// needs (fee bid, arrival time, the sender's account nonce at this block boundary,
@@ -36,7 +35,7 @@ pub struct IngestItem {
 }
 
 /// What one ingest batch did.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IngestReport {
     /// Arrivals offered. What admission made of them is in the pool's own
     /// counters ([`ShardedMempool::stats`]).

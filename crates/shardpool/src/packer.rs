@@ -7,7 +7,6 @@ use blockconc_pipeline::{
     PackedBlock, PipelineConfig,
 };
 use blockconc_types::{Address, Gas};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -30,7 +29,7 @@ struct SubBlock {
 }
 
 /// Counts of one sharded pack (the driver's phase record reads them).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardPackReport {
     /// Sub-block sizes per shard, pre-merge.
     pub sub_sizes: Vec<usize>,

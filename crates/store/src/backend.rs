@@ -1,15 +1,14 @@
 //! The [`StateBackend`] trait, its write-set commit model and shared plumbing.
 
 use blockconc_types::{Address, Error, Result};
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// One account's full persisted value: the unit of journal records and snapshots.
 ///
-/// Contract code is carried as an opaque, canonical JSON blob (produced by
-/// `blockconc-account`'s adapter) so this crate stays independent of the VM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Contract code is carried as opaque bytes (the contract encoding of
+/// `blockconc-account`'s VM) so this crate stays independent of the VM.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredAccount {
     /// Balance in base units.
     pub balance_sats: u64,
@@ -17,8 +16,9 @@ pub struct StoredAccount {
     pub nonce: u64,
     /// Non-zero storage slots, sorted by slot key (canonical order).
     pub storage: Vec<(u64, u64)>,
-    /// Serialized contract code, if the account is a contract.
-    pub code_json: Option<String>,
+    /// Encoded contract code, if the account is a contract; shared, because
+    /// it is immutable and every commit of the account carries it.
+    pub code: Option<Arc<[u8]>>,
 }
 
 impl StoredAccount {
@@ -32,10 +32,10 @@ impl StoredAccount {
             buf.extend_from_slice(&k.to_le_bytes());
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        match &self.code_json {
+        match &self.code {
             Some(code) => {
                 buf.extend_from_slice(&(code.len() as u64).to_le_bytes());
-                buf.extend_from_slice(code.as_bytes());
+                buf.extend_from_slice(code);
             }
             None => buf.extend_from_slice(&u64::MAX.to_le_bytes()),
         }
@@ -44,7 +44,7 @@ impl StoredAccount {
 
 /// One record of a block's write set: the new full value of a touched account, or
 /// its deletion (an account created and rolled back within the block).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRecord {
     /// The touched account.
     pub address: Address,
@@ -53,7 +53,7 @@ pub struct DeltaRecord {
 }
 
 /// What one [`StateBackend::commit_block`] cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitStats {
     /// The committed height.
     pub height: u64,
@@ -65,7 +65,7 @@ pub struct CommitStats {
 
 /// Cumulative counters of one backend instance, for run reports and the
 /// snapshot-compaction invariant tests.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreStats {
     /// Backend name (`"memory"` or `"disk-journal"`).
     pub backend: String,
@@ -359,11 +359,11 @@ pub(crate) mod tests {
             balance_sats: 1,
             nonce: 0,
             storage: vec![],
-            code_json: None,
+            code: None,
         };
         acct.digest_into(&mut plain);
         StoredAccount {
-            code_json: Some("[]".to_string()),
+            code: Some(Arc::from(&[][..])),
             ..acct
         }
         .digest_into(&mut coded);

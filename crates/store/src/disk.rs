@@ -625,7 +625,7 @@ mod tests {
             balance_sats: balance,
             nonce: balance / 10,
             storage: vec![(1, balance)],
-            code_json: None,
+            code: None,
         }
     }
 

@@ -12,13 +12,13 @@
 use crate::backend::StoredAccount;
 use crate::key::StateKey;
 use blockconc_types::Address;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The concrete value carried by one write fragment.
 ///
 /// A fragment must be able to *reconstruct* its part of the account, so code
 /// is carried by value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FragmentValue {
     /// New balance and nonce (the pair lives under one [`StateKey::Balance`]).
     Meta {
@@ -29,8 +29,8 @@ pub enum FragmentValue {
     },
     /// New (non-zero) value of one storage slot.
     Slot(u64),
-    /// New serialized contract code.
-    Code(String),
+    /// New encoded contract code.
+    Code(Arc<[u8]>),
 }
 
 /// One per-key write: the key and its new value, `None` deleting the key.
@@ -38,7 +38,7 @@ pub enum FragmentValue {
 /// Deleting a [`StateKey::Balance`] key deletes the whole account; deleting a
 /// [`StateKey::Storage`] key zeroes the slot; deleting a [`StateKey::Code`] key
 /// removes the deployed code.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateFragment {
     /// The written key.
     pub key: StateKey,
@@ -77,7 +77,7 @@ pub fn diff_account_fragments(
                     value: None,
                 });
             }
-            if pre.code_json.is_some() {
+            if pre.code.is_some() {
                 out.push(StateFragment {
                     key: StateKey::Code(address),
                     value: None,
@@ -98,7 +98,7 @@ pub fn diff_account_fragments(
                     value: Some(FragmentValue::Slot(*value)),
                 });
             }
-            if let Some(code) = &post.code_json {
+            if let Some(code) = &post.code {
                 out.push(StateFragment {
                     key: StateKey::Code(address),
                     value: Some(FragmentValue::Code(code.clone())),
@@ -116,13 +116,10 @@ pub fn diff_account_fragments(
                 });
             }
             diff_storage(address, &pre.storage, &post.storage, out);
-            if pre.code_json != post.code_json {
+            if pre.code != post.code {
                 out.push(StateFragment {
                     key: StateKey::Code(address),
-                    value: post
-                        .code_json
-                        .as_ref()
-                        .map(|c| FragmentValue::Code(c.clone())),
+                    value: post.code.clone().map(FragmentValue::Code),
                 });
             }
         }
@@ -208,7 +205,7 @@ pub fn apply_fragment(
                 balance_sats: 0,
                 nonce: 0,
                 storage: Vec::new(),
-                code_json: None,
+                code: None,
             });
             account.balance_sats = *balance_sats;
             account.nonce = *nonce;
@@ -231,12 +228,12 @@ pub fn apply_fragment(
         }
         (StateKey::Code(_), Some(FragmentValue::Code(code))) => {
             if let Some(account) = value.as_mut() {
-                account.code_json = Some(code.clone());
+                account.code = Some(code.clone());
             }
         }
         (StateKey::Code(_), None) => {
             if let Some(account) = value.as_mut() {
-                account.code_json = None;
+                account.code = None;
             }
         }
         (key, Some(fragment)) => {
@@ -262,7 +259,7 @@ mod tests {
             balance_sats: balance,
             nonce,
             storage: storage.to_vec(),
-            code_json: code.map(str::to_string),
+            code: code.map(|c| Arc::from(c.as_bytes())),
         }
     }
 

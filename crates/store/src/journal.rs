@@ -10,7 +10,7 @@
 //! little-endian fields (`crates/store/README.md` § *On-disk format* has the
 //! table). An address is its 20 raw bytes, every integer a `u64`, storage a count
 //! of `(slot, value)` pairs, and contract code a byte length ([`u64::MAX`] for
-//! none) followed by the UTF-8 bytes.
+//! none) followed by the code's bytes, opaque to the store.
 //!
 //! A reader that hits a short header, a short payload, a CRC mismatch or an empty
 //! frame has found a *torn tail* — the prefix up to the previous frame boundary is
@@ -22,6 +22,7 @@
 use crate::StoredAccount;
 use blockconc_types::{Address, Error, Result};
 use std::fmt;
+use std::sync::Arc;
 
 /// Frame header size: 4-byte length + 4-byte CRC.
 pub const FRAME_HEADER_LEN: usize = 8;
@@ -257,14 +258,10 @@ fn decode_payload(payload: &[u8]) -> Decoded<JournalRecord> {
             for _ in 0..slots {
                 storage.push((r.u64()?, r.u64()?));
             }
-            let code_json = match r.u64()? {
+            let code = match r.u64()? {
                 NO_CODE => None,
                 len if len > r.0.len() as u64 => return Err(OVERRUN),
-                len => {
-                    let bytes = r.take(len as usize)?;
-                    let code = std::str::from_utf8(bytes).map_err(|_| "code is not UTF-8")?;
-                    Some(code.to_owned())
-                }
+                len => Some(Arc::from(r.take(len as usize)?)),
             };
             JournalRecord::Upsert {
                 address,
@@ -272,7 +269,7 @@ fn decode_payload(payload: &[u8]) -> Decoded<JournalRecord> {
                     balance_sats,
                     nonce,
                     storage,
-                    code_json,
+                    code,
                 },
             }
         }
@@ -417,13 +414,23 @@ mod tests {
                 balance_sats: addr * 10,
                 nonce: 1,
                 storage: vec![(0, 5)],
-                code_json: None,
+                code: None,
             },
         }
     }
 
-    /// Pieces of contract-code text: JSON punctuation, escapes and non-ASCII.
-    const CODE_PIECES: [&str; 8] = ["[\"Push\",", "\"", "\\", "\\\"", "\n", "é", "ü漢字", "🦀}"];
+    /// Pieces of contract code: the store reads them as opaque bytes, so
+    /// zero, high and invalid UTF-8 bytes round-trip like any other.
+    const CODE_PIECES: [&[u8]; 8] = [
+        &[0],
+        &[0xff],
+        &[0xff, 0xfe, 0x80],
+        &u64::MAX.to_le_bytes(),
+        b"\n",
+        "é".as_bytes(),
+        &[0x17],
+        &[1, 0, 0, 0, 0, 0, 0, 0],
+    ];
 
     /// The record of variant `tag % 6` built from the sampled fields.
     fn sampled_record(
@@ -441,7 +448,14 @@ mod tests {
                     balance_sats: a,
                     nonce: b,
                     storage,
-                    code_json: code.map(|pieces| pieces.iter().map(|&i| CODE_PIECES[i]).collect()),
+                    code: code.map(|pieces| {
+                        pieces
+                            .iter()
+                            .flat_map(|&i| CODE_PIECES[i])
+                            .copied()
+                            .collect::<Vec<u8>>()
+                            .into()
+                    }),
                 },
             },
             2 => JournalRecord::Delete { address },
@@ -466,8 +480,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // Every variant, accounts with up to 300 slots and code with quotes,
-        // backslashes and non-ASCII, round-trips through frames; a strict prefix
+        // Every variant, accounts with up to 300 slots and code of any bytes
+        // (zero, high, not UTF-8), round-trips through frames; a strict prefix
         // of any payload, or the payload plus one byte, does not decode.
         #[test]
         fn frames_round_trip(
@@ -537,7 +551,7 @@ mod tests {
                     balance_sats: 0x0102,
                     nonce: 3,
                     storage: vec![(1, 0x10), (2, 0x20)],
-                    code_json: Some("[\"é\"]".to_string()),
+                    code: Some(Arc::from("[\"é\"]".as_bytes())),
                 },
             },
             JournalRecord::Delete {
@@ -603,9 +617,12 @@ mod tests {
         code[at..].copy_from_slice(&4u64.to_le_bytes());
         code.extend_from_slice(b"abc");
         assert_eq!(decode_payload(&code), Err(OVERRUN));
-        // Code that is not UTF-8.
+        // Code bytes are opaque: a length that fits takes whatever it covers.
         code.push(0xff);
-        assert_eq!(decode_payload(&code), Err("code is not UTF-8"));
+        let JournalRecord::Upsert { account, .. } = decode_payload(&code).unwrap() else {
+            unreachable!("an upsert payload")
+        };
+        assert_eq!(account.code.as_deref(), Some(&b"abc\xff"[..]));
         // An unknown tag, and a JSON-era record.
         assert_eq!(decode_payload(&[0xee]), Err("unknown record tag"));
         assert!(decode_payload(br#"{"BlockBegin":{"height":3}}"#).is_err());

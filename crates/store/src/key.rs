@@ -1,7 +1,6 @@
 //! State keys: the unit of access tracking and of per-key write fragments.
 
 use blockconc_types::Address;
-use serde::{Deserialize, Serialize};
 
 /// A key identifying one piece of mutable state, used by access tracking, by the
 /// optimistic-concurrency engines in `blockconc-execution`, and by the write
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// the paper compares against. Deployed code is its own key: which program runs at an
 /// address is consulted on every call (even a plain transfer checks for code), so it
 /// must be a first-class conflict cell rather than folded into the account meta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StateKey {
     /// The balance (and nonce) of an account.
     Balance(Address),

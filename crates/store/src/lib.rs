@@ -36,7 +36,7 @@
 //!         balance_sats: 42,
 //!         nonce: 0,
 //!         storage: vec![],
-//!         code_json: None,
+//!         code: None,
 //!     }),
 //! }];
 //! let stats = backend.commit_block(1, &mut records.into_iter()).unwrap();

@@ -31,7 +31,7 @@ use blockconc_types::{Address, Error, Result};
 ///         balance_sats: 100,
 ///         nonce: 0,
 ///         storage: vec![],
-///         code_json: None,
+///         code: None,
 ///     }),
 /// }];
 /// backend.commit_block(1, &mut records.into_iter()).unwrap();
@@ -118,7 +118,7 @@ mod tests {
                 balance_sats: balance,
                 nonce: 0,
                 storage: vec![],
-                code_json: None,
+                code: None,
             }),
         }
     }

@@ -43,7 +43,7 @@ fn delta_for(height: u64, mix: u64) -> Vec<DeltaRecord> {
                 balance_sats: height * 100 + addr,
                 nonce: height,
                 storage: vec![(i, height)],
-                code_json: None,
+                code: None,
             }),
         });
     }
@@ -186,7 +186,11 @@ proptest! {
                     balance_sats: height,
                     nonce: mix,
                     storage: vec![(height, mix + 1)],
-                    code_json: Some(format!("[\"Push\",{{\"n\":{height},\"s\":\"a\\\\b\\\"c\\n\"}}]")),
+                    code: Some(
+                        format!("[\"Push\",{{\"n\":{height},\"s\":\"a\\\\b\\\"c\\n\"}}]")
+                            .into_bytes()
+                            .into(),
+                    ),
                 }),
             });
             backend.begin_block(height).expect("begin");
@@ -247,7 +251,7 @@ fn a_corrupt_live_frame_fails_compaction_and_keeps_the_previous_generation() {
                     balance_sats: 5,
                     nonce: 0,
                     storage: vec![],
-                    code_json: None,
+                    code: None,
                 }),
             }]
             .into_iter(),

@@ -46,7 +46,7 @@ fn delta_for(height: u64, mix: u64) -> Vec<DeltaRecord> {
                 balance_sats: height * 1_000 + addr,
                 nonce: height,
                 storage: vec![(i, height + i)],
-                code_json: (addr == 0).then(|| format!("[\"block-{height}\"]")),
+                code: (addr == 0).then(|| format!("[\"block-{height}\"]").into_bytes().into()),
             }),
         });
     }

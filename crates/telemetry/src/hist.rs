@@ -9,7 +9,6 @@
 //! (bucket counts add), so per-shard snapshots fold into cluster-wide ones in
 //! any order.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-buckets per power-of-two octave (as a power of two: 2^3 = 8).
@@ -148,7 +147,7 @@ impl Default for Histogram {
 }
 
 /// One non-empty bucket of a [`HistogramSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketCount {
     /// Bucket index (see [`bucket_index`]).
     pub index: u32,
@@ -172,7 +171,7 @@ pub struct BucketCount {
 /// assert!(snap.p50() >= 200 && snap.p50() <= 330);
 /// assert!(snap.p99() >= 960);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Total samples.
     pub count: u64,
@@ -378,17 +377,5 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, both.snapshot());
-    }
-
-    #[test]
-    fn snapshots_roundtrip_through_json() {
-        let h = Histogram::new();
-        for v in [1u64, 10, 100, 1_000, 10_000] {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let parsed: HistogramSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, snap);
     }
 }

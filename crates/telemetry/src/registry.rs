@@ -397,7 +397,7 @@ mod tests {
         let jsonl = registry.flight_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
-        let pack_span: crate::span::SpanRecord = serde_json::from_str(lines[1]).unwrap();
+        let pack_span = crate::span::SpanRecord::from_jsonl_line(lines[1]).unwrap();
         assert_eq!(pack_span.start_nanos, 10);
         assert_eq!(pack_span.end_nanos, 20);
     }

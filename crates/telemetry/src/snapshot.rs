@@ -7,10 +7,9 @@
 //! keyed by name so disjoint snapshots union cleanly.
 
 use crate::hist::HistogramSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Wall-clock and count histograms for one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSnapshot {
     /// Stage name (`"pack"`, `"execute"`, ...).
     pub stage: String,
@@ -22,7 +21,7 @@ pub struct StageSnapshot {
 }
 
 /// A named monotonically-increasing counter value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterSnapshot {
     /// Counter name (`"mempool_admitted"`, `"journal_bytes"`, ...).
     pub name: String,
@@ -32,7 +31,7 @@ pub struct CounterSnapshot {
 
 /// A named value-distribution histogram (queue depths, sizes, latencies in
 /// blocks — anything that is not a per-stage timing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistSnapshot {
     /// Distribution name (`"ingest_queue_depth"`, `"commit_bytes"`, ...).
     pub name: String,
@@ -43,7 +42,7 @@ pub struct DistSnapshot {
 /// A point-in-time summary of everything a [`TelemetryRegistry`] collected.
 ///
 /// [`TelemetryRegistry`]: crate::TelemetryRegistry
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Per-stage wall/unit histograms, ascending by stage name.
     pub stages: Vec<StageSnapshot>,
@@ -197,30 +196,5 @@ mod tests {
         let mut empty = TelemetrySnapshot::default();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_json() {
-        let snapshot = TelemetrySnapshot {
-            stages: vec![StageSnapshot {
-                stage: "store".into(),
-                wall_nanos: snap(&[1, 2, 3]),
-                units: snap(&[10]),
-            }],
-            counters: vec![CounterSnapshot {
-                name: "journal_flushes".into(),
-                value: 2,
-            }],
-            dists: vec![DistSnapshot {
-                name: "block_txs".into(),
-                dist: snap(&[128, 256]),
-            }],
-            spans_recorded: 12,
-            blocks_sealed: 4,
-            trees_dropped: 1,
-        };
-        let json = serde_json::to_string(&snapshot).unwrap();
-        let parsed: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, snapshot);
     }
 }

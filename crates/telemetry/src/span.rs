@@ -7,14 +7,14 @@
 //! span trees (a tree seals when its root span ends), exportable as JSONL for
 //! post-mortem inspection without holding an entire run in memory.
 
-use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Identifier of an open or recorded span. `SpanId::ROOT` (0) is the
 /// pseudo-parent of top-level spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
@@ -25,7 +25,7 @@ impl SpanId {
 /// A completed span: a named `[start, end]` wall interval plus a count of the
 /// work it covered, and optional numeric attributes (block height, shard id,
 /// transaction count, ...).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Unique id within the run (ids increase in open order).
     pub id: u64,
@@ -53,7 +53,7 @@ impl SpanRecord {
 
 /// One sealed root-span tree (typically one block), spans sorted by id so the
 /// root comes first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanTree {
     /// All spans of the tree, root first (ascending id).
     pub spans: Vec<SpanRecord>,
@@ -89,6 +89,77 @@ impl SpanRecord {
     /// The span's numeric attribute, if present.
     pub fn attr(&self, key: &str) -> Option<u64> {
         self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+
+    /// The span as one JSONL line, without the newline: an object with the
+    /// fields in declaration order, `attrs` as `[key, value]` pairs. The one
+    /// writer of the flight recorder's export; [`SpanRecord::from_jsonl_line`]
+    /// reads it back.
+    pub fn to_jsonl_line(&self) -> String {
+        let attrs = self
+            .attrs
+            .iter()
+            .map(|(k, v)| Value::Seq(vec![Value::Str(k.clone()), Value::UInt(*v)]))
+            .collect();
+        let object = Value::Map(vec![
+            ("id".to_string(), Value::UInt(self.id)),
+            ("parent".to_string(), Value::UInt(self.parent)),
+            ("name".to_string(), Value::Str(self.name.clone())),
+            ("start_nanos".to_string(), Value::UInt(self.start_nanos)),
+            ("end_nanos".to_string(), Value::UInt(self.end_nanos)),
+            ("units".to_string(), Value::UInt(self.units)),
+            ("attrs".to_string(), Value::Seq(attrs)),
+        ]);
+        serde_json::to_string(&object).expect("a span holds no floats")
+    }
+
+    /// Parses one line written by [`SpanRecord::to_jsonl_line`].
+    ///
+    /// # Errors
+    ///
+    /// Returns what is wrong: the line is not JSON, or a field is missing or
+    /// of the wrong type. Members the span does not have are ignored.
+    pub fn from_jsonl_line(line: &str) -> Result<SpanRecord, String> {
+        let object = serde_json::from_str(line).map_err(|err| err.to_string())?;
+        let field = |key: &str| {
+            object
+                .get(key)
+                .ok_or_else(|| format!("missing field `{key}`"))
+        };
+        let uint = |key: &str| match field(key)? {
+            Value::UInt(v) => Ok(*v),
+            other => Err(format!("`{key}` is not an unsigned integer: {other:?}")),
+        };
+        let string = |value: &Value, what: &str| match value {
+            Value::Str(s) => Ok(s.clone()),
+            other => Err(format!("{what} is not a string: {other:?}")),
+        };
+        let Value::Seq(pairs) = field("attrs")? else {
+            return Err("`attrs` is not an array".to_string());
+        };
+        let attrs = pairs
+            .iter()
+            .map(|pair| match pair {
+                Value::Seq(kv) if kv.len() == 2 => match &kv[1] {
+                    Value::UInt(v) => Ok((string(&kv[0], "an attribute key")?, *v)),
+                    other => Err(format!(
+                        "an attribute value is not an unsigned integer: {other:?}"
+                    )),
+                },
+                other => Err(format!(
+                    "an attribute is not a [key, value] pair: {other:?}"
+                )),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(SpanRecord {
+            id: uint("id")?,
+            parent: uint("parent")?,
+            name: string(field("name")?, "`name`")?,
+            start_nanos: uint("start_nanos")?,
+            end_nanos: uint("end_nanos")?,
+            units: uint("units")?,
+            attrs,
+        })
     }
 }
 
@@ -280,14 +351,14 @@ impl FlightRecorder {
         self.state.lock().unwrap().dropped_total
     }
 
-    /// Exports the ring as JSONL: one [`SpanRecord`] object per line, trees in
-    /// seal order, spans within a tree in id order.
+    /// Exports the ring as JSONL: one [`SpanRecord::to_jsonl_line`] per line,
+    /// trees in seal order, spans within a tree in id order.
     pub fn to_jsonl(&self) -> String {
         let state = self.state.lock().unwrap();
         let mut out = String::new();
         for tree in &state.ring {
             for span in &tree.spans {
-                out.push_str(&serde_json::to_string(span).expect("span serializes"));
+                out.push_str(&span.to_jsonl_line());
                 out.push('\n');
             }
         }
@@ -422,8 +493,32 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
-            let span: SpanRecord = serde_json::from_str(line).unwrap();
+            let span = SpanRecord::from_jsonl_line(line).unwrap();
             assert!(span.end_nanos >= span.start_nanos);
+        }
+    }
+
+    #[test]
+    fn malformed_jsonl_lines_are_rejected() {
+        let line = SpanRecord {
+            id: 1,
+            parent: 0,
+            name: "block".to_string(),
+            start_nanos: 0,
+            end_nanos: 1,
+            units: 0,
+            attrs: vec![("height".to_string(), 7)],
+        }
+        .to_jsonl_line();
+        for bad in [
+            "not json",
+            &line.replace("\"units\":0,", ""),
+            &line.replace("\"id\":1", "\"id\":-1"),
+            &line.replace("\"name\":\"block\"", "\"name\":7"),
+            &line.replace("[\"height\",7]", "[\"height\"]"),
+            &line.replace("[\"height\",7]", "[\"height\",7.5]"),
+        ] {
+            assert!(SpanRecord::from_jsonl_line(bad).is_err(), "{bad}");
         }
     }
 

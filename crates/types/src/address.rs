@@ -1,7 +1,6 @@
 //! Account / contract addresses.
 
 use crate::Hash;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 20-byte account or contract address, as used by account-based blockchains.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_ne!(alice, bob);
 /// assert_eq!(format!("{alice}"), "0x0100000000");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address([u8; 20]);
 
 impl Address {

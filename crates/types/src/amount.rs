@@ -1,6 +1,5 @@
 //! Monetary amounts.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -23,7 +22,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// assert_eq!(a.checked_sub(b), Some(Amount::from_sats(500)));
 /// assert_eq!(b.checked_sub(a), None);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Amount(u64);
 
 impl Amount {

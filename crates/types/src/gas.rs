@@ -1,6 +1,5 @@
 //! Gas quantities for account-based execution.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -20,7 +19,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// assert_eq!((base + extra).value(), 30_000);
 /// assert!(base < base + extra);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Gas(u64);
 
 impl Gas {

@@ -1,6 +1,5 @@
 //! 256-bit hashes and transaction identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 256-bit hash value.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_ne!(h, Hash::of_bytes(b"world"));
 /// println!("{h}"); // short hex form, e.g. "3f92a1..."
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Hash([u8; 32]);
 
 impl Hash {
@@ -155,7 +154,7 @@ impl AsRef<[u8]> for Hash {
 /// assert_eq!(id, TxId::from_low(42));
 /// assert_ne!(id, TxId::from_low(43));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxId(Hash);
 
 impl TxId {

@@ -1,6 +1,5 @@
 //! Block heights and timestamps.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -16,7 +15,7 @@ use std::ops::{Add, Sub};
 /// assert_eq!(next.value(), 1);
 /// assert!(genesis < next);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockHeight(u64);
 
 impl BlockHeight {
@@ -91,7 +90,7 @@ impl From<u64> for BlockHeight {
 /// assert_eq!(t1.seconds_since(t0), 600);
 /// assert!((t0.as_year_fraction() - 2009.0).abs() < 0.01);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 /// Average number of seconds in a (Gregorian) year.

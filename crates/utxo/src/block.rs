@@ -2,7 +2,6 @@
 
 use crate::{validate_block, UtxoSet, UtxoTransaction};
 use blockconc_types::{BlockHeight, Hash, Result, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// A block of a UTXO-based blockchain: an ordered list of transactions plus the
 /// metadata the analysis pipeline needs (height and timestamp).
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(block.regular_transactions().count(), 0);
 /// block.validate(&UtxoSet::new()).unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtxoBlock {
     height: BlockHeight,
     timestamp: Timestamp,

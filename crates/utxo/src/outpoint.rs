@@ -1,7 +1,6 @@
 //! References to transaction outputs.
 
 use blockconc_types::TxId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reference to a specific output of a specific transaction.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(op.vout(), 0);
 /// assert_eq!(op.txid(), TxId::from_low(7));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OutPoint {
     txid: TxId,
     vout: u32,

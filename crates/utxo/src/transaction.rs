@@ -2,13 +2,12 @@
 
 use crate::{OutPoint, TxOut};
 use blockconc_types::{Address, Amount, TxId};
-use serde::{Deserialize, Serialize};
 
 /// Whether a transaction is a coinbase (block reward) or a regular spend.
 ///
 /// The paper ignores coinbase transactions when building dependency graphs, so the
 /// kind is carried explicitly rather than inferred from an empty input list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxKind {
     /// The miner-reward transaction; has no inputs.
     Coinbase,
@@ -34,7 +33,7 @@ pub enum TxKind {
 /// assert!(coinbase.inputs().is_empty());
 /// assert_eq!(coinbase.outputs().len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UtxoTransaction {
     id: TxId,
     kind: TxKind,

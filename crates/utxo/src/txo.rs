@@ -1,7 +1,6 @@
 //! Transaction outputs.
 
 use blockconc_types::{Address, Amount};
-use serde::{Deserialize, Serialize};
 
 /// A transaction output: a value locked to an owner.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(out.value(), Amount::from_coins(2));
 /// assert_eq!(out.owner(), Address::from_low(1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TxOut {
     owner: Address,
     value: Amount,

@@ -2,7 +2,6 @@
 
 use crate::{OutPoint, TxOut, UtxoTransaction};
 use blockconc_types::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The set of unspent transaction outputs (UTXOs) maintained by every full node of a
@@ -24,7 +23,7 @@ use std::collections::HashMap;
 /// assert_eq!(set.len(), 1);
 /// assert!(set.contains(&coinbase.outpoint(0)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtxoSet {
     entries: HashMap<OutPoint, TxOut>,
 }

@@ -41,7 +41,7 @@ fn check_jsonl_schema(jsonl: &str) -> usize {
     let mut last_id = 0u64;
     let mut checked = 0usize;
     for line in jsonl.lines() {
-        let span: SpanRecord = serde_json::from_str(line)
+        let span = SpanRecord::from_jsonl_line(line)
             .unwrap_or_else(|err| panic!("unparseable span {line}: {err}"));
         assert!(
             span.end_nanos >= span.start_nanos,

@@ -166,15 +166,20 @@ fn exported_series_roundtrip_and_report_render() {
     assert!(csv.lines().count() >= 2);
     assert!(csv.starts_with("year,"));
 
-    let json = export::to_json(&series).unwrap();
-    let parsed = export::from_json(&json).unwrap();
-    assert_eq!(parsed.len(), series.len());
-    for (p, s) in parsed.iter().zip(&series) {
-        assert_eq!(p.label(), s.label());
-        assert_eq!(p.len(), s.len());
-        for (pp, sp) in p.points().iter().zip(s.points()) {
-            assert!((pp.year - sp.year).abs() < 1e-9);
-            assert!((pp.value - sp.value).abs() < 1e-9);
+    // The CSV reads back to the series, to its printed precision: one column
+    // per series, one row per point.
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+    let labels: Vec<&str> = series.iter().map(|s| s.label()).collect();
+    assert_eq!(header[1..], labels[..]);
+    let rows: Vec<Vec<f64>> = lines
+        .map(|line| line.split(',').map(|cell| cell.parse().unwrap()).collect())
+        .collect();
+    for (column, s) in series.iter().enumerate() {
+        assert_eq!(rows.len(), s.len());
+        for (row, point) in rows.iter().zip(s.points()) {
+            assert!((row[0] - point.year).abs() < 1e-3);
+            assert!((row[column + 1] - point.value).abs() < 1e-6);
         }
     }
 
