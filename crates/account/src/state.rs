@@ -157,11 +157,13 @@ pub fn stored_to_account(stored: &StoredAccount) -> Result<Account> {
 /// write, and [`commit_block`](WorldState::commit_block) hands the block's
 /// write set to the backend as an iterator: the dirty addresses are sorted
 /// once, on the first record pulled, and each record is built as it is
-/// pulled. The disk backend pulls all of them (journaling them to disk, by
-/// `blockconc_store::DiskBackend`); the memory backend only counts them, so no
-/// record is ever built on it. The backend is read once, when a state is
-/// mounted on a store that already holds commits. Clones share the backend
-/// handle but own their accounts.
+/// pulled. The whole state goes down with it the same way, every account in
+/// address order. The disk backend pulls every record (journaling them to
+/// disk, by `blockconc_store::DiskBackend`) and the state only when a snapshot
+/// is due; the memory backend only counts the records, so no record is ever
+/// built on it. The backend is read once, when a state is mounted on a store
+/// that already holds commits. Clones share the backend handle but own their
+/// accounts.
 ///
 /// All mutating operations can be journalled (pass a [`Journal`]) so that a failed
 /// transaction can be reverted precisely; this mirrors how real execution clients
@@ -198,42 +200,48 @@ struct Mount {
     departed: HashSet<Address>,
 }
 
-/// The open block's write set as a backend pulls it: the dirty addresses,
-/// sorted on the first pull, each record built from the resident account as
-/// it is pulled (a deletion when the account is gone). A backend that only
-/// counts the records reads [`len`](ExactSizeIterator::len) and builds none.
-struct WriteSet<'a> {
-    set: &'a WorkingSet<Mount>,
-    order: Option<std::vec::IntoIter<Address>>,
+/// Address-keyed entries in ascending address order, sorted on the first
+/// pull. Its [`len`](ExactSizeIterator::len) needs no sort, so a backend that
+/// only counts the records a state hands it sorts and builds none.
+struct SortedOnPull<'a, V, I> {
+    unsorted: Option<I>,
+    sorted: std::vec::IntoIter<(&'a Address, V)>,
 }
 
-impl Iterator for WriteSet<'_> {
-    type Item = DeltaRecord;
+impl<'a, V, I: ExactSizeIterator<Item = (&'a Address, V)>> SortedOnPull<'a, V, I> {
+    fn new(entries: I) -> Self {
+        SortedOnPull {
+            unsorted: Some(entries),
+            sorted: Vec::new().into_iter(),
+        }
+    }
+}
 
-    fn next(&mut self) -> Option<DeltaRecord> {
-        let dirty = &self.set.dirty;
-        let order = self.order.get_or_insert_with(|| {
-            let mut order: Vec<Address> = dirty.iter().copied().collect();
-            order.sort_unstable();
-            order.into_iter()
-        });
-        let address = order.next()?;
-        Some(DeltaRecord {
-            address,
-            account: self.set.accounts.get(&address).map(account_to_stored),
-        })
+impl<'a, V, I: ExactSizeIterator<Item = (&'a Address, V)>> Iterator for SortedOnPull<'a, V, I> {
+    type Item = (&'a Address, V);
+
+    fn next(&mut self) -> Option<(&'a Address, V)> {
+        if let Some(entries) = self.unsorted.take() {
+            let mut sorted: Vec<(&'a Address, V)> = entries.collect();
+            sorted.sort_unstable_by_key(|&(address, _)| *address);
+            self.sorted = sorted.into_iter();
+        }
+        self.sorted.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let len = self
-            .order
+            .unsorted
             .as_ref()
-            .map_or(self.set.dirty.len(), ExactSizeIterator::len);
+            .map_or(self.sorted.len(), ExactSizeIterator::len);
         (len, Some(len))
     }
 }
 
-impl ExactSizeIterator for WriteSet<'_> {}
+impl<'a, V, I: ExactSizeIterator<Item = (&'a Address, V)>> ExactSizeIterator
+    for SortedOnPull<'a, V, I>
+{
+}
 
 impl Source for Mount {
     fn tracks_writes(&self) -> bool {
@@ -283,9 +291,9 @@ impl WorldState {
             if guard.committed_block().is_none() {
                 // Genesis: every account is block 0's write set.
                 self.set.dirty.extend(self.set.accounts.keys().copied());
-                let genesis = guard
-                    .begin_block(0)
-                    .and_then(|()| guard.commit_block(0, &mut self.write_set()));
+                let genesis = guard.begin_block(0).and_then(|()| {
+                    guard.commit_block(0, &mut self.write_set(), &mut self.records())
+                });
                 if genesis.is_err() {
                     self.set.dirty.clear();
                 }
@@ -329,9 +337,11 @@ impl WorldState {
     }
 
     /// Commits the open block: the backend is handed the dirty accounts' new
-    /// values as one write set, in ascending address order, and pulls what it
-    /// keeps (the disk backend journals every record; the memory backend counts
-    /// them and builds none). The block scope is then cleared.
+    /// values as one write set, in ascending address order, and the whole state
+    /// after the block, and pulls what it keeps (the disk backend journals
+    /// every record and pulls the state when a snapshot is due; the memory
+    /// backend counts the records and builds none). The block scope is then
+    /// cleared.
     ///
     /// Dirty marking is conservative: an account touched and then fully reverted
     /// within the block still commits its (unchanged) value. Detecting no-op
@@ -352,20 +362,41 @@ impl WorldState {
         let height = self
             .open_height
             .ok_or_else(|| Error::validation("no open block to commit"))?;
-        let stats = backend
-            .lock()
-            .expect("backend lock")
-            .commit_block(height, &mut self.write_set())?;
+        let stats = backend.lock().expect("backend lock").commit_block(
+            height,
+            &mut self.write_set(),
+            &mut self.records(),
+        )?;
         self.close_block();
         Ok(stats)
     }
 
-    /// The open block's write set, for a backend or a harvest to pull.
-    fn write_set(&self) -> WriteSet<'_> {
-        WriteSet {
-            set: &self.set,
-            order: None,
-        }
+    /// The open block's write set, for a backend or a harvest to pull: each
+    /// record is built from the resident account as it is pulled (a deletion
+    /// when the account is gone).
+    fn write_set(&self) -> impl ExactSizeIterator<Item = DeltaRecord> + '_ {
+        let accounts = &self.set.accounts;
+        let dirty = self.set.dirty.iter();
+        SortedOnPull::new(dirty.map(|address| (address, accounts.get(address)))).map(
+            |(&address, account)| DeltaRecord {
+                address,
+                account: account.map(account_to_stored),
+            },
+        )
+    }
+
+    /// Every resident account in ascending address order, sorted on the
+    /// first pull: the one ordered walk of the state, which a backend
+    /// snapshots and the root digests.
+    fn ordered(&self) -> impl ExactSizeIterator<Item = (&Address, &Account)> + '_ {
+        SortedOnPull::new(self.set.accounts.iter())
+    }
+
+    /// [`ordered`](WorldState::ordered) as records, each built as it is
+    /// pulled: the whole state a backend is handed at commit.
+    fn records(&self) -> impl ExactSizeIterator<Item = (Address, StoredAccount)> + '_ {
+        self.ordered()
+            .map(|(&address, account)| (address, account_to_stored(account)))
     }
 
     /// Clears the block scope: the open height, the dirty set and what the
@@ -590,12 +621,10 @@ impl WorldState {
 
     /// A deterministic digest of the complete state, independent of which
     /// backend journals it — the oracle the backend-equivalence tests compare
-    /// across pipelines.
+    /// across pipelines. It digests the ordered records a snapshot writes.
     pub fn state_root(&self) -> Hash {
-        let mut accounts: Vec<(&Address, &Account)> = self.iter().collect();
-        accounts.sort_unstable_by_key(|(address, _)| **address);
         let mut data = Vec::new();
-        for (address, account) in accounts {
+        for (address, account) in self.ordered() {
             data.extend_from_slice(address.as_bytes());
             account_to_stored(account).digest_into(&mut data);
         }
@@ -1018,58 +1047,97 @@ mod tests {
 
     #[test]
     fn a_corrupted_committed_record_fails_the_reopen_mount() {
-        // A record the mount cannot read or decode is corruption: the mount
+        // A committed record the mount cannot decode is corruption: the mount
         // fails rather than recover a state without the account.
-        for undecodable in [false, true] {
-            let tag = if undecodable {
-                "undecodable"
-            } else {
-                "unreadable"
-            };
-            let (backend, dir) = disk_store(tag);
-            let mut state = WorldState::new();
-            state.credit(Address::from_low(1), Amount::from_sats(1_234_567));
-            state.credit(Address::from_low(2), Amount::from_sats(20));
-            state.attach_backend(backend, None).unwrap();
-            if undecodable {
-                // A frame with a valid CRC around code this build cannot run.
-                let record = DeltaRecord {
-                    address: Address::from_low(3),
-                    account: Some(StoredAccount {
-                        balance_sats: 1,
-                        nonce: 0,
-                        storage: vec![],
-                        // A Push whose u64 operand is cut short.
-                        code: Some(Arc::from(&[1, 0, 0, 0, 0, 0, 0, 0, 1, 0xff][..])),
-                    }),
-                };
-                let mut guard = state.backend().unwrap().lock().unwrap();
-                guard.begin_block(1).unwrap();
-                guard
-                    .commit_block(1, &mut vec![record].into_iter())
-                    .unwrap();
-            }
-            drop(state);
-            let reopened = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
-            if !undecodable {
-                // Flip one bit of a committed balance inside its genesis
-                // frame, after the reopen indexed it: its CRC no longer holds.
-                let journal = dir.join("journal-000000.log");
-                let mut bytes = std::fs::read(&journal).unwrap();
-                let at = bytes
-                    .windows(8)
-                    .position(|w| w == 1_234_567u64.to_le_bytes())
-                    .expect("the balance is in the journal");
-                bytes[at] ^= 0x01;
-                std::fs::write(&journal, &bytes).unwrap();
-            }
-            let mut recovered = WorldState::new();
-            let outcome = recovered.attach_backend(shared(reopened), None);
-            let _ = std::fs::remove_dir_all(&dir);
-            assert!(outcome.is_err(), "{tag}: a mount without the account");
-            assert_eq!(recovered.account_count(), 0, "{tag}: nothing half-mounted");
-            assert!(recovered.backend().is_none(), "{tag}");
+        let (backend, dir) = disk_store("undecodable");
+        let mut state = WorldState::new();
+        state.credit(Address::from_low(1), Amount::from_sats(1_234_567));
+        state.credit(Address::from_low(2), Amount::from_sats(20));
+        state.attach_backend(backend, None).unwrap();
+        // A frame with a valid CRC around code this build cannot run.
+        let record = DeltaRecord {
+            address: Address::from_low(3),
+            account: Some(StoredAccount {
+                balance_sats: 1,
+                nonce: 0,
+                storage: vec![],
+                // A Push whose u64 operand is cut short.
+                code: Some(Arc::from(&[1, 0, 0, 0, 0, 0, 0, 0, 1, 0xff][..])),
+            }),
+        };
+        {
+            let mut guard = state.backend().unwrap().lock().unwrap();
+            guard.begin_block(1).unwrap();
+            // No snapshot is due at height 1, so the state is not pulled.
+            guard
+                .commit_block(1, &mut vec![record].into_iter(), &mut std::iter::empty())
+                .unwrap();
         }
+        drop(state);
+        let reopened = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
+        let mut recovered = WorldState::new();
+        let outcome = recovered.attach_backend(shared(reopened), None);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(outcome.is_err(), "a mount without the account");
+        assert_eq!(recovered.account_count(), 0, "nothing half-mounted");
+        assert!(recovered.backend().is_none());
+    }
+
+    #[test]
+    fn the_disk_store_reads_its_files_only_at_open() {
+        // A snapshot is written from the running state, not read back from
+        // the store's files: with every file garbled after `open`, commits
+        // across a snapshot boundary still succeed, and the store reopens to
+        // the running state.
+        let dir = std::env::temp_dir().join(format!(
+            "blockconc-account-read-once-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DiskConfig {
+            snapshot_every: 4,
+            ..DiskConfig::new(&dir)
+        };
+        let run = |state: &mut WorldState, heights: std::ops::RangeInclusive<u64>| {
+            for height in heights {
+                state.begin_block(height).unwrap();
+                state.credit(Address::from_low(height % 5), Amount::from_sats(height));
+                state.storage_set(Address::from_low(9), height, height * 7, None);
+                state.commit_block().unwrap();
+            }
+        };
+        {
+            let mut state = genesis();
+            state
+                .attach_backend(shared(DiskBackend::open(&config).unwrap()), None)
+                .unwrap();
+            run(&mut state, 1..=5);
+        }
+        let mut state = WorldState::new();
+        state
+            .attach_backend(shared(DiskBackend::open(&config).unwrap()), None)
+            .unwrap();
+        let mut garbled = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let len = std::fs::metadata(&path).unwrap().len() as usize;
+            let garbage: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(31) ^ 0xa5)
+                .collect();
+            std::fs::write(&path, garbage).unwrap();
+            garbled += 1;
+        }
+        assert!(garbled >= 2, "a snapshot and a journal were garbled");
+        run(&mut state, 6..=9);
+        let stats = state.backend_stats().unwrap();
+        assert_eq!(stats.snapshots_written, 1, "the snapshot at height 8");
+        let mut reopened = WorldState::new();
+        reopened
+            .attach_backend(shared(DiskBackend::open(&config).unwrap()), None)
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reopened.state_root(), state.state_root());
+        assert_eq!(reopened.account_count(), state.account_count());
     }
 
     #[test]

@@ -100,7 +100,8 @@ pub struct StoreStats {
 /// The resident `WorldState` is the whole state; a backend only records it. The
 /// owner opens a block with [`begin_block`](StateBackend::begin_block) and
 /// [`commit_block`](StateBackend::commit_block)s the block's write set, which the
-/// backend pulls record by record.
+/// backend pulls record by record, together with the whole state after the
+/// block, which it pulls only to write a snapshot.
 /// Nothing is read back while the state runs: a backend is read exactly once,
 /// through [`for_each_account`](StateBackend::for_each_account), when a state is
 /// mounted on a store that already holds commits.
@@ -120,9 +121,12 @@ pub trait StateBackend: Send + std::fmt::Debug {
     ///
     /// The owner hands the write set over as an iterator that builds each
     /// record when it is pulled, in ascending address order, and knows its
-    /// length up front. A backend pulls only what it keeps: the disk backend
-    /// pulls every record and journals it; the memory backend reads `len()`
-    /// and pulls none, so a state mounted on it never builds a record.
+    /// length up front. `state` is the owner's whole state after the block,
+    /// every account in ascending address order, handed over the same way. A
+    /// backend pulls only what it keeps: the disk backend pulls every record
+    /// and journals it, and pulls `state` only when a snapshot is due; the
+    /// memory backend reads `len()` and pulls nothing, so a state mounted on it
+    /// never builds a record.
     ///
     /// # Errors
     ///
@@ -132,6 +136,7 @@ pub trait StateBackend: Send + std::fmt::Debug {
         &mut self,
         height: u64,
         records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
+        state: &mut dyn ExactSizeIterator<Item = (Address, StoredAccount)>,
     ) -> Result<CommitStats>;
 
     /// The last committed block's height, or `None` if nothing has ever been
@@ -144,9 +149,9 @@ pub trait StateBackend: Send + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns an error if a committed record cannot be read or decoded (a
-    /// mount without the account would be a different state), if `f` fails, or
-    /// if the backend keeps no accounts to hand over.
+    /// Returns an error if `f` fails, or if the backend keeps no accounts to
+    /// hand over: the memory backend never does once it holds commits, and the
+    /// disk backend hands over what `open` recovered once, before any commit.
     fn for_each_account(
         &mut self,
         f: &mut dyn FnMut(Address, StoredAccount) -> Result<()>,
@@ -219,8 +224,9 @@ impl BlockScope {
     }
 }
 
-/// A backend handle shareable across `WorldState` clones (each clone owns its
-/// working set; all clones read the same committed store).
+/// A backend handle shareable across `WorldState` clones. Each clone owns its
+/// accounts, and the one state mounted on the backend commits to it: the
+/// backend snapshots the state that commits.
 pub type SharedBackend = Arc<Mutex<dyn StateBackend>>;
 
 /// Wraps a backend into a [`SharedBackend`] handle.
@@ -306,23 +312,37 @@ impl StateBackendConfig {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    /// A write set of the given length that panics when a record is pulled.
-    pub(crate) struct Unpullable(pub(crate) usize);
-
-    impl Iterator for Unpullable {
-        type Item = DeltaRecord;
-
-        fn next(&mut self) -> Option<DeltaRecord> {
-            panic!("the backend pulled a record")
-        }
-
-        fn size_hint(&self) -> (usize, Option<usize>) {
-            (self.0, Some(self.0))
-        }
+    /// `len` records that panic when one is pulled.
+    pub(crate) fn unpullable<T>(len: usize) -> impl ExactSizeIterator<Item = T> {
+        (0..len).map(|_| panic!("the backend pulled a record"))
     }
 
-    impl ExactSizeIterator for Unpullable {}
+    /// Commits `records` as block `height` on `backend` and hands it the model
+    /// state `committed` with them applied, as a `WorldState` hands down its
+    /// accounts; `committed` moves to that state only if the commit succeeds.
+    pub(crate) fn commit(
+        backend: &mut dyn StateBackend,
+        committed: &mut BTreeMap<Address, StoredAccount>,
+        height: u64,
+        records: Vec<DeltaRecord>,
+    ) -> Result<CommitStats> {
+        let mut next = committed.clone();
+        for record in &records {
+            match &record.account {
+                Some(account) => next.insert(record.address, account.clone()),
+                None => next.remove(&record.address),
+            };
+        }
+        let stats = backend.commit_block(
+            height,
+            &mut records.into_iter(),
+            &mut next.clone().into_iter(),
+        )?;
+        *committed = next;
+        Ok(stats)
+    }
 
     /// The block protocol on a fresh `backend`: a second open block, a commit
     /// at another height and a commit behind the committed height all fail
@@ -331,19 +351,23 @@ pub(crate) mod tests {
         backend.begin_block(1).unwrap();
         assert!(backend.begin_block(2).is_err());
         assert!(
-            backend.commit_block(9, &mut Unpullable(1)).is_err(),
+            backend
+                .commit_block(9, &mut unpullable(1), &mut unpullable(1))
+                .is_err(),
             "not the open height"
         );
         assert_eq!(backend.committed_block(), None);
         backend
-            .commit_block(1, &mut Vec::new().into_iter())
+            .commit_block(1, &mut std::iter::empty(), &mut std::iter::empty())
             .unwrap();
         assert!(
             backend.begin_block(1).is_err(),
             "not ahead of the committed height"
         );
         assert!(
-            backend.commit_block(1, &mut Unpullable(1)).is_err(),
+            backend
+                .commit_block(1, &mut unpullable(1), &mut unpullable(1))
+                .is_err(),
             "nothing open, and not ahead of the committed height"
         );
         assert_eq!(backend.committed_block(), Some(1));

@@ -1,37 +1,28 @@
 //! The log-structured disk backend: append-only journal of per-block write-set
-//! deltas, periodic snapshot compaction, recovery-by-replay on open.
+//! deltas, periodic snapshots of the owner's state, recovery-by-replay on open.
 //!
 //! See `crates/store/README.md` for the on-disk format, the recovery protocol and
 //! the compaction policy; the crash-recovery property tests in
 //! `crates/store/tests/` drive torn-tail and torn-snapshot scenarios against it.
 
 use crate::backend::BlockScope;
-use crate::journal::{
-    append_frame, append_upsert, check_frame, decode_frame, Frame, FrameScanner, JournalRecord,
-};
+use crate::journal::{append_frame, append_upsert, Frame, FrameScanner, JournalRecord};
 use crate::{CommitStats, DeltaRecord, DiskConfig, StateBackend, StoreStats, StoredAccount};
 use blockconc_types::{Address, Error, Result};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Which file of an epoch a record lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum FileKind {
     Snapshot,
     Journal,
 }
 
-/// Where an account's latest value sits on disk: one whole frame in one file.
-#[derive(Debug, Clone, Copy)]
-struct Location {
-    kind: FileKind,
-    epoch: u64,
-    offset: u64,
-    len: u32,
-}
+/// The committed accounts recovery decoded, each with the length of the frame
+/// it was decoded from.
+type Recovered = BTreeMap<Address, (StoredAccount, u32)>;
 
 fn file_path(dir: &Path, kind: FileKind, epoch: u64) -> PathBuf {
     match kind {
@@ -46,14 +37,15 @@ fn io_err(context: &str, err: std::io::Error) -> Error {
 
 /// A [`StateBackend`] that journals committed state to disk.
 ///
-/// In memory it keeps only a per-account *index* (address → file/offset/length of
-/// the latest value record); account values and the block history stay on disk.
-/// Commits append one framed write-set delta, which is in the journal file when
-/// the commit returns; the live records are read back
-/// once, when a state is mounted on a reopened store
-/// ([`for_each_account`](StateBackend::for_each_account)).
-/// [`DiskConfig::snapshot_every`] bounds recovery replay by compacting the live
-/// state into a snapshot and starting a fresh journal epoch.
+/// It keeps nothing per account while a state runs on it. Commits append one
+/// framed write-set delta, which is in the journal file when the commit
+/// returns. [`DiskConfig::snapshot_every`] bounds recovery replay: when a
+/// snapshot is due, the backend writes the whole state the owner hands to
+/// [`commit_block`](StateBackend::commit_block) and starts a fresh journal
+/// epoch. The files are read once, by [`open`](DiskBackend::open), which
+/// decodes the committed accounts and holds them until a state is mounted
+/// ([`for_each_account`](StateBackend::for_each_account)) or a commit makes
+/// them stale.
 ///
 /// # Examples
 ///
@@ -73,7 +65,9 @@ pub struct DiskBackend {
     journal_len: u64,
     /// One block's frames on their way to the journal, reused across commits.
     frame_buf: Vec<u8>,
-    index: BTreeMap<Address, Location>,
+    /// The accounts `open` recovered, until the mount takes them or a commit
+    /// makes them stale.
+    recovered: Option<Recovered>,
     scope: BlockScope,
     last_snapshot_height: u64,
     stats: StoreStats,
@@ -98,7 +92,7 @@ impl DiskBackend {
 
         // Newest snapshot that validates wins; invalid (torn) ones fall back a
         // generation. With no usable snapshot, replay starts from an empty state.
-        let mut index = BTreeMap::new();
+        let mut accounts = Recovered::new();
         let mut committed: Option<u64> = None;
         let mut last_snapshot_height = 0u64;
         let mut base_epoch = 0u64;
@@ -107,8 +101,8 @@ impl DiskBackend {
             ..StoreStats::default()
         };
         for &epoch in snapshots.iter().rev() {
-            if let Some((snap_index, height)) = load_snapshot(&config.dir, epoch)? {
-                index = snap_index;
+            if let Some((snapshot, height)) = load_snapshot(&config.dir, epoch)? {
+                accounts = snapshot;
                 committed = Some(height);
                 last_snapshot_height = height;
                 base_epoch = epoch;
@@ -121,8 +115,13 @@ impl DiskBackend {
         let mut newest_valid_len = 0u64;
         for &epoch in journals.iter().filter(|&&e| e >= base_epoch) {
             max_epoch = max_epoch.max(epoch);
-            let valid_len =
-                replay_journal(&config.dir, epoch, &mut index, &mut committed, &mut stats)?;
+            let valid_len = replay_journal(
+                &config.dir,
+                epoch,
+                &mut accounts,
+                &mut committed,
+                &mut stats,
+            )?;
             newest_valid_len = valid_len;
         }
 
@@ -148,7 +147,7 @@ impl DiskBackend {
             journal,
             journal_len,
             frame_buf: Vec::new(),
-            index,
+            recovered: Some(accounts),
             scope: BlockScope::at(committed),
             last_snapshot_height,
             stats,
@@ -202,43 +201,35 @@ impl DiskBackend {
         self.last_snapshot_height
     }
 
-    /// Forces a snapshot compaction now (also triggered automatically every
-    /// [`DiskConfig::snapshot_every`] committed blocks).
+    /// Writes `state` — every committed account, in ascending address order —
+    /// as a snapshot at the committed height and starts a fresh journal epoch.
+    /// [`commit_block`](StateBackend::commit_block) does this every
+    /// [`DiskConfig::snapshot_every`] committed blocks, with the state its
+    /// owner hands down.
     ///
     /// # Errors
     ///
-    /// Returns an error on I/O failure.
-    pub fn compact(&mut self) -> Result<CommitStats> {
+    /// Returns an error on I/O failure, or if `state` yields another number of
+    /// accounts than its `len()`; nothing is published then.
+    pub fn compact(
+        &mut self,
+        state: &mut dyn ExactSizeIterator<Item = (Address, StoredAccount)>,
+    ) -> Result<CommitStats> {
         let new_epoch = self.epoch + 1;
         let height = self.scope.committed().unwrap_or(0);
-        let accounts = self.index.len() as u64;
-
-        // Every live record is one whole `Upsert` frame; copy each verbatim
-        // after its CRC check: the payload is byte-for-byte what decoding and
-        // re-encoding it would write.
-        let sources = self.sources()?;
+        let accounts = state.len() as u64;
         let mut buf = Vec::new();
         append_frame(&mut buf, &JournalRecord::SnapshotBegin { height, accounts })?;
-        let new_index = self
-            .index
-            .iter()
-            .map(|(address, location)| {
-                let frame = frame_at(&sources, location)?;
-                check_frame(frame)?;
-                let offset = buf.len() as u64;
-                buf.extend_from_slice(frame);
-                Ok((
-                    *address,
-                    Location {
-                        kind: FileKind::Snapshot,
-                        epoch: new_epoch,
-                        offset,
-                        len: location.len,
-                    },
-                ))
-            })
-            .collect::<Result<BTreeMap<_, _>>>()?;
-        drop(sources);
+        let mut written = 0u64;
+        for (address, account) in state {
+            append_upsert(&mut buf, &address, &account)?;
+            written += 1;
+        }
+        if written != accounts {
+            return Err(Error::execution(format!(
+                "store: the state to snapshot yielded {written} accounts, not its length {accounts}"
+            )));
+        }
         append_frame(&mut buf, &JournalRecord::SnapshotEnd { accounts })?;
 
         // Durable snapshot via temp file + atomic rename, then a fresh journal.
@@ -266,7 +257,6 @@ impl DiskBackend {
             let _ = fs::remove_file(file_path(&self.dir, FileKind::Journal, epoch));
         }
 
-        self.index = new_index;
         self.epoch = new_epoch;
         self.last_snapshot_height = height;
         self.stats.snapshots_written += 1;
@@ -280,80 +270,38 @@ impl DiskBackend {
             bytes,
         })
     }
-
-    /// Every file a live record sits in (the current snapshot and journal;
-    /// after a torn-snapshot fallback, the epochs replayed past it), each read
-    /// once, whole.
-    fn sources(&self) -> Result<HashMap<(FileKind, u64), Vec<u8>>> {
-        let mut sources = HashMap::new();
-        for location in self.index.values() {
-            if let Entry::Vacant(source) = sources.entry((location.kind, location.epoch)) {
-                let path = file_path(&self.dir, location.kind, location.epoch);
-                let bytes = fs::read(path).map_err(|e| io_err("read live records", e))?;
-                source.insert(bytes);
-            }
-        }
-        Ok(sources)
-    }
-}
-
-/// The bytes of the frame at `location` inside its source file.
-fn frame_at<'a>(
-    sources: &'a HashMap<(FileKind, u64), Vec<u8>>,
-    location: &Location,
-) -> Result<&'a [u8]> {
-    let start = location.offset as usize;
-    sources[&(location.kind, location.epoch)]
-        .get(start..start + location.len as usize)
-        .ok_or_else(|| Error::execution("store: index pointed past its file"))
 }
 
 /// Appends block `height`'s frames to `buf`, pulling the write set's records
-/// one at a time in the order the iterator yields them, and returns where each
-/// touched account's record now lives (`None` for a delete). The block's first
-/// byte lands at offset `offset` of journal `epoch`.
+/// one at a time in the order the iterator yields them, and returns how many
+/// it framed.
 fn encode_block(
     buf: &mut Vec<u8>,
-    offset: u64,
-    epoch: u64,
     height: u64,
     records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
-) -> Result<Vec<(Address, Option<Location>)>> {
-    let start = buf.len();
+) -> Result<u64> {
     append_frame(buf, &JournalRecord::BlockBegin { height })?;
-    let mut placements = Vec::with_capacity(records.len());
+    let mut framed = 0u64;
     for record in records {
-        let location = match &record.account {
-            Some(account) => {
-                let frame_offset = offset + (buf.len() - start) as u64;
-                let len = append_upsert(buf, &record.address, account)?;
-                Some(Location {
-                    kind: FileKind::Journal,
-                    epoch,
-                    offset: frame_offset,
-                    len: len as u32,
-                })
-            }
-            None => {
-                append_frame(
-                    buf,
-                    &JournalRecord::Delete {
-                        address: record.address,
-                    },
-                )?;
-                None
-            }
+        match &record.account {
+            Some(account) => append_upsert(buf, &record.address, account)?,
+            None => append_frame(
+                buf,
+                &JournalRecord::Delete {
+                    address: record.address,
+                },
+            )?,
         };
-        placements.push((record.address, location));
+        framed += 1;
     }
     append_frame(
         buf,
         &JournalRecord::BlockCommit {
             height,
-            records: placements.len() as u64,
+            records: framed,
         },
     )?;
-    Ok(placements)
+    Ok(framed)
 }
 
 /// Epochs present in `dir`, each list ascending.
@@ -405,8 +353,7 @@ fn next_frame(scanner: &mut FrameScanner<'_>, path: &Path) -> Result<Option<Fram
 
 /// Loads and validates one snapshot file; `None` if it is torn or its records
 /// break the snapshot protocol, an error if one of its frames does not decode.
-#[allow(clippy::type_complexity)]
-fn load_snapshot(dir: &Path, epoch: u64) -> Result<Option<(BTreeMap<Address, Location>, u64)>> {
+fn load_snapshot(dir: &Path, epoch: u64) -> Result<Option<(Recovered, u64)>> {
     let path = file_path(dir, FileKind::Snapshot, epoch);
     let Some(bytes) = read_file_or_absent(&path, "read snapshot")? else {
         return Ok(None);
@@ -418,42 +365,34 @@ fn load_snapshot(dir: &Path, epoch: u64) -> Result<Option<(BTreeMap<Address, Loc
     let JournalRecord::SnapshotBegin { height, accounts } = first.record else {
         return Ok(None);
     };
-    let mut index = BTreeMap::new();
+    let mut recovered = Recovered::new();
     for _ in 0..accounts {
         let Some(frame) = next_frame(&mut scanner, &path)? else {
             return Ok(None);
         };
-        let JournalRecord::Upsert { address, .. } = frame.record else {
+        let JournalRecord::Upsert { address, account } = frame.record else {
             return Ok(None);
         };
-        index.insert(
-            address,
-            Location {
-                kind: FileKind::Snapshot,
-                epoch,
-                offset: frame.offset,
-                len: frame.len,
-            },
-        );
+        recovered.insert(address, (account, frame.len));
     }
     match next_frame(&mut scanner, &path)? {
         Some(frame)
             if frame.record == (JournalRecord::SnapshotEnd { accounts })
                 && scanner.consumed as usize == bytes.len() =>
         {
-            Ok(Some((index, height)))
+            Ok(Some((recovered, height)))
         }
         _ => Ok(None),
     }
 }
 
-/// Replays one journal epoch into the index, applying only fully committed blocks
+/// Replays one journal epoch into `accounts`, applying only fully committed blocks
 /// ahead of the current height; returns the byte length of the valid committed
 /// prefix (everything after it is a torn or uncommitted tail).
 fn replay_journal(
     dir: &Path,
     epoch: u64,
-    index: &mut BTreeMap<Address, Location>,
+    accounts: &mut Recovered,
     committed: &mut Option<u64>,
     stats: &mut StoreStats,
 ) -> Result<u64> {
@@ -464,23 +403,15 @@ fn replay_journal(
     let mut scanner = FrameScanner::new(&bytes);
     let mut valid_end = 0u64;
     let mut pending_height: Option<u64> = None;
-    let mut pending: Vec<(Address, Option<Location>)> = Vec::new();
+    let mut pending: Vec<(Address, Option<(StoredAccount, u32)>)> = Vec::new();
     while let Some(frame) = next_frame(&mut scanner, &path)? {
         match frame.record {
             JournalRecord::BlockBegin { height } => {
                 pending_height = Some(height);
                 pending.clear();
             }
-            JournalRecord::Upsert { address, .. } if pending_height.is_some() => {
-                pending.push((
-                    address,
-                    Some(Location {
-                        kind: FileKind::Journal,
-                        epoch,
-                        offset: frame.offset,
-                        len: frame.len,
-                    }),
-                ));
+            JournalRecord::Upsert { address, account } if pending_height.is_some() => {
+                pending.push((address, Some((account, frame.len))));
             }
             JournalRecord::Delete { address } if pending_height.is_some() => {
                 pending.push((address, None));
@@ -489,15 +420,11 @@ fn replay_journal(
                 if pending_height == Some(height) && records == pending.len() as u64 =>
             {
                 if committed.map_or(true, |c| height > c) {
-                    for (address, location) in pending.drain(..) {
-                        match location {
-                            Some(location) => {
-                                index.insert(address, location);
-                            }
-                            None => {
-                                index.remove(&address);
-                            }
-                        }
+                    for (address, value) in pending.drain(..) {
+                        match value {
+                            Some(value) => accounts.insert(address, value),
+                            None => accounts.remove(&address),
+                        };
                     }
                     *committed = Some(height);
                     stats.replayed_blocks += 1;
@@ -527,34 +454,18 @@ impl StateBackend for DiskBackend {
         &mut self,
         height: u64,
         records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
+        state: &mut dyn ExactSizeIterator<Item = (Address, StoredAccount)>,
     ) -> Result<CommitStats> {
         self.scope.check_commit(height)?;
 
         // The block is framed, then appended and flushed, before anything moves:
         // a failed encoding or append leaves the store at the previous height.
         self.frame_buf.clear();
-        let placements = encode_block(
-            &mut self.frame_buf,
-            self.journal_len,
-            self.epoch,
-            height,
-            records,
-        )?;
+        let records = encode_block(&mut self.frame_buf, height, records)?;
         self.append_block()?;
-        let records = placements.len() as u64;
         let bytes = self.frame_buf.len() as u64;
         self.journal_len += bytes;
-
-        for (address, location) in placements {
-            match location {
-                Some(location) => {
-                    self.index.insert(address, location);
-                }
-                None => {
-                    self.index.remove(&address);
-                }
-            }
-        }
+        self.recovered = None;
         self.scope.mark_committed(height);
         self.stats.committed_blocks += 1;
         self.stats.group_flushes += 1;
@@ -567,7 +478,7 @@ impl StateBackend for DiskBackend {
             && height.saturating_sub(self.last_snapshot_height) >= self.snapshot_every
         {
             // A compaction's records and bytes are charged to the commit that triggers it.
-            let compaction = self.compact()?;
+            let compaction = self.compact(state)?;
             total_bytes += compaction.bytes;
             total_records += compaction.records;
         }
@@ -582,23 +493,21 @@ impl StateBackend for DiskBackend {
         self.scope.committed()
     }
 
+    /// Hands over the accounts `open` recovered, once: the backend keeps none
+    /// of them after, so a second call, or a call after a commit, is an error.
     fn for_each_account(
         &mut self,
         f: &mut dyn FnMut(Address, StoredAccount) -> Result<()>,
     ) -> Result<()> {
-        let sources = self.sources()?;
-        for (address, location) in &self.index {
-            let account = match decode_frame(frame_at(&sources, location)?)? {
-                JournalRecord::Upsert { account, .. } => account,
-                other => {
-                    return Err(Error::execution(format!(
-                        "store: index pointed at a non-account record {other:?}"
-                    )))
-                }
-            };
+        let Some(accounts) = self.recovered.take() else {
+            return Err(Error::validation(
+                "the disk backend keeps no accounts once they are mounted or a block is committed",
+            ));
+        };
+        for (address, (account, len)) in accounts {
             self.stats.backend_reads += 1;
-            self.stats.read_bytes += u64::from(location.len);
-            f(*address, account)?;
+            self.stats.read_bytes += u64::from(len);
+            f(address, account)?;
         }
         Ok(())
     }
@@ -611,7 +520,7 @@ impl StateBackend for DiskBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::tests::assert_block_scope_is_enforced;
+    use crate::backend::tests::{assert_block_scope_is_enforced, commit};
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir =
@@ -657,11 +566,10 @@ mod tests {
         let config = DiskConfig::new(&dir);
         {
             let mut backend = DiskBackend::open(&config).unwrap();
+            let mut model = BTreeMap::new();
             for (height, block) in [(1, &[(1, 100), (2, 200)][..]), (2, &[(1, 150)][..])] {
                 backend.begin_block(height).unwrap();
-                backend
-                    .commit_block(height, &mut records(block).into_iter())
-                    .unwrap();
+                commit(&mut backend, &mut model, height, records(block)).unwrap();
                 // A returned commit is in the file: the journal holds every
                 // byte, and a crash right now recovers exactly this height.
                 let journal = file_path(&dir, FileKind::Journal, 0);
@@ -694,14 +602,16 @@ mod tests {
         };
         {
             let mut backend = DiskBackend::open(&config).unwrap();
+            let mut model = BTreeMap::new();
             for height in 1..=10u64 {
                 backend.begin_block(height).unwrap();
-                backend
-                    .commit_block(
-                        height,
-                        &mut records(&[(height % 3, height * 10)]).into_iter(),
-                    )
-                    .unwrap();
+                commit(
+                    &mut backend,
+                    &mut model,
+                    height,
+                    records(&[(height % 3, height * 10)]),
+                )
+                .unwrap();
             }
             assert!(backend.stats().snapshots_written >= 2);
             assert!(backend.last_snapshot_height() >= 8);
@@ -717,22 +627,66 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Yields one account while its `len()` claims two.
+    struct Short(Option<(Address, StoredAccount)>);
+
+    impl Iterator for Short {
+        type Item = (Address, StoredAccount);
+
+        fn next(&mut self) -> Option<Self::Item> {
+            self.0.take()
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            (2, Some(2))
+        }
+    }
+
+    impl ExactSizeIterator for Short {}
+
+    #[test]
+    fn a_state_short_of_its_length_publishes_no_snapshot() {
+        let dir = tempdir("short");
+        let mut backend = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
+        let mut short = Short(Some((Address::from_low(1), account(10))));
+        assert!(backend.compact(&mut short).is_err());
+        assert_eq!(backend.epoch(), 0);
+        assert!(!file_path(&dir, FileKind::Snapshot, 1).exists());
+        assert_eq!(backend.stats().snapshots_written, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn for_each_visits_in_address_order() {
         let dir = tempdir("order");
-        let mut backend = DiskBackend::open(&DiskConfig::new(&dir)).unwrap();
+        let config = DiskConfig::new(&dir);
+        let mut backend = DiskBackend::open(&config).unwrap();
         backend.begin_block(1).unwrap();
-        backend
-            .commit_block(1, &mut records(&[(5, 50), (2, 20), (9, 90)]).into_iter())
-            .unwrap();
+        commit(
+            &mut backend,
+            &mut BTreeMap::new(),
+            1,
+            records(&[(5, 50), (2, 20), (9, 90)]),
+        )
+        .unwrap();
         assert_eq!(backend.stats().backend_reads, 0, "commits read nothing");
+        assert!(
+            backend.for_each_account(&mut |_, _| Ok(())).is_err(),
+            "a commit leaves no accounts to hand over"
+        );
+        drop(backend);
+
+        let mut reopened = DiskBackend::open(&config).unwrap();
         assert_eq!(
-            balances(&mut backend),
+            balances(&mut reopened),
             [(2, 20), (5, 50), (9, 90)].map(|(low, sats)| (Address::from_low(low), sats))
         );
-        let stats = backend.stats();
+        let stats = reopened.stats();
         assert_eq!(stats.backend_reads, 3);
         assert!(stats.read_bytes > 0);
+        // The accounts are handed over once; the backend keeps none of them.
+        assert!(reopened.for_each_account(&mut |_, _| Ok(())).is_err());
+        assert_eq!(reopened.stats().backend_reads, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -776,32 +730,26 @@ mod tests {
         };
         let journal = file_path(&dir, FileKind::Journal, 0);
         let mut backend = DiskBackend::open(&config).unwrap();
+        let mut model = BTreeMap::new();
         backend.begin_block(1).unwrap();
-        backend
-            .commit_block(1, &mut records(&[(1, 100)]).into_iter())
-            .unwrap();
+        commit(&mut backend, &mut model, 1, records(&[(1, 100)])).unwrap();
         let boundary = backend.journal_bytes();
-        let before = balances(&mut backend);
 
         // A journal handle that cannot be written: the append of block 2 fails.
         backend.journal = File::open(&journal).unwrap();
         backend.begin_block(2).unwrap();
-        assert!(backend
-            .commit_block(2, &mut records(&[(1, 999)]).into_iter())
-            .is_err());
+        assert!(commit(&mut backend, &mut model, 2, records(&[(1, 999)])).is_err());
         assert_eq!(backend.committed_block(), Some(1));
         assert_eq!(backend.journal_bytes(), boundary);
         assert_eq!(fs::metadata(&journal).unwrap().len(), boundary);
-        assert_eq!(balances(&mut backend), before);
         drop(backend);
 
+        let before = [(Address::from_low(1), 100)];
         let mut reopened = DiskBackend::open(&config).unwrap();
         assert_eq!(reopened.committed_block(), Some(1));
         assert_eq!(balances(&mut reopened), before);
         reopened.begin_block(2).unwrap();
-        reopened
-            .commit_block(2, &mut records(&[(1, 101)]).into_iter())
-            .unwrap();
+        commit(&mut reopened, &mut model, 2, records(&[(1, 101)])).unwrap();
         drop(reopened);
         let mut recovered = DiskBackend::open(&config).unwrap();
         assert_eq!(recovered.committed_block(), Some(2));
@@ -817,9 +765,7 @@ mod tests {
             let mut backend = DiskBackend::open(&config).unwrap();
             assert!(backend.committed_block().is_none());
             backend.begin_block(0).unwrap();
-            backend
-                .commit_block(0, &mut Vec::new().into_iter())
-                .unwrap();
+            commit(&mut backend, &mut BTreeMap::new(), 0, Vec::new()).unwrap();
         }
         let reopened = DiskBackend::open(&config).unwrap();
         // Height 0 with an empty delta is still a commit: the store is no longer
@@ -838,15 +784,12 @@ mod tests {
         let boundary;
         {
             let mut backend = DiskBackend::open(&config).unwrap();
+            let mut model = BTreeMap::new();
             backend.begin_block(1).unwrap();
-            backend
-                .commit_block(1, &mut records(&[(1, 100)]).into_iter())
-                .unwrap();
+            commit(&mut backend, &mut model, 1, records(&[(1, 100)])).unwrap();
             boundary = backend.journal_bytes();
             backend.begin_block(2).unwrap();
-            backend
-                .commit_block(2, &mut records(&[(1, 999)]).into_iter())
-                .unwrap();
+            commit(&mut backend, &mut model, 2, records(&[(1, 999)])).unwrap();
         }
         let journal = file_path(&dir, FileKind::Journal, 0);
         let full = fs::metadata(&journal).unwrap().len();
@@ -860,9 +803,8 @@ mod tests {
         // The torn tail was truncated, so new commits extend a clean journal.
         assert_eq!(reopened.journal_bytes(), boundary);
         reopened.begin_block(2).unwrap();
-        reopened
-            .commit_block(2, &mut records(&[(1, 101)]).into_iter())
-            .unwrap();
+        let mut model = BTreeMap::from([(Address::from_low(1), account(100))]);
+        commit(&mut reopened, &mut model, 2, records(&[(1, 101)])).unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -293,13 +293,11 @@ fn decode_payload(payload: &[u8]) -> Decoded<JournalRecord> {
     Ok(record)
 }
 
-/// A parsed frame: the record plus its on-disk extent.
+/// A parsed frame: the record plus its length on disk.
 #[derive(Debug, Clone)]
 pub struct Frame {
     /// The decoded record.
     pub record: JournalRecord,
-    /// Byte offset of the frame header in the file.
-    pub offset: u64,
     /// Total frame length (header + payload).
     pub len: u32,
 }
@@ -371,35 +369,9 @@ impl Iterator for FrameScanner<'_> {
         self.consumed = (start + len) as u64;
         Some(Ok(Frame {
             record,
-            offset,
             len: len as u32,
         }))
     }
-}
-
-/// The payload of `frame_bytes` if it is exactly one whole frame whose payload
-/// matches its CRC.
-fn whole_frame_payload(frame_bytes: &[u8]) -> Result<&[u8]> {
-    match frame_payload(frame_bytes) {
-        Some(payload) if FRAME_HEADER_LEN + payload.len() == frame_bytes.len() => Ok(payload),
-        _ => Err(Error::execution(
-            "store: frame bytes are not one whole frame with a matching CRC",
-        )),
-    }
-}
-
-/// Checks that `frame_bytes` is exactly one whole frame whose payload matches
-/// its CRC, without decoding the payload: what snapshot compaction asks of a
-/// live record before it copies the bytes verbatim.
-pub fn check_frame(frame_bytes: &[u8]) -> Result<()> {
-    whole_frame_payload(frame_bytes).map(|_| ())
-}
-
-/// Decodes the single record inside a frame previously located by a scanner
-/// (the mount-time read of every live record through the disk index).
-pub fn decode_frame(frame_bytes: &[u8]) -> Result<JournalRecord> {
-    decode_payload(whole_frame_payload(frame_bytes)?)
-        .map_err(|reason| Error::execution(format!("store: record does not decode: {reason}")))
 }
 
 #[cfg(test)]
@@ -677,31 +649,6 @@ mod tests {
         );
         // The bad frame is not consumed: the valid prefix ends before it.
         assert_eq!(scanner.consumed, bad);
-    }
-
-    #[test]
-    fn decode_frame_requires_exactly_one_record() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, &upsert(1)).unwrap();
-        assert_eq!(decode_frame(&buf).unwrap(), upsert(1));
-        let mut two = buf.clone();
-        append_frame(&mut two, &upsert(2)).unwrap();
-        assert!(decode_frame(&two).is_err());
-        assert!(decode_frame(&buf[..buf.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn check_frame_requires_one_whole_frame_with_a_matching_crc() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, &upsert(1)).unwrap();
-        assert!(check_frame(&buf).is_ok());
-        assert!(check_frame(&buf[..buf.len() - 1]).is_err());
-        let mut two = buf.clone();
-        append_frame(&mut two, &upsert(2)).unwrap();
-        assert!(check_frame(&two).is_err());
-        let mut flipped = buf.clone();
-        flipped[FRAME_HEADER_LEN] ^= 0x01;
-        assert!(check_frame(&flipped).is_err());
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   protocol and counts records, so a pipeline on it behaves bit-identically to
 //!   a `WorldState` without a backend.
 //! * [`DiskBackend`] — a log-structured store: an append-only journal of framed,
-//!   CRC-guarded per-block write-set deltas, an in-memory address → record index,
-//!   periodic snapshot compaction into a fresh journal epoch, and
+//!   CRC-guarded per-block write-set deltas, periodic snapshots of the state its
+//!   owner hands down, each starting a fresh journal epoch, and
 //!   recovery-by-replay on open (torn tails discarded, torn snapshots falling back
-//!   one generation). See `crates/store/README.md` for the format and protocol.
+//!   one generation). It keeps nothing per account while a state runs on it.
+//!   See `crates/store/README.md` for the format and protocol.
 //!
 //! Every commit reports its records and bytes ([`CommitStats`]) and every backend
 //! its cumulative counters ([`StoreStats`]): records and bytes written, records
@@ -39,7 +40,10 @@
 //!         code: None,
 //!     }),
 //! }];
-//! let stats = backend.commit_block(1, &mut records.into_iter()).unwrap();
+//! // The memory backend pulls neither the records nor the state after the block.
+//! let stats = backend
+//!     .commit_block(1, &mut records.into_iter(), &mut std::iter::empty())
+//!     .unwrap();
 //! assert_eq!(stats.records, 1);
 //! assert_eq!(backend.committed_block(), Some(1));
 //! ```

@@ -9,7 +9,8 @@ use blockconc_types::{Address, Error, Result};
 ///
 /// Zero I/O and no copy of the state: [`commit_block`](StateBackend::commit_block)
 /// checks the block protocol and counts the write set's records by its
-/// `len()`, without pulling (and so without building) a single one. A pipeline
+/// `len()`, without pulling (and so without building) a single one, and never
+/// pulls the state. A pipeline
 /// mounted on this backend behaves bit-identically to a `WorldState` without
 /// one while exercising the same block-scoped commit protocol as the disk
 /// journal. Nothing it is handed outlives the process, so there is never a
@@ -34,7 +35,10 @@ use blockconc_types::{Address, Error, Result};
 ///         code: None,
 ///     }),
 /// }];
-/// backend.commit_block(1, &mut records.into_iter()).unwrap();
+/// // The memory backend pulls neither the records nor the state after the block.
+/// backend
+///     .commit_block(1, &mut records.into_iter(), &mut std::iter::empty())
+///     .unwrap();
 /// assert_eq!(backend.committed_block(), Some(1));
 /// assert_eq!(backend.stats().records_written, 1);
 /// ```
@@ -70,6 +74,7 @@ impl StateBackend for MemoryBackend {
         &mut self,
         height: u64,
         records: &mut dyn ExactSizeIterator<Item = DeltaRecord>,
+        _state: &mut dyn ExactSizeIterator<Item = (Address, StoredAccount)>,
     ) -> Result<CommitStats> {
         self.scope.check_commit(height)?;
         self.scope.mark_committed(height);
@@ -109,7 +114,8 @@ impl StateBackend for MemoryBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::tests::{assert_block_scope_is_enforced, Unpullable};
+    use crate::backend::tests::{assert_block_scope_is_enforced, commit, unpullable};
+    use std::collections::BTreeMap;
 
     fn upsert(addr: u64, balance: u64) -> DeltaRecord {
         DeltaRecord {
@@ -128,18 +134,21 @@ mod tests {
         let mut backend = MemoryBackend::new();
         let mut visit = |_: Address, _: StoredAccount| -> Result<()> { panic!("no account") };
         backend.for_each_account(&mut visit).unwrap();
+        let mut model = BTreeMap::new();
         backend.begin_block(1).unwrap();
-        backend
-            .commit_block(1, &mut vec![upsert(1, 10), upsert(2, 20)].into_iter())
-            .unwrap();
+        commit(
+            &mut backend,
+            &mut model,
+            1,
+            vec![upsert(1, 10), upsert(2, 20)],
+        )
+        .unwrap();
         backend.begin_block(2).unwrap();
         let delete = DeltaRecord {
             address: Address::from_low(1),
             account: None,
         };
-        let stats = backend
-            .commit_block(2, &mut vec![delete].into_iter())
-            .unwrap();
+        let stats = commit(&mut backend, &mut model, 2, vec![delete]).unwrap();
         assert_eq!((stats.height, stats.records, stats.bytes), (2, 1, 0));
         assert_eq!(backend.committed_block(), Some(2));
         let totals = backend.stats();
@@ -151,11 +160,16 @@ mod tests {
     fn commits_a_write_set_without_pulling_a_record() {
         let mut backend = MemoryBackend::new();
         backend.begin_block(1).unwrap();
-        let stats = backend.commit_block(1, &mut Unpullable(3)).unwrap();
+        let stats = backend
+            .commit_block(1, &mut unpullable(3), &mut unpullable(3))
+            .unwrap();
         assert_eq!((stats.height, stats.records, stats.bytes), (1, 3, 0));
         backend.begin_block(2).unwrap();
         assert_eq!(
-            backend.commit_block(2, &mut Unpullable(2)).unwrap().records,
+            backend
+                .commit_block(2, &mut unpullable(2), &mut unpullable(4))
+                .unwrap()
+                .records,
             2
         );
         let totals = backend.stats();

@@ -1,15 +1,18 @@
 //! Snapshot-compaction invariants:
 //!
 //! 1. compaction at arbitrary block boundaries never changes observable state
-//!    (the committed height and every account a mount reads back); and
+//!    (the committed height and every account a mount reads back);
 //! 2. replay cost after compaction is bounded by blocks-since-snapshot, asserted
-//!    via the store's replay counters (`replayed_blocks` / `replayed_records`);
-//! 3. compaction copies live frames verbatim: the snapshot is byte-for-byte what
-//!    decoding and re-encoding every live record writes; and
-//! 4. a live frame that fails its CRC fails compaction, which then publishes
-//!    nothing.
+//!    via the store's replay counters (`replayed_blocks` / `replayed_records`),
+//!    and the reopened state is the state the commits handed down; and
+//! 3. the snapshot is byte-for-byte the encoding of the state it is handed:
+//!    `SnapshotBegin`, one `Upsert` per account in address order, `SnapshotEnd`.
+//!
+//! The tests drive the backend directly, so each keeps a model of the committed
+//! state (a map with every write set applied) and hands it to each commit, as a
+//! `WorldState` hands down its accounts.
 
-use blockconc_store::journal::{append_frame, FrameScanner, JournalRecord, FRAME_HEADER_LEN};
+use blockconc_store::journal::{append_frame, JournalRecord};
 use blockconc_store::{DeltaRecord, DiskBackend, DiskConfig, StateBackend, StoredAccount};
 use blockconc_types::Address;
 use proptest::prelude::*;
@@ -52,7 +55,28 @@ fn delta_for(height: u64, mix: u64) -> Vec<DeltaRecord> {
     records
 }
 
-fn observed_state(backend: &mut DiskBackend) -> BTreeMap<Address, StoredAccount> {
+type Model = BTreeMap<Address, StoredAccount>;
+
+/// Commits `delta` as block `height`, handing `backend` the model state with
+/// the delta applied, and moves the model there.
+fn commit(backend: &mut DiskBackend, model: &mut Model, height: u64, delta: Vec<DeltaRecord>) {
+    for record in &delta {
+        match &record.account {
+            Some(account) => model.insert(record.address, account.clone()),
+            None => model.remove(&record.address),
+        };
+    }
+    backend.begin_block(height).expect("begin");
+    backend
+        .commit_block(
+            height,
+            &mut delta.into_iter(),
+            &mut model.clone().into_iter(),
+        )
+        .expect("commit");
+}
+
+fn observed_state(backend: &mut DiskBackend) -> Model {
     let mut observed = BTreeMap::new();
     backend
         .for_each_account(&mut |address, account| {
@@ -81,27 +105,28 @@ proptest! {
         let compacted_config = DiskConfig { snapshot_every: 0, ..DiskConfig::new(compacted_dir.clone()) };
         let mut plain = DiskBackend::open(&plain_config).expect("open plain");
         let mut compacted = DiskBackend::open(&compacted_config).expect("open compacted");
+        let (mut plain_model, mut model) = (Model::new(), Model::new());
         for height in 1..=blocks {
             let delta = delta_for(height, mix);
-            plain.begin_block(height).expect("begin");
-            plain.commit_block(height, &mut delta.clone().into_iter()).expect("commit");
-            compacted.begin_block(height).expect("begin");
-            compacted.commit_block(height, &mut delta.into_iter()).expect("commit");
+            commit(&mut plain, &mut plain_model, height, delta.clone());
+            commit(&mut compacted, &mut model, height, delta);
             if compact_marks.contains(&height) {
-                compacted.compact().expect("forced compaction");
+                compacted.compact(&mut model.clone().into_iter()).expect("forced compaction");
                 // Immediately observable: nothing changed.
                 prop_assert_eq!(compacted.committed_block(), Some(height));
             }
         }
         prop_assert_eq!(plain.committed_block(), compacted.committed_block());
-        prop_assert_eq!(observed_state(&mut compacted), observed_state(&mut plain));
-        // Reopening both twins agrees too (compaction changes the file layout,
-        // never the recovered state).
+        // Reopening both twins agrees (compaction changes the file layout,
+        // never the recovered state), and both recover the committed state.
         drop(plain);
         drop(compacted);
         let mut plain = DiskBackend::open(&plain_config).expect("reopen plain");
         let mut compacted = DiskBackend::open(&compacted_config).expect("reopen compacted");
-        prop_assert_eq!(observed_state(&mut compacted), observed_state(&mut plain));
+        prop_assert_eq!(plain.committed_block(), compacted.committed_block());
+        let recovered = observed_state(&mut compacted);
+        prop_assert_eq!(&recovered, &observed_state(&mut plain));
+        prop_assert_eq!(recovered, model);
         let _ = fs::remove_dir_all(&plain_dir);
         let _ = fs::remove_dir_all(&compacted_dir);
     }
@@ -118,12 +143,11 @@ proptest! {
         let config = DiskConfig { snapshot_every: cadence, ..DiskConfig::new(dir.clone()) };
         let last_snapshot_height;
         let mut records_after_snapshot = 0u64;
+        let mut model = Model::new();
         {
             let mut backend = DiskBackend::open(&config).expect("open");
             for height in 1..=blocks {
-                let delta = delta_for(height, mix);
-                backend.begin_block(height).expect("begin");
-                backend.commit_block(height, &mut delta.into_iter()).expect("commit");
+                commit(&mut backend, &mut model, height, delta_for(height, mix));
             }
             last_snapshot_height = backend.last_snapshot_height();
             for height in last_snapshot_height + 1..=blocks {
@@ -132,7 +156,7 @@ proptest! {
             prop_assert!(backend.stats().snapshots_written >= 1);
         }
 
-        let reopened = DiskBackend::open(&config).expect("reopen");
+        let mut reopened = DiskBackend::open(&config).expect("reopen");
         let stats = reopened.stats();
         // Exactly the post-snapshot suffix is replayed…
         prop_assert_eq!(stats.replayed_blocks, blocks - last_snapshot_height);
@@ -152,23 +176,27 @@ proptest! {
         let twin_config = DiskConfig { snapshot_every: 0, ..DiskConfig::new(twin_dir.clone()) };
         {
             let mut twin = DiskBackend::open(&twin_config).expect("open twin");
+            let mut twin_model = Model::new();
             for height in 1..=blocks {
-                twin.begin_block(height).expect("begin");
-                twin.commit_block(height, &mut delta_for(height, mix).into_iter()).expect("commit");
+                commit(&mut twin, &mut twin_model, height, delta_for(height, mix));
             }
         }
-        let twin = DiskBackend::open(&twin_config).expect("reopen twin");
+        let mut twin = DiskBackend::open(&twin_config).expect("reopen twin");
         prop_assert_eq!(twin.stats().replayed_blocks, blocks);
         prop_assert!(twin.stats().replayed_blocks > stats.replayed_blocks);
         prop_assert!(twin.stats().replayed_records > stats.replayed_records);
+        // Both reopen to the state the commits handed down.
+        let recovered = observed_state(&mut reopened);
+        prop_assert_eq!(&recovered, &observed_state(&mut twin));
+        prop_assert_eq!(recovered, model);
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&twin_dir);
     }
 
     // Invariant 3: the snapshot `compact()` writes equals, byte for byte, the
-    // reference path — decode every live record, re-encode it with
-    // `append_frame` — over live records drawn from an earlier snapshot and
-    // from the journal, contract-code JSON with escapes included.
+    // reference encoding of the model state it is handed — `SnapshotBegin`,
+    // one `Upsert` per account in address order via `append_frame`,
+    // `SnapshotEnd` — after an earlier snapshot and with contract code.
     #[test]
     fn compaction_writes_exactly_what_decoding_and_re_encoding_would(
         blocks in 2u64..14,
@@ -178,6 +206,7 @@ proptest! {
         let dir = store_dir("verbatim");
         let config = DiskConfig { snapshot_every: 0, ..DiskConfig::new(dir.clone()) };
         let mut backend = DiskBackend::open(&config).expect("open");
+        let mut model = Model::new();
         for height in 1..=blocks {
             let mut delta = delta_for(height, mix);
             delta.push(DeltaRecord {
@@ -193,94 +222,27 @@ proptest! {
                     ),
                 }),
             });
-            backend.begin_block(height).expect("begin");
-            backend.commit_block(height, &mut delta.into_iter()).expect("commit");
+            commit(&mut backend, &mut model, height, delta);
             if height == first_compaction {
-                backend.compact().expect("earlier compaction");
+                backend.compact(&mut model.clone().into_iter()).expect("earlier compaction");
             }
         }
 
-        let live = observed_state(&mut backend);
-        let accounts = live.len() as u64;
+        let accounts = model.len() as u64;
         let mut reference = Vec::new();
         append_frame(&mut reference, &JournalRecord::SnapshotBegin { height: blocks, accounts })
             .expect("encode");
-        for (address, account) in live {
+        for (address, account) in model.clone() {
             append_frame(&mut reference, &JournalRecord::Upsert { address, account })
                 .expect("encode");
         }
         append_frame(&mut reference, &JournalRecord::SnapshotEnd { accounts }).expect("encode");
 
-        let stats = backend.compact().expect("compaction");
+        let stats = backend.compact(&mut model.into_iter()).expect("compaction");
         let snapshot = dir.join(format!("snapshot-{:06}.log", backend.epoch()));
         let written = fs::read(&snapshot).expect("read snapshot");
         prop_assert_eq!(stats.bytes, reference.len() as u64);
         prop_assert!(written == reference, "snapshot differs from the re-encoded reference");
         let _ = fs::remove_dir_all(&dir);
     }
-}
-
-// Invariant 4: compaction checks every frame it copies. One flipped payload
-// byte in a live journal frame makes `compact()` fail before anything is
-// published, so the generation it started from is still the one that reopens.
-#[test]
-fn a_corrupt_live_frame_fails_compaction_and_keeps_the_previous_generation() {
-    let dir = store_dir("corrupt");
-    let config = DiskConfig {
-        snapshot_every: 0,
-        ..DiskConfig::new(dir.clone())
-    };
-    let mut backend = DiskBackend::open(&config).expect("open");
-    for height in 1..=4 {
-        backend.begin_block(height).expect("begin");
-        backend
-            .commit_block(height, &mut delta_for(height, 3).into_iter())
-            .expect("commit");
-    }
-    backend.compact().expect("first compaction");
-    let epoch = backend.epoch();
-    // The only record for a fresh address: live by construction.
-    let fresh = Address::from_low(77);
-    backend.begin_block(5).expect("begin");
-    backend
-        .commit_block(
-            5,
-            &mut vec![DeltaRecord {
-                address: fresh,
-                account: Some(StoredAccount {
-                    balance_sats: 5,
-                    nonce: 0,
-                    storage: vec![],
-                    code: None,
-                }),
-            }]
-            .into_iter(),
-        )
-        .expect("commit");
-
-    let journal = dir.join(format!("journal-{epoch:06}.log"));
-    let mut bytes = fs::read(&journal).expect("read journal");
-    let frame = FrameScanner::new(&bytes)
-        .map(|frame| frame.expect("every journal frame decodes"))
-        .find(|frame| matches!(frame.record, JournalRecord::Upsert { address, .. } if address == fresh))
-        .expect("the fresh account's frame");
-    bytes[frame.offset as usize + FRAME_HEADER_LEN + 1] ^= 0x01;
-    fs::write(&journal, &bytes).expect("corrupt journal");
-
-    assert!(
-        backend.compact().is_err(),
-        "a corrupt live frame was copied"
-    );
-    assert_eq!(backend.epoch(), epoch);
-    let next = |kind: &str| dir.join(format!("{kind}-{:06}.log", epoch + 1));
-    assert!(!next("snapshot").exists() && !next("journal").exists());
-    drop(backend);
-
-    // The corrupt block is a torn tail to recovery; everything before it comes
-    // back from the snapshot the failed compaction started from.
-    let reopened = DiskBackend::open(&config).expect("reopen");
-    assert_eq!(reopened.epoch(), epoch);
-    assert_eq!(reopened.last_snapshot_height(), 4);
-    assert_eq!(reopened.committed_block(), Some(4));
-    let _ = fs::remove_dir_all(&dir);
 }

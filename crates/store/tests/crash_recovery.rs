@@ -81,8 +81,10 @@ fn observed_state(backend: &mut DiskBackend) -> ExpectedState {
     observed
 }
 
-/// Commits `blocks` deltas; returns, per height, the expected full state and the
-/// journal length (within the then-active epoch) right after that commit.
+/// Commits `blocks` deltas, handing each commit the expected full state after
+/// it, as a `WorldState` hands down its accounts; returns, per height, that
+/// state and the journal length (within the then-active epoch) right after
+/// that commit.
 fn run_store(
     dir: &Path,
     blocks: u64,
@@ -99,11 +101,15 @@ fn run_store(
     let mut boundaries = Vec::new();
     for height in 1..=blocks {
         let delta = delta_for(height, mix);
+        apply_expected(&mut expected, &delta);
         backend.begin_block(height).expect("begin");
         backend
-            .commit_block(height, &mut delta.clone().into_iter())
+            .commit_block(
+                height,
+                &mut delta.into_iter(),
+                &mut expected.clone().into_iter(),
+            )
             .expect("commit");
-        apply_expected(&mut expected, &delta);
         states.push(expected.clone());
         boundaries.push((backend.epoch(), backend.journal_bytes()));
     }
