@@ -147,6 +147,48 @@ impl AccessSet {
     }
 }
 
+/// Where the executor and the interpreter record the keys a transaction
+/// touches. The recorder's type decides whether anything is recorded:
+/// [`AccessSet`] keeps the keys for the engines that read them, and the
+/// crate's zero-sized no-op recorder keeps nothing, so a path no caller
+/// reads an access set on compiles to no recording at all.
+pub trait AccessRecorder {
+    /// Records a read of `key`.
+    fn record_read(&mut self, key: StateKey);
+    /// Records an ordered write of `key`.
+    fn record_write(&mut self, key: StateKey);
+    /// Records a commutative delta merge on `key`.
+    fn record_delta(&mut self, key: StateKey);
+}
+
+impl AccessRecorder for AccessSet {
+    fn record_read(&mut self, key: StateKey) {
+        AccessSet::record_read(self, key);
+    }
+
+    fn record_write(&mut self, key: StateKey) {
+        AccessSet::record_write(self, key);
+    }
+
+    fn record_delta(&mut self, key: StateKey) {
+        AccessSet::record_delta(self, key);
+    }
+}
+
+/// The recorder that records nothing: the sequential block path
+/// ([`BlockExecutor::execute_block`](crate::BlockExecutor::execute_block)) and
+/// [`Interpreter::call`](crate::vm::Interpreter::call) run on it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NoAccesses;
+
+impl AccessRecorder for NoAccesses {
+    fn record_read(&mut self, _: StateKey) {}
+
+    fn record_write(&mut self, _: StateKey) {}
+
+    fn record_delta(&mut self, _: StateKey) {}
+}
+
 #[cfg(test)]
 mod tests {
     use crate::vm::{Contract, OpCode};

@@ -1,13 +1,17 @@
 //! Sequential block execution.
 
 use crate::vm::{CallParams, Interpreter};
-use crate::{AccessSet, Journal, StateAccess, StateKey};
+use crate::{AccessRecorder, AccessSet, Journal, NoAccesses, StateAccess, StateKey};
 use crate::{AccountBlock, AccountTransaction, ExecutedBlock, Receipt, TxPayload};
 use blockconc_types::{Error, Result};
 
 /// Per-transaction execution context, returned alongside the receipt so that callers
 /// (in particular the parallel execution engines of `blockconc-execution`) can reason
 /// about what the transaction touched and undo it if necessary.
+///
+/// Only [`BlockExecutor::execute_transaction`] builds one: it is the path that
+/// records. [`BlockExecutor::execute_block`] builds none; it records no access
+/// set and reuses one journal for the whole block.
 #[derive(Debug)]
 pub struct TxContext {
     /// The receipt of the execution.
@@ -52,8 +56,10 @@ impl BlockExecutor {
 
     /// Executes a single transaction against `state`, committing its effects.
     ///
-    /// The returned [`TxContext`] carries the receipt, the access set and the undo
-    /// journal (which allows the caller to revert the committed transaction later).
+    /// This is the path that records: the returned [`TxContext`] carries the
+    /// receipt, the transaction's [`AccessSet`] and its own undo journal (which
+    /// allows the caller to revert the committed transaction later). The
+    /// parallel engines read both.
     ///
     /// Failed transactions (revert / out of gas) still consume gas and bump the
     /// sender's nonce but leave no other state changes behind.
@@ -70,7 +76,62 @@ impl BlockExecutor {
     ) -> Result<TxContext> {
         let mut journal = Journal::new();
         let mut access = AccessSet::new();
+        let receipt = self.run(state, tx, &mut journal, &mut access)?;
+        Ok(TxContext {
+            receipt,
+            access,
+            journal,
+        })
+    }
 
+    /// Executes every transaction of `block` in order against `state`.
+    ///
+    /// This path records nothing: it runs on a no-op recorder and reuses one undo
+    /// journal for the whole block, cleared before each transaction, so a
+    /// plain transfer allocates nothing of its own. Receipts and state are
+    /// those of [`execute_transaction`](Self::execute_transaction) run one
+    /// transaction at a time.
+    ///
+    /// Transactions that fail validation (bad nonce, unfunded transfer) are recorded as
+    /// failed receipts consuming zero gas, mirroring how a simulator-produced block may
+    /// contain transactions invalidated by earlier ones; the block as a whole still
+    /// executes.
+    ///
+    /// # Errors
+    ///
+    /// Currently never returns an error (the signature leaves room for stricter
+    /// validation modes).
+    pub fn execute_block<S: StateAccess>(
+        &mut self,
+        state: &mut S,
+        block: &AccountBlock,
+    ) -> Result<ExecutedBlock> {
+        let mut journal = Journal::new();
+        let mut receipts = Vec::with_capacity(block.transaction_count());
+        for tx in block.transactions() {
+            journal.clear();
+            match self.run(state, tx, &mut journal, &mut NoAccesses) {
+                Ok(receipt) => receipts.push(receipt),
+                Err(err) => receipts.push(Receipt::failure(
+                    tx.id(),
+                    blockconc_types::Gas::ZERO,
+                    err.to_string(),
+                )),
+            }
+        }
+        Ok(ExecutedBlock::new(block.clone(), receipts))
+    }
+
+    /// Executes `tx` against `state`, journalling its changes into `journal`
+    /// and recording the keys it touches into `access`. On an error the
+    /// state is what it was before the call.
+    fn run<S: StateAccess, R: AccessRecorder>(
+        &mut self,
+        state: &mut S,
+        tx: &AccountTransaction,
+        journal: &mut Journal,
+        access: &mut R,
+    ) -> Result<Receipt> {
         let expected_nonce = state.nonce(tx.sender());
         if tx.nonce() != expected_nonce {
             return Err(Error::validation(format!(
@@ -83,8 +144,9 @@ impl BlockExecutor {
         }
 
         // Nonce bump and sender-balance access are part of every transaction.
+        let start = journal.checkpoint();
         access.record_write(StateKey::Balance(tx.sender()));
-        state.bump_nonce(tx.sender(), Some(&mut journal));
+        state.bump_nonce(tx.sender(), Some(&mut *journal));
 
         let schedule = self.interpreter.schedule();
         let intrinsic = if tx.is_contract_creation() {
@@ -95,20 +157,19 @@ impl BlockExecutor {
         if tx.gas_limit() < intrinsic {
             // Gas limit cannot even cover the intrinsic cost: the transaction fails,
             // consuming its entire gas limit.
-            let receipt = Receipt::failure(tx.id(), tx.gas_limit(), "intrinsic gas too low");
-            return Ok(TxContext {
-                receipt,
-                access,
-                journal,
-            });
+            return Ok(Receipt::failure(
+                tx.id(),
+                tx.gas_limit(),
+                "intrinsic gas too low",
+            ));
         }
         let execution_gas = tx.gas_limit() - intrinsic;
 
         let receipt = match tx.payload() {
             TxPayload::Transfer | TxPayload::ContractCall { .. } => {
                 let args = match tx.payload() {
-                    TxPayload::ContractCall { args } => args.clone(),
-                    _ => Vec::new(),
+                    TxPayload::ContractCall { args } => args.as_slice(),
+                    _ => &[],
                 };
                 if !self.interpreter.delta_accesses() {
                     // Classic mode pre-declares the receiver balance write; in
@@ -125,8 +186,8 @@ impl BlockExecutor {
                         args,
                         gas_limit: execution_gas,
                     },
-                    &mut journal,
-                    &mut access,
+                    journal,
+                    access,
                 );
                 match outcome {
                     Ok(outcome) => {
@@ -149,7 +210,7 @@ impl BlockExecutor {
                     Err(err) => {
                         // Fatal errors (sender cannot fund the transfer) invalidate the
                         // transaction: roll back the nonce bump and report the error.
-                        state.revert_to(&mut journal, 0);
+                        state.revert_to(journal, start);
                         return Err(err);
                     }
                 }
@@ -162,42 +223,7 @@ impl BlockExecutor {
                 Receipt::success(tx.id(), intrinsic, Vec::new(), Vec::new())
             }
         };
-
-        Ok(TxContext {
-            receipt,
-            access,
-            journal,
-        })
-    }
-
-    /// Executes every transaction of `block` in order against `state`.
-    ///
-    /// Transactions that fail validation (bad nonce, unfunded transfer) are recorded as
-    /// failed receipts consuming zero gas, mirroring how a simulator-produced block may
-    /// contain transactions invalidated by earlier ones; the block as a whole still
-    /// executes.
-    ///
-    /// # Errors
-    ///
-    /// Currently never returns an error (the signature leaves room for stricter
-    /// validation modes).
-    pub fn execute_block<S: StateAccess>(
-        &mut self,
-        state: &mut S,
-        block: &AccountBlock,
-    ) -> Result<ExecutedBlock> {
-        let mut receipts = Vec::with_capacity(block.transaction_count());
-        for tx in block.transactions() {
-            match self.execute_transaction(state, tx) {
-                Ok(ctx) => receipts.push(ctx.receipt),
-                Err(err) => receipts.push(Receipt::failure(
-                    tx.id(),
-                    blockconc_types::Gas::ZERO,
-                    err.to_string(),
-                )),
-            }
-        }
-        Ok(ExecutedBlock::new(block.clone(), receipts))
+        Ok(receipt)
     }
 }
 
@@ -391,8 +417,12 @@ mod tests {
 
     /// The genesis on a memory backend, block 1 open.
     fn delta_backed_state() -> WorldState {
+        backed(delta_genesis())
+    }
+
+    /// `state` on a memory backend, block 1 open.
+    fn backed(mut state: WorldState) -> WorldState {
         use blockconc_store::{shared, MemoryBackend};
-        let mut state = delta_genesis();
         state
             .attach_backend(shared(MemoryBackend::new()), None)
             .unwrap();
@@ -508,6 +538,101 @@ mod tests {
         let mut delta_ws = Vec::new();
         committed.take_write_set(&mut delta_ws);
         assert_eq!(classic_ws, delta_ws);
+    }
+
+    /// The delta genesis plus a contract that always reverts (at 702) and a
+    /// forwarder to a fresh account (at 703).
+    fn recorder_genesis() -> WorldState {
+        let mut state = delta_genesis();
+        state.deploy_contract(Address::from_low(702), Arc::new(Contract::always_revert()));
+        state.deploy_contract(
+            Address::from_low(703),
+            Arc::new(Contract::forwarder(Address::from_low(4_001))),
+        );
+        state
+    }
+
+    /// A contract call, a revert that carries value, a creation, a nonce the
+    /// sender does not expect, a transfer its sender cannot fund and a
+    /// fee-sink accumulation after them.
+    fn mixed_workload() -> Vec<AccountTransaction> {
+        let (a, b) = (Address::from_low(1), Address::from_low(2));
+        vec![
+            AccountTransaction::contract_call(
+                a,
+                Address::from_low(703),
+                Amount::from_sats(300),
+                vec![],
+                0,
+            ),
+            AccountTransaction::contract_call(
+                b,
+                Address::from_low(702),
+                Amount::from_sats(10),
+                vec![],
+                0,
+            ),
+            AccountTransaction::contract_create(a, Arc::new(Contract::counter()), 1),
+            AccountTransaction::transfer(b, a, Amount::from_sats(1), 7),
+            AccountTransaction::transfer(Address::from_low(50), a, Amount::from_sats(1), 0),
+            AccountTransaction::contract_call(a, Address::from_low(700), Amount::ZERO, vec![5], 2),
+        ]
+    }
+
+    /// The receipts of `block` run through `execute_transaction` one
+    /// transaction at a time, an error becoming the failed receipt
+    /// `execute_block` records for it.
+    fn one_at_a_time<S: StateAccess>(
+        exec: &mut BlockExecutor,
+        state: &mut S,
+        block: &AccountBlock,
+    ) -> Vec<Receipt> {
+        block
+            .transactions()
+            .iter()
+            .map(|tx| match exec.execute_transaction(state, tx) {
+                Ok(ctx) => ctx.receipt,
+                Err(err) => Receipt::failure(tx.id(), Gas::ZERO, err.to_string()),
+            })
+            .collect()
+    }
+
+    // `execute_block` records nothing and shares one journal across the
+    // block; `execute_transaction` records an access set into a fresh
+    // journal per transaction. Both must leave the same receipts and root,
+    // with either executor, on the resident state and on a scratch state
+    // (where reverted blind deltas go through the shared journal).
+    #[test]
+    fn execute_block_matches_execute_transaction_one_at_a_time() {
+        for workload in [delta_workload(), mixed_workload()] {
+            let mut b = BlockBuilder::new(1, 0, Address::from_low(99));
+            for tx in workload {
+                b = b.transaction(tx);
+            }
+            let block = b.build();
+            for make in [BlockExecutor::new, BlockExecutor::with_delta_accesses] {
+                let (mut by_block, mut by_tx) = (recorder_genesis(), recorder_genesis());
+                let executed = make().execute_block(&mut by_block, &block).unwrap();
+                let receipts = one_at_a_time(&mut make(), &mut by_tx, &block);
+                assert_eq!(executed.receipts(), receipts);
+                assert_eq!(by_block.state_root(), by_tx.state_root());
+                assert!(receipts.iter().any(Receipt::succeeded));
+
+                let scratch = || ScratchState::new(MapCells::of(&recorder_genesis()));
+                let (mut by_block, mut by_tx) = (scratch(), scratch());
+                let executed = make().execute_block(&mut by_block, &block).unwrap();
+                assert_eq!(
+                    executed.receipts(),
+                    one_at_a_time(&mut make(), &mut by_tx, &block)
+                );
+                let root = |scratch: &mut ScratchState<MapCells>| {
+                    let mut committed = backed(recorder_genesis());
+                    commit_harvest(&mut committed, scratch);
+                    committed.state_root()
+                };
+                assert_eq!(root(&mut by_block), root(&mut by_tx));
+            }
+        }
     }
 
     #[test]

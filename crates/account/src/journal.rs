@@ -52,6 +52,13 @@ impl Journal {
         self.ops.is_empty()
     }
 
+    /// Forgets every recorded operation, keeping the allocation: the
+    /// sequential block path reuses one journal for all of a block's
+    /// transactions.
+    pub(crate) fn clear(&mut self) {
+        self.ops.clear();
+    }
+
     /// A checkpoint that can later be passed to
     /// [`StateAccess::revert_to`](crate::StateAccess::revert_to) to undo only the
     /// operations recorded after this point (nested-call rollback).

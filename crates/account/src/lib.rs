@@ -62,7 +62,7 @@ pub use account::Account;
 pub use block::{AccountBlock, BlockBuilder, ExecutedBlock};
 // `StateKey` moved to `blockconc-store` (the unit of backend storage); re-exported
 // here so existing `blockconc_account::StateKey` imports keep working.
-pub use access::AccessSet;
+pub use access::{AccessRecorder, AccessSet};
 pub use blockconc_store::StateKey;
 pub use executor::{BlockExecutor, TxContext};
 pub use journal::Journal;
@@ -70,3 +70,5 @@ pub use receipt::{InternalTransaction, Receipt};
 pub use scratch::{CellView, ScratchState};
 pub use state::{account_to_stored, decode_contract, stored_to_account, StateAccess, WorldState};
 pub use transaction::{AccountTransaction, TxPayload};
+
+pub(crate) use access::NoAccesses;

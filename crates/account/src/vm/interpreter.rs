@@ -1,7 +1,7 @@
 //! The VM interpreter.
 
 use crate::vm::{GasSchedule, OpCode};
-use crate::{AccessSet, InternalTransaction, Journal, StateAccess, StateKey};
+use crate::{AccessRecorder, InternalTransaction, Journal, NoAccesses, StateAccess, StateKey};
 use blockconc_types::{Address, Amount, Error, Gas, Result};
 
 /// Maximum nested call depth (top-level call is depth 1).
@@ -11,8 +11,8 @@ const MAX_CALL_DEPTH: usize = 8;
 const MAX_STEPS_PER_FRAME: usize = 100_000;
 
 /// Parameters of one contract call.
-#[derive(Debug, Clone)]
-pub struct CallParams {
+#[derive(Debug, Clone, Copy)]
+pub struct CallParams<'a> {
     /// The externally owned account (or contract) initiating the call.
     pub caller: Address,
     /// The contract being called.
@@ -20,7 +20,7 @@ pub struct CallParams {
     /// Value transferred from `caller` to `target` before the code runs.
     pub value: Amount,
     /// Call arguments, readable via [`OpCode::Arg`].
-    pub args: Vec<u64>,
+    pub args: &'a [u64],
     /// Gas available for this call (including nested calls).
     pub gas_limit: Gas,
 }
@@ -58,11 +58,11 @@ pub struct Interpreter {
     delta_accesses: bool,
 }
 
-struct Frame<'a, S> {
+struct Frame<'a, S, R> {
     interpreter: &'a Interpreter,
     state: &'a mut S,
     journal: &'a mut Journal,
-    access: &'a mut AccessSet,
+    access: &'a mut R,
     internal: &'a mut Vec<InternalTransaction>,
     logs: &'a mut Vec<u64>,
     gas_left: Gas,
@@ -94,8 +94,9 @@ impl Interpreter {
         &self.schedule
     }
 
-    /// Executes a call, journalling changes into a fresh journal and discarding access
-    /// tracking. Failed calls leave the state untouched (their changes are reverted).
+    /// Executes a call, journalling changes into a fresh journal. It records no
+    /// accesses: it runs on the no-op recorder. Failed calls leave the state
+    /// untouched (their changes are reverted).
     ///
     /// # Errors
     ///
@@ -105,29 +106,29 @@ impl Interpreter {
     pub fn call<S: StateAccess>(
         &mut self,
         state: &mut S,
-        params: CallParams,
+        params: CallParams<'_>,
     ) -> Result<CallOutcome> {
-        let mut journal = Journal::new();
-        let mut access = AccessSet::new();
-        let outcome = self.call_tracked(state, params, &mut journal, &mut access)?;
-        Ok(outcome)
+        self.call_tracked(state, params, &mut Journal::new(), &mut NoAccesses)
     }
 
-    /// Executes a call with caller-provided journal and access tracking.
+    /// Executes a call with a caller-provided journal, recording every key it
+    /// touches into `access`. Whether anything is kept is the recorder's type:
+    /// an [`AccessSet`](crate::AccessSet) keeps the keys, the crate's no-op
+    /// recorder drops them. The interpreter builds no access set of its own.
     ///
     /// On VM failure the state changes made by the call (and only those) are reverted
-    /// from `journal`; the access set keeps everything that was touched, which is what
+    /// from `journal`; the recorder keeps everything that was touched, which is what
     /// optimistic-concurrency conflict detection needs.
     ///
     /// # Errors
     ///
     /// Returns an error only if the caller cannot fund the value transfer.
-    pub fn call_tracked<S: StateAccess>(
+    pub fn call_tracked<S: StateAccess, R: AccessRecorder>(
         &mut self,
         state: &mut S,
-        params: CallParams,
+        params: CallParams<'_>,
         journal: &mut Journal,
-        access: &mut AccessSet,
+        access: &mut R,
     ) -> Result<CallOutcome> {
         let mut internal = Vec::new();
         let mut logs = Vec::new();
@@ -144,7 +145,7 @@ impl Interpreter {
                 logs: &mut logs,
                 gas_left: gas_limit,
             };
-            frame.run_call(params.caller, params.target, params.value, &params.args, 1)
+            frame.run_call(params.caller, params.target, params.value, params.args, 1)
         };
 
         match result {
@@ -193,7 +194,7 @@ enum VmFailure {
     OutOfGas,
 }
 
-impl<S: StateAccess> Frame<'_, S> {
+impl<S: StateAccess, R: AccessRecorder> Frame<'_, S, R> {
     /// Runs one call (value transfer + code execution). Returns remaining gas.
     fn run_call(
         &mut self,
@@ -448,7 +449,7 @@ impl<S: StateAccess> Frame<'_, S> {
 mod tests {
     use super::*;
     use crate::vm::Contract;
-    use crate::WorldState;
+    use crate::{AccessSet, WorldState};
     use std::sync::Arc;
 
     fn setup(contract: Contract) -> (WorldState, Address, Address) {
@@ -465,7 +466,7 @@ mod tests {
         caller: Address,
         target: Address,
         value: u64,
-        args: Vec<u64>,
+        args: &[u64],
     ) -> CallOutcome {
         Interpreter::new()
             .call(
@@ -485,7 +486,7 @@ mod tests {
     fn counter_contract_increments_storage() {
         let (mut state, user, counter) = setup(Contract::counter());
         for expected in 1..=3u64 {
-            let outcome = call(&mut state, user, counter, 0, vec![]);
+            let outcome = call(&mut state, user, counter, 0, &[]);
             assert!(outcome.success, "{:?}", outcome.failure);
             assert_eq!(state.storage(counter, 0), expected);
         }
@@ -495,7 +496,7 @@ mod tests {
     fn forwarder_moves_value_and_emits_internal_tx() {
         let beneficiary = Address::from_low(77);
         let (mut state, user, fwd) = setup(Contract::forwarder(beneficiary));
-        let outcome = call(&mut state, user, fwd, 500, vec![]);
+        let outcome = call(&mut state, user, fwd, 500, &[]);
         assert!(outcome.success);
         assert_eq!(state.balance(beneficiary), Amount::from_sats(500));
         assert_eq!(state.balance(fwd), Amount::ZERO);
@@ -515,7 +516,7 @@ mod tests {
         state.deploy_contract(inner_addr, Arc::new(Contract::forwarder(sink)));
         state.deploy_contract(outer_addr, Arc::new(Contract::proxy(inner_addr)));
 
-        let outcome = call(&mut state, user, outer_addr, 300, vec![]);
+        let outcome = call(&mut state, user, outer_addr, 300, &[]);
         assert!(outcome.success, "{:?}", outcome.failure);
         assert_eq!(state.balance(sink), Amount::from_sats(300));
         // outer -> inner call, then inner -> sink transfer.
@@ -533,7 +534,7 @@ mod tests {
             OpCode::SStore,
             OpCode::Revert,
         ]));
-        let outcome = call(&mut state, user, addr, 100, vec![]);
+        let outcome = call(&mut state, user, addr, 100, &[]);
         assert!(!outcome.success);
         assert_eq!(outcome.failure.as_deref(), Some("explicit revert"));
         // Both the storage write and the value transfer must be rolled back.
@@ -552,7 +553,7 @@ mod tests {
                     caller: user,
                     target: addr,
                     value: Amount::ZERO,
-                    args: vec![],
+                    args: &[],
                     gas_limit: Gas::new(10),
                 },
             )
@@ -572,7 +573,7 @@ mod tests {
                 caller: poor,
                 target: addr,
                 value: Amount::from_sats(1),
-                args: vec![],
+                args: &[],
                 gas_limit: Gas::new(100_000),
             },
         );
@@ -585,7 +586,7 @@ mod tests {
         // Seed the user's token balance in the slot keyed by their address bits.
         state.storage_set(token, user.low_u64(), 1_000, None);
         let recipient = Address::from_low(2);
-        let outcome = call(&mut state, user, token, 0, vec![recipient.low_u64(), 250]);
+        let outcome = call(&mut state, user, token, 0, &[recipient.low_u64(), 250]);
         assert!(outcome.success, "{:?}", outcome.failure);
         assert_eq!(state.storage(token, user.low_u64()), 750);
         assert_eq!(state.storage(token, recipient.low_u64()), 250);
@@ -596,7 +597,7 @@ mod tests {
     fn exchange_wallet_pays_out_to_argument_address() {
         let (mut state, user, wallet) = setup(Contract::exchange_wallet());
         let customer = Address::from_low(321);
-        let outcome = call(&mut state, user, wallet, 10_000, vec![customer.low_u64()]);
+        let outcome = call(&mut state, user, wallet, 10_000, &[customer.low_u64()]);
         assert!(outcome.success, "{:?}", outcome.failure);
         assert_eq!(state.balance(customer), Amount::from_sats(10_000));
         assert_eq!(outcome.internal_transactions.len(), 1);
@@ -617,7 +618,7 @@ mod tests {
                 OpCode::Stop,
             ])),
         );
-        let outcome = call(&mut state, user, addr, 0, vec![]);
+        let outcome = call(&mut state, user, addr, 0, &[]);
         // Recursion bottoms out at MAX_CALL_DEPTH and the call reverts; the transaction
         // must not loop forever or overflow the Rust stack.
         assert!(!outcome.success);
@@ -635,7 +636,7 @@ mod tests {
                     caller: user,
                     target: counter,
                     value: Amount::from_sats(5),
-                    args: vec![],
+                    args: &[],
                     gas_limit: Gas::new(1_000_000),
                 },
                 &mut journal,
@@ -656,7 +657,7 @@ mod tests {
         let a = Address::from_low(1);
         let b = Address::from_low(2);
         state.credit(a, Amount::from_coins(1));
-        let outcome = call(&mut state, a, b, 123, vec![]);
+        let outcome = call(&mut state, a, b, 123, &[]);
         assert!(outcome.success);
         assert_eq!(state.balance(b), Amount::from_sats(123));
         assert!(outcome.internal_transactions.is_empty());
@@ -672,7 +673,7 @@ mod tests {
             OpCode::SStore,
             OpCode::Stop,
         ]));
-        let outcome = call(&mut state, user, addr, 0, vec![]);
+        let outcome = call(&mut state, user, addr, 0, &[]);
         assert!(outcome.success);
         assert_eq!(state.storage(addr, 0), 0);
     }
@@ -680,7 +681,7 @@ mod tests {
     #[test]
     fn stack_underflow_reverts() {
         let (mut state, user, addr) = setup(Contract::new(vec![OpCode::Add, OpCode::Stop]));
-        let outcome = call(&mut state, user, addr, 0, vec![]);
+        let outcome = call(&mut state, user, addr, 0, &[]);
         assert!(!outcome.success);
         assert!(outcome.failure.unwrap().contains("underflow"));
     }
@@ -698,10 +699,10 @@ mod tests {
             OpCode::Stop,
         ]);
         let (mut state, user, addr) = setup(contract);
-        let outcome = call(&mut state, user, addr, 0, vec![0]);
+        let outcome = call(&mut state, user, addr, 0, &[0]);
         assert!(outcome.success);
         assert_eq!(state.storage(addr, 0), 0);
-        let outcome = call(&mut state, user, addr, 0, vec![1]);
+        let outcome = call(&mut state, user, addr, 0, &[1]);
         assert!(outcome.success);
         assert_eq!(state.storage(addr, 0), 9);
     }
@@ -717,7 +718,7 @@ mod tests {
                     caller: user,
                     target: addr,
                     value: Amount::ZERO,
-                    args: vec![],
+                    args: &[],
                     gas_limit: Gas::new(u64::MAX / 2),
                 },
             )

@@ -39,7 +39,7 @@
 //!         caller: Address::from_low(1),
 //!         target: splitter_addr,
 //!         value: Amount::from_sats(500),
-//!         args: vec![],
+//!         args: &[],
 //!         gas_limit: Gas::new(100_000),
 //!     })
 //!     .unwrap();

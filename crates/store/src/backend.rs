@@ -83,6 +83,10 @@ pub struct StoreStats {
     pub read_bytes: u64,
     /// Snapshot compactions performed.
     pub snapshots_written: u64,
+    /// Due snapshots that failed. The commit that made one due still
+    /// committed, the previous generation stays the one that reopens, and the
+    /// next commit retries.
+    pub snapshot_failures: u64,
     /// Journal writes (append + flush): one per committed block, so this
     /// equals `committed_blocks` on the disk backend and is 0 on the memory
     /// backend.
@@ -131,7 +135,10 @@ pub trait StateBackend: Send + std::fmt::Debug {
     /// # Errors
     ///
     /// Returns an error if `height` does not match the open block (or, with no
-    /// open block, is not ahead of the committed height), or on I/O failure.
+    /// open block, is not ahead of the committed height), or if the write set
+    /// cannot be made durable; the block is not committed then. Once it is, a
+    /// snapshot that fails is counted in [`StoreStats::snapshot_failures`] and
+    /// retried by the next commit, not returned.
     fn commit_block(
         &mut self,
         height: u64,

@@ -207,10 +207,19 @@ impl DiskBackend {
     /// [`DiskConfig::snapshot_every`] committed blocks, with the state its
     /// owner hands down.
     ///
+    /// The steps run in an order that leaves the store recoverable to its
+    /// committed height wherever one fails: the snapshot goes to a `.tmp` file,
+    /// the next epoch's empty journal is created, and only then is the
+    /// snapshot renamed into place and the backend switched to the new epoch.
+    /// Until the rename, commits stay in the current epoch, which recovery
+    /// replays; a next-epoch journal with no snapshot beside it is replayed
+    /// after it, empty.
+    ///
     /// # Errors
     ///
     /// Returns an error on I/O failure, or if `state` yields another number of
-    /// accounts than its `len()`; nothing is published then.
+    /// accounts than its `len()`; nothing is published then, and the backend
+    /// stays in its epoch.
     pub fn compact(
         &mut self,
         state: &mut dyn ExactSizeIterator<Item = (Address, StoredAccount)>,
@@ -232,31 +241,21 @@ impl DiskBackend {
         }
         append_frame(&mut buf, &JournalRecord::SnapshotEnd { accounts })?;
 
-        // Durable snapshot via temp file + atomic rename, then a fresh journal.
+        // Snapshot to a temp file, then the fresh journal, then the atomic
+        // rename that publishes both.
         let final_path = file_path(&self.dir, FileKind::Snapshot, new_epoch);
         let tmp_path = final_path.with_extension("tmp");
         fs::write(&tmp_path, &buf).map_err(|e| io_err("write snapshot", e))?;
-        fs::rename(&tmp_path, &final_path).map_err(|e| io_err("publish snapshot", e))?;
-        let journal_path = file_path(&self.dir, FileKind::Journal, new_epoch);
-        self.journal = OpenOptions::new()
+        let journal = OpenOptions::new()
             .create(true)
             .read(true)
             .write(true)
             .truncate(true)
-            .open(&journal_path)
+            .open(file_path(&self.dir, FileKind::Journal, new_epoch))
             .map_err(|e| io_err("open fresh journal", e))?;
+        fs::rename(&tmp_path, &final_path).map_err(|e| io_err("publish snapshot", e))?;
+        self.journal = journal;
         self.journal_len = 0;
-
-        // Keep exactly one previous generation as the torn-snapshot fallback.
-        let old_epoch = self.epoch;
-        let (snapshots, journals) = list_epochs(&self.dir)?;
-        for epoch in snapshots.into_iter().filter(|&e| e < old_epoch) {
-            let _ = fs::remove_file(file_path(&self.dir, FileKind::Snapshot, epoch));
-        }
-        for epoch in journals.into_iter().filter(|&e| e < old_epoch) {
-            let _ = fs::remove_file(file_path(&self.dir, FileKind::Journal, epoch));
-        }
-
         self.epoch = new_epoch;
         self.last_snapshot_height = height;
         self.stats.snapshots_written += 1;
@@ -264,6 +263,26 @@ impl DiskBackend {
         let bytes = buf.len() as u64;
         self.stats.records_written += records;
         self.stats.bytes_written += bytes;
+
+        // Keep one previous generation as the torn-snapshot fallback: the
+        // newest earlier snapshot and every journal from its epoch on (an
+        // epoch whose compaction stopped before its rename has a journal and
+        // no snapshot). The new generation is published already, so a file
+        // that fails to go is only disk.
+        if let Ok((snapshots, journals)) = list_epochs(&self.dir) {
+            let fallback = snapshots
+                .iter()
+                .rev()
+                .copied()
+                .find(|&e| e < new_epoch)
+                .unwrap_or(0);
+            for epoch in snapshots.into_iter().filter(|&e| e < fallback) {
+                let _ = fs::remove_file(file_path(&self.dir, FileKind::Snapshot, epoch));
+            }
+            for epoch in journals.into_iter().filter(|&e| e < fallback) {
+                let _ = fs::remove_file(file_path(&self.dir, FileKind::Journal, epoch));
+            }
+        }
         Ok(CommitStats {
             height,
             records,
@@ -477,10 +496,17 @@ impl StateBackend for DiskBackend {
         if self.snapshot_every > 0
             && height.saturating_sub(self.last_snapshot_height) >= self.snapshot_every
         {
-            // A compaction's records and bytes are charged to the commit that triggers it.
-            let compaction = self.compact(state)?;
-            total_bytes += compaction.bytes;
-            total_records += compaction.records;
+            // The block is committed whatever the snapshot does. A failed one
+            // is counted and leaves the snapshot due, so the next commit
+            // retries; a compaction's records and bytes are charged to the
+            // commit that triggers it.
+            match self.compact(state) {
+                Ok(compaction) => {
+                    total_bytes += compaction.bytes;
+                    total_records += compaction.records;
+                }
+                Err(_) => self.stats.snapshot_failures += 1,
+            }
         }
         Ok(CommitStats {
             height,
@@ -653,6 +679,124 @@ mod tests {
         assert_eq!(backend.epoch(), 0);
         assert!(!file_path(&dir, FileKind::Snapshot, 1).exists());
         assert_eq!(backend.stats().snapshots_written, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    // A due snapshot that fails at any of its steps — writing the `.tmp`
+    // file, opening the fresh journal, renaming the snapshot into place —
+    // leaves the block committed and the store recoverable to it, and the
+    // next due commit publishes once the obstacle is gone.
+    #[test]
+    fn a_failed_snapshot_keeps_the_commit_and_retries() {
+        for blocked in [
+            "snapshot-000001.tmp",
+            "journal-000001.log",
+            "snapshot-000001.log",
+        ] {
+            let dir = tempdir("failed-snapshot");
+            let config = DiskConfig {
+                snapshot_every: 2,
+                ..DiskConfig::new(&dir)
+            };
+            let mut backend = DiskBackend::open(&config).unwrap();
+            let mut model = BTreeMap::new();
+            backend.begin_block(1).unwrap();
+            commit(&mut backend, &mut model, 1, records(&[(1, 100), (2, 200)])).unwrap();
+
+            // A directory on the step's path fails the snapshots due at 2 and 3.
+            fs::create_dir_all(dir.join(blocked)).unwrap();
+            for height in 2..=3u64 {
+                backend.begin_block(height).unwrap();
+                commit(&mut backend, &mut model, height, records(&[(1, height)])).unwrap();
+                assert_eq!(backend.committed_block(), Some(height), "{blocked}");
+            }
+            let stats = backend.stats();
+            assert_eq!(
+                (stats.snapshot_failures, stats.snapshots_written),
+                (2, 0),
+                "{blocked}"
+            );
+            assert_eq!(backend.epoch(), 0, "{blocked}");
+
+            fs::remove_dir(dir.join(blocked)).unwrap();
+            let crashed = crash_copy(&dir, "failed-snapshot-crash");
+            let mut recovered = DiskBackend::open(&DiskConfig::new(&crashed)).unwrap();
+            assert_eq!(recovered.committed_block(), Some(3), "{blocked}");
+            assert_eq!(
+                balances(&mut recovered),
+                [(Address::from_low(1), 3), (Address::from_low(2), 200)],
+                "{blocked}"
+            );
+            let _ = fs::remove_dir_all(&crashed);
+
+            // The next commit retries and publishes.
+            backend.begin_block(4).unwrap();
+            commit(&mut backend, &mut model, 4, records(&[(2, 4)])).unwrap();
+            let stats = backend.stats();
+            assert_eq!(
+                (stats.snapshot_failures, stats.snapshots_written),
+                (2, 1),
+                "{blocked}"
+            );
+            assert_eq!(backend.last_snapshot_height(), 4, "{blocked}");
+            drop(backend);
+            let mut reopened = DiskBackend::open(&config).unwrap();
+            assert_eq!(reopened.committed_block(), Some(4), "{blocked}");
+            assert_eq!(reopened.stats().replayed_blocks, 0, "{blocked}");
+            assert_eq!(
+                balances(&mut reopened),
+                [(Address::from_low(1), 3), (Address::from_low(2), 4)],
+                "{blocked}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    // A compaction that stopped before its rename leaves a journal epoch with
+    // no snapshot. The next compaction's clean-up must keep the journals
+    // that epoch continues, so a torn newest snapshot still falls back to a
+    // full replay.
+    #[test]
+    fn a_torn_snapshot_after_an_unpublished_one_falls_back_to_every_journal() {
+        let dir = tempdir("unpublished");
+        let config = DiskConfig {
+            snapshot_every: 2,
+            ..DiskConfig::new(&dir)
+        };
+        let mut model = BTreeMap::new();
+        let mut backend = DiskBackend::open(&config).unwrap();
+        backend.begin_block(1).unwrap();
+        commit(&mut backend, &mut model, 1, records(&[(1, 100), (2, 200)])).unwrap();
+        let blocked = file_path(&dir, FileKind::Snapshot, 1);
+        fs::create_dir_all(&blocked).unwrap();
+        backend.begin_block(2).unwrap();
+        commit(&mut backend, &mut model, 2, records(&[(1, 2)])).unwrap();
+        assert!(file_path(&dir, FileKind::Journal, 1).exists());
+        drop(backend);
+        fs::remove_dir(&blocked).unwrap();
+
+        // Reopened, the store appends to the unpublished epoch's journal; the
+        // commit at 3 snapshots into epoch 2, the one at 4 is journalled.
+        let mut backend = DiskBackend::open(&config).unwrap();
+        assert_eq!(backend.epoch(), 1);
+        for height in 3..=4u64 {
+            backend.begin_block(height).unwrap();
+            commit(&mut backend, &mut model, height, records(&[(1, height)])).unwrap();
+        }
+        assert_eq!(backend.epoch(), 2);
+        drop(backend);
+
+        let snapshot = file_path(&dir, FileKind::Snapshot, 2);
+        let len = fs::metadata(&snapshot).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&snapshot).unwrap();
+        file.set_len(len / 2).unwrap();
+        drop(file);
+        let mut reopened = DiskBackend::open(&config).unwrap();
+        assert_eq!(reopened.committed_block(), Some(4));
+        assert_eq!(
+            balances(&mut reopened),
+            [(Address::from_low(1), 4), (Address::from_low(2), 200)]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
