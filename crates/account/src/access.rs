@@ -5,7 +5,9 @@
 //! (arXiv:2011.13837), extended with commutative deltas: two transactions whose
 //! access sets do not conflict can run in either order from the same state and
 //! reach the same state with the same receipts. The tests below check exactly
-//! that on generated pairs.
+//! that on generated pairs, for the classic executor's access sets and for
+//! the delta executor's, whose pairs are harvested off a scratch state and
+//! committed the way the optimistic engine commits them.
 
 use blockconc_store::StateKey;
 use std::cmp::Ordering;
@@ -141,6 +143,14 @@ impl AccessSet {
         }
     }
 
+    /// Forgets every recorded key, keeping the allocations, so one set can
+    /// record transaction after transaction.
+    pub fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.deltas.clear();
+    }
+
     /// Returns `true` if no reads, writes or deltas were recorded.
     pub fn is_empty(&self) -> bool {
         self.reads.is_empty() && self.writes.is_empty() && self.deltas.is_empty()
@@ -191,11 +201,14 @@ impl AccessRecorder for NoAccesses {
 
 #[cfg(test)]
 mod tests {
+    use crate::scratch::tests::{commit_harvest, MapCells};
     use crate::vm::{Contract, OpCode};
     use crate::{
-        AccountTransaction, BlockBuilder, BlockExecutor, Receipt, StateAccess, WorldState,
+        AccessSet, AccountTransaction, BlockBuilder, BlockExecutor, Journal, Receipt, ScratchState,
+        StateAccess, WorldState,
     };
-    use blockconc_types::{Address, Amount, Hash};
+    use blockconc_store::{shared, MemoryBackend};
+    use blockconc_types::{Address, Amount, Gas, Hash};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -342,9 +355,68 @@ mod tests {
         true
     }
 
+    /// `first` then `second` from the pre-state, each executed by the delta
+    /// executor on a scratch state over the state its predecessor committed,
+    /// and each harvest — write fragments and delta ops — committed the way
+    /// the optimistic engine commits a transaction's cells: the root and the
+    /// receipts.
+    fn run_in_order_harvested(
+        first: &AccountTransaction,
+        second: &AccountTransaction,
+    ) -> (Hash, Vec<Receipt>) {
+        let mut state = pre_state();
+        state
+            .attach_backend(shared(MemoryBackend::new()), None)
+            .expect("attach backend");
+        state.begin_block(1).expect("begin block");
+        let mut executor = BlockExecutor::with_delta_accesses();
+        let (mut journal, mut access) = (Journal::new(), AccessSet::new());
+        let receipts = [first, second]
+            .into_iter()
+            .map(|tx| {
+                let mut scratch = ScratchState::new(MapCells::of(&state));
+                let receipt = executor
+                    .execute_recorded(&mut scratch, tx, &mut journal, &mut access)
+                    .unwrap_or_else(|err| Receipt::failure(tx.id(), Gas::ZERO, err.to_string()));
+                commit_harvest(&mut state, &mut scratch);
+                receipt
+            })
+            .collect();
+        (state.state_root(), receipts)
+    }
+
+    /// The delta-mode twin of [`swappable_pair_commutes`]: whether `a` and
+    /// `b` are swappable under the delta executor's access sets on the
+    /// pre-state, after checking that, if so, both orders harvest and commit
+    /// to the same state with the same per-transaction receipts.
+    fn delta_swappable_pair_commutes(a: &AccountTransaction, b: &AccountTransaction) -> bool {
+        let access = |tx| {
+            let mut scratch = ScratchState::new(MapCells::of(&pre_state()));
+            BlockExecutor::with_delta_accesses()
+                .execute_transaction(&mut scratch, tx)
+                .ok()
+                .map(|ctx| ctx.access)
+        };
+        let (Some(access_a), Some(access_b)) = (access(a), access(b)) else {
+            return false;
+        };
+        if access_a.conflicts_with(&access_b) {
+            return false;
+        }
+        let (root_ab, receipts_ab) = run_in_order_harvested(a, b);
+        let (root_ba, mut receipts_ba) = run_in_order_harvested(b, a);
+        receipts_ba.reverse();
+        assert_eq!(root_ab, root_ba, "{a:?}\n{b:?}");
+        assert_eq!(receipts_ab, receipts_ba, "{a:?}\n{b:?}");
+        true
+    }
+
     // Swappability (the first half of the conflict relation's soundness):
-    // classic-executor access sets that do not conflict mean the two
-    // transactions commute. Each batch must reach both kinds of pair.
+    // access sets that do not conflict mean the two transactions commute —
+    // the classic executor's on the resident state, and the delta executor's
+    // through the scratch-state harvest, where commutative credits and `SAdd`
+    // increments to one key do not conflict. Each batch must reach both kinds
+    // of pair.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -355,6 +427,41 @@ mod tests {
                 .filter(|&(a, b)| swappable_pair_commutes(&transaction(a), &transaction(b)))
                 .count();
             prop_assert!((1..64).contains(&swappable), "{swappable} of 64 pairs swappable");
+        }
+
+        #[test]
+        fn non_conflicting_delta_pairs_commute_through_the_harvest(
+            pairs in proptest::collection::vec((raw_tx(), raw_tx()), 64),
+        ) {
+            let swappable = pairs
+                .into_iter()
+                .filter(|&(a, b)| delta_swappable_pair_commutes(&transaction(a), &transaction(b)))
+                .count();
+            prop_assert!((1..64).contains(&swappable), "{swappable} of 64 pairs swappable");
+        }
+    }
+
+    /// The delta executor's access sets relax exactly what commutes: two
+    /// credits to one account, and two `SAdd`s into one lab slot, conflict
+    /// under the classic executor and not under the delta executor — and
+    /// either order commits the same state through the harvest.
+    #[test]
+    fn commutative_pairs_are_swappable_only_in_delta_mode() {
+        let (a, b) = (Address::from_low(1), Address::from_low(2));
+        let lab = Address::from_low(LAB);
+        let pairs = [
+            (
+                AccountTransaction::transfer(a, Address::from_low(3), Amount::from_sats(5), 0),
+                AccountTransaction::transfer(b, Address::from_low(3), Amount::from_sats(7), 0),
+            ),
+            (
+                AccountTransaction::contract_call(a, lab, Amount::ZERO, vec![3, 2, 11], 0),
+                AccountTransaction::contract_call(b, lab, Amount::ZERO, vec![3, 2, 13], 0),
+            ),
+        ];
+        for (first, second) in &pairs {
+            assert!(!swappable_pair_commutes(first, second), "{first:?}");
+            assert!(delta_swappable_pair_commutes(first, second), "{first:?}");
         }
     }
 }

@@ -2,9 +2,13 @@
 
 use crate::{AccountTransaction, Receipt};
 use blockconc_types::{Address, BlockHeight, Gas, Hash, Timestamp};
+use std::sync::Arc;
 
 /// A block of an account-based blockchain: an ordered list of transactions plus the
 /// beneficiary (miner) address that receives fees.
+///
+/// The transactions are shared, not owned: cloning a block — as every engine
+/// does to pair it with its receipts — copies no transaction.
 ///
 /// # Examples
 ///
@@ -25,7 +29,7 @@ pub struct AccountBlock {
     timestamp: Timestamp,
     beneficiary: Address,
     gas_limit: Gas,
-    transactions: Vec<AccountTransaction>,
+    transactions: Arc<[AccountTransaction]>,
 }
 
 impl AccountBlock {
@@ -42,7 +46,7 @@ impl AccountBlock {
             timestamp,
             beneficiary,
             gas_limit,
-            transactions,
+            transactions: transactions.into(),
         }
     }
 
@@ -79,7 +83,7 @@ impl AccountBlock {
     /// A content-derived block identifier.
     pub fn block_hash(&self) -> Hash {
         let mut acc = Hash::from_low(self.height.value());
-        for tx in &self.transactions {
+        for tx in self.transactions.iter() {
             acc = acc.combine(&tx.id().hash());
         }
         acc

@@ -6,12 +6,12 @@ use crate::{AccountBlock, AccountTransaction, ExecutedBlock, Receipt, TxPayload}
 use blockconc_types::{Error, Result};
 
 /// Per-transaction execution context, returned alongside the receipt so that callers
-/// (in particular the parallel execution engines of `blockconc-execution`) can reason
-/// about what the transaction touched and undo it if necessary.
+/// can reason about what the transaction touched and undo it if necessary.
 ///
-/// Only [`BlockExecutor::execute_transaction`] builds one: it is the path that
-/// records. [`BlockExecutor::execute_block`] builds none; it records no access
-/// set and reuses one journal for the whole block.
+/// Only [`BlockExecutor::execute_transaction`] builds one, over fresh buffers.
+/// The parallel engines of `blockconc-execution` record through
+/// [`BlockExecutor::execute_recorded`] into buffers they keep instead, and
+/// [`BlockExecutor::execute_block`] records no access set at all.
 #[derive(Debug)]
 pub struct TxContext {
     /// The receipt of the execution.
@@ -54,12 +54,15 @@ impl BlockExecutor {
         }
     }
 
-    /// Executes a single transaction against `state`, committing its effects.
+    /// Executes a single transaction against `state`, committing its effects,
+    /// and records what it did into the caller's buffers.
     ///
-    /// This is the path that records: the returned [`TxContext`] carries the
-    /// receipt, the transaction's [`AccessSet`] and its own undo journal (which
-    /// allows the caller to revert the committed transaction later). The
-    /// parallel engines read both.
+    /// This is the path that records. `journal` and `access` are cleared
+    /// first; afterwards `journal` holds the undo of the transaction's
+    /// changes (which allows the caller to revert it later) and `access` its
+    /// [`AccessSet`]. A caller that keeps both across transactions — the
+    /// parallel engines' workers do — executes without allocating for either
+    /// once their capacity has grown.
     ///
     /// Failed transactions (revert / out of gas) still consume gas and bump the
     /// sender's nonce but leave no other state changes behind.
@@ -68,15 +71,33 @@ impl BlockExecutor {
     ///
     /// Returns [`Error::Validation`] if the transaction's nonce does not match the
     /// sender's account nonce, or an error from the value transfer if the sender cannot
-    /// cover the transferred value. In both cases the state is unchanged.
+    /// cover the transferred value. In both cases the state is unchanged, and
+    /// `access` holds whatever was recorded before the failure.
+    pub fn execute_recorded<S: StateAccess>(
+        &mut self,
+        state: &mut S,
+        tx: &AccountTransaction,
+        journal: &mut Journal,
+        access: &mut AccessSet,
+    ) -> Result<Receipt> {
+        journal.clear();
+        access.clear();
+        self.run(state, tx, journal, access)
+    }
+
+    /// [`execute_recorded`](Self::execute_recorded) into fresh buffers,
+    /// returned with the receipt.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute_recorded`](Self::execute_recorded).
     pub fn execute_transaction<S: StateAccess>(
         &mut self,
         state: &mut S,
         tx: &AccountTransaction,
     ) -> Result<TxContext> {
-        let mut journal = Journal::new();
-        let mut access = AccessSet::new();
-        let receipt = self.run(state, tx, &mut journal, &mut access)?;
+        let (mut journal, mut access) = (Journal::new(), AccessSet::new());
+        let receipt = self.execute_recorded(state, tx, &mut journal, &mut access)?;
         Ok(TxContext {
             receipt,
             access,
@@ -88,9 +109,10 @@ impl BlockExecutor {
     ///
     /// This path records nothing: it runs on a no-op recorder and reuses one undo
     /// journal for the whole block, cleared before each transaction, so a
-    /// plain transfer allocates nothing of its own. Receipts and state are
-    /// those of [`execute_transaction`](Self::execute_transaction) run one
-    /// transaction at a time.
+    /// plain transfer or a contract call allocates nothing of its own.
+    /// Receipts and state are those of
+    /// [`execute_transaction`](Self::execute_transaction) run one transaction
+    /// at a time.
     ///
     /// Transactions that fail validation (bad nonce, unfunded transfer) are recorded as
     /// failed receipts consuming zero gas, mirroring how a simulator-produced block may

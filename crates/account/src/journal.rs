@@ -54,8 +54,8 @@ impl Journal {
 
     /// Forgets every recorded operation, keeping the allocation: the
     /// sequential block path reuses one journal for all of a block's
-    /// transactions.
-    pub(crate) fn clear(&mut self) {
+    /// transactions, and each engine worker one for all of its executions.
+    pub fn clear(&mut self) {
         self.ops.clear();
     }
 

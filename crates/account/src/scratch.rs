@@ -146,6 +146,9 @@ pub struct ScratchState<C> {
     /// against (debit, absolute slot write) or harvested
     /// ([`take_delta_ops`](ScratchState::take_delta_ops)).
     pending: HashMap<Address, AccountDeltas>,
+    /// Where [`take_delta_ops`](ScratchState::take_delta_ops) sorts the
+    /// pending entries: empty between harvests, kept for its capacity.
+    drained: Vec<(Address, AccountDeltas)>,
 }
 
 impl<C: CellView> ScratchState<C> {
@@ -155,6 +158,7 @@ impl<C: CellView> ScratchState<C> {
             set: WorkingSet::new(cells),
             stored_slots: BTreeSet::new(),
             pending: HashMap::new(),
+            drained: Vec::new(),
         }
     }
 
@@ -269,9 +273,9 @@ impl<C: CellView> ScratchState<C> {
         if self.pending.is_empty() {
             return;
         }
-        let mut entries: Vec<(Address, AccountDeltas)> = self.pending.drain().collect();
-        entries.sort_unstable_by_key(|&(address, _)| address);
-        for (address, deltas) in entries {
+        self.drained.extend(self.pending.drain());
+        self.drained.sort_unstable_by_key(|&(address, _)| address);
+        for (address, deltas) in self.drained.drain(..) {
             if deltas.is_noop() {
                 out.push((StateKey::Balance(address), 0));
                 continue;

@@ -1,6 +1,6 @@
 //! The VM interpreter.
 
-use crate::vm::{GasSchedule, OpCode};
+use crate::vm::{Contract, GasSchedule, OpCode};
 use crate::{AccessRecorder, InternalTransaction, Journal, NoAccesses, StateAccess, StateKey};
 use blockconc_types::{Address, Amount, Error, Gas, Result};
 
@@ -42,9 +42,15 @@ pub struct CallOutcome {
 
 /// The virtual-machine interpreter.
 ///
-/// An [`Interpreter`] owns only configuration (gas schedule, limits); every call runs
-/// against caller-provided [`StateAccess`] state, and rollback of failing calls is
-/// precise via the journal.
+/// An [`Interpreter`] owns configuration (gas schedule, limits) and one operand
+/// stack that every call reuses; every call runs against caller-provided
+/// [`StateAccess`] state, and rollback of failing calls is precise via the
+/// journal.
+///
+/// Nested frames share the stack: a frame works above its caller's top and
+/// truncates back to it when it returns or fails, so it can neither see nor
+/// pop its caller's operands, and a contract call allocates no stack of its
+/// own.
 ///
 /// See the [module documentation](crate::vm) for an end-to-end example.
 #[derive(Debug, Clone, Default)]
@@ -56,6 +62,8 @@ pub struct Interpreter {
     /// classic executors keep the exact access sets and conflict structure they
     /// always had.
     delta_accesses: bool,
+    /// The operand stack, empty between calls; kept for its capacity.
+    stack: Vec<u64>,
 }
 
 struct Frame<'a, S, R> {
@@ -63,6 +71,9 @@ struct Frame<'a, S, R> {
     state: &'a mut S,
     journal: &'a mut Journal,
     access: &'a mut R,
+    /// The interpreter's operand stack; each frame owns the part above the
+    /// top it found on entry.
+    stack: &'a mut Vec<u64>,
     internal: &'a mut Vec<InternalTransaction>,
     logs: &'a mut Vec<u64>,
     gas_left: Gas,
@@ -134,6 +145,7 @@ impl Interpreter {
         let mut logs = Vec::new();
         let checkpoint = journal.checkpoint();
         let gas_limit = params.gas_limit;
+        let mut stack = std::mem::take(&mut self.stack);
 
         let result = {
             let mut frame = Frame {
@@ -141,12 +153,15 @@ impl Interpreter {
                 state,
                 journal,
                 access,
+                stack: &mut stack,
                 internal: &mut internal,
                 logs: &mut logs,
                 gas_left: gas_limit,
             };
             frame.run_call(params.caller, params.target, params.value, params.args, 1)
         };
+        debug_assert!(stack.is_empty(), "every frame truncates its operands");
+        self.stack = stack;
 
         match result {
             Ok(gas_left) => Ok(CallOutcome {
@@ -238,7 +253,27 @@ impl<S: StateAccess, R: AccessRecorder> Frame<'_, S, R> {
             return Ok(self.gas_left);
         };
 
-        let mut stack: Vec<u64> = Vec::with_capacity(16);
+        // This frame's operands start at the caller's top, and go with it
+        // however the code ends.
+        let base = self.stack.len();
+        let outcome = self.run_code(&contract, caller, target, value, args, depth, base);
+        self.stack.truncate(base);
+        outcome
+    }
+
+    /// Runs `contract`'s code for [`run_call`](Self::run_call) on the operands
+    /// above `base`. Returns remaining gas.
+    #[allow(clippy::too_many_arguments)]
+    fn run_code(
+        &mut self,
+        contract: &Contract,
+        caller: Address,
+        target: Address,
+        value: Amount,
+        args: &[u64],
+        depth: usize,
+        base: usize,
+    ) -> std::result::Result<Gas, VmFailure> {
         let mut pc = 0usize;
         let mut steps = 0usize;
 
@@ -253,40 +288,41 @@ impl<S: StateAccess, R: AccessRecorder> Frame<'_, S, R> {
             self.charge(op)?;
             pc += 1;
             match *op {
-                OpCode::Push(v) => stack.push(v),
+                OpCode::Push(v) => self.stack.push(v),
                 OpCode::Pop => {
-                    self.pop(&mut stack)?;
+                    self.pop(base)?;
                 }
                 OpCode::Dup => {
-                    let top = *stack.last().ok_or_else(|| self.underflow())?;
-                    stack.push(top);
+                    let top = self.top(base)?;
+                    self.stack.push(top);
                 }
                 OpCode::Swap => {
-                    let len = stack.len();
-                    if len < 2 {
+                    let len = self.stack.len();
+                    if len - base < 2 {
                         return Err(self.underflow());
                     }
-                    stack.swap(len - 1, len - 2);
+                    self.stack.swap(len - 1, len - 2);
                 }
-                OpCode::Add => self.binop(&mut stack, |a, b| a.wrapping_add(b))?,
-                OpCode::Sub => self.binop(&mut stack, |a, b| a.wrapping_sub(b))?,
-                OpCode::Mul => self.binop(&mut stack, |a, b| a.wrapping_mul(b))?,
-                OpCode::Div => self.binop(&mut stack, |a, b| a.checked_div(b).unwrap_or(0))?,
+                OpCode::Add => self.binop(base, |a, b| a.wrapping_add(b))?,
+                OpCode::Sub => self.binop(base, |a, b| a.wrapping_sub(b))?,
+                OpCode::Mul => self.binop(base, |a, b| a.wrapping_mul(b))?,
+                OpCode::Div => self.binop(base, |a, b| a.checked_div(b).unwrap_or(0))?,
                 OpCode::SLoad => {
-                    let key = self.pop(&mut stack)?;
+                    let key = self.pop(base)?;
                     self.access.record_read(StateKey::Storage(target, key));
-                    stack.push(self.state.storage(target, key));
+                    let value = self.state.storage(target, key);
+                    self.stack.push(value);
                 }
                 OpCode::SStore => {
-                    let key = self.pop(&mut stack)?;
-                    let value = self.pop(&mut stack)?;
+                    let key = self.pop(base)?;
+                    let value = self.pop(base)?;
                     self.access.record_write(StateKey::Storage(target, key));
                     self.state
                         .storage_set(target, key, value, Some(&mut *self.journal));
                 }
                 OpCode::SAdd => {
-                    let key = self.pop(&mut stack)?;
-                    let value = self.pop(&mut stack)?;
+                    let key = self.pop(base)?;
+                    let value = self.pop(base)?;
                     if self.interpreter.delta_accesses
                         && self.state.storage_add_delta(
                             target,
@@ -310,41 +346,42 @@ impl<S: StateAccess, R: AccessRecorder> Frame<'_, S, R> {
                         );
                     }
                 }
-                OpCode::Caller => stack.push(caller.low_u64()),
-                OpCode::CallValue => stack.push(value.sats()),
+                OpCode::Caller => self.stack.push(caller.low_u64()),
+                OpCode::CallValue => self.stack.push(value.sats()),
                 OpCode::SelfBalance => {
                     self.access.record_read(StateKey::Balance(target));
-                    stack.push(self.state.balance(target).sats());
+                    let balance = self.state.balance(target).sats();
+                    self.stack.push(balance);
                 }
-                OpCode::Arg(n) => stack.push(args.get(n as usize).copied().unwrap_or(0)),
+                OpCode::Arg(n) => self.stack.push(args.get(n as usize).copied().unwrap_or(0)),
                 OpCode::Jump(dest) => {
                     pc = dest;
                 }
                 OpCode::JumpIfZero(dest) => {
-                    if self.pop(&mut stack)? == 0 {
+                    if self.pop(base)? == 0 {
                         pc = dest;
                     }
                 }
                 OpCode::Transfer(to) => {
-                    let amount = Amount::from_sats(self.pop(&mut stack)?);
+                    let amount = Amount::from_sats(self.pop(base)?);
                     self.do_transfer(target, to, amount, depth)?;
                 }
                 OpCode::TransferArg(n) => {
                     let to = Address::from_low(args.get(n as usize).copied().unwrap_or(0));
-                    let amount = Amount::from_sats(self.pop(&mut stack)?);
+                    let amount = Amount::from_sats(self.pop(base)?);
                     self.do_transfer(target, to, amount, depth)?;
                 }
                 OpCode::Call(to) => {
-                    let amount = Amount::from_sats(self.pop(&mut stack)?);
+                    let amount = Amount::from_sats(self.pop(base)?);
                     self.do_call(target, to, amount, args, depth)?;
                 }
                 OpCode::CallArg(n) => {
                     let to = Address::from_low(args.get(n as usize).copied().unwrap_or(0));
-                    let amount = Amount::from_sats(self.pop(&mut stack)?);
+                    let amount = Amount::from_sats(self.pop(base)?);
                     self.do_call(target, to, amount, args, depth)?;
                 }
                 OpCode::Log => {
-                    let top = *stack.last().ok_or_else(|| self.underflow())?;
+                    let top = self.top(base)?;
                     self.logs.push(top);
                 }
                 OpCode::Stop => return Ok(self.gas_left),
@@ -425,8 +462,22 @@ impl<S: StateAccess, R: AccessRecorder> Frame<'_, S, R> {
         }
     }
 
-    fn pop(&self, stack: &mut Vec<u64>) -> std::result::Result<u64, VmFailure> {
-        stack.pop().ok_or_else(|| self.underflow())
+    /// Pops this frame's top operand; the operands at and below `base` are
+    /// the caller's.
+    fn pop(&mut self, base: usize) -> std::result::Result<u64, VmFailure> {
+        if self.stack.len() > base {
+            Ok(self.stack.pop().expect("an operand above the base"))
+        } else {
+            Err(self.underflow())
+        }
+    }
+
+    /// This frame's top operand, left in place.
+    fn top(&self, base: usize) -> std::result::Result<u64, VmFailure> {
+        match self.stack[base..].last() {
+            Some(&top) => Ok(top),
+            None => Err(self.underflow()),
+        }
     }
 
     fn underflow(&self) -> VmFailure {
@@ -434,13 +485,13 @@ impl<S: StateAccess, R: AccessRecorder> Frame<'_, S, R> {
     }
 
     fn binop(
-        &self,
-        stack: &mut Vec<u64>,
+        &mut self,
+        base: usize,
         f: impl Fn(u64, u64) -> u64,
     ) -> std::result::Result<(), VmFailure> {
-        let top = self.pop(stack)?;
-        let second = self.pop(stack)?;
-        stack.push(f(second, top));
+        let top = self.pop(base)?;
+        let second = self.pop(base)?;
+        self.stack.push(f(second, top));
         Ok(())
     }
 }
@@ -684,6 +735,56 @@ mod tests {
         let outcome = call(&mut state, user, addr, 0, &[]);
         assert!(!outcome.success);
         assert!(outcome.failure.unwrap().contains("underflow"));
+    }
+
+    /// Nested frames share one operand stack, each above its caller's top:
+    /// a callee can neither pop its caller's operands nor leave its own
+    /// behind, and the interpreter reuses the stack for the next call.
+    #[test]
+    fn a_nested_frame_works_above_its_callers_operands() {
+        let outer_code = |inner: Address| {
+            Contract::new(vec![
+                OpCode::Push(7),
+                OpCode::Push(8),
+                OpCode::Push(0),
+                OpCode::Call(inner),
+                OpCode::Add,
+                OpCode::Log,
+                OpCode::Stop,
+            ])
+        };
+        let mut state = WorldState::new();
+        let user = Address::from_low(1);
+        state.credit(user, Amount::from_coins(1));
+        let (leaves, pops) = (Address::from_low(2000), Address::from_low(2001));
+        state.deploy_contract(leaves, Arc::new(Contract::new(vec![OpCode::Push(5)])));
+        state.deploy_contract(pops, Arc::new(Contract::new(vec![OpCode::Pop])));
+        let (outer_leaves, outer_pops) = (Address::from_low(3000), Address::from_low(3001));
+        state.deploy_contract(outer_leaves, Arc::new(outer_code(leaves)));
+        state.deploy_contract(outer_pops, Arc::new(outer_code(pops)));
+
+        let mut interpreter = Interpreter::new();
+        let mut run = |target| {
+            let params = CallParams {
+                caller: user,
+                target,
+                value: Amount::ZERO,
+                args: &[],
+                gas_limit: Gas::new(1_000_000),
+            };
+            interpreter.call(&mut state, params).unwrap()
+        };
+        // The callee's 5 is gone when the caller adds its own 7 and 8.
+        let outcome = run(outer_leaves);
+        assert!(outcome.success, "{:?}", outcome.failure);
+        assert_eq!(outcome.logs, vec![15]);
+        // The callee's pop finds none of its caller's operands.
+        let outcome = run(outer_pops);
+        assert!(!outcome.success);
+        assert_eq!(outcome.failure.as_deref(), Some("stack underflow"));
+        // The failed call left the stack empty for the next one.
+        assert_eq!(run(outer_leaves).logs, vec![15]);
+        assert!(interpreter.stack.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! A cell is one [`StateKey`] — an account's balance/nonce pair, one storage
 //! slot, or its deployed code — each versioned independently so transactions
 //! touching disjoint parts of one account never conflict. The cell is also the
-//! unit of *data movement*: a read resolves one cell ([`MvMemory::read_cell`]),
+//! unit of *data movement*: a read resolves one cell ([`MvMemory::serve`]),
 //! a write installs one, and the commit drains one final value per cell
 //! ([`MvMemory::drain_final_cells`]) — nothing in here assembles, clones or
 //! diffs an account.
@@ -27,6 +27,7 @@
 
 use blockconc_store::{FragmentValue, StateKey};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
 /// Number of independently locked shards of the version map, striped by cell:
@@ -142,6 +143,7 @@ pub(crate) struct Stamp {
 /// the write level falls through to the base state) and every delta
 /// contribution stacked on *that cell* above the fragment, in ascending
 /// transaction order.
+#[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct CellRead {
     /// The winning fragment below the reader.
@@ -175,32 +177,50 @@ impl Cell {
         self.versions.binary_search_by_key(&txn, |&(t, _)| t)
     }
 
-    /// The walk behind [`MvMemory::read_cell`]: newest-first over the entries
-    /// strictly below `reader`, collecting deltas until the first fragment.
-    fn read(&self, reader: usize) -> CellRead {
-        let mut read = CellRead {
-            write: None,
-            deltas: Vec::new(),
-        };
+    /// The walk every read takes, execution and validation alike: the
+    /// position of the highest fragment strictly below `reader` (`None`: the
+    /// write level falls through to the base state) and the positions of the
+    /// delta entries between it and `reader`, ascending. The
+    /// delta-transparency rule lives here and nowhere else — deltas stack on
+    /// top of a fragment instead of replacing it, and deltas *below* the
+    /// winning fragment are superseded (that fragment's value was computed
+    /// from a pre-state that had already folded them).
+    fn resolve(&self, reader: usize) -> (Option<usize>, Range<usize>) {
         let below = self
             .versions
             .partition_point(|&(txn, _)| (txn as usize) < reader);
-        for (txn, entry) in self.versions[..below].iter().rev() {
-            let stamp = Stamp {
-                txn: *txn as usize,
-                incarnation: entry.incarnation,
-                estimate: entry.estimate,
-            };
-            match &entry.value {
-                CellValue::Delta(amount) => read.deltas.push((stamp, *amount)),
-                CellValue::Fragment(fragment) => {
-                    read.write = Some((stamp, fragment.clone()));
-                    break;
-                }
-            }
+        let fragment = self.versions[..below]
+            .iter()
+            .rposition(|(_, entry)| matches!(entry.value, CellValue::Fragment(_)));
+        (fragment, fragment.map_or(0, |at| at + 1)..below)
+    }
+
+    /// The stamp of the entry at `at`.
+    fn stamp(&self, at: usize) -> Stamp {
+        let (txn, entry) = &self.versions[at];
+        Stamp {
+            txn: *txn as usize,
+            incarnation: entry.incarnation,
+            estimate: entry.estimate,
         }
-        read.deltas.reverse();
-        read
+    }
+
+    /// The winning fragment of a [`resolve`](Cell::resolve) with its stamp,
+    /// the delta contributions above it appended to `deltas`.
+    fn read_into(
+        &self,
+        reader: usize,
+        deltas: &mut Vec<(Stamp, u64)>,
+    ) -> Option<(Stamp, Option<FragmentValue>)> {
+        let (fragment, above) = self.resolve(reader);
+        deltas.extend(above.map(|at| match self.versions[at].1.value {
+            CellValue::Delta(amount) => (self.stamp(at), amount),
+            CellValue::Fragment(_) => unreachable!("a fragment above the winning one"),
+        }));
+        fragment.map(|at| match &self.versions[at].1.value {
+            CellValue::Fragment(value) => (self.stamp(at), value.clone()),
+            CellValue::Delta(_) => unreachable!("resolved a delta as the fragment"),
+        })
     }
 }
 
@@ -296,26 +316,32 @@ impl MvMemory {
         CellId::new(stripe, slot)
     }
 
-    /// [`cell_id`](MvMemory::cell_id) and [`read_cell`](MvMemory::read_cell)
-    /// under one stripe lock: how a view serves a key the first time.
-    pub(crate) fn serve(&self, key: StateKey, reader: usize) -> (CellId, CellRead) {
+    /// [`cell_id`](MvMemory::cell_id) and the read of the cell for
+    /// transaction `reader`, under one stripe lock: how a view serves a key
+    /// the first time. Returns the id and the highest fragment below `reader`
+    /// (`None`: the base state's value), and appends the delta contributions
+    /// stacked on it to `deltas`, ascending. An `ESTIMATE` surfaces through
+    /// its [`Stamp`]; an execution suspends on the lowest such writer.
+    pub(crate) fn serve(
+        &self,
+        key: StateKey,
+        reader: usize,
+        deltas: &mut Vec<(Stamp, u64)>,
+    ) -> (CellId, Option<(Stamp, Option<FragmentValue>)>) {
         let stripe = Self::stripe_of(key);
         let mut guard = self.lock(stripe);
         let slot = guard.intern(key);
-        (CellId::new(stripe, slot), guard.cells[slot].read(reader))
+        let write = guard.cells[slot].read_into(reader, deltas);
+        (CellId::new(stripe, slot), write)
     }
 
-    /// Resolves one cell for transaction `reader` — the one walk every read
-    /// takes, execution and validation alike: newest-first over the entries of
-    /// the cell strictly below `reader`, collecting delta entries until the
-    /// first fragment. The delta-transparency rule lives here and nowhere
-    /// else — deltas stack on top of a fragment instead of replacing it, and
-    /// deltas *below* the winning fragment are superseded (that fragment's
-    /// value was computed from a pre-state that had already folded them). An
-    /// `ESTIMATE` surfaces through its [`Stamp`]; an execution suspends on the
-    /// lowest such writer.
+    /// Resolves one cell for transaction `reader`, as
+    /// [`serve`](MvMemory::serve) does.
+    #[cfg(test)]
     pub(crate) fn read_cell(&self, cell: CellId, reader: usize) -> CellRead {
-        self.lock(cell.stripe()).cells[cell.slot()].read(reader)
+        let mut deltas = Vec::new();
+        let write = self.lock(cell.stripe()).cells[cell.slot()].read_into(reader, &mut deltas);
+        CellRead { write, deltas }
     }
 
     /// Installs the write set of `(tx_index, incarnation)` and removes entries left
@@ -420,41 +446,38 @@ impl MvMemory {
         let mut i = 0;
         while i < reads.len() {
             let cell = reads[i].0;
-            let mut j = i;
-            let mut write_origin = None;
-            let mut delta_origins: Vec<(usize, u32)> = Vec::new();
-            while j < reads.len() && reads[j].0 == cell {
-                match reads[j].1 {
-                    ReadOrigin::Delta(txn, incarnation) => delta_origins.push((txn, incarnation)),
-                    origin => {
-                        debug_assert!(
-                            write_origin.is_none(),
-                            "two write-level origins recorded for one cell"
-                        );
-                        write_origin = Some(origin);
-                    }
-                }
-                j += 1;
-            }
-            i = j;
+            let group_len = reads[i..].partition_point(|&(id, _)| id == cell);
+            let group = &reads[i..i + group_len];
+            i += group_len;
+            // A write-level origin sorts before the `Delta` origins, which
+            // sort ascending by transaction, as a resolve lists them.
+            let (write_origin, delta_origins) = match group[0].1 {
+                ReadOrigin::Delta(..) => (None, group),
+                origin => (Some(origin), &group[1..]),
+            };
+            debug_assert!(
+                delta_origins
+                    .iter()
+                    .all(|(_, origin)| matches!(origin, ReadOrigin::Delta(..))),
+                "two write-level origins recorded for one cell"
+            );
 
-            let actual = self.read_cell(cell, tx_index);
-            let write_ok = match (actual.write, write_origin) {
+            let stripe = self.lock(cell.stripe());
+            let actual = &stripe.cells[cell.slot()];
+            let (fragment, deltas) = actual.resolve(tx_index);
+            let write_ok = match (fragment.map(|at| actual.stamp(at)), write_origin) {
                 (None, Some(ReadOrigin::Base) | None) => true,
-                (Some((stamp, _)), Some(ReadOrigin::Version(txn, incarnation))) => {
+                (Some(stamp), Some(ReadOrigin::Version(txn, incarnation))) => {
                     !stamp.estimate && stamp.txn == txn && stamp.incarnation == incarnation
                 }
                 _ => false,
             };
-            if !write_ok {
-                return false;
-            }
-            if actual.deltas.len() != delta_origins.len()
-                || actual.deltas.iter().zip(&delta_origins).any(
-                    |(&(stamp, _), &(txn, incarnation))| {
-                        stamp.estimate || stamp.txn != txn || stamp.incarnation != incarnation
-                    },
-                )
+            if !write_ok
+                || deltas.len() != delta_origins.len()
+                || deltas.zip(delta_origins).any(|(at, &(_, origin))| {
+                    let stamp = actual.stamp(at);
+                    stamp.estimate || origin != ReadOrigin::Delta(stamp.txn, stamp.incarnation)
+                })
             {
                 return false;
             }
@@ -462,39 +485,28 @@ impl MvMemory {
         true
     }
 
-    /// Counts the committed commutative contributions: `CellValue::Delta`
-    /// entries live in the version map once every transaction has validated.
-    /// Each one is a same-cell collision that never ordered against its
-    /// neighbours (contributions folded under a later fragment count too —
-    /// they committed through the writer's served pre-state).
-    pub(crate) fn delta_entries(&self) -> u64 {
-        let mut merges = 0u64;
-        for stripe in &self.stripes {
-            let stripe = stripe.0.lock().expect("mvcc stripe lock");
-            for cell in &stripe.cells[..stripe.live] {
-                merges += cell
-                    .versions
-                    .iter()
-                    .filter(|(_, entry)| matches!(entry.value, CellValue::Delta(_)))
-                    .count() as u64;
-            }
-        }
-        merges
-    }
-
     /// Hands the final value of every written cell to `install`: the fragment
     /// of the highest transaction index plus the folded sum of every delta
     /// contribution above it (deltas *below* a fragment are excluded — see
-    /// [`read_cell`](MvMemory::read_cell)). Called once after the whole block
-    /// has executed and validated.
+    /// [`Cell::resolve`]). Called once after the whole block has executed and
+    /// validated.
     ///
     /// Two phases and no sort: every `Balance` cell first, then every
     /// `Storage` and `Code` cell, each phase in store order. That is the one
     /// order the engine's in-place commit needs — an account a fragment
-    /// creates exists by the time its slots land. The winning entries *move*
-    /// out; the superseded ones below them stay until the next
-    /// [`reset`](MvMemory::reset).
-    pub(crate) fn drain_final_cells(&mut self, mut install: impl FnMut(StateKey, FinalCell)) {
+    /// creates exists by the time its slots land. Every entry moves out, so
+    /// the next [`reset`](MvMemory::reset) finds the version lists empty.
+    ///
+    /// Returns the committed commutative contributions: the
+    /// `CellValue::Delta` entries the drain met. Each one is a same-cell
+    /// collision that never ordered against its neighbours (contributions
+    /// folded under a later fragment count too — they committed through the
+    /// writer's served pre-state).
+    pub(crate) fn drain_final_cells(
+        &mut self,
+        mut install: impl FnMut(StateKey, FinalCell),
+    ) -> u64 {
+        let mut merges = 0u64;
         for balances in [true, false] {
             for stripe in &mut self.stripes {
                 let stripe = stripe.0.get_mut().expect("mvcc stripe lock");
@@ -509,12 +521,16 @@ impl MvMemory {
                     while let Some((_, entry)) = cell.versions.pop() {
                         match entry.value {
                             CellValue::Delta(amount) => {
-                                last.delta =
-                                    Some(fold_delta(cell.key, last.delta.unwrap_or(0), amount));
+                                merges += 1;
+                                if last.write.is_none() {
+                                    last.delta =
+                                        Some(fold_delta(cell.key, last.delta.unwrap_or(0), amount));
+                                }
                             }
                             CellValue::Fragment(fragment) => {
-                                last.write = Some(fragment);
-                                break;
+                                if last.write.is_none() {
+                                    last.write = Some(fragment);
+                                }
                             }
                         }
                     }
@@ -524,6 +540,7 @@ impl MvMemory {
                 }
             }
         }
+        merges
     }
 }
 
@@ -620,8 +637,13 @@ mod tests {
     /// Drains the final cells in the order the commit receives them, checking
     /// the one order it relies on: no `Balance` cell after any other.
     fn finals(mv: &mut MvMemory) -> Vec<(StateKey, FinalCell)> {
+        finals_and_merges(mv).0
+    }
+
+    /// [`finals`] and the delta entries the drain counted.
+    fn finals_and_merges(mv: &mut MvMemory) -> (Vec<(StateKey, FinalCell)>, u64) {
         let mut out = Vec::new();
-        mv.drain_final_cells(|key, cell| out.push((key, cell)));
+        let merges = mv.drain_final_cells(|key, cell| out.push((key, cell)));
         let first_other = out
             .iter()
             .position(|(key, _)| !matches!(key, StateKey::Balance(_)))
@@ -632,7 +654,7 @@ mod tests {
                 .all(|(key, _)| !matches!(key, StateKey::Balance(_))),
             "a balance cell drained after a slot or code cell"
         );
-        out
+        (out, merges)
     }
 
     fn final_cell(finals: &[(StateKey, FinalCell)], key: StateKey) -> Option<&FinalCell> {
@@ -781,18 +803,20 @@ mod tests {
             below.deltas.iter().map(|d| d.0.txn).collect::<Vec<_>>(),
             vec![2]
         );
-        assert_eq!(mv.delta_entries(), 2);
 
-        // Commit folds write-then-delta: 100 + 5 + 7.
+        // Commit folds write-then-delta: 100 + 5 + 7, two merges.
         assert_eq!(
-            finals(&mut mv),
-            vec![(
-                cell,
-                FinalCell {
-                    write: Some(Some(FragmentValue::Slot(100))),
-                    delta: Some(12),
-                }
-            )]
+            finals_and_merges(&mut mv),
+            (
+                vec![(
+                    cell,
+                    FinalCell {
+                        write: Some(Some(FragmentValue::Slot(100))),
+                        delta: Some(12),
+                    }
+                )],
+                2
+            )
         );
     }
 
@@ -807,10 +831,12 @@ mod tests {
         let key_read = read(&mv, cell, 9);
         assert_eq!(key_read.write.map(|(stamp, _)| stamp.txn), Some(2));
         assert!(key_read.deltas.is_empty());
-        let finals = finals(&mut mv);
+        let (finals, merges) = finals_and_merges(&mut mv);
         let drained = final_cell(&finals, cell).expect("written cell");
         assert_eq!(drained.delta, None);
         assert_eq!(drained.write, Some(Some(FragmentValue::Slot(50))));
+        // The superseded contribution still committed, through the writer.
+        assert_eq!(merges, 1);
     }
 
     #[test]
@@ -1016,8 +1042,7 @@ mod tests {
         assert!(resolved(&mv, meta_key(1), 9).is_none());
         let got = read(&mv, slot_key(2, 0), 9);
         assert!(got.write.is_none() && got.deltas.is_empty());
-        assert_eq!(mv.delta_entries(), 0);
-        assert!(finals(&mut mv).is_empty());
+        assert_eq!(finals_and_merges(&mut mv), (Vec::new(), 0));
         mv.reset();
         assert_eq!(
             mv.cell_id(slot_key(2, 0)),

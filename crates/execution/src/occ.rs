@@ -4,7 +4,7 @@
 use crate::thread_pool::{Job, WorkerPool};
 use blockconc_account::vm::Contract;
 use blockconc_account::{
-    AccessSet, AccountBlock, BlockExecutor, CellView, ScratchState, StateKey, WorldState,
+    AccessSet, AccountBlock, BlockExecutor, CellView, Journal, ScratchState, StateKey, WorldState,
 };
 use blockconc_types::{Address, Amount, Result};
 use std::sync::{Arc, Mutex};
@@ -53,9 +53,10 @@ impl CellView for BaseCells {
 /// transaction of `block` against the pre-block `state`, spread over `pool` in one
 /// chunk per worker, and returns each transaction's access set in block order.
 /// Each worker reads the lent state cell by cell ([`BaseCells`]) from a
-/// [`ScratchState`] it resets between transactions: all transactions observe
-/// the same starting state, nothing is cloned and `state` is left as it was
-/// found.
+/// [`ScratchState`] it resets between transactions, recording into one
+/// journal and one access set it clears between them: all transactions
+/// observe the same starting state, nothing is cloned but each recorded set
+/// (into an exactly sized copy) and `state` is left as it was found.
 pub(crate) fn discover_access_sets(
     pool: &WorkerPool,
     state: &mut WorldState,
@@ -67,26 +68,31 @@ pub(crate) fn discover_access_sets(
     }
     let chunk_size = tx_count.div_ceil(pool.size());
     let chunk_count = tx_count.div_ceil(chunk_size);
-    let block = Arc::new(block.clone());
     let slots: Arc<Mutex<Vec<Vec<AccessSet>>>> =
         Arc::new(Mutex::new((0..chunk_count).map(|_| Vec::new()).collect()));
     lend_state(state, |base| {
         let tasks: Vec<Job> = (0..chunk_count)
             .map(|chunk_index| {
                 let view = BaseCells(Arc::clone(base));
-                let block = Arc::clone(&block);
+                let block = block.clone();
                 let slots = Arc::clone(&slots);
                 Box::new(move || {
                     let start = chunk_index * chunk_size;
                     let end = (start + chunk_size).min(block.transaction_count());
                     let mut local = ScratchState::new(view);
                     let mut executor = BlockExecutor::new();
+                    let (mut journal, mut access) = (Journal::new(), AccessSet::new());
                     let sets: Vec<AccessSet> = block.transactions()[start..end]
                         .iter()
                         .map(|tx| {
                             local.reset_working_set();
-                            match executor.execute_transaction(&mut local, tx) {
-                                Ok(ctx) => ctx.access,
+                            match executor.execute_recorded(
+                                &mut local,
+                                tx,
+                                &mut journal,
+                                &mut access,
+                            ) {
+                                Ok(_) => access.clone(),
                                 Err(_) => {
                                     // A transaction that fails speculation (e.g. a
                                     // nonce that only becomes valid after an earlier

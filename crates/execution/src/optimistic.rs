@@ -22,12 +22,16 @@
 //! that nobody reads within the block orders nothing.
 //!
 //! What a conflict-free transaction pays beyond executing is kept small:
-//! each key it touches is hashed once, into a [`CellId`] its read set, write
-//! list and the version store all index by; its results land in one locked
-//! slot per transaction; and the block's scaffolding — version store,
+//! each key it touches is interned once, into a [`CellId`] its read set, write
+//! list and the version store all index by, and after the execution its
+//! served cells are sorted once and matched to the write set and the access
+//! set by binary search and sorted merge, not looked up again; its results
+//! land in one locked slot per transaction; every buffer it records into —
+//! undo journal, access set, harvest, read and write lists — is its worker's,
+//! cleared and reused; and the block's scaffolding — version store,
 //! scheduler vectors, result slots, worker scratches — is the engine's own,
 //! reset (not rebuilt) at every block start and lent to the pool's jobs for
-//! the run, the way the state is.
+//! the run, the way the state is. The calling thread is one of the workers.
 
 use crate::mvcc::{fold_delta, Aligned, CellId, CellValue, CellWrite, MvMemory, ReadOrigin, Stamp};
 use crate::occ::lend_state;
@@ -36,12 +40,13 @@ use crate::{ExecutionEngine, ExecutionReport};
 use blockconc_account::vm::Contract;
 use blockconc_account::{
     decode_contract, AccessSet, Account, AccountBlock, BlockExecutor, CellView, ExecutedBlock,
-    Receipt, ScratchState, StateAccess, WorldState,
+    Journal, Receipt, ScratchState, StateAccess, WorldState,
 };
 use blockconc_store::{FragmentValue, StateFragment, StateKey};
 use blockconc_types::{Address, Amount, Gas, Result};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -111,17 +116,20 @@ impl Served {
     }
 }
 
-/// One served cell: its id, its value and where every part of it came from.
+/// One served cell: its key, its id, its value and where every part of it
+/// came from.
 #[derive(Debug)]
 struct ServedCell {
+    key: StateKey,
     id: CellId,
     value: Served,
     /// The fragment the write level resolved to; `None` is the base state. A
     /// delta-only cell still resolves its write level from base — that `Base`
     /// origin is what invalidates a reader when a fragment appears later.
     write: Option<Stamp>,
-    /// The folded delta contributors, ascending.
-    deltas: Vec<Stamp>,
+    /// The folded delta contributors, ascending: a run of the view's
+    /// `contributions`.
+    deltas: Range<usize>,
 }
 
 /// What a view reads through during one block run.
@@ -129,6 +137,40 @@ struct ServedCell {
 struct Lent {
     mv: Arc<MvMemory>,
     base: Arc<WorldState>,
+}
+
+impl Lent {
+    /// Resolves `key`'s cell for transaction `tx_index` through the version
+    /// map over the base state, appending its delta contributors to
+    /// `contributions`.
+    fn serve(
+        &self,
+        key: StateKey,
+        tx_index: usize,
+        contributions: &mut Vec<(Stamp, u64)>,
+    ) -> ServedCell {
+        let first = contributions.len();
+        let (id, write) = self.mv.serve(key, tx_index, contributions);
+        let (value, write) = match write {
+            Some((stamp, fragment)) => (Served::from_fragment(key, fragment), Some(stamp)),
+            // A base miss means the account does not exist.
+            None => (
+                Served::from_base(key, self.base.account(key.address())),
+                None,
+            ),
+        };
+        let deltas = first..contributions.len();
+        let value = contributions[deltas.clone()]
+            .iter()
+            .fold(value, |value, &(_, amount)| value.plus(key, amount));
+        ServedCell {
+            key,
+            id,
+            value,
+            write,
+            deltas,
+        }
+    }
 }
 
 /// A [`CellView`] that resolves each cell through the multi-version map,
@@ -140,11 +182,17 @@ struct Lent {
 /// call, no lock. The first question about a key interns it and resolves its
 /// cell under one stripe lock ([`MvMemory::serve`]); the view answers with the highest fragment below the reader plus the
 /// deltas stacked on it or, failing that, the base state's own value, and
-/// keeps id, value and origins per key for the rest of the execution — one
-/// stable snapshot per cell, and [`consumed_reads`](MvView::consumed_reads)
-/// is a lookup. That projection of the origins onto the keys the transaction
-/// actually consumed is the validation read set; a slot-7 write is invisible
-/// to a slot-3 reader because nothing ever asked about slot 7.
+/// keeps key, id, value and origins for the rest of the execution, in serve
+/// order — one stable snapshot per cell; every question, first or repeated,
+/// hashes its key once, into the index of that table. Once the execution and
+/// its harvest are over, [`sort_served`](MvView::sort_served) sorts the
+/// served cells by key, once: the write list takes its ids by binary search
+/// ([`cell_id`](MvView::cell_id)), and
+/// [`consumed_reads`](MvView::consumed_reads) merges them against the sorted
+/// access set. Neither hashes a key again. That projection of the origins
+/// onto the keys the transaction actually consumed is the validation read
+/// set; a slot-7 write is invisible to a slot-3 reader because nothing ever
+/// asked about slot 7.
 ///
 /// The view belongs to its worker's scratch, which the engine keeps across
 /// blocks. The version store and the base state are lent to it for one block
@@ -154,8 +202,16 @@ struct Lent {
 pub(crate) struct MvView {
     lent: Option<Lent>,
     tx_index: usize,
-    /// The cells served to the current execution.
-    served: HashMap<StateKey, ServedCell>,
+    /// The cells served to the current execution: in serve order, then in
+    /// key order once [`sort_served`](MvView::sort_served) has run.
+    served: Vec<ServedCell>,
+    /// Key → position in serve order, for the execution's questions.
+    index: HashMap<StateKey, usize>,
+    /// The delta contributions folded into the served cells, each cell's a
+    /// contiguous run.
+    contributions: Vec<(Stamp, u64)>,
+    /// Whether `served` is in key order; no cell is served after that.
+    sorted: bool,
 }
 
 impl MvView {
@@ -168,7 +224,7 @@ impl MvView {
     /// ids die with the block.
     fn release(&mut self) {
         self.lent = None;
-        self.served.clear();
+        self.reset(0);
     }
 
     /// Re-arms the view for another transaction, keeping the allocated capacity
@@ -177,78 +233,77 @@ impl MvView {
     fn reset(&mut self, tx_index: usize) {
         self.tx_index = tx_index;
         self.served.clear();
+        self.index.clear();
+        self.contributions.clear();
+        self.sorted = false;
+    }
+
+    fn lent(&self) -> &Lent {
+        self.lent
+            .as_ref()
+            .expect("a view reads only during a block run")
     }
 
     /// Serves one cell: from this execution's cache, else resolved through the
-    /// version map over the base state.
+    /// version map over the base state. Either way the key is hashed once.
     fn cell(&mut self, key: StateKey) -> &ServedCell {
-        match self.served.entry(key) {
-            Entry::Occupied(cell) => cell.into_mut(),
+        debug_assert!(!self.sorted, "a cell asked for after the sort");
+        let at = match self.index.entry(key) {
+            Entry::Occupied(found) => *found.get(),
             Entry::Vacant(slot) => {
                 let lent = self
                     .lent
                     .as_ref()
                     .expect("a view reads only during a block run");
-                let (id, read) = lent.mv.serve(key, self.tx_index);
-                let (value, write) = match read.write {
-                    Some((stamp, fragment)) => (Served::from_fragment(key, fragment), Some(stamp)),
-                    // A base miss means the account does not exist.
-                    None => (
-                        Served::from_base(key, lent.base.account(key.address())),
-                        None,
-                    ),
-                };
-                slot.insert(ServedCell {
-                    id,
-                    value: read
-                        .deltas
-                        .iter()
-                        .fold(value, |value, &(_, amount)| value.plus(key, amount)),
-                    write,
-                    deltas: read.deltas.iter().map(|&(stamp, _)| stamp).collect(),
-                })
+                self.served
+                    .push(lent.serve(key, self.tx_index, &mut self.contributions));
+                *slot.insert(self.served.len() - 1)
             }
-        }
+        };
+        &self.served[at]
+    }
+
+    /// Sorts the served cells by key, for [`cell_id`](MvView::cell_id) and
+    /// [`consumed_reads`](MvView::consumed_reads). Called once per execution,
+    /// after the harvest — the last step that may serve a cell. Each cell
+    /// carries its key and its contributors' run, so the cells move freely;
+    /// the index is stale from here on.
+    fn sort_served(&mut self) {
+        self.served.sort_unstable_by_key(|cell| cell.key);
+        self.sorted = true;
+    }
+
+    /// The served cell of `key`, found by binary search in the sorted cells.
+    fn served(&self, key: StateKey) -> Option<&ServedCell> {
+        debug_assert!(self.sorted, "served cells unsorted");
+        self.served
+            .binary_search_by_key(&key, |cell| cell.key)
+            .ok()
+            .map(|found| &self.served[found])
     }
 
     /// The cell id of `key`: the served one, or interned now — a blind delta
     /// writes a key nobody served, and a recorded key may never have been
     /// observed.
     fn cell_id(&self, key: StateKey) -> CellId {
-        match self.served.get(&key) {
+        match self.served(key) {
             Some(cell) => cell.id,
-            None => {
-                let lent = self
-                    .lent
-                    .as_ref()
-                    .expect("a view reads only during a block run");
-                lent.mv.cell_id(key)
-            }
+            None => self.lent().mv.cell_id(key),
         }
     }
 
-    /// Appends the consumed reads of one cell to `out` and folds its blocking
-    /// estimate writers (if any) into `blocked`. A delta-accumulated cell
-    /// contributes one write-level origin plus one `Delta` origin per
+    /// Appends the consumed reads of one served cell to `out` and folds its
+    /// blocking estimate writers (if any) into `blocked`. A delta-accumulated
+    /// cell contributes one write-level origin plus one `Delta` origin per
     /// contributor: observing the folded value makes the reader ordered after
     /// every contributor.
     fn push_consumed(
         &self,
-        key: StateKey,
+        cell: &ServedCell,
         out: &mut Vec<(CellId, ReadOrigin)>,
         blocked: &mut Option<usize>,
     ) {
-        let Some(cell) = self.served.get(&key) else {
-            // A cell the view never served: the access set records some keys
-            // ahead of the state operation (a transfer records the receiver
-            // before the debit), so a reverted path can leave a recorded key
-            // whose cell was never observed. The execution is independent of
-            // it, and `Base` is a sound origin: if a lower transaction turns
-            // out to have written it, validation aborts conservatively and
-            // re-execution converges.
-            out.push((self.cell_id(key), ReadOrigin::Base));
-            return;
-        };
+        let contributors = &self.contributions[cell.deltas.clone()];
         out.push((
             cell.id,
             cell.write.map_or(ReadOrigin::Base, |stamp| {
@@ -256,16 +311,46 @@ impl MvView {
             }),
         ));
         out.extend(
-            cell.deltas
+            contributors
                 .iter()
-                .map(|stamp| (cell.id, ReadOrigin::Delta(stamp.txn, stamp.incarnation))),
+                .map(|(stamp, _)| (cell.id, ReadOrigin::Delta(stamp.txn, stamp.incarnation))),
         );
         // The *lowest-indexed* estimate writer: suspending on the earliest
         // blocker resumes as soon as any stale input can change, instead of
         // waiting out a higher-indexed writer first.
-        for stamp in cell.write.iter().chain(&cell.deltas) {
+        let stamps = cell
+            .write
+            .iter()
+            .chain(contributors.iter().map(|(stamp, _)| stamp));
+        for stamp in stamps {
             if stamp.estimate {
                 *blocked = Some(blocked.map_or(stamp.txn, |b| b.min(stamp.txn)));
+            }
+        }
+    }
+
+    /// [`push_consumed`](MvView::push_consumed) for every key of `keys`
+    /// (sorted, as an [`AccessSet`] keeps them), merged against the sorted
+    /// served cells.
+    fn merge_consumed(
+        &self,
+        keys: &[StateKey],
+        out: &mut Vec<(CellId, ReadOrigin)>,
+        blocked: &mut Option<usize>,
+    ) {
+        let mut served = self.served.iter().peekable();
+        for &key in keys {
+            while served.next_if(|cell| cell.key < key).is_some() {}
+            match served.peek() {
+                Some(cell) if cell.key == key => self.push_consumed(cell, out, blocked),
+                // A cell the view never served: the access set records some
+                // keys ahead of the state operation (a transfer records the
+                // receiver before the debit), so a reverted path can leave a
+                // recorded key whose cell was never observed. The execution is
+                // independent of it, and `Base` is a sound origin: if a lower
+                // transaction turns out to have written it, validation aborts
+                // conservatively and re-execution converges.
+                _ => out.push((self.lent().mv.cell_id(key), ReadOrigin::Base)),
             }
         }
     }
@@ -283,6 +368,9 @@ impl MvView {
     /// by the sender's meta alone. A pure delta contribution
     /// (`access.deltas()`) observes nothing, so it records no read origin at
     /// all — that omission is exactly what lets contributors commute.
+    ///
+    /// Reads the served cells in key order:
+    /// [`sort_served`](MvView::sort_served) must have run.
     fn consumed_reads(
         &self,
         access: Option<&AccessSet>,
@@ -291,11 +379,14 @@ impl MvView {
     ) -> Option<usize> {
         out.clear();
         let mut blocked = None;
-        self.push_consumed(StateKey::Balance(sender), out, &mut blocked);
+        // The nonce check serves the sender's meta before anything else.
+        let sender = self
+            .served(StateKey::Balance(sender))
+            .expect("every execution reads its sender's meta");
+        self.push_consumed(sender, out, &mut blocked);
         if let Some(access) = access {
-            for &key in access.reads().iter().chain(access.writes()) {
-                self.push_consumed(key, out, &mut blocked);
-            }
+            self.merge_consumed(access.reads(), out, &mut blocked);
+            self.merge_consumed(access.writes(), out, &mut blocked);
         }
         out.sort_unstable();
         out.dedup();
@@ -710,6 +801,11 @@ struct WorkerScratch {
     /// account, and land in the version map as commutative
     /// `CellValue::Delta` contributions.
     executor: BlockExecutor,
+    /// Reusable undo journal the executor records into (nothing reads it:
+    /// the scratch state is reset instead of reverted).
+    journal: Journal,
+    /// Reusable access set the executor records into.
+    access: AccessSet,
     /// Reusable cell-write buffer: filled from the harvested write set, drained
     /// by `MvMemory::apply` — the values move into the version map and the
     /// vector's capacity survives for the next transaction.
@@ -733,6 +829,8 @@ impl WorkerScratch {
         WorkerScratch {
             state: ScratchState::new(MvView::default()),
             executor: BlockExecutor::with_delta_accesses(),
+            journal: Journal::new(),
+            access: AccessSet::new(),
             writes: Vec::new(),
             fragments: Vec::new(),
             delta_ops: Vec::new(),
@@ -768,9 +866,14 @@ impl RunCtx {
             // out of the scratch state below.
             ws.state.cells_mut().reset(t);
             ws.state.reset_working_set();
-            let (receipt, access) = match ws.executor.execute_transaction(&mut ws.state, tx) {
-                Ok(ctx) => (ctx.receipt, Some(ctx.access)),
-                Err(err) => (Receipt::failure(tx.id(), Gas::ZERO, err.to_string()), None),
+            let (receipt, recorded) = match ws.executor.execute_recorded(
+                &mut ws.state,
+                tx,
+                &mut ws.journal,
+                &mut ws.access,
+            ) {
+                Ok(receipt) => (receipt, true),
+                Err(err) => (Receipt::failure(tx.id(), Gas::ZERO, err.to_string()), false),
             };
             // Harvest the write set as cell writes: one fragment per touched
             // key whose value changed (unchanged keys vanish here), plus one
@@ -781,16 +884,26 @@ impl RunCtx {
             // The address is touched even when the contribution reverted to
             // nothing — sequential execution journals the account either way,
             // and the commit reproduces that. A zero addend installs no cell:
-            // readers must not observe (and depend on) a no-op.
+            // readers must not observe (and depend on) a no-op. Dirty
+            // addresses, fragments and delta ops all come in address order,
+            // so what a cell install does not touch falls out of one merge.
             ws.addrs
                 .extend(ws.delta_ops.iter().map(|(key, _)| key.address()));
-            let (fragments, delta_ops) = (&ws.fragments, &ws.delta_ops);
+            ws.addrs.sort_unstable();
+            ws.addrs.dedup();
+            let mut by_fragment = ws.fragments.iter().map(|f| f.key.address()).peekable();
+            let mut by_delta = ws
+                .delta_ops
+                .iter()
+                .filter(|&&(_, amount)| amount != 0)
+                .map(|(key, _)| key.address())
+                .peekable();
             ws.addrs.retain(|&address| {
-                !fragments.iter().any(|f| f.key.address() == address)
-                    && !delta_ops
-                        .iter()
-                        .any(|&(key, amount)| amount != 0 && key.address() == address)
+                while by_fragment.next_if(|&a| a < address).is_some() {}
+                while by_delta.next_if(|&a| a < address).is_some() {}
+                by_fragment.peek() != Some(&address) && by_delta.peek() != Some(&address)
             });
+            ws.state.cells_mut().sort_served();
             let view = ws.state.cells();
             ws.writes.clear();
             ws.writes.extend(ws.fragments.drain(..).map(|f| CellWrite {
@@ -808,7 +921,8 @@ impl RunCtx {
             );
             // `MvMemory::apply` expects the writes sorted by cell.
             ws.writes.sort_unstable_by_key(|w| w.cell);
-            let blocked_on = view.consumed_reads(access.as_ref(), tx.sender(), &mut ws.reads);
+            let access = recorded.then_some(&ws.access);
+            let blocked_on = view.consumed_reads(access, tx.sender(), &mut ws.reads);
             // Every write must be a consumed key — otherwise its fragment-or-not
             // decision would escape validation. Delta contributions are exempt:
             // they observe nothing by construction, which is exactly what makes
@@ -1163,14 +1277,13 @@ impl ExecutionEngine for OptimisticEngine {
         }
 
         let mv = Arc::get_mut(&mut kept.mv).expect("every job released the version store");
-        let delta_merges = mv.delta_entries();
         // Commit: set each final cell — fragment first, folded delta on top —
         // on the resident account in place; nothing is re-executed and no
         // account is exported, reassembled or re-installed, so the step costs
         // the cells the block wrote. Every `Balance` cell is drained before
         // any `Storage` or `Code` cell, so an account a fragment creates
-        // exists by the time its slots land.
-        mv.drain_final_cells(|key, cell| {
+        // exists by the time its slots land. The drain counts the merges.
+        let delta_merges = mv.drain_final_cells(|key, cell| {
             if let Some(fragment) = cell.write {
                 state.set_cell(&key, fragment.as_ref());
             }
@@ -1459,6 +1572,7 @@ mod tests {
         let served = Some((Amount::from_sats(1), 0));
         assert_eq!(view.meta(early), served);
         assert_eq!(view.meta(late), served);
+        view.sort_served();
 
         let mut access = AccessSet::default();
         access.record_read(StateKey::Balance(early));
@@ -1467,6 +1581,65 @@ mod tests {
         let blocked = view.consumed_reads(Some(&access), sender, &mut out);
         assert_eq!(blocked, Some(2));
         assert_eq!(out.len(), 3); // sender meta + the two estimate cells
+    }
+
+    /// Every repeated question to a view finds the cell it was first served,
+    /// however many it has been served, and the sorted lookups agree with it.
+    #[test]
+    fn a_view_finds_every_served_cell_again() {
+        let mv = Arc::new(MvMemory::new());
+        let contract = Address::from_low(7);
+        let mut base = WorldState::new();
+        for slot in 0..24 {
+            base.storage_set(contract, slot, 100 + slot, None);
+        }
+        let mut view = MvView::default();
+        view.lend(Arc::clone(&mv), Arc::new(base));
+        view.reset(0);
+        let keys: Vec<u64> = (0..24).rev().collect();
+        for (served, &slot) in keys.iter().enumerate() {
+            assert_eq!(view.slot(contract, slot), 100 + slot);
+            // Everything served so far is found again, not served twice.
+            for &earlier in &keys[..=served] {
+                assert_eq!(view.slot(contract, earlier), 100 + earlier);
+            }
+            assert_eq!(view.served.len(), served + 1);
+        }
+        view.sort_served();
+        for &slot in &keys {
+            let key = StateKey::Storage(contract, slot);
+            assert_eq!(view.cell_id(key), mv.cell_id(key));
+        }
+    }
+
+    /// One call that reads many slots and stores a few: the engine still
+    /// commits what sequential execution does.
+    #[test]
+    fn a_call_touching_many_slots_matches_sequential() {
+        use blockconc_account::vm::{Contract, OpCode};
+
+        let contract = Address::from_low(6_000);
+        let mut code = Vec::new();
+        for slot in 0..40 {
+            code.extend([OpCode::Push(slot), OpCode::SLoad, OpCode::Pop]);
+        }
+        for slot in [3, 17, 39] {
+            code.extend([OpCode::Caller, OpCode::Push(slot), OpCode::SStore]);
+        }
+        let mut state = funded(100..104);
+        state.deploy_contract(contract, Arc::new(Contract::new(code)));
+        let block = BlockBuilder::new(1, 0, Address::from_low(1))
+            .transactions((0..4u64).map(|i| {
+                AccountTransaction::contract_call(
+                    Address::from_low(100 + i),
+                    contract,
+                    Amount::ZERO,
+                    Vec::new(),
+                    0,
+                )
+            }))
+            .build();
+        assert_matches_sequential(&block, &state);
     }
 
     /// A shared contract whose callers write disjoint storage slots: the

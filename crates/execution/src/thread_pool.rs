@@ -2,8 +2,9 @@
 //!
 //! Spawning threads per block would put thread start-up into every per-block wall
 //! measurement. [`WorkerPool`] keeps the workers alive across blocks: jobs are
-//! `'static` closures pushed over a channel, and [`WorkerPool::run_tasks`] blocks
-//! until the submitted batch drains.
+//! `'static` closures pushed over a channel, and [`WorkerPool::run_tasks`] runs
+//! one job of each batch on the calling thread and blocks until the rest
+//! drains.
 
 use blockconc_types::{Error, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,8 +49,12 @@ impl WaitGroup {
 
 /// A persistent pool of worker threads.
 ///
-/// Workers are spawned once (at engine construction) and reused for every block, so
-/// the measured execution wall time contains no thread-startup cost. Jobs are
+/// A pool of `n` participants is the calling thread plus `n − 1` spawned
+/// workers: [`run_tasks`](WorkerPool::run_tasks) runs one job of each batch on
+/// the caller instead of parking it until the batch drains, so a batch of one
+/// job wakes no thread at all. Workers are spawned once (at engine
+/// construction) and reused for every block, so the measured execution wall
+/// time contains no thread-startup cost. Jobs are
 /// `'static` closures: callers that need to share non-`'static` data (like the
 /// engine's `WorldState`) temporarily move it into an [`Arc`] and recover it with
 /// [`Arc::try_unwrap`] after [`WorkerPool::run_tasks`] returns, which is
@@ -93,7 +98,9 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `size` worker threads.
+    /// A pool of `size` participants: the thread that calls
+    /// [`run_tasks`](WorkerPool::run_tasks) and `size − 1` worker threads,
+    /// spawned here.
     ///
     /// # Panics
     ///
@@ -102,7 +109,7 @@ impl WorkerPool {
         assert!(size > 0, "thread count must be positive");
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
-        let handles = (0..size)
+        let handles = (1..size)
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
                 thread::Builder::new()
@@ -118,14 +125,17 @@ impl WorkerPool {
         }
     }
 
-    /// The number of worker threads in the pool.
+    /// The number of participants: the calling thread plus the spawned
+    /// workers.
     pub fn size(&self) -> usize {
         self.size
     }
 
-    /// Submits `tasks` to the pool and blocks until every one has finished.
+    /// Runs `tasks` and blocks until every one has finished: the first on the
+    /// calling thread, the rest on the workers. A pool with no worker thread
+    /// (`size` 1) runs the whole batch on the caller, in order.
     ///
-    /// Panics inside a task are caught on the worker (the worker survives for the
+    /// Panics inside a task are caught where it runs (a worker survives for the
     /// next block) and surface here as an `Err` after the whole batch has drained —
     /// matching the engine trait's contract that worker failures are engine-level
     /// errors. By the time this returns, every task closure has been dropped, so
@@ -135,8 +145,16 @@ impl WorkerPool {
     ///
     /// Returns an error if any task panicked.
     pub fn run_tasks(&self, tasks: Vec<Job>) -> Result<()> {
-        if tasks.is_empty() {
+        let mut tasks = tasks.into_iter();
+        let Some(first) = tasks.next() else {
             return Ok(());
+        };
+        if self.handles.is_empty() {
+            // `&` rather than `&&`: every task runs, panicked or not.
+            let ok = std::iter::once(first).chain(tasks).fold(true, |ok, task| {
+                ok & catch_unwind(AssertUnwindSafe(task)).is_ok()
+            });
+            return if ok { Ok(()) } else { Err(panicked_error()) };
         }
         let wg = WaitGroup::new(tasks.len());
         let panicked = Arc::new(AtomicBool::new(false));
@@ -155,13 +173,20 @@ impl WorkerPool {
             });
             sender.send(job).expect("worker threads alive");
         }
+        // The caller's share, consumed (captures and all) before the wait.
+        let first_ok = catch_unwind(AssertUnwindSafe(first)).is_ok();
         wg.wait();
-        if panicked.load(Ordering::SeqCst) {
-            Err(Error::execution("worker thread panicked"))
-        } else {
+        if first_ok && !panicked.load(Ordering::SeqCst) {
             Ok(())
+        } else {
+            Err(panicked_error())
         }
     }
+}
+
+/// What [`WorkerPool::run_tasks`] reports for a batch in which a task panicked.
+fn panicked_error() -> Error {
+    Error::execution("worker thread panicked")
 }
 
 impl Drop for WorkerPool {
@@ -247,6 +272,54 @@ mod tests {
         }) as Job])
             .unwrap();
         assert_eq!(ok.load(Ordering::Relaxed), 1);
+    }
+
+    /// `new(n)` is n participants: the caller plus n − 1 spawned threads,
+    /// and the caller runs one job of every batch — every job of a batch on a
+    /// one-participant pool.
+    #[test]
+    fn the_caller_runs_one_job_and_the_workers_the_rest() {
+        for size in 1..=3 {
+            let pool = WorkerPool::new(size);
+            assert_eq!(pool.size(), size);
+            assert_eq!(pool.handles.len(), size - 1);
+            let caller = thread::current().id();
+            let on_caller = Arc::new(AtomicUsize::new(0));
+            let tasks: Vec<Job> = (0..size)
+                .map(|_| {
+                    let on_caller = Arc::clone(&on_caller);
+                    Box::new(move || {
+                        if thread::current().id() == caller {
+                            on_caller.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }) as Job
+                })
+                .collect();
+            pool.run_tasks(tasks).unwrap();
+            assert_eq!(on_caller.load(Ordering::Relaxed), 1, "size {size}");
+        }
+    }
+
+    /// A panic in the job the caller runs surfaces as the same `Err` as one
+    /// on a worker, after the batch has drained; with no worker thread the
+    /// rest of the batch still runs.
+    #[test]
+    fn an_inline_panic_reports_error_and_the_batch_drains() {
+        for size in [1, 2] {
+            let pool = WorkerPool::new(size);
+            let ran = Arc::new(AtomicUsize::new(0));
+            let mut tasks: Vec<Job> = vec![Box::new(|| panic!("inline boom"))];
+            for _ in 0..3 {
+                let ran = Arc::clone(&ran);
+                tasks.push(Box::new(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }));
+            }
+            let err = pool.run_tasks(tasks).unwrap_err();
+            assert_eq!(err.to_string(), panicked_error().to_string());
+            assert_eq!(ran.load(Ordering::Relaxed), 3, "size {size}");
+            assert!(Arc::try_unwrap(ran).is_ok(), "every capture dropped");
+        }
     }
 
     #[test]
