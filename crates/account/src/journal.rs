@@ -1,5 +1,6 @@
 //! The undo journal, and the journalled operations both state types run on it.
 
+use crate::account::Spares;
 use crate::Account;
 use blockconc_store::StateKey;
 use blockconc_types::{Address, Amount, Error, Result};
@@ -211,25 +212,30 @@ impl<S: Source> WorkingSet<S> {
         acct.bump_nonce();
     }
 
+    /// Writes a slot; a box the account needs comes from `spares`, and one it
+    /// sheds goes back there.
     pub(crate) fn storage_set(
         &mut self,
         address: Address,
         key: u64,
         value: u64,
         mut journal: Option<&mut Journal>,
+        spares: Option<&mut Spares>,
     ) {
         let old = self
             .entry(address, journal.as_deref_mut())
-            .storage_set(key, value);
+            .storage_set_with(key, value, spares);
         record(journal, UndoOp::Storage(address, key, old));
     }
 
     /// Reverts (and removes) every journal operation recorded after
-    /// `checkpoint`, most recent first. Blind-delta undos go to `delta`.
+    /// `checkpoint`, most recent first. Blind-delta undos go to `delta`; the
+    /// boxes of slots and accounts the undo empties go to `spares`.
     pub(crate) fn revert_to(
         &mut self,
         journal: &mut Journal,
         checkpoint: usize,
+        mut spares: Option<&mut Spares>,
         mut delta: impl FnMut(DeltaUndo),
     ) {
         while journal.ops.len() > checkpoint {
@@ -246,11 +252,14 @@ impl<S: Source> WorkingSet<S> {
                 }
                 UndoOp::Storage(addr, key, old) => {
                     if let Some(acct) = self.accounts.get_mut(&addr) {
-                        acct.storage_set(key, old);
+                        acct.storage_set_with(key, old, spares.as_deref_mut());
                     }
                 }
                 UndoOp::Created(addr) => {
-                    self.accounts.remove(&addr);
+                    let created = self.accounts.remove(&addr);
+                    if let (Some(spares), Some(created)) = (spares.as_deref_mut(), created) {
+                        spares.recycle(created);
+                    }
                     // The account never existed in committed state (Created is
                     // only journalled when neither the working set nor the
                     // source had it), so the delta does not need a deletion

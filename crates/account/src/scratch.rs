@@ -1,13 +1,14 @@
 //! The execution engines' scratch state: a private, sparse view of committed
 //! state read one cell at a time.
 
+use crate::account::Spares;
 use crate::journal::{record, DeltaUndo, Journal, Source, UndoOp, WorkingSet};
 use crate::state::StateAccess;
 use crate::vm::Contract;
 use crate::Account;
 use blockconc_store::{FragmentValue, StateFragment, StateKey};
 use blockconc_types::{Address, Amount, Result};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Committed state as a [`ScratchState`] reads it: one cell at a time.
@@ -135,12 +136,19 @@ pub struct ScratchState<C> {
     /// The sparse accounts, the addresses written and the view itself.
     pub(crate) set: WorkingSet<C>,
     /// Slots absolutely written (`storage_set`) in this working set: exactly
-    /// the slots a sparse account holds authoritatively (ordered, so the
-    /// harvest walks one account's slots ascending). A blind slot delta must
-    /// not coexist with an absolute write to the same slot inside one harvest
-    /// (the engine would emit two cell writes for one key), so `SAdd` on a
-    /// stored slot falls back to the classic read-modify-write.
-    stored_slots: BTreeSet<(Address, u64)>,
+    /// the slots a sparse account holds authoritatively. A blind slot delta
+    /// must not coexist with an absolute write to the same slot inside one
+    /// harvest (the engine would emit two cell writes for one key), so `SAdd`
+    /// on a stored slot falls back to the classic read-modify-write. Cleared,
+    /// not dropped, between working sets, so it keeps its capacity.
+    stored_slots: HashSet<(Address, u64)>,
+    /// Where [`take_write_fragments`](ScratchState::take_write_fragments)
+    /// sorts the stored slots, once per harvest, so it walks each account's
+    /// slots ascending: kept for its capacity.
+    stored_sorted: Vec<(Address, u64)>,
+    /// The cleared boxes of accounts this state dropped, for the next sparse
+    /// account's first slot or code, so neither allocates once warm.
+    spares: Spares,
     /// Blind commutative contributions to keys this state has not
     /// materialized: folded over the served value only when observed, ordered
     /// against (debit, absolute slot write) or harvested
@@ -156,7 +164,9 @@ impl<C: CellView> ScratchState<C> {
     pub fn new(cells: C) -> Self {
         ScratchState {
             set: WorkingSet::new(cells),
-            stored_slots: BTreeSet::new(),
+            stored_slots: HashSet::new(),
+            stored_sorted: Vec::new(),
+            spares: Spares::default(),
             pending: HashMap::new(),
             drained: Vec::new(),
         }
@@ -182,9 +192,12 @@ impl<C: CellView> ScratchState<C> {
 
     /// Drops the working set — sparse accounts, dirty set, stored slots and
     /// pending deltas — keeping the view. Cheap enough to call between
-    /// transactions: the engines recycle one scratch state per worker.
+    /// transactions: the engines recycle one scratch state per worker, and
+    /// each dropped account's box is kept for the next working set.
     pub fn reset_working_set(&mut self) {
-        self.set.accounts.clear();
+        for (_, account) in self.set.accounts.drain() {
+            self.spares.recycle(account);
+        }
         self.set.dirty.clear();
         self.pending.clear();
         self.stored_slots.clear();
@@ -219,8 +232,18 @@ impl<C: CellView> ScratchState<C> {
         touched.clear();
         touched.extend(self.set.dirty.drain());
         touched.sort_unstable();
+        self.stored_sorted.clear();
+        self.stored_sorted.extend(self.stored_slots.iter().copied());
+        self.stored_sorted.sort_unstable();
+        // Both lists are sorted, so one walk hands each touched account its
+        // own stored slots.
+        let mut stored = self.stored_sorted.as_slice();
         let cells = &mut self.set.source;
         for &address in touched.iter() {
+            let start = stored.partition_point(|&(owner, _)| owner < address);
+            let end = start + stored[start..].partition_point(|&(owner, _)| owner == address);
+            let slots = &stored[start..end];
+            stored = &stored[end..];
             let Some(post) = self.set.accounts.get(&address) else {
                 // Created and rolled back: nothing was served for it, nothing
                 // remains of it. (A *committed* account cannot vanish from a
@@ -237,10 +260,7 @@ impl<C: CellView> ScratchState<C> {
                     }),
                 });
             }
-            for &(_, slot) in self
-                .stored_slots
-                .range((address, u64::MIN)..=(address, u64::MAX))
-            {
+            for &(_, slot) in slots {
                 let value = post.storage_get(slot);
                 if cells.slot(address, slot) != value {
                     fragments.push(StateFragment {
@@ -422,20 +442,25 @@ impl<C: CellView> StateAccess for ScratchState<C> {
             if served != 0 {
                 self.set
                     .entry(address, journal.as_deref_mut())
-                    .storage_set(key, served);
+                    .storage_set_with(key, served, Some(&mut self.spares));
             }
         }
-        self.set.storage_set(address, key, value, journal);
+        self.set
+            .storage_set(address, key, value, journal, Some(&mut self.spares));
     }
 
     fn deploy_contract(&mut self, address: Address, contract: Arc<Contract>) {
-        self.set.entry(address, None).set_code(contract);
+        self.set
+            .entry(address, None)
+            .set_code_with(contract, Some(&mut self.spares));
     }
 
     fn revert_to(&mut self, journal: &mut Journal, checkpoint: usize) {
         let pending = &mut self.pending;
         self.set
-            .revert_to(journal, checkpoint, |op| undo_delta(pending, op));
+            .revert_to(journal, checkpoint, Some(&mut self.spares), |op| {
+                undo_delta(pending, op)
+            });
     }
 
     /// Blind when the account is not materialized here: a resident value is
@@ -593,5 +618,39 @@ pub(crate) mod tests {
         for address in touched {
             resident.touch(address);
         }
+    }
+
+    /// A box handed from one working set's account to the next holds none of
+    /// the first account's slots or code: not to a read, not to the harvest,
+    /// not to the journalled old value a revert restores.
+    #[test]
+    fn a_recycled_box_carries_nothing_over() {
+        let (first, second) = (Address::from_low(1), Address::from_low(2));
+        let mut committed = WorldState::new();
+        committed.credit(second, Amount::from_sats(10));
+        let mut scratch = ScratchState::new(MapCells::of(&committed));
+        scratch.storage_set(first, 7, 70, None);
+        scratch.storage_set(first, 8, 80, None);
+        scratch.deploy_contract(first, Arc::new(Contract::counter()));
+        scratch.reset_working_set();
+
+        // The committed account's first slot takes the dropped account's box.
+        let mut journal = Journal::new();
+        scratch.storage_set(second, 7, 5, Some(&mut journal));
+        let account = &scratch.set.accounts[&second];
+        assert_eq!(account.storage_entries(), [(7, 5)]);
+        assert!(!account.is_contract());
+        assert!(scratch.contract(second).is_none());
+        let (mut fragments, mut touched) = (Vec::new(), Vec::new());
+        scratch
+            .clone()
+            .take_write_fragments(&mut fragments, &mut touched);
+        assert_eq!(
+            fragments.iter().map(|f| f.key).collect::<Vec<_>>(),
+            [StateKey::Storage(second, 7)]
+        );
+        scratch.revert_to(&mut journal, 0);
+        assert_eq!(scratch.storage(second, 7), 0);
+        assert_eq!(scratch.storage(second, 8), 0);
     }
 }

@@ -680,7 +680,7 @@ impl StateAccess for WorldState {
         value: u64,
         journal: Option<&mut Journal>,
     ) {
-        self.set.storage_set(address, key, value, journal);
+        self.set.storage_set(address, key, value, journal, None);
     }
 
     fn deploy_contract(&mut self, address: Address, contract: Arc<Contract>) {
@@ -688,7 +688,7 @@ impl StateAccess for WorldState {
     }
 
     fn revert_to(&mut self, journal: &mut Journal, checkpoint: usize) {
-        self.set.revert_to(journal, checkpoint, |op| {
+        self.set.revert_to(journal, checkpoint, None, |op| {
             unreachable!(
                 "blind-delta undo {op:?} on a resident state: only a ScratchState journals deltas"
             )
@@ -697,7 +697,7 @@ impl StateAccess for WorldState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scratch::tests::{commit_harvest, MapCells};
     use crate::vm::OpCode;
@@ -1475,7 +1475,7 @@ mod tests {
     }
 
     /// SplitMix64 step for the generated-mutation tests.
-    fn mix(state: &mut u64) -> u64 {
+    pub(crate) fn mix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -6,7 +6,9 @@
 //! block. Block-STM (`OptimisticEngine`) reuses its scaffolding, its workers'
 //! recording buffers and the version store, so a block of plain transfers
 //! costs a handful of per-block allocations (result vector, job boxes,
-//! lent handles) and nothing per transaction. The sequential path
+//! lent handles) and nothing per transaction; its workers' scratch states keep
+//! their stored-slot sets and the boxes of the accounts they dropped, so a
+//! block of contract calls on disjoint slots costs no more. The sequential path
 //! (`BlockExecutor::execute_block`) reuses one journal and one operand stack,
 //! so a block of contract calls costs its receipt vector and little else.
 //!
@@ -121,6 +123,27 @@ fn a_warm_engine_allocates_almost_nothing_per_transaction() {
             per_tx <= 0.5,
             "OptimisticEngine::new({threads}) made {count} allocations for {TXS} transfers"
         );
+    }
+
+    // Block-STM over contract calls on disjoint slots (each sender bumps its
+    // own slot of one shared contract): a worker's scratch state keeps its
+    // stored-slot set and the boxes of the accounts it dropped, so a call's
+    // sparse contract account allocates nothing once warm.
+    for threads in [1, 2] {
+        let counter = Address::from_low(60_000);
+        let mut engine = OptimisticEngine::new(threads);
+        let mut state = funded();
+        state.deploy_contract(counter, Arc::new(Contract::per_caller_counter()));
+        let (warm_up, measured) = (counter_calls(1, counter), counter_calls(2, counter));
+        engine.execute(&mut state, &warm_up).expect("warm-up block");
+        let count = allocations(|| engine.execute(&mut state, &measured).expect("block"));
+        let per_call = count as f64 / TXS as f64;
+        println!("optimistic x{threads}: {count} allocations, {per_call:.3} per contract call");
+        assert!(
+            per_call <= 0.5,
+            "OptimisticEngine::new({threads}) made {count} allocations for {TXS} contract calls"
+        );
+        assert_eq!(state.storage(counter, 1), 2);
     }
 
     // The sequential path over contract calls.

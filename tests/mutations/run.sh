@@ -4,7 +4,10 @@
 # against it. A mutation that survives means that test no longer guards what
 # the patch breaks.
 #
-# Usage: tests/mutations/run.sh
+# Usage: tests/mutations/run.sh [name ...]
+#
+# With no names every patch runs; a name (the patch's file name, with or
+# without `.patch`) runs only that patch.
 #
 # The tracked tree is copied once to a temporary directory; each patch is
 # applied there, its test run, and the patch reverted, so the checkout itself
@@ -13,13 +16,27 @@
 set -euo pipefail
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+patches=()
+if [ "$#" -eq 0 ]; then
+    patches=("$root"/tests/mutations/*.patch)
+else
+    for name in "$@"; do
+        patch="$root/tests/mutations/${name%.patch}.patch"
+        if [ ! -f "$patch" ]; then
+            echo "${name%.patch}: no such patch"
+            exit 1
+        fi
+        patches+=("$patch")
+    done
+fi
+
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 (cd "$root" && git ls-files -z | tar --null -T - -cf -) | tar -xf - -C "$work"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
 
 status=0
-for patch in "$root"/tests/mutations/*.patch; do
+for patch in "${patches[@]}"; do
     name=$(basename "$patch" .patch)
     args=$(sed -n 's/^Test: //p' "$patch")
     if [ -z "$args" ]; then
